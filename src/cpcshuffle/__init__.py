@@ -56,9 +56,7 @@ from .channel import (
     ideal_verify,
     neutralizing_precoder,
     partition_slots,
-    simulate_case_c_timedivision,
     simulate_partition,
-    simulate_partition_case_a,
     simulate_with_resample,
     simulation_bits,
 )

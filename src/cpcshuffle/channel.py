@@ -1,21 +1,30 @@
 """Physical-layer delivery: fading draws, cofactor precoders, linear decoding.
 
-Per partition the transmitters serve one cooperation group at a time.  A
-message meant for receiver group D is precoded with the cofactors of the
-bottom row of the matrix whose other rows are the channel rows of the
-unintended receivers, so its superposition vanishes there exactly (up to
-floating point).  Each receiver then sees only the messages it wants and
-solves a square symbol-extension system; decoded symbols per slot give
-the measured per-receiver DoF.
+One engine serves every simulated configuration.  Per partition it cuts
+the K_r receivers into all receiver sets of size g = min(K_r, s+t-1) and
+serves each (receiver set, cooperation group) pair as one block of
+C(g-1, s-1) slots.  The group's first g-s+1 members transmit, and each
+message for a dest group D inside the set is precoded with the cofactors
+of the bottom row of the matrix whose other rows are the channel rows of
+the g-s unintended receivers, so its superposition vanishes there exactly
+(up to floating point).  Each receiver then sees only the messages it
+wants and solves a square symbol-extension system, one symbol per slot.
 
-Each coded message rides as one unit-power complex symbol derived from
-its payload; recovering the symbol within tolerance delivers the payload.
+A message is cut into C(K_r-s, g-s) chunks, one per receiver set that
+contains D, so the per-receiver DoF is g / K_r.  Single shot (s+t > K_r)
+is the case g = K_r: one receiver set, one chunk, DoF 1.  Time division
+(s+t < K_r) has g = s+t-1.  s + t = K_r, the asymptotic-alignment
+regime, is not simulated.
+
+Each chunk rides as one unit-power complex symbol derived from its bytes;
+recovering the symbol within tolerance delivers the chunk.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,8 +44,11 @@ from .codec import (
     admissible_pairs,
     decode_segment,
     encode_partition,
+    round_up_bits,
     segment_ivs,
+    segments_per_block,
 )
+from .ndt import delivery_dof
 from .placement import build_placement, map_phase, required_ivs
 
 DEFAULT_TOLERANCE = 1e-8
@@ -167,20 +179,9 @@ def neutralizing_precoder(
     return w
 
 
-def payload_symbol(message: CodedMessage) -> complex:
-    """Deterministic unit-power symbol for a message (a fixture, not a modem)."""
-    tag = hashlib.blake2b(
-        repr(
-            (message.partition, message.dest_group.members, message.coop.members)
-        ).encode()
-        + message.payload,
-        digest_size=8,
-    ).digest()
-    phase = 2.0 * np.pi * (int.from_bytes(tag, "little") / 2**64)
-    return complex(np.cos(phase), np.sin(phase))
-
-
-def _sub_symbol(message: CodedMessage, chunk_index: int, chunk: bytes) -> complex:
+def payload_symbol(message: CodedMessage, chunk_index: int) -> complex:
+    """Deterministic unit-power symbol for chunk `chunk_index` of a message,
+    whose payload holds that chunk (a fixture, not a modem)."""
     tag = hashlib.blake2b(
         repr(
             (
@@ -190,7 +191,7 @@ def _sub_symbol(message: CodedMessage, chunk_index: int, chunk: bytes) -> comple
                 chunk_index,
             )
         ).encode()
-        + chunk,
+        + message.payload,
         digest_size=8,
     ).digest()
     phase = 2.0 * np.pi * (int.from_bytes(tag, "little") / 2**64)
@@ -299,7 +300,50 @@ def _deliver_block(
                 delivered.setdefault(j, {})[token] = True
 
 
-def simulate_partition_case_a(
+def _layout(config: ShuffleConfig) -> tuple[int, int, int]:
+    """(g, chunks per message, slots per block) of the delivery scheme.
+
+    Receiver sets have size g = min(K_r, s+t-1); a message is cut into
+    one chunk per receiver set containing its dest group, C(K_r-s, g-s);
+    a block serves C(g-1, s-1) symbols to each receiver of its set.
+    """
+    s, t, K_r = config.s, config.t, config.K_r
+    g = min(K_r, s + t - 1)
+    return g, math.comb(K_r - s, g - s), math.comb(g - 1, s - 1)
+
+
+def simulation_bits(config: ShuffleConfig, requested_bits: int) -> int:
+    """Least B >= requested that the codec AND the simulator can split evenly.
+
+    On top of the codec's segment rule (B a multiple of 8 * segments per
+    block), every payload is cut into C(K_r-s, g-s) chunks, so the
+    segment byte length must divide by that too.  s + t = K_r is not
+    simulated, so there the codec's rule alone applies.
+    """
+    _g, n_chunks, _gamma = _layout(config)
+    if config.s + config.t == config.K_r:
+        n_chunks = 1
+    eta1, eta2 = config.params.require_symmetric()
+    step = 8 * segments_per_block(config)
+    # payload bytes per message = eta1*eta2*bits/step; make it a multiple
+    # of n_chunks
+    k = round_up_bits(config, requested_bits) // step
+    need = n_chunks // math.gcd(eta1 * eta2, n_chunks)
+    return -(-k // need) * need * step
+
+
+def partition_slots(config: ShuffleConfig) -> int:
+    """Channel slots one partition needs: C(K_r, g) receiver sets times
+    C(K_t, t) cooperation groups, C(g-1, s-1) slots each."""
+    if config.s + config.t == config.K_r:
+        raise ParameterError(
+            "s + t = K_r sits in the asymptotic-alignment regime, which is not simulated"
+        )
+    g, _chunks, gamma = _layout(config)
+    return math.comb(config.K_r, g) * math.comb(config.K_t, config.t) * gamma
+
+
+def simulate_partition(
     partition: Partition,
     config: ShuffleConfig,
     channel: ChannelRealization,
@@ -308,57 +352,70 @@ def simulate_partition_case_a(
     cond_guard: float = CONDITION_GUARD,
     snr_db: float | None = None,
 ) -> DeliveryReport:
-    """Single-shot neutralized delivery; needs s + t >= K_r + 1.
+    """Neutralized delivery of one partition's messages.
 
-    Cooperation groups are served sequentially; each uses Gamma =
-    C(K_r-1, s-1) slots and its lexicographically smallest K_r - s + 1
-    members as transmitters.  Every receiver decodes its Gamma desired
-    symbols per group, a per-receiver DoF of exactly 1.
+    Receiver sets of size g are served in lex order, and within each set
+    the cooperation groups in lex order, one block apiece.  A block
+    carries, for every dest group inside the set, that message's chunk
+    for the set; the coop group's first g-s+1 members transmit it.  A
+    receiver holds a message once it has all of its chunks.
     """
-    s, t, K_r = config.s, config.t, config.K_r
-    if s + t < K_r + 1:
-        raise ParameterError(f"single-shot regime needs s+t >= K_r+1, got s={s}, t={t}, K_r={K_r}")
-    gamma = math.comb(K_r - 1, s - 1)
-    by_group: dict[NodeSet, list[CodedMessage]] = {}
-    for msg in messages:
-        by_group.setdefault(msg.coop, []).append(msg)
-    coop_groups = enum_subsets(partition.tx, t)
-    needed = len(coop_groups) * gamma
+    s = config.s
+    needed = partition_slots(config)
     if channel.slots < needed:
         raise ParameterError(f"channel has {channel.slots} slots, need {needed}")
+    g, n_chunks, gamma = _layout(config)
+    rx_sets = enum_subsets(partition.rx, g)
+    coop_groups = enum_subsets(partition.tx, config.t)
+    active = {coop: NodeSet(coop.members[: g - s + 1]) for coop in coop_groups}
+
+    # each message's chunks, under the key reassembly looks messages up by
+    chunks: dict[tuple, list[bytes]] = {}
+    for msg in messages:
+        if len(msg.payload) % n_chunks != 0:
+            raise ParameterError(
+                f"payload of {len(msg.payload)} bytes does not split into {n_chunks} chunks"
+            )
+        step = len(msg.payload) // n_chunks
+        chunks[(partition.index, msg.dest_group.members, msg.coop.members)] = [
+            msg.payload[i * step : (i + 1) * step] for i in range(n_chunks)
+        ]
 
     stats = _BlockStats()
-    rng_noise = None
-    noise_sigma = 0.0
-    if snr_db is not None:
-        rng_noise = np.random.default_rng(channel.seed ^ 0xA5A5)
-        noise_sigma = 10.0 ** (-snr_db / 20.0)
+    noiseless = snr_db is None
+    rng_noise = None if noiseless else np.random.default_rng(channel.seed ^ 0xA5A5)
+    noise_sigma = 0.0 if noiseless else 10.0 ** (-snr_db / 20.0)
     recovered: dict[int, dict] = {}
+    # chunk i of a message rides in the i-th receiver set containing its group
+    next_chunk: dict[tuple[int, ...], int] = {}
     slot0 = 1
-    for coop in coop_groups:
-        active = NodeSet(coop.members[: K_r - s + 1])
-        unknowns = [
-            (m.dest_group, payload_symbol(m), m) for m in sorted(
-                by_group.get(coop, []), key=lambda m: m.dest_group
+    for group in rx_sets:
+        dest_groups = enum_subsets(group, s)
+        for coop in coop_groups:
+            unknowns = []
+            for dest_group in dest_groups:
+                key = (partition.index, dest_group.members, coop.members)
+                idx = next_chunk.get(dest_group.members, 0)
+                msg = CodedMessage(partition.index, dest_group, coop, chunks[key][idx])
+                unknowns.append((dest_group, payload_symbol(msg, idx), (key, idx)))
+            _deliver_block(
+                channel, slot0, gamma, active[coop], group, unknowns,
+                stats, tol, cond_guard, rng_noise, noise_sigma, recovered,
             )
-        ]
-        _deliver_block(
-            channel, slot0, gamma, active, partition.rx, unknowns,
-            stats, tol, cond_guard, rng_noise, noise_sigma, recovered,
-        )
-        slot0 += gamma
+            slot0 += gamma
+        for dest_group in dest_groups:
+            next_chunk[dest_group.members] = next_chunk.get(dest_group.members, 0) + 1
 
-    delivered = {
-        j: {
-            (m.partition, m.dest_group.members, m.coop.members): m.payload
-            for m in tokens
+    delivered = {}
+    for j, tokens in recovered.items():
+        held = Counter(key for key, _idx in tokens)
+        delivered[j] = {
+            key: b"".join(chunks[key]) for key, n in held.items() if n == n_chunks
         }
-        for j, tokens in recovered.items()
-    }
     per_receiver = min(len(recovered.get(j, {})) for j in partition.rx)
     return DeliveryReport(
         partition=partition.index,
-        regime="single_shot",
+        regime="single_shot" if g == config.K_r else "time_division",
         slots_used=needed,
         symbols_per_receiver=per_receiver,
         measured_dof=Fraction(per_receiver, needed),
@@ -367,154 +424,6 @@ def simulate_partition_case_a(
         max_symbol_error=stats.max_symbol_error,
         delivered=delivered,
         noise_mse=(stats.noise_sq / stats.noise_n) if stats.noise_n else None,
-    )
-
-
-def simulate_case_c_timedivision(
-    partition: Partition,
-    config: ShuffleConfig,
-    channel: ChannelRealization,
-    messages: list[CodedMessage],
-    tol: float = DEFAULT_TOLERANCE,
-    cond_guard: float = CONDITION_GUARD,
-    snr_db: float | None = None,
-) -> DeliveryReport:
-    """Time-division delivery for s + t <= K_r - 1.
-
-    Each message splits into C(K_r-s, t-1) sub-messages, one per size
-    (s+t-1) receiver set containing its group; every receiver set is
-    served as its own small network in which the single-shot scheme
-    applies.  Per-receiver DoF by slot count is r / K_r.
-    """
-    s, t, K_r = config.s, config.t, config.K_r
-    if s + t > K_r - 1:
-        raise ParameterError(
-            f"time-division regime needs s+t <= K_r-1, got s={s}, t={t}, K_r={K_r}"
-        )
-    g = s + t - 1
-    n_chunks = math.comb(K_r - s, t - 1)
-    gamma = math.comb(g - 1, s - 1)
-    rx_sets = enum_subsets(partition.rx, g)
-    coop_groups = enum_subsets(partition.tx, t)
-    needed = len(rx_sets) * len(coop_groups) * gamma
-    if channel.slots < needed:
-        raise ParameterError(f"channel has {channel.slots} slots, need {needed}")
-
-    chunks: dict[tuple, list[bytes]] = {}
-    chunk_sets: dict[tuple, list[NodeSet]] = {}
-    for msg in messages:
-        if len(msg.payload) % n_chunks != 0:
-            raise ParameterError(
-                f"payload of {len(msg.payload)} bytes does not split into {n_chunks} chunks"
-            )
-        step = len(msg.payload) // n_chunks
-        key = (msg.dest_group, msg.coop)
-        chunks[key] = [msg.payload[i * step : (i + 1) * step] for i in range(n_chunks)]
-        chunk_sets[key] = [grp for grp in rx_sets if msg.dest_group.issubset(grp)]
-
-    stats = _BlockStats()
-    rng_noise = None
-    noise_sigma = 0.0
-    if snr_db is not None:
-        rng_noise = np.random.default_rng(channel.seed ^ 0xA5A5)
-        noise_sigma = 10.0 ** (-snr_db / 20.0)
-    recovered: dict[int, dict] = {}
-    slot0 = 1
-    for group in rx_sets:
-        for coop in coop_groups:
-            unknowns = []
-            for dest_group in enum_subsets(group, s):
-                key = (dest_group, coop)
-                idx = chunk_sets[key].index(group)
-                chunk = chunks[key][idx]
-                msg = CodedMessage(partition.index, dest_group, coop, chunk)
-                token = (dest_group, coop, idx)
-                unknowns.append((dest_group, _sub_symbol(msg, idx, chunk), token))
-            _deliver_block(
-                channel, slot0, gamma, coop, group, unknowns,
-                stats, tol, cond_guard, rng_noise, noise_sigma, recovered,
-            )
-            slot0 += gamma
-
-    # Reassemble: a receiver holds a message once it has all its chunks.
-    delivered: dict[int, dict[tuple, bytes]] = {}
-    sub_per_receiver = min(len(recovered.get(j, {})) for j in partition.rx)
-    for j, tokens in recovered.items():
-        out: dict[tuple, bytes] = {}
-        for (dest_group, coop), parts in chunks.items():
-            if j not in dest_group:
-                continue
-            if all((dest_group, coop, i) in tokens for i in range(n_chunks)):
-                out[(partition.index, dest_group.members, coop.members)] = b"".join(parts)
-        delivered[j] = out
-    return DeliveryReport(
-        partition=partition.index,
-        regime="time_division",
-        slots_used=needed,
-        symbols_per_receiver=sub_per_receiver,
-        measured_dof=Fraction(sub_per_receiver, needed),
-        max_condition=stats.max_condition,
-        max_residual=stats.max_residual,
-        max_symbol_error=stats.max_symbol_error,
-        delivered=delivered,
-        noise_mse=(stats.noise_sq / stats.noise_n) if stats.noise_n else None,
-    )
-
-
-def simulation_bits(config: ShuffleConfig, requested_bits: int) -> int:
-    """Least B >= requested that the codec AND the simulator can split evenly.
-
-    On top of the codec's segment rule (B a multiple of 8 * segments per
-    block), the time-division regime cuts each payload into
-    C(K_r-s, t-1) chunks, so the segment byte length must divide by that
-    too.
-    """
-    from math import gcd
-
-    from .codec import round_up_bits, segments_per_block
-
-    bits = round_up_bits(config, requested_bits)
-    s, t, K_r = config.s, config.t, config.K_r
-    if s + t <= K_r - 1 and t > 1:
-        n_chunks = math.comb(K_r - s, t - 1)
-        eta1, eta2 = config.params.require_symmetric()
-        step = 8 * segments_per_block(config)
-        # payload bytes per message = eta1*eta2*bits/step; make it a
-        # multiple of n_chunks
-        k = bits // step
-        need = n_chunks // gcd(eta1 * eta2, n_chunks)
-        k = -(-k // need) * need
-        bits = k * step
-    return bits
-
-
-def partition_slots(config: ShuffleConfig) -> int:
-    """Channel slots one partition needs under the applicable regime."""
-    s, t, K_r, K_t = config.s, config.t, config.K_r, config.K_t
-    if s + t >= K_r + 1:
-        return math.comb(K_t, t) * math.comb(K_r - 1, s - 1)
-    if s + t <= K_r - 1:
-        g = s + t - 1
-        return math.comb(K_r, g) * math.comb(K_t, t) * math.comb(g - 1, s - 1)
-    raise ParameterError(
-        "s + t = K_r sits in the asymptotic-alignment regime, which is not simulated"
-    )
-
-
-def simulate_partition(
-    partition: Partition,
-    config: ShuffleConfig,
-    channel: ChannelRealization,
-    messages: list[CodedMessage],
-    **kwargs,
-) -> DeliveryReport:
-    """Dispatch to the regime that applies to this configuration."""
-    if config.s + config.t >= config.K_r + 1:
-        return simulate_partition_case_a(partition, config, channel, messages, **kwargs)
-    if config.s + config.t <= config.K_r - 1:
-        return simulate_case_c_timedivision(partition, config, channel, messages, **kwargs)
-    raise ParameterError(
-        "s + t = K_r sits in the asymptotic-alignment regime, which is not simulated"
     )
 
 
@@ -549,11 +458,12 @@ class VerificationReport:
     ok: bool
     failures: list[tuple[int, int, int]]
     partitions: int
-    slots_total: int
-    max_condition: float
-    max_residual: float
-    max_symbol_error: float
-    measured_dof: Fraction | None
+    slots_total: int = 0
+    max_condition: float = 0.0
+    max_residual: float = 0.0
+    max_symbol_error: float = 0.0
+    measured_dof: Fraction | None = None
+    claimed_dof: Fraction | None = None  # what the analytics promise
 
     def summary(self) -> dict:
         return {
@@ -565,6 +475,7 @@ class VerificationReport:
             "max_residual": self.max_residual,
             "max_symbol_error": self.max_symbol_error,
             "measured_dof": str(self.measured_dof) if self.measured_dof else None,
+            "claimed_dof": str(self.claimed_dof) if self.claimed_dof else None,
         }
 
 
@@ -658,6 +569,7 @@ def end_to_end_verify(
         max_residual=max_res,
         max_symbol_error=max_err,
         measured_dof=dof,
+        claimed_dof=delivery_dof(config.s, config.t, config.K_t, config.K_r),
     )
     return report.ok, report
 
@@ -685,14 +597,7 @@ def ideal_verify(
         params, placement, store, segments, config, delivered, partitions
     )
     report = VerificationReport(
-        ok=not failures,
-        failures=failures,
-        partitions=len(partitions),
-        slots_total=0,
-        max_condition=0.0,
-        max_residual=0.0,
-        max_symbol_error=0.0,
-        measured_dof=None,
+        ok=not failures, failures=failures, partitions=len(partitions)
     )
     return report.ok, report
 

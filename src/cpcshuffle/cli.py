@@ -4,9 +4,6 @@ Outputs are deterministic for a given (arguments, seed): JSON is emitted
 with sorted keys, CSV rows in a fixed order with the stable header
 scheme,K,r,K_r,t,value.  Exit codes: 0 ok, 1 verification failure,
 2 invalid configuration, 3 internal invariant breach.
-
-The environment variable CPC_THREADS caps sweep parallelism (default 1);
-grid results are collected in deterministic order regardless.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .model import (
@@ -260,14 +256,7 @@ def _sweep_cell(cell) -> list[list]:
 
 
 def cmd_sweep(args) -> int:
-    grid = _sweep_grid(args)
-    workers = max(1, int(os.environ.get("CPC_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_sweep_cell, grid))
-    else:
-        chunks = [_sweep_cell(cell) for cell in grid]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for cell in _sweep_grid(args) for row in _sweep_cell(cell)]
     if args.format == "json":
         _emit(args, _json([dict(zip(CSV_HEADER, row)) for row in rows]))
     else:

@@ -21,10 +21,9 @@ from cpcshuffle.channel import (
     ideal_verify,
     neutralizing_precoder,
     partition_slots,
-    simulate_case_c_timedivision,
     simulate_partition,
-    simulate_partition_case_a,
     simulate_with_resample,
+    simulation_bits,
 )
 from cpcshuffle.model import enum_subsets
 
@@ -108,7 +107,7 @@ class TestSingleShotDelivery:
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         msgs = encode_partition(segs, parts[0], cfg)
         ch = draw_channel(6, partition_slots(cfg), seed=5)
-        rep = simulate_partition_case_a(parts[0], cfg, ch, msgs)
+        rep = simulate_partition(parts[0], cfg, ch, msgs)
         assert rep.measured_dof == 1
         assert rep.slots_used == 6  # 3 cooperation pairs, 2 slots each
         assert rep.symbols_per_receiver == 6
@@ -126,7 +125,7 @@ class TestSingleShotDelivery:
         cfg, segs, parts = _prepared(params, K_r=4, t=2)
         msgs = encode_partition(segs, parts[0], cfg)
         ch = draw_channel(8, partition_slots(cfg), seed=1)
-        rep = simulate_partition_case_a(parts[0], cfg, ch, msgs)
+        rep = simulate_partition(parts[0], cfg, ch, msgs)
         assert rep.measured_dof == 1
         assert rep.slots_used == math.comb(4, 2)  # one slot per coop group
 
@@ -135,15 +134,8 @@ class TestSingleShotDelivery:
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         msgs = encode_partition(segs, parts[0], cfg)
         ch = draw_channel(6, partition_slots(cfg), seed=seed)
-        rep = simulate_partition_case_a(parts[0], cfg, ch, msgs)
+        rep = simulate_partition(parts[0], cfg, ch, msgs)
         assert rep.max_symbol_error < 1e-8
-
-    def test_regime_guard(self):
-        cfg, segs, parts = _prepared(CASE_C, K_r=5, t=1)
-        msgs = encode_partition(segs, parts[0], cfg)
-        ch = draw_channel(8, 64, seed=0)
-        with pytest.raises(ParameterError):
-            simulate_partition_case_a(parts[0], cfg, ch, msgs)
 
 
 class TestTimeDivisionDelivery:
@@ -151,7 +143,7 @@ class TestTimeDivisionDelivery:
         cfg, segs, parts = _prepared(CASE_C, K_r=5, t=1)
         msgs = encode_partition(segs, parts[0], cfg)
         ch = draw_channel(8, partition_slots(cfg), seed=9)
-        rep = simulate_case_c_timedivision(parts[0], cfg, ch, msgs)
+        rep = simulate_partition(parts[0], cfg, ch, msgs)
         assert rep.measured_dof == Fraction(2, 5)
         assert rep.slots_used == math.comb(5, 2) * 3
 
@@ -159,7 +151,7 @@ class TestTimeDivisionDelivery:
         cfg, segs, parts = _prepared(CASE_C, K_r=5, t=1)
         msgs = encode_partition(segs, parts[0], cfg)
         ch = draw_channel(8, partition_slots(cfg), seed=9)
-        rep = simulate_case_c_timedivision(parts[0], cfg, ch, msgs)
+        rep = simulate_partition(parts[0], cfg, ch, msgs)
         for m in msgs:
             key = (m.partition, m.dest_group.members, m.coop.members)
             for j in m.dest_group:
@@ -172,7 +164,7 @@ class TestTimeDivisionDelivery:
         assert cfg.s + cfg.t <= cfg.K_r - 1
         msgs = encode_partition(segs, parts[0], cfg)
         ch = draw_channel(9, partition_slots(cfg), seed=2)
-        rep = simulate_case_c_timedivision(parts[0], cfg, ch, msgs)
+        rep = simulate_partition(parts[0], cfg, ch, msgs)
         g = cfg.s + cfg.t - 1
         assert rep.measured_dof == Fraction(g, cfg.K_r)
         for m in msgs[:5]:
@@ -180,22 +172,20 @@ class TestTimeDivisionDelivery:
             for j in m.dest_group:
                 assert rep.delivered[j][key] == m.payload
 
-    def test_regime_guard(self):
-        cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
-        msgs = encode_partition(segs, parts[0], cfg)
-        ch = draw_channel(6, 6, seed=0)
-        with pytest.raises(ParameterError):
-            simulate_case_c_timedivision(parts[0], cfg, ch, msgs)
-
 
 class TestDispatchAndResample:
     def test_alignment_regime_unsupported(self):
         # s + t = K_r is the asymptotic-alignment case, analytics only
         params = SystemParams(K=6, N=20, Q=6, r=3, B=480)
-        cfg = validate_config(params, K_r=4, t=1)
+        cfg, segs, parts = _prepared(params, K_r=4, t=1)
         assert cfg.s + cfg.t == cfg.K_r
-        with pytest.raises(ParameterError):
+        refusal = "asymptotic-alignment regime, which is not simulated"
+        with pytest.raises(ParameterError, match=refusal):
             partition_slots(cfg)
+        msgs = encode_partition(segs, parts[0], cfg)
+        ch = draw_channel(6, 64, seed=0)
+        with pytest.raises(ParameterError, match=refusal):
+            simulate_partition(parts[0], cfg, ch, msgs)
 
     def test_resample_gives_up_after_two(self):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
@@ -208,6 +198,10 @@ class TestDispatchAndResample:
         msgs = encode_partition(segs, parts[0], cfg)
         ch = draw_channel(6, partition_slots(cfg), seed=5)
         assert simulate_partition(parts[0], cfg, ch, msgs).regime == "single_shot"
+        cfg, segs, parts = _prepared(CASE_C, K_r=5, t=1)
+        msgs = encode_partition(segs, parts[0], cfg)
+        ch = draw_channel(8, partition_slots(cfg), seed=5)
+        assert simulate_partition(parts[0], cfg, ch, msgs).regime == "time_division"
 
 
 class TestEndToEnd:
@@ -260,7 +254,7 @@ class TestEndToEnd:
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         msgs = encode_partition(segs, parts[0], cfg)
         ch = draw_channel(6, partition_slots(cfg), seed=5)
-        rep = simulate_partition_case_a(parts[0], cfg, ch, msgs, snr_db=40.0)
+        rep = simulate_partition(parts[0], cfg, ch, msgs, snr_db=40.0)
         assert rep.noise_mse is not None and rep.noise_mse > 0
 
     def test_multichunk_time_division_end_to_end(self):
@@ -305,3 +299,25 @@ class TestRandomizedEndToEnd:
             cfg = validate_config(params, K_r, t)
             ok, rep = end_to_end_verify(params, cfg, seed=rng.randrange(1000))
             assert ok, (K, r, K_r, t, rep.failures[:3])
+
+
+class TestEngineCoverage:
+    def test_every_small_configuration(self):
+        # one engine for both regimes: partition 1 of every simulatable
+        # configuration with K <= 6, at the CLI's default B
+        configs = list(_simulatable_configs(6))
+        assert len(configs) == 57
+        for K, r, K_r, t in configs:
+            probe = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8)
+            B = simulation_bits(validate_config(probe, K_r, t), 8)
+            params = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=B)
+            cfg, segs, parts = _prepared(params, K_r=K_r, t=t, seed=K + r)
+            msgs = encode_partition(segs, parts[0], cfg)
+            rep = simulate_with_resample(parts[0], cfg, msgs, seed=K_r + t)
+            where = (K, r, K_r, t)
+            assert rep.slots_used == partition_slots(cfg), where
+            assert rep.measured_dof == Fraction(min(K_r, cfg.s + t - 1), K_r), where
+            for m in msgs:
+                key = (m.partition, m.dest_group.members, m.coop.members)
+                for j in m.dest_group:
+                    assert rep.delivered[j][key] == m.payload, (where, key, j)
