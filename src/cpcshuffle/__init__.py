@@ -15,6 +15,8 @@ from .model import (
     Partition,
     ShuffleConfig,
     SystemParams,
+    check_config,
+    config_violation,
     enum_partitions,
     enum_subsets,
     full_set,
@@ -73,7 +75,6 @@ from .ndt import (
     LowerBoundModel,
     NdtPoint,
     asymptotics_check,
-    cpc_fixed_t_minimum,
     cpc_minimum,
     cpc_t1_minimum,
     dof_cooperative_x,

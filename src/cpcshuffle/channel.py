@@ -474,8 +474,8 @@ class VerificationReport:
             "max_condition": self.max_condition,
             "max_residual": self.max_residual,
             "max_symbol_error": self.max_symbol_error,
-            "measured_dof": str(self.measured_dof) if self.measured_dof else None,
-            "claimed_dof": str(self.claimed_dof) if self.claimed_dof else None,
+            "measured_dof": None if self.measured_dof is None else str(self.measured_dof),
+            "claimed_dof": None if self.claimed_dof is None else str(self.claimed_dof),
         }
 
 

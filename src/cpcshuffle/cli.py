@@ -60,24 +60,14 @@ def _instance(args) -> tuple[SystemParams, ShuffleConfig]:
     """Build (params, config) from flags; unpinned (Kr, t) fall back to the
     optimizer's argmin, respecting whichever one the user did pin."""
     K, r = args.K, args.r
+    if r == K:
+        raise ParameterError(f"r = K = {K}: every IV is local, there is nothing to shuffle")
     N = args.N if args.N is not None else math.comb(K, r)
     Q = args.Q if args.Q is not None else K
-    if args.Kr is not None and args.t is not None:
-        K_r, t = args.Kr, args.t
-    elif args.t is not None:
-        K_r, t = ndt.cpc_fixed_t_minimum(r, args.t, K).K_r, args.t
-    elif args.Kr is not None:
-        K_r = args.Kr
-        candidates = [
-            tt for tt in range(1, r + 1)
-            if tt <= K - K_r and 1 <= r + 1 - tt <= K_r
-        ]
-        if not candidates:
-            raise ParameterError(f"no valid t for K_r={K_r}, r={r}, K={K}")
-        t = min(candidates, key=lambda tt: ndt.ndt_cpc(r, tt, K, K_r).value)
-    else:
-        best = brute_force_min(r, K)
-        K_r, t = best.K_r_star, best.t_star
+    K_r, t = args.Kr, args.t
+    if K_r is None or t is None:
+        best = ndt.cpc_minimum(r, K, K_r=K_r, t=t)
+        K_r, t = best.K_r, best.t
     probe = SystemParams(K=K, N=N, Q=Q, r=r, B=8)
     cfg = validate_config(probe, K_r, t)
     B = args.B if args.B is not None else simulation_bits(cfg, 8)
@@ -247,12 +237,9 @@ def _sweep_grid(args) -> list[tuple]:
 
 def _sweep_cell(cell) -> list[list]:
     r, K, t, all_schemes = cell
-    if t is not None:
-        point = ndt.cpc_fixed_t_minimum(r, t, K) if t <= r <= K else None
-        return [point.csv_row()] if point else []
     if all_schemes:
         return _point_rows(r, K)
-    return [ndt.scheme_point(ndt.CPC, r, K).csv_row()]
+    return [ndt.cpc_minimum(r, K, t=t).csv_row()]
 
 
 def cmd_sweep(args) -> int:
@@ -269,6 +256,8 @@ def cmd_optimize(args) -> int:
         report = cross_validate(args.K_max)
         _emit(args, _json(report))
         return EXIT_OK
+    if args.r is None or args.K is None:
+        raise ParameterError("optimize needs --r and --K, or --K-max")
     brute = brute_force_min(args.r, args.K)
     closed = closed_form_min(args.r, args.K)
     out = {

@@ -22,7 +22,7 @@ class ParameterError(ValueError):
     """An argument is outside its documented domain."""
 
 
-class ConstraintViolation(ValueError):
+class ConstraintViolation(ParameterError):
     """A shuffle-configuration inequality failed; `constraint` names it."""
 
     def __init__(self, constraint: str, detail: str):
@@ -198,26 +198,36 @@ def enum_partitions(K: int, K_t: int) -> list[Partition]:
     ]
 
 
-def validate_config(params: SystemParams, K_r: int, t: int) -> ShuffleConfig:
-    """Check every shuffle-configuration inequality and return the config.
+def config_violation(K: int, r: int, K_r: int, t: int) -> str | None:
+    """The one (K_r, t) validity rule: the first inequality that fails, or
+    None.  s = r + 1 - t.
 
-    Raises ConstraintViolation naming the first inequality that fails.
-    s is derived as r + 1 - t.  The constraint K_t <= K - s is implied by
-    s <= K_r but is checked explicitly anyway.
+    K - K_r <= K - s is not listed: it is s <= K_r restated.
     """
-    K, r = params.K, params.r
     s = r + 1 - t
-    K_t = K - K_r
     if not 1 <= K_r <= K:
-        raise ConstraintViolation("1 <= K_r <= K", f"K_r={K_r}, K={K}")
+        return "1 <= K_r <= K"
     if t < 1:
-        raise ConstraintViolation("t >= 1", f"t={t}")
+        return "t >= 1"
     if s < 1:
-        raise ConstraintViolation("s = r+1-t >= 1", f"r={r}, t={t} gives s={s}")
+        return "s = r+1-t >= 1"
     if s > K_r:
-        raise ConstraintViolation("s <= K_r", f"s={s}, K_r={K_r}")
-    if t > K_t:
-        raise ConstraintViolation("t <= K - K_r", f"t={t}, K-K_r={K_t}")
-    if K_t > K - s:
-        raise ConstraintViolation("K - K_r <= K - s", f"K_t={K_t}, K-s={K - s}")
+        return "s <= K_r"
+    if t > K - K_r:
+        return "t <= K - K_r"
+    return None
+
+
+def check_config(K: int, r: int, K_r: int, t: int) -> int:
+    """Return s = r + 1 - t, or raise ConstraintViolation naming the
+    inequality :func:`config_violation` reports."""
+    failed = config_violation(K, r, K_r, t)
+    if failed is not None:
+        raise ConstraintViolation(failed, f"K={K}, r={r}, K_r={K_r}, t={t}, s={r + 1 - t}")
+    return r + 1 - t
+
+
+def validate_config(params: SystemParams, K_r: int, t: int) -> ShuffleConfig:
+    """Return the config for `params` once :func:`check_config` accepts it."""
+    check_config(params.K, params.r, K_r, t)
     return ShuffleConfig(params=params, K_r=K_r, t=t)

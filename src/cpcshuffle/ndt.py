@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .model import ConstraintViolation, ParameterError
+from .model import ParameterError, check_config, config_violation
 
 UNCODED_TDMA = "UncodedTDMA"
 CDC = "CDC"
@@ -26,8 +26,6 @@ BW_FD = "BW_FD"
 BW_HD = "BW_HD"
 CPC = "CPC"
 LOWER_BOUND = "LowerBound"
-
-SCHEMES = (UNCODED_TDMA, CDC, OSL_FD, OSL_HD, BW_FD, BW_HD, CPC, LOWER_BOUND)
 
 
 @dataclass(frozen=True)
@@ -136,8 +134,7 @@ def dof_cooperative_x(s: int, t: int, K_t: int, K_r: int) -> Fraction:
     """Achievable per-receiver DoF of the C(K_t,t) x C(K_r,s) cooperative
     X-multicast channel: 1 when s+t > K_r, an alignment fraction at
     s+t = K_r, and max(d', (s+t)/K_r) below that."""
-    if not (1 <= s <= K_r and 1 <= t <= K_t):
-        raise ParameterError(f"need 1<=s<=K_r and 1<=t<=K_t, got s={s} t={t} K_t={K_t} K_r={K_r}")
+    check_config(K_t + K_r, s + t - 1, K_r, t)  # K = K_t + K_r, r = s + t - 1
     if s + t >= K_r + 1:
         return Fraction(1)
     if s + t == K_r:
@@ -158,20 +155,6 @@ def delivery_dof(s: int, t: int, K_t: int, K_r: int) -> Fraction:
     return dof_cooperative_x(s, t, K_t, K_r)
 
 
-def _check_cpc_config(r: int, t: int, K: int, K_r: int) -> int:
-    s = r + 1 - t
-    K_t = K - K_r
-    if not 1 <= K_r <= K - 1:
-        raise ConstraintViolation("1 <= K_r <= K-1", f"K_r={K_r}, K={K}")
-    if t < 1 or s < 1:
-        raise ConstraintViolation("1 <= t <= r", f"t={t}, r={r}")
-    if s > K_r:
-        raise ConstraintViolation("s <= K_r", f"s={s}, K_r={K_r}")
-    if t > K_t:
-        raise ConstraintViolation("t <= K - K_r", f"t={t}, K_t={K_t}")
-    return s
-
-
 def tau_factor(r: int, t: int, K: int, K_r: int) -> Fraction:
     """max over j in [1..t] of 1 / (1 + (K_r+t-r-j) / ((r+1-t)(K-K_r-j+1)))."""
     best = Fraction(0)
@@ -190,7 +173,7 @@ def ndt_cpc(r: int, t: int, K: int, K_r: int) -> NdtPoint:
     Also recomputed as (1/K_r)(1 - r/K) / delivery DoF; the two must match
     exactly (load-over-DoF identity).
     """
-    s = _check_cpc_config(r, t, K, K_r)
+    s = check_config(K, r, K_r, t)
     base = Fraction(1, K_r) * (1 - Fraction(r, K))
     if r >= K_r:
         value = base
@@ -207,8 +190,9 @@ def ndt_cpc(r: int, t: int, K: int, K_r: int) -> NdtPoint:
     return NdtPoint(CPC, K, Fraction(r), value, K_r=K_r, t=t, s=s)
 
 
-def cpc_minimum(r: int, K: int) -> NdtPoint:
-    """Exhaustive minimum of ndt_cpc over valid (K_r, t); ties prefer the
+def cpc_minimum(r: int, K: int, K_r: int | None = None, t: int | None = None) -> NdtPoint:
+    """Exhaustive minimum of ndt_cpc over the (K_r, t) the model rule
+    accepts, with either coordinate optionally pinned; ties prefer the
     smaller K_r, then the smaller t.  r = K needs no shuffle: value 0 with
     sentinel K_r = 0."""
     if not 1 <= r <= K:
@@ -216,41 +200,21 @@ def cpc_minimum(r: int, K: int) -> NdtPoint:
     if r == K:
         return NdtPoint(CPC, K, Fraction(r), Fraction(0), K_r=0, t=0, s=0)
     best: NdtPoint | None = None
-    for K_r in range(1, K):
-        for t in range(1, r + 1):
-            s = r + 1 - t
-            if s > K_r or t > K - K_r:
+    for kr in range(1, K + 1) if K_r is None else (K_r,):
+        for tt in range(1, r + 1) if t is None else (t,):
+            if config_violation(K, r, kr, tt) is not None:
                 continue
-            point = ndt_cpc(r, t, K, K_r)
+            point = ndt_cpc(r, tt, K, kr)
             if best is None or point.value < best.value:
                 best = point
     if best is None:
-        raise ParameterError(f"no valid configuration for r={r}, K={K}")
+        raise ParameterError(f"no valid configuration with K_r={K_r}, t={t} for r={r}, K={K}")
     return best
 
 
 def cpc_t1_minimum(r: int, K: int) -> Fraction:
     """The t = 1 restriction of the scheme, minimized over K_r."""
-    return cpc_fixed_t_minimum(r, 1, K).value
-
-
-def cpc_fixed_t_minimum(r: int, t: int, K: int) -> NdtPoint:
-    """Best K_r at a pinned cooperation size t (no-shuffle sentinel at r = K)."""
-    if not 1 <= r <= K:
-        raise ParameterError(f"r must lie in [1, K={K}], got {r}")
-    if r == K:
-        return NdtPoint(CPC, K, Fraction(r), Fraction(0), K_r=0, t=0, s=0)
-    best: NdtPoint | None = None
-    for K_r in range(1, K):
-        s = r + 1 - t
-        if not 1 <= t <= K - K_r or s < 1 or s > K_r:
-            continue
-        point = ndt_cpc(r, t, K, K_r)
-        if best is None or point.value < best.value:
-            best = point
-    if best is None:
-        raise ParameterError(f"no t={t} configuration for r={r}, K={K}")
-    return best
+    return cpc_minimum(r, K, t=1).value
 
 
 def lower_hull(points: Sequence[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
@@ -346,11 +310,7 @@ def gap_ratio(r, K: int) -> Fraction:
     r = _check_domain(r, K)
     if r == K:
         return Fraction(1)
-    if r.denominator == 1:
-        achievable = cpc_minimum(int(r), K).value
-    else:
-        achievable = ndt_cpc_fractional(r, K).value
-    return achievable / lower_bound(r, K).bound
+    return _cpc_point(r, K).value / lower_bound(r, K).bound
 
 
 def fd_crossover_holds(r: int, K: int) -> bool:
@@ -390,25 +350,34 @@ def asymptotics_check(r: int, k_values: Iterable[int]) -> TrendReport:
     )
 
 
+def _cpc_point(r, K: int) -> NdtPoint:
+    """The scheme's optimum: exact at integer r, memory-shared between."""
+    r = _check_domain(r, K)
+    if r.denominator == 1:
+        return cpc_minimum(int(r), K)
+    return ndt_cpc_fractional(r, K)
+
+
+def _bound_point(r, K: int) -> NdtPoint:
+    r = _check_domain(r, K)
+    return NdtPoint(LOWER_BOUND, K, r, lower_bound(r, K).bound)
+
+
+_SCHEME_TABLE = {
+    UNCODED_TDMA: ndt_uncoded,
+    CDC: ndt_cdc,
+    OSL_FD: ndt_osl_fd,
+    OSL_HD: ndt_osl_hd,
+    BW_FD: ndt_bw_fd,
+    BW_HD: ndt_bw_hd,
+    CPC: _cpc_point,
+    LOWER_BOUND: _bound_point,
+}
+SCHEMES = tuple(_SCHEME_TABLE)
+
+
 def scheme_point(scheme: str, r, K: int) -> NdtPoint:
     """Evaluate any labeled scheme (or the bound) at (r, K)."""
-    table = {
-        UNCODED_TDMA: ndt_uncoded,
-        CDC: ndt_cdc,
-        OSL_FD: ndt_osl_fd,
-        OSL_HD: ndt_osl_hd,
-        BW_FD: ndt_bw_fd,
-        BW_HD: ndt_bw_hd,
-    }
-    if scheme in table:
-        return table[scheme](r, K)
-    if scheme == CPC:
-        r = _check_domain(r, K)
-        if r.denominator == 1:
-            best = cpc_minimum(int(r), K)
-            return best
-        return ndt_cpc_fractional(r, K)
-    if scheme == LOWER_BOUND:
-        rf = _check_domain(r, K)
-        return NdtPoint(LOWER_BOUND, K, rf, lower_bound(rf, K).bound)
-    raise ParameterError(f"unknown scheme {scheme!r}")
+    if scheme not in _SCHEME_TABLE:
+        raise ParameterError(f"unknown scheme {scheme!r}")
+    return _SCHEME_TABLE[scheme](r, K)

@@ -1,0 +1,49 @@
+"""The benchmark harness's hooks into the package still resolve.
+
+`perfbench/workloads.py` traces package functions by (module, name) and
+builds its verify instances through the public API.  A rename or a
+deletion there would otherwise surface only when the benchmark runs.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # workloads.py imports its siblings `speed` and `tracer` by name, and its
+    # dataclasses resolve their annotations through sys.modules
+    before = set(sys.modules)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", PERFBENCH / "workloads.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        for name in ("speed", "tracer", "perfbench_workloads"):
+            if name not in before:
+                sys.modules.pop(name, None)
+    return module
+
+
+def test_trace_targets_resolve(workloads):
+    assert len(workloads.TRACE_TARGETS) == 20
+    for label, (module, name, _count) in workloads.TRACE_TARGETS.items():
+        assert module.__name__ == "cpcshuffle." + label.split(".")[0], label
+        assert callable(getattr(module, name, None)), f"{label} no longer exists"
+
+
+@pytest.mark.parametrize("K, r, K_r, t", [(10, 5, 5, 2), (9, 3, 6, 2)])
+def test_shuffle_instances_build(workloads, K, r, K_r, t):
+    inst = workloads.Instance.build(K, r, K_r, t)
+    assert (inst.config.K_r, inst.config.t) == (K_r, t)
+    assert inst.params.B % 8 == 0 and inst.iv_bytes > 0

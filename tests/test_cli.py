@@ -70,6 +70,12 @@ class TestVerify:
         rep = json.loads(out)
         assert rep["claimed_dof"] is None and rep["measured_dof"] is None
 
+    def test_zero_measured_dof_is_reported(self, capsys):
+        # no symbol meets a zero tolerance: a measured DoF of 0, not "not measured"
+        code, out, _ = run(capsys, "verify", *WORKED, "--tolerance", "0")
+        assert code == 1
+        assert json.loads(out)["measured_dof"] == "0"
+
     def test_fault_exits_one(self, capsys):
         code, out, _ = run(capsys, "verify", *WORKED, "--fault")
         assert code == 1
@@ -101,6 +107,12 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["params"]["K_r"] == 4
 
+    def test_pinned_kr_without_valid_t_exits_two(self, capsys):
+        # K_r = K leaves no transmitter for any t
+        code, _, err = run(capsys, "construct", "--K", "6", "--r", "3", "--Kr", "6")
+        assert code == 2
+        assert "no valid configuration" in err
+
     def test_default_b_supports_time_division_chunks(self, capsys):
         # t = 2 in the time-division regime needs the payload to split into
         # C(K_r-s, t-1) chunks; the auto-sized B must account for it
@@ -127,6 +139,12 @@ class TestSimulate:
         code, out, _ = run(capsys, "simulate", *WORKED, "--snr", "30")
         assert code == 0
         assert json.loads(out)["noise_mse"] > 0
+
+    def test_full_load_refused(self, capsys):
+        code, _, err = run(capsys, "simulate", "--K", "4", "--r", "4")
+        assert code == 2
+        assert "nothing to shuffle" in err
+        assert "K_r=0" not in err
 
 
 class TestNdtCommand:
@@ -189,6 +207,12 @@ class TestOptimizeAndBounds:
         code, out, _ = run(capsys, "optimize", "--K-max", "8")
         assert code == 0
         assert all(cell["agree"] for cell in json.loads(out))
+
+    def test_optimize_needs_a_point_or_a_grid(self, capsys):
+        for argv in (["optimize"], ["optimize", "--r", "3"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert "optimize needs --r and --K, or --K-max" in err
 
     def test_bounds(self, capsys):
         code, out, _ = run(capsys, "bounds", "--r", "3", "--K", "6")

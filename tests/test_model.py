@@ -7,6 +7,8 @@ from cpcshuffle.model import (
     NodeSet,
     ParameterError,
     SystemParams,
+    check_config,
+    config_violation,
     enum_partitions,
     enum_subsets,
     full_set,
@@ -139,6 +141,27 @@ class TestValidateConfig:
         with pytest.raises(ConstraintViolation) as exc:
             validate_config(p, K_r=5, t=2)
         assert exc.value.constraint == "t <= K - K_r"
+
+    def test_rule_returns_s(self):
+        assert check_config(6, 3, 3, 2) == 2
+        assert check_config(8, 5, 6, 1) == 5
+        assert config_violation(6, 3, 3, 2) is None
+
+    def test_rule_names_each_inequality(self):
+        cases = {
+            (6, 3, 0, 1): "1 <= K_r <= K",
+            (6, 3, 7, 1): "1 <= K_r <= K",
+            (6, 3, 3, 0): "t >= 1",
+            (6, 3, 3, 4): "s = r+1-t >= 1",
+            (6, 3, 2, 1): "s <= K_r",
+            (6, 3, 5, 2): "t <= K - K_r",
+            (6, 3, 6, 1): "t <= K - K_r",  # K_r = K leaves no transmitter
+        }
+        for (K, r, K_r, t), constraint in cases.items():
+            assert config_violation(K, r, K_r, t) == constraint
+            with pytest.raises(ConstraintViolation) as exc:
+                check_config(K, r, K_r, t)
+            assert exc.value.constraint == constraint
 
     def test_nonpositive_t(self):
         p = SystemParams(K=6, N=20, Q=6, r=3, B=48)

@@ -1,6 +1,17 @@
+import math
 from fractions import Fraction
 
-from cpcshuffle.ndt import ndt_cpc
+import pytest
+
+from cpcshuffle import ndt
+from cpcshuffle.model import (
+    ConstraintViolation,
+    ParameterError,
+    SystemParams,
+    check_config,
+    validate_config,
+)
+from cpcshuffle.ndt import cpc_minimum, ndt_cpc
 from cpcshuffle.optimize import (
     brute_force_min,
     closed_form_min,
@@ -56,19 +67,44 @@ class TestBruteForce:
         assert best.best_value == Fraction(7, 48)
         assert (best.K_r_star, best.t_star) == (4, 1)
 
-    def test_tie_breaking_prefers_small_K_r_then_t(self):
+    def test_tie_breaking_prefers_small_K_r_then_t(self, monkeypatch):
+        scanned = []
+
+        def recording_ndt_cpc(r, t, K, K_r):
+            scanned.append((K_r, t))
+            return ndt_cpc(r, t, K, K_r)
+
+        monkeypatch.setattr(ndt, "ndt_cpc", recording_ndt_cpc)
         for K in range(2, 16):
             for r in range(1, K):
+                scanned.clear()
                 best = brute_force_min(r, K)
+                values = {}  # hand-filtered reference: (K_r, t) -> NDT
                 for K_r in range(1, K):
                     for t in range(1, r + 1):
                         s = r + 1 - t
                         if s > K_r or t > K - K_r:
                             continue
                         v = ndt_cpc(r, t, K, K_r).value
+                        values[(K_r, t)] = v
                         assert v >= best.best_value
                         if v == best.best_value:
                             assert (K_r, t) >= (best.K_r_star, best.t_star)
+                # the scan visits exactly the pairs the model rule accepts
+                assert scanned == list(values) == _accepted(K, r)
+                # both validators reject the rest, naming the same inequality
+                params = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8)
+                for K_r, t in set(_box(K, r)) - set(values):
+                    with pytest.raises(ConstraintViolation) as via_model:
+                        validate_config(params, K_r, t)
+                    with pytest.raises(ConstraintViolation) as via_ndt:
+                        ndt_cpc(r, t, K, K_r)
+                    assert via_model.value.constraint == via_ndt.value.constraint
+                # one coordinate pinned, in range or not
+                for K_r in range(0, K + 2):
+                    _assert_pinned_minimum(r, K, values, K_r=K_r)
+                for t in range(0, r + 2):
+                    _assert_pinned_minimum(r, K, values, t=t)
 
     def test_monotone_in_load(self):
         for K in range(2, 21):
@@ -81,6 +117,38 @@ class TestBruteForce:
             closed = closed_form_min(K - 1, K)
             assert best.best_value == closed.best_value
             assert best.best_value == Fraction(1, (K - 1) * K)
+
+
+def _box(K, r):
+    """Every (K_r, t) the rule could accept, with a margin on each side."""
+    return [(K_r, t) for K_r in range(-1, K + 2) for t in range(-1, r + 3)]
+
+
+def _accepted(K, r):
+    accepted = []
+    for K_r, t in _box(K, r):
+        try:
+            check_config(K, r, K_r, t)
+        except ConstraintViolation:
+            continue
+        accepted.append((K_r, t))
+    return accepted
+
+
+def _assert_pinned_minimum(r, K, values, **pin):
+    """cpc_minimum with one pin is the minimum over the hand-filtered pairs
+    that match it, ties on the smaller K_r, then the smaller t."""
+    (name, fixed), = pin.items()
+    index = 0 if name == "K_r" else 1
+    matching = {pair: v for pair, v in values.items() if pair[index] == fixed}
+    if not matching:
+        with pytest.raises(ParameterError):
+            cpc_minimum(r, K, **pin)
+        return
+    low = min(matching.values())
+    point = cpc_minimum(r, K, **pin)
+    assert point.value == low
+    assert (point.K_r, point.t) == min(p for p, v in matching.items() if v == low)
 
 
 class TestT1Regime:
