@@ -55,7 +55,7 @@ print("=" * 72)
 segments = segment_ivs(placement, cfg, store)
 partitions = enum_partitions(6, 3)
 storage = NodeSet.of(1, 2, 5)
-pairs = admissible_pairs(4, storage, cfg, partitions)
+pairs = admissible_pairs(4, storage, cfg)
 print(f"  the IV headed to node 4 and stored at {storage.members} rides in:")
 for coop, p in pairs:
     part = partitions[p - 1]

@@ -20,6 +20,7 @@ from .model import (
     enum_partitions,
     enum_subsets,
     full_set,
+    partition_index,
     validate_config,
 )
 from .placement import (
@@ -35,6 +36,7 @@ from .codec import (
     Segment,
     SegmentId,
     StragglerPlan,
+    block_ivs,
     coding_complexity,
     decode_segment,
     encode_partition,

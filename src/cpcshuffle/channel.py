@@ -42,6 +42,7 @@ from .model import (
 from .codec import (
     CodedMessage,
     admissible_pairs,
+    block_ivs,
     decode_segment,
     encode_partition,
     round_up_bits,
@@ -360,6 +361,8 @@ def simulate_partition(
     for the set; the coop group's first g-s+1 members transmit it.  A
     receiver holds a message once it has all of its chunks.
     """
+    if snr_db is not None and not math.isfinite(snr_db):
+        raise ParameterError(f"snr_db must be finite, got {snr_db}")
     s = config.s
     needed = partition_slots(config)
     if channel.slots < needed:
@@ -479,45 +482,72 @@ class VerificationReport:
         }
 
 
-def _apply_fault(messages: list[CodedMessage], part: Partition, corrupt) -> None:
-    if corrupt is not None and corrupt[0] == part.index:
-        m = messages[corrupt[1]]
-        bad = bytes([m.payload[0] ^ 0xFF]) + m.payload[1:]
-        messages[corrupt[1]] = CodedMessage(m.partition, m.dest_group, m.coop, bad)
-
-
 def _verify_reassembly(
-    params: SystemParams,
     placement,
     store,
     segments,
     config: ShuffleConfig,
     delivered: dict[int, dict[tuple, bytes]],
-    partitions: list[Partition],
 ) -> list[tuple[int, int, int]]:
-    """Reassemble every required IV per node; return (node, q, n) mismatches."""
+    """Reassemble every required IV per node; return (node, q, n) mismatches.
+
+    Each block is decoded and laid out once; an IV missing from its
+    block's layout is a mismatch too.
+    """
     failures: list[tuple[int, int, int]] = []
-    nbytes = params.B // 8
-    for k in range(1, params.K + 1):
-        blocks: dict[NodeSet, bytes | None] = {}
+    nbytes = placement.params.B // 8
+    for k in range(1, placement.params.K + 1):
+        blocks: dict[NodeSet, tuple[bytes | None, dict[tuple[int, int], int]]] = {}
         for (q, n) in sorted(required_ivs(placement, k)):
             storage = placement.file_to_nodes[n]
             if storage not in blocks:
-                blocks[storage] = _reassemble_block(
-                    k, storage, config, segments, delivered.get(k, {}), partitions
+                layout = block_ivs(placement, k, storage)
+                blocks[storage] = (
+                    _reassemble_block(k, storage, config, segments, delivered.get(k, {})),
+                    {iv: i * nbytes for i, iv in enumerate(layout)},
                 )
-            block = blocks[storage]
-            if block is None:
-                failures.append((k, q, n))
-                continue
-            outputs = sorted(placement.reduce_assignment[k])
-            files = sorted(
-                n2 for n2, grp in placement.file_to_nodes.items() if grp == storage
-            )
-            pos = (outputs.index(q) * len(files) + files.index(n)) * nbytes
-            if block[pos : pos + nbytes] != store.get(q, n):
+            block, offsets = blocks[storage]
+            pos = offsets.get((q, n))
+            if block is None or pos is None or block[pos : pos + nbytes] != store.get(q, n):
                 failures.append((k, q, n))
     return failures
+
+
+def _pipeline(
+    params: SystemParams, config: ShuffleConfig, seed: int, corrupt, deliver
+) -> VerificationReport:
+    """Placement -> map -> segment -> encode -> fault -> deliver -> reassemble.
+
+    `corrupt=(p, i)` flips a byte of partition p's i-th message.
+    `deliver(partition, messages)` returns each receiver's payloads keyed
+    (p, D members, B members), and the partition's DeliveryReport, or None
+    over an ideal channel; of that report only five numbers are kept.
+    """
+    placement = build_placement(params)
+    store = map_phase(placement, params, seed)
+    segments = segment_ivs(placement, config, store)
+    partitions = enum_partitions(params.K, config.K_t)
+    report = VerificationReport(ok=False, failures=[], partitions=len(partitions))
+    delivered: dict[int, dict[tuple, bytes]] = {k: {} for k in range(1, params.K + 1)}
+    for part in partitions:
+        messages = encode_partition(segments, part, config)
+        if corrupt is not None and corrupt[0] == part.index:
+            m = messages[corrupt[1]]
+            bad = bytes([m.payload[0] ^ 0xFF]) + m.payload[1:]
+            messages[corrupt[1]] = CodedMessage(m.partition, m.dest_group, m.coop, bad)
+        got, sim = deliver(part, messages)
+        for j, payloads in got.items():
+            delivered[j].update(payloads)
+        if sim is not None:
+            report.slots_total += sim.slots_used
+            report.max_condition = max(report.max_condition, sim.max_condition)
+            report.max_residual = max(report.max_residual, sim.max_residual)
+            report.max_symbol_error = max(report.max_symbol_error, sim.max_symbol_error)
+            dof = report.measured_dof
+            report.measured_dof = sim.measured_dof if dof is None else min(dof, sim.measured_dof)
+    report.failures = _verify_reassembly(placement, store, segments, config, delivered)
+    report.ok = not report.failures
+    return report
 
 
 def end_to_end_verify(
@@ -534,43 +564,14 @@ def end_to_end_verify(
     `corrupt=(p, i)` flips a byte of the i-th message of partition p before
     transmission, for fault-injection tests.
     """
-    placement = build_placement(params)
-    store = map_phase(placement, params, seed)
-    segments = segment_ivs(placement, config, store)
-    partitions = enum_partitions(params.K, config.K_t)
-
-    delivered: dict[int, dict[tuple, bytes]] = {k: {} for k in range(1, params.K + 1)}
-    slots_total = 0
-    max_cond = max_res = max_err = 0.0
-    dof = None
-    for part in partitions:
-        messages = encode_partition(segments, part, config)
-        _apply_fault(messages, part, corrupt)
-        report = simulate_with_resample(
+    def over_channel(part: Partition, messages: list[CodedMessage]):
+        sim = simulate_with_resample(
             part, config, messages, seed, tol=tol, cond_guard=cond_guard
         )
-        slots_total += report.slots_used
-        max_cond = max(max_cond, report.max_condition)
-        max_res = max(max_res, report.max_residual)
-        max_err = max(max_err, report.max_symbol_error)
-        dof = report.measured_dof if dof is None else min(dof, report.measured_dof)
-        for j, got in report.delivered.items():
-            delivered[j].update(got)
+        return sim.delivered, sim
 
-    failures = _verify_reassembly(
-        params, placement, store, segments, config, delivered, partitions
-    )
-    report = VerificationReport(
-        ok=not failures,
-        failures=failures,
-        partitions=len(partitions),
-        slots_total=slots_total,
-        max_condition=max_cond,
-        max_residual=max_res,
-        max_symbol_error=max_err,
-        measured_dof=dof,
-        claimed_dof=delivery_dof(config.s, config.t, config.K_t, config.K_r),
-    )
+    report = _pipeline(params, config, seed, corrupt, over_channel)
+    report.claimed_dof = delivery_dof(config.s, config.t, config.K_t, config.K_r)
     return report.ok, report
 
 
@@ -581,24 +582,15 @@ def ideal_verify(
     corrupt: tuple[int, int] | None = None,
 ) -> tuple[bool, VerificationReport]:
     """XOR-only verification over an ideal channel (every payload delivered)."""
-    placement = build_placement(params)
-    store = map_phase(placement, params, seed)
-    segments = segment_ivs(placement, config, store)
-    partitions = enum_partitions(params.K, config.K_t)
-    delivered: dict[int, dict[tuple, bytes]] = {k: {} for k in range(1, params.K + 1)}
-    for part in partitions:
-        messages = encode_partition(segments, part, config)
-        _apply_fault(messages, part, corrupt)
+    def every_payload(part: Partition, messages: list[CodedMessage]):
+        got: dict[int, dict[tuple, bytes]] = {}
         for m in messages:
             key = (m.partition, m.dest_group.members, m.coop.members)
             for j in m.dest_group:
-                delivered[j][key] = m.payload
-    failures = _verify_reassembly(
-        params, placement, store, segments, config, delivered, partitions
-    )
-    report = VerificationReport(
-        ok=not failures, failures=failures, partitions=len(partitions)
-    )
+                got.setdefault(j, {})[key] = m.payload
+        return got, None
+
+    report = _pipeline(params, config, seed, corrupt, every_payload)
     return report.ok, report
 
 
@@ -608,11 +600,10 @@ def _reassemble_block(
     config: ShuffleConfig,
     segments,
     delivered: dict[tuple, bytes],
-    partitions: list[Partition],
 ):
     """Decode and concatenate node k's segments of one block, or None if short."""
     parts: list[bytes] = []
-    for coop, p in admissible_pairs(k, storage, config, partitions):
+    for coop, p in admissible_pairs(k, storage, config):
         dest_group = NodeSet.of(k) | (storage - coop)
         key = (p, dest_group.members, coop.members)
         payload = delivered.get(key)

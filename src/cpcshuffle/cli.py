@@ -177,7 +177,10 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_r(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParameterError(f"r={text} has a zero denominator") from None
 
 
 def _point_rows(r, K: int) -> list[list]:

@@ -1,16 +1,20 @@
 """Exact combinatorial layer of the shuffle: segmentation, XOR coding, loads.
 
 The unit of addressing is the block v[d_j, U]: all IVs that node j needs
-and that live exactly at the size-r storage group U.  Each block is cut
+and that live exactly at the size-r storage group U, laid out by
+`block_ivs` (q ascending over W_j, then n ascending).  Each block is cut
 into C(r,t) * C(K-r-1, K_r-s) equal segments, one per admissible
-(partition, cooperation-group) pair, ordered by (coop group lex,
-partition index ascending).  A coded message for (p, D, B) is the bytewise
-XOR of the s segments its receivers are missing; every receiver in D holds
-the other s-1 segments locally, so one XOR recovers its own.
+(cooperation group, partition) pair from `admissible_pairs`: a t-subset
+B of U, and a partition whose transmitters are B plus K_t-t nodes
+outside U and {j}.  Pairs are ordered (B lex, partition index
+ascending).  A coded message for (p, D, B) is the bytewise XOR of the s
+segments its receivers are missing; every receiver in D holds the other
+s-1 segments locally, so one XOR recovers its own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,8 +26,8 @@ from .model import (
     NodeSet,
     Partition,
     ShuffleConfig,
-    enum_partitions,
     enum_subsets,
+    partition_index,
 )
 from .placement import IVStore, PlacementMap
 
@@ -100,36 +104,38 @@ def round_up_bits(config: ShuffleConfig, requested_bits: int) -> int:
     return max(1, -(-requested_bits // step)) * step
 
 
-def block_files(placement: PlacementMap, storage: NodeSet) -> list[int]:
-    """Files stored exactly at `storage`, ascending (eta1 of them)."""
-    return sorted(
-        n for n, grp in placement.file_to_nodes.items() if grp == storage
-    )
+def block_ivs(placement: PlacementMap, dest: int, storage: NodeSet) -> list[tuple[int, int]]:
+    """The block's (q, n) pairs in layout order: q ascending over W_dest,
+    then the eta1 files stored exactly at `storage`, n ascending."""
+    files = sorted(n for n, grp in placement.file_to_nodes.items() if grp == storage)
+    return [(q, n) for q in sorted(placement.reduce_assignment[dest]) for n in files]
 
 
 def block_bytes(placement: PlacementMap, store: IVStore, dest: int, storage: NodeSet) -> bytes:
-    """Concatenation of the block's IVs: q ascending over W_dest, n ascending."""
-    outputs = sorted(placement.reduce_assignment[dest])
-    files = block_files(placement, storage)
-    return b"".join(store.get(q, n) for q in outputs for n in files)
+    """Concatenation of the block's IVs in `block_ivs` order."""
+    return b"".join(store.get(q, n) for q, n in block_ivs(placement, dest, storage))
 
 
 def admissible_pairs(
-    dest: int, storage: NodeSet, config: ShuffleConfig, partitions: list[Partition]
+    dest: int, storage: NodeSet, config: ShuffleConfig
 ) -> list[tuple[NodeSet, int]]:
-    """(coop group, partition) pairs that may carry a segment of this block.
+    """(coop group, partition index) pairs that carry a segment of this block.
 
-    B runs over size-t subsets of the storage group; p over partitions
-    with B transmitting and {dest} plus the rest of the storage group
-    receiving.  Ordered (B lex, p ascending).
+    B runs over the size-t subsets of the storage group in lex order; for
+    each, E runs over the (K_t-t)-subsets of the nodes outside storage and
+    {dest} in lex order, and B | E is the partition's transmitter set, so
+    {dest} plus the rest of the storage group receive.  For a fixed B the
+    lex order of E is that of B | E, since B | E and B | E' differ exactly
+    where E and E' do; the pairs come out ordered (B lex, p ascending).
     """
-    pairs = []
-    for coop in enum_subsets(storage, config.t):
-        listeners = (storage - coop) | NodeSet.of(dest)
-        for part in partitions:
-            if coop.issubset(part.tx) and listeners.issubset(part.rx):
-                pairs.append((coop, part.index))
-    return pairs
+    K = config.params.K
+    outside = NodeSet(tuple(k for k in range(1, K + 1) if k != dest and k not in storage))
+    extras = enum_subsets(outside, config.K_t - config.t)
+    return [
+        (coop, partition_index(K, coop | extra))
+        for coop in enum_subsets(storage, config.t)
+        for extra in extras
+    ]
 
 
 def segment_ivs(
@@ -143,7 +149,6 @@ def segment_ivs(
     """
     params = config.params
     n_seg = segments_per_block(config)
-    partitions = enum_partitions(params.K, config.K_t)
     eta1, eta2 = params.require_symmetric()
     block_len = eta1 * eta2 * params.B // 8
     if (eta1 * eta2 * params.B) % 8 != 0 or block_len % n_seg != 0:
@@ -157,7 +162,7 @@ def segment_ivs(
         others = [k for k in range(1, params.K + 1) if k != dest]
         for storage in enum_subsets(NodeSet(tuple(others)), params.r):
             data = block_bytes(placement, store, dest, storage)
-            pairs = admissible_pairs(dest, storage, config, partitions)
+            pairs = admissible_pairs(dest, storage, config)
             if len(pairs) != n_seg:
                 raise InternalInvariantError(
                     f"block (d{dest}, {storage.members}) has {len(pairs)} "
@@ -176,27 +181,12 @@ def encode_partition(
     messages = []
     for coop in enum_subsets(partition.tx, config.t):
         for dest_group in enum_subsets(partition.rx, config.s):
-            payload = b""
-            for j in dest_group:
-                sid = SegmentId(
-                    dest=j,
-                    storage=coop | (dest_group - NodeSet.of(j)),
-                    partition=partition.index,
-                    coop=coop,
-                )
+            ids = CodedMessage(partition.index, dest_group, coop, b"").constituents()
+            for sid in ids:
                 if sid not in segments:
                     raise InternalInvariantError(f"missing segment {sid}")
-                payload = (
-                    segments[sid].data if not payload else xor_bytes(payload, segments[sid].data)
-                )
-            messages.append(
-                CodedMessage(
-                    partition=partition.index,
-                    dest_group=dest_group,
-                    coop=coop,
-                    payload=payload,
-                )
-            )
+            payload = functools.reduce(xor_bytes, (segments[sid].data for sid in ids))
+            messages.append(CodedMessage(partition.index, dest_group, coop, payload))
     return messages
 
 

@@ -198,6 +198,17 @@ def enum_partitions(K: int, K_t: int) -> list[Partition]:
     ]
 
 
+def partition_index(K: int, tx: NodeSet) -> int:
+    """Index of the partition whose transmitters are `tx`: the 1-based lex
+    rank of tx among the size-|tx| subsets of [1..K].
+
+    The sets after tx share its first i members m_0..m_{i-1} (0-based) for
+    some i, then take all k - i others from above m_i: C(K - m_i, k - i).
+    """
+    k = len(tx)
+    return math.comb(K, k) - sum(math.comb(K - m, k - i) for i, m in enumerate(tx))
+
+
 def config_violation(K: int, r: int, K_r: int, t: int) -> str | None:
     """The one (K_r, t) validity rule: the first inequality that fails, or
     None.  s = r + 1 - t.

@@ -31,17 +31,6 @@ class OptimumParams:
     s_star: int
     branch: str | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "K": self.K,
-            "value": str(self.best_value),
-            "K_r": self.K_r_star,
-            "t": self.t_star,
-            "s": self.s_star,
-            "branch": self.branch,
-        }
-
 
 def _floor_sub_sqrt(A: int, S: int, M: int) -> int:
     """floor((A - sqrt(S)) / M) computed without floating point.

@@ -116,6 +116,8 @@ def map_phase(placement: PlacementMap, params: SystemParams, seed: int) -> IVSto
     """Synthesize every IV v[q, n] as seed-keyed hash bytes of length B/8."""
     if params.B % 8 != 0:
         raise ParameterError(f"B must be a multiple of 8 bits, got {params.B}")
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")
     nbytes = params.B // 8
     values = {
         (q, n): _iv_bytes(seed, q, n, nbytes)

@@ -250,6 +250,28 @@ class TestEndToEnd:
         ok2, rep2 = ideal_verify(WORKED, cfg, seed=0, corrupt=(2, 3))
         assert not ok2 and rep2.failures
 
+    def test_iv_missing_from_layout_fails(self, monkeypatch):
+        # the check walks the required IVs, not the layout, so an IV the
+        # layout drops is reported rather than skipped
+        import cpcshuffle.channel as channel_mod
+
+        full = channel_mod.block_ivs
+        monkeypatch.setattr(
+            channel_mod, "block_ivs", lambda pl, dest, storage: full(pl, dest, storage)[1:]
+        )
+        cfg = validate_config(CASE_C, K_r=5, t=1)
+        ok, rep = ideal_verify(CASE_C, cfg, seed=0)
+        assert not ok
+        assert (1, 1, 8) in rep.failures and len(rep.failures) == 8 * math.comb(7, 2)
+
+    def test_non_finite_snr_rejected(self):
+        cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
+        msgs = encode_partition(segs, parts[0], cfg)
+        ch = draw_channel(6, partition_slots(cfg), seed=5)
+        for snr in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ParameterError, match="snr_db must be finite"):
+                simulate_partition(parts[0], cfg, ch, msgs, snr_db=snr)
+
     def test_noise_mode_reports_mse(self):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         msgs = encode_partition(segs, parts[0], cfg)

@@ -146,6 +146,28 @@ class TestSimulate:
         assert "nothing to shuffle" in err
         assert "K_r=0" not in err
 
+    def test_non_finite_snr_exits_two(self, capsys):
+        for snr in ("nan", "inf", "-inf"):
+            code, out, err = run(capsys, "simulate", *WORKED, f"--snr={snr}")
+            assert code == 2
+            assert out == ""
+            assert "snr_db must be finite" in err
+
+
+class TestSeedRange:
+    def test_out_of_range_seed_exits_two(self, capsys):
+        for command in ("construct", "verify", "simulate"):
+            for seed in ("-1", str(2**64)):
+                code, out, err = run(capsys, command, *WORKED, "--seed", seed)
+                assert code == 2, (command, seed)
+                assert out == ""
+                assert "seed must lie in [0, 2**64)" in err
+
+    def test_largest_seed_runs(self, capsys):
+        code, out, _ = run(capsys, "verify", *WORKED, "--ideal", "--seed", str(2**64 - 1))
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+
 
 class TestNdtCommand:
     def test_csv_schema_and_values(self, capsys):
@@ -164,6 +186,13 @@ class TestNdtCommand:
         code, out, _ = run(capsys, "ndt", "--r", "5/2", "--K", "6", "--format", "json")
         assert code == 0
         assert any(row["scheme"] == "CPC" for row in json.loads(out))
+
+    def test_zero_denominator_exits_two(self, capsys):
+        for command in ("ndt", "bounds"):
+            code, out, err = run(capsys, command, "--r", "1/0", "--K", "6")
+            assert code == 2, command
+            assert out == ""
+            assert "r=1/0 has a zero denominator" in err
 
 
 class TestSweep:

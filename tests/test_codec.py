@@ -8,6 +8,7 @@ from cpcshuffle.model import (
     InfeasibleInstance,
     NodeSet,
     SystemParams,
+    config_violation,
     enum_partitions,
     enum_subsets,
     validate_config,
@@ -17,6 +18,7 @@ from cpcshuffle.codec import (
     SegmentId,
     admissible_pairs,
     block_bytes,
+    block_ivs,
     coding_complexity,
     decode_segment,
     encode_partition,
@@ -42,6 +44,18 @@ def worked():
     return cfg, pl, store, segs, parts
 
 
+def scanned_pairs(dest, storage, cfg, partitions):
+    """Reference: scan every partition for B transmitting and the rest of
+    the storage group plus dest receiving."""
+    pairs = []
+    for coop in enum_subsets(storage, cfg.t):
+        listeners = (storage - coop) | NodeSet.of(dest)
+        for part in partitions:
+            if coop.issubset(part.tx) and listeners.issubset(part.rx):
+                pairs.append((coop, part.index))
+    return pairs
+
+
 class TestSegmentation:
     def test_segments_per_block(self, worked):
         cfg, *_ = worked
@@ -51,7 +65,7 @@ class TestSegmentation:
         # the block headed to node 4 and stored at {1,2,5} spreads over two
         # partitions for each of its three cooperation pairs
         cfg, pl, store, segs, parts = worked
-        pairs = admissible_pairs(4, NodeSet.of(1, 2, 5), cfg, parts)
+        pairs = admissible_pairs(4, NodeSet.of(1, 2, 5), cfg)
         assert [(c.members, p) for c, p in pairs] == [
             ((1, 2), 1), ((1, 2), 4), ((1, 5), 6), ((1, 5), 10),
             ((2, 5), 12), ((2, 5), 16),
@@ -60,10 +74,43 @@ class TestSegmentation:
         assert [c.members for c in sorted(set(coops))] == [(1, 2), (1, 5), (2, 5)]
         assert all(coops.count(c) == 2 for c in set(coops))
 
+    def test_pairs_equal_the_partition_scan(self):
+        # every block of every valid configuration with K <= 8
+        blocks = 0
+        for K in range(2, 9):
+            for r in range(1, K):
+                for K_r in range(1, K):
+                    for t in range(1, r + 1):
+                        if config_violation(K, r, K_r, t) is not None:
+                            continue
+                        params = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8)
+                        cfg = validate_config(params, K_r, t)
+                        parts = enum_partitions(K, cfg.K_t)
+                        for dest in range(1, K + 1):
+                            others = NodeSet.from_iterable(k for k in range(1, K + 1) if k != dest)
+                            for storage in enum_subsets(others, r):
+                                pairs = admissible_pairs(dest, storage, cfg)
+                                assert pairs == scanned_pairs(dest, storage, cfg, parts)
+                                assert len(pairs) == segments_per_block(cfg)
+                                blocks += 1
+        assert blocks > 10000
+
+    def test_block_layout(self, worked):
+        # node 4 reduces output 4; the block stored at {1,2,5} holds file 3
+        cfg, pl, store, segs, parts = worked
+        assert block_ivs(pl, 4, NodeSet.of(1, 2, 5)) == [(4, 3)]
+        params = SystemParams(K=4, N=12, Q=8, r=2, B=8)
+        pl2 = build_placement(params)
+        assert block_ivs(pl2, 3, NodeSet.of(1, 2)) == [(5, 1), (5, 2), (6, 1), (6, 2)]
+        store2 = map_phase(pl2, params, seed=0)
+        assert block_bytes(pl2, store2, 3, NodeSet.of(1, 2)) == b"".join(
+            store2.get(q, n) for q, n in [(5, 1), (5, 2), (6, 1), (6, 2)]
+        )
+
     def test_segments_reassemble_block(self, worked):
         cfg, pl, store, segs, parts = worked
         for dest, storage in [(4, NodeSet.of(1, 2, 5)), (1, NodeSet.of(2, 3, 6))]:
-            pairs = admissible_pairs(dest, storage, cfg, parts)
+            pairs = admissible_pairs(dest, storage, cfg)
             joined = b"".join(
                 segs[SegmentId(dest, storage, p, c)].data for c, p in pairs
             )
@@ -88,11 +135,10 @@ class TestSegmentation:
         assert segments_per_block(cfg) == 2
         pl = build_placement(params)
         store = map_phase(pl, params, seed=0)
-        parts = enum_partitions(4, 2)
         for dest in range(1, 5):
             others = NodeSet.from_iterable(k for k in range(1, 5) if k != dest)
             for storage in enum_subsets(others, 2):
-                assert len(admissible_pairs(dest, storage, cfg, parts)) == 2
+                assert len(admissible_pairs(dest, storage, cfg)) == 2
 
     def test_unaligned_b_rejected(self):
         params = SystemParams(K=6, N=20, Q=6, r=3, B=8)
@@ -153,7 +199,7 @@ class TestDecode:
         cfg, pl, store, segs, parts = worked
         storage = NodeSet.of(1, 2, 5)
         recovered = []
-        for coop, p in admissible_pairs(4, storage, cfg, parts):
+        for coop, p in admissible_pairs(4, storage, cfg):
             part = parts[p - 1]
             msgs = encode_partition(segs, part, cfg)
             dest_group = NodeSet.of(4) | (storage - coop)

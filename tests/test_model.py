@@ -12,6 +12,7 @@ from cpcshuffle.model import (
     enum_partitions,
     enum_subsets,
     full_set,
+    partition_index,
     validate_config,
 )
 
@@ -95,6 +96,12 @@ class TestEnumPartitions:
         for k in range(1, K + 1):
             assert sum(k in p.tx for p in parts) == math.comb(K - 1, K_t - 1)
             assert sum(k in p.rx for p in parts) == math.comb(K - 1, K_r - 1)
+
+    def test_partition_index_is_lex_rank(self):
+        for K in range(2, 11):
+            for K_t in range(1, K):
+                for p in enum_partitions(K, K_t):
+                    assert partition_index(K, p.tx) == p.index, (K, p.tx)
 
     def test_bad_group_size(self):
         with pytest.raises(ParameterError):

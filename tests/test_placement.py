@@ -96,6 +96,14 @@ class TestMapPhase:
         with pytest.raises(ParameterError):
             map_phase(pl, params, seed=0)
 
+    def test_seed_must_fit_64_bits(self):
+        # the seed keys the IV hash as 8 unsigned bytes
+        pl = build_placement(WORKED)
+        for seed in (-1, 2**64):
+            with pytest.raises(ParameterError, match="seed must lie in"):
+                map_phase(pl, WORKED, seed=seed)
+        assert len(map_phase(pl, WORKED, seed=2**64 - 1).values) == WORKED.N * WORKED.Q
+
 
 class TestRequiredIvs:
     def test_node_four_needs_ten(self):
