@@ -68,13 +68,25 @@ class ChannelRealization:
     slots: int
     seed: int
     gains: np.ndarray  # complex, shape (K, K, slots), 0-based internally
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def gain(self, j: int, m: int, d: int) -> complex:
         """Gain from transmitter m to receiver j in slot d (all 1-based)."""
         return self.gains[j - 1, m - 1, d - 1]
 
     def row(self, j: int, tx: NodeSet, d: int) -> np.ndarray:
-        return np.array([self.gain(j, m, d) for m in tx])
+        """Gains from each member of tx to receiver j in slot d, in tx order.
+
+        Gathered once per (j, tx, d) for the life of this draw and
+        returned read-only, since every caller shares the one array.
+        """
+        key = (j, tx.mask, d)
+        row = self._rows.get(key)
+        if row is None:
+            row = self.gains[j - 1, [m - 1 for m in tx], d - 1]
+            row.flags.writeable = False
+            self._rows[key] = row
+        return row
 
 
 @dataclass(frozen=True)
@@ -170,12 +182,10 @@ def neutralizing_precoder(
         raise ParameterError(
             f"need |active_tx| = |null_rx| + 1, got {n} and {len(null_rx)}"
         )
-    rows = np.array(
-        [[channel.gain(psi, m, d) for m in active_tx] for psi in null_rx]
-    ).reshape(n - 1, n)
+    rows = np.array([channel.row(psi, active_tx, d) for psi in null_rx]).reshape(n - 1, n)
     w = np.empty(n, dtype=complex)
     for col in range(n):
-        minor = np.delete(rows, col, axis=1)
+        minor = rows[:, [c for c in range(n) if c != col]]
         w[col] = (-1) ** (n + col + 1) * _det(minor)
     return w
 
@@ -363,6 +373,8 @@ def simulate_partition(
     """
     if snr_db is not None and not math.isfinite(snr_db):
         raise ParameterError(f"snr_db must be finite, got {snr_db}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"tolerance must be finite and >= 0, got {tol}")
     s = config.s
     needed = partition_slots(config)
     if channel.slots < needed:

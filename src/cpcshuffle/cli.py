@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 
 from .model import (
+    MAX_NODES,
     ConstraintViolation,
     InfeasibleInstance,
     InternalInvariantError,
@@ -95,8 +96,16 @@ def _csv(rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _full_load(args) -> bool:
+    """True when r = K: every IV is local and there is nothing to shuffle.
+    K is range-checked first, since that answer skips `SystemParams`."""
+    if not 1 <= args.K <= MAX_NODES:
+        raise ParameterError(f"K must lie in [1, {MAX_NODES}], got {args.K}")
+    return args.r == args.K
+
+
 def cmd_construct(args) -> int:
-    if args.r == args.K:
+    if _full_load(args):
         # everything is local: nothing to shuffle
         _emit(args, _json({"params": {"K": args.K, "r": args.r}, "partitions": [],
                            "messages": [], "placement": None}))
@@ -141,7 +150,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.r == args.K:
+    if _full_load(args):
         # every IV is local: nothing to shuffle, trivially correct
         _emit(args, _json({"ok": True, "failures": [], "partitions": 0}))
         return EXIT_OK

@@ -10,7 +10,7 @@ fixtures are reproducible byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -42,11 +42,16 @@ class InternalInvariantError(RuntimeError):
 class NodeSet:
     """An ordered set of node indices in [1..K].
 
-    Stored as a strictly increasing tuple, which doubles as the
-    lexicographic sort key used everywhere ordering matters.
+    `members` is a strictly increasing tuple and the only ordering and
+    equality key, so sets sort lexicographically everywhere ordering
+    matters.  `mask` has bit i set iff i is a member; `|`, `&`, `-`,
+    `issubset` and `isdisjoint` are integer operations on it.  Their
+    results, `enum_subsets` and single-node `of` come from one intern
+    table keyed by mask, so each distinct set is built and validated once.
     """
 
     members: tuple[int, ...]
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.members
@@ -54,9 +59,12 @@ class NodeSet:
             raise ParameterError(f"node indices must be positive integers: {m}")
         if any(m[i] >= m[i + 1] for i in range(len(m) - 1)):
             raise ParameterError(f"members must be strictly increasing: {m}")
+        object.__setattr__(self, "mask", sum(1 << x for x in m))
 
     @classmethod
     def of(cls, *nodes: int) -> "NodeSet":
+        if len(nodes) == 1 and type(nodes[0]) is int and nodes[0] >= 1:
+            return _interned(1 << nodes[0])
         return cls(tuple(sorted(set(nodes))))
 
     @classmethod
@@ -73,21 +81,31 @@ class NodeSet:
         return node in self.members
 
     def __or__(self, other: "NodeSet") -> "NodeSet":
-        return NodeSet.from_iterable(self.members + other.members)
+        return _interned(self.mask | other.mask)
 
     def __and__(self, other: "NodeSet") -> "NodeSet":
-        o = set(other.members)
-        return NodeSet(tuple(x for x in self.members if x in o))
+        return _interned(self.mask & other.mask)
 
     def __sub__(self, other: "NodeSet") -> "NodeSet":
-        o = set(other.members)
-        return NodeSet(tuple(x for x in self.members if x not in o))
+        return _interned(self.mask & ~other.mask)
 
     def issubset(self, other: "NodeSet") -> bool:
-        return set(self.members) <= set(other.members)
+        return not self.mask & ~other.mask
 
     def isdisjoint(self, other: "NodeSet") -> bool:
-        return set(self.members).isdisjoint(other.members)
+        return not self.mask & other.mask
+
+
+_INTERNED: dict[int, NodeSet] = {}
+
+
+def _interned(mask: int) -> NodeSet:
+    """The NodeSet whose mask is `mask`, built and validated on first use."""
+    found = _INTERNED.get(mask)
+    if found is None:
+        members = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        found = _INTERNED[mask] = NodeSet(members)
+    return found
 
 
 def full_set(K: int) -> NodeSet:
@@ -178,7 +196,8 @@ def enum_subsets(ground: NodeSet, k: int) -> list[NodeSet]:
     """All size-k subsets of `ground` in lexicographic order."""
     if not 0 <= k <= len(ground):
         raise ParameterError(f"subset size {k} out of range [0, {len(ground)}]")
-    return [NodeSet(c) for c in combinations(ground.members, k)]
+    bits = [1 << x for x in ground.members]
+    return [_interned(sum(c)) for c in combinations(bits, k)]
 
 
 def enum_partitions(K: int, K_t: int) -> list[Partition]:

@@ -15,6 +15,7 @@ from cpcshuffle.placement import build_placement, map_phase
 from cpcshuffle.codec import encode_partition, segment_ivs
 from cpcshuffle.channel import (
     ChannelConditionError,
+    _det,
     build_precoders,
     draw_channel,
     end_to_end_verify,
@@ -60,6 +61,21 @@ class TestDrawChannel:
         with pytest.raises(ParameterError):
             draw_channel(4, 0, seed=0)
 
+    def test_rows_are_cached_read_only_gathers(self):
+        ch = draw_channel(6, 3, seed=7)
+        for tx in (NodeSet.of(2), NodeSet.of(1, 3, 6), NodeSet.of(2, 4, 5, 6)):
+            for j in range(1, 7):
+                for d in range(1, 4):
+                    row = ch.row(j, tx, d)
+                    assert row is ch.row(j, NodeSet(tx.members), d)
+                    assert not row.flags.writeable
+                    expected = np.array([ch.gain(j, m, d) for m in tx])
+                    assert row.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            ch.row(1, NodeSet.of(1, 3, 6), 1)[0] = 0
+        redraw = draw_channel(6, 3, seed=7)
+        assert redraw.row(1, NodeSet.of(2), 1) is not ch.row(1, NodeSet.of(2), 1)
+
 
 class TestNeutralizingPrecoder:
     def test_two_tx_one_null_closed_form(self):
@@ -87,6 +103,30 @@ class TestNeutralizingPrecoder:
         ch = draw_channel(4, 1, seed=0)
         with pytest.raises(ParameterError):
             neutralizing_precoder(ch, 1, NodeSet.of(1, 2), NodeSet.of(3, 4))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_delete_construction_bit_for_bit(self, seed):
+        # the construction before channel rows were cached: per-gain rows,
+        # each minor by np.delete
+        def reference(ch, d, active, nulls):
+            n = len(active)
+            rows = np.array(
+                [[ch.gain(psi, m, d) for m in active] for psi in nulls]
+            ).reshape(n - 1, n)
+            w = np.empty(n, dtype=complex)
+            for col in range(n):
+                w[col] = (-1) ** (n + col + 1) * _det(np.delete(rows, col, axis=1))
+            return w
+
+        rng = np.random.default_rng(seed)
+        ch = draw_channel(10, 3, seed=seed)
+        for n in range(1, 6):
+            nodes = [int(x) for x in rng.permutation(np.arange(1, 11))[: 2 * n - 1]]
+            active, nulls = NodeSet.from_iterable(nodes[:n]), NodeSet.from_iterable(nodes[n:])
+            d = int(rng.integers(1, 4))
+            got = neutralizing_precoder(ch, d, active, nulls)
+            assert got.dtype == complex
+            assert got.tobytes() == reference(ch, d, active, nulls).tobytes()
 
     @pytest.mark.parametrize("seed", range(25))
     def test_precoder_set_residuals(self, seed):
@@ -271,6 +311,15 @@ class TestEndToEnd:
         for snr in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ParameterError, match="snr_db must be finite"):
                 simulate_partition(parts[0], cfg, ch, msgs, snr_db=snr)
+
+    def test_bad_tolerance_rejected(self):
+        cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
+        msgs = encode_partition(segs, parts[0], cfg)
+        ch = draw_channel(6, partition_slots(cfg), seed=5)
+        for tol in (float("nan"), float("inf"), -1.0, -1e-12):
+            with pytest.raises(ParameterError, match="tolerance must be finite and >= 0"):
+                simulate_partition(parts[0], cfg, ch, msgs, tol=tol)
+        assert simulate_partition(parts[0], cfg, ch, msgs, tol=0.0).symbols_per_receiver == 0
 
     def test_noise_mode_reports_mse(self):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)

@@ -90,6 +90,23 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--K", "4", "--r", "4")
         assert code == 0
 
+    def test_full_load_checks_k(self, capsys):
+        # r = K skips the instance build, but K must still be in range
+        for command in ("verify", "construct"):
+            for K in ("0", "-1", "-3", "65", "100"):
+                code, out, err = run(capsys, command, "--K", K, "--r", K)
+                assert code == 2, (command, K)
+                assert out == "" and "K must lie in [1, 64]" in err
+        code, out, _ = run(capsys, "verify", "--K", "64", "--r", "64")
+        assert code == 0 and json.loads(out) == {"ok": True, "failures": [], "partitions": 0}
+
+    def test_bad_tolerance_exits_two(self, capsys):
+        for command in ("verify", "simulate"):
+            for tol in ("nan", "inf", "-1"):
+                code, out, err = run(capsys, command, *WORKED, f"--tolerance={tol}")
+                assert code == 2, (command, tol)
+                assert out == "" and "tolerance must be finite and >= 0" in err
+
     def test_defaults_fill_in(self, capsys):
         # no N/Q/B/Kr/t: optimizer picks the split, B auto-aligns
         code, out, _ = run(capsys, "verify", "--K", "5", "--r", "2", "--ideal")

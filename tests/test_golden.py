@@ -1,0 +1,68 @@
+"""Golden exact outputs: SHA-256 digests of CLI output for fixed seeds.
+
+A change that is meant to leave output untouched (a speed-up, a refactor)
+must keep every digest here.  `construct --with-payloads` is hashed whole.
+Of the `verify` JSON only the exact fields are hashed; the float health
+fields (condition number, residual, symbol error) depend on the BLAS
+build and are left out.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from cpcshuffle.cli import main
+
+EXACT_FIELDS = ("ok", "failures", "partitions", "slots_total", "measured_dof", "claimed_dof")
+
+# (K, r, K_r, t) -> (construct digest, verify digest, verify --ideal --fault digest)
+GOLDEN = {
+    (6, 3, 3, 2): (
+        "d112ca5b30bea8c522f154a56c0e2fdbf9b0c7d57d88bc53bbc4aec812e288e8",
+        "361eb5d560931c4b9f79224c80cb96ab0fc43b9141ab2c5c55d9dea4fc83ccda",
+        "707a0be87f0f76c39b17521d2090b498c5350d3b651e969a73b7f0bb70b38ef0",
+    ),
+    (9, 3, 6, 2): (
+        "7dbc34912c71c9d78022726349f5239219dee12f3dac024d34f9797d8d45171a",
+        "6a9552081b0bf3dcd2e6be330207517437945ab737b2c1fa7fc9ac353e127673",
+        "320b514cd735d3adf3defe57dcabb17f0e40ac8bdedb2b04d090a5171819c999",
+    ),
+    (8, 2, 5, 1): (
+        "33dd21692f907bff252c1a01b44aa8a3d22ac7bcae7725d0639acceed478b241",
+        "0ecabcd5129239016efe185773674304f850631d26d53f92c0a971d66a736ad8",
+        "54f6deed8c2b9db73235da3cebbf6f1d3a6718c2874b3dfc0375a1a9f4a87787",
+    ),
+}
+
+
+def _flags(K, r, K_r, t):
+    return ["--K", str(K), "--r", str(r), "--Kr", str(K_r), "--t", str(t)]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _exact_digest(capsys, argv) -> tuple[int, str]:
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    exact = json.dumps({k: report[k] for k in EXACT_FIELDS}, sort_keys=True)
+    return code, _sha(exact)
+
+
+@pytest.mark.parametrize("instance", sorted(GOLDEN))
+def test_construct_dump(capsys, instance):
+    assert main(["construct", *_flags(*instance), "--with-payloads"]) == 0
+    assert _sha(capsys.readouterr().out) == GOLDEN[instance][0]
+
+
+@pytest.mark.parametrize("instance", sorted(GOLDEN))
+def test_verify_exact_fields(capsys, instance):
+    assert _exact_digest(capsys, ["verify", *_flags(*instance)]) == (0, GOLDEN[instance][1])
+
+
+@pytest.mark.parametrize("instance", sorted(GOLDEN))
+def test_ideal_fault_exact_fields(capsys, instance):
+    argv = ["verify", *_flags(*instance), "--ideal", "--fault"]
+    assert _exact_digest(capsys, argv) == (1, GOLDEN[instance][2])

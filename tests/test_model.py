@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from cpcshuffle.model import (
@@ -34,6 +36,44 @@ class TestNodeSet:
             NodeSet((2, 1))
         with pytest.raises(ParameterError):
             NodeSet((0, 1))
+
+    def test_mask_algebra_matches_tuple_semantics(self):
+        # every pair of subsets of [1..6]; `a` is interned, `b` is built
+        # through the public constructor, so both kinds meet in each operation
+        ground = range(1, 7)
+        tuples = [c for k in range(7) for c in itertools.combinations(ground, k)]
+        by_members = {s.members: s for k in range(7) for s in enum_subsets(full_set(6), k)}
+        for x in tuples:
+            a = by_members[x]
+            assert a.mask == sum(1 << i for i in x)
+            assert len(a) == len(x) and list(a) == list(x)
+            for y in tuples:
+                b = NodeSet(y)
+                sx, sy = set(x), set(y)
+                assert (a | b).members == tuple(sorted(sx | sy))
+                assert (a & b).members == tuple(sorted(sx & sy))
+                assert (a - b).members == tuple(sorted(sx - sy))
+                assert a.issubset(b) == (sx <= sy)
+                assert a.isdisjoint(b) == sx.isdisjoint(sy)
+                assert (a == b) == (x == y)
+                if x == y:
+                    assert hash(a) == hash(b)
+        shuffled = [NodeSet(x) for x in reversed(tuples)]
+        assert [s.members for s in sorted(shuffled)] == sorted(tuples)
+
+    def test_membership_matches_the_tuple(self):
+        for k in range(7):
+            for s in enum_subsets(full_set(6), k):
+                for node in range(-1, 9):
+                    assert (node in s) == (node in s.members)
+                    assert (np.int64(node) in s) == (np.int64(node) in s.members)
+
+    def test_single_node_of_is_interned_and_checked(self):
+        assert NodeSet.of(3) is NodeSet.of(3) is (NodeSet.of(2, 3) - NodeSet.of(2))
+        assert NodeSet.of(3) == NodeSet((3,))
+        for bad in (0, -1):
+            with pytest.raises(ParameterError):
+                NodeSet.of(bad)
 
 
 class TestEnumSubsets:
