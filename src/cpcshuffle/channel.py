@@ -16,15 +16,15 @@ is the case g = K_r: one receiver set, one chunk, DoF 1.  Time division
 (s+t < K_r) has g = s+t-1.  s + t = K_r, the asymptotic-alignment
 regime, is not simulated.
 
-Each chunk rides as one unit-power complex symbol derived from its bytes;
-recovering the symbol within tolerance delivers the chunk.
+Each chunk rides as one unit-power complex symbol derived from its bytes,
+and a message is delivered once all of its chunks' symbols solve.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -45,6 +45,7 @@ from .codec import (
     block_ivs,
     decode_segment,
     encode_partition,
+    message_key,
     round_up_bits,
     segment_ivs,
     segments_per_block,
@@ -98,9 +99,6 @@ class PrecoderSet:
     null_targets: dict[NodeSet, NodeSet]
     vectors: dict[tuple[NodeSet, int], np.ndarray]
 
-    def vector(self, dest_group: NodeSet, d: int) -> np.ndarray:
-        return self.vectors[(dest_group, d)]
-
     def max_residual(self, channel: "ChannelRealization") -> float:
         """Worst |h.w| / ||h|| over all nulled receivers, slots and groups."""
         worst = 0.0
@@ -114,16 +112,17 @@ class PrecoderSet:
 
 @dataclass
 class DeliveryReport:
-    """What a simulated delivery achieved, with its numerical health."""
+    """What a simulated delivery achieved, with its numerical health; each
+    block of `simulate_partition` folds its worst values into it."""
 
     partition: int
     regime: str
     slots_used: int
-    symbols_per_receiver: int
-    measured_dof: Fraction
-    max_condition: float
-    max_residual: float
-    max_symbol_error: float
+    symbols_per_receiver: int = 0
+    measured_dof: Fraction = Fraction(0)
+    max_condition: float = 0.0
+    max_residual: float = 0.0
+    max_symbol_error: float = 0.0
     delivered: dict[int, dict[tuple, bytes]] = field(repr=False, default_factory=dict)
     noise_mse: float | None = None
 
@@ -190,32 +189,16 @@ def neutralizing_precoder(
     return w
 
 
-def payload_symbol(message: CodedMessage, chunk_index: int) -> complex:
-    """Deterministic unit-power symbol for chunk `chunk_index` of a message,
-    whose payload holds that chunk (a fixture, not a modem)."""
+def payload_symbol(message: CodedMessage, chunk_index: int, n_chunks: int) -> complex:
+    """Deterministic unit-power symbol for chunk `chunk_index` of a message
+    whose payload is cut into `n_chunks` equal chunks (a fixture, not a modem)."""
+    step = len(message.payload) // n_chunks
+    chunk = message.payload[chunk_index * step : (chunk_index + 1) * step]
     tag = hashlib.blake2b(
-        repr(
-            (
-                message.partition,
-                message.dest_group.members,
-                message.coop.members,
-                chunk_index,
-            )
-        ).encode()
-        + message.payload,
-        digest_size=8,
+        repr((*message.key, chunk_index)).encode() + chunk, digest_size=8
     ).digest()
     phase = 2.0 * np.pi * (int.from_bytes(tag, "little") / 2**64)
     return complex(np.cos(phase), np.sin(phase))
-
-
-@dataclass
-class _BlockStats:
-    max_condition: float = 0.0
-    max_residual: float = 0.0
-    max_symbol_error: float = 0.0
-    noise_sq: float = 0.0
-    noise_n: int = 0
 
 
 def build_precoders(
@@ -240,75 +223,71 @@ def build_precoders(
 
 def _deliver_block(
     channel: ChannelRealization,
-    slot0: int,
-    gamma: int,
+    slots: range,
     active: NodeSet,
     receivers: NodeSet,
-    unknowns: list[tuple[NodeSet, complex, object]],
-    stats: _BlockStats,
+    unknowns: list[tuple[CodedMessage, complex]],
+    report: DeliveryReport,
+    solved: dict[int, Counter],
     tol: float,
     cond_guard: float,
-    rng_noise: np.random.Generator | None,
-    noise_sigma: float,
-    delivered: dict[int, dict],
+    noise: tuple[np.random.Generator, float] | None,
 ) -> None:
     """One symbol-extension block: precode, superpose, solve per receiver.
 
-    `unknowns` holds (dest group, transmitted symbol, delivery token); the
-    token is recorded for every receiver in the dest group whose solved
-    symbol matches the transmitted one within `tol` (relative).
+    `unknowns` holds (message, transmitted symbol of its chunk).  Every
+    receiver in the message's dest group whose solved symbol matches
+    within `tol` (relative), or any under `noise=(rng, sigma)`, adds one
+    to `solved[j][message.key]`.  The block's health goes into `report`;
+    under noise its `noise_mse` accumulates the squared symbol errors.
     """
-    slots = range(slot0, slot0 + gamma)
     precoders = build_precoders(
-        channel, slots, active, receivers, [dg for dg, _s, _t in unknowns]
+        channel, slots, active, receivers, [msg.dest_group for msg, _s in unknowns]
     )
-    stats.max_residual = max(stats.max_residual, precoders.max_residual(channel))
+    report.max_residual = max(report.max_residual, precoders.max_residual(channel))
     coeff: dict[tuple[NodeSet, int], dict[int, complex]] = {}
     for d in slots:
-        for dest_group, _sym, _token in unknowns:
-            w = precoders.vector(dest_group, d)
-            coeff[(dest_group, d)] = {
+        for msg, _sym in unknowns:
+            w = precoders.vectors[(msg.dest_group, d)]
+            coeff[(msg.dest_group, d)] = {
                 j: complex(np.dot(channel.row(j, active, d), w)) for j in receivers
             }
 
     received: dict[tuple[int, int], complex] = {}
-    for d in range(slot0, slot0 + gamma):
+    for d in slots:
         for j in receivers:
-            y = sum(coeff[(dg, d)][j] * sym for dg, sym, _tok in unknowns)
-            if rng_noise is not None:
-                y += noise_sigma * complex(
-                    rng_noise.standard_normal(), rng_noise.standard_normal()
+            y = sum(coeff[(msg.dest_group, d)][j] * sym for msg, sym in unknowns)
+            if noise is not None:
+                rng, sigma = noise
+                y += sigma * complex(
+                    rng.standard_normal(), rng.standard_normal()
                 ) / np.sqrt(2.0)
             received[(j, d)] = y
 
     for j in receivers:
-        wanted = [(dg, sym, tok) for dg, sym, tok in unknowns if j in dg]
-        if len(wanted) != gamma:
+        wanted = [(msg, sym) for msg, sym in unknowns if j in msg.dest_group]
+        if len(wanted) != len(slots):
             raise ParameterError(
-                f"receiver {j} wants {len(wanted)} symbols over {gamma} slots"
+                f"receiver {j} wants {len(wanted)} symbols over {len(slots)} slots"
             )
         A = np.array(
-            [
-                [coeff[(dg, d)][j] for dg, _s, _t in wanted]
-                for d in range(slot0, slot0 + gamma)
-            ]
+            [[coeff[(msg.dest_group, d)][j] for msg, _s in wanted] for d in slots]
         )
         cond = float(np.linalg.cond(A))
-        stats.max_condition = max(stats.max_condition, cond)
+        report.max_condition = max(report.max_condition, cond)
         if cond > cond_guard:
             raise ChannelConditionError(
                 f"condition number {cond:.3e} exceeds guard {cond_guard:.1e}"
             )
-        y = np.array([received[(j, d)] for d in range(slot0, slot0 + gamma)])
+        y = np.array([received[(j, d)] for d in slots])
         x_hat = np.linalg.solve(A, y)
-        for (dg, sym, token), est in zip(wanted, x_hat):
+        for (msg, sym), est in zip(wanted, x_hat):
             err = float(abs(est - sym) / abs(sym))
-            stats.max_symbol_error = max(stats.max_symbol_error, err)
-            if rng_noise is not None:
-                stats.noise_sq += err * err
-                stats.noise_n += 1
-            if rng_noise is not None or err < tol:
-                delivered.setdefault(j, {})[token] = True
+            report.max_symbol_error = max(report.max_symbol_error, err)
+            if noise is not None:
+                report.noise_mse += err * err
+            if noise is not None or err < tol:
+                solved[j][msg.key] += 1
 
 
 def _layout(config: ShuffleConfig) -> tuple[int, int, int]:
@@ -383,63 +362,53 @@ def simulate_partition(
     rx_sets = enum_subsets(partition.rx, g)
     coop_groups = enum_subsets(partition.tx, config.t)
     active = {coop: NodeSet(coop.members[: g - s + 1]) for coop in coop_groups}
-
-    # each message's chunks, under the key reassembly looks messages up by
-    chunks: dict[tuple, list[bytes]] = {}
+    by_pair: dict[tuple[NodeSet, NodeSet], CodedMessage] = {}
     for msg in messages:
         if len(msg.payload) % n_chunks != 0:
             raise ParameterError(
                 f"payload of {len(msg.payload)} bytes does not split into {n_chunks} chunks"
             )
-        step = len(msg.payload) // n_chunks
-        chunks[(partition.index, msg.dest_group.members, msg.coop.members)] = [
-            msg.payload[i * step : (i + 1) * step] for i in range(n_chunks)
-        ]
+        by_pair[(msg.dest_group, msg.coop)] = msg
 
-    stats = _BlockStats()
-    noiseless = snr_db is None
-    rng_noise = None if noiseless else np.random.default_rng(channel.seed ^ 0xA5A5)
-    noise_sigma = 0.0 if noiseless else 10.0 ** (-snr_db / 20.0)
-    recovered: dict[int, dict] = {}
+    noise = None
+    if snr_db is not None:
+        noise = (np.random.default_rng(channel.seed ^ 0xA5A5), 10.0 ** (-snr_db / 20.0))
+    report = DeliveryReport(
+        partition=partition.index,
+        regime="single_shot" if g == config.K_r else "time_division",
+        slots_used=needed,
+        noise_mse=None if noise is None else 0.0,
+    )
+    # solved[j][message key]: chunks of that message receiver j has solved;
     # chunk i of a message rides in the i-th receiver set containing its group
-    next_chunk: dict[tuple[int, ...], int] = {}
+    solved: dict[int, Counter] = defaultdict(Counter)
+    next_chunk: Counter = Counter()
     slot0 = 1
     for group in rx_sets:
         dest_groups = enum_subsets(group, s)
         for coop in coop_groups:
             unknowns = []
             for dest_group in dest_groups:
-                key = (partition.index, dest_group.members, coop.members)
-                idx = next_chunk.get(dest_group.members, 0)
-                msg = CodedMessage(partition.index, dest_group, coop, chunks[key][idx])
-                unknowns.append((dest_group, payload_symbol(msg, idx), (key, idx)))
+                msg = by_pair[(dest_group, coop)]
+                chunk = next_chunk[dest_group]
+                unknowns.append((msg, payload_symbol(msg, chunk, n_chunks)))
             _deliver_block(
-                channel, slot0, gamma, active[coop], group, unknowns,
-                stats, tol, cond_guard, rng_noise, noise_sigma, recovered,
+                channel, range(slot0, slot0 + gamma), active[coop], group, unknowns,
+                report, solved, tol, cond_guard, noise,
             )
             slot0 += gamma
-        for dest_group in dest_groups:
-            next_chunk[dest_group.members] = next_chunk.get(dest_group.members, 0) + 1
+        next_chunk.update(dest_groups)
 
-    delivered = {}
-    for j, tokens in recovered.items():
-        held = Counter(key for key, _idx in tokens)
-        delivered[j] = {
-            key: b"".join(chunks[key]) for key, n in held.items() if n == n_chunks
-        }
-    per_receiver = min(len(recovered.get(j, {})) for j in partition.rx)
-    return DeliveryReport(
-        partition=partition.index,
-        regime="single_shot" if g == config.K_r else "time_division",
-        slots_used=needed,
-        symbols_per_receiver=per_receiver,
-        measured_dof=Fraction(per_receiver, needed),
-        max_condition=stats.max_condition,
-        max_residual=stats.max_residual,
-        max_symbol_error=stats.max_symbol_error,
-        delivered=delivered,
-        noise_mse=(stats.noise_sq / stats.noise_n) if stats.noise_n else None,
-    )
+    report.symbols_per_receiver = min(sum(solved[j].values()) for j in partition.rx)
+    report.measured_dof = Fraction(report.symbols_per_receiver, needed)
+    report.delivered = {
+        j: {msg.key: msg.payload for msg in messages if held[msg.key] == n_chunks}
+        for j, held in solved.items()
+    }
+    if noise is not None:
+        # under noise all g receivers of a block solve one symbol per slot
+        report.noise_mse /= g * needed
+    return report
 
 
 def _channel_seed(seed: int, p: int, attempt: int) -> int:
@@ -532,7 +501,7 @@ def _pipeline(
 
     `corrupt=(p, i)` flips a byte of partition p's i-th message.
     `deliver(partition, messages)` returns each receiver's payloads keyed
-    (p, D members, B members), and the partition's DeliveryReport, or None
+    by `CodedMessage.key`, and the partition's DeliveryReport, or None
     over an ideal channel; of that report only five numbers are kept.
     """
     placement = build_placement(params)
@@ -597,9 +566,8 @@ def ideal_verify(
     def every_payload(part: Partition, messages: list[CodedMessage]):
         got: dict[int, dict[tuple, bytes]] = {}
         for m in messages:
-            key = (m.partition, m.dest_group.members, m.coop.members)
             for j in m.dest_group:
-                got.setdefault(j, {})[key] = m.payload
+                got.setdefault(j, {})[m.key] = m.payload
         return got, None
 
     report = _pipeline(params, config, seed, corrupt, every_payload)
@@ -617,8 +585,7 @@ def _reassemble_block(
     parts: list[bytes] = []
     for coop, p in admissible_pairs(k, storage, config):
         dest_group = NodeSet.of(k) | (storage - coop)
-        key = (p, dest_group.members, coop.members)
-        payload = delivered.get(key)
+        payload = delivered.get(message_key(p, dest_group, coop))
         if payload is None:
             return None
         msg = CodedMessage(p, dest_group, coop, payload)

@@ -3,7 +3,8 @@
 Outputs are deterministic for a given (arguments, seed): JSON is emitted
 with sorted keys, CSV rows in a fixed order with the stable header
 scheme,K,r,K_r,t,value.  Exit codes: 0 ok, 1 verification failure,
-2 invalid configuration, 3 internal invariant breach.
+2 invalid input (including an unwritable --out), 3 internal invariant
+breach.
 """
 
 from __future__ import annotations
@@ -78,8 +79,11 @@ def _instance(args) -> tuple[SystemParams, ShuffleConfig]:
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w") as f:
+                f.write(text)
+        except OSError as e:
+            raise ParameterError(f"cannot write --out {args.out}: {e.strerror}") from None
     else:
         sys.stdout.write(text)
 

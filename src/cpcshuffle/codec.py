@@ -57,6 +57,12 @@ class CodedMessage:
     coop: NodeSet
     payload: bytes
 
+    @functools.cached_property
+    def key(self) -> tuple:
+        """`message_key` of this message, built once so that every
+        receiver's ledger shares the one tuple."""
+        return message_key(self.partition, self.dest_group, self.coop)
+
     def constituents(self) -> list[SegmentId]:
         """The s segment ids whose XOR is the payload."""
         return [
@@ -68,6 +74,11 @@ class CodedMessage:
             )
             for j in self.dest_group
         ]
+
+
+def message_key(p: int, dest_group: NodeSet, coop: NodeSet) -> tuple:
+    """(p, D members, B members): the address receivers file a message under."""
+    return (p, dest_group.members, coop.members)
 
 
 @dataclass(frozen=True)

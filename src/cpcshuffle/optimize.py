@@ -94,24 +94,11 @@ def brute_force_min(r: int, K: int) -> OptimumParams:
     """Exhaustive argmin over all valid (K_r, t), exact comparisons.
 
     Ties prefer smaller K_r, then smaller t.  r = K returns the no-shuffle
-    sentinel (value 0, K_r = 0).
+    sentinel (value 0, K_r = t = s = 0).  It names no branch (`branch` is
+    None); `closed_form_min` does.
     """
     point = cpc_minimum(r, K)
-    if r == K:
-        return OptimumParams(r, K, point.value, 0, 0, 0, branch=None)
-    n1, _ = ndt1_value(r, K)
-    n2, _ = ndt2_value(r, K)
-    if n1 is not None and point.value == n1 == n2:
-        branch = TIE
-    elif n1 is not None and point.value == n1:
-        branch = NDT1
-    elif point.value == n2:
-        branch = NDT2
-    else:
-        branch = None
-    return OptimumParams(
-        r, K, point.value, point.K_r, point.t, point.s, branch=branch
-    )
+    return OptimumParams(r, K, point.value, point.K_r, point.t, point.s)
 
 
 def closed_form_min(r: int, K: int) -> OptimumParams:
@@ -159,6 +146,8 @@ class CrossValidationError(AssertionError):
 def cross_validate(K_max: int) -> list[dict]:
     """Compare closed form against brute force on 2 <= K <= K_max,
     1 <= r <= K-1; raise with a witness on the first mismatch."""
+    if K_max < 2:
+        raise ParameterError(f"cross-validation grid needs K_max >= 2, got {K_max}")
     if K_max > 40:
         raise ParameterError("cross-validation grid is capped at K_max = 40")
     report = []

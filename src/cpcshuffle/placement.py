@@ -39,9 +39,6 @@ class PlacementMap:
     node_to_files: dict[int, frozenset[int]]
     reduce_assignment: dict[int, frozenset[int]]
 
-    def stores(self, k: int, n: int) -> bool:
-        return n in self.node_to_files[k]
-
 
 @dataclass(frozen=True)
 class IVStore:

@@ -47,3 +47,28 @@ def test_shuffle_instances_build(workloads, K, r, K_r, t):
     inst = workloads.Instance.build(K, r, K_r, t)
     assert (inst.config.K_r, inst.config.t) == (K_r, t)
     assert inst.params.B % 8 == 0 and inst.iv_bytes > 0
+
+
+def test_delivery_hook_reads_a_real_report(workloads):
+    # `_count_delivery` reads `slots_used` and `max_condition` off the
+    # report `simulate_with_resample` returns; feed it one through the hook
+    from cpcshuffle import channel, codec, model, placement
+
+    inst = workloads.Instance.build(9, 3, 6, 2)
+    params, config = inst.params, inst.config
+    pl = placement.build_placement(params)
+    store = placement.map_phase(pl, params, 0)
+    segments = codec.segment_ivs(pl, config, store)
+    part = model.enum_partitions(params.K, config.K_t)[0]
+    messages = codec.encode_partition(segments, part, config)
+    target = "channel.simulate_with_resample"
+    with workloads.Tracer() as tracer:
+        tracer.install([channel], {target: workloads.TRACE_TARGETS[target]})
+        report = channel.simulate_with_resample(part, config, messages, 0)
+    assert not hasattr(channel.simulate_with_resample, "__wrapped__")  # restored
+    assert report.slots_used == channel.partition_slots(config) == 120
+    assert tracer.counts == {
+        "channel.slots": report.slots_used,
+        "channel.max_condition": report.max_condition,
+    }
+    assert 1.0 <= report.max_condition < workloads.MAX_CONDITION

@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from cpcshuffle.model import (
     validate_config,
 )
 from cpcshuffle.placement import build_placement, map_phase
+from cpcshuffle import channel
 from cpcshuffle.codec import encode_partition, segment_ivs
 from cpcshuffle.channel import (
     ChannelConditionError,
@@ -211,6 +213,52 @@ class TestTimeDivisionDelivery:
             key = (m.partition, m.dest_group.members, m.coop.members)
             for j in m.dest_group:
                 assert rep.delivered[j][key] == m.payload
+
+    def test_one_dropped_chunk_withholds_only_its_message(self, monkeypatch):
+        # the first block runs at tol = 0, where no symbol can match, so
+        # each of its messages loses exactly one of its four chunks
+        params = SystemParams(K=9, N=84, Q=9, r=3, B=480)
+        cfg, segs, parts = _prepared(params, K_r=6, t=2)
+        part = parts[0]
+        msgs = encode_partition(segs, part, cfg)
+        real = channel._deliver_block
+        signature = inspect.signature(real)
+        blocks = []
+
+        def first_block_exact(*args, **kwargs):
+            call = signature.bind(*args, **kwargs)
+            if not blocks:
+                call.arguments["tol"] = 0.0
+            blocks.append(call.arguments["receivers"])
+            return real(*call.args, **call.kwargs)
+
+        monkeypatch.setattr(channel, "_deliver_block", first_block_exact)
+        ch = draw_channel(9, partition_slots(cfg), seed=2)
+        rep = simulate_partition(part, cfg, ch, msgs)
+
+        g = cfg.s + cfg.t - 1
+        first_rx = enum_subsets(part.rx, g)[0]
+        first_coop = enum_subsets(part.tx, cfg.t)[0]
+        assert blocks[0] == first_rx and len(blocks) == partition_slots(cfg) // 2
+        dropped = {
+            (m.partition, m.dest_group.members, m.coop.members)
+            for m in msgs
+            if m.coop == first_coop and m.dest_group.issubset(first_rx)
+        }
+        assert len(dropped) == math.comb(g, cfg.s)
+        for m in msgs:
+            key = (m.partition, m.dest_group.members, m.coop.members)
+            for j in m.dest_group:
+                if key in dropped:
+                    assert key not in rep.delivered.get(j, {})
+                else:
+                    assert rep.delivered[j][key] == m.payload
+        # a receiver of the first block misses that block's two symbols and
+        # nothing more: the other three chunks of its dropped messages count
+        full = math.comb(cfg.K_r - 1, g - 1) * math.comb(cfg.K_t, cfg.t) * 2
+        assert full == 60
+        assert rep.symbols_per_receiver == full - 2
+        assert rep.measured_dof == Fraction(full - 2, partition_slots(cfg))
 
 
 class TestDispatchAndResample:

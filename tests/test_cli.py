@@ -171,6 +171,19 @@ class TestSimulate:
             assert "snr_db must be finite" in err
 
 
+class TestOut:
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        # exit 1 would read as "verification failed"
+        for command in ("construct", "verify", "simulate"):
+            target = tmp_path / "missing" / "x.json"
+            code, out, err = run(capsys, command, *WORKED, "--out", str(target))
+            assert code == 2, command
+            assert out == "" and not target.exists()
+            assert err.startswith(f"error: cannot write --out {target}: ")
+        code, _, err = run(capsys, "optimize", "--r", "3", "--K", "6", "--out", str(tmp_path))
+        assert code == 2 and "cannot write --out" in err
+
+
 class TestSeedRange:
     def test_out_of_range_seed_exits_two(self, capsys):
         for command in ("construct", "verify", "simulate"):
@@ -253,6 +266,15 @@ class TestOptimizeAndBounds:
         code, out, _ = run(capsys, "optimize", "--K-max", "8")
         assert code == 0
         assert all(cell["agree"] for cell in json.loads(out))
+
+    def test_grid_bound_below_two_exits_two(self, capsys):
+        for k_max in ("1", "0", "-5"):
+            code, out, err = run(capsys, "optimize", "--K-max", k_max)
+            assert code == 2, k_max
+            assert out == ""
+            assert f"cross-validation grid needs K_max >= 2, got {k_max}" in err
+        code, out, _ = run(capsys, "optimize", "--K-max", "2")
+        assert code == 0 and len(json.loads(out)) == 1
 
     def test_optimize_needs_a_point_or_a_grid(self, capsys):
         for argv in (["optimize"], ["optimize", "--r", "3"]):

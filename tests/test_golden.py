@@ -2,9 +2,9 @@
 
 A change that is meant to leave output untouched (a speed-up, a refactor)
 must keep every digest here.  `construct --with-payloads` is hashed whole.
-Of the `verify` JSON only the exact fields are hashed; the float health
-fields (condition number, residual, symbol error) depend on the BLAS
-build and are left out.
+Of the `verify` and `simulate` JSON only the exact fields are hashed; the
+float health fields (condition number, residual, symbol error) depend on
+the BLAS build and are left out.
 """
 
 import hashlib
@@ -15,6 +15,7 @@ import pytest
 from cpcshuffle.cli import main
 
 EXACT_FIELDS = ("ok", "failures", "partitions", "slots_total", "measured_dof", "claimed_dof")
+SIMULATE_FIELDS = ("partition", "regime", "slots_used", "symbols_per_receiver", "measured_dof")
 
 # (K, r, K_r, t) -> (construct digest, verify digest, verify --ideal --fault digest)
 GOLDEN = {
@@ -36,6 +37,15 @@ GOLDEN = {
 }
 
 
+# ((K, r, K_r, t), partition) -> digest of the exact `simulate` fields
+GOLDEN_SIMULATE = {
+    ((6, 3, 3, 2), 1): "f77c3c7e473a03988e353c16c1fd9817124d1a43ce1a61d1ea0660941d63c29b",
+    ((6, 3, 3, 2), 2): "caaf234611fd9bfa16604347a167f92b26c94579afaf0d0b3224c043a3a81002",
+    ((9, 3, 6, 2), 1): "9a7897b7258985df7b40ac05063ecf34a4ed603fb9e6ba26bf6bae61a3dc9e59",
+    ((9, 3, 6, 2), 2): "16d2b15b757a8b7751d3e7865dae2124aaa70649b0d7a4e373a59ff1565ee922",
+}
+
+
 def _flags(K, r, K_r, t):
     return ["--K", str(K), "--r", str(r), "--Kr", str(K_r), "--t", str(t)]
 
@@ -44,10 +54,10 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _exact_digest(capsys, argv) -> tuple[int, str]:
+def _exact_digest(capsys, argv, fields=EXACT_FIELDS) -> tuple[int, str]:
     code = main(argv)
     report = json.loads(capsys.readouterr().out)
-    exact = json.dumps({k: report[k] for k in EXACT_FIELDS}, sort_keys=True)
+    exact = json.dumps({k: report[k] for k in fields}, sort_keys=True)
     return code, _sha(exact)
 
 
@@ -66,3 +76,10 @@ def test_verify_exact_fields(capsys, instance):
 def test_ideal_fault_exact_fields(capsys, instance):
     argv = ["verify", *_flags(*instance), "--ideal", "--fault"]
     assert _exact_digest(capsys, argv) == (1, GOLDEN[instance][2])
+
+
+@pytest.mark.parametrize("instance, partition", sorted(GOLDEN_SIMULATE))
+def test_simulate_exact_fields(capsys, instance, partition):
+    argv = ["simulate", *_flags(*instance), "--partition", str(partition)]
+    digest = GOLDEN_SIMULATE[instance, partition]
+    assert _exact_digest(capsys, argv, SIMULATE_FIELDS) == (0, digest)

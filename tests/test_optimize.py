@@ -194,6 +194,12 @@ class TestCrossValidation:
         assert all(cell["agree"] for cell in report)
         assert len(report) == sum(K - 1 for K in range(2, 13))
 
+    def test_grid_bound_is_checked(self):
+        assert [(c["r"], c["K"], c["agree"]) for c in cross_validate(2)] == [(1, 2, True)]
+        for k_max in (1, 0, -5, 41):
+            with pytest.raises(ParameterError):
+                cross_validate(k_max)
+
     def test_single_point(self):
         brute = brute_force_min(5, 8)
         closed = closed_form_min(5, 8)
