@@ -52,7 +52,6 @@ from .channel import (
     ChannelConditionError,
     ChannelRealization,
     DeliveryReport,
-    PrecoderSet,
     VerificationReport,
     build_precoders,
     draw_channel,

@@ -9,6 +9,10 @@ of the bottom row of the matrix whose other rows are the channel rows of
 the g-s unintended receivers, so its superposition vanishes there exactly
 (up to floating point).  Each receiver then sees only the messages it
 wants and solves a square symbol-extension system, one symbol per slot.
+A block takes each message's effective gain at each of its receivers
+once per slot, and reads three things off those gains: the nulling
+residual at the unintended receivers, each receiver's superposed signal
+and each receiver's square system.
 
 A message is cut into C(K_r-s, g-s) chunks, one per receiver set that
 contains D, so the per-receiver DoF is g / K_r.  Single shot (s+t > K_r)
@@ -88,26 +92,6 @@ class ChannelRealization:
             row.flags.writeable = False
             self._rows[key] = row
         return row
-
-
-@dataclass(frozen=True)
-class PrecoderSet:
-    """Unit-norm beamforming vectors per (dest group, slot), over the active
-    transmitters, each nulled at its group's unintended receivers."""
-
-    active_tx: NodeSet
-    null_targets: dict[NodeSet, NodeSet]
-    vectors: dict[tuple[NodeSet, int], np.ndarray]
-
-    def max_residual(self, channel: "ChannelRealization") -> float:
-        """Worst |h.w| / ||h|| over all nulled receivers, slots and groups."""
-        worst = 0.0
-        for (dest_group, d), w in self.vectors.items():
-            for psi in self.null_targets[dest_group]:
-                h = channel.row(psi, self.active_tx, d)
-                scale = float(np.linalg.norm(h)) or 1.0
-                worst = max(worst, float(abs(np.dot(h, w))) / scale)
-        return worst
 
 
 @dataclass
@@ -207,18 +191,19 @@ def build_precoders(
     active_tx: NodeSet,
     receivers: NodeSet,
     dest_groups: list[NodeSet],
-) -> PrecoderSet:
-    """Cofactor precoders for every (dest group, slot), normalized."""
+) -> dict[tuple[NodeSet, int], np.ndarray]:
+    """Unit-norm cofactor precoder per (dest group, slot), nulled at the
+    receivers outside the group."""
     vectors: dict[tuple[NodeSet, int], np.ndarray] = {}
-    null_targets = {dg: receivers - dg for dg in dest_groups}
     for dest_group in dest_groups:
+        null_rx = receivers - dest_group
         for d in slots:
-            w = neutralizing_precoder(channel, d, active_tx, null_targets[dest_group])
+            w = neutralizing_precoder(channel, d, active_tx, null_rx)
             norm = np.linalg.norm(w)
             if norm == 0.0:
                 raise ChannelConditionError("degenerate precoder (zero cofactors)")
             vectors[(dest_group, d)] = w / norm
-    return PrecoderSet(active_tx=active_tx, null_targets=null_targets, vectors=vectors)
+    return vectors
 
 
 def _deliver_block(
@@ -235,53 +220,53 @@ def _deliver_block(
 ) -> None:
     """One symbol-extension block: precode, superpose, solve per receiver.
 
-    `unknowns` holds (message, transmitted symbol of its chunk).  Every
-    receiver in the message's dest group whose solved symbol matches
-    within `tol` (relative), or any under `noise=(rng, sigma)`, adds one
-    to `solved[j][message.key]`.  The block's health goes into `report`;
+    `unknowns` holds (message, transmitted symbol of its chunk); each
+    one's gain at each receiver is taken once per slot.  Every receiver in
+    the message's dest group whose solved symbol matches within `tol`
+    (relative), or any under `noise=(rng, sigma)`, adds one to
+    `solved[j][message.key]`.  The block's health goes into `report`;
     under noise its `noise_mse` accumulates the squared symbol errors.
     """
-    precoders = build_precoders(
+    vectors = build_precoders(
         channel, slots, active, receivers, [msg.dest_group for msg, _s in unknowns]
     )
-    report.max_residual = max(report.max_residual, precoders.max_residual(channel))
-    coeff: dict[tuple[NodeSet, int], dict[int, complex]] = {}
-    for d in slots:
-        for msg, _sym in unknowns:
-            w = precoders.vectors[(msg.dest_group, d)]
-            coeff[(msg.dest_group, d)] = {
-                j: complex(np.dot(channel.row(j, active, d), w)) for j in receivers
-            }
-
-    received: dict[tuple[int, int], complex] = {}
+    # gains[j][i][u]: unknown u's effective gain at receiver j in the
+    # block's i-th slot; received[j][i]: what j hears in that slot
+    gains: dict[int, list[list[complex]]] = {j: [] for j in receivers}
+    received: dict[int, list[complex]] = {j: [] for j in receivers}
     for d in slots:
         for j in receivers:
-            y = sum(coeff[(msg.dest_group, d)][j] * sym for msg, sym in unknowns)
+            row = channel.row(j, active, d)
+            g = [complex(np.dot(row, vectors[(msg.dest_group, d)])) for msg, _s in unknowns]
+            scale = float(np.linalg.norm(row)) or 1.0
+            for gain, (msg, _s) in zip(g, unknowns):
+                if j not in msg.dest_group:
+                    report.max_residual = max(report.max_residual, abs(gain) / scale)
+            y = sum(gain * sym for gain, (_m, sym) in zip(g, unknowns))
             if noise is not None:
                 rng, sigma = noise
                 y += sigma * complex(
                     rng.standard_normal(), rng.standard_normal()
                 ) / np.sqrt(2.0)
-            received[(j, d)] = y
+            gains[j].append(g)
+            received[j].append(y)
 
     for j in receivers:
-        wanted = [(msg, sym) for msg, sym in unknowns if j in msg.dest_group]
+        wanted = [u for u, (msg, _s) in enumerate(unknowns) if j in msg.dest_group]
         if len(wanted) != len(slots):
             raise ParameterError(
                 f"receiver {j} wants {len(wanted)} symbols over {len(slots)} slots"
             )
-        A = np.array(
-            [[coeff[(msg.dest_group, d)][j] for msg, _s in wanted] for d in slots]
-        )
+        A = np.array([[g[u] for u in wanted] for g in gains[j]])
         cond = float(np.linalg.cond(A))
         report.max_condition = max(report.max_condition, cond)
         if cond > cond_guard:
             raise ChannelConditionError(
                 f"condition number {cond:.3e} exceeds guard {cond_guard:.1e}"
             )
-        y = np.array([received[(j, d)] for d in slots])
-        x_hat = np.linalg.solve(A, y)
-        for (msg, sym), est in zip(wanted, x_hat):
+        x_hat = np.linalg.solve(A, np.array(received[j]))
+        for u, est in zip(wanted, x_hat):
+            msg, sym = unknowns[u]
             err = float(abs(est - sym) / abs(sym))
             report.max_symbol_error = max(report.max_symbol_error, err)
             if noise is not None:
@@ -350,8 +335,14 @@ def simulate_partition(
     for the set; the coop group's first g-s+1 members transmit it.  A
     receiver holds a message once it has all of its chunks.
     """
-    if snr_db is not None and not math.isfinite(snr_db):
-        raise ParameterError(f"snr_db must be finite, got {snr_db}")
+    sigma = None
+    if snr_db is not None:
+        if not math.isfinite(snr_db):
+            raise ParameterError(f"snr_db must be finite, got {snr_db}")
+        try:
+            sigma = 10.0 ** (-snr_db / 20.0)
+        except OverflowError:
+            raise ParameterError(f"snr_db {snr_db} makes the noise amplitude overflow") from None
     if not (math.isfinite(tol) and tol >= 0):
         raise ParameterError(f"tolerance must be finite and >= 0, got {tol}")
     s = config.s
@@ -370,9 +361,7 @@ def simulate_partition(
             )
         by_pair[(msg.dest_group, msg.coop)] = msg
 
-    noise = None
-    if snr_db is not None:
-        noise = (np.random.default_rng(channel.seed ^ 0xA5A5), 10.0 ** (-snr_db / 20.0))
+    noise = None if sigma is None else (np.random.default_rng(channel.seed ^ 0xA5A5), sigma)
     report = DeliveryReport(
         partition=partition.index,
         regime="single_shot" if g == config.K_r else "time_division",

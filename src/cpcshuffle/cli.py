@@ -3,8 +3,8 @@
 Outputs are deterministic for a given (arguments, seed): JSON is emitted
 with sorted keys, CSV rows in a fixed order with the stable header
 scheme,K,r,K_r,t,value.  Exit codes: 0 ok, 1 verification failure,
-2 invalid input (including an unwritable --out), 3 internal invariant
-breach.
+2 invalid input (including an unwritable --out or an --out-dir that
+cannot be created), 3 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -215,10 +215,15 @@ def cmd_ndt(args) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    """An inclusive range lo:hi with lo <= hi, or one integer."""
+    lo, sep, hi = text.partition(":")
+    try:
+        lo, hi = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise ParameterError(f"range {text!r} is neither lo:hi nor an integer") from None
+    if lo > hi:
+        raise ParameterError(f"range {text!r} is empty")
+    return list(range(lo, hi + 1))
 
 
 def _sweep_grid(args) -> list[tuple]:
@@ -310,7 +315,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as e:
+        raise ParameterError(f"cannot create --out-dir {args.out_dir}: {e.strerror}") from None
     for preset in ("fig2", "fig3", "fig4", "fig5"):
         ns = argparse.Namespace(
             preset=preset, r_range=None, K_range=None, format="csv",

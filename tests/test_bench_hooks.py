@@ -6,6 +6,7 @@ deletion there would otherwise surface only when the benchmark runs.
 """
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -49,10 +50,10 @@ def test_shuffle_instances_build(workloads, K, r, K_r, t):
     assert inst.params.B % 8 == 0 and inst.iv_bytes > 0
 
 
-def test_delivery_hook_reads_a_real_report(workloads):
-    # `_count_delivery` reads `slots_used` and `max_condition` off the
-    # report `simulate_with_resample` returns; feed it one through the hook
-    from cpcshuffle import channel, codec, model, placement
+@pytest.fixture(scope="module")
+def time_division_partition(workloads):
+    """(config, first partition, its messages) of the (9,3,6,2) instance."""
+    from cpcshuffle import codec, model, placement
 
     inst = workloads.Instance.build(9, 3, 6, 2)
     params, config = inst.params, inst.config
@@ -60,7 +61,15 @@ def test_delivery_hook_reads_a_real_report(workloads):
     store = placement.map_phase(pl, params, 0)
     segments = codec.segment_ivs(pl, config, store)
     part = model.enum_partitions(params.K, config.K_t)[0]
-    messages = codec.encode_partition(segments, part, config)
+    return config, part, codec.encode_partition(segments, part, config)
+
+
+def test_delivery_hook_reads_a_real_report(workloads, time_division_partition):
+    # `_count_delivery` reads `slots_used` and `max_condition` off the
+    # report `simulate_with_resample` returns; feed it one through the hook
+    from cpcshuffle import channel
+
+    config, part, messages = time_division_partition
     target = "channel.simulate_with_resample"
     with workloads.Tracer() as tracer:
         tracer.install([channel], {target: workloads.TRACE_TARGETS[target]})
@@ -72,3 +81,21 @@ def test_delivery_hook_reads_a_real_report(workloads):
         "channel.max_condition": report.max_condition,
     }
     assert 1.0 <= report.max_condition < workloads.MAX_CONDITION
+
+
+def test_blocks_count_one_precoder_build_each(workloads, time_division_partition):
+    # `channel.blocks` counts `build_precoders` calls, so each (receiver
+    # set, cooperation group) block must build its precoders exactly once
+    from cpcshuffle import channel
+
+    config, part, messages = time_division_partition
+    targets = {name: workloads.TRACE_TARGETS[name]
+               for name in ("channel.build_precoders", "channel.draw_channel")}
+    with workloads.Tracer() as tracer:
+        tracer.install([channel], targets)
+        channel.simulate_with_resample(part, config, messages, 0)
+    g = min(config.K_r, config.s + config.t - 1)
+    blocks = math.comb(config.K_r, g) * math.comb(config.K_t, config.t)
+    counts = workloads.layer_counts(tracer)
+    assert counts["channel.blocks"] == blocks == 60
+    assert counts["channel.resamples"] == 0

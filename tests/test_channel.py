@@ -135,13 +135,58 @@ class TestNeutralizingPrecoder:
         # one full coop-group block of the 6-node fixture: all precoders,
         # all slots, every null target
         ch = draw_channel(6, 2, seed=seed)
-        receivers = NodeSet.of(4, 5, 6)
+        receivers, active = NodeSet.of(4, 5, 6), NodeSet.of(1, 2)
         groups = enum_subsets(receivers, 2)
-        pset = build_precoders(ch, range(1, 3), NodeSet.of(1, 2), receivers, groups)
-        assert len(pset.vectors) == len(groups) * 2
-        assert pset.max_residual(ch) < 1e-9
-        for (dg, d), w in pset.vectors.items():
+        vectors = build_precoders(ch, range(1, 3), active, receivers, groups)
+        assert set(vectors) == {(dg, d) for dg in groups for d in (1, 2)}
+        for (dg, d), w in vectors.items():
             assert np.linalg.norm(w) == pytest.approx(1.0)
+            for psi in receivers - dg:
+                h = ch.row(psi, active, d)
+                assert abs(np.dot(h, w)) / np.linalg.norm(h) < 1e-9
+
+    @pytest.mark.parametrize(
+        "params, K_r, t",
+        [(WORKED, 3, 2), (SystemParams(K=9, N=84, Q=9, r=3, B=480), 6, 2)],
+        ids=["single_shot", "time_division"],
+    )
+    def test_report_residual_is_every_nulled_receiver(self, monkeypatch, params, K_r, t):
+        # after every block, the report's residual must be exactly the worst
+        # |h.w| / ||h|| over all (message, slot, nulled receiver) so far,
+        # recomputed here with one precoder per (dest group, slot)
+        cfg, segs, parts = _prepared(params, K_r=K_r, t=t)
+        real = channel._deliver_block
+        signature = inspect.signature(real)
+        seen = []
+
+        def record(*args, **kwargs):
+            real(*args, **kwargs)
+            seen.append(signature.bind(*args, **kwargs).arguments["report"].max_residual)
+
+        monkeypatch.setattr(channel, "_deliver_block", record)
+        s = cfg.s
+        g = min(K_r, s + t - 1)
+        gamma = math.comb(g - 1, s - 1)
+        for part in parts[:3]:
+            ch = draw_channel(params.K, partition_slots(cfg), seed=part.index)
+            seen.clear()
+            rep = simulate_partition(part, cfg, ch, encode_partition(segs, part, cfg))
+            expected, worst, slot0 = [], 0.0, 1
+            for group in enum_subsets(part.rx, g):
+                for coop in enum_subsets(part.tx, t):
+                    active = NodeSet(coop.members[: g - s + 1])
+                    for dg in enum_subsets(group, s):
+                        for d in range(slot0, slot0 + gamma):
+                            w = neutralizing_precoder(ch, d, active, group - dg)
+                            w = w / np.linalg.norm(w)
+                            for psi in group - dg:
+                                h = ch.row(psi, active, d)
+                                scale = float(np.linalg.norm(h)) or 1.0
+                                worst = max(worst, float(abs(np.dot(h, w))) / scale)
+                    expected.append(worst)
+                    slot0 += gamma
+            assert seen == expected
+            assert rep.max_residual == worst > 0.0
 
 
 class TestSingleShotDelivery:
@@ -359,6 +404,20 @@ class TestEndToEnd:
         for snr in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ParameterError, match="snr_db must be finite"):
                 simulate_partition(parts[0], cfg, ch, msgs, snr_db=snr)
+
+    def test_overflowing_noise_amplitude_rejected(self):
+        # 10 ** 350 is past the largest float; 10 ** -5e306 underflows to a
+        # noiseless 0.0, which is still a float
+        cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
+        msgs = encode_partition(segs, parts[0], cfg)
+        ch = draw_channel(6, partition_slots(cfg), seed=5)
+        for snr in (-7000.0, -1e308):
+            with pytest.raises(ParameterError, match="noise amplitude overflow"):
+                simulate_partition(parts[0], cfg, ch, msgs, snr_db=snr)
+        loud = simulate_partition(parts[0], cfg, ch, msgs, snr_db=-300.0)
+        assert 1e25 < loud.noise_mse < math.inf
+        quiet = simulate_partition(parts[0], cfg, ch, msgs, snr_db=1e308)
+        assert quiet.noise_mse < 1e-20 and quiet.measured_dof == 1
 
     def test_bad_tolerance_rejected(self):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)

@@ -170,6 +170,15 @@ class TestSimulate:
             assert out == ""
             assert "snr_db must be finite" in err
 
+    def test_overflowing_noise_amplitude_exits_two(self, capsys):
+        code, out, err = run(capsys, "simulate", *WORKED, "--snr", "-7000")
+        assert code == 2 and out == ""
+        assert err == "error: snr_db -7000.0 makes the noise amplitude overflow\n"
+        # the extremes that still give a float amplitude keep running
+        for snr in ("-300", "1e308"):
+            code, out, _ = run(capsys, "simulate", *WORKED, "--snr", snr)
+            assert code == 0 and json.loads(out)["measured_dof"] == "1", snr
+
 
 class TestOut:
     def test_unwritable_out_exits_two(self, tmp_path, capsys):
@@ -254,6 +263,20 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep")
         assert code == 2
 
+    def test_empty_or_malformed_range_exits_two(self, capsys):
+        for r_range, K_range, bad, why in [
+            ("5:2", "10", "5:2", "is empty"),
+            ("2", "9:4", "9:4", "is empty"),
+            ("1:2:3", "5", "1:2:3", "is neither lo:hi nor an integer"),
+            ("x", "5", "x", "is neither lo:hi nor an integer"),
+            ("1:", "5", "1:", "is neither lo:hi nor an integer"),
+        ]:
+            code, out, err = run(capsys, "sweep", "--r-range", r_range, "--K-range", K_range)
+            assert code == 2 and out == "", r_range
+            assert err == f"error: range '{bad}' {why}\n"
+        code, out, _ = run(capsys, "sweep", "--r-range", "3:3", "--K-range", "5")
+        assert code == 0 and len(out.splitlines()) == 1 + 8
+
 
 class TestOptimizeAndBounds:
     def test_optimize_point(self, capsys):
@@ -295,3 +318,12 @@ class TestFigures:
         assert code == 0
         for name in ("fig2", "fig3", "fig4", "fig5"):
             assert (tmp_path / f"{name}.csv").exists()
+
+    def test_out_dir_on_a_file_exits_two(self, tmp_path, capsys):
+        # exit 1 would read as "verification failed"
+        target = tmp_path / "taken"
+        target.write_text("keep")
+        code, out, err = run(capsys, "figures", "--out-dir", str(target))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot create --out-dir {target}: File exists\n"
+        assert target.read_text() == "keep"
