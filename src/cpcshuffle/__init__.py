@@ -35,9 +35,11 @@ from .codec import (
     CodedMessage,
     Segment,
     SegmentId,
+    SegmentTable,
     StragglerPlan,
     block_ivs,
     coding_complexity,
+    decode_blocks,
     decode_segment,
     encode_partition,
     per_partition_load,

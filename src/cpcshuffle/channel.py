@@ -45,11 +45,9 @@ from .model import (
 )
 from .codec import (
     CodedMessage,
-    admissible_pairs,
     block_ivs,
-    decode_segment,
+    decode_blocks,
     encode_partition,
-    message_key,
     round_up_bits,
     segment_ivs,
     segments_per_block,
@@ -397,6 +395,10 @@ def simulate_partition(
     if noise is not None:
         # under noise all g receivers of a block solve one symbol per slot
         report.noise_mse /= g * needed
+        if not math.isfinite(report.noise_mse):
+            raise ParameterError(
+                f"snr_db {snr_db} drives the noise mean squared error past the largest float"
+            )
     return report
 
 
@@ -456,28 +458,25 @@ def _verify_reassembly(
     placement,
     store,
     segments,
-    config: ShuffleConfig,
     delivered: dict[int, dict[tuple, bytes]],
 ) -> list[tuple[int, int, int]]:
     """Reassemble every required IV per node; return (node, q, n) mismatches.
 
-    Each block is decoded and laid out once; an IV missing from its
-    block's layout is a mismatch too.
+    Each node decodes all of its blocks at once, and each block is laid
+    out once; an IV missing from its block's layout is a mismatch too.
     """
     failures: list[tuple[int, int, int]] = []
     nbytes = placement.params.B // 8
     for k in range(1, placement.params.K + 1):
-        blocks: dict[NodeSet, tuple[bytes | None, dict[tuple[int, int], int]]] = {}
+        blocks = decode_blocks(segments, k, delivered.get(k, {}))
+        offsets: dict[NodeSet, dict[tuple[int, int], int]] = {}
         for (q, n) in sorted(required_ivs(placement, k)):
             storage = placement.file_to_nodes[n]
-            if storage not in blocks:
+            if storage not in offsets:
                 layout = block_ivs(placement, k, storage)
-                blocks[storage] = (
-                    _reassemble_block(k, storage, config, segments, delivered.get(k, {})),
-                    {iv: i * nbytes for i, iv in enumerate(layout)},
-                )
-            block, offsets = blocks[storage]
-            pos = offsets.get((q, n))
+                offsets[storage] = {iv: i * nbytes for i, iv in enumerate(layout)}
+            block = blocks[storage]
+            pos = offsets[storage].get((q, n))
             if block is None or pos is None or block[pos : pos + nbytes] != store.get(q, n):
                 failures.append((k, q, n))
     return failures
@@ -515,7 +514,7 @@ def _pipeline(
             report.max_symbol_error = max(report.max_symbol_error, sim.max_symbol_error)
             dof = report.measured_dof
             report.measured_dof = sim.measured_dof if dof is None else min(dof, sim.measured_dof)
-    report.failures = _verify_reassembly(placement, store, segments, config, delivered)
+    report.failures = _verify_reassembly(placement, store, segments, delivered)
     report.ok = not report.failures
     return report
 
@@ -561,23 +560,3 @@ def ideal_verify(
 
     report = _pipeline(params, config, seed, corrupt, every_payload)
     return report.ok, report
-
-
-def _reassemble_block(
-    k: int,
-    storage: NodeSet,
-    config: ShuffleConfig,
-    segments,
-    delivered: dict[tuple, bytes],
-):
-    """Decode and concatenate node k's segments of one block, or None if short."""
-    parts: list[bytes] = []
-    for coop, p in admissible_pairs(k, storage, config):
-        dest_group = NodeSet.of(k) | (storage - coop)
-        payload = delivered.get(message_key(p, dest_group, coop))
-        if payload is None:
-            return None
-        msg = CodedMessage(p, dest_group, coop, payload)
-        seg = decode_segment(msg, segments, k)
-        parts.append(seg.data)
-    return b"".join(parts)

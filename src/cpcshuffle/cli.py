@@ -248,12 +248,17 @@ def _sweep_grid(args) -> list[tuple]:
         ]
     if args.r_range is None or args.K_range is None:
         raise ParameterError("sweep needs --preset or both --r-range and --K-range")
-    return [
+    cells = [
         (r, K, None, True)
         for r in _parse_range(args.r_range)
         for K in _parse_range(args.K_range)
         if r <= K
     ]
+    if not cells:
+        raise ParameterError(
+            f"--r-range '{args.r_range}' and --K-range '{args.K_range}' have no cell with r <= K"
+        )
+    return cells
 
 
 def _sweep_cell(cell) -> list[list]:

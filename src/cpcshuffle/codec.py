@@ -10,14 +10,28 @@ outside U and {j}.  Pairs are ordered (B lex, partition index
 ascending).  A coded message for (p, D, B) is the bytewise XOR of the s
 segments its receivers are missing; every receiver in D holds the other
 s-1 segments locally, so one XOR recovers its own.
+
+Every segment has an integer rank: block rank * segments per block +
+pair index, with blocks in (dest, storage lex) order.  `segment_ivs`
+holds all segments as the rows of one `(n_segments, seg_len)` uint8
+array, so a block's segments are its bytes reshaped, and a rank dict
+keyed by (dest, storage mask, p, coop mask).  That `SegmentTable` is
+also a read-only mapping from `SegmentId` to `Segment`.  Encoding and
+node-wide decoding gather rows by rank and XOR-reduce them in one numpy
+call; `SegmentId`, `CodedMessage.constituents`, `decode_segment` and
+`xor_bytes` are the readable one-segment reference they agree with.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .model import (
     ConstraintViolation,
@@ -118,7 +132,7 @@ def round_up_bits(config: ShuffleConfig, requested_bits: int) -> int:
 def block_ivs(placement: PlacementMap, dest: int, storage: NodeSet) -> list[tuple[int, int]]:
     """The block's (q, n) pairs in layout order: q ascending over W_dest,
     then the eta1 files stored exactly at `storage`, n ascending."""
-    files = sorted(n for n, grp in placement.file_to_nodes.items() if grp == storage)
+    files = placement.group_files.get(storage.mask, ())
     return [(q, n) for q in sorted(placement.reduce_assignment[dest]) for n in files]
 
 
@@ -149,10 +163,55 @@ def admissible_pairs(
     ]
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class SegmentTable(Mapping[SegmentId, Segment]):
+    """Every segment as one row of a read-only `(n_segments, seg_len)`
+    uint8 array, found through `ranks[(dest, storage.mask, p, coop.mask)]`.
+
+    `ranks` is filled in row order, and each node owns `per_node` =
+    C(K-1, r) * `per_block` consecutive rows, node 1 first.  Row i belongs
+    to the message keyed `message_keys[i]`, whose s constituent rows are
+    `peers[i]`.  As a mapping it answers `SegmentId` lookups and builds
+    ids only when iterated.
+    """
+
+    data: np.ndarray
+    ranks: dict[tuple[int, int, int, int], int]
+    per_block: int
+    per_node: int
+    peers: np.ndarray
+    message_keys: list[tuple]
+
+    def __getitem__(self, sid: SegmentId) -> Segment:
+        row = self.ranks[(sid.dest, sid.storage.mask, sid.partition, sid.coop.mask)]
+        return Segment(id=sid, data=self.data[row].tobytes())
+
+    def __iter__(self) -> Iterator[SegmentId]:
+        for dest, storage, p, coop in self.ranks:
+            yield SegmentId(dest, NodeSet.from_mask(storage), p, NodeSet.from_mask(coop))
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+
+def _message_rows(
+    ranks: dict[tuple[int, int, int, int], int], p: int, dest_group: NodeSet, coop: NodeSet
+) -> list[int]:
+    """Rows of the s segments XORed into message (p, D, B), in D order:
+    receiver j's is (j, B | D - {j}, p, B), as in `constituents`."""
+    d, b = dest_group.mask, coop.mask
+    try:
+        return [ranks[(j, b | d & ~(1 << j), p, b)] for j in dest_group.members]
+    except KeyError as err:
+        dest, storage, _p, _b = err.args[0]
+        sid = SegmentId(dest, NodeSet.from_mask(storage), p, coop)
+        raise InternalInvariantError(f"missing segment {sid}") from None
+
+
 def segment_ivs(
     placement: PlacementMap, config: ShuffleConfig, store: IVStore
-) -> dict[SegmentId, Segment]:
-    """Cut every required block into its segments, keyed by SegmentId.
+) -> SegmentTable:
+    """Cut every required block into its segments, one table row each.
 
     The i-th admissible (B, p) pair gets the i-th equal slice of the block.
     Raises InfeasibleInstance when the block size is not a whole number of
@@ -168,41 +227,62 @@ def segment_ivs(
             f"{n_seg} whole-byte segments; choose B as a multiple of {8 * n_seg}"
         )
     seg_len = block_len // n_seg
-    segments: dict[SegmentId, Segment] = {}
+    blocks: list[bytes] = []
+    ranks: dict[tuple[int, int, int, int], int] = {}
     for dest in range(1, params.K + 1):
         others = [k for k in range(1, params.K + 1) if k != dest]
         for storage in enum_subsets(NodeSet(tuple(others)), params.r):
-            data = block_bytes(placement, store, dest, storage)
             pairs = admissible_pairs(dest, storage, config)
             if len(pairs) != n_seg:
                 raise InternalInvariantError(
                     f"block (d{dest}, {storage.members}) has {len(pairs)} "
                     f"admissible pairs, expected {n_seg}"
                 )
+            base = len(blocks) * n_seg
             for i, (coop, p) in enumerate(pairs):
-                sid = SegmentId(dest=dest, storage=storage, partition=p, coop=coop)
-                segments[sid] = Segment(id=sid, data=data[i * seg_len : (i + 1) * seg_len])
-    return segments
+                ranks[(dest, storage.mask, p, coop.mask)] = base + i
+            blocks.append(block_bytes(placement, store, dest, storage))
+    data = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(len(ranks), seg_len)
+    # each message once, at the first of its rows in rank order; every
+    # one of its s rows gets its key and all s of its rows as peers
+    message_keys: list = [None] * len(ranks)
+    messages: list[list[int]] = []
+    for (dest, storage, p, coop_mask), row in ranks.items():
+        if message_keys[row] is None:
+            coop = NodeSet.from_mask(coop_mask)
+            dest_group = NodeSet.from_mask(storage & ~coop_mask | 1 << dest)
+            rows = _message_rows(ranks, p, dest_group, coop)
+            key = message_key(p, dest_group, coop)
+            for r in rows:
+                message_keys[r] = key
+            messages.append(rows)
+    constituents = np.array(messages, dtype=np.intp).reshape(len(messages), config.s)
+    peers = np.empty((len(ranks), config.s), dtype=np.intp)
+    peers[constituents.ravel()] = np.repeat(constituents, config.s, axis=0)
+    per_node = math.comb(params.K - 1, params.r) * n_seg
+    return SegmentTable(data, ranks, n_seg, per_node, peers, message_keys)
 
 
 def encode_partition(
-    segments: dict[SegmentId, Segment], partition: Partition, config: ShuffleConfig
+    segments: SegmentTable, partition: Partition, config: ShuffleConfig
 ) -> list[CodedMessage]:
     """All C(K_t, t) * C(K_r, s) coded messages of one partition, (B lex, D lex)."""
-    messages = []
-    for coop in enum_subsets(partition.tx, config.t):
-        for dest_group in enum_subsets(partition.rx, config.s):
-            ids = CodedMessage(partition.index, dest_group, coop, b"").constituents()
-            for sid in ids:
-                if sid not in segments:
-                    raise InternalInvariantError(f"missing segment {sid}")
-            payload = functools.reduce(xor_bytes, (segments[sid].data for sid in ids))
-            messages.append(CodedMessage(partition.index, dest_group, coop, payload))
-    return messages
+    p = partition.index
+    pairs = [
+        (coop, dest_group)
+        for coop in enum_subsets(partition.tx, config.t)
+        for dest_group in enum_subsets(partition.rx, config.s)
+    ]
+    rows = [_message_rows(segments.ranks, p, dest_group, coop) for coop, dest_group in pairs]
+    payloads = np.bitwise_xor.reduce(segments.data[np.array(rows, dtype=np.intp)], axis=1)
+    return [
+        CodedMessage(p, dest_group, coop, payload.tobytes())
+        for (coop, dest_group), payload in zip(pairs, payloads)
+    ]
 
 
 def decode_segment(
-    message: CodedMessage, local_segments: dict[SegmentId, Segment], j: int
+    message: CodedMessage, local_segments: Mapping[SegmentId, Segment], j: int
 ) -> Segment:
     """Recover node j's segment by XORing the payload with its s-1 local ones.
 
@@ -227,6 +307,37 @@ def decode_segment(
         out = xor_bytes(out, side.data)
     assert target is not None
     return Segment(id=target, data=out)
+
+
+def decode_blocks(
+    segments: SegmentTable, dest: int, delivered: dict[tuple, bytes]
+) -> dict[NodeSet, bytes | None]:
+    """Every block node `dest` needs, decoded from its delivered payloads.
+
+    Each of node dest's rows looks up its message's payload by
+    `message_key`; all payloads are XORed with their s-1 side segments in
+    one gather-reduce.  A block with any payload missing maps to None.
+    """
+    per_node, per_block = segments.per_node, segments.per_block
+    seg_len = segments.data.shape[1]
+    start, stop = (dest - 1) * per_node, dest * per_node
+    payloads = [delivered.get(key) for key in segments.message_keys[start:stop]]
+    lost = {i // per_block for i, payload in enumerate(payloads) if payload is None}
+    zero = bytes(seg_len)
+    got = np.frombuffer(
+        b"".join(zero if payload is None else payload for payload in payloads), dtype=np.uint8
+    ).reshape(per_node, seg_len)
+    # each row appears once among its own peers; the other s-1 are side segments
+    peers = segments.peers[start:stop]
+    side = peers[peers != np.arange(start, stop)[:, None]].reshape(per_node, -1)
+    decoded = (got ^ np.bitwise_xor.reduce(segments.data[side], axis=1)).tobytes()
+    block_len = per_block * seg_len
+    firsts = itertools.islice(segments.ranks, start, stop, per_block)
+    return {
+        NodeSet.from_mask(storage):
+            None if b in lost else decoded[b * block_len : (b + 1) * block_len]
+        for b, (_dest, storage, _p, _coop) in enumerate(firsts)
+    }
 
 
 def per_partition_load(config: ShuffleConfig) -> tuple[Fraction, Fraction]:

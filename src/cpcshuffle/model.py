@@ -71,6 +71,11 @@ class NodeSet:
     def from_iterable(cls, nodes: Iterable[int]) -> "NodeSet":
         return cls(tuple(sorted(set(nodes))))
 
+    @classmethod
+    def from_mask(cls, mask: int) -> "NodeSet":
+        """The interned set whose `mask` is `mask` (bit 0 must be clear)."""
+        return _interned(mask)
+
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
 

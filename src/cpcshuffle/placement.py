@@ -30,13 +30,15 @@ class PlacementMap:
     """Where every file lives and which outputs every node reduces.
 
     file_to_nodes[n] is the size-r storage group of file n (1-based);
-    node_to_files[k] is its inverse; reduce_assignment[k] is the block of
-    eta2 output indices node k is responsible for.
+    node_to_files[k] is its inverse; group_files[U.mask] lists the eta1
+    files stored exactly at storage group U, ascending; reduce_assignment[k]
+    is the block of eta2 output indices node k is responsible for.
     """
 
     params: SystemParams
     file_to_nodes: dict[int, NodeSet]
     node_to_files: dict[int, frozenset[int]]
+    group_files: dict[int, tuple[int, ...]]
     reduce_assignment: dict[int, frozenset[int]]
 
 
@@ -71,8 +73,10 @@ def build_placement(params: SystemParams) -> PlacementMap:
     groups = enum_subsets(full_set(params.K), params.r)
     file_to_nodes: dict[int, NodeSet] = {}
     node_to_files: dict[int, set[int]] = {k: set() for k in range(1, params.K + 1)}
+    group_files: dict[int, tuple[int, ...]] = {}
     n = 1
     for group in groups:
+        group_files[group.mask] = tuple(range(n, n + eta1))
         for _ in range(eta1):
             file_to_nodes[n] = group
             for k in group:
@@ -91,6 +95,7 @@ def build_placement(params: SystemParams) -> PlacementMap:
         params=params,
         file_to_nodes=file_to_nodes,
         node_to_files={k: frozenset(v) for k, v in node_to_files.items()},
+        group_files=group_files,
         reduce_assignment=reduce_assignment,
     )
 

@@ -99,3 +99,23 @@ def test_blocks_count_one_precoder_build_each(workloads, time_division_partition
     counts = workloads.layer_counts(tracer)
     assert counts["channel.blocks"] == blocks == 60
     assert counts["channel.resamples"] == 0
+
+
+def test_ideal_verify_scans_pairs_once_per_block(workloads):
+    # segmentation asks `admissible_pairs` once per block and reassembly
+    # reads the rank map instead; encoding runs once per partition and no
+    # segment is decoded one at a time
+    from cpcshuffle import channel
+
+    inst = workloads.Instance.build(8, 5, 4, 2)
+    targets = {name: workloads.TRACE_TARGETS[name] for name in
+               ("codec.admissible_pairs", "codec.encode_partition", "codec.decode_segment")}
+    with workloads.Tracer() as tracer:
+        tracer.install(workloads.package_namespaces(), targets)
+        ok, _report = channel.ideal_verify(inst.params, inst.config, 0)
+    assert ok
+    _self_time, calls = tracer.totals()
+    counts = workloads.layer_counts(tracer)
+    assert counts["codec.admissible_pairs_calls"] == 8 * math.comb(7, 5) == 168
+    assert calls["codec.encode_partition"] == math.comb(8, 4) == 70
+    assert counts["codec.decode_segment_calls"] == 0

@@ -14,7 +14,7 @@ from cpcshuffle.model import (
 )
 from cpcshuffle.placement import build_placement, map_phase
 from cpcshuffle import channel
-from cpcshuffle.codec import encode_partition, segment_ivs
+from cpcshuffle.codec import block_ivs, encode_partition, round_up_bits, segment_ivs
 from cpcshuffle.channel import (
     ChannelConditionError,
     _det,
@@ -418,6 +418,41 @@ class TestEndToEnd:
         assert 1e25 < loud.noise_mse < math.inf
         quiet = simulate_partition(parts[0], cfg, ch, msgs, snr_db=1e308)
         assert quiet.noise_mse < 1e-20 and quiet.measured_dof == 1
+
+    def test_overflowing_noise_power_rejected(self):
+        # sigma = 1e300 is a float, but the squared symbol errors are not
+        cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
+        msgs = encode_partition(segs, parts[0], cfg)
+        ch = draw_channel(6, partition_slots(cfg), seed=5)
+        with pytest.raises(ParameterError, match="snr_db -6000.0 drives the noise mean squared"):
+            simulate_partition(parts[0], cfg, ch, msgs, snr_db=-6000.0)
+
+    @pytest.mark.parametrize("K, N, Q, r, K_r, t", [(6, 40, 12, 3, 3, 2), (8, 56, 16, 5, 4, 2)])
+    def test_withheld_message_fails_exactly_its_block(self, K, N, Q, r, K_r, t):
+        # one receiver loses one message of one partition: exactly the
+        # required IVs of the one block that message serves there fail
+        probe = validate_config(SystemParams(K=K, N=N, Q=Q, r=r, B=8), K_r, t)
+        params = SystemParams(K=K, N=N, Q=Q, r=r, B=round_up_bits(probe, 8))
+        cfg = validate_config(params, K_r, t)
+        lost = {}
+
+        def all_but_one(part, messages):
+            got: dict[int, dict] = {}
+            for m in messages:
+                for j in m.dest_group:
+                    got.setdefault(j, {})[m.key] = m.payload
+            if part.index == 2:
+                m = messages[-2]
+                k = m.dest_group.members[1]
+                del got[k][m.key]
+                lost.update(k=k, storage=m.coop | (m.dest_group - NodeSet.of(k)))
+            return got, None
+
+        rep = channel._pipeline(params, cfg, 0, None, all_but_one)
+        k, storage = lost["k"], lost["storage"]
+        layout = block_ivs(build_placement(params), k, storage)
+        assert len(layout) == (N // math.comb(K, r)) * (Q // K) > 1
+        assert rep.failures == [(k, q, n) for q, n in sorted(layout)]
 
     def test_bad_tolerance_rejected(self):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)

@@ -179,6 +179,17 @@ class TestSimulate:
             code, out, _ = run(capsys, "simulate", *WORKED, "--snr", snr)
             assert code == 0 and json.loads(out)["measured_dof"] == "1", snr
 
+    def test_overflowing_noise_power_exits_two(self, capsys):
+        # an amplitude of 1e300 is still a float, but its squared symbol
+        # errors are not, and JSON has no Infinity
+        code, out, err = run(capsys, "simulate", *WORKED, "--snr", "-6000")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: snr_db -6000.0 drives the noise mean squared error past the largest float\n"
+        )
+        code, out, _ = run(capsys, "simulate", *WORKED, "--snr", "-300")
+        assert code == 0 and 1e25 < json.loads(out)["noise_mse"] < float("inf")
+
 
 class TestOut:
     def test_unwritable_out_exits_two(self, tmp_path, capsys):
@@ -276,6 +287,16 @@ class TestSweep:
             assert err == f"error: range '{bad}' {why}\n"
         code, out, _ = run(capsys, "sweep", "--r-range", "3:3", "--K-range", "5")
         assert code == 0 and len(out.splitlines()) == 1 + 8
+
+    def test_grid_without_a_cell_exits_two(self, capsys):
+        code, out, err = run(capsys, "sweep", "--r-range", "5:6", "--K-range", "2:3")
+        assert code == 2 and out == ""
+        assert err == "error: --r-range '5:6' and --K-range '2:3' have no cell with r <= K\n"
+        # a grid that overlaps r <= K in part keeps just those cells
+        code, out, _ = run(capsys, "sweep", "--r-range", "3:6", "--K-range", "2:4")
+        assert code == 0
+        cells = sorted({(row["K"], row["r"]) for row in csv.DictReader(io.StringIO(out))})
+        assert cells == [("3", "3"), ("4", "3"), ("4", "4")]
 
 
 class TestOptimizeAndBounds:

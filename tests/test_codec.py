@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -20,8 +21,10 @@ from cpcshuffle.codec import (
     block_bytes,
     block_ivs,
     coding_complexity,
+    decode_blocks,
     decode_segment,
     encode_partition,
+    message_key,
     per_partition_load,
     round_up_bits,
     segment_ivs,
@@ -94,6 +97,65 @@ class TestSegmentation:
                                 assert len(pairs) == segments_per_block(cfg)
                                 blocks += 1
         assert blocks > 10000
+
+    def test_rank_map_agrees_with_the_reference(self):
+        # every valid configuration with K <= 8: the table's rows, the
+        # array encoder and the node-wide decoder against block slices,
+        # `constituents` with `xor_bytes`, and `decode_segment`
+        segments = 0
+        for K in range(2, 9):
+            for r in range(1, K):
+                for K_r in range(1, K):
+                    for t in range(1, r + 1):
+                        if config_violation(K, r, K_r, t) is not None:
+                            continue
+                        segments += self._check_rank_map(K, r, K_r, t)
+        assert segments > 100000
+
+    @staticmethod
+    def _check_rank_map(K, r, K_r, t):
+        probe = validate_config(SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8), K_r, t)
+        params = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=round_up_bits(probe, 8))
+        cfg = validate_config(params, K_r, t)
+        pl = build_placement(params)
+        store = map_phase(pl, params, seed=K * r + t)
+        segs = segment_ivs(pl, cfg, store)
+        n_seg = segments_per_block(cfg)
+        blocks = []
+        for dest in range(1, K + 1):
+            others = NodeSet.from_iterable(k for k in range(1, K + 1) if k != dest)
+            blocks += [(dest, storage) for storage in enum_subsets(others, r)]
+        # row = block rank * segments per block + pair index
+        for b, (dest, storage) in enumerate(blocks):
+            data = block_bytes(pl, store, dest, storage)
+            seg_len = len(data) // n_seg
+            for i, (coop, p) in enumerate(admissible_pairs(dest, storage, cfg)):
+                assert segs.ranks[(dest, storage.mask, p, coop.mask)] == b * n_seg + i
+                sid = SegmentId(dest, storage, p, coop)
+                assert segs[sid].data == data[i * seg_len : (i + 1) * seg_len]
+        assert len(segs) == len(blocks) * n_seg
+        held: dict[int, dict] = {k: {} for k in range(1, K + 1)}
+        for part in enum_partitions(K, cfg.K_t):
+            for m in encode_partition(segs, part, cfg):
+                ids = m.constituents()
+                assert m.payload == functools.reduce(xor_bytes, (segs[sid].data for sid in ids))
+                for j in m.dest_group:
+                    held[j][m.key] = m
+        for dest in range(1, K + 1):
+            decoded = decode_blocks(segs, dest, {key: m.payload for key, m in held[dest].items()})
+            mine = [storage for d, storage in blocks if d == dest]
+            assert list(decoded) == mine
+            for storage in mine:
+                reference = b"".join(
+                    decode_segment(
+                        held[dest][message_key(p, NodeSet.of(dest) | (storage - coop), coop)],
+                        segs,
+                        dest,
+                    ).data
+                    for coop, p in admissible_pairs(dest, storage, cfg)
+                )
+                assert decoded[storage] == reference == block_bytes(pl, store, dest, storage)
+        return len(segs)
 
     def test_block_layout(self, worked):
         # node 4 reduces output 4; the block stored at {1,2,5} holds file 3
