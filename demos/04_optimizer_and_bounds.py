@@ -20,6 +20,7 @@ from cpcshuffle import (
     ndt_cpc,
     t1_optimal_regime,
 )
+from cpcshuffle.ndt import c_coefficient
 from cpcshuffle.optimize import ndt1_value, ndt2_value
 
 print("=" * 72)
@@ -58,8 +59,8 @@ print("PART 4: THE CUT-SET LOWER BOUND AT (r=2, K=6)")
 print("=" * 72)
 model = lower_bound(2, 6)
 print("  coefficient table C_t(i) (rows t, columns i = 1..6):")
-for t in sorted(model.c_table):
-    row = " ".join(f"{float(v):.3f}" for v in model.c_table[t])
+for t in sorted(model.envelope_at_r):
+    row = " ".join(f"{float(c_coefficient(6, t, i)):.3f}" for i in range(1, 7))
     print(f"    t={t}: {row}   envelope at r=2: {float(model.envelope_at_r[t]):.3f}")
 print(f"  cut-set bound lb1 = {model.lb1}, DoF bound lb2 = {model.lb2}")
 print(f"  overall bound: {model.bound} = {float(model.bound):.4f}")

@@ -213,7 +213,6 @@ def _deliver_block(
     report: DeliveryReport,
     solved: dict[int, Counter],
     tol: float,
-    cond_guard: float,
     noise: tuple[np.random.Generator, float] | None,
 ) -> None:
     """One symbol-extension block: precode, superpose, solve per receiver.
@@ -258,9 +257,9 @@ def _deliver_block(
         A = np.array([[g[u] for u in wanted] for g in gains[j]])
         cond = float(np.linalg.cond(A))
         report.max_condition = max(report.max_condition, cond)
-        if cond > cond_guard:
+        if cond > CONDITION_GUARD:
             raise ChannelConditionError(
-                f"condition number {cond:.3e} exceeds guard {cond_guard:.1e}"
+                f"condition number {cond:.3e} exceeds guard {CONDITION_GUARD:.1e}"
             )
         x_hat = np.linalg.solve(A, np.array(received[j]))
         for u, est in zip(wanted, x_hat):
@@ -322,7 +321,6 @@ def simulate_partition(
     channel: ChannelRealization,
     messages: list[CodedMessage],
     tol: float = DEFAULT_TOLERANCE,
-    cond_guard: float = CONDITION_GUARD,
     snr_db: float | None = None,
 ) -> DeliveryReport:
     """Neutralized delivery of one partition's messages.
@@ -381,7 +379,7 @@ def simulate_partition(
                 unknowns.append((msg, payload_symbol(msg, chunk, n_chunks)))
             _deliver_block(
                 channel, range(slot0, slot0 + gamma), active[coop], group, unknowns,
-                report, solved, tol, cond_guard, noise,
+                report, solved, tol, noise,
             )
             slot0 += gamma
         next_chunk.update(dest_groups)
@@ -524,7 +522,6 @@ def end_to_end_verify(
     config: ShuffleConfig,
     seed: int,
     tol: float = DEFAULT_TOLERANCE,
-    cond_guard: float = CONDITION_GUARD,
     corrupt: tuple[int, int] | None = None,
 ) -> tuple[bool, VerificationReport]:
     """Placement -> map -> segment -> encode -> channel -> XOR decode -> compare.
@@ -534,9 +531,7 @@ def end_to_end_verify(
     transmission, for fault-injection tests.
     """
     def over_channel(part: Partition, messages: list[CodedMessage]):
-        sim = simulate_with_resample(
-            part, config, messages, seed, tol=tol, cond_guard=cond_guard
-        )
+        sim = simulate_with_resample(part, config, messages, seed, tol=tol)
         return sim.delivered, sim
 
     report = _pipeline(params, config, seed, corrupt, over_channel)

@@ -144,11 +144,13 @@ def dof_cooperative_x(s: int, t: int, K_t: int, K_r: int) -> Fraction:
 
 
 def delivery_dof(s: int, t: int, K_t: int, K_r: int) -> Fraction:
-    """Per-receiver DoF the constructed delivery actually attains.
+    """The analytics' claimed per-receiver delivery DoF, which `verify`
+    reports as `claimed_dof`; the scheme NDT is built on it.
 
     Differs from dof_cooperative_x only in the s+t <= K_r - 1 branch,
-    where the time-division route yields (s+t-1)/K_r by slot count; this
-    is the value the scheme NDT is built on.
+    where it is max(d', (s+t-1)/K_r).  It is not what the channel engine
+    realizes: that is min(K_r, s+t-1)/K_r, so the two differ wherever d'
+    wins and at s+t = K_r, whose claim is a/(a+1).
     """
     if s + t <= K_r - 1:
         return max(_dprime(s, t, K_t, K_r), Fraction(s + t - 1, K_r))
@@ -267,7 +269,6 @@ def c_coefficient(K: int, t: int, i: int) -> Fraction:
 class LowerBoundModel:
     K: int
     r: Fraction
-    c_table: dict[int, tuple[Fraction, ...]]
     envelope_at_r: dict[int, Fraction]
     lb1: Fraction
     lb2: Fraction
@@ -279,19 +280,23 @@ class LowerBoundModel:
 
 def lower_bound(r, K: int) -> LowerBoundModel:
     """Information-theoretic NDT lower bound: max of the cut-set bound lb1
-    (three branches in r, with a per-t lower convex envelope over the
-    coefficient table) and the max-DoF bound lb2 = (1-r/K)/(K-1)."""
+    (three branches in r, with a per-t lower convex envelope of C_t) and
+    the max-DoF bound lb2 = (1-r/K)/(K-1).
+
+    The envelope of C_t at r is the chord between i = floor(r) and
+    i = ceil(r), because C_t is already convex and non-increasing in i.
+    For i < t, consecutive differences of C_t shrink by the factor
+    (K-i-1)/(t-i) >= 1; at i = t they fall from K-t to 1 (in units of
+    C_t(t)), and they are 0 after that.
+    """
     r = _check_domain(r, K)
     if K < 2:
         raise ParameterError("lower bound needs K >= 2")
-    t_range = range(1, K // 2 + 1)
-    c_table = {
-        t: tuple(c_coefficient(K, t, i) for i in range(1, K + 1)) for t in t_range
-    }
+    lo, hi = math.floor(r), math.ceil(r)
     envelope_at_r: dict[int, Fraction] = {}
-    for t in t_range:
-        pts = [(Fraction(i), c_table[t][i - 1]) for i in range(1, K + 1)]
-        envelope_at_r[t] = hull_value(lower_hull(pts), r)
+    for t in range(1, K // 2 + 1):
+        c_lo, c_hi = c_coefficient(K, t, lo), c_coefficient(K, t, hi)
+        envelope_at_r[t] = c_lo + (r - lo) * (c_hi - c_lo)
 
     if r == 1:
         lb1 = Fraction(1, K) * (2 - Fraction(2, K))
@@ -300,8 +305,7 @@ def lower_bound(r, K: int) -> LowerBoundModel:
     else:
         lb1 = Fraction(1, K) * (1 - r / K)
     lb2 = Fraction(1, K - 1) * (1 - r / K)
-    return LowerBoundModel(K=K, r=r, c_table=c_table, envelope_at_r=envelope_at_r,
-                           lb1=lb1, lb2=lb2)
+    return LowerBoundModel(K=K, r=r, envelope_at_r=envelope_at_r, lb1=lb1, lb2=lb2)
 
 
 def gap_ratio(r, K: int) -> Fraction:

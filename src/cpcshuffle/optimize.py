@@ -148,8 +148,8 @@ def cross_validate(K_max: int) -> list[dict]:
     1 <= r <= K-1; raise with a witness on the first mismatch."""
     if K_max < 2:
         raise ParameterError(f"cross-validation grid needs K_max >= 2, got {K_max}")
-    if K_max > 40:
-        raise ParameterError("cross-validation grid is capped at K_max = 40")
+    if K_max > 50:
+        raise ParameterError("cross-validation grid is capped at K_max = 50")
     report = []
     for K in range(2, K_max + 1):
         for r in range(1, K):

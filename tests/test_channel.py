@@ -320,11 +320,12 @@ class TestDispatchAndResample:
         with pytest.raises(ParameterError, match=refusal):
             simulate_partition(parts[0], cfg, ch, msgs)
 
-    def test_resample_gives_up_after_two(self):
+    def test_resample_gives_up_after_two(self, monkeypatch):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         msgs = encode_partition(segs, parts[0], cfg)
+        monkeypatch.setattr(channel, "CONDITION_GUARD", 1.0 + 1e-12)
         with pytest.raises(ChannelConditionError):
-            simulate_with_resample(parts[0], cfg, msgs, seed=0, cond_guard=1.0 + 1e-12)
+            simulate_with_resample(parts[0], cfg, msgs, seed=0)
 
     def test_dispatch_matches_regime(self):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)

@@ -320,6 +320,12 @@ class TestOptimizeAndBounds:
         code, out, _ = run(capsys, "optimize", "--K-max", "2")
         assert code == 0 and len(json.loads(out)) == 1
 
+    def test_grid_past_the_cap_exits_two(self, capsys):
+        code, out, err = run(capsys, "optimize", "--K-max", "51")
+        assert code == 2
+        assert out == ""
+        assert "cross-validation grid is capped at K_max = 50" in err
+
     def test_optimize_needs_a_point_or_a_grid(self, capsys):
         for argv in (["optimize"], ["optimize", "--r", "3"]):
             code, _, err = run(capsys, *argv)

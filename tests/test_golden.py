@@ -1,7 +1,8 @@
 """Golden exact outputs: SHA-256 digests of CLI output for fixed seeds.
 
 A change that is meant to leave output untouched (a speed-up, a refactor)
-must keep every digest here.  `construct --with-payloads` is hashed whole.
+must keep every digest here.  `construct --with-payloads` and the
+analytics commands (`sweep`, `bounds`, `ndt`) are hashed whole.
 Of the `verify` and `simulate` JSON only the exact fields are hashed; the
 float health fields (condition number, residual, symbol error) depend on
 the BLAS build and are left out.
@@ -45,6 +46,18 @@ GOLDEN_SIMULATE = {
     ((9, 3, 6, 2), 2): "16d2b15b757a8b7751d3e7865dae2124aaa70649b0d7a4e373a59ff1565ee922",
 }
 
+# analytics command -> SHA-256 of its stdout; the sweep digests are the
+# benchmark's reference digests of the same figure CSVs
+GOLDEN_ANALYTICS = {
+    ("sweep", "--preset", "fig2"): "b97f08c8b6afaee9d4d763f3ecf8e4d58d3ec1341e9da0f11e4c4c7b05e4d8ba",
+    ("sweep", "--preset", "fig3"): "fcd3a29e26629669b8386d01aa00d54abfb71ddfdef0938c47ffabb3c96917ab",
+    ("sweep", "--preset", "fig4"): "6489f2a2e9c4f9aa563cd87ce470c376bf2f745e147e22e70d2dde1ac5b96fc9",
+    ("sweep", "--preset", "fig5"): "fb095d800b898c7e8ca224537850f58b5997e46253a296488ce0635b9bf6ff9b",
+    ("bounds", "--r", "5/2", "--K", "40"): "983b1be7e502115eddca3ffb55f558598b937d9671f50f7957a55fa878c0b298",
+    ("bounds", "--r", "3/2", "--K", "2"): "0ab3b92d61ebcfcb3b1392884f6e1100a35ef9814768d354d4612b0505405e10",
+    ("ndt", "--r", "7/3", "--K", "12"): "bd6a76fe9b5aca663aa4deb28da330a2d0b54b384ec80b01e5caa9480d3ce6a8",
+}
+
 
 def _flags(K, r, K_r, t):
     return ["--K", str(K), "--r", str(r), "--Kr", str(K_r), "--t", str(t)]
@@ -83,3 +96,9 @@ def test_simulate_exact_fields(capsys, instance, partition):
     argv = ["simulate", *_flags(*instance), "--partition", str(partition)]
     digest = GOLDEN_SIMULATE[instance, partition]
     assert _exact_digest(capsys, argv, SIMULATE_FIELDS) == (0, digest)
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_ANALYTICS))
+def test_analytics_output(capsys, argv):
+    assert main(list(argv)) == 0
+    assert _sha(capsys.readouterr().out) == GOLDEN_ANALYTICS[argv]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cpcshuffle import ndt
 from cpcshuffle.model import ConstraintViolation, ParameterError
 from cpcshuffle.ndt import (
     asymptotics_check,
@@ -183,7 +184,7 @@ class TestLowerBound:
         assert m.lb1 == Fraction(3, 8)
         assert m.bound == Fraction(3, 8)
 
-    @pytest.mark.parametrize("K", range(2, 17))
+    @pytest.mark.parametrize("K", range(2, 51))
     def test_coefficients_convex_and_nonincreasing(self, K):
         for t in range(1, K // 2 + 1):
             vals = [c_coefficient(K, t, i) for i in range(1, K + 1)]
@@ -192,6 +193,34 @@ class TestLowerBound:
                 vals[i - 1] - vals[i] >= vals[i] - vals[i + 1]
                 for i in range(1, K - 1)
             )
+
+    def test_envelope_equals_the_lower_hull(self):
+        for K in range(2, 21):
+            hulls = {
+                t: lower_hull([(Fraction(i), c_coefficient(K, t, i)) for i in range(1, K + 1)])
+                for t in range(1, K // 2 + 1)
+            }
+            for num in range(6, 6 * K + 1):
+                r = Fraction(num, 6)
+                envelope = lower_bound(r, K).envelope_at_r
+                assert envelope == {t: hull_value(h, r) for t, h in hulls.items()}, (K, r)
+
+    def test_builds_no_table_and_no_hull(self, monkeypatch):
+        calls = []
+
+        def counted(K, t, i):
+            calls.append((t, i))
+            return c_coefficient(K, t, i)
+
+        def refuse(*_args):
+            raise AssertionError("lower_bound must not build a hull")
+
+        monkeypatch.setattr(ndt, "c_coefficient", counted)
+        monkeypatch.setattr(ndt, "lower_hull", refuse)
+        monkeypatch.setattr(ndt, "hull_value", refuse)
+        model = lower_bound(2, 50)
+        assert len(calls) <= 2 * 25
+        assert sorted(model.envelope_at_r) == list(range(1, 26))
 
 
 class TestGap:

@@ -1,9 +1,11 @@
+import argparse
 import math
 from fractions import Fraction
 
 import pytest
 
 from cpcshuffle import ndt
+from cpcshuffle.cli import _sweep_grid
 from cpcshuffle.model import (
     ConstraintViolation,
     ParameterError,
@@ -196,9 +198,21 @@ class TestCrossValidation:
 
     def test_grid_bound_is_checked(self):
         assert [(c["r"], c["K"], c["agree"]) for c in cross_validate(2)] == [(1, 2, True)]
-        for k_max in (1, 0, -5, 41):
+        for k_max in (1, 0, -5, 51):
             with pytest.raises(ParameterError):
                 cross_validate(k_max)
+
+    def test_preset_cells_past_forty_agree(self):
+        # every fig2-fig4 cell above K = 40, which cross_validate(40) misses
+        cells = {
+            (r, K)
+            for preset in ("fig2", "fig3", "fig4")
+            for r, K, _t, _all in _sweep_grid(argparse.Namespace(preset=preset))
+            if 40 < K and r < K
+        }
+        assert len(cells) == 85
+        for r, K in sorted(cells):
+            assert brute_force_min(r, K).best_value == closed_form_min(r, K).best_value, (r, K)
 
     def test_single_point(self):
         brute = brute_force_min(5, 8)
