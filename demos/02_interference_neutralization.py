@@ -30,24 +30,26 @@ print("=" * 72)
 print("PART 1: THE COFACTOR PRECODER")
 print("=" * 72)
 channel = draw_channel(K=6, slots=2, seed=42)
-active, null = NodeSet.of(1, 2), NodeSet.of(4)
-w = neutralizing_precoder(channel, 1, active, null)
-print(f"  channel row of receiver 4: {channel.row(4, active, 1)}")
+active = NodeSet.of(1, 2)
+# slot 1's gains from transmitters 1, 2 to receivers 4, 5, 6, one row each
+h4, h5, h6 = channel.block(NodeSet.of(4, 5, 6), active, range(1, 2))[0]
+w = neutralizing_precoder(h4[None, :])
+print(f"  channel row of receiver 4: {h4}")
 print(f"  precoder:                  {w}")
-print(f"  superposition at node 4:   {np.dot(channel.row(4, active, 1), w):.2e}")
-for j in (5, 6):
+print(f"  superposition at node 4:   {np.dot(h4, w):.2e}")
+for j, h in ((5, h5), (6, h6)):
     print(f"  superposition at node {j}:   "
-          f"{abs(np.dot(channel.row(j, active, 1), w)):.3f}  (survives)")
+          f"{abs(np.dot(h, w)):.3f}  (survives)")
 
 print()
 print("=" * 72)
 print("PART 2: THREE TRANSMITTERS, TWO NULLS")
 print("=" * 72)
 active, nulls = NodeSet.of(1, 2, 3), NodeSet.of(5, 6)
-w = neutralizing_precoder(channel, 1, active, nulls)
+rows = channel.block(nulls, active, range(1, 2))[0]
+w = neutralizing_precoder(rows)
 w /= np.linalg.norm(w)
-for psi in nulls:
-    h = channel.row(psi, active, 1)
+for psi, h in zip(nulls, rows):
     print(f"  residual at node {psi}: {abs(np.dot(h, w)) / np.linalg.norm(h):.2e}")
 
 print()

@@ -9,7 +9,8 @@ of the bottom row of the matrix whose other rows are the channel rows of
 the g-s unintended receivers, so its superposition vanishes there exactly
 (up to floating point).  Each receiver then sees only the messages it
 wants and solves a square symbol-extension system, one symbol per slot.
-A block takes each message's effective gain at each of its receivers
+A block gathers its gains once, as one (slot, receiver, transmitter)
+array, takes each message's effective gain at each receiver position
 once per slot, and reads three things off those gains: the nulling
 residual at the unintended receivers, each receiver's superposed signal
 and each receiver's square system.
@@ -71,25 +72,27 @@ class ChannelRealization:
     slots: int
     seed: int
     gains: np.ndarray  # complex, shape (K, K, slots), 0-based internally
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def gain(self, j: int, m: int, d: int) -> complex:
         """Gain from transmitter m to receiver j in slot d (all 1-based)."""
+        if not (1 <= j <= self.K and 1 <= m <= self.K and 1 <= d <= self.slots):
+            raise ParameterError(
+                f"gain ({j}, {m}, {d}) outside nodes [1, {self.K}], slots [1, {self.slots}]"
+            )
         return self.gains[j - 1, m - 1, d - 1]
 
-    def row(self, j: int, tx: NodeSet, d: int) -> np.ndarray:
-        """Gains from each member of tx to receiver j in slot d, in tx order.
-
-        Gathered once per (j, tx, d) for the life of this draw and
-        returned read-only, since every caller shares the one array.
-        """
-        key = (j, tx.mask, d)
-        row = self._rows.get(key)
-        if row is None:
-            row = self.gains[j - 1, [m - 1 for m in tx], d - 1]
-            row.flags.writeable = False
-            self._rows[key] = row
-        return row
+    def block(self, rx: NodeSet, tx: NodeSet, slots: range) -> np.ndarray:
+        """Gains H[i, k, l] from tx's l-th to rx's k-th member in the i-th slot
+        of the window `slots`, as one C-contiguous (len(slots), |rx|, |tx|) array."""
+        a, b = slots.start, slots.stop
+        inside = slots.step == 1 and 1 <= a < b <= self.slots + 1
+        if not inside or (rx.mask | tx.mask) >> (self.K + 1):
+            raise ParameterError(
+                f"block {rx.members} x {tx.members} x {slots} outside"
+                f" nodes [1, {self.K}], slots [1, {self.slots}]"
+            )
+        window = self.gains[:, :, a - 1 : b - 1].transpose(2, 0, 1)
+        return window.take([j - 1 for j in rx], axis=1).take([m - 1 for m in tx], axis=2)
 
 
 @dataclass
@@ -149,21 +152,16 @@ def _det(mat: np.ndarray) -> complex:
     return complex(np.linalg.det(mat))
 
 
-def neutralizing_precoder(
-    channel: ChannelRealization, d: int, active_tx: NodeSet, null_rx: NodeSet
-) -> np.ndarray:
-    """Cofactors of the bottom row of the channel matrix of the nulled receivers.
+def neutralizing_precoder(rows: np.ndarray) -> np.ndarray:
+    """Cofactors of the bottom row of the matrix whose other rows are `rows`.
 
-    With |active_tx| = |null_rx| + 1, the inner product of the result with
-    any nulled receiver's channel row is a determinant with a repeated row,
-    hence exactly zero.  An empty null set yields the scalar precoder (1,).
+    `rows` holds the nulled receivers' channel rows over n transmitters,
+    (n-1) x n.  The result's inner product with any of them is a determinant
+    with a repeated row, hence exactly zero.  (0, 1) yields the scalar (1,).
     """
-    n = len(active_tx)
-    if n != len(null_rx) + 1:
-        raise ParameterError(
-            f"need |active_tx| = |null_rx| + 1, got {n} and {len(null_rx)}"
-        )
-    rows = np.array([channel.row(psi, active_tx, d) for psi in null_rx]).reshape(n - 1, n)
+    if rows.ndim != 2 or rows.shape[1] != rows.shape[0] + 1:
+        raise ParameterError(f"need an (n-1) x n matrix of nulled rows, got shape {rows.shape}")
+    n = rows.shape[1]
     w = np.empty(n, dtype=complex)
     for col in range(n):
         minor = rows[:, [c for c in range(n) if c != col]]
@@ -183,24 +181,20 @@ def payload_symbol(message: CodedMessage, chunk_index: int, n_chunks: int) -> co
     return complex(np.cos(phase), np.sin(phase))
 
 
-def build_precoders(
-    channel: ChannelRealization,
-    slots: range,
-    active_tx: NodeSet,
-    receivers: NodeSet,
-    dest_groups: list[NodeSet],
-) -> dict[tuple[NodeSet, int], np.ndarray]:
-    """Unit-norm cofactor precoder per (dest group, slot), nulled at the
-    receivers outside the group."""
-    vectors: dict[tuple[NodeSet, int], np.ndarray] = {}
-    for dest_group in dest_groups:
-        null_rx = receivers - dest_group
-        for d in slots:
-            w = neutralizing_precoder(channel, d, active_tx, null_rx)
+def build_precoders(H: np.ndarray, nulled: list[list[int]]) -> list[list[np.ndarray]]:
+    """Unit-norm cofactor precoders W[u][i] of a block with gains H[i, k, l]:
+    unknown u's precoder in the block's i-th slot, nulled at the receivers
+    in positions `nulled[u]`."""
+    vectors = []
+    for null in nulled:
+        per_slot = []
+        for slot_gains in H:
+            w = neutralizing_precoder(slot_gains[null])
             norm = np.linalg.norm(w)
             if norm == 0.0:
                 raise ChannelConditionError("degenerate precoder (zero cofactors)")
-            vectors[(dest_group, d)] = w / norm
+            per_slot.append(w / norm)
+        vectors.append(per_slot)
     return vectors
 
 
@@ -218,26 +212,29 @@ def _deliver_block(
     """One symbol-extension block: precode, superpose, solve per receiver.
 
     `unknowns` holds (message, transmitted symbol of its chunk); each
-    one's gain at each receiver is taken once per slot.  Every receiver in
-    the message's dest group whose solved symbol matches within `tol`
+    one's gain at each receiver k (a position in `receivers`) is taken once
+    per slot from the block's one gain array.  Every receiver j in the
+    message's dest group whose solved symbol matches within `tol`
     (relative), or any under `noise=(rng, sigma)`, adds one to
     `solved[j][message.key]`.  The block's health goes into `report`;
     under noise its `noise_mse` accumulates the squared symbol errors.
     """
-    vectors = build_precoders(
-        channel, slots, active, receivers, [msg.dest_group for msg, _s in unknowns]
-    )
-    # gains[j][i][u]: unknown u's effective gain at receiver j in the
-    # block's i-th slot; received[j][i]: what j hears in that slot
-    gains: dict[int, list[list[complex]]] = {j: [] for j in receivers}
-    received: dict[int, list[complex]] = {j: [] for j in receivers}
-    for d in slots:
-        for j in receivers:
-            row = channel.row(j, active, d)
-            g = [complex(np.dot(row, vectors[(msg.dest_group, d)])) for msg, _s in unknowns]
+    rx = receivers.members
+    H = channel.block(receivers, active, slots)
+    # nulled[u]: positions of the receivers outside unknown u's dest group
+    nulled = [[k for k, j in enumerate(rx) if j not in msg.dest_group] for msg, _s in unknowns]
+    vectors = build_precoders(H, nulled)
+    # gains[k][i][u]: unknown u's effective gain at receiver k in the
+    # block's i-th slot; received[k][i]: what k hears in that slot
+    gains: list[list[list[complex]]] = [[] for _ in rx]
+    received: list[list[complex]] = [[] for _ in rx]
+    for i, slot_gains in enumerate(H):
+        slot_vectors = [per_slot[i] for per_slot in vectors]
+        for k, row in enumerate(slot_gains):
+            g = [complex(np.dot(row, w)) for w in slot_vectors]
             scale = float(np.linalg.norm(row)) or 1.0
-            for gain, (msg, _s) in zip(g, unknowns):
-                if j not in msg.dest_group:
+            for gain, null in zip(g, nulled):
+                if k in null:
                     report.max_residual = max(report.max_residual, abs(gain) / scale)
             y = sum(gain * sym for gain, (_m, sym) in zip(g, unknowns))
             if noise is not None:
@@ -245,23 +242,23 @@ def _deliver_block(
                 y += sigma * complex(
                     rng.standard_normal(), rng.standard_normal()
                 ) / np.sqrt(2.0)
-            gains[j].append(g)
-            received[j].append(y)
+            gains[k].append(g)
+            received[k].append(y)
 
-    for j in receivers:
-        wanted = [u for u, (msg, _s) in enumerate(unknowns) if j in msg.dest_group]
+    for k, j in enumerate(rx):
+        wanted = [u for u, null in enumerate(nulled) if k not in null]
         if len(wanted) != len(slots):
             raise ParameterError(
                 f"receiver {j} wants {len(wanted)} symbols over {len(slots)} slots"
             )
-        A = np.array([[g[u] for u in wanted] for g in gains[j]])
+        A = np.array([[g[u] for u in wanted] for g in gains[k]])
         cond = float(np.linalg.cond(A))
         report.max_condition = max(report.max_condition, cond)
         if cond > CONDITION_GUARD:
             raise ChannelConditionError(
                 f"condition number {cond:.3e} exceeds guard {CONDITION_GUARD:.1e}"
             )
-        x_hat = np.linalg.solve(A, np.array(received[j]))
+        x_hat = np.linalg.solve(A, np.array(received[k]))
         for u, est in zip(wanted, x_hat):
             msg, sym = unknowns[u]
             err = float(abs(est - sym) / abs(sym))

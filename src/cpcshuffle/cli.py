@@ -32,6 +32,7 @@ from .model import (
 from .placement import build_placement, map_phase
 from .codec import encode_partition, segment_ivs
 from .channel import (
+    DEFAULT_TOLERANCE,
     end_to_end_verify,
     ideal_verify,
     simulate_with_resample,
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ideal", action="store_true", help="skip the channel (XOR only)")
     p.add_argument("--fault", action="store_true", help="inject a payload corruption")
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--partition", type=int, default=1)
     p.add_argument("--snr", type=float, default=None, help="optional noise level (dB)")
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 from fractions import Fraction
@@ -63,53 +64,100 @@ class TestDrawChannel:
         with pytest.raises(ParameterError):
             draw_channel(4, 0, seed=0)
 
-    def test_rows_are_cached_read_only_gathers(self):
+    def test_block_is_the_gain_gather(self):
         ch = draw_channel(6, 3, seed=7)
-        for tx in (NodeSet.of(2), NodeSet.of(1, 3, 6), NodeSet.of(2, 4, 5, 6)):
-            for j in range(1, 7):
-                for d in range(1, 4):
-                    row = ch.row(j, tx, d)
-                    assert row is ch.row(j, NodeSet(tx.members), d)
-                    assert not row.flags.writeable
-                    expected = np.array([ch.gain(j, m, d) for m in tx])
-                    assert row.tobytes() == expected.tobytes()
-        with pytest.raises(ValueError):
-            ch.row(1, NodeSet.of(1, 3, 6), 1)[0] = 0
-        redraw = draw_channel(6, 3, seed=7)
-        assert redraw.row(1, NodeSet.of(2), 1) is not ch.row(1, NodeSet.of(2), 1)
+        node_sets = (NodeSet.of(2), NodeSet.of(1, 3, 6), NodeSet.of(2, 4, 5, 6))
+        for rx in node_sets + (NodeSet.of(1, 2, 3, 4, 5, 6),):
+            for tx in node_sets:
+                for slots in (range(1, 2), range(1, 4), range(2, 4), range(3, 4)):
+                    H = ch.block(rx, tx, slots)
+                    assert H.shape == (len(slots), len(rx), len(tx))
+                    assert H.flags.c_contiguous
+                    expected = np.array(
+                        [[[ch.gain(j, m, d) for m in tx] for j in rx] for d in slots]
+                    )
+                    assert H.tobytes() == expected.tobytes()
+
+    def test_gain_rejects_indices_outside_the_draw(self):
+        # 0 and K + 1 used to wrap to the last node or slot, or run off the end
+        ch = draw_channel(4, 2, seed=0)
+        for j, m, d in [(0, 1, 1), (5, 1, 1), (1, 0, 1), (1, 5, 1), (1, 1, 0), (1, 1, 3)]:
+            with pytest.raises(ParameterError, match="outside nodes"):
+                ch.gain(j, m, d)
+        assert ch.gain(4, 4, 2) == ch.gains[3, 3, 1]
+
+    def test_block_rejects_indices_outside_the_draw(self):
+        ch = draw_channel(4, 2, seed=0)
+        rx, tx = NodeSet.of(1, 2), NodeSet.of(3, 4)
+        for args in [
+            (NodeSet.of(1, 5), tx, range(1, 2)),
+            (rx, NodeSet.of(5), range(1, 2)),
+            (rx, tx, range(0, 1)),
+            (rx, tx, range(0, 2)),
+            (rx, tx, range(2, 4)),
+            (rx, tx, range(1, 1)),
+            (rx, tx, range(1, 3, 2)),
+        ]:
+            with pytest.raises(ParameterError, match="outside nodes"):
+                ch.block(*args)
+        assert ch.block(rx, tx, range(1, 3)).shape == (2, 2, 2)
+
+    def test_channel_keeps_no_per_draw_state(self):
+        assert [f.name for f in dataclasses.fields(channel.ChannelRealization)] == [
+            "K", "slots", "seed", "gains",
+        ]
+        cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
+        ch = draw_channel(6, partition_slots(cfg), seed=5)
+        before, gains = dict(vars(ch)), ch.gains.copy()
+        simulate_partition(parts[0], cfg, ch, encode_partition(segs, parts[0], cfg))
+        assert vars(ch).keys() == before.keys()
+        assert all(vars(ch)[name] is value for name, value in before.items())
+        assert ch.gains.tobytes() == gains.tobytes()
+
+    def test_simulate_on_a_smaller_draw_rejected(self):
+        # a channel drawn for fewer nodes than the config's K
+        cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
+        msgs = encode_partition(segs, parts[0], cfg)
+        ch = draw_channel(4, partition_slots(cfg), seed=5)
+        with pytest.raises(ParameterError, match="outside nodes \\[1, 4\\]"):
+            simulate_partition(parts[0], cfg, ch, msgs)
 
 
 class TestNeutralizingPrecoder:
     def test_two_tx_one_null_closed_form(self):
         ch = draw_channel(6, 2, seed=3)
-        w = neutralizing_precoder(ch, 1, NodeSet.of(1, 2), NodeSet.of(4))
+        w = neutralizing_precoder(np.array([[ch.gain(4, 1, 1), ch.gain(4, 2, 1)]]))
         assert w[0] == pytest.approx(-ch.gain(4, 2, 1))
         assert w[1] == pytest.approx(ch.gain(4, 1, 1))
 
     def test_empty_null_set(self):
         ch = draw_channel(3, 1, seed=0)
-        w = neutralizing_precoder(ch, 1, NodeSet.of(2), NodeSet(()))
+        rows = ch.block(NodeSet(()), NodeSet.of(2), range(1, 2))[0]
+        assert rows.shape == (0, 1)
+        w = neutralizing_precoder(rows)
         assert w.shape == (1,) and w[0] == 1.0
 
     @pytest.mark.parametrize("seed", range(100))
     def test_three_tx_two_null_residual(self, seed):
         ch = draw_channel(6, 1, seed=seed)
         active, nulls = NodeSet.of(1, 2, 3), NodeSet.of(5, 6)
-        w = neutralizing_precoder(ch, 1, active, nulls)
+        rows = np.array([[ch.gain(psi, m, 1) for m in active] for psi in nulls])
+        w = neutralizing_precoder(rows)
         wn = w / np.linalg.norm(w)
-        for psi in nulls:
-            h = ch.row(psi, active, 1)
+        for h in rows:
             assert abs(np.dot(h, wn)) < 1e-9 * np.linalg.norm(h)
 
     def test_size_mismatch(self):
+        # two transmitters cannot null two receivers
         ch = draw_channel(4, 1, seed=0)
+        rows = np.array([[ch.gain(psi, m, 1) for m in (1, 2)] for psi in (3, 4)])
         with pytest.raises(ParameterError):
-            neutralizing_precoder(ch, 1, NodeSet.of(1, 2), NodeSet.of(3, 4))
+            neutralizing_precoder(rows)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_delete_construction_bit_for_bit(self, seed):
-        # the construction before channel rows were cached: per-gain rows,
-        # each minor by np.delete
+        # the construction before channels were gathered per block:
+        # per-gain rows, each minor by np.delete
         def reference(ch, d, active, nulls):
             n = len(active)
             rows = np.array(
@@ -126,7 +174,7 @@ class TestNeutralizingPrecoder:
             nodes = [int(x) for x in rng.permutation(np.arange(1, 11))[: 2 * n - 1]]
             active, nulls = NodeSet.from_iterable(nodes[:n]), NodeSet.from_iterable(nodes[n:])
             d = int(rng.integers(1, 4))
-            got = neutralizing_precoder(ch, d, active, nulls)
+            got = neutralizing_precoder(ch.block(nulls, active, range(d, d + 1))[0])
             assert got.dtype == complex
             assert got.tobytes() == reference(ch, d, active, nulls).tobytes()
 
@@ -137,13 +185,15 @@ class TestNeutralizingPrecoder:
         ch = draw_channel(6, 2, seed=seed)
         receivers, active = NodeSet.of(4, 5, 6), NodeSet.of(1, 2)
         groups = enum_subsets(receivers, 2)
-        vectors = build_precoders(ch, range(1, 3), active, receivers, groups)
-        assert set(vectors) == {(dg, d) for dg in groups for d in (1, 2)}
-        for (dg, d), w in vectors.items():
-            assert np.linalg.norm(w) == pytest.approx(1.0)
-            for psi in receivers - dg:
-                h = ch.row(psi, active, d)
-                assert abs(np.dot(h, w)) / np.linalg.norm(h) < 1e-9
+        nulled = [[k for k, j in enumerate(receivers) if j not in dg] for dg in groups]
+        vectors = build_precoders(ch.block(receivers, active, range(1, 3)), nulled)
+        assert [len(per_slot) for per_slot in vectors] == [2] * len(groups)
+        for dg, per_slot in zip(groups, vectors):
+            for d, w in zip((1, 2), per_slot):
+                assert np.linalg.norm(w) == pytest.approx(1.0)
+                for psi in receivers - dg:
+                    h = np.array([ch.gain(psi, m, d) for m in active])
+                    assert abs(np.dot(h, w)) / np.linalg.norm(h) < 1e-9
 
     @pytest.mark.parametrize(
         "params, K_r, t",
@@ -153,7 +203,8 @@ class TestNeutralizingPrecoder:
     def test_report_residual_is_every_nulled_receiver(self, monkeypatch, params, K_r, t):
         # after every block, the report's residual must be exactly the worst
         # |h.w| / ||h|| over all (message, slot, nulled receiver) so far,
-        # recomputed here with one precoder per (dest group, slot)
+        # and its condition number the worst of every receiver's system,
+        # recomputed here from gain() with one precoder per (dest group, slot)
         cfg, segs, parts = _prepared(params, K_r=K_r, t=t)
         real = channel._deliver_block
         signature = inspect.signature(real)
@@ -161,32 +212,50 @@ class TestNeutralizingPrecoder:
 
         def record(*args, **kwargs):
             real(*args, **kwargs)
-            seen.append(signature.bind(*args, **kwargs).arguments["report"].max_residual)
+            report = signature.bind(*args, **kwargs).arguments["report"]
+            seen.append((report.max_residual, report.max_condition))
 
         monkeypatch.setattr(channel, "_deliver_block", record)
         s = cfg.s
         g = min(K_r, s + t - 1)
         gamma = math.comb(g - 1, s - 1)
+
+        def row(j, d):  # receiver j's gains from the block's transmitters
+            return np.array([ch.gain(j, m, d) for m in active])
+
         for part in parts[:3]:
             ch = draw_channel(params.K, partition_slots(cfg), seed=part.index)
             seen.clear()
             rep = simulate_partition(part, cfg, ch, encode_partition(segs, part, cfg))
-            expected, worst, slot0 = [], 0.0, 1
+            expected, worst, worst_cond, slot0 = [], 0.0, 0.0, 1
             for group in enum_subsets(part.rx, g):
                 for coop in enum_subsets(part.tx, t):
                     active = NodeSet(coop.members[: g - s + 1])
-                    for dg in enum_subsets(group, s):
-                        for d in range(slot0, slot0 + gamma):
-                            w = neutralizing_precoder(ch, d, active, group - dg)
-                            w = w / np.linalg.norm(w)
-                            for psi in group - dg:
-                                h = ch.row(psi, active, d)
+                    slots = range(slot0, slot0 + gamma)
+                    dest_groups = enum_subsets(group, s)
+                    vectors = {}
+                    for dg in dest_groups:
+                        for d in slots:
+                            rows = [row(psi, d) for psi in group - dg]
+                            w = neutralizing_precoder(
+                                np.array(rows, dtype=complex).reshape(-1, len(active))
+                            )
+                            w = vectors[(dg, d)] = w / np.linalg.norm(w)
+                            for h in rows:
                                 scale = float(np.linalg.norm(h)) or 1.0
                                 worst = max(worst, float(abs(np.dot(h, w))) / scale)
-                    expected.append(worst)
+                    for j in group:
+                        A = np.array([
+                            [complex(np.dot(row(j, d), vectors[(dg, d)]))
+                             for dg in dest_groups if j in dg]
+                            for d in slots
+                        ])
+                        worst_cond = max(worst_cond, float(np.linalg.cond(A)))
+                    expected.append((worst, worst_cond))
                     slot0 += gamma
             assert seen == expected
             assert rep.max_residual == worst > 0.0
+            assert rep.max_condition == worst_cond > 1.0
 
 
 class TestSingleShotDelivery:
