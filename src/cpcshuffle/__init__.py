@@ -80,7 +80,6 @@ from .ndt import (
     asymptotics_check,
     cpc_minimum,
     cpc_t1_minimum,
-    dof_cooperative_x,
     fd_crossover_holds,
     gap_ratio,
     lower_bound,

@@ -9,11 +9,15 @@ of the bottom row of the matrix whose other rows are the channel rows of
 the g-s unintended receivers, so its superposition vanishes there exactly
 (up to floating point).  Each receiver then sees only the messages it
 wants and solves a square symbol-extension system, one symbol per slot.
-A block gathers its gains once, as one (slot, receiver, transmitter)
-array, takes each message's effective gain at each receiver position
-once per slot, and reads three things off those gains: the nulling
-residual at the unintended receivers, each receiver's superposed signal
-and each receiver's square system.
+
+Which receiver positions of a block want which of its C(g, s) messages
+depends on (s, g) alone, so it is one config-level table.  Per block the
+engine gathers the (slot, receiver, transmitter) gains, builds the
+(message, slot, transmitter) precoders in one stacked determinant call
+and picks the payload symbols.  Everything else is one array pass over
+the partition's stacked blocks: the effective gains, the nulling
+residual at the unintended receivers, the received signals, and every
+receiver's square system with its condition number and solve.
 
 A message is cut into C(K_r-s, g-s) chunks, one per receiver set that
 contains D, so the per-receiver DoF is g / K_r.  Single shot (s+t > K_r)
@@ -29,9 +33,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -97,8 +102,8 @@ class ChannelRealization:
 
 @dataclass
 class DeliveryReport:
-    """What a simulated delivery achieved, with its numerical health; each
-    block of `simulate_partition` folds its worst values into it."""
+    """What a simulated delivery achieved, with its numerical health: the
+    worst values over every block of the partition."""
 
     partition: int
     regime: str
@@ -135,38 +140,22 @@ def draw_channel(K: int, slots: int, seed: int) -> ChannelRealization:
     return ChannelRealization(K=K, slots=slots, seed=seed, gains=(re + 1j * im) / np.sqrt(2.0))
 
 
-def _det(mat: np.ndarray) -> complex:
-    n = mat.shape[0]
-    if n == 0:
-        return 1.0 + 0j
-    if n == 1:
-        return complex(mat[0, 0])
-    if n == 2:
-        return complex(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
-    if n == 3:
-        return complex(
-            mat[0, 0] * (mat[1, 1] * mat[2, 2] - mat[1, 2] * mat[2, 1])
-            - mat[0, 1] * (mat[1, 0] * mat[2, 2] - mat[1, 2] * mat[2, 0])
-            + mat[0, 2] * (mat[1, 0] * mat[2, 1] - mat[1, 1] * mat[2, 0])
-        )
-    return complex(np.linalg.det(mat))
-
-
 def neutralizing_precoder(rows: np.ndarray) -> np.ndarray:
     """Cofactors of the bottom row of the matrix whose other rows are `rows`.
 
-    `rows` holds the nulled receivers' channel rows over n transmitters,
-    (n-1) x n.  The result's inner product with any of them is a determinant
-    with a repeated row, hence exactly zero.  (0, 1) yields the scalar (1,).
+    `rows` stacks the nulled receivers' channel rows over n transmitters,
+    shape (..., n-1, n).  Each result's inner product with any of its rows
+    is a determinant with a repeated row, hence exactly zero.  The n minors
+    of every stacked matrix go to one `np.linalg.det` over
+    (..., col, n-1, n-1).  (0, 1) yields the scalar (1,).
     """
-    if rows.ndim != 2 or rows.shape[1] != rows.shape[0] + 1:
-        raise ParameterError(f"need an (n-1) x n matrix of nulled rows, got shape {rows.shape}")
-    n = rows.shape[1]
-    w = np.empty(n, dtype=complex)
-    for col in range(n):
-        minor = rows[:, [c for c in range(n) if c != col]]
-        w[col] = (-1) ** (n + col + 1) * _det(minor)
-    return w
+    if rows.ndim < 2 or rows.shape[-1] != rows.shape[-2] + 1:
+        raise ParameterError(f"need (..., n-1, n) stacked nulled rows, got shape {rows.shape}")
+    n = rows.shape[-1]
+    cols = np.arange(n - 1)
+    keep = cols + (cols >= np.arange(n)[:, None])  # keep[col]: every column but col
+    minors = rows[..., keep].swapaxes(-3, -2)
+    return np.linalg.det(minors) * (-1.0) ** (n + 1 + np.arange(n))
 
 
 def payload_symbol(message: CodedMessage, chunk_index: int, n_chunks: int) -> complex:
@@ -181,92 +170,20 @@ def payload_symbol(message: CodedMessage, chunk_index: int, n_chunks: int) -> co
     return complex(np.cos(phase), np.sin(phase))
 
 
-def build_precoders(H: np.ndarray, nulled: list[list[int]]) -> list[list[np.ndarray]]:
-    """Unit-norm cofactor precoders W[u][i] of a block with gains H[i, k, l]:
-    unknown u's precoder in the block's i-th slot, nulled at the receivers
-    in positions `nulled[u]`."""
-    vectors = []
-    for null in nulled:
-        per_slot = []
-        for slot_gains in H:
-            w = neutralizing_precoder(slot_gains[null])
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                raise ChannelConditionError("degenerate precoder (zero cofactors)")
-            per_slot.append(w / norm)
-        vectors.append(per_slot)
-    return vectors
+def build_precoders(H: np.ndarray, nulled: np.ndarray) -> np.ndarray:
+    """Unit-norm cofactor precoders W[u, i] of one block with gains H[i, k, l]
+    (slot, receiver position, transmitter): unknown u's precoder in the
+    block's i-th slot, nulled at the receiver positions `nulled[u]`.
 
-
-def _deliver_block(
-    channel: ChannelRealization,
-    slots: range,
-    active: NodeSet,
-    receivers: NodeSet,
-    unknowns: list[tuple[CodedMessage, complex]],
-    report: DeliveryReport,
-    solved: dict[int, Counter],
-    tol: float,
-    noise: tuple[np.random.Generator, float] | None,
-) -> None:
-    """One symbol-extension block: precode, superpose, solve per receiver.
-
-    `unknowns` holds (message, transmitted symbol of its chunk); each
-    one's gain at each receiver k (a position in `receivers`) is taken once
-    per slot from the block's one gain array.  Every receiver j in the
-    message's dest group whose solved symbol matches within `tol`
-    (relative), or any under `noise=(rng, sigma)`, adds one to
-    `solved[j][message.key]`.  The block's health goes into `report`;
-    under noise its `noise_mse` accumulates the squared symbol errors.
+    `nulled` is a (U, n-1) index array for n transmitters; one stacked
+    `neutralizing_precoder` call covers every (unknown, slot), and the
+    result has shape (U, slot, n).
     """
-    rx = receivers.members
-    H = channel.block(receivers, active, slots)
-    # nulled[u]: positions of the receivers outside unknown u's dest group
-    nulled = [[k for k, j in enumerate(rx) if j not in msg.dest_group] for msg, _s in unknowns]
-    vectors = build_precoders(H, nulled)
-    # gains[k][i][u]: unknown u's effective gain at receiver k in the
-    # block's i-th slot; received[k][i]: what k hears in that slot
-    gains: list[list[list[complex]]] = [[] for _ in rx]
-    received: list[list[complex]] = [[] for _ in rx]
-    for i, slot_gains in enumerate(H):
-        slot_vectors = [per_slot[i] for per_slot in vectors]
-        for k, row in enumerate(slot_gains):
-            g = [complex(np.dot(row, w)) for w in slot_vectors]
-            scale = float(np.linalg.norm(row)) or 1.0
-            for gain, null in zip(g, nulled):
-                if k in null:
-                    report.max_residual = max(report.max_residual, abs(gain) / scale)
-            y = sum(gain * sym for gain, (_m, sym) in zip(g, unknowns))
-            if noise is not None:
-                rng, sigma = noise
-                y += sigma * complex(
-                    rng.standard_normal(), rng.standard_normal()
-                ) / np.sqrt(2.0)
-            gains[k].append(g)
-            received[k].append(y)
-
-    for k, j in enumerate(rx):
-        wanted = [u for u, null in enumerate(nulled) if k not in null]
-        if len(wanted) != len(slots):
-            raise ParameterError(
-                f"receiver {j} wants {len(wanted)} symbols over {len(slots)} slots"
-            )
-        A = np.array([[g[u] for u in wanted] for g in gains[k]])
-        cond = float(np.linalg.cond(A))
-        report.max_condition = max(report.max_condition, cond)
-        if cond > CONDITION_GUARD:
-            raise ChannelConditionError(
-                f"condition number {cond:.3e} exceeds guard {CONDITION_GUARD:.1e}"
-            )
-        x_hat = np.linalg.solve(A, np.array(received[k]))
-        for u, est in zip(wanted, x_hat):
-            msg, sym = unknowns[u]
-            err = float(abs(est - sym) / abs(sym))
-            report.max_symbol_error = max(report.max_symbol_error, err)
-            if noise is not None:
-                report.noise_mse += err * err
-            if noise is not None or err < tol:
-                solved[j][msg.key] += 1
+    w = neutralizing_precoder(H[:, nulled].swapaxes(0, 1))
+    norm = np.linalg.norm(w, axis=-1, keepdims=True)
+    if not norm.all():
+        raise ChannelConditionError("degenerate precoder (zero cofactors)")
+    return w / norm
 
 
 def _layout(config: ShuffleConfig) -> tuple[int, int, int]:
@@ -312,6 +229,21 @@ def partition_slots(config: ShuffleConfig) -> int:
     return math.comb(config.K_r, g) * math.comb(config.K_t, config.t) * gamma
 
 
+def _schedule(config: ShuffleConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block structure, which depends on (s, g) alone.
+
+    wants[k, u]: receiver position k of a receiver set lies in the set's
+    u-th s-subset, the u-th dest group in `enum_subsets` order.  Derived
+    from it: nulled[u], the g-s positions unknown u is nulled at, and
+    wanted[k], the C(g-1, s-1) unknowns position k solves for.
+    """
+    g, _chunks, gamma = _layout(config)
+    groups = list(combinations(range(g), config.s))
+    wants = np.array([[k in group for group in groups] for k in range(g)])
+    nulled = np.nonzero(~wants.T)[1].reshape(len(groups), g - config.s)
+    return wants, nulled, np.nonzero(wants)[1].reshape(g, gamma)
+
+
 def simulate_partition(
     partition: Partition,
     config: ShuffleConfig,
@@ -338,62 +270,111 @@ def simulate_partition(
             raise ParameterError(f"snr_db {snr_db} makes the noise amplitude overflow") from None
     if not (math.isfinite(tol) and tol >= 0):
         raise ParameterError(f"tolerance must be finite and >= 0, got {tol}")
-    s = config.s
     needed = partition_slots(config)
     if channel.slots < needed:
         raise ParameterError(f"channel has {channel.slots} slots, need {needed}")
+    noise = None if sigma is None else (np.random.default_rng(channel.seed ^ 0xA5A5), sigma)
+    report = _deliver(partition, config, channel, messages, tol, noise)
+    if noise is not None and not math.isfinite(report.noise_mse):
+        raise ParameterError(
+            f"snr_db {snr_db} drives the noise mean squared error past the largest float"
+        )
+    return report
+
+
+def _deliver(
+    partition: Partition,
+    config: ShuffleConfig,
+    channel: ChannelRealization,
+    messages: list[CodedMessage],
+    tol: float | np.ndarray,
+    noise: tuple[np.random.Generator, float] | None,
+) -> DeliveryReport:
+    """Every block of `simulate_partition`, stacked into one array pass.
+
+    The block loop only gathers each block's gains, builds its precoders
+    and picks its payload symbols.  A receiver solves a symbol when its
+    relative error is below `tol`, a scalar or one value per block, or
+    always under `noise=(rng, sigma)`, where `noise_mse` averages the
+    squared symbol errors instead.
+    """
+    s = config.s
     g, n_chunks, gamma = _layout(config)
+    wants, nulled, wanted = _schedule(config)
     rx_sets = enum_subsets(partition.rx, g)
     coop_groups = enum_subsets(partition.tx, config.t)
-    active = {coop: NodeSet(coop.members[: g - s + 1]) for coop in coop_groups}
-    by_pair: dict[tuple[NodeSet, NodeSet], CodedMessage] = {}
-    for msg in messages:
+    active = [NodeSet(coop.members[: g - s + 1]) for coop in coop_groups]
+    index: dict[tuple[NodeSet, NodeSet], int] = {}
+    for m, msg in enumerate(messages):
         if len(msg.payload) % n_chunks != 0:
             raise ParameterError(
                 f"payload of {len(msg.payload)} bytes does not split into {n_chunks} chunks"
             )
-        by_pair[(msg.dest_group, msg.coop)] = msg
+        index[(msg.dest_group, msg.coop)] = m
 
-    noise = None if sigma is None else (np.random.default_rng(channel.seed ^ 0xA5A5), sigma)
-    report = DeliveryReport(
-        partition=partition.index,
-        regime="single_shot" if g == config.K_r else "time_division",
-        slots_used=needed,
-        noise_mse=None if noise is None else 0.0,
-    )
-    # solved[j][message key]: chunks of that message receiver j has solved;
-    # chunk i of a message rides in the i-th receiver set containing its group
-    solved: dict[int, Counter] = defaultdict(Counter)
+    # per block b: gains H[b, i, k, l], precoders W[b, u, i, l], and the
+    # message index ids[b, u] and transmitted symbol x[b, u] of unknown u;
+    # chunk c of a message rides in the c-th receiver set containing its group
+    H, W, ids, x = [], [], [], []
     next_chunk: Counter = Counter()
     slot0 = 1
     for group in rx_sets:
         dest_groups = enum_subsets(group, s)
-        for coop in coop_groups:
-            unknowns = []
-            for dest_group in dest_groups:
-                msg = by_pair[(dest_group, coop)]
-                chunk = next_chunk[dest_group]
-                unknowns.append((msg, payload_symbol(msg, chunk, n_chunks)))
-            _deliver_block(
-                channel, range(slot0, slot0 + gamma), active[coop], group, unknowns,
-                report, solved, tol, noise,
-            )
+        for coop, tx in zip(coop_groups, active):
+            h = channel.block(group, tx, range(slot0, slot0 + gamma))
+            H.append(h)
+            W.append(build_precoders(h, nulled))
+            ids.append([index[(dg, coop)] for dg in dest_groups])
+            x.append([
+                payload_symbol(messages[m], next_chunk[dg], n_chunks)
+                for m, dg in zip(ids[-1], dest_groups)
+            ])
             slot0 += gamma
         next_chunk.update(dest_groups)
+    H, W, ids, x = np.array(H), np.array(W), np.array(ids), np.array(x)
 
-    report.symbols_per_receiver = min(sum(solved[j].values()) for j in partition.rx)
-    report.measured_dof = Fraction(report.symbols_per_receiver, needed)
-    report.delivered = {
-        j: {msg.key: msg.payload for msg in messages if held[msg.key] == n_chunks}
-        for j, held in solved.items()
-    }
+    # G[b, i, k, u]: unknown u's effective gain at receiver position k in slot i
+    G = np.einsum("bikl,buil->biku", H, W)
+    residual = np.abs(G) / np.linalg.norm(H, axis=-1)[..., None]
+    y = np.einsum("biku,bu->bik", G, x)
     if noise is not None:
-        # under noise all g receivers of a block solve one symbol per slot
-        report.noise_mse /= g * needed
-        if not math.isfinite(report.noise_mse):
-            raise ParameterError(
-                f"snr_db {snr_db} drives the noise mean squared error past the largest float"
-            )
+        rng, sigma = noise
+        y += sigma * rng.standard_normal((*y.shape, 2)).view(complex)[..., 0] / np.sqrt(2.0)
+    # A[b, k]: receiver k's square system, slots by the unknowns it wants
+    A = G[:, :, np.arange(g)[:, None], wanted].transpose(0, 2, 1, 3)
+    report = DeliveryReport(
+        partition=partition.index,
+        regime="single_shot" if g == config.K_r else "time_division",
+        slots_used=partition_slots(config),
+        max_condition=float(np.linalg.cond(A).max()),
+        max_residual=float(residual.max(where=~wants, initial=0.0)),
+    )
+    if report.max_condition > CONDITION_GUARD:
+        raise ChannelConditionError(
+            f"condition number {report.max_condition:.3e} exceeds guard {CONDITION_GUARD:.1e}"
+        )
+    x_hat = np.linalg.solve(A, y.transpose(0, 2, 1)[..., None])[..., 0]
+    sent = x[:, wanted]
+    err = np.abs(x_hat - sent) / np.abs(sent)
+    report.max_symbol_error = float(err.max())
+    if noise is None:
+        solved = err < np.asarray(tol)[..., None, None]
+    else:
+        solved = np.ones(err.shape, dtype=bool)
+        with np.errstate(over="ignore"):
+            report.noise_mse = float((err * err).sum()) / err.size
+
+    # held[j, m]: chunks of message m that receiver j solved
+    rx = np.repeat([group.members for group in rx_sets], len(coop_groups), axis=0)
+    cells = (rx[:, :, None] * len(messages) + ids[:, wanted])[solved]
+    held = np.bincount(cells, minlength=(config.params.K + 1) * len(messages))
+    held = held.reshape(-1, len(messages))
+    report.symbols_per_receiver = int(held[list(partition.rx)].sum(axis=1).min())
+    report.measured_dof = Fraction(report.symbols_per_receiver, report.slots_used)
+    report.delivered = {
+        j: {msg.key: msg.payload for msg, n in zip(messages, held[j]) if n == n_chunks}
+        for j in partition.rx
+    }
     return report
 
 

@@ -130,31 +130,23 @@ def _dprime(s: int, t: int, K_t: int, K_r: int) -> Fraction:
     return best
 
 
-def dof_cooperative_x(s: int, t: int, K_t: int, K_r: int) -> Fraction:
-    """Achievable per-receiver DoF of the C(K_t,t) x C(K_r,s) cooperative
-    X-multicast channel: 1 when s+t > K_r, an alignment fraction at
-    s+t = K_r, and max(d', (s+t)/K_r) below that."""
+def delivery_dof(s: int, t: int, K_t: int, K_r: int) -> Fraction:
+    """The analytics' claimed per-receiver DoF of the C(K_t,t) x C(K_r,s)
+    cooperative X-multicast channel: 1 when s+t > K_r, an alignment
+    fraction a/(a+1) at s+t = K_r, and max(d', (s+t-1)/K_r) below that.
+
+    `verify` reports it as `claimed_dof`, and the scheme NDT is built on
+    it.  It is not what the channel engine realizes: that is
+    min(K_r, s+t-1)/K_r, so the two differ wherever d' wins and at
+    s+t = K_r.
+    """
     check_config(K_t + K_r, s + t - 1, K_r, t)  # K = K_t + K_r, r = s + t - 1
     if s + t >= K_r + 1:
         return Fraction(1)
     if s + t == K_r:
         a = math.comb(K_r - 1, s - 1) * math.comb(K_t, t) * t
         return Fraction(a, a + 1)
-    return max(_dprime(s, t, K_t, K_r), Fraction(s + t, K_r))
-
-
-def delivery_dof(s: int, t: int, K_t: int, K_r: int) -> Fraction:
-    """The analytics' claimed per-receiver delivery DoF, which `verify`
-    reports as `claimed_dof`; the scheme NDT is built on it.
-
-    Differs from dof_cooperative_x only in the s+t <= K_r - 1 branch,
-    where it is max(d', (s+t-1)/K_r).  It is not what the channel engine
-    realizes: that is min(K_r, s+t-1)/K_r, so the two differ wherever d'
-    wins and at s+t = K_r, whose claim is a/(a+1).
-    """
-    if s + t <= K_r - 1:
-        return max(_dprime(s, t, K_t, K_r), Fraction(s + t - 1, K_r))
-    return dof_cooperative_x(s, t, K_t, K_r)
+    return max(_dprime(s, t, K_t, K_r), Fraction(s + t - 1, K_r))
 
 
 def tau_factor(r: int, t: int, K: int, K_r: int) -> Fraction:

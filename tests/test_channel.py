@@ -1,5 +1,4 @@
 import dataclasses
-import inspect
 import math
 from fractions import Fraction
 
@@ -18,7 +17,6 @@ from cpcshuffle import channel
 from cpcshuffle.codec import block_ivs, encode_partition, round_up_bits, segment_ivs
 from cpcshuffle.channel import (
     ChannelConditionError,
-    _det,
     build_precoders,
     draw_channel,
     end_to_end_verify,
@@ -165,7 +163,7 @@ class TestNeutralizingPrecoder:
             ).reshape(n - 1, n)
             w = np.empty(n, dtype=complex)
             for col in range(n):
-                w[col] = (-1) ** (n + col + 1) * _det(np.delete(rows, col, axis=1))
+                w[col] = (-1) ** (n + col + 1) * np.linalg.det(np.delete(rows, col, axis=1))
             return w
 
         rng = np.random.default_rng(seed)
@@ -177,6 +175,15 @@ class TestNeutralizingPrecoder:
             got = neutralizing_precoder(ch.block(nulls, active, range(d, d + 1))[0])
             assert got.dtype == complex
             assert got.tobytes() == reference(ch, d, active, nulls).tobytes()
+            # stacked over every slot and a second axis: each slice is the
+            # same construction, bit for bit
+            rows = ch.block(nulls, active, range(1, 4))
+            stacked = np.stack([rows, rows[::-1]])
+            got = neutralizing_precoder(stacked)
+            assert got.shape == (2, 3, n)
+            for a, slots in enumerate(((1, 2, 3), (3, 2, 1))):
+                for i, d in enumerate(slots):
+                    assert got[a, i].tobytes() == reference(ch, d, active, nulls).tobytes()
 
     @pytest.mark.parametrize("seed", range(25))
     def test_precoder_set_residuals(self, seed):
@@ -187,6 +194,7 @@ class TestNeutralizingPrecoder:
         groups = enum_subsets(receivers, 2)
         nulled = [[k for k, j in enumerate(receivers) if j not in dg] for dg in groups]
         vectors = build_precoders(ch.block(receivers, active, range(1, 3)), nulled)
+        assert vectors.shape == (len(groups), 2, len(active))
         assert [len(per_slot) for per_slot in vectors] == [2] * len(groups)
         for dg, per_slot in zip(groups, vectors):
             for d, w in zip((1, 2), per_slot):
@@ -200,62 +208,122 @@ class TestNeutralizingPrecoder:
         [(WORKED, 3, 2), (SystemParams(K=9, N=84, Q=9, r=3, B=480), 6, 2)],
         ids=["single_shot", "time_division"],
     )
-    def test_report_residual_is_every_nulled_receiver(self, monkeypatch, params, K_r, t):
-        # after every block, the report's residual must be exactly the worst
-        # |h.w| / ||h|| over all (message, slot, nulled receiver) so far,
-        # and its condition number the worst of every receiver's system,
-        # recomputed here from gain() with one precoder per (dest group, slot)
+    def test_report_residual_is_every_nulled_receiver(self, params, K_r, t):
+        # the report's residual must be exactly the worst |h.w| / ||h|| over
+        # every (message, slot, nulled receiver) of the partition, and its
+        # condition number the worst of every receiver's system, recomputed
+        # from the per-gain reference blocks
         cfg, segs, parts = _prepared(params, K_r=K_r, t=t)
-        real = channel._deliver_block
-        signature = inspect.signature(real)
-        seen = []
-
-        def record(*args, **kwargs):
-            real(*args, **kwargs)
-            report = signature.bind(*args, **kwargs).arguments["report"]
-            seen.append((report.max_residual, report.max_condition))
-
-        monkeypatch.setattr(channel, "_deliver_block", record)
-        s = cfg.s
-        g = min(K_r, s + t - 1)
-        gamma = math.comb(g - 1, s - 1)
-
-        def row(j, d):  # receiver j's gains from the block's transmitters
-            return np.array([ch.gain(j, m, d) for m in active])
-
-        for part in parts[:3]:
+        for part in parts[:12]:
             ch = draw_channel(params.K, partition_slots(cfg), seed=part.index)
-            seen.clear()
             rep = simulate_partition(part, cfg, ch, encode_partition(segs, part, cfg))
-            expected, worst, worst_cond, slot0 = [], 0.0, 0.0, 1
-            for group in enum_subsets(part.rx, g):
-                for coop in enum_subsets(part.tx, t):
-                    active = NodeSet(coop.members[: g - s + 1])
-                    slots = range(slot0, slot0 + gamma)
-                    dest_groups = enum_subsets(group, s)
-                    vectors = {}
-                    for dg in dest_groups:
-                        for d in slots:
-                            rows = [row(psi, d) for psi in group - dg]
-                            w = neutralizing_precoder(
-                                np.array(rows, dtype=complex).reshape(-1, len(active))
-                            )
-                            w = vectors[(dg, d)] = w / np.linalg.norm(w)
-                            for h in rows:
-                                scale = float(np.linalg.norm(h)) or 1.0
-                                worst = max(worst, float(abs(np.dot(h, w))) / scale)
-                    for j in group:
-                        A = np.array([
-                            [complex(np.dot(row(j, d), vectors[(dg, d)]))
-                             for dg in dest_groups if j in dg]
-                            for d in slots
-                        ])
-                        worst_cond = max(worst_cond, float(np.linalg.cond(A)))
-                    expected.append((worst, worst_cond))
-                    slot0 += gamma
-            assert seen == expected
+            worst, worst_cond = 0.0, 0.0
+            for group, _coop, slots, row, vectors in _reference_blocks(ch, cfg, part):
+                for (dg, d), w in vectors.items():
+                    # np.abs on an array, as the engine takes it: the scalar
+                    # abs of a complex is not always the same float
+                    rows = [row(psi, d) for psi in group - dg]
+                    gains = np.array([np.einsum("l,l->", h, w) for h in rows], dtype=complex)
+                    scales = np.array([np.linalg.norm(h, axis=-1) for h in rows])
+                    worst = max(worst, float((np.abs(gains) / scales).max(initial=0.0)))
+                for j in group:
+                    A = _reference_system(group, cfg.s, j, slots, row, vectors)
+                    worst_cond = max(worst_cond, float(np.linalg.cond(A)))
             assert rep.max_residual == worst > 0.0
             assert rep.max_condition == worst_cond > 1.0
+
+    def test_noise_is_drawn_per_block_slot_receiver(self):
+        # the noise samples are scalar standard normals drawn in (block, slot,
+        # receiver) order, real part first; decoded here one receiver at a time
+        cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
+        part = parts[0]
+        msgs = encode_partition(segs, part, cfg)
+        ch = draw_channel(6, partition_slots(cfg), seed=5)
+        rep = simulate_partition(part, cfg, ch, msgs, snr_db=10.0)
+        rng, sigma = np.random.default_rng(ch.seed ^ 0xA5A5), 10.0 ** (-10.0 / 20.0)
+        by_pair = {(m.dest_group, m.coop): m for m in msgs}
+        errors = []
+        for group, coop, slots, row, vectors in _reference_blocks(ch, cfg, part):
+            dest_groups = enum_subsets(group, cfg.s)
+            sym = {dg: channel.payload_symbol(by_pair[(dg, coop)], 0, 1) for dg in dest_groups}
+            y = {}
+            for d in slots:
+                for j in group:
+                    noise = complex(rng.standard_normal(), rng.standard_normal())
+                    y[(j, d)] = sigma * noise / np.sqrt(2.0) + sum(
+                        np.einsum("l,l->", row(j, d), vectors[(dg, d)]) * sym[dg]
+                        for dg in dest_groups
+                    )
+            for j in group:
+                A = _reference_system(group, cfg.s, j, slots, row, vectors)
+                x_hat = np.linalg.solve(A, np.array([y[(j, d)] for d in slots]))
+                wanted = [dg for dg in dest_groups if j in dg]
+                errors += [abs(est - sym[dg]) / abs(sym[dg]) for dg, est in zip(wanted, x_hat)]
+        assert len(errors) == 3 * partition_slots(cfg)
+        assert rep.noise_mse == pytest.approx(np.mean(np.square(errors)), rel=1e-9)
+        assert rep.max_symbol_error == pytest.approx(max(errors), rel=1e-9)
+
+
+def _reference_blocks(ch, cfg, part):
+    """Each block of `part` rebuilt from gain() in the engine's order:
+    (receiver set, cooperation group, slots, row(j, d), and the unit-norm
+    precoder of each (dest group, slot))."""
+    s, t = cfg.s, cfg.t
+    g = min(cfg.K_r, s + t - 1)
+    gamma = math.comb(g - 1, s - 1)
+    slot0 = 1
+    for group in enum_subsets(part.rx, g):
+        for coop in enum_subsets(part.tx, t):
+            active = NodeSet(coop.members[: g - s + 1])
+            slots = range(slot0, slot0 + gamma)
+            slot0 += gamma
+
+            def row(j, d, active=active):  # receiver j's gains from the transmitters
+                return np.array([ch.gain(j, m, d) for m in active])
+
+            vectors = {}
+            for dg in enum_subsets(group, s):
+                for d in slots:
+                    rows = [row(psi, d) for psi in group - dg]
+                    w = neutralizing_precoder(
+                        np.array(rows, dtype=complex).reshape(-1, len(active))
+                    )
+                    vectors[(dg, d)] = w / np.linalg.norm(w, axis=-1)
+            yield group, coop, slots, row, vectors
+
+
+def _reference_system(group, s, j, slots, row, vectors):
+    """Receiver j's square system: slots by the dest groups it belongs to."""
+    return np.array([
+        [np.einsum("l,l->", row(j, d), vectors[(dg, d)])
+         for dg in enum_subsets(group, s) if j in dg]
+        for d in slots
+    ])
+
+
+class TestBlockSchedule:
+    def test_wants_is_dest_group_membership(self):
+        # the config-level table equals `j in dest_group` computed per block,
+        # on the first and last partition of every simulatable config, K <= 8
+        configs = list(_simulatable_configs(8))
+        assert len(configs) == 176
+        for K, r, K_r, t in configs:
+            cfg = validate_config(SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8), K_r, t)
+            s, g = cfg.s, min(K_r, cfg.s + t - 1)
+            wants, nulled, wanted = channel._schedule(cfg)
+            parts = enum_partitions(K, cfg.K_t)
+            for part in (parts[0], parts[-1]):
+                for group in enum_subsets(part.rx, g):
+                    for coop in enum_subsets(part.tx, t):
+                        dest_groups = enum_subsets(group, s)
+                        expected = [[j in dg for dg in dest_groups] for j in group]
+                        assert wants.tolist() == expected, (K, r, K_r, t, part.index)
+            # every receiver wants one symbol per slot of its block
+            assert (wants.sum(axis=1) == math.comb(g - 1, s - 1)).all()
+            for u, null in enumerate(nulled):
+                assert null.tolist() == [k for k in range(g) if not wants[k, u]]
+            for k, want in enumerate(wanted):
+                assert want.tolist() == [u for u in range(len(nulled)) if wants[k, u]]
 
 
 class TestSingleShotDelivery:
@@ -335,20 +403,18 @@ class TestTimeDivisionDelivery:
         cfg, segs, parts = _prepared(params, K_r=6, t=2)
         part = parts[0]
         msgs = encode_partition(segs, part, cfg)
-        real = channel._deliver_block
-        signature = inspect.signature(real)
+        real = channel.ChannelRealization.block
         blocks = []
 
-        def first_block_exact(*args, **kwargs):
-            call = signature.bind(*args, **kwargs)
-            if not blocks:
-                call.arguments["tol"] = 0.0
-            blocks.append(call.arguments["receivers"])
-            return real(*call.args, **call.kwargs)
+        def record(self, rx, tx, slots):
+            blocks.append(rx)
+            return real(self, rx, tx, slots)
 
-        monkeypatch.setattr(channel, "_deliver_block", first_block_exact)
+        monkeypatch.setattr(channel.ChannelRealization, "block", record)
         ch = draw_channel(9, partition_slots(cfg), seed=2)
-        rep = simulate_partition(part, cfg, ch, msgs)
+        tol = np.full(partition_slots(cfg) // 2, channel.DEFAULT_TOLERANCE)
+        tol[0] = 0.0
+        rep = channel._deliver(part, cfg, ch, msgs, tol, None)
 
         g = cfg.s + cfg.t - 1
         first_rx = enum_subsets(part.rx, g)[0]

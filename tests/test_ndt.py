@@ -10,7 +10,7 @@ from cpcshuffle.ndt import (
     c_coefficient,
     cpc_minimum,
     cpc_t1_minimum,
-    dof_cooperative_x,
+    delivery_dof,
     fd_crossover_holds,
     gap_ratio,
     hull_value,
@@ -70,23 +70,28 @@ class TestBaselines:
 
 class TestDof:
     def test_single_shot_branch(self):
-        assert dof_cooperative_x(2, 2, 3, 3) == 1
+        assert delivery_dof(2, 2, 3, 3) == 1
 
     def test_alignment_branch(self):
         # s + t = K_r: C(2,0) C(3,2) * 2 = 6 gives 6/7
-        assert dof_cooperative_x(1, 2, 3, 3) == Fraction(6, 7)
+        assert delivery_dof(1, 2, 3, 3) == Fraction(6, 7)
 
     def test_time_division_branch(self):
         # brute-force both candidates of the max
         s, t, K_t, K_r = 2, 1, 3, 5
         d_prime = Fraction(s * K_t, s * K_t + K_r - s)  # t' = 1 term
-        assert dof_cooperative_x(s, t, K_t, K_r) == max(d_prime, Fraction(s + t, K_r))
+        assert delivery_dof(s, t, K_t, K_r) == max(d_prime, Fraction(s + t - 1, K_r))
 
     def test_domain(self):
         with pytest.raises(ParameterError):
-            dof_cooperative_x(4, 1, 3, 3)
+            delivery_dof(4, 1, 3, 3)
         with pytest.raises(ParameterError):
-            dof_cooperative_x(1, 4, 3, 3)
+            delivery_dof(1, 4, 3, 3)
+        # the time-division branch validates too: s = 0, and t > K_t
+        with pytest.raises(ParameterError):
+            delivery_dof(0, 2, 3, 5)
+        with pytest.raises(ParameterError):
+            delivery_dof(1, 4, 3, 6)
 
 
 class TestSchemeNdt:
