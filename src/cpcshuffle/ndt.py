@@ -4,9 +4,12 @@ Covers the baseline schemes (uncoded TDMA, CDC, one-shot linear and BW in
 full- and half-duplex form), the per-receiver DoF of the cooperative
 X-multicast channel, the coded-parallel scheme's piecewise NDT with its
 fractional-load envelope, the information-theoretic lower bound, and the
-achievable-to-bound gap.  Values are Fractions end to end; dominance and
-sandwich comparisons downstream are knife-edge equalities at boundaries
-(for example r = K - 1), so nothing here touches floating point.
+achievable-to-bound gap.  The scheme NDT and its DoF are evaluated as
+exact integer (numerator, denominator) pairs and compared by
+cross-multiplication; every public function returns Fractions.  Dominance
+and sandwich comparisons downstream are knife-edge equalities at
+boundaries (for example r = K - 1), so nothing here touches floating
+point.
 """
 
 from __future__ import annotations
@@ -99,35 +102,45 @@ def ndt_bw_hd(r, K: int) -> NdtPoint:
     return NdtPoint(BW_HD, K, r, 2 * (1 - r / K) * _bw_factor(r, K))
 
 
+def _dprime_pair(s: int, t: int, K_t: int, K_r: int) -> tuple[int, int]:
+    """d' as an unreduced (numerator, denominator) pair; see `_dprime`."""
+    best_n, best_d = 0, 1
+    c_num, c_den = math.comb(K_r - 1, s - 1), math.comb(K_r - 1, s)
+    for tp in range(1, t + 1):
+        n = s * (K_t - tp + 1)
+        d = n + (K_r - s - tp + 1)
+        num = c_num * math.comb(K_t, tp) * math.comb(K_r - s, tp - 1) * tp
+        den = num + c_den * math.comb(K_r - s - 1, tp - 1) * math.comb(K_t, tp - 1)
+        if n * den != num * d:
+            raise AssertionError(
+                f"DoF forms disagree at t'={tp}: {Fraction(n, d)} vs {Fraction(num, den)}"
+            )
+        if n * best_d > best_n * d:
+            best_n, best_d = n, d
+    return best_n, best_d
+
+
 def _dprime(s: int, t: int, K_t: int, K_r: int) -> Fraction:
     """Neutralize-then-align DoF, maximized over the sub-cooperation size t'.
 
-    Computed from both the simplified fraction and the raw binomial ratio;
-    the two must agree term by term (guards transcription drift).
+    Each t' term is computed as the simplified fraction and as the raw
+    binomial ratio, both as integer pairs; the two must agree, checked by
+    cross-multiplication on every call (guards transcription drift).
     """
-    best = Fraction(0)
-    for tp in range(1, t + 1):
-        simple = Fraction(
-            s * (K_t - tp + 1), s * (K_t - tp + 1) + (K_r - s - tp + 1)
-        )
-        num = (
-            math.comb(K_r - 1, s - 1)
-            * math.comb(K_t, tp)
-            * math.comb(K_r - s, tp - 1)
-            * tp
-        )
-        den = num + (
-            math.comb(K_r - 1, s)
-            * math.comb(K_r - s - 1, tp - 1)
-            * math.comb(K_t, tp - 1)
-        )
-        binomial = Fraction(num, den)
-        if simple != binomial:
-            raise AssertionError(
-                f"DoF forms disagree at t'={tp}: {simple} vs {binomial}"
-            )
-        best = max(best, simple)
-    return best
+    return Fraction(*_dprime_pair(s, t, K_t, K_r))
+
+
+def _dof_pair(s: int, t: int, K_t: int, K_r: int) -> tuple[int, int]:
+    """`delivery_dof` as an unreduced pair, without validation."""
+    if s + t >= K_r + 1:
+        return 1, 1
+    if s + t == K_r:
+        a = math.comb(K_r - 1, s - 1) * math.comb(K_t, t) * t
+        return a, a + 1
+    n, d = _dprime_pair(s, t, K_t, K_r)
+    if n * K_r >= (s + t - 1) * d:  # max(d', (s+t-1)/K_r)
+        return n, d
+    return s + t - 1, K_r
 
 
 def delivery_dof(s: int, t: int, K_t: int, K_r: int) -> Fraction:
@@ -141,47 +154,56 @@ def delivery_dof(s: int, t: int, K_t: int, K_r: int) -> Fraction:
     s+t = K_r.
     """
     check_config(K_t + K_r, s + t - 1, K_r, t)  # K = K_t + K_r, r = s + t - 1
-    if s + t >= K_r + 1:
-        return Fraction(1)
-    if s + t == K_r:
-        a = math.comb(K_r - 1, s - 1) * math.comb(K_t, t) * t
-        return Fraction(a, a + 1)
-    return max(_dprime(s, t, K_t, K_r), Fraction(s + t - 1, K_r))
+    return Fraction(*_dof_pair(s, t, K_t, K_r))
+
+
+def _tau_pair(r: int, t: int, K: int, K_r: int) -> tuple[int, int]:
+    """`tau_factor` as an unreduced pair."""
+    best_n, best_d = 0, 1
+    for j in range(1, t + 1):
+        n = (r + 1 - t) * (K - K_r - j + 1)
+        d = n + (K_r + t - r - j)
+        if n * best_d > best_n * d:
+            best_n, best_d = n, d
+    return best_n, best_d
 
 
 def tau_factor(r: int, t: int, K: int, K_r: int) -> Fraction:
-    """max over j in [1..t] of 1 / (1 + (K_r+t-r-j) / ((r+1-t)(K-K_r-j+1)))."""
-    best = Fraction(0)
-    for j in range(1, t + 1):
-        best = max(
-            best,
-            Fraction((r + 1 - t) * (K - K_r - j + 1),
-                     (r + 1 - t) * (K - K_r - j + 1) + (K_r + t - r - j)),
-        )
-    return best
+    """max over j in [1..t] of 1 / (1 + (K_r+t-r-j) / ((r+1-t)(K-K_r-j+1))).
+
+    Only `ndt_cpc`'s r < K_r - 1 branch uses it; every term there is a
+    positive fraction."""
+    return Fraction(*_tau_pair(r, t, K, K_r))
 
 
 def ndt_cpc(r: int, t: int, K: int, K_r: int) -> NdtPoint:
     """Per-configuration NDT of the coded parallel scheme, three cases in K_r.
 
-    Also recomputed as (1/K_r)(1 - r/K) / delivery DoF; the two must match
-    exactly (load-over-DoF identity).
+    The piecewise value is also recomputed as (1/K_r)(1 - r/K) over the
+    delivery DoF, from `delivery_dof`'s own transcription.  Both are
+    integer pairs and must match by cross-multiplication (load-over-DoF
+    identity); only the value becomes a Fraction.
     """
     s = check_config(K, r, K_r, t)
-    base = Fraction(1, K_r) * (1 - Fraction(r, K))
+    n, d = K - r, K_r * K  # the load (1/K_r)(1 - r/K)
     if r >= K_r:
-        value = base
+        value = n, d
     elif r == K_r - 1:
-        value = base * (1 + Fraction(1, math.comb(r, t) * math.comb(K - K_r, t) * t))
+        c = math.comb(r, t) * math.comb(K - K_r, t) * t
+        value = n * (c + 1), d * c
     else:
-        value = base * min(1 / tau_factor(r, t, K, K_r), Fraction(K_r, r))
-    check = base / delivery_dof(s, t, K - K_r, K_r)
-    if value != check:
+        tau_n, tau_d = _tau_pair(r, t, K, K_r)
+        if tau_d * r <= K_r * tau_n:
+            value = n * tau_d, d * tau_n
+        else:
+            value = n * K_r, d * r
+    dof_n, dof_d = _dof_pair(s, t, K - K_r, K_r)
+    if value[0] * d * dof_n != n * dof_d * value[1]:
         raise AssertionError(
-            f"NDT piecewise form {value} disagrees with load/DoF form {check} "
-            f"at r={r}, t={t}, K={K}, K_r={K_r}"
+            f"NDT piecewise form {Fraction(*value)} disagrees with load/DoF form "
+            f"{Fraction(n * dof_d, d * dof_n)} at r={r}, t={t}, K={K}, K_r={K_r}"
         )
-    return NdtPoint(CPC, K, Fraction(r), value, K_r=K_r, t=t, s=s)
+    return NdtPoint(CPC, K, Fraction(r), Fraction(*value), K_r=K_r, t=t, s=s)
 
 
 def cpc_minimum(r: int, K: int, K_r: int | None = None, t: int | None = None) -> NdtPoint:
@@ -330,13 +352,14 @@ def asymptotics_check(r: int, k_values: Iterable[int]) -> TrendReport:
     ladder: the scheme value must eventually fall toward zero while the
     baselines flatten out at 1/r."""
     ks = sorted(set(k_values))
+    if not ks:
+        raise ParameterError("asymptotics_check needs a non-empty K ladder")
     rows = []
     for K in ks:
         rows.append(
             (K, cpc_t1_minimum(r, K), ndt_cdc(r, K).value, ndt_osl_hd(r, K).value)
         )
     decreasing = all(a[1] > b[1] for a, b in zip(rows, rows[1:]))
-    last_k = ks[-1]
     return TrendReport(
         r=r,
         rows=tuple(rows),

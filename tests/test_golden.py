@@ -46,8 +46,8 @@ GOLDEN_SIMULATE = {
     ((9, 3, 6, 2), 2): "16d2b15b757a8b7751d3e7865dae2124aaa70649b0d7a4e373a59ff1565ee922",
 }
 
-# analytics command -> SHA-256 of its stdout; the sweep digests are the
-# benchmark's reference digests of the same figure CSVs
+# analytics command -> SHA-256 of its stdout; the sweep and `optimize`
+# digests are the benchmark's reference digests of the same bytes
 GOLDEN_ANALYTICS = {
     ("sweep", "--preset", "fig2"): "b97f08c8b6afaee9d4d763f3ecf8e4d58d3ec1341e9da0f11e4c4c7b05e4d8ba",
     ("sweep", "--preset", "fig3"): "fcd3a29e26629669b8386d01aa00d54abfb71ddfdef0938c47ffabb3c96917ab",
@@ -56,6 +56,7 @@ GOLDEN_ANALYTICS = {
     ("bounds", "--r", "5/2", "--K", "40"): "983b1be7e502115eddca3ffb55f558598b937d9671f50f7957a55fa878c0b298",
     ("bounds", "--r", "3/2", "--K", "2"): "0ab3b92d61ebcfcb3b1392884f6e1100a35ef9814768d354d4612b0505405e10",
     ("ndt", "--r", "7/3", "--K", "12"): "bd6a76fe9b5aca663aa4deb28da330a2d0b54b384ec80b01e5caa9480d3ce6a8",
+    ("optimize", "--K-max", "40"): "1379968e5f94d60f5b622740ac570527dc441805332933d873a495dbeb37064f",
 }
 
 

@@ -1,10 +1,11 @@
 import math
+import types
 from fractions import Fraction
 
 import pytest
 
 from cpcshuffle import ndt
-from cpcshuffle.model import ConstraintViolation, ParameterError
+from cpcshuffle.model import ConstraintViolation, ParameterError, check_config, config_violation
 from cpcshuffle.ndt import (
     asymptotics_check,
     c_coefficient,
@@ -119,6 +120,133 @@ class TestSchemeNdt:
                     if s > K_r or t > K - K_r:
                         continue
                     assert ndt_cpc(r, t, K, K_r).value > 0
+
+
+# Readable Fraction transcriptions of d', tau, the delivery DoF, the scheme
+# NDT and its scan; the module evaluates the same formulas on integer pairs.
+
+def _ref_dprime(s, t, K_t, K_r):
+    best = Fraction(0)
+    for tp in range(1, t + 1):
+        simple = Fraction(s * (K_t - tp + 1), s * (K_t - tp + 1) + (K_r - s - tp + 1))
+        num = math.comb(K_r - 1, s - 1) * math.comb(K_t, tp) * math.comb(K_r - s, tp - 1) * tp
+        den = num + math.comb(K_r - 1, s) * math.comb(K_r - s - 1, tp - 1) * math.comb(K_t, tp - 1)
+        assert simple == Fraction(num, den)
+        best = max(best, simple)
+    return best
+
+
+def _ref_tau_factor(r, t, K, K_r):
+    return max(
+        Fraction((r + 1 - t) * (K - K_r - j + 1),
+                 (r + 1 - t) * (K - K_r - j + 1) + (K_r + t - r - j))
+        for j in range(1, t + 1)
+    )
+
+
+def _ref_delivery_dof(s, t, K_t, K_r):
+    check_config(K_t + K_r, s + t - 1, K_r, t)
+    if s + t >= K_r + 1:
+        return Fraction(1)
+    if s + t == K_r:
+        a = math.comb(K_r - 1, s - 1) * math.comb(K_t, t) * t
+        return Fraction(a, a + 1)
+    return max(_ref_dprime(s, t, K_t, K_r), Fraction(s + t - 1, K_r))
+
+
+def _ref_ndt_cpc(r, t, K, K_r):
+    s = check_config(K, r, K_r, t)
+    base = Fraction(1, K_r) * (1 - Fraction(r, K))
+    if r >= K_r:
+        value = base
+    elif r == K_r - 1:
+        value = base * (1 + Fraction(1, math.comb(r, t) * math.comb(K - K_r, t) * t))
+    else:
+        value = base * min(1 / _ref_tau_factor(r, t, K, K_r), Fraction(K_r, r))
+    assert value == base / _ref_delivery_dof(s, t, K - K_r, K_r)
+    return ndt.NdtPoint(ndt.CPC, K, Fraction(r), value, K_r=K_r, t=t, s=s)
+
+
+def _ref_minimum(r, K, t=None):
+    if r == K:
+        return ndt.NdtPoint(ndt.CPC, K, Fraction(r), Fraction(0), K_r=0, t=0, s=0)
+    best = None
+    for kr in range(1, K + 1):
+        for tt in range(1, r + 1) if t is None else (t,):
+            if config_violation(K, r, kr, tt) is None:
+                point = _ref_ndt_cpc(r, tt, K, kr)
+                if best is None or point.value < best.value:
+                    best = point
+    return best
+
+
+class TestIntegerPairKernel:
+    @pytest.mark.parametrize("K", range(2, 31))
+    def test_formulas_equal_the_fraction_reference(self, K):
+        for r in range(1, K):
+            for K_r in range(1, K + 1):
+                for t in range(1, r + 1):
+                    if config_violation(K, r, K_r, t) is not None:
+                        continue
+                    s, K_t = r + 1 - t, K - K_r
+                    assert ndt_cpc(r, t, K, K_r) == _ref_ndt_cpc(r, t, K, K_r)
+                    assert delivery_dof(s, t, K_t, K_r) == _ref_delivery_dof(s, t, K_t, K_r)
+                    if s + t < K_r:
+                        assert ndt._dprime(s, t, K_t, K_r) == _ref_dprime(s, t, K_t, K_r)
+                    if r < K_r - 1:
+                        assert ndt.tau_factor(r, t, K, K_r) == _ref_tau_factor(r, t, K, K_r)
+
+    @pytest.mark.parametrize("K", range(2, 31))
+    def test_scan_equals_the_fraction_reference(self, K):
+        for r in range(1, K + 1):
+            for t in (None, 1, 2, 3):
+                expected = _ref_minimum(r, K, t)
+                if expected is None:
+                    with pytest.raises(ParameterError):
+                        cpc_minimum(r, K, t=t)
+                else:
+                    assert cpc_minimum(r, K, t=t) == expected
+
+    def test_dprime_guard_fires(self, monkeypatch):
+        # only the binomial form of d' calls comb
+        monkeypatch.setattr(ndt, "math", types.SimpleNamespace(comb=lambda n, k: math.comb(n, k) + 1))
+        with pytest.raises(AssertionError, match="^DoF forms disagree at t'=1"):
+            delivery_dof(2, 1, 3, 5)
+        with pytest.raises(AssertionError, match="^DoF forms disagree at t'=1"):
+            cpc_minimum(2, 8, K_r=5, t=1)
+
+    # (r, t, K, K_r) in the r >= K_r, r = K_r - 1 and r < K_r - 1 branches
+    @pytest.mark.parametrize("config", [(3, 2, 6, 3), (2, 1, 6, 3), (2, 1, 6, 4)])
+    def test_load_dof_guard_fires_in_each_branch(self, monkeypatch, config):
+        real = ndt._dof_pair
+
+        def drifted(s, t, K_t, K_r):
+            n, d = real(s, t, K_t, K_r)
+            return n, d + 1
+
+        monkeypatch.setattr(ndt, "_dof_pair", drifted)
+        r, t, K, K_r = config
+        with pytest.raises(AssertionError, match="^NDT piecewise form "):
+            ndt_cpc(r, t, K, K_r)
+        with pytest.raises(AssertionError, match="^NDT piecewise form "):
+            cpc_minimum(r, K, K_r=K_r, t=t)
+
+    def test_scan_builds_no_fraction_outside_its_points(self, monkeypatch):
+        # each scanned config builds its NdtPoint's r and value; the
+        # formulas and both self-checks run on integers
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(ndt, "Fraction", counted)
+        for r in range(1, 50):
+            built.clear()
+            cpc_minimum(r, 50)
+            scanned = sum(config_violation(50, r, K_r, t) is None
+                          for K_r in range(1, 51) for t in range(1, r + 1))
+            assert len(built) == 2 * scanned
 
 
 class TestFractional:
@@ -262,6 +390,10 @@ class TestAsymptotics:
         assert rep.decreasing
         assert rep.final_value < Fraction(1, 100)
         assert rep.cdc_limit_gap <= Fraction(2, 1000)
+
+    def test_empty_ladder_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="empty K ladder"):
+            asymptotics_check(2, [])
 
     def test_crossover_predicate_matches_float(self):
         for r in range(1, 12):
