@@ -57,9 +57,9 @@ partitions = enum_partitions(6, 3)
 storage = NodeSet.of(1, 2, 5)
 pairs = admissible_pairs(4, storage, cfg)
 print(f"  the IV headed to node 4 and stored at {storage.members} rides in:")
-for coop, p in pairs:
-    part = partitions[p - 1]
-    print(f"    partition {p:2d} (tx {part.tx.members}), sent by pair {coop.members}")
+number = {part.tx: part.index for part in partitions}
+for coop, tx in pairs:
+    print(f"    partition {number[tx]:2d} (tx {tx.members}), sent by pair {coop.members}")
 
 print()
 print("=" * 72)

@@ -20,7 +20,6 @@ from .model import (
     enum_partitions,
     enum_subsets,
     full_set,
-    partition_index,
     validate_config,
 )
 from .placement import (

@@ -4,22 +4,23 @@ The unit of addressing is the block v[d_j, U]: all IVs that node j needs
 and that live exactly at the size-r storage group U, laid out by
 `block_ivs` (q ascending over W_j, then n ascending).  Each block is cut
 into C(r,t) * C(K-r-1, K_r-s) equal segments, one per admissible
-(cooperation group, partition) pair from `admissible_pairs`: a t-subset
-B of U, and a partition whose transmitters are B plus K_t-t nodes
-outside U and {j}.  Pairs are ordered (B lex, partition index
-ascending).  A coded message for (p, D, B) is the bytewise XOR of the s
-segments its receivers are missing; every receiver in D holds the other
-s-1 segments locally, so one XOR recovers its own.
+(cooperation group B, transmitter set T) pair from `admissible_pairs`:
+B a t-subset of U, T = B plus K_t-t nodes outside U and {j}.  Pairs are
+ordered (B lex, T lex).  A coded message for (p, D, B) is the bytewise
+XOR of the s segments its receivers are missing; every receiver in D
+holds the other s-1 segments locally, so one XOR recovers its own.
 
 Every segment has an integer rank: block rank * segments per block +
 pair index, with blocks in (dest, storage lex) order.  `segment_ivs`
 holds all segments as the rows of one `(n_segments, seg_len)` uint8
 array, so a block's segments are its bytes reshaped, and a rank dict
-keyed by (dest, storage mask, p, coop mask).  That `SegmentTable` is
-also a read-only mapping from `SegmentId` to `Segment`.  Encoding and
-node-wide decoding gather rows by rank and XOR-reduce them in one numpy
-call; `SegmentId`, `CodedMessage.constituents`, `decode_segment` and
-`xor_bytes` are the readable one-segment reference they agree with.
+keyed by (dest, storage mask, p, coop mask), p being the number
+`enum_partitions`, the only code that numbers partitions, gives T.  That
+`SegmentTable` is also a read-only mapping from `SegmentId` to
+`Segment`.  Encoding and node-wide decoding gather rows by rank and
+XOR-reduce them in one numpy call; `SegmentId`,
+`CodedMessage.constituents`, `decode_segment` and `xor_bytes` are the
+readable one-segment reference they agree with.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .model import (
     NodeSet,
     Partition,
     ShuffleConfig,
+    enum_partitions,
     enum_subsets,
-    partition_index,
 )
 from .placement import IVStore, PlacementMap
 
@@ -143,21 +144,22 @@ def block_bytes(placement: PlacementMap, store: IVStore, dest: int, storage: Nod
 
 def admissible_pairs(
     dest: int, storage: NodeSet, config: ShuffleConfig
-) -> list[tuple[NodeSet, int]]:
-    """(coop group, partition index) pairs that carry a segment of this block.
+) -> list[tuple[NodeSet, NodeSet]]:
+    """(coop group, transmitter set) pairs that carry a segment of this block.
 
     B runs over the size-t subsets of the storage group in lex order; for
     each, E runs over the (K_t-t)-subsets of the nodes outside storage and
     {dest} in lex order, and B | E is the partition's transmitter set, so
     {dest} plus the rest of the storage group receive.  For a fixed B the
     lex order of E is that of B | E, since B | E and B | E' differ exactly
-    where E and E' do; the pairs come out ordered (B lex, p ascending).
+    where E and E' do; the pairs come out ordered (B lex, B | E lex),
+    which for a fixed B is the numbering `enum_partitions` gives B | E.
     """
-    K = config.params.K
-    outside = NodeSet(tuple(k for k in range(1, K + 1) if k != dest and k not in storage))
-    extras = enum_subsets(outside, config.K_t - config.t)
+    taken = storage.mask | 1 << dest
+    free = [1 << k for k in range(1, config.params.K + 1) if not taken >> k & 1]
+    extras = [sum(e) for e in itertools.combinations(free, config.K_t - config.t)]
     return [
-        (coop, partition_index(K, coop | extra))
+        (coop, NodeSet.from_mask(coop.mask | extra))
         for coop in enum_subsets(storage, config.t)
         for extra in extras
     ]
@@ -213,7 +215,8 @@ def segment_ivs(
 ) -> SegmentTable:
     """Cut every required block into its segments, one table row each.
 
-    The i-th admissible (B, p) pair gets the i-th equal slice of the block.
+    The i-th admissible (B, T) pair gets the i-th equal slice of the
+    block, under the number p of the partition with transmitters T.
     Raises InfeasibleInstance when the block size is not a whole number of
     bytes per segment (pick B via round_up_bits).
     """
@@ -229,6 +232,7 @@ def segment_ivs(
     seg_len = block_len // n_seg
     blocks: list[bytes] = []
     ranks: dict[tuple[int, int, int, int], int] = {}
+    number = {part.tx.mask: part.index for part in enum_partitions(params.K, config.K_t)}
     for dest in range(1, params.K + 1):
         others = [k for k in range(1, params.K + 1) if k != dest]
         for storage in enum_subsets(NodeSet(tuple(others)), params.r):
@@ -239,8 +243,8 @@ def segment_ivs(
                     f"admissible pairs, expected {n_seg}"
                 )
             base = len(blocks) * n_seg
-            for i, (coop, p) in enumerate(pairs):
-                ranks[(dest, storage.mask, p, coop.mask)] = base + i
+            for i, (coop, tx) in enumerate(pairs):
+                ranks[(dest, storage.mask, number[tx.mask], coop.mask)] = base + i
             blocks.append(block_bytes(placement, store, dest, storage))
     data = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(len(ranks), seg_len)
     # each message once, at the first of its rows in rank order; every

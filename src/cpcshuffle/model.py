@@ -209,7 +209,8 @@ def enum_partitions(K: int, K_t: int) -> list[Partition]:
     """All C(K, K_t) transmitter/receiver partitions, indexed 1..C(K,K_t).
 
     Partition p has the p-th lexicographic size-K_t transmitter set; the
-    receivers are its complement.
+    receivers are its complement.  This is the only place partitions are
+    numbered.
     """
     if K > MAX_NODES:
         raise ParameterError(f"K={K} exceeds supported maximum {MAX_NODES}")
@@ -220,17 +221,6 @@ def enum_partitions(K: int, K_t: int) -> list[Partition]:
         Partition(index=p, tx=tx, rx=everyone - tx)
         for p, tx in enumerate(enum_subsets(everyone, K_t), start=1)
     ]
-
-
-def partition_index(K: int, tx: NodeSet) -> int:
-    """Index of the partition whose transmitters are `tx`: the 1-based lex
-    rank of tx among the size-|tx| subsets of [1..K].
-
-    The sets after tx share its first i members m_0..m_{i-1} (0-based) for
-    some i, then take all k - i others from above m_i: C(K - m_i, k - i).
-    """
-    k = len(tx)
-    return math.comb(K, k) - sum(math.comb(K - m, k - i) for i, m in enumerate(tx))
 
 
 def config_violation(K: int, r: int, K_r: int, t: int) -> str | None:

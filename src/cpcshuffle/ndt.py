@@ -172,7 +172,11 @@ def tau_factor(r: int, t: int, K: int, K_r: int) -> Fraction:
     """max over j in [1..t] of 1 / (1 + (K_r+t-r-j) / ((r+1-t)(K-K_r-j+1))).
 
     Only `ndt_cpc`'s r < K_r - 1 branch uses it; every term there is a
-    positive fraction."""
+    positive fraction.  Raises ParameterError for an invalid config or
+    one outside that branch, where a term's denominator can be 0."""
+    check_config(K, r, K_r, t)
+    if r >= K_r - 1:
+        raise ParameterError(f"tau_factor needs r < K_r - 1, got r={r}, K_r={K_r}")
     return Fraction(*_tau_pair(r, t, K, K_r))
 
 

@@ -129,8 +129,8 @@ def t1_optimal_regime(r: int, K: int) -> bool:
     """True when t = 1 is provably optimal: K <= 5 or K past both exact
     thresholds r+4+4/(r-1) and (r+4+sqrt(r^2+16r))/2.  r = 1 always
     qualifies (t has no other choice)."""
-    if r < 1:
-        raise ParameterError(f"r must be >= 1, got {r}")
+    if not 1 <= r <= K:
+        raise ParameterError(f"r must lie in [1, K={K}], got {r}")
     if r == 1 or K <= 5:
         return True
     cond1 = (K - r - 4) * (r - 1) >= 4

@@ -55,7 +55,7 @@ def scanned_pairs(dest, storage, cfg, partitions):
         listeners = (storage - coop) | NodeSet.of(dest)
         for part in partitions:
             if coop.issubset(part.tx) and listeners.issubset(part.rx):
-                pairs.append((coop, part.index))
+                pairs.append((coop, part.tx))
     return pairs
 
 
@@ -69,10 +69,12 @@ class TestSegmentation:
         # partitions for each of its three cooperation pairs
         cfg, pl, store, segs, parts = worked
         pairs = admissible_pairs(4, NodeSet.of(1, 2, 5), cfg)
-        assert [(c.members, p) for c, p in pairs] == [
-            ((1, 2), 1), ((1, 2), 4), ((1, 5), 6), ((1, 5), 10),
-            ((2, 5), 12), ((2, 5), 16),
+        assert [(c.members, tx.members) for c, tx in pairs] == [
+            ((1, 2), (1, 2, 3)), ((1, 2), (1, 2, 6)), ((1, 5), (1, 3, 5)),
+            ((1, 5), (1, 5, 6)), ((2, 5), (2, 3, 5)), ((2, 5), (2, 5, 6)),
         ]
+        number = {part.tx: part.index for part in enum_partitions(6, 3)}
+        assert [number[tx] for _, tx in pairs] == [1, 4, 6, 10, 12, 16]
         coops = [c for c, _ in pairs]
         assert [c.members for c in sorted(set(coops))] == [(1, 2), (1, 5), (2, 5)]
         assert all(coops.count(c) == 2 for c in set(coops))
@@ -121,6 +123,8 @@ class TestSegmentation:
         store = map_phase(pl, params, seed=K * r + t)
         segs = segment_ivs(pl, cfg, store)
         n_seg = segments_per_block(cfg)
+        parts = enum_partitions(K, cfg.K_t)
+        number = {part.tx: part.index for part in parts}
         blocks = []
         for dest in range(1, K + 1):
             others = NodeSet.from_iterable(k for k in range(1, K + 1) if k != dest)
@@ -129,13 +133,14 @@ class TestSegmentation:
         for b, (dest, storage) in enumerate(blocks):
             data = block_bytes(pl, store, dest, storage)
             seg_len = len(data) // n_seg
-            for i, (coop, p) in enumerate(admissible_pairs(dest, storage, cfg)):
+            for i, (coop, tx) in enumerate(admissible_pairs(dest, storage, cfg)):
+                p = number[tx]
                 assert segs.ranks[(dest, storage.mask, p, coop.mask)] == b * n_seg + i
                 sid = SegmentId(dest, storage, p, coop)
                 assert segs[sid].data == data[i * seg_len : (i + 1) * seg_len]
         assert len(segs) == len(blocks) * n_seg
         held: dict[int, dict] = {k: {} for k in range(1, K + 1)}
-        for part in enum_partitions(K, cfg.K_t):
+        for part in parts:
             for m in encode_partition(segs, part, cfg):
                 ids = m.constituents()
                 assert m.payload == functools.reduce(xor_bytes, (segs[sid].data for sid in ids))
@@ -148,11 +153,13 @@ class TestSegmentation:
             for storage in mine:
                 reference = b"".join(
                     decode_segment(
-                        held[dest][message_key(p, NodeSet.of(dest) | (storage - coop), coop)],
+                        held[dest][
+                            message_key(number[tx], NodeSet.of(dest) | (storage - coop), coop)
+                        ],
                         segs,
                         dest,
                     ).data
-                    for coop, p in admissible_pairs(dest, storage, cfg)
+                    for coop, tx in admissible_pairs(dest, storage, cfg)
                 )
                 assert decoded[storage] == reference == block_bytes(pl, store, dest, storage)
         return len(segs)
@@ -171,10 +178,11 @@ class TestSegmentation:
 
     def test_segments_reassemble_block(self, worked):
         cfg, pl, store, segs, parts = worked
+        number = {part.tx: part.index for part in parts}
         for dest, storage in [(4, NodeSet.of(1, 2, 5)), (1, NodeSet.of(2, 3, 6))]:
             pairs = admissible_pairs(dest, storage, cfg)
             joined = b"".join(
-                segs[SegmentId(dest, storage, p, c)].data for c, p in pairs
+                segs[SegmentId(dest, storage, number[tx], c)].data for c, tx in pairs
             )
             assert joined == block_bytes(pl, store, dest, storage)
 
@@ -261,8 +269,9 @@ class TestDecode:
         cfg, pl, store, segs, parts = worked
         storage = NodeSet.of(1, 2, 5)
         recovered = []
-        for coop, p in admissible_pairs(4, storage, cfg):
-            part = parts[p - 1]
+        number = {part.tx: part.index for part in parts}
+        for coop, tx in admissible_pairs(4, storage, cfg):
+            part = parts[number[tx] - 1]
             msgs = encode_partition(segs, part, cfg)
             dest_group = NodeSet.of(4) | (storage - coop)
             m = next(

@@ -14,7 +14,6 @@ from cpcshuffle.model import (
     enum_partitions,
     enum_subsets,
     full_set,
-    partition_index,
     validate_config,
 )
 
@@ -137,11 +136,14 @@ class TestEnumPartitions:
             assert sum(k in p.tx for p in parts) == math.comb(K - 1, K_t - 1)
             assert sum(k in p.rx for p in parts) == math.comb(K - 1, K_r - 1)
 
-    def test_partition_index_is_lex_rank(self):
+    def test_numbering_is_lex_order(self):
+        # partition p transmits from the p-th lex K_t-subset of [1..K]
         for K in range(2, 11):
             for K_t in range(1, K):
-                for p in enum_partitions(K, K_t):
-                    assert partition_index(K, p.tx) == p.index, (K, p.tx)
+                parts = enum_partitions(K, K_t)
+                lex = list(itertools.combinations(range(1, K + 1), K_t))
+                assert [p.tx.members for p in parts] == lex
+                assert [p.index for p in parts] == list(range(1, math.comb(K, K_t) + 1))
 
     def test_bad_group_size(self):
         with pytest.raises(ParameterError):

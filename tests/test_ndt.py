@@ -207,6 +207,15 @@ class TestIntegerPairKernel:
                 else:
                     assert cpc_minimum(r, K, t=t) == expected
 
+    def test_tau_factor_only_on_its_branch(self):
+        # (2, 2, 3, 1) is a valid config with r >= K_r - 1: a term's
+        # denominator there is 0
+        assert config_violation(3, 2, 1, 2) is None
+        with pytest.raises(ParameterError, match="r < K_r - 1"):
+            ndt.tau_factor(2, 2, 3, 1)
+        with pytest.raises(ConstraintViolation):
+            ndt.tau_factor(2, 3, 6, 4)  # s = 0
+
     def test_dprime_guard_fires(self, monkeypatch):
         # only the binomial form of d' calls comb
         monkeypatch.setattr(ndt, "math", types.SimpleNamespace(comb=lambda n, k: math.comb(n, k) + 1))

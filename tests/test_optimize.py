@@ -173,6 +173,13 @@ class TestT1Regime:
     def test_unit_load_always_qualifies(self):
         assert t1_optimal_regime(1, 100) is True
 
+    def test_rejects_r_outside_one_to_K(self):
+        assert t1_optimal_regime(5, 5) is True
+        assert t1_optimal_regime(8, 8) is False
+        for r, K in [(5, 3), (0, 6), (-1, 6)]:
+            with pytest.raises(ParameterError):
+                t1_optimal_regime(r, K)
+
 
 class TestReportedParamsAchieveValue:
     def test_closed_form_params_are_real_configs(self):
