@@ -76,7 +76,6 @@ from .ndt import (
     UNCODED_TDMA,
     LowerBoundModel,
     NdtPoint,
-    asymptotics_check,
     cpc_minimum,
     cpc_t1_minimum,
     fd_crossover_holds,

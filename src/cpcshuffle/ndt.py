@@ -4,7 +4,10 @@ Covers the baseline schemes (uncoded TDMA, CDC, one-shot linear and BW in
 full- and half-duplex form), the per-receiver DoF of the cooperative
 X-multicast channel, the coded-parallel scheme's piecewise NDT with its
 fractional-load envelope, the information-theoretic lower bound, and the
-achievable-to-bound gap.  The scheme NDT and its DoF are evaluated as
+achievable-to-bound gap.  Between integer loads the scheme is
+memory-shared, so its curve there is the lower convex envelope of the
+integer-load optima: the least chord from an optimum at or below r to one
+at or above r.  The scheme NDT and its DoF are evaluated as
 exact integer (numerator, denominator) pairs and compared by
 cross-multiplication; every public function returns Fractions.  Dominance
 and sandwich comparisons downstream are knife-edge equalities at
@@ -17,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .model import ParameterError, check_config, config_violation
 
@@ -103,7 +105,13 @@ def ndt_bw_hd(r, K: int) -> NdtPoint:
 
 
 def _dprime_pair(s: int, t: int, K_t: int, K_r: int) -> tuple[int, int]:
-    """d' as an unreduced (numerator, denominator) pair; see `_dprime`."""
+    """Neutralize-then-align DoF d', maximized over the sub-cooperation
+    size t', as an unreduced (numerator, denominator) pair.
+
+    Each t' term is computed as the simplified fraction and as the raw
+    binomial ratio, both as integer pairs; the two must agree, checked by
+    cross-multiplication on every call (guards transcription drift).
+    """
     best_n, best_d = 0, 1
     c_num, c_den = math.comb(K_r - 1, s - 1), math.comb(K_r - 1, s)
     for tp in range(1, t + 1):
@@ -118,16 +126,6 @@ def _dprime_pair(s: int, t: int, K_t: int, K_r: int) -> tuple[int, int]:
         if n * best_d > best_n * d:
             best_n, best_d = n, d
     return best_n, best_d
-
-
-def _dprime(s: int, t: int, K_t: int, K_r: int) -> Fraction:
-    """Neutralize-then-align DoF, maximized over the sub-cooperation size t'.
-
-    Each t' term is computed as the simplified fraction and as the raw
-    binomial ratio, both as integer pairs; the two must agree, checked by
-    cross-multiplication on every call (guards transcription drift).
-    """
-    return Fraction(*_dprime_pair(s, t, K_t, K_r))
 
 
 def _dof_pair(s: int, t: int, K_t: int, K_r: int) -> tuple[int, int]:
@@ -158,7 +156,12 @@ def delivery_dof(s: int, t: int, K_t: int, K_r: int) -> Fraction:
 
 
 def _tau_pair(r: int, t: int, K: int, K_r: int) -> tuple[int, int]:
-    """`tau_factor` as an unreduced pair."""
+    """max over j in [1..t] of 1 / (1 + (K_r+t-r-j) / ((r+1-t)(K-K_r-j+1))),
+    as an unreduced pair.
+
+    Only `ndt_cpc`'s r < K_r - 1 branch uses it; every term there is a
+    positive fraction.  Outside that branch a term's denominator can be 0.
+    """
     best_n, best_d = 0, 1
     for j in range(1, t + 1):
         n = (r + 1 - t) * (K - K_r - j + 1)
@@ -166,18 +169,6 @@ def _tau_pair(r: int, t: int, K: int, K_r: int) -> tuple[int, int]:
         if n * best_d > best_n * d:
             best_n, best_d = n, d
     return best_n, best_d
-
-
-def tau_factor(r: int, t: int, K: int, K_r: int) -> Fraction:
-    """max over j in [1..t] of 1 / (1 + (K_r+t-r-j) / ((r+1-t)(K-K_r-j+1))).
-
-    Only `ndt_cpc`'s r < K_r - 1 branch uses it; every term there is a
-    positive fraction.  Raises ParameterError for an invalid config or
-    one outside that branch, where a term's denominator can be 0."""
-    check_config(K, r, K_r, t)
-    if r >= K_r - 1:
-        raise ParameterError(f"tau_factor needs r < K_r - 1, got r={r}, K_r={K_r}")
-    return Fraction(*_tau_pair(r, t, K, K_r))
 
 
 def ndt_cpc(r: int, t: int, K: int, K_r: int) -> NdtPoint:
@@ -237,41 +228,26 @@ def cpc_t1_minimum(r: int, K: int) -> Fraction:
     return cpc_minimum(r, K, t=1).value
 
 
-def lower_hull(points: Sequence[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
-    """Lower convex hull of points with strictly increasing x, exact."""
-    hull: list[tuple[Fraction, Fraction]] = []
-    for p in points:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # keep hull turning upward: drop middle point when it is above
-            # (or on) the chord from hull[-2] to p
-            if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
+def _least_chord(f: list[Fraction], x: Fraction) -> Fraction:
+    """Lower convex envelope at x of the points (i, f[i-1]), i = 1..len(f).
 
-
-def hull_value(hull: Sequence[tuple[Fraction, Fraction]], x: Fraction) -> Fraction:
-    """Evaluate a lower hull at x by linear interpolation."""
-    if not hull[0][0] <= x <= hull[-1][0]:
-        raise ParameterError(f"x={x} outside hull domain [{hull[0][0]}, {hull[-1][0]}]")
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        if x1 <= x <= x2:
-            if x == x1:
-                return y1
-            return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
-    return hull[-1][1]
+    In one dimension a convex combination needs only two points, so this is
+    the least chord from a point at or left of x to one at or right of x; a
+    point on x is its own chord.
+    """
+    return min(
+        f[a - 1] if a == b else f[a - 1] + (x - a) * (f[b - 1] - f[a - 1]) / (b - a)
+        for a in range(1, math.floor(x) + 1)
+        for b in range(math.ceil(x), len(f) + 1)
+    )
 
 
 def ndt_cpc_fractional(r, K: int) -> NdtPoint:
-    """Memory-share the scheme across floor(r) and ceil(r): the lower convex
+    """Memory-share the scheme between two integer loads: the lower convex
     envelope of the integer-load optima, evaluated at rational r."""
     r = _check_domain(r, K)
-    pts = [(Fraction(rho), cpc_minimum(rho, K).value) for rho in range(1, K + 1)]
-    value = hull_value(lower_hull(pts), r)
-    return NdtPoint(CPC, K, r, value)
+    optima = [cpc_minimum(rho, K).value for rho in range(1, K + 1)]
+    return NdtPoint(CPC, K, r, _least_chord(optima, r))
 
 
 def c_coefficient(K: int, t: int, i: int) -> Fraction:
@@ -299,7 +275,8 @@ class LowerBoundModel:
 def lower_bound(r, K: int) -> LowerBoundModel:
     """Information-theoretic NDT lower bound: max of the cut-set bound lb1
     (three branches in r, with a per-t lower convex envelope of C_t) and
-    the max-DoF bound lb2 = (1-r/K)/(K-1).
+    the max-DoF bound lb2 = (1-r/K)/(K-1).  Both are 0 at r = K, where
+    nothing is shuffled, for every K.
 
     The envelope of C_t at r is the chord between i = floor(r) and
     i = ceil(r), because C_t is already convex and non-increasing in i.
@@ -308,8 +285,6 @@ def lower_bound(r, K: int) -> LowerBoundModel:
     C_t(t)), and they are 0 after that.
     """
     r = _check_domain(r, K)
-    if K < 2:
-        raise ParameterError("lower bound needs K >= 2")
     lo, hi = math.floor(r), math.ceil(r)
     envelope_at_r: dict[int, Fraction] = {}
     for t in range(1, K // 2 + 1):
@@ -322,7 +297,7 @@ def lower_bound(r, K: int) -> LowerBoundModel:
         lb1 = Fraction(1, K) * (1 - r / K + max(envelope_at_r.values()))
     else:
         lb1 = Fraction(1, K) * (1 - r / K)
-    lb2 = Fraction(1, K - 1) * (1 - r / K)
+    lb2 = Fraction(0) if r == K else Fraction(1, K - 1) * (1 - r / K)
     return LowerBoundModel(K=K, r=r, envelope_at_r=envelope_at_r, lb1=lb1, lb2=lb2)
 
 
@@ -340,37 +315,6 @@ def fd_crossover_holds(r: int, K: int) -> bool:
     scheme already beats the full-duplex one-shot baseline."""
     lhs = K - 2 * r - 2
     return lhs >= 0 and lhs * lhs >= 4 * (r * r + 1)
-
-
-@dataclass(frozen=True)
-class TrendReport:
-    r: int
-    rows: tuple[tuple[int, Fraction, Fraction, Fraction], ...]  # (K, cpc_t1, cdc, osl_hd)
-    decreasing: bool
-    final_value: Fraction
-    cdc_limit_gap: Fraction  # |cdc(last K) - 1/r|
-
-
-def asymptotics_check(r: int, k_values: Iterable[int]) -> TrendReport:
-    """Track the t = 1 scheme against CDC and half-duplex OSL along a K
-    ladder: the scheme value must eventually fall toward zero while the
-    baselines flatten out at 1/r."""
-    ks = sorted(set(k_values))
-    if not ks:
-        raise ParameterError("asymptotics_check needs a non-empty K ladder")
-    rows = []
-    for K in ks:
-        rows.append(
-            (K, cpc_t1_minimum(r, K), ndt_cdc(r, K).value, ndt_osl_hd(r, K).value)
-        )
-    decreasing = all(a[1] > b[1] for a, b in zip(rows, rows[1:]))
-    return TrendReport(
-        r=r,
-        rows=tuple(rows),
-        decreasing=decreasing,
-        final_value=rows[-1][1],
-        cdc_limit_gap=abs(rows[-1][2] - Fraction(1, r)),
-    )
 
 
 def _cpc_point(r, K: int) -> NdtPoint:

@@ -244,6 +244,13 @@ class TestNdtCommand:
             assert out == ""
             assert "r=1/0 has a zero denominator" in err
 
+    def test_single_node_full_load(self, capsys):
+        code, out, _ = run(capsys, "ndt", "--r", "1", "--K", "1")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 8
+        assert {row[5] for row in rows} == {"0"}
+
 
 class TestSweep:
     def test_explicit_grid_row_count(self, capsys):
@@ -269,6 +276,14 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "--preset", "fig5")
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert {r[4] for r in rows} == {"1", "2", "3"}
+
+    def test_range_starting_at_one_node(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--r-range", "1:2", "--K-range", "1:2")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 8 * 3  # (r, K) = (1, 1), (1, 2), (2, 2)
+        bound = {(row[1], row[2]): row[5] for row in rows if row[0] == "LowerBound"}
+        assert bound == {("1", "1"): "0", ("2", "1"): "1/2", ("2", "2"): "0"}
 
     def test_missing_grid_exits_two(self, capsys):
         code, _, _ = run(capsys, "sweep")
@@ -337,6 +352,12 @@ class TestOptimizeAndBounds:
         rep = json.loads(out)
         assert rep["bound"] == "1/10"
         assert rep["gap_ratio"] == "35/24"
+
+    def test_bounds_single_node_full_load(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--r", "1", "--K", "1")
+        assert code == 0
+        rep = json.loads(out)
+        assert (rep["lb1"], rep["lb2"], rep["bound"], rep["gap_ratio"]) == ("0", "0", "0", "1")
 
 
 class TestFigures:

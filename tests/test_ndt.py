@@ -1,3 +1,4 @@
+import hashlib
 import math
 import types
 from fractions import Fraction
@@ -7,16 +8,13 @@ import pytest
 from cpcshuffle import ndt
 from cpcshuffle.model import ConstraintViolation, ParameterError, check_config, config_violation
 from cpcshuffle.ndt import (
-    asymptotics_check,
     c_coefficient,
     cpc_minimum,
     cpc_t1_minimum,
     delivery_dof,
     fd_crossover_holds,
     gap_ratio,
-    hull_value,
     lower_bound,
-    lower_hull,
     ndt_bw_fd,
     ndt_bw_hd,
     ndt_cdc,
@@ -192,9 +190,11 @@ class TestIntegerPairKernel:
                     assert ndt_cpc(r, t, K, K_r) == _ref_ndt_cpc(r, t, K, K_r)
                     assert delivery_dof(s, t, K_t, K_r) == _ref_delivery_dof(s, t, K_t, K_r)
                     if s + t < K_r:
-                        assert ndt._dprime(s, t, K_t, K_r) == _ref_dprime(s, t, K_t, K_r)
+                        dprime = Fraction(*ndt._dprime_pair(s, t, K_t, K_r))
+                        assert dprime == _ref_dprime(s, t, K_t, K_r)
                     if r < K_r - 1:
-                        assert ndt.tau_factor(r, t, K, K_r) == _ref_tau_factor(r, t, K, K_r)
+                        tau = Fraction(*ndt._tau_pair(r, t, K, K_r))
+                        assert tau == _ref_tau_factor(r, t, K, K_r)
 
     @pytest.mark.parametrize("K", range(2, 31))
     def test_scan_equals_the_fraction_reference(self, K):
@@ -206,15 +206,6 @@ class TestIntegerPairKernel:
                         cpc_minimum(r, K, t=t)
                 else:
                     assert cpc_minimum(r, K, t=t) == expected
-
-    def test_tau_factor_only_on_its_branch(self):
-        # (2, 2, 3, 1) is a valid config with r >= K_r - 1: a term's
-        # denominator there is 0
-        assert config_violation(3, 2, 1, 2) is None
-        with pytest.raises(ParameterError, match="r < K_r - 1"):
-            ndt.tau_factor(2, 2, 3, 1)
-        with pytest.raises(ConstraintViolation):
-            ndt.tau_factor(2, 3, 6, 4)  # s = 0
 
     def test_dprime_guard_fires(self, monkeypatch):
         # only the binomial form of d' calls comb
@@ -288,23 +279,14 @@ class TestFractional:
         with pytest.raises(ParameterError):
             ndt_cpc_fractional(Fraction(1, 2), 6)
 
-
-class TestHull:
-    def test_hull_of_convex_points_keeps_all(self):
-        pts = [(Fraction(i), Fraction(i * i)) for i in range(5)]
-        assert lower_hull(pts) == pts
-
-    def test_hull_drops_interior(self):
-        pts = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(5)), (Fraction(2), Fraction(0))]
-        hull = lower_hull(pts)
-        assert hull == [pts[0], pts[2]]
-        assert hull_value(hull, Fraction(1)) == 0
-
-    def test_interpolation(self):
-        hull = [(Fraction(0), Fraction(2)), (Fraction(2), Fraction(0))]
-        assert hull_value(hull, Fraction(1)) == 1
-        with pytest.raises(ParameterError):
-            hull_value(hull, Fraction(3))
+    def test_envelope_digest(self):
+        # pins the envelope on the 1/2 and 1/3 load grids, 2 <= K <= 12
+        rows = []
+        for K in range(2, 13):
+            for r in sorted({Fraction(n, d) for d in (2, 3) for n in range(d, d * K + 1)}):
+                rows.append(f"{K},{r},{ndt_cpc_fractional(r, K).value}\n")
+        digest = hashlib.sha256("".join(rows).encode()).hexdigest()
+        assert digest == "419109c96e4e4a716883a93be787687de24e399bef619aee535eb0f9aca7f63f"
 
 
 class TestLowerBound:
@@ -336,16 +318,17 @@ class TestLowerBound:
                 for i in range(1, K - 1)
             )
 
-    def test_envelope_equals_the_lower_hull(self):
+    def test_envelope_equals_the_least_chord(self):
         for K in range(2, 21):
-            hulls = {
-                t: lower_hull([(Fraction(i), c_coefficient(K, t, i)) for i in range(1, K + 1)])
+            coefficients = {
+                t: [c_coefficient(K, t, i) for i in range(1, K + 1)]
                 for t in range(1, K // 2 + 1)
             }
             for num in range(6, 6 * K + 1):
                 r = Fraction(num, 6)
                 envelope = lower_bound(r, K).envelope_at_r
-                assert envelope == {t: hull_value(h, r) for t, h in hulls.items()}, (K, r)
+                expected = {t: ndt._least_chord(f, r) for t, f in coefficients.items()}
+                assert envelope == expected, (K, r)
 
     def test_builds_no_table_and_no_hull(self, monkeypatch):
         calls = []
@@ -355,11 +338,10 @@ class TestLowerBound:
             return c_coefficient(K, t, i)
 
         def refuse(*_args):
-            raise AssertionError("lower_bound must not build a hull")
+            raise AssertionError("lower_bound must not scan chords")
 
         monkeypatch.setattr(ndt, "c_coefficient", counted)
-        monkeypatch.setattr(ndt, "lower_hull", refuse)
-        monkeypatch.setattr(ndt, "hull_value", refuse)
+        monkeypatch.setattr(ndt, "_least_chord", refuse)
         model = lower_bound(2, 50)
         assert len(calls) <= 2 * 25
         assert sorted(model.envelope_at_r) == list(range(1, 26))
@@ -394,16 +376,6 @@ class TestFractionalSandwich:
 
 
 class TestAsymptotics:
-    def test_r2_trend(self):
-        rep = asymptotics_check(2, [10, 50, 100, 500])
-        assert rep.decreasing
-        assert rep.final_value < Fraction(1, 100)
-        assert rep.cdc_limit_gap <= Fraction(2, 1000)
-
-    def test_empty_ladder_is_a_parameter_error(self):
-        with pytest.raises(ParameterError, match="empty K ladder"):
-            asymptotics_check(2, [])
-
     def test_crossover_predicate_matches_float(self):
         for r in range(1, 12):
             threshold = 2 * (r + 1 + math.sqrt(r * r + 1))
