@@ -159,7 +159,7 @@ def _tau_pair(r: int, t: int, K: int, K_r: int) -> tuple[int, int]:
     """max over j in [1..t] of 1 / (1 + (K_r+t-r-j) / ((r+1-t)(K-K_r-j+1))),
     as an unreduced pair.
 
-    Only `ndt_cpc`'s r < K_r - 1 branch uses it; every term there is a
+    Only `_cpc_pair`'s r < K_r - 1 branch uses it; every term there is a
     positive fraction.  Outside that branch a term's denominator can be 0.
     """
     best_n, best_d = 0, 1
@@ -171,15 +171,15 @@ def _tau_pair(r: int, t: int, K: int, K_r: int) -> tuple[int, int]:
     return best_n, best_d
 
 
-def ndt_cpc(r: int, t: int, K: int, K_r: int) -> NdtPoint:
-    """Per-configuration NDT of the coded parallel scheme, three cases in K_r.
+def _cpc_pair(r: int, t: int, K: int, K_r: int, s: int) -> tuple[int, int]:
+    """`ndt_cpc`'s value, load-over-DoF check included, as an unreduced
+    (numerator, denominator) pair on a configuration the model rule has
+    already accepted, with s = r + 1 - t.
 
-    The piecewise value is also recomputed as (1/K_r)(1 - r/K) over the
-    delivery DoF, from `delivery_dof`'s own transcription.  Both are
-    integer pairs and must match by cross-multiplication (load-over-DoF
-    identity); only the value becomes a Fraction.
+    Every denominator is positive on an accepted configuration, so
+    cross-multiplication orders these pairs as the values they stand for;
+    `cpc_minimum` compares them that way.
     """
-    s = check_config(K, r, K_r, t)
     n, d = K - r, K_r * K  # the load (1/K_r)(1 - r/K)
     if r >= K_r:
         value = n, d
@@ -198,7 +198,19 @@ def ndt_cpc(r: int, t: int, K: int, K_r: int) -> NdtPoint:
             f"NDT piecewise form {Fraction(*value)} disagrees with load/DoF form "
             f"{Fraction(n * dof_d, d * dof_n)} at r={r}, t={t}, K={K}, K_r={K_r}"
         )
-    return NdtPoint(CPC, K, Fraction(r), Fraction(*value), K_r=K_r, t=t, s=s)
+    return value
+
+
+def ndt_cpc(r: int, t: int, K: int, K_r: int) -> NdtPoint:
+    """Per-configuration NDT of the coded parallel scheme, three cases in K_r.
+
+    The piecewise value is also recomputed as (1/K_r)(1 - r/K) over the
+    delivery DoF, from `delivery_dof`'s own transcription.  Both are
+    integer pairs and must match by cross-multiplication (load-over-DoF
+    identity); only the value becomes a Fraction.
+    """
+    s = check_config(K, r, K_r, t)
+    return NdtPoint(CPC, K, Fraction(r), Fraction(*_cpc_pair(r, t, K, K_r, s)), K_r=K_r, t=t, s=s)
 
 
 def cpc_minimum(r: int, K: int, K_r: int | None = None, t: int | None = None) -> NdtPoint:
@@ -210,17 +222,19 @@ def cpc_minimum(r: int, K: int, K_r: int | None = None, t: int | None = None) ->
         raise ParameterError(f"r must lie in [1, K={K}], got {r}")
     if r == K:
         return NdtPoint(CPC, K, Fraction(r), Fraction(0), K_r=0, t=0, s=0)
-    best: NdtPoint | None = None
+    # (num, den, K_r, t); a strict < keeps the first of a tie
+    best: tuple[int, int, int, int] | None = None
     for kr in range(1, K + 1) if K_r is None else (K_r,):
         for tt in range(1, r + 1) if t is None else (t,):
             if config_violation(K, r, kr, tt) is not None:
                 continue
-            point = ndt_cpc(r, tt, K, kr)
-            if best is None or point.value < best.value:
-                best = point
+            num, den = _cpc_pair(r, tt, K, kr, r + 1 - tt)
+            if best is None or num * best[1] < best[0] * den:
+                best = num, den, kr, tt
     if best is None:
         raise ParameterError(f"no valid configuration with K_r={K_r}, t={t} for r={r}, K={K}")
-    return best
+    num, den, kr, tt = best
+    return NdtPoint(CPC, K, Fraction(r), Fraction(num, den), K_r=kr, t=tt, s=r + 1 - tt)
 
 
 def cpc_t1_minimum(r: int, K: int) -> Fraction:

@@ -232,21 +232,48 @@ class TestIntegerPairKernel:
             cpc_minimum(r, K, K_r=K_r, t=t)
 
     def test_scan_builds_no_fraction_outside_its_points(self, monkeypatch):
-        # each scanned config builds its NdtPoint's r and value; the
-        # formulas and both self-checks run on integers
-        built = []
+        # the scan compares integer pairs; only the winner's r and value
+        # become Fractions, and only the winner becomes an NdtPoint
+        fractions, points = [], []
+        real_point = ndt.NdtPoint
 
-        def counted(*args):
-            built.append(args)
+        def counted_fraction(*args):
+            fractions.append(args)
             return Fraction(*args)
 
-        monkeypatch.setattr(ndt, "Fraction", counted)
+        def counted_point(*args, **kwargs):
+            points.append(args)
+            return real_point(*args, **kwargs)
+
+        monkeypatch.setattr(ndt, "Fraction", counted_fraction)
+        monkeypatch.setattr(ndt, "NdtPoint", counted_point)
         for r in range(1, 50):
-            built.clear()
+            fractions.clear()
+            points.clear()
             cpc_minimum(r, 50)
-            scanned = sum(config_violation(50, r, K_r, t) is None
-                          for K_r in range(1, 51) for t in range(1, r + 1))
-            assert len(built) == 2 * scanned
+            assert len(fractions) == 2
+            assert len(points) == 1
+
+    def test_unreduced_ties_compare_equal(self):
+        # (r, K) = (1, 3): 2/3 and 4/6 tie; the smaller K_r wins, reduced
+        assert ndt._cpc_pair(1, 1, 3, 1, 1) == (2, 3)
+        assert ndt._cpc_pair(1, 1, 3, 2, 1) == (4, 6)
+        best = cpc_minimum(1, 3)
+        assert (best.K_r, best.t, best.s) == (1, 1, 1)
+        assert best.value == Fraction(2, 3)
+        # (r, K) = (2, 4): (K_r, t) = (2, 1), (2, 2) and (3, 1) tie
+        assert ndt._cpc_pair(2, 1, 4, 2, 2) == (2, 8)
+        assert ndt._cpc_pair(2, 2, 4, 2, 1) == (2, 8)
+        assert ndt._cpc_pair(2, 1, 4, 3, 2) == (6, 24)
+        best = cpc_minimum(2, 4)
+        assert (best.K_r, best.t) == (2, 1)
+        assert best.value == Fraction(1, 4)
+
+    def test_scan_returns_its_winners_point(self):
+        for K in range(2, 31):
+            for r in range(1, K):
+                best = cpc_minimum(r, K)
+                assert best == ndt_cpc(r, best.t, K, best.K_r)
 
 
 class TestFractional:

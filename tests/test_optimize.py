@@ -70,17 +70,19 @@ class TestBruteForce:
         assert (best.K_r_star, best.t_star) == (4, 1)
 
     def test_tie_breaking_prefers_small_K_r_then_t(self, monkeypatch):
-        scanned = []
+        calls = []
+        real = ndt._cpc_pair
 
-        def recording_ndt_cpc(r, t, K, K_r):
-            scanned.append((K_r, t))
-            return ndt_cpc(r, t, K, K_r)
+        def recording_cpc_pair(r, t, K, K_r, s):
+            calls.append((K_r, t))
+            return real(r, t, K, K_r, s)
 
-        monkeypatch.setattr(ndt, "ndt_cpc", recording_ndt_cpc)
+        monkeypatch.setattr(ndt, "_cpc_pair", recording_cpc_pair)
         for K in range(2, 16):
             for r in range(1, K):
-                scanned.clear()
+                calls.clear()
                 best = brute_force_min(r, K)
+                scanned = list(calls)  # the ndt_cpc calls below use the same seam
                 values = {}  # hand-filtered reference: (K_r, t) -> NDT
                 for K_r in range(1, K):
                     for t in range(1, r + 1):
