@@ -50,8 +50,8 @@ for i, rnd in enumerate(plan.rounds):
         print(f"    group {coop} -> survivors {eff} carry its packets")
 
 print()
-print("slot accounting (None = the shrunken group leaves the single-shot")
-print("regime; it would need the asymptotic-alignment delivery instead):")
+print("slot accounting (None = s + t_eff = K_r, the asymptotic-alignment")
+print("case the delivery engine does not build):")
 for row in straggler_schedule(plan, cfg):
     print(f"  round {row['round']}: batches={row['batches']},"
           f" effective group size {row['effective_coop_size']},"

@@ -17,6 +17,7 @@ from .model import (
     SystemParams,
     check_config,
     config_violation,
+    delivery_layout,
     enum_partitions,
     enum_subsets,
     full_set,

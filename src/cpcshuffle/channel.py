@@ -20,7 +20,8 @@ residual at the unintended receivers, the received signals, and every
 receiver's square system with its condition number and solve.
 
 A message is cut into C(K_r-s, g-s) chunks, one per receiver set that
-contains D, so the per-receiver DoF is g / K_r.  Single shot (s+t > K_r)
+contains D, so the per-receiver DoF is g / K_r.  `model.delivery_layout`
+is the one place these counts are computed.  Single shot (s+t > K_r)
 is the case g = K_r: one receiver set, one chunk, DoF 1.  Time division
 (s+t < K_r) has g = s+t-1.  s + t = K_r, the asymptotic-alignment
 regime, is not simulated.
@@ -46,6 +47,7 @@ from .model import (
     Partition,
     ShuffleConfig,
     SystemParams,
+    delivery_layout,
     enum_partitions,
     enum_subsets,
 )
@@ -186,29 +188,16 @@ def build_precoders(H: np.ndarray, nulled: np.ndarray) -> np.ndarray:
     return w / norm
 
 
-def _layout(config: ShuffleConfig) -> tuple[int, int, int]:
-    """(g, chunks per message, slots per block) of the delivery scheme.
-
-    Receiver sets have size g = min(K_r, s+t-1); a message is cut into
-    one chunk per receiver set containing its dest group, C(K_r-s, g-s);
-    a block serves C(g-1, s-1) symbols to each receiver of its set.
-    """
-    s, t, K_r = config.s, config.t, config.K_r
-    g = min(K_r, s + t - 1)
-    return g, math.comb(K_r - s, g - s), math.comb(g - 1, s - 1)
-
-
 def simulation_bits(config: ShuffleConfig, requested_bits: int) -> int:
     """Least B >= requested that the codec AND the simulator can split evenly.
 
     On top of the codec's segment rule (B a multiple of 8 * segments per
     block), every payload is cut into C(K_r-s, g-s) chunks, so the
-    segment byte length must divide by that too.  s + t = K_r is not
-    simulated, so there the codec's rule alone applies.
+    segment byte length must divide by that too.  s + t = K_r has no
+    layout (it is not simulated), so there the codec's rule alone applies.
     """
-    _g, n_chunks, _gamma = _layout(config)
-    if config.s + config.t == config.K_r:
-        n_chunks = 1
+    layout = delivery_layout(config.s, config.t, config.K_r)
+    n_chunks = 1 if layout is None else layout[1]
     eta1, eta2 = config.params.require_symmetric()
     step = 8 * segments_per_block(config)
     # payload bytes per message = eta1*eta2*bits/step; make it a multiple
@@ -221,11 +210,12 @@ def simulation_bits(config: ShuffleConfig, requested_bits: int) -> int:
 def partition_slots(config: ShuffleConfig) -> int:
     """Channel slots one partition needs: C(K_r, g) receiver sets times
     C(K_t, t) cooperation groups, C(g-1, s-1) slots each."""
-    if config.s + config.t == config.K_r:
+    layout = delivery_layout(config.s, config.t, config.K_r)
+    if layout is None:
         raise ParameterError(
             "s + t = K_r sits in the asymptotic-alignment regime, which is not simulated"
         )
-    g, _chunks, gamma = _layout(config)
+    g, _chunks, gamma = layout
     return math.comb(config.K_r, g) * math.comb(config.K_t, config.t) * gamma
 
 
@@ -237,7 +227,7 @@ def _schedule(config: ShuffleConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray
     from it: nulled[u], the g-s positions unknown u is nulled at, and
     wanted[k], the C(g-1, s-1) unknowns position k solves for.
     """
-    g, _chunks, gamma = _layout(config)
+    g, _chunks, gamma = delivery_layout(config.s, config.t, config.K_r)
     groups = list(combinations(range(g), config.s))
     wants = np.array([[k in group for group in groups] for k in range(g)])
     nulled = np.nonzero(~wants.T)[1].reshape(len(groups), g - config.s)
@@ -299,7 +289,7 @@ def _deliver(
     squared symbol errors instead.
     """
     s = config.s
-    g, n_chunks, gamma = _layout(config)
+    g, n_chunks, gamma = delivery_layout(s, config.t, config.K_r)
     wants, nulled, wanted = _schedule(config)
     rx_sets = enum_subsets(partition.rx, g)
     coop_groups = enum_subsets(partition.tx, config.t)

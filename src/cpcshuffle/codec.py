@@ -39,8 +39,10 @@ from .model import (
     InfeasibleInstance,
     InternalInvariantError,
     NodeSet,
+    ParameterError,
     Partition,
     ShuffleConfig,
+    delivery_layout,
     enum_partitions,
     enum_subsets,
 )
@@ -377,9 +379,10 @@ def straggler_replan(
 ) -> StragglerPlan:
     """Split a partition's messages into rounds by straggler overlap.
 
-    Requires |S| <= t-1 and S inside the transmitter group; round i holds
-    the messages whose coop group contains exactly i stragglers, to be
-    sent by the surviving transmitters B minus S.
+    Requires |S| <= t-1, S inside the transmitter group and every message
+    from this partition; round i holds the messages whose coop group
+    contains exactly i stragglers, to be sent by the surviving
+    transmitters B minus S.
     """
     if not stragglers.issubset(partition.tx):
         raise ConstraintViolation(
@@ -396,6 +399,12 @@ def straggler_replan(
             for b in enum_subsets(partition.tx, config.t)
             for d in enum_subsets(partition.rx, config.s)
         ]
+    for msg in messages:
+        if msg.partition != partition.index:
+            raise ConstraintViolation(
+                "messages of partition p",
+                f"message {msg.key} belongs to partition {msg.partition}, not {partition.index}",
+            )
     rounds: list[list[tuple[CodedMessage, NodeSet]]] = [
         [] for _ in range(len(stragglers) + 1)
     ]
@@ -414,27 +423,40 @@ def straggler_schedule(
 ) -> list[dict]:
     """Per-round latency accounting for a straggler plan, slot counts only.
 
-    Each surviving group sends one original group's messages per
-    symbol-extension batch.  Slots per batch are C(K_r-1, s-1) when the
-    effective channel still supports single-shot neutralization
-    (s + t_eff >= K_r + 1); otherwise the round's slot count is None --
-    the shrunken channel needs asymptotic alignment and no delivery-time
-    figure is claimed for it.
+    Round i runs on the engine's layout `delivery_layout(s, t - i, K_r)`:
+    each original group's messages take one batch of C(K_r, g) receiver
+    sets times the layout's slots per block, scaled by chunks(t) /
+    chunks(t - i) to the intact layout's symbol size (one chunk where
+    that layout is None, as in `channel.simulation_bits`).  The intact
+    plan then costs exactly `channel.partition_slots`, and rounds add up.
+    A round's count is None where its layout is; counts are exact, an int
+    or a Fraction.
     """
     s, t, K_r = config.s, config.t, config.K_r
-    gamma = math.comb(K_r - 1, s - 1)
+    if len(plan.rounds) > t:
+        raise ParameterError(
+            f"plan has {len(plan.rounds)} rounds; a config with t={t} allows at most {t}"
+        )
+    intact = delivery_layout(s, t, K_r)
+    intact_chunks = 1 if intact is None else intact[1]
     schedule = []
     for i, rnd in enumerate(plan.rounds):
         batches = len({entry[0].coop for entry in rnd})
         t_eff = t - i
-        single_shot = s + t_eff >= K_r + 1
+        layout = delivery_layout(s, t_eff, K_r)
+        slots = None
+        if layout is not None:
+            g, chunks, per_block = layout
+            slots = Fraction(batches * math.comb(K_r, g) * per_block * intact_chunks, chunks)
+            if slots.denominator == 1:
+                slots = int(slots)
         schedule.append(
             {
                 "round": i,
                 "messages": len(rnd),
                 "batches": batches,
                 "effective_coop_size": t_eff,
-                "slots": batches * gamma if single_shot else None,
+                "slots": slots,
             }
         )
     return schedule

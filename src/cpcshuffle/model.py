@@ -197,6 +197,20 @@ class ShuffleConfig:
         return self.params.K - self.K_r
 
 
+def delivery_layout(s: int, t: int, K_r: int) -> tuple[int, int, int] | None:
+    """(g, chunks per message, slots per block) of the delivery scheme, or
+    None at s + t = K_r, the asymptotic-alignment case it does not build.
+
+    Receiver sets have size g = min(K_r, s+t-1); a message is cut into
+    one chunk per receiver set containing its dest group, C(K_r-s, g-s);
+    a block serves C(g-1, s-1) symbols to each receiver of its set.
+    """
+    if s + t == K_r:
+        return None
+    g = min(K_r, s + t - 1)
+    return g, math.comb(K_r - s, g - s), math.comb(g - 1, s - 1)
+
+
 def enum_subsets(ground: NodeSet, k: int) -> list[NodeSet]:
     """All size-k subsets of `ground` in lexicographic order."""
     if not 0 <= k <= len(ground):

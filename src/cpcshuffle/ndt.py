@@ -147,9 +147,9 @@ def delivery_dof(s: int, t: int, K_t: int, K_r: int) -> Fraction:
     fraction a/(a+1) at s+t = K_r, and max(d', (s+t-1)/K_r) below that.
 
     `verify` reports it as `claimed_dof`, and the scheme NDT is built on
-    it.  It is not what the channel engine realizes: that is
-    min(K_r, s+t-1)/K_r, so the two differ wherever d' wins and at
-    s+t = K_r.
+    it.  It is not what the channel engine realizes: that is g/K_r, with
+    g = min(K_r, s+t-1) read from `model.delivery_layout`, so the two
+    differ wherever d' wins and at s+t = K_r.
     """
     check_config(K_t + K_r, s + t - 1, K_r, t)  # K = K_t + K_r, r = s + t - 1
     return Fraction(*_dof_pair(s, t, K_t, K_r))

@@ -8,6 +8,7 @@ from cpcshuffle.model import (
     ConstraintViolation,
     InfeasibleInstance,
     NodeSet,
+    ParameterError,
     SystemParams,
     config_violation,
     enum_partitions,
@@ -15,6 +16,7 @@ from cpcshuffle.model import (
     validate_config,
 )
 from cpcshuffle.placement import build_placement, map_phase
+from cpcshuffle.channel import partition_slots
 from cpcshuffle.codec import (
     SegmentId,
     admissible_pairs,
@@ -392,6 +394,63 @@ class TestStragglers:
         schedule = straggler_schedule(plan, cfg)
         assert [rnd["slots"] for rnd in schedule] == [3, 3]
         assert sum(rnd["slots"] for rnd in schedule) == math.comb(4, 2)
+
+    def test_foreign_messages_rejected(self, worked):
+        cfg, pl, store, segs, parts = worked
+        msgs = encode_partition(segs, parts[0], cfg)
+        with pytest.raises(ConstraintViolation, match="messages of partition p"):
+            straggler_replan(parts[5], cfg, NodeSet(()), msgs)
+
+    def test_plan_with_more_rounds_than_t_rejected(self, worked):
+        cfg, pl, store, segs, parts = worked
+        plan = straggler_replan(parts[0], cfg, NodeSet.of(1))
+        with pytest.raises(ParameterError, match="2 rounds"):
+            straggler_schedule(plan, validate_config(WORKED, K_r=3, t=1))
+
+    def test_schedule_counts_slots_on_the_engine_layout(self):
+        # every valid configuration with K <= 8: the intact plan costs the
+        # engine's partition budget, is None exactly where the engine
+        # refuses, and losing one transmitter never makes a fully counted
+        # plan cheaper than the intact one
+        configs = refused = 0
+        for K in range(2, 9):
+            for r in range(1, K):
+                for K_r in range(1, K):
+                    for t in range(1, r + 1):
+                        if config_violation(K, r, K_r, t) is not None:
+                            continue
+                        configs += 1
+                        params = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8)
+                        cfg = validate_config(params, K_r, t)
+                        part = enum_partitions(K, cfg.K_t)[0]
+                        intact = straggler_schedule(
+                            straggler_replan(part, cfg, NodeSet(())), cfg
+                        )
+                        try:
+                            budget = partition_slots(cfg)
+                        except ParameterError:
+                            refused += 1
+                            assert intact[0]["slots"] is None, (K, r, K_r, t)
+                            continue
+                        assert [rnd["slots"] for rnd in intact] == [budget], (K, r, K_r, t)
+                        for late in part.tx.members if t > 1 else ():
+                            plan = straggler_replan(part, cfg, NodeSet.of(late))
+                            slots = [rnd["slots"] for rnd in straggler_schedule(plan, cfg)]
+                            if None not in slots:
+                                assert sum(slots) >= budget, (K, r, K_r, t, late)
+        assert (configs, refused) == (210, 34)
+
+    def test_time_division_rounds_pinned(self):
+        # (9,3,6,2): the intact plan is the engine's 120 slots; a lone
+        # transmitter runs at g = 2 with one chunk per message, four times
+        # the intact symbol size, so its 30 slots count as 120
+        params = SystemParams(K=9, N=math.comb(9, 3), Q=9, r=3, B=8)
+        cfg = validate_config(params, K_r=6, t=2)
+        part = enum_partitions(9, cfg.K_t)[0]
+        intact = straggler_schedule(straggler_replan(part, cfg, NodeSet(())), cfg)
+        assert [rnd["slots"] for rnd in intact] == [120] == [partition_slots(cfg)]
+        plan = straggler_replan(part, cfg, NodeSet.of(part.tx.members[0]))
+        assert [rnd["slots"] for rnd in straggler_schedule(plan, cfg)] == [40, 120]
 
 
 class TestCodingComplexity:
