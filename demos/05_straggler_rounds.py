@@ -34,7 +34,7 @@ print("=" * 72)
 print("BASELINE: PARTITION 1 WITH ALL TRANSMITTERS ON TIME")
 print("=" * 72)
 plan = straggler_replan(part, cfg, NodeSet(()), messages)
-for row in straggler_schedule(plan, cfg):
+for row in straggler_schedule(plan):
     print(f"  round {row['round']}: {row['messages']} messages,"
           f" {row['batches']} group batches, {row['slots']} slots")
 
@@ -52,7 +52,7 @@ for i, rnd in enumerate(plan.rounds):
 print()
 print("slot accounting (None = s + t_eff = K_r, the asymptotic-alignment")
 print("case the delivery engine does not build):")
-for row in straggler_schedule(plan, cfg):
+for row in straggler_schedule(plan):
     print(f"  round {row['round']}: batches={row['batches']},"
           f" effective group size {row['effective_coop_size']},"
           f" slots={row['slots']}")
@@ -66,8 +66,8 @@ cfg8 = validate_config(params8, K_r=4, t=2)
 part8 = enum_partitions(8, 4)[0]
 plan8 = straggler_replan(part8, cfg8, NodeSet.of(part8.tx.members[0]))
 print(f"  transmitters {part8.tx.members}, straggler {part8.tx.members[0]}")
-for row in straggler_schedule(plan8, cfg8):
+for row in straggler_schedule(plan8):
     print(f"  round {row['round']}: {row['messages']} messages,"
           f" {row['batches']} batches, {row['slots']} slots")
-total = sum(r["slots"] for r in straggler_schedule(plan8, cfg8))
+total = sum(r["slots"] for r in straggler_schedule(plan8))
 print(f"  total {total} slots -- the same budget as the intact partition")

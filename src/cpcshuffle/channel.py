@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations
 
@@ -102,8 +102,15 @@ class ChannelRealization:
         return window.take([j - 1 for j in rx], axis=1).take([m - 1 for m in tx], axis=2)
 
 
+class _Report:
+    def summary(self) -> dict:
+        """The JSON form: every field but `delivered`, Fractions as strings."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "delivered"}
+        return {k: str(v) if isinstance(v, Fraction) else v for k, v in out.items()}
+
+
 @dataclass
-class DeliveryReport:
+class DeliveryReport(_Report):
     """What a simulated delivery achieved, with its numerical health: the
     worst values over every block of the partition."""
 
@@ -117,19 +124,6 @@ class DeliveryReport:
     max_symbol_error: float = 0.0
     delivered: dict[int, dict[tuple, bytes]] = field(repr=False, default_factory=dict)
     noise_mse: float | None = None
-
-    def summary(self) -> dict:
-        return {
-            "partition": self.partition,
-            "regime": self.regime,
-            "slots_used": self.slots_used,
-            "symbols_per_receiver": self.symbols_per_receiver,
-            "measured_dof": str(self.measured_dof),
-            "max_condition": self.max_condition,
-            "max_residual": self.max_residual,
-            "max_symbol_error": self.max_symbol_error,
-            "noise_mse": self.noise_mse,
-        }
 
 
 def draw_channel(K: int, slots: int, seed: int) -> ChannelRealization:
@@ -242,13 +236,17 @@ def simulate_partition(
     tol: float = DEFAULT_TOLERANCE,
     snr_db: float | None = None,
 ) -> DeliveryReport:
-    """Neutralized delivery of one partition's messages.
+    """Neutralized delivery of one partition's messages, as one array pass.
 
     Receiver sets of size g are served in lex order, and within each set
     the cooperation groups in lex order, one block apiece.  A block
     carries, for every dest group inside the set, that message's chunk
-    for the set; the coop group's first g-s+1 members transmit it.  A
-    receiver holds a message once it has all of its chunks.
+    for the set; the coop group's first g-s+1 members transmit it.  The
+    block loop only gathers each block's gains, builds its precoders and
+    picks its payload symbols; the rest runs over the stacked blocks.  A
+    receiver solves a symbol when its relative error is below `tol`, or
+    always under `snr_db`, where `noise_mse` averages the squared symbol
+    errors instead.  It holds a message once it has all of its chunks.
     """
     sigma = None
     if snr_db is not None:
@@ -260,34 +258,9 @@ def simulate_partition(
             raise ParameterError(f"snr_db {snr_db} makes the noise amplitude overflow") from None
     if not (math.isfinite(tol) and tol >= 0):
         raise ParameterError(f"tolerance must be finite and >= 0, got {tol}")
-    needed = partition_slots(config)
-    if channel.slots < needed:
-        raise ParameterError(f"channel has {channel.slots} slots, need {needed}")
-    noise = None if sigma is None else (np.random.default_rng(channel.seed ^ 0xA5A5), sigma)
-    report = _deliver(partition, config, channel, messages, tol, noise)
-    if noise is not None and not math.isfinite(report.noise_mse):
-        raise ParameterError(
-            f"snr_db {snr_db} drives the noise mean squared error past the largest float"
-        )
-    return report
-
-
-def _deliver(
-    partition: Partition,
-    config: ShuffleConfig,
-    channel: ChannelRealization,
-    messages: list[CodedMessage],
-    tol: float | np.ndarray,
-    noise: tuple[np.random.Generator, float] | None,
-) -> DeliveryReport:
-    """Every block of `simulate_partition`, stacked into one array pass.
-
-    The block loop only gathers each block's gains, builds its precoders
-    and picks its payload symbols.  A receiver solves a symbol when its
-    relative error is below `tol`, a scalar or one value per block, or
-    always under `noise=(rng, sigma)`, where `noise_mse` averages the
-    squared symbol errors instead.
-    """
+    slots = partition_slots(config)
+    if channel.slots < slots:
+        raise ParameterError(f"channel has {channel.slots} slots, need {slots}")
     s = config.s
     g, n_chunks, gamma = delivery_layout(s, config.t, config.K_r)
     wants, nulled, wanted = _schedule(config)
@@ -327,15 +300,15 @@ def _deliver(
     G = np.einsum("bikl,buil->biku", H, W)
     residual = np.abs(G) / np.linalg.norm(H, axis=-1)[..., None]
     y = np.einsum("biku,bu->bik", G, x)
-    if noise is not None:
-        rng, sigma = noise
+    if sigma is not None:
+        rng = np.random.default_rng(channel.seed ^ 0xA5A5)
         y += sigma * rng.standard_normal((*y.shape, 2)).view(complex)[..., 0] / np.sqrt(2.0)
     # A[b, k]: receiver k's square system, slots by the unknowns it wants
     A = G[:, :, np.arange(g)[:, None], wanted].transpose(0, 2, 1, 3)
     report = DeliveryReport(
         partition=partition.index,
         regime="single_shot" if g == config.K_r else "time_division",
-        slots_used=partition_slots(config),
+        slots_used=slots,
         max_condition=float(np.linalg.cond(A).max()),
         max_residual=float(residual.max(where=~wants, initial=0.0)),
     )
@@ -347,20 +320,23 @@ def _deliver(
     sent = x[:, wanted]
     err = np.abs(x_hat - sent) / np.abs(sent)
     report.max_symbol_error = float(err.max())
-    if noise is None:
-        solved = err < np.asarray(tol)[..., None, None]
+    if sigma is None:
+        solved = err < tol
     else:
         solved = np.ones(err.shape, dtype=bool)
         with np.errstate(over="ignore"):
             report.noise_mse = float((err * err).sum()) / err.size
+        if not math.isfinite(report.noise_mse):
+            raise ParameterError(
+                f"snr_db {snr_db} drives the noise mean squared error past the largest float"
+            )
 
     # held[j, m]: chunks of message m that receiver j solved
     rx = np.repeat([group.members for group in rx_sets], len(coop_groups), axis=0)
-    cells = (rx[:, :, None] * len(messages) + ids[:, wanted])[solved]
-    held = np.bincount(cells, minlength=(config.params.K + 1) * len(messages))
-    held = held.reshape(-1, len(messages))
+    held = np.zeros((config.params.K + 1, len(messages)), dtype=int)
+    np.add.at(held, (rx[:, :, None], ids[:, wanted]), solved)
     report.symbols_per_receiver = int(held[list(partition.rx)].sum(axis=1).min())
-    report.measured_dof = Fraction(report.symbols_per_receiver, report.slots_used)
+    report.measured_dof = Fraction(report.symbols_per_receiver, slots)
     report.delivered = {
         j: {msg.key: msg.payload for msg, n in zip(messages, held[j]) if n == n_chunks}
         for j in partition.rx
@@ -382,20 +358,21 @@ def simulate_with_resample(
 ) -> DeliveryReport:
     """Run a partition; on a condition-guard trip, resample the channel once."""
     slots = partition_slots(config)
-    for attempt in (0, 1):
+
+    def attempt(n: int) -> DeliveryReport:
         channel = draw_channel(
-            config.params.K, slots, _channel_seed(seed, partition.index, attempt)
+            config.params.K, slots, _channel_seed(seed, partition.index, n)
         )
-        try:
-            return simulate_partition(partition, config, channel, messages, **kwargs)
-        except ChannelConditionError:
-            if attempt == 1:
-                raise
-    raise AssertionError("unreachable")
+        return simulate_partition(partition, config, channel, messages, **kwargs)
+
+    try:
+        return attempt(0)
+    except ChannelConditionError:
+        return attempt(1)
 
 
 @dataclass
-class VerificationReport:
+class VerificationReport(_Report):
     ok: bool
     failures: list[tuple[int, int, int]]
     partitions: int
@@ -405,19 +382,6 @@ class VerificationReport:
     max_symbol_error: float = 0.0
     measured_dof: Fraction | None = None
     claimed_dof: Fraction | None = None  # what the analytics promise
-
-    def summary(self) -> dict:
-        return {
-            "ok": self.ok,
-            "failures": self.failures,
-            "partitions": self.partitions,
-            "slots_total": self.slots_total,
-            "max_condition": self.max_condition,
-            "max_residual": self.max_residual,
-            "max_symbol_error": self.max_symbol_error,
-            "measured_dof": None if self.measured_dof is None else str(self.measured_dof),
-            "claimed_dof": None if self.claimed_dof is None else str(self.claimed_dof),
-        }
 
 
 def _verify_reassembly(

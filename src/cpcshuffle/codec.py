@@ -39,7 +39,6 @@ from .model import (
     InfeasibleInstance,
     InternalInvariantError,
     NodeSet,
-    ParameterError,
     Partition,
     ShuffleConfig,
     delivery_layout,
@@ -104,10 +103,12 @@ class StragglerPlan:
 
     Round i carries the messages whose coop group intersects the straggler
     set in exactly i nodes; their effective transmitters are B minus the
-    stragglers, never empty while |S| <= t-1.
+    stragglers, never empty while |S| <= t-1.  `config` is the config the
+    plan was made under, which its schedule is counted on.
     """
 
     partition: int
+    config: ShuffleConfig
     stragglers: NodeSet
     rounds: tuple[tuple[tuple[CodedMessage, NodeSet], ...], ...]
 
@@ -413,14 +414,13 @@ def straggler_replan(
         rounds[overlap].append((msg, msg.coop - stragglers))
     return StragglerPlan(
         partition=partition.index,
+        config=config,
         stragglers=stragglers,
         rounds=tuple(tuple(rnd) for rnd in rounds),
     )
 
 
-def straggler_schedule(
-    plan: StragglerPlan, config: ShuffleConfig
-) -> list[dict]:
+def straggler_schedule(plan: StragglerPlan) -> list[dict]:
     """Per-round latency accounting for a straggler plan, slot counts only.
 
     Round i runs on the engine's layout `delivery_layout(s, t - i, K_r)`:
@@ -432,11 +432,7 @@ def straggler_schedule(
     A round's count is None where its layout is; counts are exact, an int
     or a Fraction.
     """
-    s, t, K_r = config.s, config.t, config.K_r
-    if len(plan.rounds) > t:
-        raise ParameterError(
-            f"plan has {len(plan.rounds)} rounds; a config with t={t} allows at most {t}"
-        )
+    s, t, K_r = plan.config.s, plan.config.t, plan.config.K_r
     intact = delivery_layout(s, t, K_r)
     intact_chunks = 1 if intact is None else intact[1]
     schedule = []

@@ -9,6 +9,8 @@ from cpcshuffle.model import (
     NodeSet,
     ParameterError,
     SystemParams,
+    config_violation,
+    delivery_layout,
     enum_partitions,
     validate_config,
 )
@@ -397,8 +399,8 @@ class TestTimeDivisionDelivery:
                 assert rep.delivered[j][key] == m.payload
 
     def test_one_dropped_chunk_withholds_only_its_message(self, monkeypatch):
-        # the first block runs at tol = 0, where no symbol can match, so
-        # each of its messages loses exactly one of its four chunks
+        # the first block carries NaN symbols, which no receiver can solve,
+        # so each of its messages loses exactly one of its four chunks
         params = SystemParams(K=9, N=84, Q=9, r=3, B=480)
         cfg, segs, parts = _prepared(params, K_r=6, t=2)
         part = parts[0]
@@ -410,11 +412,15 @@ class TestTimeDivisionDelivery:
             blocks.append(rx)
             return real(self, rx, tx, slots)
 
+        real_symbol = channel.payload_symbol
+
+        def first_block_lost(*args):
+            return complex("nan") if len(blocks) == 1 else real_symbol(*args)
+
         monkeypatch.setattr(channel.ChannelRealization, "block", record)
+        monkeypatch.setattr(channel, "payload_symbol", first_block_lost)
         ch = draw_channel(9, partition_slots(cfg), seed=2)
-        tol = np.full(partition_slots(cfg) // 2, channel.DEFAULT_TOLERANCE)
-        tol[0] = 0.0
-        rep = channel._deliver(part, cfg, ch, msgs, tol, None)
+        rep = simulate_partition(part, cfg, ch, msgs)
 
         g = cfg.s + cfg.t - 1
         first_rx = enum_subsets(part.rx, g)[0]
@@ -480,6 +486,24 @@ class TestEndToEnd:
         assert ok and rep.failures == []
         assert rep.partitions == 20
         assert rep.measured_dof == 1
+
+    def test_summaries_list_nine_fields_and_never_delivered(self):
+        cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
+        msgs = encode_partition(segs, parts[0], cfg)
+        sim = simulate_with_resample(parts[0], cfg, msgs, seed=0).summary()
+        assert set(sim) == {
+            "partition", "regime", "slots_used", "symbols_per_receiver", "measured_dof",
+            "max_condition", "max_residual", "max_symbol_error", "noise_mse",
+        }
+        _ok, rep = end_to_end_verify(WORKED, cfg, seed=0)
+        summary = rep.summary()
+        assert set(summary) == {
+            "ok", "failures", "partitions", "slots_total", "max_condition",
+            "max_residual", "max_symbol_error", "measured_dof", "claimed_dof",
+        }
+        assert (sim["measured_dof"], summary["measured_dof"], summary["claimed_dof"]) == (
+            "1", "1", "1"
+        )
 
     def test_two_node_exchange(self):
         params = SystemParams(K=2, N=2, Q=2, r=1, B=8)
@@ -619,10 +643,11 @@ def _simulatable_configs(max_k):
         for r in range(1, K):
             for K_r in range(1, K):
                 for t in range(1, r + 1):
-                    s = r + 1 - t
-                    if s > K_r or t > K - K_r or s + t == K_r:
-                        continue
-                    yield K, r, K_r, t
+                    if (
+                        config_violation(K, r, K_r, t) is None
+                        and delivery_layout(r + 1 - t, t, K_r) is not None
+                    ):
+                        yield K, r, K_r, t
 
 
 class TestRandomizedEndToEnd:
@@ -633,17 +658,7 @@ class TestRandomizedEndToEnd:
         pool = list(_simulatable_configs(7))
         for K, r, K_r, t in rng.sample(pool, 8):
             probe = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8)
-            cfg0 = validate_config(probe, K_r, t)
-            from cpcshuffle.codec import round_up_bits, segments_per_block
-
-            s = r + 1 - t
-            n_chunks = math.comb(K_r - s, t - 1) if s + t <= K_r - 1 else 1
-            bits = round_up_bits(cfg0, 8)
-            # payloads must also split into time-division chunks
-            seg_bits = bits // segments_per_block(cfg0)
-            while seg_bits % (8 * n_chunks) != 0:
-                bits += 8 * segments_per_block(cfg0)
-                seg_bits = bits // segments_per_block(cfg0)
+            bits = simulation_bits(validate_config(probe, K_r, t), 8)
             params = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=bits)
             cfg = validate_config(params, K_r, t)
             ok, rep = end_to_end_verify(params, cfg, seed=rng.randrange(1000))
