@@ -93,7 +93,6 @@ from .ndt import (
     scheme_point,
 )
 from .optimize import (
-    CrossValidationError,
     OptimumParams,
     brute_force_min,
     closed_form_min,

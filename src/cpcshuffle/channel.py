@@ -42,6 +42,8 @@ from itertools import combinations
 import numpy as np
 
 from .model import (
+    MAX_NODES,
+    ConstraintViolation,
     NodeSet,
     ParameterError,
     Partition,
@@ -53,10 +55,11 @@ from .model import (
 )
 from .codec import (
     CodedMessage,
+    _message_pairs,
     block_ivs,
     decode_blocks,
     encode_partition,
-    round_up_bits,
+    message_key,
     segment_ivs,
     segments_per_block,
 )
@@ -128,6 +131,8 @@ class DeliveryReport(_Report):
 
 def draw_channel(K: int, slots: int, seed: int) -> ChannelRealization:
     """Unit-variance circularly symmetric complex Gaussian gains."""
+    if not 1 <= K <= MAX_NODES:
+        raise ParameterError(f"K={K} out of range [1, {MAX_NODES}]")
     if slots < 1:
         raise ParameterError(f"slots must be >= 1, got {slots}")
     rng = np.random.default_rng(seed)
@@ -183,22 +188,20 @@ def build_precoders(H: np.ndarray, nulled: np.ndarray) -> np.ndarray:
 
 
 def simulation_bits(config: ShuffleConfig, requested_bits: int) -> int:
-    """Least B >= requested that the codec AND the simulator can split evenly.
+    """Least B >= max(requested, 1) that the codec AND the simulator can
+    split evenly, found by one rounding.
 
-    On top of the codec's segment rule (B a multiple of 8 * segments per
-    block), every payload is cut into C(K_r-s, g-s) chunks, so the
-    segment byte length must divide by that too.  s + t = K_r has no
-    layout (it is not simulated), so there the codec's rule alone applies.
+    The codec's step (`round_up_bits`) is 8 * segments per block, which
+    makes a payload eta1*eta2*B / step bytes; cutting that into
+    C(K_r-s, g-s) chunks scales the step by chunks / gcd(eta1*eta2,
+    chunks).  s + t = K_r has no layout (it is not simulated), so there
+    the codec's step alone applies.
     """
     layout = delivery_layout(config.s, config.t, config.K_r)
     n_chunks = 1 if layout is None else layout[1]
     eta1, eta2 = config.params.require_symmetric()
-    step = 8 * segments_per_block(config)
-    # payload bytes per message = eta1*eta2*bits/step; make it a multiple
-    # of n_chunks
-    k = round_up_bits(config, requested_bits) // step
-    need = n_chunks // math.gcd(eta1 * eta2, n_chunks)
-    return -(-k // need) * need * step
+    step = 8 * segments_per_block(config) * (n_chunks // math.gcd(eta1 * eta2, n_chunks))
+    return max(1, -(-requested_bits // step)) * step
 
 
 def partition_slots(config: ShuffleConfig) -> int:
@@ -247,6 +250,8 @@ def simulate_partition(
     receiver solves a symbol when its relative error is below `tol`, or
     always under `snr_db`, where `noise_mse` averages the squared symbol
     errors instead.  It holds a message once it has all of its chunks.
+    `messages` must be exactly the partition's, in any order: a missing or
+    foreign one raises ConstraintViolation.
     """
     sigma = None
     if snr_db is not None:
@@ -267,13 +272,19 @@ def simulate_partition(
     rx_sets = enum_subsets(partition.rx, g)
     coop_groups = enum_subsets(partition.tx, config.t)
     active = [NodeSet(coop.members[: g - s + 1]) for coop in coop_groups]
-    index: dict[tuple[NodeSet, NodeSet], int] = {}
-    for m, msg in enumerate(messages):
+    p = partition.index
+    index = {msg.key: m for m, msg in enumerate(messages)}
+    expected = [message_key(p, dg, coop) for coop, dg in _message_pairs(partition, config)]
+    foreign = index.keys() - expected
+    missing = [key for key in expected if key not in index]
+    if foreign or missing:
+        which = f"{min(foreign)} is foreign to" if foreign else f"{missing[0]} is missing from"
+        raise ConstraintViolation("messages of partition p", f"message {which} partition {p}")
+    for msg in messages:
         if len(msg.payload) % n_chunks != 0:
             raise ParameterError(
                 f"payload of {len(msg.payload)} bytes does not split into {n_chunks} chunks"
             )
-        index[(msg.dest_group, msg.coop)] = m
 
     # per block b: gains H[b, i, k, l], precoders W[b, u, i, l], and the
     # message index ids[b, u] and transmitted symbol x[b, u] of unknown u;
@@ -287,7 +298,7 @@ def simulate_partition(
             h = channel.block(group, tx, range(slot0, slot0 + gamma))
             H.append(h)
             W.append(build_precoders(h, nulled))
-            ids.append([index[(dg, coop)] for dg in dest_groups])
+            ids.append([index[message_key(p, dg, coop)] for dg in dest_groups])
             x.append([
                 payload_symbol(messages[m], next_chunk[dg], n_chunks)
                 for m, dg in zip(ids[-1], dest_groups)

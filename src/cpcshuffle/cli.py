@@ -20,8 +20,6 @@ from fractions import Fraction
 
 from .model import (
     MAX_NODES,
-    ConstraintViolation,
-    InfeasibleInstance,
     InternalInvariantError,
     ParameterError,
     ShuffleConfig,
@@ -93,12 +91,16 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _csv(rows: list[list]) -> str:
+def _emit_rows(args, rows: list[list]) -> None:
+    """Write `rows` under CSV_HEADER as CSV, or as JSON objects keyed by it."""
+    if args.format == "json":
+        _emit(args, _json([dict(zip(CSV_HEADER, row)) for row in rows]))
+        return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     writer.writerows(rows)
-    return buf.getvalue()
+    _emit(args, buf.getvalue())
 
 
 def _full_load(args) -> bool:
@@ -198,20 +200,11 @@ def _parse_r(text: str) -> Fraction:
 
 
 def _point_rows(r, K: int) -> list[list]:
-    rows = []
-    for scheme in ndt.SCHEMES:
-        point = ndt.scheme_point(scheme, r, K)
-        rows.append(point.csv_row())
-    return rows
+    return [ndt.scheme_point(scheme, r, K).csv_row() for scheme in ndt.SCHEMES]
 
 
 def cmd_ndt(args) -> int:
-    r = _parse_r(args.r)
-    rows = _point_rows(r, args.K)
-    if args.format == "csv":
-        _emit(args, _csv(rows))
-    else:
-        _emit(args, _json([dict(zip(CSV_HEADER, row)) for row in rows]))
+    _emit_rows(args, _point_rows(_parse_r(args.r), args.K))
     return EXIT_OK
 
 
@@ -270,11 +263,7 @@ def _sweep_cell(cell) -> list[list]:
 
 
 def cmd_sweep(args) -> int:
-    rows = [row for cell in _sweep_grid(args) for row in _sweep_cell(cell)]
-    if args.format == "json":
-        _emit(args, _json([dict(zip(CSV_HEADER, row)) for row in rows]))
-    else:
-        _emit(args, _csv(rows))
+    _emit_rows(args, [row for cell in _sweep_grid(args) for row in _sweep_cell(cell)])
     return EXIT_OK
 
 
@@ -298,11 +287,8 @@ def cmd_optimize(args) -> int:
         "agree": brute.best_value == closed.best_value,
         "t1_regime": t1_optimal_regime(args.r, args.K),
     }
-    if not out["agree"]:
-        _emit(args, _json(out))
-        return EXIT_INTERNAL
     _emit(args, _json(out))
-    return EXIT_OK
+    return EXIT_OK if out["agree"] else EXIT_INTERNAL
 
 
 def cmd_bounds(args) -> int:
@@ -407,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConstraintViolation, InfeasibleInstance, ParameterError, ValueError) as e:
+    except ValueError as e:  # ParameterError, ConstraintViolation, InfeasibleInstance
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
     except (InternalInvariantError, AssertionError) as e:

@@ -39,6 +39,7 @@ from .model import (
     InfeasibleInstance,
     InternalInvariantError,
     NodeSet,
+    ParameterError,
     Partition,
     ShuffleConfig,
     delivery_layout,
@@ -270,16 +271,22 @@ def segment_ivs(
     return SegmentTable(data, ranks, n_seg, per_node, peers, message_keys)
 
 
-def encode_partition(
-    segments: SegmentTable, partition: Partition, config: ShuffleConfig
-) -> list[CodedMessage]:
-    """All C(K_t, t) * C(K_r, s) coded messages of one partition, (B lex, D lex)."""
-    p = partition.index
-    pairs = [
+def _message_pairs(partition: Partition, config: ShuffleConfig) -> list[tuple[NodeSet, NodeSet]]:
+    """The (coop group B, dest group D) of each of a partition's
+    C(K_t, t) * C(K_r, s) messages, in (B lex, D lex) order."""
+    return [
         (coop, dest_group)
         for coop in enum_subsets(partition.tx, config.t)
         for dest_group in enum_subsets(partition.rx, config.s)
     ]
+
+
+def encode_partition(
+    segments: SegmentTable, partition: Partition, config: ShuffleConfig
+) -> list[CodedMessage]:
+    """All coded messages of one partition, in `_message_pairs` order."""
+    p = partition.index
+    pairs = _message_pairs(partition, config)
     rows = [_message_rows(segments.ranks, p, dest_group, coop) for coop, dest_group in pairs]
     payloads = np.bitwise_xor.reduce(segments.data[np.array(rows, dtype=np.intp)], axis=1)
     return [
@@ -326,6 +333,9 @@ def decode_blocks(
     one gather-reduce.  A block with any payload missing maps to None.
     """
     per_node, per_block = segments.per_node, segments.per_block
+    K = len(segments.ranks) // per_node
+    if not 1 <= dest <= K:
+        raise ParameterError(f"node {dest} out of range [1, {K}]")
     seg_len = segments.data.shape[1]
     start, stop = (dest - 1) * per_node, dest * per_node
     payloads = [delivered.get(key) for key in segments.message_keys[start:stop]]
@@ -361,14 +371,8 @@ def per_partition_load(config: ShuffleConfig) -> tuple[Fraction, Fraction]:
         * (1 - Fraction(p.r, p.K))
         / math.comb(p.K, config.K_r)
     )
-    desired_bits = (
-        p.eta1
-        * p.eta2
-        * p.B
-        * math.comb(config.K_r - 1, config.s - 1)
-        * math.comb(config.K_t, config.t)
-        / (math.comb(p.r, config.t) * math.comb(p.K - p.r - 1, config.K_r - config.s))
-    )
+    wanted = math.comb(config.K_r - 1, config.s - 1) * math.comb(config.K_t, config.t)
+    desired_bits = p.eta1 * p.eta2 * p.B * wanted / segments_per_block(config)
     if desired_bits != r_p * p.N * p.Q * p.B:
         raise InternalInvariantError("per-partition load identity failed")
     return r_p, desired_bits
@@ -396,9 +400,7 @@ def straggler_replan(
     if messages is None:
         # Payload-free planning: synthesize empty-payload messages.
         messages = [
-            CodedMessage(partition.index, d, b, b"")
-            for b in enum_subsets(partition.tx, config.t)
-            for d in enum_subsets(partition.rx, config.s)
+            CodedMessage(partition.index, d, b, b"") for b, d in _message_pairs(partition, config)
         ]
     for msg in messages:
         if msg.partition != partition.index:
@@ -474,7 +476,7 @@ def coding_complexity(config: ShuffleConfig) -> int:
         + math.comb(K_t, t) * math.comb(K_r - 1, s - 1)
     )
     num = messages * eta1 * eta2 * p.B
-    den = math.comb(p.r, t) * math.comb(p.K - p.r - 1, K_r - s)
+    den = segments_per_block(config)
     if num % den != 0:
         raise InfeasibleInstance(
             f"XOR count {num}/{den} is fractional; choose B via round_up_bits"

@@ -117,6 +117,14 @@ def full_set(K: int) -> NodeSet:
     return NodeSet(tuple(range(1, K + 1)))
 
 
+def check_load(r, K: int) -> Fraction:
+    """Return the computation load r as a Fraction, or raise unless 1 <= r <= K."""
+    r = Fraction(r)
+    if not 1 <= r <= K:
+        raise ParameterError(f"r must lie in [1, K={K}], got {r}")
+    return r
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """The (K, N, Q, r, B) problem instance.
@@ -138,8 +146,7 @@ class SystemParams:
             raise ParameterError(f"K must be >= 1, got {self.K}")
         if self.K > MAX_NODES:
             raise ParameterError(f"K={self.K} exceeds supported maximum {MAX_NODES}")
-        if not 1 <= self.r <= self.K:
-            raise ParameterError(f"r must lie in [1, K={self.K}], got {self.r}")
+        check_load(self.r, self.K)
         if self.N < 1 or self.Q < 1 or self.B < 1:
             raise ParameterError("N, Q and B must all be >= 1")
 
@@ -205,6 +212,8 @@ def delivery_layout(s: int, t: int, K_r: int) -> tuple[int, int, int] | None:
     one chunk per receiver set containing its dest group, C(K_r-s, g-s);
     a block serves C(g-1, s-1) symbols to each receiver of its set.
     """
+    if not 1 <= s <= K_r or t < 1:
+        raise ParameterError(f"need 1 <= s <= K_r and t >= 1, got s={s}, t={t}, K_r={K_r}")
     if s + t == K_r:
         return None
     g = min(K_r, s + t - 1)

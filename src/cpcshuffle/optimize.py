@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ParameterError
+from .model import ParameterError, check_load
 from .ndt import cpc_minimum, ndt_cpc
 
 NDT1 = "NDT1"
@@ -28,7 +28,6 @@ class OptimumParams:
     best_value: Fraction
     K_r_star: int
     t_star: int
-    s_star: int
     branch: str | None = None
 
 
@@ -94,27 +93,26 @@ def brute_force_min(r: int, K: int) -> OptimumParams:
     """Exhaustive argmin over all valid (K_r, t), exact comparisons.
 
     Ties prefer smaller K_r, then smaller t.  r = K returns the no-shuffle
-    sentinel (value 0, K_r = t = s = 0).  It names no branch (`branch` is
+    sentinel (value 0, K_r = t = 0).  It names no branch (`branch` is
     None); `closed_form_min` does.
     """
     point = cpc_minimum(r, K)
-    return OptimumParams(r, K, point.value, point.K_r, point.t, point.s)
+    return OptimumParams(r, K, point.value, point.K_r, point.t)
 
 
 def closed_form_min(r: int, K: int) -> OptimumParams:
     """min(NDT1, NDT2) with the argmin parameters; ties report `tie`."""
-    if not 1 <= r <= K:
-        raise ParameterError(f"r must lie in [1, K={K}], got {r}")
+    check_load(r, K)
     if r == K:
-        return OptimumParams(r, K, Fraction(0), 0, 0, 0, branch=None)
+        return OptimumParams(r, K, Fraction(0), 0, 0)
     n1, t_star = ndt1_value(r, K)
     n2, K_r_star = ndt2_value(r, K)
     if n1 is None or n2 < n1:
-        out = OptimumParams(r, K, n2, K_r_star, 1, r, branch=NDT2)
+        out = OptimumParams(r, K, n2, K_r_star, 1, branch=NDT2)
     elif n1 < n2:
-        out = OptimumParams(r, K, n1, r + 1, t_star, r + 1 - t_star, branch=NDT1)
+        out = OptimumParams(r, K, n1, r + 1, t_star, branch=NDT1)
     else:
-        out = OptimumParams(r, K, n1, K_r_star, 1, r, branch=TIE)
+        out = OptimumParams(r, K, n1, K_r_star, 1, branch=TIE)
     # the reported parameters must actually achieve the reported value
     achieved = ndt_cpc(r, out.t_star, K, out.K_r_star).value
     if achieved != out.best_value:
@@ -129,18 +127,13 @@ def t1_optimal_regime(r: int, K: int) -> bool:
     """True when t = 1 is provably optimal: K <= 5 or K past both exact
     thresholds r+4+4/(r-1) and (r+4+sqrt(r^2+16r))/2.  r = 1 always
     qualifies (t has no other choice)."""
-    if not 1 <= r <= K:
-        raise ParameterError(f"r must lie in [1, K={K}], got {r}")
+    check_load(r, K)
     if r == 1 or K <= 5:
         return True
     cond1 = (K - r - 4) * (r - 1) >= 4
     lhs = 2 * K - r - 4
     cond2 = lhs >= 0 and lhs * lhs >= r * r + 16 * r
     return cond1 and cond2
-
-
-class CrossValidationError(AssertionError):
-    """Closed form and brute force disagreed somewhere on the grid."""
 
 
 def cross_validate(K_max: int) -> list[dict]:
@@ -168,7 +161,7 @@ def cross_validate(K_max: int) -> list[dict]:
                 }
             )
             if not agree:
-                raise CrossValidationError(
+                raise AssertionError(
                     f"closed form {closed.best_value} != brute force "
                     f"{brute.best_value} at r={r}, K={K} "
                     f"(brute argmin K_r={brute.K_r_star}, t={brute.t_star})"

@@ -229,17 +229,17 @@ def test_criterion_8_codec_invariants():
                     assert got.data == segs[got.id].data
         assert seen == set(segs)
 
-        # bit conservation: every required IV arrives in exactly B bits
+        # bit conservation: every required IV arrives in exactly B bits;
+        # the sorted ids are grouped by (dest, storage) once per config
+        by_block: dict = {}
+        for sid in sorted(segs, key=lambda s: (s.coop, s.partition)):
+            by_block.setdefault((sid.dest, sid.storage), []).append(sid)
         nbytes = params.B // 8
         for k in range(1, K + 1):
             for (q, n) in sorted(required_ivs(pl, k)):
                 storage = pl.file_to_nodes[n]
                 block = block_bytes(pl, store, k, storage)
-                pieces = [
-                    segs[sid].data
-                    for sid in sorted(segs, key=lambda s: (s.coop, s.partition))
-                    if sid.dest == k and sid.storage == storage
-                ]
+                pieces = [segs[sid].data for sid in by_block.get((k, storage), [])]
                 assert b"".join(pieces) == block
                 outputs = sorted(pl.reduce_assignment[k])
                 files = sorted(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cpcshuffle.model import (
+    ConstraintViolation,
     NodeSet,
     ParameterError,
     SystemParams,
@@ -63,6 +64,12 @@ class TestDrawChannel:
     def test_needs_positive_slots(self):
         with pytest.raises(ParameterError):
             draw_channel(4, 0, seed=0)
+
+    def test_needs_a_node_count_in_range(self):
+        # K = -1 used to reach numpy's "negative dimensions", K = 0 an empty draw
+        for K in (-1, 0, 65):
+            with pytest.raises(ParameterError, match=f"K={K} out of range \\[1, 64\\]"):
+                draw_channel(K, 1, seed=0)
 
     def test_block_is_the_gain_gather(self):
         ch = draw_channel(6, 3, seed=7)
@@ -622,6 +629,25 @@ class TestEndToEnd:
             with pytest.raises(ParameterError, match="tolerance must be finite and >= 0"):
                 simulate_partition(parts[0], cfg, ch, msgs, tol=tol)
         assert simulate_partition(parts[0], cfg, ch, msgs, tol=0.0).symbols_per_receiver == 0
+
+    def test_wrong_message_list_names_the_message(self, monkeypatch):
+        # a missing message, or another partition's list, used to surface as
+        # a bare KeyError from the block loop
+        cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
+        msgs = encode_partition(segs, parts[0], cfg)
+        assert msgs[0].key == (1, (4, 5), (1, 2))
+        ch = draw_channel(6, partition_slots(cfg), seed=5)
+        blocks = []
+        monkeypatch.setattr(channel.ChannelRealization, "block", lambda *a: blocks.append(a))
+        with pytest.raises(ConstraintViolation) as exc:
+            simulate_partition(parts[0], cfg, ch, msgs[1:])
+        assert exc.value.constraint == "messages of partition p"
+        assert "message (1, (4, 5), (1, 2)) is missing from partition 1" in str(exc.value)
+        with pytest.raises(ConstraintViolation) as exc:
+            simulate_partition(parts[1], cfg, ch, msgs)
+        assert exc.value.constraint == "messages of partition p"
+        assert "message (1, (4, 5), (1, 2)) is foreign to partition 2" in str(exc.value)
+        assert blocks == []  # rejected before any block is gathered
 
     def test_noise_mode_reports_mse(self):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)

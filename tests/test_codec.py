@@ -296,6 +296,14 @@ class TestDecode:
         with pytest.raises(ConstraintViolation):
             decode_segment(m, segs, outsider)
 
+    def test_decode_blocks_rejects_a_node_outside_the_table(self, worked):
+        # 0 and K + 1 used to reach numpy's "cannot reshape array of size 0"
+        cfg, pl, store, segs, parts = worked
+        for dest in (0, 7):
+            with pytest.raises(ParameterError, match=f"node {dest} out of range \\[1, 6\\]"):
+                decode_blocks(segs, dest, {})
+        assert all(block is None for block in decode_blocks(segs, 6, {}).values())
+
 
 class TestLoad:
     def test_worked_example_load(self, worked):

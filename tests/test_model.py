@@ -11,6 +11,7 @@ from cpcshuffle.model import (
     SystemParams,
     check_config,
     config_violation,
+    delivery_layout,
     enum_partitions,
     enum_subsets,
     full_set,
@@ -218,3 +219,15 @@ class TestValidateConfig:
             validate_config(p, K_r=3, t=0)
         with pytest.raises(ConstraintViolation):
             validate_config(p, K_r=3, t=4)
+
+
+class TestDeliveryLayout:
+    def test_rejects_s_outside_1_to_K_r_and_t_below_1(self):
+        # (5, 1, 3) used to reach math.comb's "n must be a non-negative
+        # integer"; (0, 3, 3) passed as the s + t = K_r case
+        for s, t, K_r in [(5, 1, 3), (4, 2, 3), (0, 3, 3), (-1, 5, 3), (2, 0, 3), (1, -2, 4)]:
+            with pytest.raises(ParameterError, match=f"got s={s}, t={t}, K_r={K_r}"):
+                delivery_layout(s, t, K_r)
+        assert delivery_layout(2, 2, 3) == (3, 1, 2)  # single shot, the worked instance
+        assert delivery_layout(1, 2, 6) == (2, 5, 1)  # time division, g = s + t - 1
+        assert delivery_layout(2, 1, 3) is None  # s + t = K_r

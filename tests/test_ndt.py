@@ -345,6 +345,13 @@ class TestLowerBound:
                 for i in range(1, K - 1)
             )
 
+    def test_coefficient_rejects_t_outside_1_to_K(self):
+        # t = 5 > K = 3 used to raise a bare ZeroDivisionError, t <= 0 gave 0
+        for K, t, i in [(3, 5, 2), (3, 4, 1), (3, 0, 1), (3, -1, 2), (6, 7, 1)]:
+            with pytest.raises(ParameterError, match=f"got t={t}, i={i}"):
+                c_coefficient(K, t, i)
+        assert c_coefficient(3, 3, 2) == 0 and c_coefficient(3, 1, 1) == Fraction(2, 3)
+
     def test_envelope_equals_the_least_chord(self):
         for K in range(2, 21):
             coefficients = {
