@@ -11,13 +11,17 @@ the g-s unintended receivers, so its superposition vanishes there exactly
 wants and solves a square symbol-extension system, one symbol per slot.
 
 Which receiver positions of a block want which of its C(g, s) messages
-depends on (s, g) alone, so it is one config-level table.  Per block the
-engine gathers the (slot, receiver, transmitter) gains, builds the
-(message, slot, transmitter) precoders in one stacked determinant call
-and picks the payload symbols.  Everything else is one array pass over
-the partition's stacked blocks: the effective gains, the nulling
-residual at the unintended receivers, the received signals, and every
-receiver's square system with its condition number and solve.
+depends on (s, g) alone, so it is one config-level table.  So are the
+blocks themselves, as positions in a partition's receivers and
+transmitters, with each message's dest-group index and chunk index.  A
+partition's delivery is then one array pass: one fancy index gathers
+every block's (slot, receiver, transmitter) gains, one determinant call
+builds every (block, message, slot) cofactor precoder, and the stacked
+blocks give the effective gains, the nulling residual at the unintended
+receivers, the received signals, and every receiver's square system with
+its condition number and solve.  Per block only the unit-norm check of
+the precoders (`build_precoders`) runs, and per message chunk only its
+payload symbol.
 
 A message is cut into C(K_r-s, g-s) chunks, one per receiver set that
 contains D, so the per-receiver DoF is g / K_r.  `model.delivery_layout`
@@ -34,8 +38,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
 
@@ -51,7 +55,6 @@ from .model import (
     SystemParams,
     delivery_layout,
     enum_partitions,
-    enum_subsets,
 )
 from .codec import (
     CodedMessage,
@@ -97,12 +100,33 @@ class ChannelRealization:
         a, b = slots.start, slots.stop
         inside = slots.step == 1 and 1 <= a < b <= self.slots + 1
         if not inside or (rx.mask | tx.mask) >> (self.K + 1):
-            raise ParameterError(
-                f"block {rx.members} x {tx.members} x {slots} outside"
-                f" nodes [1, {self.K}], slots [1, {self.slots}]"
-            )
+            raise self._outside(rx.members, tx.members, slots)
         window = self.gains[:, :, a - 1 : b - 1].transpose(2, 0, 1)
         return window.take([j - 1 for j in rx], axis=1).take([m - 1 for m in tx], axis=2)
+
+    def blocks(self, rx: np.ndarray, tx: np.ndarray, gamma: int) -> np.ndarray:
+        """`block` of consecutive windows at once: H[b, i, k, l] from node
+        tx[b, l] to node rx[b, k] (1-based) in slot b*gamma + i + 1, one
+        fancy index into a C-contiguous (rows, gamma, rx width, tx width)
+        array.  A row outside the draw raises `block`'s error for the first
+        such row."""
+        n = len(rx)
+        window = np.arange(n * gamma).reshape(n, gamma)
+        outside = (rx < 1).any(axis=1) | (rx > self.K).any(axis=1)
+        outside |= (tx < 1).any(axis=1) | (tx > self.K).any(axis=1)
+        outside |= window[:, -1] >= self.slots
+        if outside.any():
+            b = int(outside.argmax())
+            slots = range(b * gamma + 1, (b + 1) * gamma + 1)
+            raise self._outside(tuple(rx[b].tolist()), tuple(tx[b].tolist()), slots)
+        return self.gains[
+            rx[:, None, :, None] - 1, tx[:, None, None, :] - 1, window[:, :, None, None]
+        ]
+
+    def _outside(self, rx: tuple, tx: tuple, slots: range) -> ParameterError:
+        return ParameterError(
+            f"block {rx} x {tx} x {slots} outside nodes [1, {self.K}], slots [1, {self.slots}]"
+        )
 
 
 class _Report:
@@ -171,16 +195,11 @@ def payload_symbol(message: CodedMessage, chunk_index: int, n_chunks: int) -> co
     return complex(np.cos(phase), np.sin(phase))
 
 
-def build_precoders(H: np.ndarray, nulled: np.ndarray) -> np.ndarray:
-    """Unit-norm cofactor precoders W[u, i] of one block with gains H[i, k, l]
-    (slot, receiver position, transmitter): unknown u's precoder in the
-    block's i-th slot, nulled at the receiver positions `nulled[u]`.
-
-    `nulled` is a (U, n-1) index array for n transmitters; one stacked
-    `neutralizing_precoder` call covers every (unknown, slot), and the
-    result has shape (U, slot, n).
-    """
-    w = neutralizing_precoder(H[:, nulled].swapaxes(0, 1))
+def build_precoders(w: np.ndarray) -> np.ndarray:
+    """Unit-norm precoders W[u, i] of one block from its cofactors w[u, i]:
+    unknown u's `neutralizing_precoder` in the block's i-th slot, shape
+    (U, slot, n) for n transmitters.  Zero cofactors raise, so the channel
+    is resampled."""
     norm = np.linalg.norm(w, axis=-1, keepdims=True)
     if not norm.all():
         raise ChannelConditionError("degenerate precoder (zero cofactors)")
@@ -231,6 +250,34 @@ def _schedule(config: ShuffleConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return wants, nulled, np.nonzero(wants)[1].reshape(g, gamma)
 
 
+@lru_cache(maxsize=32)
+def _block_tables(
+    s: int, t: int, K_r: int, K_t: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A partition's blocks as positions in its receivers and transmitters,
+    which depend on (s, t, K_r, K_t) alone: receiver sets r and coop
+    groups c in lex order.
+
+    rx[r]: the g receiver positions of set r.  tx[c]: the first g-s+1
+    positions of coop group c, the ones that transmit.  dest[r, u]: the
+    index among the C(K_r, s) s-subsets of set r's u-th dest group.
+    chunk[r, u]: how many earlier receiver sets contain that dest group,
+    so the chunk of its messages that set r carries.  Every partition of
+    a config shares them, so they are cached, read-only.
+    """
+    g, _chunks, _gamma = delivery_layout(s, t, K_r)
+    rx = np.array(list(combinations(range(K_r), g)))
+    tx = np.array([coop[: g - s + 1] for coop in combinations(range(K_t), t)])
+    set_masks = (1 << rx).sum(axis=1)
+    group_masks = (1 << np.array(list(combinations(range(K_r), s)))).sum(axis=1)
+    contains = (set_masks[:, None] & group_masks) == group_masks  # contains[r, d]
+    dest = np.nonzero(contains)[1].reshape(len(rx), -1)
+    chunk = np.take_along_axis(contains.cumsum(axis=0) - 1, dest, axis=1)
+    for table in (rx, tx, dest, chunk):
+        table.flags.writeable = False
+    return rx, tx, dest, chunk
+
+
 def simulate_partition(
     partition: Partition,
     config: ShuffleConfig,
@@ -245,11 +292,13 @@ def simulate_partition(
     the cooperation groups in lex order, one block apiece.  A block
     carries, for every dest group inside the set, that message's chunk
     for the set; the coop group's first g-s+1 members transmit it.  The
-    block loop only gathers each block's gains, builds its precoders and
-    picks its payload symbols; the rest runs over the stacked blocks.  A
-    receiver solves a symbol when its relative error is below `tol`, or
-    always under `snr_db`, where `noise_mse` averages the squared symbol
-    errors instead.  It holds a message once it has all of its chunks.
+    gains, cofactors, message indices and chunk indices of every block
+    come from one gather each; each block's precoders are normalized by
+    its own `build_precoders` call, and each (block, message) picks its
+    payload symbol.  The rest runs over the stacked blocks.  A receiver
+    solves a symbol when its relative error is below `tol`, or always
+    under `snr_db`, where `noise_mse` averages the squared symbol errors
+    instead.  It holds a message once it has all of its chunks.
     `messages` must be exactly the partition's, in any order: a missing or
     foreign one raises ConstraintViolation.
     """
@@ -269,9 +318,7 @@ def simulate_partition(
     s = config.s
     g, n_chunks, gamma = delivery_layout(s, config.t, config.K_r)
     wants, nulled, wanted = _schedule(config)
-    rx_sets = enum_subsets(partition.rx, g)
-    coop_groups = enum_subsets(partition.tx, config.t)
-    active = [NodeSet(coop.members[: g - s + 1]) for coop in coop_groups]
+    rx_pos, tx_pos, dest, chunk = _block_tables(s, config.t, config.K_r, config.K_t)
     p = partition.index
     index = {msg.key: m for m, msg in enumerate(messages)}
     expected = [message_key(p, dg, coop) for coop, dg in _message_pairs(partition, config)]
@@ -286,26 +333,25 @@ def simulate_partition(
                 f"payload of {len(msg.payload)} bytes does not split into {n_chunks} chunks"
             )
 
-    # per block b: gains H[b, i, k, l], precoders W[b, u, i, l], and the
-    # message index ids[b, u] and transmitted symbol x[b, u] of unknown u;
-    # chunk c of a message rides in the c-th receiver set containing its group
-    H, W, ids, x = [], [], [], []
-    next_chunk: Counter = Counter()
-    slot0 = 1
-    for group in rx_sets:
-        dest_groups = enum_subsets(group, s)
-        for coop, tx in zip(coop_groups, active):
-            h = channel.block(group, tx, range(slot0, slot0 + gamma))
-            H.append(h)
-            W.append(build_precoders(h, nulled))
-            ids.append([index[message_key(p, dg, coop)] for dg in dest_groups])
-            x.append([
-                payload_symbol(messages[m], next_chunk[dg], n_chunks)
-                for m, dg in zip(ids[-1], dest_groups)
-            ])
-            slot0 += gamma
-        next_chunk.update(dest_groups)
-    H, W, ids, x = np.array(H), np.array(W), np.array(ids), np.array(x)
+    # block b = r * n_coops + c serves receiver set r with coop group c:
+    # gains H[b, i, k, l], precoders W[b, u, i, l], and the message index
+    # ids[b, u] and transmitted symbol x[b, u] of unknown u, the chunk of its
+    # message that rides in receiver set r.  `expected` holds coop group
+    # c's messages from c * n_dests on, in dest-group order.
+    n_sets, n_coops = len(rx_pos), len(tx_pos)
+    rx = np.repeat(np.array(partition.rx.members)[rx_pos], n_coops, axis=0)
+    tx = np.tile(np.array(partition.tx.members)[tx_pos], (n_sets, 1))
+    H = channel.blocks(rx, tx, gamma)
+    cofactors = neutralizing_precoder(H[:, :, nulled].transpose(0, 2, 1, 3, 4))
+    W = np.array([build_precoders(w) for w in cofactors])
+    perm = np.array([index[key] for key in expected])
+    n_dests = len(expected) // n_coops
+    ids = perm[np.arange(n_coops)[:, None] * n_dests + dest[:, None]].reshape(len(rx), -1)
+    chunks = np.repeat(chunk, n_coops, axis=0)
+    x = np.array([
+        payload_symbol(messages[m], c, n_chunks)
+        for m, c in zip(ids.ravel().tolist(), chunks.ravel().tolist())
+    ]).reshape(ids.shape)
 
     # G[b, i, k, u]: unknown u's effective gain at receiver position k in slot i
     G = np.einsum("bikl,buil->biku", H, W)
@@ -343,7 +389,6 @@ def simulate_partition(
             )
 
     # held[j, m]: chunks of message m that receiver j solved
-    rx = np.repeat([group.members for group in rx_sets], len(coop_groups), axis=0)
     held = np.zeros((config.params.K + 1, len(messages)), dtype=int)
     np.add.at(held, (rx[:, :, None], ids[:, wanted]), solved)
     report.symbols_per_receiver = int(held[list(partition.rx)].sum(axis=1).min())

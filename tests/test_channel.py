@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,14 @@ from cpcshuffle.model import (
 )
 from cpcshuffle.placement import build_placement, map_phase
 from cpcshuffle import channel
-from cpcshuffle.codec import block_ivs, encode_partition, round_up_bits, segment_ivs
+from cpcshuffle.codec import (
+    _message_pairs,
+    block_ivs,
+    encode_partition,
+    message_key,
+    round_up_bits,
+    segment_ivs,
+)
 from cpcshuffle.channel import (
     ChannelConditionError,
     build_precoders,
@@ -108,6 +116,54 @@ class TestDrawChannel:
             with pytest.raises(ParameterError, match="outside nodes"):
                 ch.block(*args)
         assert ch.block(rx, tx, range(1, 3)).shape == (2, 2, 2)
+
+    def test_blocks_is_block_per_row(self):
+        ch = draw_channel(6, 12, seed=7)
+        rx = np.array([[1, 3, 6], [2, 4, 5], [4, 5, 6], [1, 2, 3]])
+        tx = np.array([[2, 3], [1, 6], [6, 1], [4, 5]])
+        for gamma in (1, 2, 3):
+            H = ch.blocks(rx, tx, gamma)
+            assert H.shape == (4, gamma, 3, 2) and H.flags.c_contiguous
+            for b in range(4):
+                slots = range(b * gamma + 1, (b + 1) * gamma + 1)
+                expected = np.array(
+                    [[[ch.gain(j, m, d) for m in tx[b]] for j in rx[b]] for d in slots]
+                )
+                assert H[b].tobytes() == expected.tobytes()
+
+    def test_blocks_rejects_the_first_row_outside_the_draw(self):
+        ch = draw_channel(4, 4, seed=0)
+        ok_rx, ok_tx = np.array([[1, 2]] * 4), np.array([[3, 4]] * 4)
+        for rx, tx, gamma, first in [
+            (np.array([[1, 2], [1, 2], [1, 5], [0, 1]]), ok_tx, 1, 2),
+            (ok_rx, np.array([[3, 4], [0, 4], [5, 4], [3, 4]]), 1, 1),
+            (ok_rx, ok_tx, 2, 2),
+        ]:
+            with pytest.raises(ParameterError, match="outside nodes") as exc:
+                ch.blocks(rx, tx, gamma)
+            slots = range(first * gamma + 1, (first + 1) * gamma + 1)
+            assert str(exc.value) == (
+                f"block {tuple(rx[first].tolist())} x {tuple(tx[first].tolist())} x {slots}"
+                " outside nodes [1, 4], slots [1, 4]"
+            )
+        assert ch.blocks(ok_rx, ok_tx, 1).shape == (4, 1, 2, 2)
+
+    def test_smaller_draw_rejected_before_any_precoder(self, monkeypatch):
+        # node 9 first appears in the fourth receiver set, so a per-block
+        # loop would build nine blocks' precoders before it raised
+        params = SystemParams(K=9, N=84, Q=9, r=3, B=480)
+        cfg, segs, parts = _prepared(params, K_r=6, t=2)
+        msgs = encode_partition(segs, parts[0], cfg)
+        ch = draw_channel(8, partition_slots(cfg), seed=2)
+        built = []
+        monkeypatch.setattr(channel, "build_precoders", lambda *a: built.append(a))
+        with pytest.raises(ParameterError, match="outside nodes \\[1, 8\\]") as exc:
+            simulate_partition(parts[0], cfg, ch, msgs)
+        assert built == []
+        # the text names that set's first block, as `block` would
+        with pytest.raises(ParameterError) as direct:
+            ch.block(NodeSet.of(4, 5, 9), NodeSet.of(1, 2), range(19, 21))
+        assert str(exc.value) == str(direct.value)
 
     def test_channel_keeps_no_per_draw_state(self):
         assert [f.name for f in dataclasses.fields(channel.ChannelRealization)] == [
@@ -202,7 +258,8 @@ class TestNeutralizingPrecoder:
         receivers, active = NodeSet.of(4, 5, 6), NodeSet.of(1, 2)
         groups = enum_subsets(receivers, 2)
         nulled = [[k for k, j in enumerate(receivers) if j not in dg] for dg in groups]
-        vectors = build_precoders(ch.block(receivers, active, range(1, 3)), nulled)
+        H = ch.block(receivers, active, range(1, 3))
+        vectors = build_precoders(neutralizing_precoder(H[:, nulled].swapaxes(0, 1)))
         assert vectors.shape == (len(groups), 2, len(active))
         assert [len(per_slot) for per_slot in vectors] == [2] * len(groups)
         for dg, per_slot in zip(groups, vectors):
@@ -334,6 +391,36 @@ class TestBlockSchedule:
             for k, want in enumerate(wanted):
                 assert want.tolist() == [u for u in range(len(nulled)) if wants[k, u]]
 
+    def test_block_tables_are_the_per_block_lookups(self):
+        # the position tables, mapped through a partition's nodes, equal the
+        # per-block nodes, `message_key` lookups and Counter of chunk indices,
+        # on the first and last partition of every simulatable config, K <= 8
+        for K, r, K_r, t in _simulatable_configs(8):
+            cfg = validate_config(SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8), K_r, t)
+            s, g = cfg.s, min(K_r, cfg.s + t - 1)
+            rx_pos, tx_pos, dest, chunk = channel._block_tables(s, t, K_r, cfg.K_t)
+            n_dests = math.comb(K_r, s)
+            assert dest.shape == chunk.shape == (math.comb(K_r, g), math.comb(g, s))
+            parts = enum_partitions(K, cfg.K_t)
+            for part in (parts[0], parts[-1]):
+                rx_nodes, tx_nodes = np.array(part.rx.members), np.array(part.tx.members)
+                order = {
+                    message_key(part.index, dg, coop): e
+                    for e, (coop, dg) in enumerate(_message_pairs(part, cfg))
+                }
+                next_chunk = Counter()
+                for i, group in enumerate(enum_subsets(part.rx, g)):
+                    dest_groups = enum_subsets(group, s)
+                    assert rx_nodes[rx_pos[i]].tolist() == list(group.members)
+                    for c, coop in enumerate(enum_subsets(part.tx, t)):
+                        assert tx_nodes[tx_pos[c]].tolist() == list(coop.members[: g - s + 1])
+                        keys = [order[message_key(part.index, dg, coop)] for dg in dest_groups]
+                        assert (c * n_dests + dest[i]).tolist() == keys, (K, r, K_r, t, i, c)
+                    assert chunk[i].tolist() == [next_chunk[dg] for dg in dest_groups]
+                    next_chunk.update(dest_groups)
+                # every message is cut into one chunk per receiver set holding its group
+                assert set(next_chunk.values()) == {delivery_layout(s, t, K_r)[1]}
+
 
 class TestSingleShotDelivery:
     def test_worked_partition(self):
@@ -412,27 +499,32 @@ class TestTimeDivisionDelivery:
         cfg, segs, parts = _prepared(params, K_r=6, t=2)
         part = parts[0]
         msgs = encode_partition(segs, part, cfg)
-        real = channel.ChannelRealization.block
+        g = cfg.s + cfg.t - 1
+        first_rx = enum_subsets(part.rx, g)[0]
+        first_coop = enum_subsets(part.tx, cfg.t)[0]
+        real_build = channel.build_precoders
         blocks = []
 
-        def record(self, rx, tx, slots):
-            blocks.append(rx)
-            return real(self, rx, tx, slots)
+        def record(w):
+            blocks.append(w)
+            return real_build(w)
 
         real_symbol = channel.payload_symbol
 
-        def first_block_lost(*args):
-            return complex("nan") if len(blocks) == 1 else real_symbol(*args)
+        def first_block_lost(message, chunk_index, n_chunks):
+            # chunk 0 of a message whose dest group lies in the first
+            # receiver set rides in that set's first block
+            first = message.coop == first_coop and message.dest_group.issubset(first_rx)
+            if first and chunk_index == 0:
+                return complex("nan")
+            return real_symbol(message, chunk_index, n_chunks)
 
-        monkeypatch.setattr(channel.ChannelRealization, "block", record)
+        monkeypatch.setattr(channel, "build_precoders", record)
         monkeypatch.setattr(channel, "payload_symbol", first_block_lost)
         ch = draw_channel(9, partition_slots(cfg), seed=2)
         rep = simulate_partition(part, cfg, ch, msgs)
 
-        g = cfg.s + cfg.t - 1
-        first_rx = enum_subsets(part.rx, g)[0]
-        first_coop = enum_subsets(part.tx, cfg.t)[0]
-        assert blocks[0] == first_rx and len(blocks) == partition_slots(cfg) // 2
+        assert len(blocks) == partition_slots(cfg) // 2
         dropped = {
             (m.partition, m.dest_group.members, m.coop.members)
             for m in msgs
@@ -638,7 +730,7 @@ class TestEndToEnd:
         assert msgs[0].key == (1, (4, 5), (1, 2))
         ch = draw_channel(6, partition_slots(cfg), seed=5)
         blocks = []
-        monkeypatch.setattr(channel.ChannelRealization, "block", lambda *a: blocks.append(a))
+        monkeypatch.setattr(channel, "build_precoders", lambda *a: blocks.append(a))
         with pytest.raises(ConstraintViolation) as exc:
             simulate_partition(parts[0], cfg, ch, msgs[1:])
         assert exc.value.constraint == "messages of partition p"
@@ -647,7 +739,7 @@ class TestEndToEnd:
             simulate_partition(parts[1], cfg, ch, msgs)
         assert exc.value.constraint == "messages of partition p"
         assert "message (1, (4, 5), (1, 2)) is foreign to partition 2" in str(exc.value)
-        assert blocks == []  # rejected before any block is gathered
+        assert blocks == []  # rejected before any block's precoders are built
 
     def test_noise_mode_reports_mse(self):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
@@ -711,3 +803,116 @@ class TestEngineCoverage:
                 key = (m.partition, m.dest_group.members, m.coop.members)
                 for j in m.dest_group:
                     assert rep.delivered[j][key] == m.payload, (where, key, j)
+
+
+def _per_block_partition(partition, cfg, ch, messages, tol=channel.DEFAULT_TOLERANCE, snr_db=None):
+    """Reference delivery, one block at a time: each block's gains through
+    `ChannelRealization.block`, its own cofactor precoders and a Counter of
+    chunk indices; the stacked solve after the loop as in the engine."""
+    sigma = None if snr_db is None else 10.0 ** (-snr_db / 20.0)
+    slots = partition_slots(cfg)
+    s = cfg.s
+    g, n_chunks, gamma = delivery_layout(s, cfg.t, cfg.K_r)
+    wants, nulled, wanted = channel._schedule(cfg)
+    rx_sets = enum_subsets(partition.rx, g)
+    coop_groups = enum_subsets(partition.tx, cfg.t)
+    active = [NodeSet(coop.members[: g - s + 1]) for coop in coop_groups]
+    p = partition.index
+    index = {msg.key: m for m, msg in enumerate(messages)}
+    assert sorted(index) == sorted(
+        message_key(p, dg, coop) for coop, dg in _message_pairs(partition, cfg)
+    )
+
+    H, W, ids, x = [], [], [], []
+    next_chunk = Counter()
+    slot0 = 1
+    for group in rx_sets:
+        dest_groups = enum_subsets(group, s)
+        for coop, tx in zip(coop_groups, active):
+            h = ch.block(group, tx, range(slot0, slot0 + gamma))
+            H.append(h)
+            w = neutralizing_precoder(h[:, nulled].swapaxes(0, 1))
+            norm = np.linalg.norm(w, axis=-1, keepdims=True)
+            if not norm.all():
+                raise ChannelConditionError("degenerate precoder (zero cofactors)")
+            W.append(w / norm)
+            ids.append([index[message_key(p, dg, coop)] for dg in dest_groups])
+            x.append([
+                channel.payload_symbol(messages[m], next_chunk[dg], n_chunks)
+                for m, dg in zip(ids[-1], dest_groups)
+            ])
+            slot0 += gamma
+        next_chunk.update(dest_groups)
+    H, W, ids, x = np.array(H), np.array(W), np.array(ids), np.array(x)
+
+    G = np.einsum("bikl,buil->biku", H, W)
+    residual = np.abs(G) / np.linalg.norm(H, axis=-1)[..., None]
+    y = np.einsum("biku,bu->bik", G, x)
+    if sigma is not None:
+        rng = np.random.default_rng(ch.seed ^ 0xA5A5)
+        y += sigma * rng.standard_normal((*y.shape, 2)).view(complex)[..., 0] / np.sqrt(2.0)
+    A = G[:, :, np.arange(g)[:, None], wanted].transpose(0, 2, 1, 3)
+    report = channel.DeliveryReport(
+        partition=partition.index,
+        regime="single_shot" if g == cfg.K_r else "time_division",
+        slots_used=slots,
+        max_condition=float(np.linalg.cond(A).max()),
+        max_residual=float(residual.max(where=~wants, initial=0.0)),
+    )
+    if report.max_condition > channel.CONDITION_GUARD:
+        raise ChannelConditionError("condition guard")
+    x_hat = np.linalg.solve(A, y.transpose(0, 2, 1)[..., None])[..., 0]
+    sent = x[:, wanted]
+    err = np.abs(x_hat - sent) / np.abs(sent)
+    report.max_symbol_error = float(err.max())
+    if sigma is None:
+        solved = err < tol
+    else:
+        solved = np.ones(err.shape, dtype=bool)
+        report.noise_mse = float((err * err).sum()) / err.size
+
+    rx = np.repeat([group.members for group in rx_sets], len(coop_groups), axis=0)
+    held = np.zeros((cfg.params.K + 1, len(messages)), dtype=int)
+    np.add.at(held, (rx[:, :, None], ids[:, wanted]), solved)
+    report.symbols_per_receiver = int(held[list(partition.rx)].sum(axis=1).min())
+    report.measured_dof = Fraction(report.symbols_per_receiver, slots)
+    report.delivered = {
+        j: {msg.key: msg.payload for msg, n in zip(messages, held[j]) if n == n_chunks}
+        for j in partition.rx
+    }
+    return report
+
+
+def _pin_cases():
+    for K, r, K_r, t in _simulatable_configs(6):
+        yield K, r, K_r, t, "first_and_last"
+    yield 9, 3, 6, 2, "first"
+    yield 10, 5, 5, 2, "first"
+
+
+class TestBatchedDeliveryPin:
+    @pytest.mark.parametrize("snr_db", [None, 20.0], ids=["noiseless", "snr20"])
+    def test_batched_pass_equals_the_per_block_loop(self, snr_db):
+        # the engine's one array pass per partition returns the same report
+        # as the per-block loop, float fields compared by ==
+        cases = list(_pin_cases())
+        assert len(cases) == 59
+        for K, r, K_r, t, which in cases:
+            probe = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8)
+            B = simulation_bits(validate_config(probe, K_r, t), 8)
+            params = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=B)
+            cfg, segs, parts = _prepared(params, K_r=K_r, t=t, seed=K + r)
+            chosen = parts[:1] if which == "first" else [parts[0], parts[-1]]
+            for part in chosen:
+                msgs = encode_partition(segs, part, cfg)
+                ch = draw_channel(K, partition_slots(cfg), seed=K_r + t + part.index)
+                where = (K, r, K_r, t, part.index)
+                try:
+                    want = _per_block_partition(part, cfg, ch, msgs, snr_db=snr_db)
+                except ChannelConditionError:
+                    with pytest.raises(ChannelConditionError):
+                        simulate_partition(part, cfg, ch, msgs, snr_db=snr_db)
+                    continue
+                got = simulate_partition(part, cfg, ch, msgs, snr_db=snr_db)
+                assert got == want, where
+                assert got.delivered == want.delivered, where
