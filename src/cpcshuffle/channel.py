@@ -236,18 +236,29 @@ def partition_slots(config: ShuffleConfig) -> int:
 
 
 def _schedule(config: ShuffleConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block structure of `config`'s layout; see `_wants_tables`."""
+    g, _chunks, _gamma = delivery_layout(config.s, config.t, config.K_r)
+    return _wants_tables(config.s, g)
+
+
+@lru_cache(maxsize=32)
+def _wants_tables(s: int, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The block structure, which depends on (s, g) alone.
 
     wants[k, u]: receiver position k of a receiver set lies in the set's
     u-th s-subset, the u-th dest group in `enum_subsets` order.  Derived
     from it: nulled[u], the g-s positions unknown u is nulled at, and
-    wanted[k], the C(g-1, s-1) unknowns position k solves for.
+    wanted[k], the C(g-1, s-1) unknowns position k solves for.  Every
+    partition of every config with this (s, g) shares them, so they are
+    cached, read-only.
     """
-    g, _chunks, gamma = delivery_layout(config.s, config.t, config.K_r)
-    groups = list(combinations(range(g), config.s))
+    groups = list(combinations(range(g), s))
     wants = np.array([[k in group for group in groups] for k in range(g)])
-    nulled = np.nonzero(~wants.T)[1].reshape(len(groups), g - config.s)
-    return wants, nulled, np.nonzero(wants)[1].reshape(g, gamma)
+    nulled = np.nonzero(~wants.T)[1].reshape(len(groups), g - s)
+    wanted = np.nonzero(wants)[1].reshape(g, math.comb(g - 1, s - 1))
+    for table in (wants, nulled, wanted):
+        table.flags.writeable = False
+    return wants, nulled, wanted
 
 
 @lru_cache(maxsize=32)

@@ -5,20 +5,26 @@ and that live exactly at the size-r storage group U, laid out by
 `block_ivs` (q ascending over W_j, then n ascending).  Each block is cut
 into C(r,t) * C(K-r-1, K_r-s) equal segments, one per admissible
 (cooperation group B, transmitter set T) pair from `admissible_pairs`:
-B a t-subset of U, T = B plus K_t-t nodes outside U and {j}.  Pairs are
-ordered (B lex, T lex).  A coded message for (p, D, B) is the bytewise
-XOR of the s segments its receivers are missing; every receiver in D
-holds the other s-1 segments locally, so one XOR recovers its own.
+B a t-subset of U, T = B | E for a set E of K_t-t nodes outside U and
+{j}.  Pairs are ordered (B lex, T lex).  A coded message for (p, D, B)
+is the bytewise XOR of the s segments its receivers are missing; every
+receiver in D holds the other s-1 segments locally, so one XOR recovers
+its own.
 
 Every segment has an integer rank: block rank * segments per block +
 pair index, with blocks in (dest, storage lex) order.  `segment_ivs`
 holds all segments as the rows of one `(n_segments, seg_len)` uint8
-array, so a block's segments are its bytes reshaped, and a rank dict
-keyed by (dest, storage mask, p, coop mask), p being the number
-`enum_partitions`, the only code that numbers partitions, gives T.  That
+array, so a block's segments are its bytes reshaped.  A pair's index is
+B's rank among the t-subsets of the storage group times the number of
+E's, plus E's rank, so three small maps filled from each block's one
+`admissible_pairs` call give any segment's row: `ranks`, a computed
+view keyed by (dest, storage mask, p, coop mask), p being the number
+`enum_partitions`, the only code that numbers partitions, gives T.  The
+same pass lays out every partition's messages as one (partitions,
+messages, s) table of rows, so no Python object is kept per row.  That
 `SegmentTable` is also a read-only mapping from `SegmentId` to
-`Segment`.  Encoding and node-wide decoding gather rows by rank and
-XOR-reduce them in one numpy call; `SegmentId`,
+`Segment`.  Encoding and node-wide decoding gather rows from the message
+table and XOR-reduce them in one numpy call; `SegmentId`,
 `CodedMessage.constituents`, `decode_segment` and `xor_bytes` are the
 readable one-segment reference they agree with.
 """
@@ -170,23 +176,77 @@ def admissible_pairs(
 
 
 @dataclass(frozen=True, eq=False, repr=False)
+class RankView(Mapping[tuple[int, int, int, int], int]):
+    """Row of every segment key (dest, storage mask, p, coop mask), computed.
+
+    Block b = `block_of[(dest, storage mask)]` is cut into `per_block` =
+    C(r, t) * `n_extra` rows, one per `admissible_pairs` pair (B, B | E),
+    which run B-major.  The key's row is b * per_block + B's rank among
+    the t-subsets of the storage group (`coop_rank[(storage mask, B mask)]`)
+    * n_extra + the rank of E = T_p - B among the (K_t - t)-subsets
+    outside storage and {dest} (`extra_rank[(storage | {dest} mask, E
+    mask)]`).  A key that names no segment raises KeyError.
+    """
+
+    config: ShuffleConfig
+    blocks: list[tuple[int, NodeSet]]
+    block_of: dict[tuple[int, int], int]
+    coop_rank: dict[tuple[int, int], int]
+    extra_rank: dict[tuple[int, int], int]
+    partitions: list[Partition]
+    per_block: int
+    n_extra: int
+
+    def __getitem__(self, key: tuple[int, int, int, int]) -> int:
+        dest, storage, p, coop = key
+        if not 1 <= p <= len(self.partitions):
+            raise KeyError(key)
+        tx = self.partitions[p - 1].tx.mask
+        # a B outside T_p leaves more than K_t - t nodes in T_p - B, which
+        # no extra rank is kept for
+        try:
+            block = self.block_of[(dest, storage)]
+            head = self.coop_rank[(storage, coop)]
+            extra = self.extra_rank[(storage | 1 << dest, tx & ~coop)]
+        except KeyError:
+            raise KeyError(key) from None
+        return block * self.per_block + head * self.n_extra + extra
+
+    def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
+        number = {part.tx.mask: part.index for part in self.partitions}
+        for dest, storage in self.blocks:
+            for coop, tx in admissible_pairs(dest, storage, self.config):
+                yield dest, storage.mask, number[tx.mask], coop.mask
+
+    def __len__(self) -> int:
+        return len(self.blocks) * self.per_block
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class SegmentTable(Mapping[SegmentId, Segment]):
     """Every segment as one row of a read-only `(n_segments, seg_len)`
     uint8 array, found through `ranks[(dest, storage.mask, p, coop.mask)]`.
 
-    `ranks` is filled in row order, and each node owns `per_node` =
-    C(K-1, r) * `per_block` consecutive rows, node 1 first.  Row i belongs
-    to the message keyed `message_keys[i]`, whose s constituent rows are
-    `peers[i]`.  As a mapping it answers `SegmentId` lookups and builds
-    ids only when iterated.
+    Rows run in block order, and each node owns `per_node` = C(K-1, r) *
+    `per_block` consecutive rows, node 1 first.  `messages[p - 1]` holds
+    the s constituent rows of each of partition p's messages in
+    `_message_pairs` order, D order within a message; row i belongs to
+    flat message `message_of[i]`, keyed `message_keys[message_of[i]]`.
+    Python objects exist per block and per message, never per row.  As a
+    mapping it answers `SegmentId` lookups and builds ids only when
+    iterated.
     """
 
     data: np.ndarray
-    ranks: dict[tuple[int, int, int, int], int]
-    per_block: int
+    ranks: RankView
     per_node: int
-    peers: np.ndarray
+    messages: np.ndarray
+    message_of: np.ndarray
     message_keys: list[tuple]
+
+    @property
+    def per_block(self) -> int:
+        return self.ranks.per_block
 
     def __getitem__(self, sid: SegmentId) -> Segment:
         row = self.ranks[(sid.dest, sid.storage.mask, sid.partition, sid.coop.mask)]
@@ -197,21 +257,7 @@ class SegmentTable(Mapping[SegmentId, Segment]):
             yield SegmentId(dest, NodeSet.from_mask(storage), p, NodeSet.from_mask(coop))
 
     def __len__(self) -> int:
-        return len(self.ranks)
-
-
-def _message_rows(
-    ranks: dict[tuple[int, int, int, int], int], p: int, dest_group: NodeSet, coop: NodeSet
-) -> list[int]:
-    """Rows of the s segments XORed into message (p, D, B), in D order:
-    receiver j's is (j, B | D - {j}, p, B), as in `constituents`."""
-    d, b = dest_group.mask, coop.mask
-    try:
-        return [ranks[(j, b | d & ~(1 << j), p, b)] for j in dest_group.members]
-    except KeyError as err:
-        dest, storage, _p, _b = err.args[0]
-        sid = SegmentId(dest, NodeSet.from_mask(storage), p, coop)
-        raise InternalInvariantError(f"missing segment {sid}") from None
+        return len(self.data)
 
 
 def segment_ivs(
@@ -234,9 +280,12 @@ def segment_ivs(
             f"{n_seg} whole-byte segments; choose B as a multiple of {8 * n_seg}"
         )
     seg_len = block_len // n_seg
-    blocks: list[bytes] = []
-    ranks: dict[tuple[int, int, int, int], int] = {}
-    number = {part.tx.mask: part.index for part in enum_partitions(params.K, config.K_t)}
+    n_extra = math.comb(params.K - params.r - 1, config.K_t - config.t)
+    blocks: list[tuple[int, NodeSet]] = []
+    chunks: list[bytes] = []
+    block_of: dict[tuple[int, int], int] = {}
+    coop_rank: dict[tuple[int, int], int] = {}
+    extra_rank: dict[tuple[int, int], int] = {}
     for dest in range(1, params.K + 1):
         others = [k for k in range(1, params.K + 1) if k != dest]
         for storage in enum_subsets(NodeSet(tuple(others)), params.r):
@@ -246,29 +295,66 @@ def segment_ivs(
                     f"block (d{dest}, {storage.members}) has {len(pairs)} "
                     f"admissible pairs, expected {n_seg}"
                 )
-            base = len(blocks) * n_seg
-            for i, (coop, tx) in enumerate(pairs):
-                ranks[(dest, storage.mask, number[tx.mask], coop.mask)] = base + i
-            blocks.append(block_bytes(placement, store, dest, storage))
-    data = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(len(ranks), seg_len)
-    # each message once, at the first of its rows in rank order; every
-    # one of its s rows gets its key and all s of its rows as peers
-    message_keys: list = [None] * len(ranks)
-    messages: list[list[int]] = []
-    for (dest, storage, p, coop_mask), row in ranks.items():
-        if message_keys[row] is None:
-            coop = NodeSet.from_mask(coop_mask)
-            dest_group = NodeSet.from_mask(storage & ~coop_mask | 1 << dest)
-            rows = _message_rows(ranks, p, dest_group, coop)
-            key = message_key(p, dest_group, coop)
-            for r in rows:
-                message_keys[r] = key
-            messages.append(rows)
-    constituents = np.array(messages, dtype=np.intp).reshape(len(messages), config.s)
-    peers = np.empty((len(ranks), config.s), dtype=np.intp)
-    peers[constituents.ravel()] = np.repeat(constituents, config.s, axis=0)
+            # pair i is (B_{i // n_extra}, B_{i // n_extra} | E_{i % n_extra})
+            block_of[(dest, storage.mask)] = len(blocks)
+            for i, (coop, _tx) in enumerate(pairs[::n_extra]):
+                coop_rank[(storage.mask, coop.mask)] = i
+            taken = storage.mask | 1 << dest
+            for i, (coop, tx) in enumerate(pairs[:n_extra]):
+                extra_rank[(taken, tx.mask & ~coop.mask)] = i
+            blocks.append((dest, storage))
+            chunks.append(block_bytes(placement, store, dest, storage))
+    n_rows = len(blocks) * n_seg
+    data = np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(n_rows, seg_len)
+    partitions = enum_partitions(params.K, config.K_t)
+    ranks = RankView(
+        config, blocks, block_of, coop_rank, extra_rank, partitions, n_seg, n_extra
+    )
+    # message (p, D, B) XORs receiver j's segment (j, B | D - {j}, p, B) for
+    # j in D, as in `constituents`.  Its rows less the extra rank depend on
+    # X = B | D and B alone, so each (X, B) gets its s row heads once.
+    heads: dict[tuple[int, int], int] = {}
+    head_rows: list[list[int]] = []
+    which: list[int] = []
+    extras: list[int] = []
+    message_keys: list[tuple] = []
+    for part in partitions:
+        p, tx = part.index, part.tx.mask
+        for coop, dest_group in _message_pairs(part, config):
+            b = coop.mask
+            x = b | dest_group.mask
+            try:
+                h = heads.get((x, b))
+                if h is None:
+                    h = heads[(x, b)] = len(head_rows)
+                    head_rows.append([
+                        block_of[(j, x & ~(1 << j))] * n_seg
+                        + coop_rank[(x & ~(1 << j), b)] * n_extra
+                        for j in dest_group.members
+                    ])
+                extras.append(extra_rank[(x, tx & ~b)])
+            except KeyError:
+                sid = next(
+                    sid for sid in CodedMessage(p, dest_group, coop, b"").constituents()
+                    if (sid.dest, sid.storage.mask, p, b) not in ranks
+                )
+                raise InternalInvariantError(f"missing segment {sid}") from None
+            which.append(h)
+            message_keys.append(message_key(p, dest_group, coop))
+    s = config.s
+    rows = np.array(head_rows, dtype=np.intp)[which] + np.array(extras, dtype=np.intp)[:, None]
+    message_of = np.full(n_rows, -1, dtype=np.intp)
+    message_of[rows.ravel()] = np.repeat(np.arange(len(rows)), s)
+    if rows.size != n_rows or (message_of < 0).any():
+        raise InternalInvariantError(
+            f"{len(rows)} messages of {s} segments do not cover the {n_rows} rows once each"
+        )
+    for table in (rows, message_of):
+        table.flags.writeable = False
     per_node = math.comb(params.K - 1, params.r) * n_seg
-    return SegmentTable(data, ranks, n_seg, per_node, peers, message_keys)
+    return SegmentTable(
+        data, ranks, per_node, rows.reshape(len(partitions), -1, s), message_of, message_keys
+    )
 
 
 def _message_pairs(partition: Partition, config: ShuffleConfig) -> list[tuple[NodeSet, NodeSet]]:
@@ -284,11 +370,20 @@ def _message_pairs(partition: Partition, config: ShuffleConfig) -> list[tuple[No
 def encode_partition(
     segments: SegmentTable, partition: Partition, config: ShuffleConfig
 ) -> list[CodedMessage]:
-    """All coded messages of one partition, in `_message_pairs` order."""
+    """All coded messages of one partition, in `_message_pairs` order.
+
+    Raises ParameterError unless the table was cut for `config` and
+    `partition` is its partition of that number.
+    """
     p = partition.index
+    known = segments.ranks.partitions
+    if config != segments.ranks.config or not 1 <= p <= len(known) or known[p - 1] != partition:
+        raise ParameterError(
+            f"partition {p} (transmitters {partition.tx.members}) under {config} "
+            f"is not one the segment table was cut for"
+        )
     pairs = _message_pairs(partition, config)
-    rows = [_message_rows(segments.ranks, p, dest_group, coop) for coop, dest_group in pairs]
-    payloads = np.bitwise_xor.reduce(segments.data[np.array(rows, dtype=np.intp)], axis=1)
+    payloads = np.bitwise_xor.reduce(segments.data[segments.messages[p - 1]], axis=1)
     return [
         CodedMessage(p, dest_group, coop, payload.tobytes())
         for (coop, dest_group), payload in zip(pairs, payloads)
@@ -329,31 +424,34 @@ def decode_blocks(
     """Every block node `dest` needs, decoded from its delivered payloads.
 
     Each of node dest's rows looks up its message's payload by
-    `message_key`; all payloads are XORed with their s-1 side segments in
-    one gather-reduce.  A block with any payload missing maps to None.
+    `message_key`, and its s-1 side segments are the other rows of that
+    message; all payloads are XORed with them in one gather-reduce.  A
+    block with any payload missing maps to None.
     """
     per_node, per_block = segments.per_node, segments.per_block
-    K = len(segments.ranks) // per_node
+    K = len(segments) // per_node
     if not 1 <= dest <= K:
         raise ParameterError(f"node {dest} out of range [1, {K}]")
     seg_len = segments.data.shape[1]
     start, stop = (dest - 1) * per_node, dest * per_node
-    payloads = [delivered.get(key) for key in segments.message_keys[start:stop]]
+    mine = segments.message_of[start:stop]
+    keys = segments.message_keys
+    payloads = [delivered.get(keys[m]) for m in mine.tolist()]
     lost = {i // per_block for i, payload in enumerate(payloads) if payload is None}
     zero = bytes(seg_len)
     got = np.frombuffer(
         b"".join(zero if payload is None else payload for payload in payloads), dtype=np.uint8
     ).reshape(per_node, seg_len)
-    # each row appears once among its own peers; the other s-1 are side segments
-    peers = segments.peers[start:stop]
+    # each row is one of its message's s rows; the other s-1 are side segments
+    peers = segments.messages.reshape(len(keys), -1)[mine]
     side = peers[peers != np.arange(start, stop)[:, None]].reshape(per_node, -1)
     decoded = (got ^ np.bitwise_xor.reduce(segments.data[side], axis=1)).tobytes()
     block_len = per_block * seg_len
-    firsts = itertools.islice(segments.ranks, start, stop, per_block)
+    n_blocks = per_node // per_block
+    mine_blocks = segments.ranks.blocks[(dest - 1) * n_blocks : dest * n_blocks]
     return {
-        NodeSet.from_mask(storage):
-            None if b in lost else decoded[b * block_len : (b + 1) * block_len]
-        for b, (_dest, storage, _p, _coop) in enumerate(firsts)
+        storage: None if b in lost else decoded[b * block_len : (b + 1) * block_len]
+        for b, (_dest, storage) in enumerate(mine_blocks)
     }
 
 

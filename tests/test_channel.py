@@ -421,6 +421,24 @@ class TestBlockSchedule:
                 # every message is cut into one chunk per receiver set holding its group
                 assert set(next_chunk.values()) == {delivery_layout(s, t, K_r)[1]}
 
+    def test_schedule_is_cached_per_s_and_g(self):
+        # (10,5,5,2) and (9,5,7,2) share (s, g) = (4, 5) but differ in K and
+        # K_r: both get the same read-only arrays, built once; (8,5,4,2) has
+        # g = 4 and its own
+        a = validate_config(SystemParams(K=10, N=252, Q=10, r=5, B=8), K_r=5, t=2)
+        b = validate_config(SystemParams(K=9, N=126, Q=9, r=5, B=8), K_r=7, t=2)
+        c = validate_config(SystemParams(K=8, N=56, Q=8, r=5, B=8), K_r=4, t=2)
+        layouts = [(x.s, delivery_layout(x.s, x.t, x.K_r)[0]) for x in (a, b, c)]
+        assert layouts == [(4, 5), (4, 5), (4, 4)]
+        first = channel._schedule(a)
+        assert channel._schedule(b) is first
+        assert channel._schedule(a) is first
+        assert channel._schedule(c) is not first
+        for table in first:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = table[(0,) * table.ndim]
+
 
 class TestSingleShotDelivery:
     def test_worked_partition(self):
