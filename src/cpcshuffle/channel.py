@@ -12,8 +12,8 @@ wants and solves a square symbol-extension system, one symbol per slot.
 
 Which receiver positions of a block want which of its C(g, s) messages
 depends on (s, g) alone, so it is one config-level table.  So are the
-blocks themselves, as positions in a partition's receivers and
-transmitters, with each message's dest-group index and chunk index.  A
+blocks themselves, as positions in a partition's receivers,
+transmitters and messages, with each message's chunk index.  A
 partition's delivery is then one array pass: one fancy index gathers
 every block's (slot, receiver, transmitter) gains, one determinant call
 builds every (block, message, slot) cofactor precoder, and the stacked
@@ -31,7 +31,7 @@ is the case g = K_r: one receiver set, one chunk, DoF 1.  Time division
 regime, is not simulated.
 
 Each chunk rides as one unit-power complex symbol derived from its bytes,
-and a message is delivered once all of its chunks' symbols solve.
+and a receiver holds a message once it solves all of its chunks' symbols.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from .codec import (
     block_ivs,
     decode_blocks,
     encode_partition,
-    message_key,
     segment_ivs,
     segments_per_block,
 )
@@ -131,15 +130,17 @@ class ChannelRealization:
 
 class _Report:
     def summary(self) -> dict:
-        """The JSON form: every field but `delivered`, Fractions as strings."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "delivered"}
+        """The JSON form: every field but `held`, Fractions as strings."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "held"}
         return {k: str(v) if isinstance(v, Fraction) else v for k, v in out.items()}
 
 
 @dataclass
 class DeliveryReport(_Report):
     """What a simulated delivery achieved, with its numerical health: the
-    worst values over every block of the partition."""
+    worst values over every block of the partition.  held[k, m]: its k-th
+    receiver lost no chunk it wants of its m-th message (True where it
+    wants none), shape (K_r, messages)."""
 
     partition: int
     regime: str
@@ -149,8 +150,8 @@ class DeliveryReport(_Report):
     max_condition: float = 0.0
     max_residual: float = 0.0
     max_symbol_error: float = 0.0
-    delivered: dict[int, dict[tuple, bytes]] = field(repr=False, default_factory=dict)
     noise_mse: float | None = None
+    held: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def draw_channel(K: int, slots: int, seed: int) -> ChannelRealization:
@@ -188,9 +189,8 @@ def payload_symbol(message: CodedMessage, chunk_index: int, n_chunks: int) -> co
     whose payload is cut into `n_chunks` equal chunks (a fixture, not a modem)."""
     step = len(message.payload) // n_chunks
     chunk = message.payload[chunk_index * step : (chunk_index + 1) * step]
-    tag = hashlib.blake2b(
-        repr((*message.key, chunk_index)).encode() + chunk, digest_size=8
-    ).digest()
+    address = (message.partition, message.dest_group.members, message.coop.members, chunk_index)
+    tag = hashlib.blake2b(repr(address).encode() + chunk, digest_size=8).digest()
     phase = 2.0 * np.pi * (int.from_bytes(tag, "little") / 2**64)
     return complex(np.cos(phase), np.sin(phase))
 
@@ -265,15 +265,15 @@ def _wants_tables(s: int, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _block_tables(
     s: int, t: int, K_r: int, K_t: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A partition's blocks as positions in its receivers and transmitters,
-    which depend on (s, t, K_r, K_t) alone: receiver sets r and coop
-    groups c in lex order.
+    """A partition's blocks as positions in its receivers, transmitters
+    and messages, which depend on (s, t, K_r, K_t) alone.
 
-    rx[r]: the g receiver positions of set r.  tx[c]: the first g-s+1
-    positions of coop group c, the ones that transmit.  dest[r, u]: the
-    index among the C(K_r, s) s-subsets of set r's u-th dest group.
-    chunk[r, u]: how many earlier receiver sets contain that dest group,
-    so the chunk of its messages that set r carries.  Every partition of
+    Block b = r * n_coops + c serves receiver set r with coop group c,
+    both in lex order.  rx[b]: set r's g receiver positions.  tx[b]: coop
+    group c's first g-s+1 positions, the ones that transmit.  ids[b, u]:
+    the `_message_pairs` position of set r's u-th dest group's message
+    from group c.  chunk[b, u]: how many earlier receiver sets contain
+    that dest group, so the chunk the block carries.  Every partition of
     a config shares them, so they are cached, read-only.
     """
     g, _chunks, _gamma = delivery_layout(s, t, K_r)
@@ -284,9 +284,12 @@ def _block_tables(
     contains = (set_masks[:, None] & group_masks) == group_masks  # contains[r, d]
     dest = np.nonzero(contains)[1].reshape(len(rx), -1)
     chunk = np.take_along_axis(contains.cumsum(axis=0) - 1, dest, axis=1)
-    for table in (rx, tx, dest, chunk):
+    n = len(tx)
+    ids = (np.arange(n)[:, None] * len(group_masks) + dest[:, None]).reshape(len(rx) * n, -1)
+    tables = (np.repeat(rx, n, 0), np.tile(tx, (len(rx), 1)), ids, np.repeat(chunk, n, 0))
+    for table in tables:
         table.flags.writeable = False
-    return rx, tx, dest, chunk
+    return tables
 
 
 def simulate_partition(
@@ -303,15 +306,17 @@ def simulate_partition(
     the cooperation groups in lex order, one block apiece.  A block
     carries, for every dest group inside the set, that message's chunk
     for the set; the coop group's first g-s+1 members transmit it.  The
-    gains, cofactors, message indices and chunk indices of every block
+    gains, cofactors, message positions and chunk indices of every block
     come from one gather each; each block's precoders are normalized by
     its own `build_precoders` call, and each (block, message) picks its
     payload symbol.  The rest runs over the stacked blocks.  A receiver
     solves a symbol when its relative error is below `tol`, or always
     under `snr_db`, where `noise_mse` averages the squared symbol errors
     instead.  It holds a message once it has all of its chunks.
-    `messages` must be exactly the partition's, in any order: a missing or
-    foreign one raises ConstraintViolation.
+    `messages` must be exactly the partition's, in the `_message_pairs`
+    order `encode_partition` returns: a missing, misplaced or foreign one
+    raises ConstraintViolation.  The report's `held` says which receivers
+    lost which messages.
     """
     sigma = None
     if snr_db is not None:
@@ -329,14 +334,16 @@ def simulate_partition(
     s = config.s
     g, n_chunks, gamma = delivery_layout(s, config.t, config.K_r)
     wants, nulled, wanted = _schedule(config)
-    rx_pos, tx_pos, dest, chunk = _block_tables(s, config.t, config.K_r, config.K_t)
+    rx_pos, tx_pos, ids, chunks = _block_tables(s, config.t, config.K_r, config.K_t)
     p = partition.index
-    index = {msg.key: m for m, msg in enumerate(messages)}
-    expected = [message_key(p, dg, coop) for coop, dg in _message_pairs(partition, config)]
-    foreign = index.keys() - expected
-    missing = [key for key in expected if key not in index]
-    if foreign or missing:
-        which = f"{min(foreign)} is foreign to" if foreign else f"{missing[0]} is missing from"
+    due = [(p, dg.members, coop.members) for coop, dg in _message_pairs(partition, config)]
+    given = [(msg.partition, msg.dest_group.members, msg.coop.members) for msg in messages]
+    if given != due:
+        # the first place out of order names the message found there when
+        # it is another partition's or one too many, else the one due there
+        i = next(i for i, pair in enumerate(zip_longest(given, due)) if pair[0] != pair[1])
+        foreign = i < len(given) and (i == len(due) or given[i][0] != p)
+        which = f"{given[i]} is foreign to" if foreign else f"{due[i]} is missing from"
         raise ConstraintViolation("messages of partition p", f"message {which} partition {p}")
     for msg in messages:
         if len(msg.payload) % n_chunks != 0:
@@ -344,21 +351,15 @@ def simulate_partition(
                 f"payload of {len(msg.payload)} bytes does not split into {n_chunks} chunks"
             )
 
-    # block b = r * n_coops + c serves receiver set r with coop group c:
-    # gains H[b, i, k, l], precoders W[b, u, i, l], and the message index
+    # block b serves receiver nodes rx[b] from transmitters tx[b]: gains
+    # H[b, i, k, l], precoders W[b, u, i, l], and the message position
     # ids[b, u] and transmitted symbol x[b, u] of unknown u, the chunk of its
-    # message that rides in receiver set r.  `expected` holds coop group
-    # c's messages from c * n_dests on, in dest-group order.
-    n_sets, n_coops = len(rx_pos), len(tx_pos)
-    rx = np.repeat(np.array(partition.rx.members)[rx_pos], n_coops, axis=0)
-    tx = np.tile(np.array(partition.tx.members)[tx_pos], (n_sets, 1))
+    # message that rides in the block.
+    rx = np.array(partition.rx.members)[rx_pos]
+    tx = np.array(partition.tx.members)[tx_pos]
     H = channel.blocks(rx, tx, gamma)
     cofactors = neutralizing_precoder(H[:, :, nulled].transpose(0, 2, 1, 3, 4))
     W = np.array([build_precoders(w) for w in cofactors])
-    perm = np.array([index[key] for key in expected])
-    n_dests = len(expected) // n_coops
-    ids = perm[np.arange(n_coops)[:, None] * n_dests + dest[:, None]].reshape(len(rx), -1)
-    chunks = np.repeat(chunk, n_coops, axis=0)
     x = np.array([
         payload_symbol(messages[m], c, n_chunks)
         for m, c in zip(ids.ravel().tolist(), chunks.ravel().tolist())
@@ -399,15 +400,13 @@ def simulate_partition(
                 f"snr_db {snr_db} drives the noise mean squared error past the largest float"
             )
 
-    # held[j, m]: chunks of message m that receiver j solved
-    held = np.zeros((config.params.K + 1, len(messages)), dtype=int)
-    np.add.at(held, (rx[:, :, None], ids[:, wanted]), solved)
-    report.symbols_per_receiver = int(held[list(partition.rx)].sum(axis=1).min())
+    solved_at = np.bincount(rx_pos.ravel(), solved.sum(axis=2).ravel(), minlength=config.K_r)
+    report.symbols_per_receiver = int(solved_at.min())
     report.measured_dof = Fraction(report.symbols_per_receiver, slots)
-    report.delivered = {
-        j: {msg.key: msg.payload for msg, n in zip(messages, held[j]) if n == n_chunks}
-        for j in partition.rx
-    }
+    # a receiver that misses any chunk it wants of a message does not hold it
+    b, k, w = np.nonzero(~solved)
+    report.held = np.ones((config.K_r, len(messages)), dtype=bool)
+    report.held[rx_pos[b, k], ids[b, wanted[k, w]]] = False
     return report
 
 
@@ -451,21 +450,17 @@ class VerificationReport(_Report):
     claimed_dof: Fraction | None = None  # what the analytics promise
 
 
-def _verify_reassembly(
-    placement,
-    store,
-    segments,
-    delivered: dict[int, dict[tuple, bytes]],
-) -> list[tuple[int, int, int]]:
+def _verify_reassembly(placement, store, segments, payloads, held) -> list[tuple[int, int, int]]:
     """Reassemble every required IV per node; return (node, q, n) mismatches.
 
-    Each node decodes all of its blocks at once, and each block is laid
-    out once; an IV missing from its block's layout is a mismatch too.
+    Each node decodes all of its blocks at once from `payloads` and its
+    row of `held`, and each block is laid out once; an IV missing from
+    its block's layout is a mismatch too.
     """
     failures: list[tuple[int, int, int]] = []
     nbytes = placement.params.B // 8
     for k in range(1, placement.params.K + 1):
-        blocks = decode_blocks(segments, k, delivered.get(k, {}))
+        blocks = decode_blocks(segments, k, payloads, held[k])
         offsets: dict[NodeSet, dict[tuple[int, int], int]] = {}
         for (q, n) in sorted(required_ivs(placement, k)):
             storage = placement.file_to_nodes[n]
@@ -485,25 +480,31 @@ def _pipeline(
     """Placement -> map -> segment -> encode -> fault -> deliver -> reassemble.
 
     `corrupt=(p, i)` flips a byte of partition p's i-th message.
-    `deliver(partition, messages)` returns each receiver's payloads keyed
-    by `CodedMessage.key`, and the partition's DeliveryReport, or None
-    over an ideal channel; of that report only five numbers are kept.
+    `deliver(partition, messages)` returns the partition's (K_r,
+    messages) `held` mask, and its DeliveryReport or None over an ideal
+    channel; of that report only five numbers are kept.  Reassembly reads
+    one (all messages, L) payload array and one (K+1, all messages)
+    `held` mask, both in `message_of` numbering.
     """
     placement = build_placement(params)
     store = map_phase(placement, params, seed)
     segments = segment_ivs(placement, config, store)
     partitions = enum_partitions(params.K, config.K_t)
     report = VerificationReport(ok=False, failures=[], partitions=len(partitions))
-    delivered: dict[int, dict[tuple, bytes]] = {k: {} for k in range(1, params.K + 1)}
+    n = segments.messages.shape[1]
+    payloads = np.empty((len(partitions) * n, segments.data.shape[1]), dtype=np.uint8)
+    held = np.ones((params.K + 1, len(payloads)), dtype=bool)
     for part in partitions:
         messages = encode_partition(segments, part, config)
         if corrupt is not None and corrupt[0] == part.index:
             m = messages[corrupt[1]]
             bad = bytes([m.payload[0] ^ 0xFF]) + m.payload[1:]
             messages[corrupt[1]] = CodedMessage(m.partition, m.dest_group, m.coop, bad)
+        at = slice((part.index - 1) * n, part.index * n)
+        joined = b"".join(m.payload for m in messages)
+        payloads[at] = np.frombuffer(joined, dtype=np.uint8).reshape(n, -1)
         got, sim = deliver(part, messages)
-        for j, payloads in got.items():
-            delivered[j].update(payloads)
+        held[list(part.rx), at] = got
         if sim is not None:
             report.slots_total += sim.slots_used
             report.max_condition = max(report.max_condition, sim.max_condition)
@@ -511,7 +512,7 @@ def _pipeline(
             report.max_symbol_error = max(report.max_symbol_error, sim.max_symbol_error)
             dof = report.measured_dof
             report.measured_dof = sim.measured_dof if dof is None else min(dof, sim.measured_dof)
-    report.failures = _verify_reassembly(placement, store, segments, delivered)
+    report.failures = _verify_reassembly(placement, store, segments, payloads, held)
     report.ok = not report.failures
     return report
 
@@ -531,7 +532,7 @@ def end_to_end_verify(
     """
     def over_channel(part: Partition, messages: list[CodedMessage]):
         sim = simulate_with_resample(part, config, messages, seed, tol=tol)
-        return sim.delivered, sim
+        return sim.held, sim
 
     report = _pipeline(params, config, seed, corrupt, over_channel)
     report.claimed_dof = delivery_dof(config.s, config.t, config.K_t, config.K_r)
@@ -545,12 +546,5 @@ def ideal_verify(
     corrupt: tuple[int, int] | None = None,
 ) -> tuple[bool, VerificationReport]:
     """XOR-only verification over an ideal channel (every payload delivered)."""
-    def every_payload(part: Partition, messages: list[CodedMessage]):
-        got: dict[int, dict[tuple, bytes]] = {}
-        for m in messages:
-            for j in m.dest_group:
-                got.setdefault(j, {})[m.key] = m.payload
-        return got, None
-
-    report = _pipeline(params, config, seed, corrupt, every_payload)
+    report = _pipeline(params, config, seed, corrupt, lambda part, messages: (True, None))
     return report.ok, report

@@ -21,17 +21,18 @@ E's, plus E's rank, so three small maps filled from each block's one
 view keyed by (dest, storage mask, p, coop mask), p being the number
 `enum_partitions`, the only code that numbers partitions, gives T.  The
 same pass lays out every partition's messages as one (partitions,
-messages, s) table of rows, so no Python object is kept per row.  That
-`SegmentTable` is also a read-only mapping from `SegmentId` to
-`Segment`.  Encoding and node-wide decoding gather rows from the message
-table and XOR-reduce them in one numpy call; `SegmentId`,
-`CodedMessage.constituents`, `decode_segment` and `xor_bytes` are the
-readable one-segment reference they agree with.
+messages, s) table of rows, so no Python object is kept per row.  A
+message's address is its position: partition p's m-th message in
+`_message_pairs` order is flat message (p-1) * per-partition count + m.
+Encoding XOR-reduces a partition's rows, and node-wide decoding gathers
+its payloads from one (all messages, L) array, masked by what the node
+holds.  As a mapping, `SegmentTable` gives `Segment`s by `SegmentId`;
+with `CodedMessage.constituents`, `decode_segment` and `xor_bytes` these
+are the readable one-segment reference the arrays agree with.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Iterator, Mapping
@@ -80,12 +81,6 @@ class CodedMessage:
     coop: NodeSet
     payload: bytes
 
-    @functools.cached_property
-    def key(self) -> tuple:
-        """`message_key` of this message, built once so that every
-        receiver's ledger shares the one tuple."""
-        return message_key(self.partition, self.dest_group, self.coop)
-
     def constituents(self) -> list[SegmentId]:
         """The s segment ids whose XOR is the payload."""
         return [
@@ -97,11 +92,6 @@ class CodedMessage:
             )
             for j in self.dest_group
         ]
-
-
-def message_key(p: int, dest_group: NodeSet, coop: NodeSet) -> tuple:
-    """(p, D members, B members): the address receivers file a message under."""
-    return (p, dest_group.members, coop.members)
 
 
 @dataclass(frozen=True)
@@ -231,10 +221,10 @@ class SegmentTable(Mapping[SegmentId, Segment]):
     `per_block` consecutive rows, node 1 first.  `messages[p - 1]` holds
     the s constituent rows of each of partition p's messages in
     `_message_pairs` order, D order within a message; row i belongs to
-    flat message `message_of[i]`, keyed `message_keys[message_of[i]]`.
-    Python objects exist per block and per message, never per row.  As a
-    mapping it answers `SegmentId` lookups and builds ids only when
-    iterated.
+    flat message `message_of[i]`, the message's position in
+    `messages.reshape(-1, s)`.  Python objects exist per block, never per
+    message or row.  As a mapping it answers `SegmentId` lookups and
+    builds ids only when iterated.
     """
 
     data: np.ndarray
@@ -242,7 +232,6 @@ class SegmentTable(Mapping[SegmentId, Segment]):
     per_node: int
     messages: np.ndarray
     message_of: np.ndarray
-    message_keys: list[tuple]
 
     @property
     def per_block(self) -> int:
@@ -317,7 +306,6 @@ def segment_ivs(
     head_rows: list[list[int]] = []
     which: list[int] = []
     extras: list[int] = []
-    message_keys: list[tuple] = []
     for part in partitions:
         p, tx = part.index, part.tx.mask
         for coop, dest_group in _message_pairs(part, config):
@@ -340,7 +328,6 @@ def segment_ivs(
                 )
                 raise InternalInvariantError(f"missing segment {sid}") from None
             which.append(h)
-            message_keys.append(message_key(p, dest_group, coop))
     s = config.s
     rows = np.array(head_rows, dtype=np.intp)[which] + np.array(extras, dtype=np.intp)[:, None]
     message_of = np.full(n_rows, -1, dtype=np.intp)
@@ -352,9 +339,7 @@ def segment_ivs(
     for table in (rows, message_of):
         table.flags.writeable = False
     per_node = math.comb(params.K - 1, params.r) * n_seg
-    return SegmentTable(
-        data, ranks, per_node, rows.reshape(len(partitions), -1, s), message_of, message_keys
-    )
+    return SegmentTable(data, ranks, per_node, rows.reshape(len(partitions), -1, s), message_of)
 
 
 def _message_pairs(partition: Partition, config: ShuffleConfig) -> list[tuple[NodeSet, NodeSet]]:
@@ -419,38 +404,33 @@ def decode_segment(
 
 
 def decode_blocks(
-    segments: SegmentTable, dest: int, delivered: dict[tuple, bytes]
+    segments: SegmentTable, dest: int, payloads: np.ndarray, held: np.ndarray
 ) -> dict[NodeSet, bytes | None]:
-    """Every block node `dest` needs, decoded from its delivered payloads.
+    """Every block node `dest` needs, decoded from the payloads it holds.
 
-    Each of node dest's rows looks up its message's payload by
-    `message_key`, and its s-1 side segments are the other rows of that
-    message; all payloads are XORed with them in one gather-reduce.  A
-    block with any payload missing maps to None.
+    `payloads` is the (all messages, L) array of every message's payload
+    and `held[m]` says whether node dest holds flat message m, both in
+    `message_of` numbering.  Each of node dest's rows gathers its
+    message's payload, and its s-1 side segments are the other rows of
+    that message; all payloads are XORed with them in one gather-reduce.
+    A block with any row whose message is not held maps to None.
     """
     per_node, per_block = segments.per_node, segments.per_block
     K = len(segments) // per_node
     if not 1 <= dest <= K:
         raise ParameterError(f"node {dest} out of range [1, {K}]")
-    seg_len = segments.data.shape[1]
     start, stop = (dest - 1) * per_node, dest * per_node
     mine = segments.message_of[start:stop]
-    keys = segments.message_keys
-    payloads = [delivered.get(keys[m]) for m in mine.tolist()]
-    lost = {i // per_block for i, payload in enumerate(payloads) if payload is None}
-    zero = bytes(seg_len)
-    got = np.frombuffer(
-        b"".join(zero if payload is None else payload for payload in payloads), dtype=np.uint8
-    ).reshape(per_node, seg_len)
-    # each row is one of its message's s rows; the other s-1 are side segments
-    peers = segments.messages.reshape(len(keys), -1)[mine]
-    side = peers[peers != np.arange(start, stop)[:, None]].reshape(per_node, -1)
-    decoded = (got ^ np.bitwise_xor.reduce(segments.data[side], axis=1)).tobytes()
-    block_len = per_block * seg_len
     n_blocks = per_node // per_block
+    lost = ~held[mine].reshape(n_blocks, per_block).all(axis=1)
+    # each row is one of its message's s rows; the other s-1 are side segments
+    peers = segments.messages.reshape(-1, segments.messages.shape[2])[mine]
+    side = peers[peers != np.arange(start, stop)[:, None]].reshape(per_node, -1)
+    decoded = payloads[mine] ^ np.bitwise_xor.reduce(segments.data[side], axis=1)
+    decoded = decoded.reshape(n_blocks, -1)
     mine_blocks = segments.ranks.blocks[(dest - 1) * n_blocks : dest * n_blocks]
     return {
-        storage: None if b in lost else decoded[b * block_len : (b + 1) * block_len]
+        storage: None if lost[b] else decoded[b].tobytes()
         for b, (_dest, storage) in enumerate(mine_blocks)
     }
 
@@ -504,7 +484,8 @@ def straggler_replan(
         if msg.partition != partition.index:
             raise ConstraintViolation(
                 "messages of partition p",
-                f"message {msg.key} belongs to partition {msg.partition}, not {partition.index}",
+                f"message {(msg.partition, msg.dest_group.members, msg.coop.members)} "
+                f"belongs to partition {msg.partition}, not {partition.index}",
             )
     rounds: list[list[tuple[CodedMessage, NodeSet]]] = [
         [] for _ in range(len(stragglers) + 1)

@@ -22,7 +22,6 @@ from cpcshuffle.codec import (
     _message_pairs,
     block_ivs,
     encode_partition,
-    message_key,
     round_up_bits,
     segment_ivs,
 )
@@ -393,30 +392,33 @@ class TestBlockSchedule:
 
     def test_block_tables_are_the_per_block_lookups(self):
         # the position tables, mapped through a partition's nodes, equal the
-        # per-block nodes, `message_key` lookups and Counter of chunk indices,
-        # on the first and last partition of every simulatable config, K <= 8
+        # per-block nodes, (D, B) lookups of message positions and Counter
+        # of chunk indices, on the first and last partition of every
+        # simulatable config, K <= 8
         for K, r, K_r, t in _simulatable_configs(8):
             cfg = validate_config(SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8), K_r, t)
             s, g = cfg.s, min(K_r, cfg.s + t - 1)
-            rx_pos, tx_pos, dest, chunk = channel._block_tables(s, t, K_r, cfg.K_t)
-            n_dests = math.comb(K_r, s)
-            assert dest.shape == chunk.shape == (math.comb(K_r, g), math.comb(g, s))
+            rx_pos, tx_pos, ids, chunk = channel._block_tables(s, t, K_r, cfg.K_t)
+            n_coops = math.comb(cfg.K_t, t)
+            n_blocks = math.comb(K_r, g) * n_coops
+            assert ids.shape == chunk.shape == (n_blocks, math.comb(g, s))
+            assert rx_pos.shape == (n_blocks, g) and tx_pos.shape == (n_blocks, g - s + 1)
             parts = enum_partitions(K, cfg.K_t)
             for part in (parts[0], parts[-1]):
                 rx_nodes, tx_nodes = np.array(part.rx.members), np.array(part.tx.members)
                 order = {
-                    message_key(part.index, dg, coop): e
-                    for e, (coop, dg) in enumerate(_message_pairs(part, cfg))
+                    (dg, coop): e for e, (coop, dg) in enumerate(_message_pairs(part, cfg))
                 }
                 next_chunk = Counter()
                 for i, group in enumerate(enum_subsets(part.rx, g)):
                     dest_groups = enum_subsets(group, s)
-                    assert rx_nodes[rx_pos[i]].tolist() == list(group.members)
                     for c, coop in enumerate(enum_subsets(part.tx, t)):
-                        assert tx_nodes[tx_pos[c]].tolist() == list(coop.members[: g - s + 1])
-                        keys = [order[message_key(part.index, dg, coop)] for dg in dest_groups]
-                        assert (c * n_dests + dest[i]).tolist() == keys, (K, r, K_r, t, i, c)
-                    assert chunk[i].tolist() == [next_chunk[dg] for dg in dest_groups]
+                        b = i * n_coops + c
+                        assert rx_nodes[rx_pos[b]].tolist() == list(group.members)
+                        assert tx_nodes[tx_pos[b]].tolist() == list(coop.members[: g - s + 1])
+                        positions = [order[(dg, coop)] for dg in dest_groups]
+                        assert ids[b].tolist() == positions, (K, r, K_r, t, i, c)
+                        assert chunk[b].tolist() == [next_chunk[dg] for dg in dest_groups]
                     next_chunk.update(dest_groups)
                 # every message is cut into one chunk per receiver set holding its group
                 assert set(next_chunk.values()) == {delivery_layout(s, t, K_r)[1]}
@@ -451,11 +453,8 @@ class TestSingleShotDelivery:
         assert rep.symbols_per_receiver == 6
         assert rep.max_residual < 1e-9
         assert rep.max_condition < 1e8
-        # all nine payloads land at their two receivers
-        for m in msgs:
-            key = (m.partition, m.dest_group.members, m.coop.members)
-            for j in m.dest_group:
-                assert rep.delivered[j][key] == m.payload
+        # no receiver loses any of the nine messages
+        assert rep.held.shape == (3, 9) and rep.held.all()
 
     def test_whole_group_multicast_one_slot(self):
         # s = K_r: every receiver wants every symbol, one slot per group
@@ -490,10 +489,7 @@ class TestTimeDivisionDelivery:
         msgs = encode_partition(segs, parts[0], cfg)
         ch = draw_channel(8, partition_slots(cfg), seed=9)
         rep = simulate_partition(parts[0], cfg, ch, msgs)
-        for m in msgs:
-            key = (m.partition, m.dest_group.members, m.coop.members)
-            for j in m.dest_group:
-                assert rep.delivered[j][key] == m.payload
+        assert rep.held.shape == (5, len(msgs)) and rep.held.all()
 
     def test_multichunk_split(self):
         # t = 2 with K_r = 6 has s+t = 4 <= 5 and C(K_r-s, t-1) = 4 chunks
@@ -505,10 +501,7 @@ class TestTimeDivisionDelivery:
         rep = simulate_partition(parts[0], cfg, ch, msgs)
         g = cfg.s + cfg.t - 1
         assert rep.measured_dof == Fraction(g, cfg.K_r)
-        for m in msgs[:5]:
-            key = (m.partition, m.dest_group.members, m.coop.members)
-            for j in m.dest_group:
-                assert rep.delivered[j][key] == m.payload
+        assert rep.held.shape == (6, len(msgs)) and rep.held.all()
 
     def test_one_dropped_chunk_withholds_only_its_message(self, monkeypatch):
         # the first block carries NaN symbols, which no receiver can solve,
@@ -543,19 +536,18 @@ class TestTimeDivisionDelivery:
         rep = simulate_partition(part, cfg, ch, msgs)
 
         assert len(blocks) == partition_slots(cfg) // 2
-        dropped = {
-            (m.partition, m.dest_group.members, m.coop.members)
-            for m in msgs
+        dropped = [
+            i for i, m in enumerate(msgs)
             if m.coop == first_coop and m.dest_group.issubset(first_rx)
-        }
+        ]
         assert len(dropped) == math.comb(g, cfg.s)
-        for m in msgs:
-            key = (m.partition, m.dest_group.members, m.coop.members)
-            for j in m.dest_group:
-                if key in dropped:
-                    assert key not in rep.delivered.get(j, {})
-                else:
-                    assert rep.delivered[j][key] == m.payload
+        # exactly the receivers of a dropped message lose it
+        lost = [
+            (k, i) for i, m in enumerate(msgs) for k, j in enumerate(part.rx)
+            if i in dropped and j in m.dest_group
+        ]
+        assert len(lost) == len(dropped) * cfg.s
+        assert [(int(k), int(i)) for k, i in zip(*np.nonzero(~rep.held))] == sorted(lost)
         # a receiver of the first block misses that block's two symbols and
         # nothing more: the other three chunks of its dropped messages count
         full = math.comb(cfg.K_r - 1, g - 1) * math.comb(cfg.K_t, cfg.t) * 2
@@ -646,12 +638,30 @@ class TestEndToEnd:
         assert ok
 
     def test_fault_names_the_damage(self):
+        # the corrupted message serves one block per node in D; exactly the
+        # required IVs of those s blocks fail, over both paths, and on a
+        # chunked time-division instance
         cfg = validate_config(WORKED, K_r=3, t=2)
         ok, rep = end_to_end_verify(WORKED, cfg, seed=0, corrupt=(1, 0))
         assert not ok
         # first message of partition 1 is (D={4,5}, B={1,2}); its loss hits
         # node 4's IV of file 3 and node 5's IV of file 2
-        assert (4, 4, 3) in rep.failures and (5, 5, 2) in rep.failures
+        assert rep.failures == [(4, 4, 3), (5, 5, 2)]
+        time_division = SystemParams(K=9, N=84, Q=9, r=3, B=480)
+        for params, K_r, t in [(WORKED, 3, 2), (time_division, 6, 2)]:
+            cfg = validate_config(params, K_r, t)
+            part = enum_partitions(params.K, cfg.K_t)[1]
+            coop, dest_group = _message_pairs(part, cfg)[3]
+            pl = build_placement(params)
+            damage = [
+                (j, q, n)
+                for j in dest_group
+                for q, n in sorted(block_ivs(pl, j, coop | (dest_group - NodeSet.of(j))))
+            ]
+            assert len(damage) == cfg.s
+            for verify in (end_to_end_verify, ideal_verify):
+                ok, rep = verify(params, cfg, seed=0, corrupt=(2, 3))
+                assert not ok and rep.failures == damage, (params, verify.__name__)
 
     def test_ideal_path_matches(self):
         cfg = validate_config(WORKED, K_r=3, t=2)
@@ -714,16 +724,13 @@ class TestEndToEnd:
         lost = {}
 
         def all_but_one(part, messages):
-            got: dict[int, dict] = {}
-            for m in messages:
-                for j in m.dest_group:
-                    got.setdefault(j, {})[m.key] = m.payload
-            if part.index == 2:
+            held = np.ones((K_r, len(messages)), dtype=bool)
+            if part.index == 3:
                 m = messages[-2]
                 k = m.dest_group.members[1]
-                del got[k][m.key]
+                held[part.rx.members.index(k), len(messages) - 2] = False
                 lost.update(k=k, storage=m.coop | (m.dest_group - NodeSet.of(k)))
-            return got, None
+            return held, None
 
         rep = channel._pipeline(params, cfg, 0, None, all_but_one)
         k, storage = lost["k"], lost["storage"]
@@ -745,7 +752,9 @@ class TestEndToEnd:
         # a bare KeyError from the block loop
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         msgs = encode_partition(segs, parts[0], cfg)
-        assert msgs[0].key == (1, (4, 5), (1, 2))
+        assert (msgs[0].partition, msgs[0].dest_group.members, msgs[0].coop.members) == (
+            1, (4, 5), (1, 2)
+        )
         ch = draw_channel(6, partition_slots(cfg), seed=5)
         blocks = []
         monkeypatch.setattr(channel, "build_precoders", lambda *a: blocks.append(a))
@@ -758,6 +767,27 @@ class TestEndToEnd:
         assert exc.value.constraint == "messages of partition p"
         assert "message (1, (4, 5), (1, 2)) is foreign to partition 2" in str(exc.value)
         assert blocks == []  # rejected before any block's precoders are built
+
+    def test_reordered_message_list_rejected(self, monkeypatch):
+        # the engine addresses a message by its place in `_message_pairs`
+        # order, so a complete list in another order is refused, naming the
+        # first message that is not where it is due
+        cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
+        msgs = encode_partition(segs, parts[0], cfg)
+        ch = draw_channel(6, partition_slots(cfg), seed=5)
+        blocks = []
+        monkeypatch.setattr(channel, "build_precoders", lambda *a: blocks.append(a))
+        with pytest.raises(ConstraintViolation) as exc:
+            simulate_partition(parts[0], cfg, ch, msgs[::-1])
+        assert exc.value.constraint == "messages of partition p"
+        assert "message (1, (4, 5), (1, 2)) is missing from partition 1" in str(exc.value)
+        swapped = [msgs[0], msgs[2], msgs[1], *msgs[3:]]
+        with pytest.raises(ConstraintViolation) as exc:
+            simulate_partition(parts[0], cfg, ch, swapped)
+        due = msgs[1]
+        address = (due.partition, due.dest_group.members, due.coop.members)
+        assert f"message {address} is missing from partition 1" in str(exc.value)
+        assert blocks == []
 
     def test_noise_mode_reports_mse(self):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
@@ -817,10 +847,7 @@ class TestEngineCoverage:
             where = (K, r, K_r, t)
             assert rep.slots_used == partition_slots(cfg), where
             assert rep.measured_dof == Fraction(min(K_r, cfg.s + t - 1), K_r), where
-            for m in msgs:
-                key = (m.partition, m.dest_group.members, m.coop.members)
-                for j in m.dest_group:
-                    assert rep.delivered[j][key] == m.payload, (where, key, j)
+            assert rep.held.shape == (K_r, len(msgs)) and rep.held.all(), where
 
 
 def _per_block_partition(partition, cfg, ch, messages, tol=channel.DEFAULT_TOLERANCE, snr_db=None):
@@ -835,11 +862,8 @@ def _per_block_partition(partition, cfg, ch, messages, tol=channel.DEFAULT_TOLER
     rx_sets = enum_subsets(partition.rx, g)
     coop_groups = enum_subsets(partition.tx, cfg.t)
     active = [NodeSet(coop.members[: g - s + 1]) for coop in coop_groups]
-    p = partition.index
-    index = {msg.key: m for m, msg in enumerate(messages)}
-    assert sorted(index) == sorted(
-        message_key(p, dg, coop) for coop, dg in _message_pairs(partition, cfg)
-    )
+    index = {(msg.dest_group, msg.coop): m for m, msg in enumerate(messages)}
+    assert sorted(index) == sorted((dg, coop) for coop, dg in _message_pairs(partition, cfg))
 
     H, W, ids, x = [], [], [], []
     next_chunk = Counter()
@@ -854,7 +878,7 @@ def _per_block_partition(partition, cfg, ch, messages, tol=channel.DEFAULT_TOLER
             if not norm.all():
                 raise ChannelConditionError("degenerate precoder (zero cofactors)")
             W.append(w / norm)
-            ids.append([index[message_key(p, dg, coop)] for dg in dest_groups])
+            ids.append([index[(dg, coop)] for dg in dest_groups])
             x.append([
                 channel.payload_symbol(messages[m], next_chunk[dg], n_chunks)
                 for m, dg in zip(ids[-1], dest_groups)
@@ -894,10 +918,11 @@ def _per_block_partition(partition, cfg, ch, messages, tol=channel.DEFAULT_TOLER
     np.add.at(held, (rx[:, :, None], ids[:, wanted]), solved)
     report.symbols_per_receiver = int(held[list(partition.rx)].sum(axis=1).min())
     report.measured_dof = Fraction(report.symbols_per_receiver, slots)
-    report.delivered = {
-        j: {msg.key: msg.payload for msg, n in zip(messages, held[j]) if n == n_chunks}
+    # held: the receiver solved every chunk of the message, or wants none
+    report.held = np.array([
+        [n == n_chunks or j not in msg.dest_group for msg, n in zip(messages, held[j])]
         for j in partition.rx
-    }
+    ])
     return report
 
 
@@ -933,4 +958,4 @@ class TestBatchedDeliveryPin:
                     continue
                 got = simulate_partition(part, cfg, ch, msgs, snr_db=snr_db)
                 assert got == want, where
-                assert got.delivered == want.delivered, where
+                assert np.array_equal(got.held, want.held), where

@@ -2,6 +2,7 @@ import functools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cpcshuffle.model import (
@@ -26,7 +27,6 @@ from cpcshuffle.codec import (
     decode_blocks,
     decode_segment,
     encode_partition,
-    message_key,
     per_partition_load,
     round_up_bits,
     segment_ivs,
@@ -141,23 +141,22 @@ class TestSegmentation:
                 sid = SegmentId(dest, storage, p, coop)
                 assert segs[sid].data == data[i * seg_len : (i + 1) * seg_len]
         assert len(segs) == len(blocks) * n_seg
-        held: dict[int, dict] = {k: {} for k in range(1, K + 1)}
-        for part in parts:
-            for m in encode_partition(segs, part, cfg):
-                ids = m.constituents()
-                assert m.payload == functools.reduce(xor_bytes, (segs[sid].data for sid in ids))
-                for j in m.dest_group:
-                    held[j][m.key] = m
+        # every message in partition order; the reference finds each by (p, D, B)
+        sent = [m for part in parts for m in encode_partition(segs, part, cfg)]
+        by_address = {(m.partition, m.dest_group, m.coop): m for m in sent}
+        for m in sent:
+            ids = m.constituents()
+            assert m.payload == functools.reduce(xor_bytes, (segs[sid].data for sid in ids))
+        payloads = np.frombuffer(b"".join(m.payload for m in sent), dtype=np.uint8)
+        payloads = payloads.reshape(len(sent), -1)
         for dest in range(1, K + 1):
-            decoded = decode_blocks(segs, dest, {key: m.payload for key, m in held[dest].items()})
+            decoded = decode_blocks(segs, dest, payloads, np.ones(len(sent), dtype=bool))
             mine = [storage for d, storage in blocks if d == dest]
             assert list(decoded) == mine
             for storage in mine:
                 reference = b"".join(
                     decode_segment(
-                        held[dest][
-                            message_key(number[tx], NodeSet.of(dest) | (storage - coop), coop)
-                        ],
+                        by_address[(number[tx], NodeSet.of(dest) | (storage - coop), coop)],
                         segs,
                         dest,
                     ).data
@@ -299,10 +298,12 @@ class TestDecode:
     def test_decode_blocks_rejects_a_node_outside_the_table(self, worked):
         # 0 and K + 1 used to reach numpy's "cannot reshape array of size 0"
         cfg, pl, store, segs, parts = worked
+        payloads = np.zeros((segs.messages.size // cfg.s, segs.data.shape[1]), dtype=np.uint8)
+        nothing = np.zeros(len(payloads), dtype=bool)
         for dest in (0, 7):
             with pytest.raises(ParameterError, match=f"node {dest} out of range \\[1, 6\\]"):
-                decode_blocks(segs, dest, {})
-        assert all(block is None for block in decode_blocks(segs, 6, {}).values())
+                decode_blocks(segs, dest, payloads, nothing)
+        assert all(block is None for block in decode_blocks(segs, 6, payloads, nothing).values())
 
 
 class TestLoad:
@@ -406,8 +407,9 @@ class TestStragglers:
     def test_foreign_messages_rejected(self, worked):
         cfg, pl, store, segs, parts = worked
         msgs = encode_partition(segs, parts[0], cfg)
-        with pytest.raises(ConstraintViolation, match="messages of partition p"):
+        with pytest.raises(ConstraintViolation, match="messages of partition p") as exc:
             straggler_replan(parts[5], cfg, NodeSet(()), msgs)
+        assert "message (1, (4, 5), (1, 2)) belongs to partition 1, not 6" in str(exc.value)
 
     def test_schedule_counts_slots_on_the_engine_layout(self):
         # every valid configuration with K <= 8: the intact plan costs the

@@ -15,7 +15,6 @@ from cpcshuffle.codec import (
     _message_pairs,
     admissible_pairs,
     encode_partition,
-    message_key,
     round_up_bits,
     segment_ivs,
 )
@@ -143,10 +142,9 @@ class TestMessageTable:
                 ids = CodedMessage(part.index, dest_group, coop, b"").constituents()
                 rows = [segs.ranks[(i.dest, i.storage.mask, i.partition, i.coop.mask)] for i in ids]
                 assert segs.messages[part.index - 1, m].tolist() == rows
-                assert segs.message_keys[flat] == message_key(part.index, dest_group, coop)
                 assert (segs.message_of[rows] == flat).all()
                 flat += 1
-        assert len(segs.message_keys) == flat
+        assert segs.messages.reshape(-1, cfg.s).shape[0] == flat
         for table in (segs.messages, segs.message_of):
             assert not table.flags.writeable
 
