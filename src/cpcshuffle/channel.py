@@ -20,8 +20,9 @@ builds every (block, message, slot) cofactor precoder, and the stacked
 blocks give the effective gains, the nulling residual at the unintended
 receivers, the received signals, and every receiver's square system with
 its condition number and solve.  Per block only the unit-norm check of
-the precoders (`build_precoders`) runs, and per message chunk only its
-payload symbol.
+the precoders (`build_precoders`) runs.  The symbols of every message
+chunk come from one `payload_symbols` pass per partition, one hash per
+chunk, and each block reads its own from that array.
 
 A message is cut into C(K_r-s, g-s) chunks, one per receiver set that
 contains D, so the per-receiver DoF is g / K_r.  `model.delivery_layout`
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from fractions import Fraction
@@ -184,15 +186,35 @@ def neutralizing_precoder(rows: np.ndarray) -> np.ndarray:
     return np.linalg.det(minors) * (-1.0) ** (n + 1 + np.arange(n))
 
 
-def payload_symbol(message: CodedMessage, chunk_index: int, n_chunks: int) -> complex:
-    """Deterministic unit-power symbol for chunk `chunk_index` of a message
-    whose payload is cut into `n_chunks` equal chunks (a fixture, not a modem)."""
-    step = len(message.payload) // n_chunks
-    chunk = message.payload[chunk_index * step : (chunk_index + 1) * step]
-    address = (message.partition, message.dest_group.members, message.coop.members, chunk_index)
-    tag = hashlib.blake2b(repr(address).encode() + chunk, digest_size=8).digest()
-    phase = 2.0 * np.pi * (int.from_bytes(tag, "little") / 2**64)
-    return complex(np.cos(phase), np.sin(phase))
+def payload_symbols(messages: list[CodedMessage], n_chunks: int) -> np.ndarray:
+    """Deterministic unit-power symbols x[m, c] for chunk c of message m,
+    each payload cut into `n_chunks` equal chunks (a fixture, not a modem).
+
+    A chunk's phase is 2 pi times its 8-byte blake2b tag, read
+    little-endian as a fraction of 2**64.  The tag hashes the repr of
+    the chunk's address (p, D, B, c) followed by the chunk's bytes.
+    """
+    tags = []
+    for msg in messages:
+        payload = msg.payload
+        if len(payload) % n_chunks != 0:
+            raise ParameterError(
+                f"payload of {len(payload)} bytes does not split into {n_chunks} chunks"
+            )
+        step = len(payload) // n_chunks
+        head = repr((msg.partition, msg.dest_group.members, msg.coop.members))[:-1]
+        tags += [
+            hashlib.blake2b(
+                f"{head}, {c})".encode() + payload[c * step : (c + 1) * step], digest_size=8
+            ).digest()
+            for c in range(n_chunks)
+        ]
+    v = np.frombuffer(b"".join(tags), dtype="<u8").reshape(len(messages), n_chunks)
+    phase = 2.0 * np.pi * (v / 2.0**64)
+    x = np.empty(v.shape, dtype=complex)
+    x.real = np.cos(phase)
+    x.imag = np.sin(phase)
+    return x
 
 
 def build_precoders(w: np.ndarray) -> np.ndarray:
@@ -200,8 +222,8 @@ def build_precoders(w: np.ndarray) -> np.ndarray:
     unknown u's `neutralizing_precoder` in the block's i-th slot, shape
     (U, slot, n) for n transmitters.  Zero cofactors raise, so the channel
     is resampled."""
-    norm = np.linalg.norm(w, axis=-1, keepdims=True)
-    if not norm.all():
+    norm = np.sqrt(np.add.reduce((w.conj() * w).real, axis=-1, keepdims=True))
+    if np.count_nonzero(norm) != norm.size:
         raise ChannelConditionError("degenerate precoder (zero cofactors)")
     return w / norm
 
@@ -308,11 +330,12 @@ def simulate_partition(
     for the set; the coop group's first g-s+1 members transmit it.  The
     gains, cofactors, message positions and chunk indices of every block
     come from one gather each; each block's precoders are normalized by
-    its own `build_precoders` call, and each (block, message) picks its
-    payload symbol.  The rest runs over the stacked blocks.  A receiver
-    solves a symbol when its relative error is below `tol`, or always
-    under `snr_db`, where `noise_mse` averages the squared symbol errors
-    instead.  It holds a message once it has all of its chunks.
+    its own `build_precoders` call, and each (block, message) reads its
+    chunk's symbol from the partition's one `payload_symbols` array.  The
+    rest runs over the stacked blocks.  A receiver solves a symbol when
+    its relative error is below `tol`, or always under `snr_db`, where
+    `noise_mse` averages the squared symbol errors instead.  It holds a
+    message once it has all of its chunks.
     `messages` must be exactly the partition's, in the `_message_pairs`
     order `encode_partition` returns: a missing, misplaced or foreign one
     raises ConstraintViolation.  The report's `held` says which receivers
@@ -336,20 +359,18 @@ def simulate_partition(
     wants, nulled, wanted = _schedule(config)
     rx_pos, tx_pos, ids, chunks = _block_tables(s, config.t, config.K_r, config.K_t)
     p = partition.index
-    due = [(p, dg.members, coop.members) for coop, dg in _message_pairs(partition, config)]
-    given = [(msg.partition, msg.dest_group.members, msg.coop.members) for msg in messages]
+    due = [(p, dg, coop) for coop, dg in _message_pairs(partition, config)]
+    given = [(msg.partition, msg.dest_group, msg.coop) for msg in messages]
     if given != due:
         # the first place out of order names the message found there when
         # it is another partition's or one too many, else the one due there
+        due = [(q, d.members, b.members) for q, d, b in due]
+        given = [(q, d.members, b.members) for q, d, b in given]
         i = next(i for i, pair in enumerate(zip_longest(given, due)) if pair[0] != pair[1])
         foreign = i < len(given) and (i == len(due) or given[i][0] != p)
         which = f"{given[i]} is foreign to" if foreign else f"{due[i]} is missing from"
         raise ConstraintViolation("messages of partition p", f"message {which} partition {p}")
-    for msg in messages:
-        if len(msg.payload) % n_chunks != 0:
-            raise ParameterError(
-                f"payload of {len(msg.payload)} bytes does not split into {n_chunks} chunks"
-            )
+    symbols = payload_symbols(messages, n_chunks)
 
     # block b serves receiver nodes rx[b] from transmitters tx[b]: gains
     # H[b, i, k, l], precoders W[b, u, i, l], and the message position
@@ -360,10 +381,7 @@ def simulate_partition(
     H = channel.blocks(rx, tx, gamma)
     cofactors = neutralizing_precoder(H[:, :, nulled].transpose(0, 2, 1, 3, 4))
     W = np.array([build_precoders(w) for w in cofactors])
-    x = np.array([
-        payload_symbol(messages[m], c, n_chunks)
-        for m, c in zip(ids.ravel().tolist(), chunks.ravel().tolist())
-    ]).reshape(ids.shape)
+    x = symbols[ids, chunks]
 
     # G[b, i, k, u]: unknown u's effective gain at receiver position k in slot i
     G = np.einsum("bikl,buil->biku", H, W)
@@ -479,13 +497,25 @@ def _pipeline(
 ) -> VerificationReport:
     """Placement -> map -> segment -> encode -> fault -> deliver -> reassemble.
 
-    `corrupt=(p, i)` flips a byte of partition p's i-th message.
+    `corrupt=(p, i)` flips a byte of partition p's i-th message; a p or i
+    that is not an integer position among the partitions and a
+    partition's messages raises ParameterError before any work starts.
     `deliver(partition, messages)` returns the partition's (K_r,
     messages) `held` mask, and its DeliveryReport or None over an ideal
     channel; of that report only five numbers are kept.  Reassembly reads
     one (all messages, L) payload array and one (K+1, all messages)
     `held` mask, both in `message_of` numbering.
     """
+    if corrupt is not None:
+        n_parts = math.comb(params.K, config.K_t)
+        n_msgs = math.comb(config.K_t, config.t) * math.comb(config.K_r, config.s)
+        p, i = corrupt
+        whole = isinstance(p, numbers.Integral) and isinstance(i, numbers.Integral)
+        if not (whole and 1 <= p <= n_parts and 0 <= i < n_msgs):
+            raise ParameterError(
+                f"corrupt=({p}, {i}) outside partitions [1, {n_parts}] "
+                f"and messages [0, {n_msgs - 1}]"
+            )
     placement = build_placement(params)
     store = map_phase(placement, params, seed)
     segments = segment_ivs(placement, config, store)

@@ -345,11 +345,8 @@ def segment_ivs(
 def _message_pairs(partition: Partition, config: ShuffleConfig) -> list[tuple[NodeSet, NodeSet]]:
     """The (coop group B, dest group D) of each of a partition's
     C(K_t, t) * C(K_r, s) messages, in (B lex, D lex) order."""
-    return [
-        (coop, dest_group)
-        for coop in enum_subsets(partition.tx, config.t)
-        for dest_group in enum_subsets(partition.rx, config.s)
-    ]
+    coops = enum_subsets(partition.tx, config.t)
+    return list(itertools.product(coops, enum_subsets(partition.rx, config.s)))
 
 
 def encode_partition(

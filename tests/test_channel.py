@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -50,6 +51,16 @@ def _prepared(params, K_r, t, seed=0):
     segs = segment_ivs(pl, cfg, store)
     parts = enum_partitions(params.K, cfg.K_t)
     return cfg, segs, parts
+
+
+def _reference_symbol(message, chunk_index, n_chunks):
+    """One chunk's symbol by the per-chunk formula, scalar calls throughout."""
+    step = len(message.payload) // n_chunks
+    chunk = message.payload[chunk_index * step : (chunk_index + 1) * step]
+    address = (message.partition, message.dest_group.members, message.coop.members, chunk_index)
+    tag = hashlib.blake2b(repr(address).encode() + chunk, digest_size=8).digest()
+    phase = 2.0 * np.pi * (int.from_bytes(tag, "little") / 2**64)
+    return complex(np.cos(phase), np.sin(phase))
 
 
 class TestDrawChannel:
@@ -310,7 +321,7 @@ class TestNeutralizingPrecoder:
         errors = []
         for group, coop, slots, row, vectors in _reference_blocks(ch, cfg, part):
             dest_groups = enum_subsets(group, cfg.s)
-            sym = {dg: channel.payload_symbol(by_pair[(dg, coop)], 0, 1) for dg in dest_groups}
+            sym = {dg: _reference_symbol(by_pair[(dg, coop)], 0, 1) for dg in dest_groups}
             y = {}
             for d in slots:
                 for j in group:
@@ -520,18 +531,19 @@ class TestTimeDivisionDelivery:
             blocks.append(w)
             return real_build(w)
 
-        real_symbol = channel.payload_symbol
+        real_symbols = channel.payload_symbols
 
-        def first_block_lost(message, chunk_index, n_chunks):
+        def first_block_lost(messages, n_chunks):
             # chunk 0 of a message whose dest group lies in the first
             # receiver set rides in that set's first block
-            first = message.coop == first_coop and message.dest_group.issubset(first_rx)
-            if first and chunk_index == 0:
-                return complex("nan")
-            return real_symbol(message, chunk_index, n_chunks)
+            x = real_symbols(messages, n_chunks)
+            for m, message in enumerate(messages):
+                if message.coop == first_coop and message.dest_group.issubset(first_rx):
+                    x[m, 0] = complex("nan")
+            return x
 
         monkeypatch.setattr(channel, "build_precoders", record)
-        monkeypatch.setattr(channel, "payload_symbol", first_block_lost)
+        monkeypatch.setattr(channel, "payload_symbols", first_block_lost)
         ch = draw_channel(9, partition_slots(cfg), seed=2)
         rep = simulate_partition(part, cfg, ch, msgs)
 
@@ -669,6 +681,35 @@ class TestEndToEnd:
         assert ok and rep.failures == []
         ok2, rep2 = ideal_verify(WORKED, cfg, seed=0, corrupt=(2, 3))
         assert not ok2 and rep2.failures
+
+    @pytest.mark.parametrize("verify", [end_to_end_verify, ideal_verify])
+    @pytest.mark.parametrize(
+        "corrupt",
+        [(0, 0), (21, 0), (1, 9), (1, -1), (1.5, 0)],
+        ids=[
+            "partition_zero",
+            "partition_past_last",
+            "message_past_last",
+            "negative_message",
+            "fractional_partition",
+        ],
+    )
+    def test_corrupt_out_of_range_rejected_before_any_work(self, monkeypatch, verify, corrupt):
+        # the worked instance has C(6, 3) = 20 partitions of C(3, 2)**2 = 9
+        # messages; nothing is placed before the check
+        def placed(*args):
+            raise AssertionError("placement built before corrupt was checked")
+
+        monkeypatch.setattr(channel, "build_placement", placed)
+        cfg = validate_config(WORKED, K_r=3, t=2)
+        with pytest.raises(ParameterError, match=r"partitions \[1, 20\] and messages \[0, 8\]"):
+            verify(WORKED, cfg, seed=0, corrupt=corrupt)
+
+    @pytest.mark.parametrize("verify", [end_to_end_verify, ideal_verify])
+    def test_corrupt_at_the_last_corner_fails_reassembly(self, verify):
+        cfg = validate_config(WORKED, K_r=3, t=2)
+        ok, rep = verify(WORKED, cfg, seed=0, corrupt=(20, 8))
+        assert not ok and len(rep.failures) == cfg.s
 
     def test_iv_missing_from_layout_fails(self, monkeypatch):
         # the check walks the required IVs, not the layout, so an IV the
@@ -880,7 +921,7 @@ def _per_block_partition(partition, cfg, ch, messages, tol=channel.DEFAULT_TOLER
             W.append(w / norm)
             ids.append([index[(dg, coop)] for dg in dest_groups])
             x.append([
-                channel.payload_symbol(messages[m], next_chunk[dg], n_chunks)
+                _reference_symbol(messages[m], next_chunk[dg], n_chunks)
                 for m, dg in zip(ids[-1], dest_groups)
             ])
             slot0 += gamma
@@ -959,3 +1000,66 @@ class TestBatchedDeliveryPin:
                 got = simulate_partition(part, cfg, ch, msgs, snr_db=snr_db)
                 assert got == want, where
                 assert np.array_equal(got.held, want.held), where
+
+
+class TestPayloadSymbols:
+    def test_one_pass_equals_the_per_chunk_formula(self):
+        # every (message, chunk) of the first and last partition, real and
+        # imaginary parts compared bit for bit
+        cases = list(_simulatable_configs(6)) + [(9, 3, 6, 2), (10, 5, 5, 2)]
+        assert len(cases) == 59
+        for K, r, K_r, t in cases:
+            probe = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8)
+            B = simulation_bits(validate_config(probe, K_r, t), 8)
+            params = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=B)
+            cfg, segs, parts = _prepared(params, K_r=K_r, t=t, seed=K + r)
+            n_chunks = delivery_layout(cfg.s, t, K_r)[1]
+            for part in (parts[0], parts[-1]):
+                msgs = encode_partition(segs, part, cfg)
+                got = channel.payload_symbols(msgs, n_chunks)
+                want = np.array([
+                    [_reference_symbol(m, c, n_chunks) for c in range(n_chunks)] for m in msgs
+                ])
+                where = (K, r, K_r, t, part.index)
+                assert got.shape == (len(msgs), n_chunks) and got.dtype == complex, where
+                assert got.real.tobytes() == want.real.tobytes(), where
+                assert got.imag.tobytes() == want.imag.tobytes(), where
+
+    def test_payload_that_does_not_split_rejected(self):
+        params = SystemParams(K=9, N=84, Q=9, r=3, B=480)
+        cfg, segs, parts = _prepared(params, K_r=6, t=2)
+        msgs = encode_partition(segs, parts[0], cfg)
+        short = msgs[5].payload[:-1]
+        msgs[5] = dataclasses.replace(msgs[5], payload=short)
+        ch = draw_channel(9, partition_slots(cfg), seed=0)
+        with pytest.raises(
+            ParameterError, match=f"payload of {len(short)} bytes does not split into 4 chunks"
+        ):
+            simulate_partition(parts[0], cfg, ch, msgs)
+
+
+class TestBuildPrecoders:
+    def test_equals_the_norm_division(self):
+        # every block shape (unknowns, slots, transmitters) of the K <= 8
+        # layouts, with magnitudes spread as cofactors' are
+        shapes = set()
+        for K, r, K_r, t in _simulatable_configs(8):
+            s = r + 1 - t
+            g, _chunks, gamma = delivery_layout(s, t, K_r)
+            shapes.add((math.comb(g, s), gamma, g - s + 1))
+        assert (1, 1, 1) in shapes and len(shapes) == 10
+        rng = np.random.default_rng(3)
+        for shape in sorted(shapes):
+            for scale in (1e-6, 1.0, 1e6):
+                w = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                want = w / np.linalg.norm(w, axis=-1, keepdims=True)
+                assert build_precoders(w).tobytes() == want.tobytes(), (shape, scale)
+
+    def test_one_zero_cofactor_vector_raises(self):
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+        w[1, 0, 0] = 0.0
+        assert build_precoders(w).shape == w.shape  # one zero entry is fine
+        w[1, 0] = 0.0
+        with pytest.raises(ChannelConditionError, match="zero cofactors"):
+            build_precoders(w)
