@@ -10,10 +10,10 @@ the g-s unintended receivers, so its superposition vanishes there exactly
 (up to floating point).  Each receiver then sees only the messages it
 wants and solves a square symbol-extension system, one symbol per slot.
 
-Which receiver positions of a block want which of its C(g, s) messages
-depends on (s, g) alone, so it is one config-level table.  So are the
-blocks themselves, as positions in a partition's receivers,
-transmitters and messages, with each message's chunk index.  A
+The blocks, as positions in a partition's receivers, transmitters and
+messages with each message's chunk index, and which receiver positions
+of a block want which of its C(g, s) messages, depend on the config
+alone, so they are one config-level table (`_block_tables`).  A
 partition's delivery is then one array pass: one fancy index gathers
 every block's (slot, receiver, transmitter) gains, one determinant call
 builds every (block, message, slot) cofactor precoder, and the stacked
@@ -257,46 +257,21 @@ def partition_slots(config: ShuffleConfig) -> int:
     return math.comb(config.K_r, g) * math.comb(config.K_t, config.t) * gamma
 
 
-def _schedule(config: ShuffleConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The block structure of `config`'s layout; see `_wants_tables`."""
-    g, _chunks, _gamma = delivery_layout(config.s, config.t, config.K_r)
-    return _wants_tables(config.s, g)
-
-
 @lru_cache(maxsize=32)
-def _wants_tables(s: int, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The block structure, which depends on (s, g) alone.
-
-    wants[k, u]: receiver position k of a receiver set lies in the set's
-    u-th s-subset, the u-th dest group in `enum_subsets` order.  Derived
-    from it: nulled[u], the g-s positions unknown u is nulled at, and
-    wanted[k], the C(g-1, s-1) unknowns position k solves for.  Every
-    partition of every config with this (s, g) shares them, so they are
-    cached, read-only.
-    """
-    groups = list(combinations(range(g), s))
-    wants = np.array([[k in group for group in groups] for k in range(g)])
-    nulled = np.nonzero(~wants.T)[1].reshape(len(groups), g - s)
-    wanted = np.nonzero(wants)[1].reshape(g, math.comb(g - 1, s - 1))
-    for table in (wants, nulled, wanted):
-        table.flags.writeable = False
-    return wants, nulled, wanted
-
-
-@lru_cache(maxsize=32)
-def _block_tables(
-    s: int, t: int, K_r: int, K_t: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A partition's blocks as positions in its receivers, transmitters
-    and messages, which depend on (s, t, K_r, K_t) alone.
+def _block_tables(s: int, t: int, K_r: int, K_t: int) -> tuple[np.ndarray, ...]:
+    """The block structure of a partition, which depends on (s, t, K_r,
+    K_t) alone: one config-level table, cached and read-only.
 
     Block b = r * n_coops + c serves receiver set r with coop group c,
     both in lex order.  rx[b]: set r's g receiver positions.  tx[b]: coop
     group c's first g-s+1 positions, the ones that transmit.  ids[b, u]:
     the `_message_pairs` position of set r's u-th dest group's message
     from group c.  chunk[b, u]: how many earlier receiver sets contain
-    that dest group, so the chunk the block carries.  Every partition of
-    a config shares them, so they are cached, read-only.
+    that dest group, so the chunk the block carries.  wants[k, u]:
+    position k of a receiver set lies in the set's u-th s-subset, the
+    u-th dest group in `enum_subsets` order.  Derived from it: nulled[u],
+    the g-s positions unknown u is nulled at, and wanted[k], the C(g-1,
+    s-1) unknowns position k solves for.
     """
     g, _chunks, _gamma = delivery_layout(s, t, K_r)
     rx = np.array(list(combinations(range(K_r), g)))
@@ -308,7 +283,14 @@ def _block_tables(
     chunk = np.take_along_axis(contains.cumsum(axis=0) - 1, dest, axis=1)
     n = len(tx)
     ids = (np.arange(n)[:, None] * len(group_masks) + dest[:, None]).reshape(len(rx) * n, -1)
-    tables = (np.repeat(rx, n, 0), np.tile(tx, (len(rx), 1)), ids, np.repeat(chunk, n, 0))
+    groups = list(combinations(range(g), s))
+    wants = np.array([[k in group for group in groups] for k in range(g)])
+    nulled = np.nonzero(~wants.T)[1].reshape(len(groups), g - s)
+    wanted = np.nonzero(wants)[1].reshape(g, math.comb(g - 1, s - 1))
+    tables = (
+        np.repeat(rx, n, 0), np.tile(tx, (len(rx), 1)), ids, np.repeat(chunk, n, 0),
+        wants, nulled, wanted,
+    )
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -356,8 +338,8 @@ def simulate_partition(
         raise ParameterError(f"channel has {channel.slots} slots, need {slots}")
     s = config.s
     g, n_chunks, gamma = delivery_layout(s, config.t, config.K_r)
-    wants, nulled, wanted = _schedule(config)
-    rx_pos, tx_pos, ids, chunks = _block_tables(s, config.t, config.K_r, config.K_t)
+    tables = _block_tables(s, config.t, config.K_r, config.K_t)
+    rx_pos, tx_pos, ids, chunks, wants, nulled, wanted = tables
     p = partition.index
     due = [(p, dg, coop) for coop, dg in _message_pairs(partition, config)]
     given = [(msg.partition, msg.dest_group, msg.coop) for msg in messages]

@@ -17,13 +17,14 @@ holds all segments as the rows of one `(n_segments, seg_len)` uint8
 array, so a block's segments are its bytes reshaped.  A pair's index is
 B's rank among the t-subsets of the storage group times the number of
 E's, plus E's rank, so three small maps filled from each block's one
-`admissible_pairs` call give any segment's row: `ranks`, a computed
-view keyed by (dest, storage mask, p, coop mask), p being the number
-`enum_partitions`, the only code that numbers partitions, gives T.  The
-same pass lays out every partition's messages as one (partitions,
-messages, s) table of rows, so no Python object is kept per row.  A
-message's address is its position: partition p's m-th message in
-`_message_pairs` order is flat message (p-1) * per-partition count + m.
+`admissible_pairs` call give any segment's row: `SegmentTable.row(dest,
+storage mask, p, coop mask)`, p being the number `enum_partitions`, the
+only code that numbers partitions, gives T.  The table keeps the
+config, its blocks and partitions, and those maps.  The same pass lays
+out every partition's messages as one (partitions, messages, s) table
+of rows, so no Python object is kept per row.  A message's address is
+its position: partition p's m-th message in `_message_pairs` order is
+flat message (p-1) * per-partition count + m.
 Encoding XOR-reduces a partition's rows, and node-wide decoding gathers
 its payloads from one (all messages, L) array, masked by what the node
 holds.  As a mapping, `SegmentTable` gives `Segment`s by `SegmentId`;
@@ -166,84 +167,66 @@ def admissible_pairs(
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class RankView(Mapping[tuple[int, int, int, int], int]):
-    """Row of every segment key (dest, storage mask, p, coop mask), computed.
+class SegmentTable(Mapping[SegmentId, Segment]):
+    """Every segment of `config` as one row of a read-only
+    `(n_segments, seg_len)` uint8 array.
 
+    Rows run in `blocks` order, (dest, storage lex), and each node owns
+    `per_node` = C(K-1, r) * `per_block` consecutive rows, node 1 first.
     Block b = `block_of[(dest, storage mask)]` is cut into `per_block` =
     C(r, t) * `n_extra` rows, one per `admissible_pairs` pair (B, B | E),
-    which run B-major.  The key's row is b * per_block + B's rank among
-    the t-subsets of the storage group (`coop_rank[(storage mask, B mask)]`)
-    * n_extra + the rank of E = T_p - B among the (K_t - t)-subsets
-    outside storage and {dest} (`extra_rank[(storage | {dest} mask, E
-    mask)]`).  A key that names no segment raises KeyError.
+    which run B-major; `row` computes a segment's row from three small
+    maps.  `messages[p - 1]` holds the s constituent rows of each of
+    partition p's messages in `_message_pairs` order, D order within a
+    message; row i belongs to flat message `message_of[i]`, the message's
+    position in `messages.reshape(-1, s)`.  Python objects exist per
+    block, never per message or row.  As a mapping it answers `SegmentId`
+    lookups and builds ids only when iterated.
     """
 
     config: ShuffleConfig
+    data: np.ndarray
     blocks: list[tuple[int, NodeSet]]
+    partitions: list[Partition]
     block_of: dict[tuple[int, int], int]
     coop_rank: dict[tuple[int, int], int]
     extra_rank: dict[tuple[int, int], int]
-    partitions: list[Partition]
     per_block: int
     n_extra: int
+    per_node: int
+    messages: np.ndarray
+    message_of: np.ndarray
 
-    def __getitem__(self, key: tuple[int, int, int, int]) -> int:
-        dest, storage, p, coop = key
+    def row(self, dest: int, storage_mask: int, p: int, coop_mask: int) -> int:
+        """Row of segment (dest, storage, p, B): b * per_block + B's rank
+        among the t-subsets of the storage group (`coop_rank[(storage
+        mask, B mask)]`) * n_extra + the rank of E = T_p - B among the
+        (K_t - t)-subsets outside storage and {dest} (`extra_rank[(storage
+        | {dest} mask, E mask)]`).  A key that names no segment raises
+        KeyError."""
+        key = (dest, storage_mask, p, coop_mask)
         if not 1 <= p <= len(self.partitions):
             raise KeyError(key)
         tx = self.partitions[p - 1].tx.mask
         # a B outside T_p leaves more than K_t - t nodes in T_p - B, which
         # no extra rank is kept for
         try:
-            block = self.block_of[(dest, storage)]
-            head = self.coop_rank[(storage, coop)]
-            extra = self.extra_rank[(storage | 1 << dest, tx & ~coop)]
+            block = self.block_of[(dest, storage_mask)]
+            head = self.coop_rank[(storage_mask, coop_mask)]
+            extra = self.extra_rank[(storage_mask | 1 << dest, tx & ~coop_mask)]
         except KeyError:
             raise KeyError(key) from None
         return block * self.per_block + head * self.n_extra + extra
 
-    def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
-        number = {part.tx.mask: part.index for part in self.partitions}
-        for dest, storage in self.blocks:
-            for coop, tx in admissible_pairs(dest, storage, self.config):
-                yield dest, storage.mask, number[tx.mask], coop.mask
-
-    def __len__(self) -> int:
-        return len(self.blocks) * self.per_block
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class SegmentTable(Mapping[SegmentId, Segment]):
-    """Every segment as one row of a read-only `(n_segments, seg_len)`
-    uint8 array, found through `ranks[(dest, storage.mask, p, coop.mask)]`.
-
-    Rows run in block order, and each node owns `per_node` = C(K-1, r) *
-    `per_block` consecutive rows, node 1 first.  `messages[p - 1]` holds
-    the s constituent rows of each of partition p's messages in
-    `_message_pairs` order, D order within a message; row i belongs to
-    flat message `message_of[i]`, the message's position in
-    `messages.reshape(-1, s)`.  Python objects exist per block, never per
-    message or row.  As a mapping it answers `SegmentId` lookups and
-    builds ids only when iterated.
-    """
-
-    data: np.ndarray
-    ranks: RankView
-    per_node: int
-    messages: np.ndarray
-    message_of: np.ndarray
-
-    @property
-    def per_block(self) -> int:
-        return self.ranks.per_block
-
     def __getitem__(self, sid: SegmentId) -> Segment:
-        row = self.ranks[(sid.dest, sid.storage.mask, sid.partition, sid.coop.mask)]
+        row = self.row(sid.dest, sid.storage.mask, sid.partition, sid.coop.mask)
         return Segment(id=sid, data=self.data[row].tobytes())
 
     def __iter__(self) -> Iterator[SegmentId]:
-        for dest, storage, p, coop in self.ranks:
-            yield SegmentId(dest, NodeSet.from_mask(storage), p, NodeSet.from_mask(coop))
+        number = {part.tx.mask: part.index for part in self.partitions}
+        for dest, storage in self.blocks:
+            for coop, tx in admissible_pairs(dest, storage, self.config):
+                yield SegmentId(dest, storage, number[tx.mask], coop)
 
     def __len__(self) -> int:
         return len(self.data)
@@ -296,9 +279,6 @@ def segment_ivs(
     n_rows = len(blocks) * n_seg
     data = np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(n_rows, seg_len)
     partitions = enum_partitions(params.K, config.K_t)
-    ranks = RankView(
-        config, blocks, block_of, coop_rank, extra_rank, partitions, n_seg, n_extra
-    )
     # message (p, D, B) XORs receiver j's segment (j, B | D - {j}, p, B) for
     # j in D, as in `constituents`.  Its rows less the extra rank depend on
     # X = B | D and B alone, so each (X, B) gets its s row heads once.
@@ -322,10 +302,14 @@ def segment_ivs(
                     ])
                 extras.append(extra_rank[(x, tx & ~b)])
             except KeyError:
-                sid = next(
-                    sid for sid in CodedMessage(p, dest_group, coop, b"").constituents()
-                    if (sid.dest, sid.storage.mask, p, b) not in ranks
+                # the first receiver, in D order, whose segment a map lacks
+                j = next(
+                    j for j in dest_group.members
+                    if (j, x & ~(1 << j)) not in block_of
+                    or (x & ~(1 << j), b) not in coop_rank
+                    or (x, tx & ~b) not in extra_rank
                 )
+                sid = SegmentId(j, NodeSet.from_mask(x & ~(1 << j)), p, coop)
                 raise InternalInvariantError(f"missing segment {sid}") from None
             which.append(h)
     s = config.s
@@ -339,7 +323,10 @@ def segment_ivs(
     for table in (rows, message_of):
         table.flags.writeable = False
     per_node = math.comb(params.K - 1, params.r) * n_seg
-    return SegmentTable(data, ranks, per_node, rows.reshape(len(partitions), -1, s), message_of)
+    return SegmentTable(
+        config, data, blocks, partitions, block_of, coop_rank, extra_rank, n_seg, n_extra,
+        per_node, rows.reshape(len(partitions), -1, s), message_of,
+    )
 
 
 def _message_pairs(partition: Partition, config: ShuffleConfig) -> list[tuple[NodeSet, NodeSet]]:
@@ -358,8 +345,8 @@ def encode_partition(
     `partition` is its partition of that number.
     """
     p = partition.index
-    known = segments.ranks.partitions
-    if config != segments.ranks.config or not 1 <= p <= len(known) or known[p - 1] != partition:
+    known = segments.partitions
+    if config != segments.config or not 1 <= p <= len(known) or known[p - 1] != partition:
         raise ParameterError(
             f"partition {p} (transmitters {partition.tx.members}) under {config} "
             f"is not one the segment table was cut for"
@@ -413,7 +400,7 @@ def decode_blocks(
     A block with any row whose message is not held maps to None.
     """
     per_node, per_block = segments.per_node, segments.per_block
-    K = len(segments) // per_node
+    K = segments.config.params.K
     if not 1 <= dest <= K:
         raise ParameterError(f"node {dest} out of range [1, {K}]")
     start, stop = (dest - 1) * per_node, dest * per_node
@@ -425,7 +412,7 @@ def decode_blocks(
     side = peers[peers != np.arange(start, stop)[:, None]].reshape(per_node, -1)
     decoded = payloads[mine] ^ np.bitwise_xor.reduce(segments.data[side], axis=1)
     decoded = decoded.reshape(n_blocks, -1)
-    mine_blocks = segments.ranks.blocks[(dest - 1) * n_blocks : dest * n_blocks]
+    mine_blocks = segments.blocks[(dest - 1) * n_blocks : dest * n_blocks]
     return {
         storage: None if lost[b] else decoded[b].tobytes()
         for b, (_dest, storage) in enumerate(mine_blocks)

@@ -228,7 +228,8 @@ def cpc_minimum(r: int, K: int, K_r: int | None = None, t: int | None = None) ->
             if best is None or num * best[1] < best[0] * den:
                 best = num, den, kr, tt
     if best is None:
-        raise ParameterError(f"no valid configuration with K_r={K_r}, t={t} for r={r}, K={K}")
+        pinned = ", ".join(f"{n}={v}" for n, v in (("K_r", K_r), ("t", t)) if v is not None)
+        raise ParameterError(f"no valid configuration with {pinned} for r={r}, K={K}")
     num, den, kr, tt = best
     return NdtPoint(CPC, K, Fraction(r), Fraction(num, den), K_r=kr, t=tt, s=r + 1 - tt)
 

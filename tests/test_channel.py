@@ -386,7 +386,7 @@ class TestBlockSchedule:
         for K, r, K_r, t in configs:
             cfg = validate_config(SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8), K_r, t)
             s, g = cfg.s, min(K_r, cfg.s + t - 1)
-            wants, nulled, wanted = channel._schedule(cfg)
+            *_, wants, nulled, wanted = channel._block_tables(s, t, K_r, cfg.K_t)
             parts = enum_partitions(K, cfg.K_t)
             for part in (parts[0], parts[-1]):
                 for group in enum_subsets(part.rx, g):
@@ -409,7 +409,7 @@ class TestBlockSchedule:
         for K, r, K_r, t in _simulatable_configs(8):
             cfg = validate_config(SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8), K_r, t)
             s, g = cfg.s, min(K_r, cfg.s + t - 1)
-            rx_pos, tx_pos, ids, chunk = channel._block_tables(s, t, K_r, cfg.K_t)
+            rx_pos, tx_pos, ids, chunk, *_ = channel._block_tables(s, t, K_r, cfg.K_t)
             n_coops = math.comb(cfg.K_t, t)
             n_blocks = math.comb(K_r, g) * n_coops
             assert ids.shape == chunk.shape == (n_blocks, math.comb(g, s))
@@ -434,19 +434,18 @@ class TestBlockSchedule:
                 # every message is cut into one chunk per receiver set holding its group
                 assert set(next_chunk.values()) == {delivery_layout(s, t, K_r)[1]}
 
-    def test_schedule_is_cached_per_s_and_g(self):
-        # (10,5,5,2) and (9,5,7,2) share (s, g) = (4, 5) but differ in K and
-        # K_r: both get the same read-only arrays, built once; (8,5,4,2) has
-        # g = 4 and its own
+    def test_tables_are_cached_per_config(self):
+        # one read-only tuple per (s, t, K_r, K_t), built once: (10,5,5,2)
+        # asked again gets the same tuple; (9,5,7,2) shares its (s, g) =
+        # (4, 5) but not its K_r, and gets its own
         a = validate_config(SystemParams(K=10, N=252, Q=10, r=5, B=8), K_r=5, t=2)
         b = validate_config(SystemParams(K=9, N=126, Q=9, r=5, B=8), K_r=7, t=2)
-        c = validate_config(SystemParams(K=8, N=56, Q=8, r=5, B=8), K_r=4, t=2)
-        layouts = [(x.s, delivery_layout(x.s, x.t, x.K_r)[0]) for x in (a, b, c)]
-        assert layouts == [(4, 5), (4, 5), (4, 4)]
-        first = channel._schedule(a)
-        assert channel._schedule(b) is first
-        assert channel._schedule(a) is first
-        assert channel._schedule(c) is not first
+        layouts = [(x.s, delivery_layout(x.s, x.t, x.K_r)[0]) for x in (a, b)]
+        assert layouts == [(4, 5), (4, 5)]
+        first = channel._block_tables(a.s, a.t, a.K_r, a.K_t)
+        assert channel._block_tables(a.s, a.t, a.K_r, a.K_t) is first
+        assert channel._block_tables(b.s, b.t, b.K_r, b.K_t) is not first
+        assert len(first) == 7
         for table in first:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
@@ -899,7 +898,7 @@ def _per_block_partition(partition, cfg, ch, messages, tol=channel.DEFAULT_TOLER
     slots = partition_slots(cfg)
     s = cfg.s
     g, n_chunks, gamma = delivery_layout(s, cfg.t, cfg.K_r)
-    wants, nulled, wanted = channel._schedule(cfg)
+    *_, wants, nulled, wanted = channel._block_tables(s, cfg.t, cfg.K_r, cfg.K_t)
     rx_sets = enum_subsets(partition.rx, g)
     coop_groups = enum_subsets(partition.tx, cfg.t)
     active = [NodeSet(coop.members[: g - s + 1]) for coop in coop_groups]

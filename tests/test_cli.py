@@ -125,10 +125,14 @@ class TestVerify:
         assert json.loads(out)["params"]["K_r"] == 4
 
     def test_pinned_kr_without_valid_t_exits_two(self, capsys):
-        # K_r = K leaves no transmitter for any t
+        # K_r = K leaves no transmitter for any t; t > r fits no K_r.  The
+        # error names only the coordinate that was pinned
         code, _, err = run(capsys, "construct", "--K", "6", "--r", "3", "--Kr", "6")
         assert code == 2
-        assert "no valid configuration" in err
+        assert err == "error: no valid configuration with K_r=6 for r=3, K=6\n"
+        code, _, err = run(capsys, "verify", "--K", "5", "--r", "2", "--t", "5")
+        assert code == 2
+        assert err == "error: no valid configuration with t=5 for r=2, K=5\n"
 
     def test_default_b_supports_time_division_chunks(self, capsys):
         # t = 2 in the time-division regime needs the payload to split into

@@ -137,7 +137,7 @@ class TestSegmentation:
             seg_len = len(data) // n_seg
             for i, (coop, tx) in enumerate(admissible_pairs(dest, storage, cfg)):
                 p = number[tx]
-                assert segs.ranks[(dest, storage.mask, p, coop.mask)] == b * n_seg + i
+                assert segs.row(dest, storage.mask, p, coop.mask) == b * n_seg + i
                 sid = SegmentId(dest, storage, p, coop)
                 assert segs[sid].data == data[i * seg_len : (i + 1) * seg_len]
         assert len(segs) == len(blocks) * n_seg

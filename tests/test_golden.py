@@ -30,6 +30,11 @@ GOLDEN = {
         "6a9552081b0bf3dcd2e6be330207517437945ab737b2c1fa7fc9ac353e127673",
         "320b514cd735d3adf3defe57dcabb17f0e40ac8bdedb2b04d090a5171819c999",
     ),
+    (8, 5, 4, 2): (
+        "6eab00cbbd32f0b2986999a62faa070df84ab9035336bd6ec8c499d18fec18b7",
+        "c3c9d8962468bcf9381bbb179a48d52102a65b4bd22b9e4d89eea72029111cf9",
+        "e1df381b52f46b1c3a704ed578ab1b704d70c19d704383a6de461b3151c64816",
+    ),
     (8, 2, 5, 1): (
         "33dd21692f907bff252c1a01b44aa8a3d22ac7bcae7725d0639acceed478b241",
         "0ecabcd5129239016efe185773674304f850631d26d53f92c0a971d66a736ad8",

@@ -1,8 +1,9 @@
-"""The segment table's bookkeeping: the computed rank view and its
+"""The segment table's bookkeeping: its computed rows and their
 KeyErrors, the message-row table, the invariant checks on it, and the
 memory the table keeps."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -52,12 +53,10 @@ def _blocks(K, r):
 
 
 def _assert_unknown(segs, key):
-    """`key` and its SegmentId name no segment: lookups raise KeyError, so
-    `.get` returns None and `in` is False, on the view and on the table."""
-    assert key not in segs.ranks
-    assert segs.ranks.get(key) is None
+    """`key` and its SegmentId name no segment: `row` and lookups raise
+    KeyError, so `.get` returns None and `in` is False on the table."""
     with pytest.raises(KeyError):
-        segs.ranks[key]
+        segs.row(*key)
     dest, storage, p, coop = key
     sid = SegmentId(dest, NodeSet.from_mask(storage), p, NodeSet.from_mask(coop))
     assert sid not in segs
@@ -74,8 +73,9 @@ def case(request):
 class TestRankView:
     def test_iterates_every_row_in_order(self, case):
         cfg, segs = case
-        assert len(segs.ranks) == len(segs) == len(segs.data)
-        assert list(segs.ranks.values()) == list(range(len(segs)))
+        assert len(segs) == len(segs.data)
+        rows = [segs.row(i.dest, i.storage.mask, i.partition, i.coop.mask) for i in segs]
+        assert rows == list(range(len(segs)))
 
     def test_partition_outside_the_numbering(self, case):
         # -1 and 0 must not wrap to the last partitions
@@ -125,7 +125,7 @@ class TestRankView:
                 for part in parts:
                     key = (dest, storage.mask, part.index, coop.mask)
                     if (coop, part.index) in rows:
-                        assert segs.ranks[key] == rows[(coop, part.index)]
+                        assert segs.row(*key) == rows[(coop, part.index)]
                     else:
                         _assert_unknown(segs, key)
 
@@ -140,7 +140,7 @@ class TestMessageTable:
         for part in parts:
             for m, (coop, dest_group) in enumerate(_message_pairs(part, cfg)):
                 ids = CodedMessage(part.index, dest_group, coop, b"").constituents()
-                rows = [segs.ranks[(i.dest, i.storage.mask, i.partition, i.coop.mask)] for i in ids]
+                rows = [segs.row(i.dest, i.storage.mask, i.partition, i.coop.mask) for i in ids]
                 assert segs.messages[part.index - 1, m].tolist() == rows
                 assert (segs.message_of[rows] == flat).all()
                 flat += 1
@@ -172,7 +172,11 @@ class TestMessageTable:
             return pairs
 
         monkeypatch.setattr(codec, "_message_pairs", skewed)
-        with pytest.raises(InternalInvariantError, match="missing segment"):
+        missing = (
+            "missing segment SegmentId(dest=3, storage=NodeSet(members=(1, 2, 5)), "
+            "partition=1, coop=NodeSet(members=(1, 2)))"
+        )
+        with pytest.raises(InternalInvariantError, match=f"^{re.escape(missing)}$"):
             _table(6, 3, 3, 2)
 
     def test_messages_must_cover_every_row_once(self, monkeypatch):
