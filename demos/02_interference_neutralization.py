@@ -12,7 +12,6 @@ receiver groups at DoF r/K_r.
 import numpy as np
 
 from cpcshuffle import (
-    NodeSet,
     SystemParams,
     build_placement,
     draw_channel,
@@ -29,11 +28,14 @@ from cpcshuffle import (
 print("=" * 72)
 print("PART 1: THE COFACTOR PRECODER")
 print("=" * 72)
-channel = draw_channel(K=6, slots=2, seed=42)
-active = NodeSet.of(1, 2)
-# slot 1's gains from transmitters 1, 2 to receivers 4, 5, 6, one row each
-h4, h5, h6 = channel.block(NodeSet.of(4, 5, 6), active, range(1, 2))[0]
+params = SystemParams(K=6, N=20, Q=6, r=3, B=48)
+cfg = validate_config(params, K_r=3, t=2)
+# a partition's gains: per block, per slot, one row per receiver.  Block 1
+# of partition 1 sends from transmitters 1, 2 to receivers 4, 5, 6
+channel = draw_channel(cfg, seed=42)
+h4, h5, h6 = channel.gains[0, 0]
 w = neutralizing_precoder(h4[None, :])
+print(f"  {channel.gains.size} gains drawn per partition, shape {channel.gains.shape}")
 print(f"  channel row of receiver 4: {h4}")
 print(f"  precoder:                  {w}")
 print(f"  superposition at node 4:   {np.dot(h4, w):.2e}")
@@ -45,19 +47,18 @@ print()
 print("=" * 72)
 print("PART 2: THREE TRANSMITTERS, TWO NULLS")
 print("=" * 72)
-active, nulls = NodeSet.of(1, 2, 3), NodeSet.of(5, 6)
-rows = channel.block(nulls, active, range(1, 2))[0]
+# two receivers' CN(0,1) rows over three transmitters
+rng = np.random.default_rng(42)
+rows = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) / np.sqrt(2.0)
 w = neutralizing_precoder(rows)
 w /= np.linalg.norm(w)
-for psi, h in zip(nulls, rows):
+for psi, h in zip((5, 6), rows):
     print(f"  residual at node {psi}: {abs(np.dot(h, w)) / np.linalg.norm(h):.2e}")
 
 print()
 print("=" * 72)
 print("PART 3: ONE PARTITION OF THE 6-NODE INSTANCE (DoF = 1)")
 print("=" * 72)
-params = SystemParams(K=6, N=20, Q=6, r=3, B=48)
-cfg = validate_config(params, K_r=3, t=2)
 placement = build_placement(params)
 store = map_phase(placement, params, seed=0)
 segments = segment_ivs(placement, cfg, store)

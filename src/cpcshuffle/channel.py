@@ -10,19 +10,20 @@ the g-s unintended receivers, so its superposition vanishes there exactly
 (up to floating point).  Each receiver then sees only the messages it
 wants and solves a square symbol-extension system, one symbol per slot.
 
-The blocks, as positions in a partition's receivers, transmitters and
-messages with each message's chunk index, and which receiver positions
-of a block want which of its C(g, s) messages, depend on the config
-alone, so they are one config-level table (`_block_tables`).  A
-partition's delivery is then one array pass: one fancy index gathers
-every block's (slot, receiver, transmitter) gains, one determinant call
-builds every (block, message, slot) cofactor precoder, and the stacked
-blocks give the effective gains, the nulling residual at the unintended
-receivers, the received signals, and every receiver's square system with
-its condition number and solve.  Per block only the unit-norm check of
-the precoders (`build_precoders`) runs.  The symbols of every message
-chunk come from one `payload_symbols` pass per partition, one hash per
-chunk, and each block reads its own from that array.
+The blocks, as positions in a partition's receivers and messages with
+each message's chunk index, and which receiver positions of a block want
+which of its C(g, s) messages, depend on the config alone, so they are
+one config-level table (`_block_tables`).  `draw_channel` draws exactly
+the gains these blocks read, each once, as one (block, slot, receiver,
+transmitter) array.  A partition's delivery is then one array pass: one
+determinant call builds every (block, message, slot) cofactor precoder,
+and the stacked blocks give the effective gains, the nulling residual at
+the unintended receivers, the received signals, and every receiver's
+square system with its condition number and solve.  Per block only the
+unit-norm check of the precoders (`build_precoders`) runs.  The symbols
+of every message chunk come from one `payload_symbols` pass per
+partition, one hash per chunk, and each block reads its own from that
+array.
 
 A message is cut into C(K_r-s, g-s) chunks, one per receiver set that
 contains D, so the per-receiver DoF is g / K_r.  `model.delivery_layout`
@@ -48,7 +49,6 @@ from itertools import combinations, zip_longest
 import numpy as np
 
 from .model import (
-    MAX_NODES,
     ConstraintViolation,
     NodeSet,
     ParameterError,
@@ -56,7 +56,6 @@ from .model import (
     ShuffleConfig,
     SystemParams,
     delivery_layout,
-    enum_partitions,
 )
 from .codec import (
     CodedMessage,
@@ -80,54 +79,12 @@ class ChannelConditionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """i.i.d. CN(0,1) gains h[j, m, d] for receivers j, transmitters m, slots d."""
+    """One partition's i.i.d. CN(0,1) gains H[b, i, k, l], from block b's
+    l-th transmitter to its k-th receiver in the block's i-th slot, blocks
+    in `_block_tables` order.  `seed` also seeds the `--snr` noise."""
 
-    K: int
-    slots: int
     seed: int
-    gains: np.ndarray  # complex, shape (K, K, slots), 0-based internally
-
-    def gain(self, j: int, m: int, d: int) -> complex:
-        """Gain from transmitter m to receiver j in slot d (all 1-based)."""
-        if not (1 <= j <= self.K and 1 <= m <= self.K and 1 <= d <= self.slots):
-            raise ParameterError(
-                f"gain ({j}, {m}, {d}) outside nodes [1, {self.K}], slots [1, {self.slots}]"
-            )
-        return self.gains[j - 1, m - 1, d - 1]
-
-    def block(self, rx: NodeSet, tx: NodeSet, slots: range) -> np.ndarray:
-        """Gains H[i, k, l] from tx's l-th to rx's k-th member in the i-th slot
-        of the window `slots`, as one C-contiguous (len(slots), |rx|, |tx|) array."""
-        a, b = slots.start, slots.stop
-        inside = slots.step == 1 and 1 <= a < b <= self.slots + 1
-        if not inside or (rx.mask | tx.mask) >> (self.K + 1):
-            raise self._outside(rx.members, tx.members, slots)
-        window = self.gains[:, :, a - 1 : b - 1].transpose(2, 0, 1)
-        return window.take([j - 1 for j in rx], axis=1).take([m - 1 for m in tx], axis=2)
-
-    def blocks(self, rx: np.ndarray, tx: np.ndarray, gamma: int) -> np.ndarray:
-        """`block` of consecutive windows at once: H[b, i, k, l] from node
-        tx[b, l] to node rx[b, k] (1-based) in slot b*gamma + i + 1, one
-        fancy index into a C-contiguous (rows, gamma, rx width, tx width)
-        array.  A row outside the draw raises `block`'s error for the first
-        such row."""
-        n = len(rx)
-        window = np.arange(n * gamma).reshape(n, gamma)
-        outside = (rx < 1).any(axis=1) | (rx > self.K).any(axis=1)
-        outside |= (tx < 1).any(axis=1) | (tx > self.K).any(axis=1)
-        outside |= window[:, -1] >= self.slots
-        if outside.any():
-            b = int(outside.argmax())
-            slots = range(b * gamma + 1, (b + 1) * gamma + 1)
-            raise self._outside(tuple(rx[b].tolist()), tuple(tx[b].tolist()), slots)
-        return self.gains[
-            rx[:, None, :, None] - 1, tx[:, None, None, :] - 1, window[:, :, None, None]
-        ]
-
-    def _outside(self, rx: tuple, tx: tuple, slots: range) -> ParameterError:
-        return ParameterError(
-            f"block {rx} x {tx} x {slots} outside nodes [1, {self.K}], slots [1, {self.slots}]"
-        )
+    gains: np.ndarray  # complex, shape `_partition_layout(config)[0]`
 
 
 class _Report:
@@ -156,16 +113,34 @@ class DeliveryReport(_Report):
     held: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def draw_channel(K: int, slots: int, seed: int) -> ChannelRealization:
-    """Unit-variance circularly symmetric complex Gaussian gains."""
-    if not 1 <= K <= MAX_NODES:
-        raise ParameterError(f"K={K} out of range [1, {MAX_NODES}]")
-    if slots < 1:
-        raise ParameterError(f"slots must be >= 1, got {slots}")
+def _partition_layout(config: ShuffleConfig) -> tuple[tuple[int, int, int, int], int]:
+    """The shape (blocks, C(g-1, s-1) slots, g receivers, g-s+1
+    transmitters) of a partition's gains, and the chunks per message.
+    s + t = K_r has no layout and raises ParameterError."""
+    layout = delivery_layout(config.s, config.t, config.K_r)
+    if layout is None:
+        raise ParameterError(
+            "s + t = K_r sits in the asymptotic-alignment regime, which is not simulated"
+        )
+    g, n_chunks, gamma = layout
+    n_blocks = math.comb(config.K_r, g) * math.comb(config.K_t, config.t)
+    return (n_blocks, gamma, g, g - config.s + 1), n_chunks
+
+
+def draw_channel(config: ShuffleConfig, seed: int) -> ChannelRealization:
+    """Unit-variance circularly symmetric complex Gaussian gains: exactly
+    the ones a partition's blocks read, each once."""
+    shape, _chunks = _partition_layout(config)
     rng = np.random.default_rng(seed)
-    re = rng.standard_normal((K, K, slots))
-    im = rng.standard_normal((K, K, slots))
-    return ChannelRealization(K=K, slots=slots, seed=seed, gains=(re + 1j * im) / np.sqrt(2.0))
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return ChannelRealization(seed=seed, gains=(re + 1j * im) / np.sqrt(2.0))
+
+
+def check_tolerance(tol: float) -> None:
+    """Refuse a symbol-error tolerance that is negative or not finite."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"tolerance must be finite and >= 0, got {tol}")
 
 
 def neutralizing_precoder(rows: np.ndarray) -> np.ndarray:
@@ -248,13 +223,8 @@ def simulation_bits(config: ShuffleConfig, requested_bits: int) -> int:
 def partition_slots(config: ShuffleConfig) -> int:
     """Channel slots one partition needs: C(K_r, g) receiver sets times
     C(K_t, t) cooperation groups, C(g-1, s-1) slots each."""
-    layout = delivery_layout(config.s, config.t, config.K_r)
-    if layout is None:
-        raise ParameterError(
-            "s + t = K_r sits in the asymptotic-alignment regime, which is not simulated"
-        )
-    g, _chunks, gamma = layout
-    return math.comb(config.K_r, g) * math.comb(config.K_t, config.t) * gamma
+    (n_blocks, gamma, _g, _n_tx), _chunks = _partition_layout(config)
+    return n_blocks * gamma
 
 
 @lru_cache(maxsize=32)
@@ -263,34 +233,30 @@ def _block_tables(s: int, t: int, K_r: int, K_t: int) -> tuple[np.ndarray, ...]:
     K_t) alone: one config-level table, cached and read-only.
 
     Block b = r * n_coops + c serves receiver set r with coop group c,
-    both in lex order.  rx[b]: set r's g receiver positions.  tx[b]: coop
-    group c's first g-s+1 positions, the ones that transmit.  ids[b, u]:
-    the `_message_pairs` position of set r's u-th dest group's message
-    from group c.  chunk[b, u]: how many earlier receiver sets contain
-    that dest group, so the chunk the block carries.  wants[k, u]:
-    position k of a receiver set lies in the set's u-th s-subset, the
-    u-th dest group in `enum_subsets` order.  Derived from it: nulled[u],
-    the g-s positions unknown u is nulled at, and wanted[k], the C(g-1,
-    s-1) unknowns position k solves for.
+    both in lex order; coop group c's first g-s+1 members transmit, and
+    `draw_channel` draws the block's gains as H[b].  rx[b]: set r's g
+    receiver positions.  ids[b, u]: the `_message_pairs` position of set
+    r's u-th dest group's message from group c.  chunk[b, u]: how many
+    earlier receiver sets contain that dest group, so the chunk the block
+    carries.  wants[k, u]: position k of a receiver set lies in the set's
+    u-th s-subset, the u-th dest group in `enum_subsets` order.  Derived
+    from it: nulled[u], the g-s positions unknown u is nulled at, and
+    wanted[k], the C(g-1, s-1) unknowns position k solves for.
     """
     g, _chunks, _gamma = delivery_layout(s, t, K_r)
     rx = np.array(list(combinations(range(K_r), g)))
-    tx = np.array([coop[: g - s + 1] for coop in combinations(range(K_t), t)])
     set_masks = (1 << rx).sum(axis=1)
     group_masks = (1 << np.array(list(combinations(range(K_r), s)))).sum(axis=1)
     contains = (set_masks[:, None] & group_masks) == group_masks  # contains[r, d]
     dest = np.nonzero(contains)[1].reshape(len(rx), -1)
     chunk = np.take_along_axis(contains.cumsum(axis=0) - 1, dest, axis=1)
-    n = len(tx)
+    n = math.comb(K_t, t)
     ids = (np.arange(n)[:, None] * len(group_masks) + dest[:, None]).reshape(len(rx) * n, -1)
     groups = list(combinations(range(g), s))
     wants = np.array([[k in group for group in groups] for k in range(g)])
     nulled = np.nonzero(~wants.T)[1].reshape(len(groups), g - s)
     wanted = np.nonzero(wants)[1].reshape(g, math.comb(g - 1, s - 1))
-    tables = (
-        np.repeat(rx, n, 0), np.tile(tx, (len(rx), 1)), ids, np.repeat(chunk, n, 0),
-        wants, nulled, wanted,
-    )
+    tables = (np.repeat(rx, n, 0), ids, np.repeat(chunk, n, 0), wants, nulled, wanted)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -309,9 +275,11 @@ def simulate_partition(
     Receiver sets of size g are served in lex order, and within each set
     the cooperation groups in lex order, one block apiece.  A block
     carries, for every dest group inside the set, that message's chunk
-    for the set; the coop group's first g-s+1 members transmit it.  The
-    gains, cofactors, message positions and chunk indices of every block
-    come from one gather each; each block's precoders are normalized by
+    for the set; the coop group's first g-s+1 members transmit it.  Block
+    b's gains are `channel.gains[b]`, and a channel of any other shape
+    than `draw_channel` gives this config raises ParameterError.  The
+    cofactors, message positions and chunk indices of every block come
+    from one call or gather each; each block's precoders are normalized by
     its own `build_precoders` call, and each (block, message) reads its
     chunk's symbol from the partition's one `payload_symbols` array.  The
     rest runs over the stacked blocks.  A receiver solves a symbol when
@@ -331,15 +299,14 @@ def simulate_partition(
             sigma = 10.0 ** (-snr_db / 20.0)
         except OverflowError:
             raise ParameterError(f"snr_db {snr_db} makes the noise amplitude overflow") from None
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ParameterError(f"tolerance must be finite and >= 0, got {tol}")
-    slots = partition_slots(config)
-    if channel.slots < slots:
-        raise ParameterError(f"channel has {channel.slots} slots, need {slots}")
-    s = config.s
-    g, n_chunks, gamma = delivery_layout(s, config.t, config.K_r)
-    tables = _block_tables(s, config.t, config.K_r, config.K_t)
-    rx_pos, tx_pos, ids, chunks, wants, nulled, wanted = tables
+    check_tolerance(tol)
+    shape, n_chunks = _partition_layout(config)
+    if channel.gains.shape != shape:
+        raise ParameterError(f"channel gains have shape {channel.gains.shape}, need {shape}")
+    n_blocks, gamma, g, _n_tx = shape
+    slots = n_blocks * gamma
+    tables = _block_tables(config.s, config.t, config.K_r, config.K_t)
+    rx_pos, ids, chunks, wants, nulled, wanted = tables
     p = partition.index
     due = [(p, dg, coop) for coop, dg in _message_pairs(partition, config)]
     given = [(msg.partition, msg.dest_group, msg.coop) for msg in messages]
@@ -354,13 +321,11 @@ def simulate_partition(
         raise ConstraintViolation("messages of partition p", f"message {which} partition {p}")
     symbols = payload_symbols(messages, n_chunks)
 
-    # block b serves receiver nodes rx[b] from transmitters tx[b]: gains
-    # H[b, i, k, l], precoders W[b, u, i, l], and the message position
-    # ids[b, u] and transmitted symbol x[b, u] of unknown u, the chunk of its
-    # message that rides in the block.
-    rx = np.array(partition.rx.members)[rx_pos]
-    tx = np.array(partition.tx.members)[tx_pos]
-    H = channel.blocks(rx, tx, gamma)
+    # block b serves receiver positions rx_pos[b]: gains H[b, i, k, l],
+    # precoders W[b, u, i, l], and the message position ids[b, u] and
+    # transmitted symbol x[b, u] of unknown u, the chunk of its message that
+    # rides in the block.
+    H = channel.gains
     cofactors = neutralizing_precoder(H[:, :, nulled].transpose(0, 2, 1, 3, 4))
     W = np.array([build_precoders(w) for w in cofactors])
     x = symbols[ids, chunks]
@@ -423,12 +388,8 @@ def simulate_with_resample(
     **kwargs,
 ) -> DeliveryReport:
     """Run a partition; on a condition-guard trip, resample the channel once."""
-    slots = partition_slots(config)
-
     def attempt(n: int) -> DeliveryReport:
-        channel = draw_channel(
-            config.params.K, slots, _channel_seed(seed, partition.index, n)
-        )
+        channel = draw_channel(config, _channel_seed(seed, partition.index, n))
         return simulate_partition(partition, config, channel, messages, **kwargs)
 
     try:
@@ -501,7 +462,7 @@ def _pipeline(
     placement = build_placement(params)
     store = map_phase(placement, params, seed)
     segments = segment_ivs(placement, config, store)
-    partitions = enum_partitions(params.K, config.K_t)
+    partitions = segments.partitions
     report = VerificationReport(ok=False, failures=[], partitions=len(partitions))
     n = segments.messages.shape[1]
     payloads = np.empty((len(partitions) * n, segments.data.shape[1]), dtype=np.uint8)
@@ -540,8 +501,11 @@ def end_to_end_verify(
 
     True iff every node reassembles every required IV byte-exactly.
     `corrupt=(p, i)` flips a byte of the i-th message of partition p before
-    transmission, for fault-injection tests.
+    transmission, for fault-injection tests.  A `tol` that is negative or
+    not finite raises ParameterError before any work starts.
     """
+    check_tolerance(tol)
+
     def over_channel(part: Partition, messages: list[CodedMessage]):
         sim = simulate_with_resample(part, config, messages, seed, tol=tol)
         return sim.held, sim

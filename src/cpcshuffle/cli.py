@@ -24,13 +24,13 @@ from .model import (
     ParameterError,
     ShuffleConfig,
     SystemParams,
-    enum_partitions,
     validate_config,
 )
 from .placement import build_placement, map_phase
 from .codec import encode_partition, segment_ivs
 from .channel import (
     DEFAULT_TOLERANCE,
+    check_tolerance,
     end_to_end_verify,
     ideal_verify,
     simulate_with_resample,
@@ -121,7 +121,7 @@ def cmd_construct(args) -> int:
     placement = build_placement(params)
     store = map_phase(placement, params, args.seed)
     segments = segment_ivs(placement, cfg, store)
-    partitions = enum_partitions(params.K, cfg.K_t)
+    partitions = segments.partitions
     dump = {
         "params": {"K": params.K, "N": params.N, "Q": params.Q, "r": params.r,
                    "B": params.B, "K_r": cfg.K_r, "t": cfg.t, "s": cfg.s,
@@ -157,6 +157,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    check_tolerance(args.tolerance)  # here, since the --ideal path never reads it
     if _full_load(args):
         # every IV is local: nothing to shuffle, trivially correct
         _emit(args, _json({"ok": True, "failures": [], "partitions": 0}))
@@ -178,7 +179,7 @@ def cmd_simulate(args) -> int:
     placement = build_placement(params)
     store = map_phase(placement, params, args.seed)
     segments = segment_ivs(placement, cfg, store)
-    partitions = enum_partitions(params.K, cfg.K_t)
+    partitions = segments.partitions
     if not 1 <= args.partition <= len(partitions):
         raise ParameterError(
             f"partition index {args.partition} out of [1, {len(partitions)}]"

@@ -3,6 +3,7 @@ import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -63,124 +64,70 @@ def _reference_symbol(message, chunk_index, n_chunks):
     return complex(np.cos(phase), np.sin(phase))
 
 
+def _cn(shape, seed):
+    """i.i.d. CN(0,1) values, built the way `draw_channel` builds its gains."""
+    rng = np.random.default_rng(seed)
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
 class TestDrawChannel:
     def test_seed_determinism(self):
-        a = draw_channel(4, 3, seed=11)
-        b = draw_channel(4, 3, seed=11)
+        cfg = validate_config(WORKED, K_r=3, t=2)
+        a = draw_channel(cfg, seed=11)
+        b = draw_channel(cfg, seed=11)
         assert np.array_equal(a.gains, b.gains)
 
     def test_different_seeds_differ_everywhere(self):
-        a = draw_channel(4, 3, seed=11)
-        b = draw_channel(4, 3, seed=12)
+        cfg = validate_config(WORKED, K_r=3, t=2)
+        a = draw_channel(cfg, seed=11)
+        b = draw_channel(cfg, seed=12)
         assert np.all(a.gains != b.gains)
 
     def test_unit_variance(self):
-        ch = draw_channel(10, 1000, seed=0)  # 1e5 draws
-        mean_sq = float(np.mean(np.abs(ch.gains) ** 2))
+        cfg = validate_config(SystemParams(K=9, N=84, Q=9, r=3, B=480), K_r=6, t=2)
+        gains = np.concatenate([draw_channel(cfg, seed).gains.ravel() for seed in range(140)])
+        assert gains.size == 100_800
+        mean_sq = float(np.mean(np.abs(gains) ** 2))
         assert abs(mean_sq - 1.0) < 0.02
 
-    def test_needs_positive_slots(self):
-        with pytest.raises(ParameterError):
-            draw_channel(4, 0, seed=0)
-
-    def test_needs_a_node_count_in_range(self):
-        # K = -1 used to reach numpy's "negative dimensions", K = 0 an empty draw
-        for K in (-1, 0, 65):
-            with pytest.raises(ParameterError, match=f"K={K} out of range \\[1, 64\\]"):
-                draw_channel(K, 1, seed=0)
-
-    def test_block_is_the_gain_gather(self):
-        ch = draw_channel(6, 3, seed=7)
-        node_sets = (NodeSet.of(2), NodeSet.of(1, 3, 6), NodeSet.of(2, 4, 5, 6))
-        for rx in node_sets + (NodeSet.of(1, 2, 3, 4, 5, 6),):
-            for tx in node_sets:
-                for slots in (range(1, 2), range(1, 4), range(2, 4), range(3, 4)):
-                    H = ch.block(rx, tx, slots)
-                    assert H.shape == (len(slots), len(rx), len(tx))
-                    assert H.flags.c_contiguous
-                    expected = np.array(
-                        [[[ch.gain(j, m, d) for m in tx] for j in rx] for d in slots]
-                    )
-                    assert H.tobytes() == expected.tobytes()
-
-    def test_gain_rejects_indices_outside_the_draw(self):
-        # 0 and K + 1 used to wrap to the last node or slot, or run off the end
-        ch = draw_channel(4, 2, seed=0)
-        for j, m, d in [(0, 1, 1), (5, 1, 1), (1, 0, 1), (1, 5, 1), (1, 1, 0), (1, 1, 3)]:
-            with pytest.raises(ParameterError, match="outside nodes"):
-                ch.gain(j, m, d)
-        assert ch.gain(4, 4, 2) == ch.gains[3, 3, 1]
-
-    def test_block_rejects_indices_outside_the_draw(self):
-        ch = draw_channel(4, 2, seed=0)
-        rx, tx = NodeSet.of(1, 2), NodeSet.of(3, 4)
-        for args in [
-            (NodeSet.of(1, 5), tx, range(1, 2)),
-            (rx, NodeSet.of(5), range(1, 2)),
-            (rx, tx, range(0, 1)),
-            (rx, tx, range(0, 2)),
-            (rx, tx, range(2, 4)),
-            (rx, tx, range(1, 1)),
-            (rx, tx, range(1, 3, 2)),
-        ]:
-            with pytest.raises(ParameterError, match="outside nodes"):
-                ch.block(*args)
-        assert ch.block(rx, tx, range(1, 3)).shape == (2, 2, 2)
-
-    def test_blocks_is_block_per_row(self):
-        ch = draw_channel(6, 12, seed=7)
-        rx = np.array([[1, 3, 6], [2, 4, 5], [4, 5, 6], [1, 2, 3]])
-        tx = np.array([[2, 3], [1, 6], [6, 1], [4, 5]])
-        for gamma in (1, 2, 3):
-            H = ch.blocks(rx, tx, gamma)
-            assert H.shape == (4, gamma, 3, 2) and H.flags.c_contiguous
-            for b in range(4):
-                slots = range(b * gamma + 1, (b + 1) * gamma + 1)
-                expected = np.array(
-                    [[[ch.gain(j, m, d) for m in tx[b]] for j in rx[b]] for d in slots]
-                )
-                assert H[b].tobytes() == expected.tobytes()
-
-    def test_blocks_rejects_the_first_row_outside_the_draw(self):
-        ch = draw_channel(4, 4, seed=0)
-        ok_rx, ok_tx = np.array([[1, 2]] * 4), np.array([[3, 4]] * 4)
-        for rx, tx, gamma, first in [
-            (np.array([[1, 2], [1, 2], [1, 5], [0, 1]]), ok_tx, 1, 2),
-            (ok_rx, np.array([[3, 4], [0, 4], [5, 4], [3, 4]]), 1, 1),
-            (ok_rx, ok_tx, 2, 2),
-        ]:
-            with pytest.raises(ParameterError, match="outside nodes") as exc:
-                ch.blocks(rx, tx, gamma)
-            slots = range(first * gamma + 1, (first + 1) * gamma + 1)
-            assert str(exc.value) == (
-                f"block {tuple(rx[first].tolist())} x {tuple(tx[first].tolist())} x {slots}"
-                " outside nodes [1, 4], slots [1, 4]"
-            )
-        assert ch.blocks(ok_rx, ok_tx, 1).shape == (4, 1, 2, 2)
+    def test_draws_exactly_the_gains_the_blocks_read(self):
+        # one (slot, receiver, transmitter) array per block, in
+        # `_block_tables` order: g * (g - s + 1) gains per slot, no more,
+        # re then im of one standard-normal stream, on every simulatable
+        # config with K <= 8
+        for K, r, K_r, t in _simulatable_configs(8):
+            cfg = validate_config(SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8), K_r, t)
+            g, _chunks, gamma = delivery_layout(cfg.s, t, K_r)
+            rx_pos, *_ = channel._block_tables(cfg.s, t, K_r, cfg.K_t)
+            ch = draw_channel(cfg, seed=K + r)
+            assert ch.gains.shape == (len(rx_pos), gamma, g, g - cfg.s + 1), (K, r, K_r, t)
+            assert len(rx_pos) * gamma == partition_slots(cfg)
+            assert ch.gains.flags.c_contiguous and ch.seed == K + r
+            assert ch.gains.tobytes() == _cn(ch.gains.shape, K + r).tobytes()
 
     def test_smaller_draw_rejected_before_any_precoder(self, monkeypatch):
-        # node 9 first appears in the fourth receiver set, so a per-block
-        # loop would build nine blocks' precoders before it raised
+        # a channel drawn for another config: (9,3,7,2) draws 35 blocks,
+        # (9,3,6,2) reads 60
         params = SystemParams(K=9, N=84, Q=9, r=3, B=480)
         cfg, segs, parts = _prepared(params, K_r=6, t=2)
         msgs = encode_partition(segs, parts[0], cfg)
-        ch = draw_channel(8, partition_slots(cfg), seed=2)
+        ch = draw_channel(validate_config(params, K_r=7, t=2), seed=2)
         built = []
+        monkeypatch.setattr(channel, "neutralizing_precoder", lambda *a: built.append(a))
         monkeypatch.setattr(channel, "build_precoders", lambda *a: built.append(a))
-        with pytest.raises(ParameterError, match="outside nodes \\[1, 8\\]") as exc:
+        with pytest.raises(ParameterError) as exc:
             simulate_partition(parts[0], cfg, ch, msgs)
         assert built == []
-        # the text names that set's first block, as `block` would
-        with pytest.raises(ParameterError) as direct:
-            ch.block(NodeSet.of(4, 5, 9), NodeSet.of(1, 2), range(19, 21))
-        assert str(exc.value) == str(direct.value)
+        assert str(exc.value) == "channel gains have shape (35, 2, 3, 2), need (60, 2, 3, 2)"
 
     def test_channel_keeps_no_per_draw_state(self):
         assert [f.name for f in dataclasses.fields(channel.ChannelRealization)] == [
-            "K", "slots", "seed", "gains",
+            "seed", "gains",
         ]
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
-        ch = draw_channel(6, partition_slots(cfg), seed=5)
+        ch = draw_channel(cfg, seed=5)
         before, gains = dict(vars(ch)), ch.gains.copy()
         simulate_partition(parts[0], cfg, ch, encode_partition(segs, parts[0], cfg))
         assert vars(ch).keys() == before.keys()
@@ -188,33 +135,36 @@ class TestDrawChannel:
         assert ch.gains.tobytes() == gains.tobytes()
 
     def test_simulate_on_a_smaller_draw_rejected(self):
-        # a channel drawn for fewer nodes than the config's K
+        # a channel drawn for (6,3,3,3), one block of one slot
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         msgs = encode_partition(segs, parts[0], cfg)
-        ch = draw_channel(4, partition_slots(cfg), seed=5)
-        with pytest.raises(ParameterError, match="outside nodes \\[1, 4\\]"):
+        ch = draw_channel(validate_config(WORKED, K_r=3, t=3), seed=5)
+        with pytest.raises(ParameterError) as exc:
             simulate_partition(parts[0], cfg, ch, msgs)
+        assert str(exc.value) == "channel gains have shape (1, 1, 3, 3), need (3, 2, 3, 2)"
+        # this config's number of gains, laid out in another shape
+        gains = draw_channel(cfg, seed=5).gains
+        for misshapen in (gains.reshape(6, 1, 3, 2), gains.swapaxes(0, 1)):
+            ch = channel.ChannelRealization(seed=5, gains=misshapen)
+            with pytest.raises(ParameterError, match="need \\(3, 2, 3, 2\\)"):
+                simulate_partition(parts[0], cfg, ch, msgs)
 
 
 class TestNeutralizingPrecoder:
     def test_two_tx_one_null_closed_form(self):
-        ch = draw_channel(6, 2, seed=3)
-        w = neutralizing_precoder(np.array([[ch.gain(4, 1, 1), ch.gain(4, 2, 1)]]))
-        assert w[0] == pytest.approx(-ch.gain(4, 2, 1))
-        assert w[1] == pytest.approx(ch.gain(4, 1, 1))
+        h = _cn((1, 2), seed=3)
+        w = neutralizing_precoder(h)
+        assert w[0] == pytest.approx(-h[0, 1])
+        assert w[1] == pytest.approx(h[0, 0])
 
     def test_empty_null_set(self):
-        ch = draw_channel(3, 1, seed=0)
-        rows = ch.block(NodeSet(()), NodeSet.of(2), range(1, 2))[0]
-        assert rows.shape == (0, 1)
+        rows = np.empty((0, 1), dtype=complex)
         w = neutralizing_precoder(rows)
         assert w.shape == (1,) and w[0] == 1.0
 
     @pytest.mark.parametrize("seed", range(100))
     def test_three_tx_two_null_residual(self, seed):
-        ch = draw_channel(6, 1, seed=seed)
-        active, nulls = NodeSet.of(1, 2, 3), NodeSet.of(5, 6)
-        rows = np.array([[ch.gain(psi, m, 1) for m in active] for psi in nulls])
+        rows = _cn((2, 3), seed)
         w = neutralizing_precoder(rows)
         wn = w / np.linalg.norm(w)
         for h in rows:
@@ -222,61 +172,51 @@ class TestNeutralizingPrecoder:
 
     def test_size_mismatch(self):
         # two transmitters cannot null two receivers
-        ch = draw_channel(4, 1, seed=0)
-        rows = np.array([[ch.gain(psi, m, 1) for m in (1, 2)] for psi in (3, 4)])
+        rows = _cn((2, 2), seed=0)
         with pytest.raises(ParameterError):
             neutralizing_precoder(rows)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_delete_construction_bit_for_bit(self, seed):
-        # the construction before channels were gathered per block:
-        # per-gain rows, each minor by np.delete
-        def reference(ch, d, active, nulls):
-            n = len(active)
-            rows = np.array(
-                [[ch.gain(psi, m, d) for m in active] for psi in nulls]
-            ).reshape(n - 1, n)
+        # the construction before the minors were stacked: each minor by
+        # np.delete from one (n-1, n) matrix of nulled rows
+        def reference(rows):
+            n = rows.shape[1]
             w = np.empty(n, dtype=complex)
             for col in range(n):
                 w[col] = (-1) ** (n + col + 1) * np.linalg.det(np.delete(rows, col, axis=1))
             return w
 
-        rng = np.random.default_rng(seed)
-        ch = draw_channel(10, 3, seed=seed)
         for n in range(1, 6):
-            nodes = [int(x) for x in rng.permutation(np.arange(1, 11))[: 2 * n - 1]]
-            active, nulls = NodeSet.from_iterable(nodes[:n]), NodeSet.from_iterable(nodes[n:])
-            d = int(rng.integers(1, 4))
-            got = neutralizing_precoder(ch.block(nulls, active, range(d, d + 1))[0])
-            assert got.dtype == complex
-            assert got.tobytes() == reference(ch, d, active, nulls).tobytes()
+            rows = _cn((3, n - 1, n), seed=seed * 10 + n)  # three slots
+            for d in range(3):
+                got = neutralizing_precoder(rows[d])
+                assert got.dtype == complex
+                assert got.tobytes() == reference(rows[d]).tobytes()
             # stacked over every slot and a second axis: each slice is the
             # same construction, bit for bit
-            rows = ch.block(nulls, active, range(1, 4))
             stacked = np.stack([rows, rows[::-1]])
             got = neutralizing_precoder(stacked)
             assert got.shape == (2, 3, n)
-            for a, slots in enumerate(((1, 2, 3), (3, 2, 1))):
+            for a, slots in enumerate(((0, 1, 2), (2, 1, 0))):
                 for i, d in enumerate(slots):
-                    assert got[a, i].tobytes() == reference(ch, d, active, nulls).tobytes()
+                    assert got[a, i].tobytes() == reference(rows[d]).tobytes()
 
     @pytest.mark.parametrize("seed", range(25))
     def test_precoder_set_residuals(self, seed):
-        # one full coop-group block of the 6-node fixture: all precoders,
-        # all slots, every null target
-        ch = draw_channel(6, 2, seed=seed)
-        receivers, active = NodeSet.of(4, 5, 6), NodeSet.of(1, 2)
-        groups = enum_subsets(receivers, 2)
-        nulled = [[k for k, j in enumerate(receivers) if j not in dg] for dg in groups]
-        H = ch.block(receivers, active, range(1, 3))
+        # one full coop-group block of the 6-node fixture: its gains H[i, k, l]
+        # from 2 transmitters to 3 receivers in 2 slots, all precoders, all
+        # slots, every null target
+        H = draw_channel(validate_config(WORKED, K_r=3, t=2), seed=seed).gains[0]
+        groups = list(combinations(range(3), 2))
+        nulled = [[k for k in range(3) if k not in dg] for dg in groups]
         vectors = build_precoders(neutralizing_precoder(H[:, nulled].swapaxes(0, 1)))
-        assert vectors.shape == (len(groups), 2, len(active))
-        assert [len(per_slot) for per_slot in vectors] == [2] * len(groups)
+        assert vectors.shape == (len(groups), 2, 2)
         for dg, per_slot in zip(groups, vectors):
-            for d, w in zip((1, 2), per_slot):
+            for d, w in enumerate(per_slot):
                 assert np.linalg.norm(w) == pytest.approx(1.0)
-                for psi in receivers - dg:
-                    h = np.array([ch.gain(psi, m, d) for m in active])
+                for k in set(range(3)) - set(dg):
+                    h = H[d, k]
                     assert abs(np.dot(h, w)) / np.linalg.norm(h) < 1e-9
 
     @pytest.mark.parametrize(
@@ -291,7 +231,7 @@ class TestNeutralizingPrecoder:
         # from the per-gain reference blocks
         cfg, segs, parts = _prepared(params, K_r=K_r, t=t)
         for part in parts[:12]:
-            ch = draw_channel(params.K, partition_slots(cfg), seed=part.index)
+            ch = draw_channel(cfg, seed=part.index)
             rep = simulate_partition(part, cfg, ch, encode_partition(segs, part, cfg))
             worst, worst_cond = 0.0, 0.0
             for group, _coop, slots, row, vectors in _reference_blocks(ch, cfg, part):
@@ -314,7 +254,7 @@ class TestNeutralizingPrecoder:
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         part = parts[0]
         msgs = encode_partition(segs, part, cfg)
-        ch = draw_channel(6, partition_slots(cfg), seed=5)
+        ch = draw_channel(cfg, seed=5)
         rep = simulate_partition(part, cfg, ch, msgs, snr_db=10.0)
         rng, sigma = np.random.default_rng(ch.seed ^ 0xA5A5), 10.0 ** (-10.0 / 20.0)
         by_pair = {(m.dest_group, m.coop): m for m in msgs}
@@ -341,28 +281,27 @@ class TestNeutralizingPrecoder:
 
 
 def _reference_blocks(ch, cfg, part):
-    """Each block of `part` rebuilt from gain() in the engine's order:
-    (receiver set, cooperation group, slots, row(j, d), and the unit-norm
-    precoder of each (dest group, slot))."""
+    """Each block of `part` rebuilt per (receiver, slot) in the engine's
+    order, block b reading its gains from ch.gains[b]: (receiver set,
+    cooperation group, slots, row(j, d), and the unit-norm precoder of each
+    (dest group, slot))."""
     s, t = cfg.s, cfg.t
     g = min(cfg.K_r, s + t - 1)
-    gamma = math.comb(g - 1, s - 1)
-    slot0 = 1
+    slots = range(math.comb(g - 1, s - 1))
+    blocks = iter(ch.gains)
     for group in enum_subsets(part.rx, g):
         for coop in enum_subsets(part.tx, t):
-            active = NodeSet(coop.members[: g - s + 1])
-            slots = range(slot0, slot0 + gamma)
-            slot0 += gamma
+            H = next(blocks)
 
-            def row(j, d, active=active):  # receiver j's gains from the transmitters
-                return np.array([ch.gain(j, m, d) for m in active])
+            def row(j, d, H=H, group=group):  # receiver j's gains from the transmitters
+                return H[d, group.members.index(j)]
 
             vectors = {}
             for dg in enum_subsets(group, s):
                 for d in slots:
                     rows = [row(psi, d) for psi in group - dg]
                     w = neutralizing_precoder(
-                        np.array(rows, dtype=complex).reshape(-1, len(active))
+                        np.array(rows, dtype=complex).reshape(-1, g - s + 1)
                     )
                     vectors[(dg, d)] = w / np.linalg.norm(w, axis=-1)
             yield group, coop, slots, row, vectors
@@ -402,21 +341,21 @@ class TestBlockSchedule:
                 assert want.tolist() == [u for u in range(len(nulled)) if wants[k, u]]
 
     def test_block_tables_are_the_per_block_lookups(self):
-        # the position tables, mapped through a partition's nodes, equal the
-        # per-block nodes, (D, B) lookups of message positions and Counter
+        # the position tables, mapped through a partition's receivers, equal
+        # the per-block receivers, (D, B) lookups of message positions and Counter
         # of chunk indices, on the first and last partition of every
         # simulatable config, K <= 8
         for K, r, K_r, t in _simulatable_configs(8):
             cfg = validate_config(SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8), K_r, t)
             s, g = cfg.s, min(K_r, cfg.s + t - 1)
-            rx_pos, tx_pos, ids, chunk, *_ = channel._block_tables(s, t, K_r, cfg.K_t)
+            rx_pos, ids, chunk, *_ = channel._block_tables(s, t, K_r, cfg.K_t)
             n_coops = math.comb(cfg.K_t, t)
             n_blocks = math.comb(K_r, g) * n_coops
             assert ids.shape == chunk.shape == (n_blocks, math.comb(g, s))
-            assert rx_pos.shape == (n_blocks, g) and tx_pos.shape == (n_blocks, g - s + 1)
+            assert rx_pos.shape == (n_blocks, g)
             parts = enum_partitions(K, cfg.K_t)
             for part in (parts[0], parts[-1]):
-                rx_nodes, tx_nodes = np.array(part.rx.members), np.array(part.tx.members)
+                rx_nodes = np.array(part.rx.members)
                 order = {
                     (dg, coop): e for e, (coop, dg) in enumerate(_message_pairs(part, cfg))
                 }
@@ -426,7 +365,6 @@ class TestBlockSchedule:
                     for c, coop in enumerate(enum_subsets(part.tx, t)):
                         b = i * n_coops + c
                         assert rx_nodes[rx_pos[b]].tolist() == list(group.members)
-                        assert tx_nodes[tx_pos[b]].tolist() == list(coop.members[: g - s + 1])
                         positions = [order[(dg, coop)] for dg in dest_groups]
                         assert ids[b].tolist() == positions, (K, r, K_r, t, i, c)
                         assert chunk[b].tolist() == [next_chunk[dg] for dg in dest_groups]
@@ -445,7 +383,7 @@ class TestBlockSchedule:
         first = channel._block_tables(a.s, a.t, a.K_r, a.K_t)
         assert channel._block_tables(a.s, a.t, a.K_r, a.K_t) is first
         assert channel._block_tables(b.s, b.t, b.K_r, b.K_t) is not first
-        assert len(first) == 7
+        assert len(first) == 6
         for table in first:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
@@ -456,7 +394,7 @@ class TestSingleShotDelivery:
     def test_worked_partition(self):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         msgs = encode_partition(segs, parts[0], cfg)
-        ch = draw_channel(6, partition_slots(cfg), seed=5)
+        ch = draw_channel(cfg, seed=5)
         rep = simulate_partition(parts[0], cfg, ch, msgs)
         assert rep.measured_dof == 1
         assert rep.slots_used == 6  # 3 cooperation pairs, 2 slots each
@@ -471,7 +409,7 @@ class TestSingleShotDelivery:
         params = SystemParams(K=8, N=56, Q=8, r=5, B=80)
         cfg, segs, parts = _prepared(params, K_r=4, t=2)
         msgs = encode_partition(segs, parts[0], cfg)
-        ch = draw_channel(8, partition_slots(cfg), seed=1)
+        ch = draw_channel(cfg, seed=1)
         rep = simulate_partition(parts[0], cfg, ch, msgs)
         assert rep.measured_dof == 1
         assert rep.slots_used == math.comb(4, 2)  # one slot per coop group
@@ -480,7 +418,7 @@ class TestSingleShotDelivery:
     def test_symbol_accuracy(self, seed):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         msgs = encode_partition(segs, parts[0], cfg)
-        ch = draw_channel(6, partition_slots(cfg), seed=seed)
+        ch = draw_channel(cfg, seed=seed)
         rep = simulate_partition(parts[0], cfg, ch, msgs)
         assert rep.max_symbol_error < 1e-8
 
@@ -489,7 +427,7 @@ class TestTimeDivisionDelivery:
     def test_dof_is_r_over_kr(self):
         cfg, segs, parts = _prepared(CASE_C, K_r=5, t=1)
         msgs = encode_partition(segs, parts[0], cfg)
-        ch = draw_channel(8, partition_slots(cfg), seed=9)
+        ch = draw_channel(cfg, seed=9)
         rep = simulate_partition(parts[0], cfg, ch, msgs)
         assert rep.measured_dof == Fraction(2, 5)
         assert rep.slots_used == math.comb(5, 2) * 3
@@ -497,7 +435,7 @@ class TestTimeDivisionDelivery:
     def test_reassembled_payloads_exact(self):
         cfg, segs, parts = _prepared(CASE_C, K_r=5, t=1)
         msgs = encode_partition(segs, parts[0], cfg)
-        ch = draw_channel(8, partition_slots(cfg), seed=9)
+        ch = draw_channel(cfg, seed=9)
         rep = simulate_partition(parts[0], cfg, ch, msgs)
         assert rep.held.shape == (5, len(msgs)) and rep.held.all()
 
@@ -507,7 +445,7 @@ class TestTimeDivisionDelivery:
         cfg, segs, parts = _prepared(params, K_r=6, t=2)
         assert cfg.s + cfg.t <= cfg.K_r - 1
         msgs = encode_partition(segs, parts[0], cfg)
-        ch = draw_channel(9, partition_slots(cfg), seed=2)
+        ch = draw_channel(cfg, seed=2)
         rep = simulate_partition(parts[0], cfg, ch, msgs)
         g = cfg.s + cfg.t - 1
         assert rep.measured_dof == Fraction(g, cfg.K_r)
@@ -543,7 +481,7 @@ class TestTimeDivisionDelivery:
 
         monkeypatch.setattr(channel, "build_precoders", record)
         monkeypatch.setattr(channel, "payload_symbols", first_block_lost)
-        ch = draw_channel(9, partition_slots(cfg), seed=2)
+        ch = draw_channel(cfg, seed=2)
         rep = simulate_partition(part, cfg, ch, msgs)
 
         assert len(blocks) == partition_slots(cfg) // 2
@@ -576,10 +514,15 @@ class TestDispatchAndResample:
         refusal = "asymptotic-alignment regime, which is not simulated"
         with pytest.raises(ParameterError, match=refusal):
             partition_slots(cfg)
+        with pytest.raises(ParameterError, match=refusal):
+            draw_channel(cfg, seed=0)
+        # refused before the channel's shape is read
         msgs = encode_partition(segs, parts[0], cfg)
-        ch = draw_channel(6, 64, seed=0)
+        ch = draw_channel(validate_config(params, K_r=3, t=1), seed=0)
         with pytest.raises(ParameterError, match=refusal):
             simulate_partition(parts[0], cfg, ch, msgs)
+        with pytest.raises(ParameterError, match=refusal):
+            simulate_with_resample(parts[0], cfg, msgs, seed=0)
 
     def test_resample_gives_up_after_two(self, monkeypatch):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
@@ -591,11 +534,11 @@ class TestDispatchAndResample:
     def test_dispatch_matches_regime(self):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         msgs = encode_partition(segs, parts[0], cfg)
-        ch = draw_channel(6, partition_slots(cfg), seed=5)
+        ch = draw_channel(cfg, seed=5)
         assert simulate_partition(parts[0], cfg, ch, msgs).regime == "single_shot"
         cfg, segs, parts = _prepared(CASE_C, K_r=5, t=1)
         msgs = encode_partition(segs, parts[0], cfg)
-        ch = draw_channel(8, partition_slots(cfg), seed=5)
+        ch = draw_channel(cfg, seed=5)
         assert simulate_partition(parts[0], cfg, ch, msgs).regime == "time_division"
 
 
@@ -727,7 +670,7 @@ class TestEndToEnd:
     def test_non_finite_snr_rejected(self):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         msgs = encode_partition(segs, parts[0], cfg)
-        ch = draw_channel(6, partition_slots(cfg), seed=5)
+        ch = draw_channel(cfg, seed=5)
         for snr in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ParameterError, match="snr_db must be finite"):
                 simulate_partition(parts[0], cfg, ch, msgs, snr_db=snr)
@@ -737,7 +680,7 @@ class TestEndToEnd:
         # noiseless 0.0, which is still a float
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         msgs = encode_partition(segs, parts[0], cfg)
-        ch = draw_channel(6, partition_slots(cfg), seed=5)
+        ch = draw_channel(cfg, seed=5)
         for snr in (-7000.0, -1e308):
             with pytest.raises(ParameterError, match="noise amplitude overflow"):
                 simulate_partition(parts[0], cfg, ch, msgs, snr_db=snr)
@@ -750,7 +693,7 @@ class TestEndToEnd:
         # sigma = 1e300 is a float, but the squared symbol errors are not
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         msgs = encode_partition(segs, parts[0], cfg)
-        ch = draw_channel(6, partition_slots(cfg), seed=5)
+        ch = draw_channel(cfg, seed=5)
         with pytest.raises(ParameterError, match="snr_db -6000.0 drives the noise mean squared"):
             simulate_partition(parts[0], cfg, ch, msgs, snr_db=-6000.0)
 
@@ -781,11 +724,21 @@ class TestEndToEnd:
     def test_bad_tolerance_rejected(self):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         msgs = encode_partition(segs, parts[0], cfg)
-        ch = draw_channel(6, partition_slots(cfg), seed=5)
+        ch = draw_channel(cfg, seed=5)
         for tol in (float("nan"), float("inf"), -1.0, -1e-12):
             with pytest.raises(ParameterError, match="tolerance must be finite and >= 0"):
                 simulate_partition(parts[0], cfg, ch, msgs, tol=tol)
         assert simulate_partition(parts[0], cfg, ch, msgs, tol=0.0).symbols_per_receiver == 0
+
+    def test_bad_tolerance_rejected_before_any_work(self, monkeypatch):
+        def placed(*args):
+            raise AssertionError("placement built before the tolerance was checked")
+
+        monkeypatch.setattr(channel, "build_placement", placed)
+        cfg = validate_config(WORKED, K_r=3, t=2)
+        for tol in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="tolerance must be finite and >= 0"):
+                end_to_end_verify(WORKED, cfg, seed=0, tol=tol)
 
     def test_wrong_message_list_names_the_message(self, monkeypatch):
         # a missing message, or another partition's list, used to surface as
@@ -795,7 +748,7 @@ class TestEndToEnd:
         assert (msgs[0].partition, msgs[0].dest_group.members, msgs[0].coop.members) == (
             1, (4, 5), (1, 2)
         )
-        ch = draw_channel(6, partition_slots(cfg), seed=5)
+        ch = draw_channel(cfg, seed=5)
         blocks = []
         monkeypatch.setattr(channel, "build_precoders", lambda *a: blocks.append(a))
         with pytest.raises(ConstraintViolation) as exc:
@@ -814,7 +767,7 @@ class TestEndToEnd:
         # first message that is not where it is due
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         msgs = encode_partition(segs, parts[0], cfg)
-        ch = draw_channel(6, partition_slots(cfg), seed=5)
+        ch = draw_channel(cfg, seed=5)
         blocks = []
         monkeypatch.setattr(channel, "build_precoders", lambda *a: blocks.append(a))
         with pytest.raises(ConstraintViolation) as exc:
@@ -832,7 +785,7 @@ class TestEndToEnd:
     def test_noise_mode_reports_mse(self):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         msgs = encode_partition(segs, parts[0], cfg)
-        ch = draw_channel(6, partition_slots(cfg), seed=5)
+        ch = draw_channel(cfg, seed=5)
         rep = simulate_partition(parts[0], cfg, ch, msgs, snr_db=40.0)
         assert rep.noise_mse is not None and rep.noise_mse > 0
 
@@ -891,27 +844,26 @@ class TestEngineCoverage:
 
 
 def _per_block_partition(partition, cfg, ch, messages, tol=channel.DEFAULT_TOLERANCE, snr_db=None):
-    """Reference delivery, one block at a time: each block's gains through
-    `ChannelRealization.block`, its own cofactor precoders and a Counter of
-    chunk indices; the stacked solve after the loop as in the engine."""
+    """Reference delivery, one block at a time: block b's gains from
+    ch.gains[b], its own cofactor precoders and a Counter of chunk indices;
+    the stacked solve after the loop as in the engine."""
     sigma = None if snr_db is None else 10.0 ** (-snr_db / 20.0)
     slots = partition_slots(cfg)
     s = cfg.s
-    g, n_chunks, gamma = delivery_layout(s, cfg.t, cfg.K_r)
+    g, n_chunks, _gamma = delivery_layout(s, cfg.t, cfg.K_r)
     *_, wants, nulled, wanted = channel._block_tables(s, cfg.t, cfg.K_r, cfg.K_t)
     rx_sets = enum_subsets(partition.rx, g)
     coop_groups = enum_subsets(partition.tx, cfg.t)
-    active = [NodeSet(coop.members[: g - s + 1]) for coop in coop_groups]
     index = {(msg.dest_group, msg.coop): m for m, msg in enumerate(messages)}
     assert sorted(index) == sorted((dg, coop) for coop, dg in _message_pairs(partition, cfg))
 
     H, W, ids, x = [], [], [], []
     next_chunk = Counter()
-    slot0 = 1
+    blocks = iter(ch.gains)
     for group in rx_sets:
         dest_groups = enum_subsets(group, s)
-        for coop, tx in zip(coop_groups, active):
-            h = ch.block(group, tx, range(slot0, slot0 + gamma))
+        for coop in coop_groups:
+            h = next(blocks)
             H.append(h)
             w = neutralizing_precoder(h[:, nulled].swapaxes(0, 1))
             norm = np.linalg.norm(w, axis=-1, keepdims=True)
@@ -923,7 +875,6 @@ def _per_block_partition(partition, cfg, ch, messages, tol=channel.DEFAULT_TOLER
                 _reference_symbol(messages[m], next_chunk[dg], n_chunks)
                 for m, dg in zip(ids[-1], dest_groups)
             ])
-            slot0 += gamma
         next_chunk.update(dest_groups)
     H, W, ids, x = np.array(H), np.array(W), np.array(ids), np.array(x)
 
@@ -988,7 +939,7 @@ class TestBatchedDeliveryPin:
             chosen = parts[:1] if which == "first" else [parts[0], parts[-1]]
             for part in chosen:
                 msgs = encode_partition(segs, part, cfg)
-                ch = draw_channel(K, partition_slots(cfg), seed=K_r + t + part.index)
+                ch = draw_channel(cfg, seed=K_r + t + part.index)
                 where = (K, r, K_r, t, part.index)
                 try:
                     want = _per_block_partition(part, cfg, ch, msgs, snr_db=snr_db)
@@ -1030,7 +981,7 @@ class TestPayloadSymbols:
         msgs = encode_partition(segs, parts[0], cfg)
         short = msgs[5].payload[:-1]
         msgs[5] = dataclasses.replace(msgs[5], payload=short)
-        ch = draw_channel(9, partition_slots(cfg), seed=0)
+        ch = draw_channel(cfg, seed=0)
         with pytest.raises(
             ParameterError, match=f"payload of {len(short)} bytes does not split into 4 chunks"
         ):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+from cpcshuffle import channel
 from cpcshuffle.cli import main
 
 WORKED = ["--K", "6", "--N", "20", "--Q", "6", "--r", "3", "--Kr", "3", "--t", "2", "--B", "48"]
@@ -46,14 +47,29 @@ class TestConstruct:
         assert a == b
 
     def test_byte_identical_across_processes(self):
+        # two fresh processes under different hash seeds print the same
+        # bytes, float fields included: the payloads, and the channel draw
+        # and noise of `verify` and `simulate`
+        import os
         import subprocess
         import sys
 
-        cmd = [sys.executable, "-m", "cpcshuffle", "construct", *WORKED,
-               "--with-payloads", "--seed", "9"]
-        a = subprocess.run(cmd, capture_output=True, check=True).stdout
-        b = subprocess.run(cmd, capture_output=True, check=True).stdout
-        assert a == b and len(a) > 1000
+        instance = ["--K", "9", "--r", "3", "--Kr", "6", "--t", "2"]
+        for argv, min_len in (
+            (["construct", *WORKED, "--with-payloads", "--seed", "9"], 1000),
+            (["verify", *instance, "--seed", "5"], 200),
+            (["simulate", *instance, "--partition", "2", "--snr", "20"], 200),
+        ):
+            a, b = (
+                subprocess.run(
+                    [sys.executable, "-m", "cpcshuffle", *argv], capture_output=True, check=True,
+                    env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                ).stdout
+                for hash_seed in ("1", "2")
+            )
+            assert a == b and len(a) > min_len, argv
+            if argv[0] != "construct":
+                assert json.loads(a)["max_condition"] > 1.0, argv
 
 
 class TestVerify:
@@ -100,12 +116,24 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--K", "64", "--r", "64")
         assert code == 0 and json.loads(out) == {"ok": True, "failures": [], "partitions": 0}
 
-    def test_bad_tolerance_exits_two(self, capsys):
-        for command in ("verify", "simulate"):
+    def test_bad_tolerance_exits_two(self, capsys, monkeypatch):
+        def check(*command):
             for tol in ("nan", "inf", "-1"):
-                code, out, err = run(capsys, command, *WORKED, f"--tolerance={tol}")
+                code, out, err = run(capsys, *command, *WORKED, f"--tolerance={tol}")
                 assert code == 2, (command, tol)
-                assert out == "" and "tolerance must be finite and >= 0" in err
+                assert out == ""
+                assert err == f"error: tolerance must be finite and >= 0, got {float(tol)}\n"
+
+        check("simulate")
+
+        # verify refuses it before any work, on both paths; --ideal never
+        # reads the tolerance, and used to accept it with exit 0
+        def placed(*args):
+            raise AssertionError("placement built before the tolerance was checked")
+
+        monkeypatch.setattr(channel, "build_placement", placed)
+        check("verify")
+        check("verify", "--ideal")
 
     def test_defaults_fill_in(self, capsys):
         # no N/Q/B/Kr/t: optimizer picks the split, B auto-aligns
