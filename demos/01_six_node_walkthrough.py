@@ -55,11 +55,13 @@ print("=" * 72)
 segments = segment_ivs(placement, cfg, store)
 partitions = enum_partitions(6, 3)
 storage = NodeSet.of(1, 2, 5)
-pairs = admissible_pairs(4, storage, cfg)
+coops, extras = admissible_pairs(4, storage, cfg)
 print(f"  the IV headed to node 4 and stored at {storage.members} rides in:")
 number = {part.tx: part.index for part in partitions}
-for coop, tx in pairs:
-    print(f"    partition {number[tx]:2d} (tx {tx.members}), sent by pair {coop.members}")
+for coop in coops:
+    for extra in extras:
+        tx = NodeSet.from_mask(coop.mask | extra)
+        print(f"    partition {number[tx]:2d} (tx {tx.members}), sent by pair {coop.members}")
 
 print()
 print("=" * 72)

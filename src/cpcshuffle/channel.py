@@ -143,6 +143,29 @@ def check_tolerance(tol: float) -> None:
         raise ParameterError(f"tolerance must be finite and >= 0, got {tol}")
 
 
+def check_snr(snr_db: float) -> float:
+    """Noise amplitude 10**(-snr_db / 20); refuse an snr_db that is not finite or overflows it."""
+    if not math.isfinite(snr_db):
+        raise ParameterError(f"snr_db must be finite, got {snr_db}")
+    try:
+        return 10.0 ** (-snr_db / 20.0)
+    except OverflowError:
+        raise ParameterError(f"snr_db {snr_db} makes the noise amplitude overflow") from None
+
+
+def check_simulable(config: ShuffleConfig) -> None:
+    """Refuse, before any work, what the channel path cannot run: s + t =
+    K_r, and a B that does not cut IVs, segments and chunks into bytes."""
+    _shape, n_chunks = _partition_layout(config)
+    eta1, eta2 = config.params.require_symmetric()
+    unit, B = 8 * segments_per_block(config) * n_chunks, config.params.B
+    if B % 8 or eta1 * eta2 * B % unit:
+        raise ParameterError(
+            f"B={B} does not split into whole-byte IVs, segments and channel chunks; "
+            f"choose B as a multiple of {math.lcm(8, unit // math.gcd(eta1 * eta2, unit))}"
+        )
+
+
 def neutralizing_precoder(rows: np.ndarray) -> np.ndarray:
     """Cofactors of the bottom row of the matrix whose other rows are `rows`.
 
@@ -291,14 +314,7 @@ def simulate_partition(
     raises ConstraintViolation.  The report's `held` says which receivers
     lost which messages.
     """
-    sigma = None
-    if snr_db is not None:
-        if not math.isfinite(snr_db):
-            raise ParameterError(f"snr_db must be finite, got {snr_db}")
-        try:
-            sigma = 10.0 ** (-snr_db / 20.0)
-        except OverflowError:
-            raise ParameterError(f"snr_db {snr_db} makes the noise amplitude overflow") from None
+    sigma = None if snr_db is None else check_snr(snr_db)
     check_tolerance(tol)
     shape, n_chunks = _partition_layout(config)
     if channel.gains.shape != shape:
@@ -501,10 +517,11 @@ def end_to_end_verify(
 
     True iff every node reassembles every required IV byte-exactly.
     `corrupt=(p, i)` flips a byte of the i-th message of partition p before
-    transmission, for fault-injection tests.  A `tol` that is negative or
-    not finite raises ParameterError before any work starts.
+    transmission, for fault-injection tests.  `check_tolerance` and
+    `check_simulable` refuse bad input before any work starts.
     """
     check_tolerance(tol)
+    check_simulable(config)
 
     def over_channel(part: Partition, messages: list[CodedMessage]):
         sim = simulate_with_resample(part, config, messages, seed, tol=tol)

@@ -30,6 +30,8 @@ from .placement import build_placement, map_phase
 from .codec import encode_partition, segment_ivs
 from .channel import (
     DEFAULT_TOLERANCE,
+    check_simulable,
+    check_snr,
     check_tolerance,
     end_to_end_verify,
     ideal_verify,
@@ -175,7 +177,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.snr is not None:
+        check_snr(args.snr)
+    check_tolerance(args.tolerance)
     params, cfg = _instance(args)
+    check_simulable(cfg)
     placement = build_placement(params)
     store = map_phase(placement, params, args.seed)
     segments = segment_ivs(placement, cfg, store)

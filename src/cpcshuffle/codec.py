@@ -14,17 +14,16 @@ its own.
 Every segment has an integer rank: block rank * segments per block +
 pair index, with blocks in (dest, storage lex) order.  `segment_ivs`
 holds all segments as the rows of one `(n_segments, seg_len)` uint8
-array, so a block's segments are its bytes reshaped.  A pair's index is
-B's rank among the t-subsets of the storage group times the number of
-E's, plus E's rank, so three small maps filled from each block's one
-`admissible_pairs` call give any segment's row: `SegmentTable.row(dest,
-storage mask, p, coop mask)`, p being the number `enum_partitions`, the
-only code that numbers partitions, gives T.  The table keeps the
-config, its blocks and partitions, and those maps.  The same pass lays
-out every partition's messages as one (partitions, messages, s) table
-of rows, so no Python object is kept per row.  A message's address is
-its position: partition p's m-th message in `_message_pairs` order is
-flat message (p-1) * per-partition count + m.
+array, so a block's segments are its bytes reshaped.  With X = storage
+| {dest}, a row is a head that depends on (X, B) alone plus the rank of
+E, so two maps filled in the loop over blocks, one `admissible_pairs`
+call each, give any segment's row: `SegmentTable.row(dest, storage
+mask, p, coop mask)`, p being the number `enum_partitions`, the only
+code that numbers partitions, gives T.  The same pass lays out every
+partition's messages as one (partitions, messages, s) table of rows, so
+no Python object is kept per row.  A message's address is its position:
+partition p's m-th message in `_message_pairs` order is flat message
+(p-1) * per-partition count + m.
 Encoding XOR-reduces a partition's rows, and node-wide decoding gathers
 its payloads from one (all messages, L) array, masked by what the node
 holds.  As a mapping, `SegmentTable` gives `Segment`s by `SegmentId`;
@@ -145,25 +144,18 @@ def block_bytes(placement: PlacementMap, store: IVStore, dest: int, storage: Nod
 
 def admissible_pairs(
     dest: int, storage: NodeSet, config: ShuffleConfig
-) -> list[tuple[NodeSet, NodeSet]]:
-    """(coop group, transmitter set) pairs that carry a segment of this block.
-
-    B runs over the size-t subsets of the storage group in lex order; for
-    each, E runs over the (K_t-t)-subsets of the nodes outside storage and
-    {dest} in lex order, and B | E is the partition's transmitter set, so
-    {dest} plus the rest of the storage group receive.  For a fixed B the
-    lex order of E is that of B | E, since B | E and B | E' differ exactly
-    where E and E' do; the pairs come out ordered (B lex, B | E lex),
-    which for a fixed B is the numbering `enum_partitions` gives B | E.
+) -> tuple[list[NodeSet], list[int]]:
+    """(coops, extras): the t-subsets B of the storage group and the masks
+    of the (K_t-t)-subsets E of the nodes outside storage and {dest}, both
+    in lex order.  The block's i-th (coop group, transmitter set) pair is
+    (coops[i // len(extras)], B | extras[i % len(extras)]), so {dest} and
+    the rest of the storage group receive.  B | E runs in the lex order of
+    E, which for a fixed B is the numbering `enum_partitions` gives B | E.
     """
     taken = storage.mask | 1 << dest
     free = [1 << k for k in range(1, config.params.K + 1) if not taken >> k & 1]
     extras = [sum(e) for e in itertools.combinations(free, config.K_t - config.t)]
-    return [
-        (coop, NodeSet.from_mask(coop.mask | extra))
-        for coop in enum_subsets(storage, config.t)
-        for extra in extras
-    ]
+    return enum_subsets(storage, config.t), extras
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -173,50 +165,47 @@ class SegmentTable(Mapping[SegmentId, Segment]):
 
     Rows run in `blocks` order, (dest, storage lex), and each node owns
     `per_node` = C(K-1, r) * `per_block` consecutive rows, node 1 first.
-    Block b = `block_of[(dest, storage mask)]` is cut into `per_block` =
-    C(r, t) * `n_extra` rows, one per `admissible_pairs` pair (B, B | E),
-    which run B-major; `row` computes a segment's row from three small
-    maps.  `messages[p - 1]` holds the s constituent rows of each of
-    partition p's messages in `_message_pairs` order, D order within a
-    message; row i belongs to flat message `message_of[i]`, the message's
-    position in `messages.reshape(-1, s)`.  Python objects exist per
-    block, never per message or row.  As a mapping it answers `SegmentId`
-    lookups and builds ids only when iterated.
+    A block's rows are its `admissible_pairs` pairs (B, B | E), B-major.
+    With X = storage | {dest}, `heads[head_of[(X mask, B mask)], i]` is
+    the row of B's first pair in the block of the i-th node of X - B, and
+    `extra_rank[(X mask, E mask)]` is E's rank.  `messages[p - 1]` holds
+    the s constituent rows of each of partition p's messages in
+    `_message_pairs` order, D order within a message; row i belongs to
+    flat message `message_of[i]`, the message's position in
+    `messages.reshape(-1, s)`.  Python objects exist per block, never per
+    message or row.  As a mapping it answers `SegmentId` lookups and
+    builds ids only when iterated.
     """
 
     config: ShuffleConfig
     data: np.ndarray
     blocks: list[tuple[int, NodeSet]]
     partitions: list[Partition]
-    block_of: dict[tuple[int, int], int]
-    coop_rank: dict[tuple[int, int], int]
+    head_of: dict[tuple[int, int], int]
+    heads: np.ndarray
     extra_rank: dict[tuple[int, int], int]
     per_block: int
-    n_extra: int
     per_node: int
     messages: np.ndarray
     message_of: np.ndarray
 
     def row(self, dest: int, storage_mask: int, p: int, coop_mask: int) -> int:
-        """Row of segment (dest, storage, p, B): b * per_block + B's rank
-        among the t-subsets of the storage group (`coop_rank[(storage
-        mask, B mask)]`) * n_extra + the rank of E = T_p - B among the
-        (K_t - t)-subsets outside storage and {dest} (`extra_rank[(storage
-        | {dest} mask, E mask)]`).  A key that names no segment raises
-        KeyError."""
+        """Row of segment (dest, storage, p, B): with X = storage | {dest}
+        and E = T_p - B, `heads[head_of[(X, B)], dest's position in X - B]
+        + extra_rank[(X, E)]`.  A key that names no segment raises KeyError:
+        the maps, keyed by X, cannot tell a dest or B inside the storage
+        group, so those are refused first, and a B outside T_p leaves more
+        than K_t - t nodes in E, which no extra rank is kept for."""
         key = (dest, storage_mask, p, coop_mask)
-        if not 1 <= p <= len(self.partitions):
+        inside = dest < 1 or storage_mask >> dest & 1 or coop_mask & ~storage_mask
+        if inside or not 1 <= p <= len(self.partitions):
             raise KeyError(key)
-        tx = self.partitions[p - 1].tx.mask
-        # a B outside T_p leaves more than K_t - t nodes in T_p - B, which
-        # no extra rank is kept for
+        x, tx = storage_mask | 1 << dest, self.partitions[p - 1].tx.mask
         try:
-            block = self.block_of[(dest, storage_mask)]
-            head = self.coop_rank[(storage_mask, coop_mask)]
-            extra = self.extra_rank[(storage_mask | 1 << dest, tx & ~coop_mask)]
+            h, extra = self.head_of[(x, coop_mask)], self.extra_rank[(x, tx & ~coop_mask)]
         except KeyError:
             raise KeyError(key) from None
-        return block * self.per_block + head * self.n_extra + extra
+        return int(self.heads[h, (storage_mask & ~coop_mask & (1 << dest) - 1).bit_count()]) + extra
 
     def __getitem__(self, sid: SegmentId) -> Segment:
         row = self.row(sid.dest, sid.storage.mask, sid.partition, sid.coop.mask)
@@ -225,8 +214,8 @@ class SegmentTable(Mapping[SegmentId, Segment]):
     def __iter__(self) -> Iterator[SegmentId]:
         number = {part.tx.mask: part.index for part in self.partitions}
         for dest, storage in self.blocks:
-            for coop, tx in admissible_pairs(dest, storage, self.config):
-                yield SegmentId(dest, storage, number[tx.mask], coop)
+            for coop, extra in itertools.product(*admissible_pairs(dest, storage, self.config)):
+                yield SegmentId(dest, storage, number[coop.mask | extra], coop)
 
     def __len__(self) -> int:
         return len(self.data)
@@ -252,80 +241,66 @@ def segment_ivs(
             f"{n_seg} whole-byte segments; choose B as a multiple of {8 * n_seg}"
         )
     seg_len = block_len // n_seg
-    n_extra = math.comb(params.K - params.r - 1, config.K_t - config.t)
+    s = config.s
     blocks: list[tuple[int, NodeSet]] = []
     chunks: list[bytes] = []
-    block_of: dict[tuple[int, int], int] = {}
-    coop_rank: dict[tuple[int, int], int] = {}
+    # message (p, D, B) XORs the segment (j, X - {j}, p, B) of each j in D,
+    # X = B | D.  Less E's rank, its row is B's head in block (j, X - {j}),
+    # which depends on (X, B) alone: each (X, B) gets s heads, in D order.
+    heads: dict[tuple[int, int], list[int]] = {}
     extra_rank: dict[tuple[int, int], int] = {}
     for dest in range(1, params.K + 1):
+        below = (1 << dest) - 1
         others = [k for k in range(1, params.K + 1) if k != dest]
         for storage in enum_subsets(NodeSet(tuple(others)), params.r):
-            pairs = admissible_pairs(dest, storage, config)
-            if len(pairs) != n_seg:
+            coops, extras = admissible_pairs(dest, storage, config)
+            if len(coops) * len(extras) != n_seg:
                 raise InternalInvariantError(
-                    f"block (d{dest}, {storage.members}) has {len(pairs)} "
+                    f"block (d{dest}, {storage.members}) has {len(coops) * len(extras)} "
                     f"admissible pairs, expected {n_seg}"
                 )
-            # pair i is (B_{i // n_extra}, B_{i // n_extra} | E_{i % n_extra})
-            block_of[(dest, storage.mask)] = len(blocks)
-            for i, (coop, _tx) in enumerate(pairs[::n_extra]):
-                coop_rank[(storage.mask, coop.mask)] = i
-            taken = storage.mask | 1 << dest
-            for i, (coop, tx) in enumerate(pairs[:n_extra]):
-                extra_rank[(taken, tx.mask & ~coop.mask)] = i
+            x = storage.mask | 1 << dest
+            first = len(blocks) * n_seg
+            for i, coop in enumerate(coops):
+                at = heads.setdefault((x, coop.mask), [0] * s)
+                at[(storage.mask & ~coop.mask & below).bit_count()] = first + i * len(extras)
+            for i, extra in enumerate(extras):
+                extra_rank[(x, extra)] = i
             blocks.append((dest, storage))
             chunks.append(block_bytes(placement, store, dest, storage))
     n_rows = len(blocks) * n_seg
     data = np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(n_rows, seg_len)
     partitions = enum_partitions(params.K, config.K_t)
-    # message (p, D, B) XORs receiver j's segment (j, B | D - {j}, p, B) for
-    # j in D, as in `constituents`.  Its rows less the extra rank depend on
-    # X = B | D and B alone, so each (X, B) gets its s row heads once.
-    heads: dict[tuple[int, int], int] = {}
-    head_rows: list[list[int]] = []
+    head_of = {key: h for h, key in enumerate(heads)}
     which: list[int] = []
-    extras: list[int] = []
+    ranks: list[int] = []
     for part in partitions:
         p, tx = part.index, part.tx.mask
         for coop, dest_group in _message_pairs(part, config):
             b = coop.mask
             x = b | dest_group.mask
             try:
-                h = heads.get((x, b))
-                if h is None:
-                    h = heads[(x, b)] = len(head_rows)
-                    head_rows.append([
-                        block_of[(j, x & ~(1 << j))] * n_seg
-                        + coop_rank[(x & ~(1 << j), b)] * n_extra
-                        for j in dest_group.members
-                    ])
-                extras.append(extra_rank[(x, tx & ~b)])
+                which.append(head_of[(x, b)])
+                ranks.append(extra_rank[(x, tx & ~b)])
             except KeyError:
-                # the first receiver, in D order, whose segment a map lacks
-                j = next(
-                    j for j in dest_group.members
-                    if (j, x & ~(1 << j)) not in block_of
-                    or (x & ~(1 << j), b) not in coop_rank
-                    or (x, tx & ~b) not in extra_rank
-                )
-                sid = SegmentId(j, NodeSet.from_mask(x & ~(1 << j)), p, coop)
+                # every receiver of a well-formed (X, B) has a head, so the
+                # whole message is missing: name D's first receiver's segment
+                sid = CodedMessage(p, dest_group, coop, b"").constituents()[0]
                 raise InternalInvariantError(f"missing segment {sid}") from None
-            which.append(h)
-    s = config.s
-    rows = np.array(head_rows, dtype=np.intp)[which] + np.array(extras, dtype=np.intp)[:, None]
+    head_rows = np.array(list(heads.values()), dtype=np.intp)
+    rows = head_rows[which] + np.array(ranks, dtype=np.intp)[:, None]
     message_of = np.full(n_rows, -1, dtype=np.intp)
     message_of[rows.ravel()] = np.repeat(np.arange(len(rows)), s)
     if rows.size != n_rows or (message_of < 0).any():
         raise InternalInvariantError(
             f"{len(rows)} messages of {s} segments do not cover the {n_rows} rows once each"
         )
-    for table in (rows, message_of):
+    for table in (head_rows, rows, message_of):
         table.flags.writeable = False
     per_node = math.comb(params.K - 1, params.r) * n_seg
     return SegmentTable(
-        config, data, blocks, partitions, block_of, coop_rank, extra_rank, n_seg, n_extra,
-        per_node, rows.reshape(len(partitions), -1, s), message_of,
+        config, data, blocks, partitions, head_of, head_rows, extra_rank, n_seg, per_node,
+        rows.reshape(len(partitions), -1, s), message_of,
     )
 
 

@@ -740,6 +740,50 @@ class TestEndToEnd:
             with pytest.raises(ParameterError, match="tolerance must be finite and >= 0"):
                 end_to_end_verify(WORKED, cfg, seed=0, tol=tol)
 
+    def test_what_cannot_be_simulated_is_rejected_before_any_work(self, monkeypatch):
+        def placed(*args):
+            raise AssertionError("placement built before the config was checked")
+
+        monkeypatch.setattr(channel, "build_placement", placed)
+        params = SystemParams(K=6, N=20, Q=6, r=3, B=480)
+        cfg = validate_config(params, K_r=4, t=1)
+        with pytest.raises(ParameterError, match="asymptotic-alignment regime, which is not"):
+            end_to_end_verify(params, cfg, seed=0)
+        # 120 bits suit the codec but make one-byte payloads of 4 chunks
+        params = SystemParams(K=9, N=84, Q=9, r=3, B=120)
+        cfg = validate_config(params, K_r=6, t=2)
+        with pytest.raises(ParameterError, match=r"^B=120 .*; choose B as a multiple of 480$"):
+            end_to_end_verify(params, cfg, seed=0)
+
+    @pytest.mark.parametrize("K, r, K_r, t", [(6, 3, 3, 2), (7, 3, 5, 2)])
+    def test_check_simulable_accepts_exactly_the_b_that_split(self, K, r, K_r, t):
+        # eta1 * eta2 of 1, 2 and 4: a B is refused iff the map, the codec
+        # or the symbol mapper would refuse it, and the named step works
+        accepted = []
+        for Q in (K, 2 * K, 4 * K):
+            for B in range(4, 220, 4):
+                params = SystemParams(K=K, N=math.comb(K, r), Q=Q, r=r, B=B)
+                cfg = validate_config(params, K_r=K_r, t=t)
+                try:
+                    channel.check_simulable(cfg)
+                    refused = None
+                except ParameterError as e:
+                    refused = int(str(e).rsplit(" ", 1)[1])
+                try:
+                    cfg, segs, parts = _prepared(params, K_r=K_r, t=t)
+                    _shape, n_chunks = channel._partition_layout(cfg)
+                    channel.payload_symbols(encode_partition(segs, parts[0], cfg), n_chunks)
+                    runs = True
+                except ValueError:
+                    runs = False
+                assert runs == (refused is None), (Q, B)
+                if refused is None:
+                    accepted.append((Q, B))
+                else:
+                    ok = SystemParams(K=K, N=math.comb(K, r), Q=Q, r=r, B=refused)
+                    channel.check_simulable(validate_config(ok, K_r=K_r, t=t))
+        assert {Q for Q, _B in accepted} == {K, 2 * K, 4 * K}
+
     def test_wrong_message_list_names_the_message(self, monkeypatch):
         # a missing message, or another partition's list, used to surface as
         # a bare KeyError from the block loop

@@ -2,7 +2,7 @@ import csv
 import io
 import json
 
-from cpcshuffle import channel
+from cpcshuffle import channel, cli
 from cpcshuffle.cli import main
 
 WORKED = ["--K", "6", "--N", "20", "--Q", "6", "--r", "3", "--Kr", "3", "--t", "2", "--B", "48"]
@@ -124,16 +124,48 @@ class TestVerify:
                 assert out == ""
                 assert err == f"error: tolerance must be finite and >= 0, got {float(tol)}\n"
 
-        check("simulate")
-
-        # verify refuses it before any work, on both paths; --ideal never
-        # reads the tolerance, and used to accept it with exit 0
+        # refused before any work, on every path; --ideal never reads the
+        # tolerance, and used to accept it with exit 0
         def placed(*args):
             raise AssertionError("placement built before the tolerance was checked")
 
         monkeypatch.setattr(channel, "build_placement", placed)
+        monkeypatch.setattr(cli, "build_placement", placed)
+        check("simulate")
         check("verify")
         check("verify", "--ideal")
+        for snr, text in (
+            ("nan", "snr_db must be finite, got nan"),
+            ("inf", "snr_db must be finite, got inf"),
+            ("-7000", "snr_db -7000.0 makes the noise amplitude overflow"),
+        ):
+            code, out, err = run(capsys, "simulate", *WORKED, f"--snr={snr}")
+            assert (code, out, err) == (2, "", f"error: {text}\n"), snr
+
+    def test_what_the_channel_cannot_run_exits_two_before_any_work(self, capsys, monkeypatch):
+        # 120 bits suit the codec, so the XOR-only path runs them
+        short_b = ["--K", "9", "--r", "3", "--Kr", "6", "--t", "2", "--B", "120"]
+        code, out, _ = run(capsys, "verify", *short_b, "--ideal")
+        assert code == 0 and json.loads(out)["ok"] is True
+
+        def placed(*args):
+            raise AssertionError("placement built before the config was checked")
+
+        monkeypatch.setattr(channel, "build_placement", placed)
+        monkeypatch.setattr(cli, "build_placement", placed)
+        alignment = (
+            "error: s + t = K_r sits in the asymptotic-alignment regime, which is not simulated\n"
+        )
+        short = (
+            "error: B=120 does not split into whole-byte IVs, segments and channel chunks; "
+            "choose B as a multiple of 480\n"
+        )
+        for command in ("verify", "simulate"):
+            code, out, err = run(capsys, command, "--K", "12", "--r", "4", "--Kr", "5", "--t", "1")
+            assert (code, out, err) == (2, "", alignment), command
+            # 120 bits make one-byte payloads, which the channel cuts into 4 chunks
+            code, out, err = run(capsys, command, *short_b)
+            assert (code, out, err) == (2, "", short), command
 
     def test_defaults_fill_in(self, capsys):
         # no N/Q/B/Kr/t: optimizer picks the split, B auto-aligns

@@ -49,6 +49,13 @@ def worked():
     return cfg, pl, store, segs, parts
 
 
+def pairs_of(dest, storage, cfg):
+    """The block's (B, B | E) pairs, B-major, from `admissible_pairs`'
+    two factors."""
+    coops, extras = admissible_pairs(dest, storage, cfg)
+    return [(coop, NodeSet.from_mask(coop.mask | extra)) for coop in coops for extra in extras]
+
+
 def scanned_pairs(dest, storage, cfg, partitions):
     """Reference: scan every partition for B transmitting and the rest of
     the storage group plus dest receiving."""
@@ -70,7 +77,7 @@ class TestSegmentation:
         # the block headed to node 4 and stored at {1,2,5} spreads over two
         # partitions for each of its three cooperation pairs
         cfg, pl, store, segs, parts = worked
-        pairs = admissible_pairs(4, NodeSet.of(1, 2, 5), cfg)
+        pairs = pairs_of(4, NodeSet.of(1, 2, 5), cfg)
         assert [(c.members, tx.members) for c, tx in pairs] == [
             ((1, 2), (1, 2, 3)), ((1, 2), (1, 2, 6)), ((1, 5), (1, 3, 5)),
             ((1, 5), (1, 5, 6)), ((2, 5), (2, 3, 5)), ((2, 5), (2, 5, 6)),
@@ -96,7 +103,7 @@ class TestSegmentation:
                         for dest in range(1, K + 1):
                             others = NodeSet.from_iterable(k for k in range(1, K + 1) if k != dest)
                             for storage in enum_subsets(others, r):
-                                pairs = admissible_pairs(dest, storage, cfg)
+                                pairs = pairs_of(dest, storage, cfg)
                                 assert pairs == scanned_pairs(dest, storage, cfg, parts)
                                 assert len(pairs) == segments_per_block(cfg)
                                 blocks += 1
@@ -135,7 +142,7 @@ class TestSegmentation:
         for b, (dest, storage) in enumerate(blocks):
             data = block_bytes(pl, store, dest, storage)
             seg_len = len(data) // n_seg
-            for i, (coop, tx) in enumerate(admissible_pairs(dest, storage, cfg)):
+            for i, (coop, tx) in enumerate(pairs_of(dest, storage, cfg)):
                 p = number[tx]
                 assert segs.row(dest, storage.mask, p, coop.mask) == b * n_seg + i
                 sid = SegmentId(dest, storage, p, coop)
@@ -160,7 +167,7 @@ class TestSegmentation:
                         segs,
                         dest,
                     ).data
-                    for coop, tx in admissible_pairs(dest, storage, cfg)
+                    for coop, tx in pairs_of(dest, storage, cfg)
                 )
                 assert decoded[storage] == reference == block_bytes(pl, store, dest, storage)
         return len(segs)
@@ -181,7 +188,7 @@ class TestSegmentation:
         cfg, pl, store, segs, parts = worked
         number = {part.tx: part.index for part in parts}
         for dest, storage in [(4, NodeSet.of(1, 2, 5)), (1, NodeSet.of(2, 3, 6))]:
-            pairs = admissible_pairs(dest, storage, cfg)
+            pairs = pairs_of(dest, storage, cfg)
             joined = b"".join(
                 segs[SegmentId(dest, storage, number[tx], c)].data for c, tx in pairs
             )
@@ -209,7 +216,7 @@ class TestSegmentation:
         for dest in range(1, 5):
             others = NodeSet.from_iterable(k for k in range(1, 5) if k != dest)
             for storage in enum_subsets(others, 2):
-                assert len(admissible_pairs(dest, storage, cfg)) == 2
+                assert len(pairs_of(dest, storage, cfg)) == 2
 
     def test_unaligned_b_rejected(self):
         params = SystemParams(K=6, N=20, Q=6, r=3, B=8)
@@ -271,7 +278,7 @@ class TestDecode:
         storage = NodeSet.of(1, 2, 5)
         recovered = []
         number = {part.tx: part.index for part in parts}
-        for coop, tx in admissible_pairs(4, storage, cfg):
+        for coop, tx in pairs_of(4, storage, cfg):
             part = parts[number[tx] - 1]
             msgs = encode_partition(segs, part, cfg)
             dest_group = NodeSet.of(4) | (storage - coop)

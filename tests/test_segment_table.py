@@ -31,8 +31,9 @@ from cpcshuffle.model import (
 )
 from cpcshuffle.placement import build_placement, map_phase
 
-# the worked 6-node instance and (8,5,4,2), written (K, r, K_r, t)
-CASES = [(6, 3, 3, 2), (8, 5, 4, 2)]
+# the worked 6-node instance and (8,5,4,2), written (K, r, K_r, t), both
+# single shot with t = 2, and (7,2,4,1), time division with t = 1
+CASES = [(6, 3, 3, 2), (8, 5, 4, 2), (7, 2, 4, 1)]
 
 
 def _table(K, r, K_r, t):
@@ -50,6 +51,13 @@ def _blocks(K, r):
         for dest in range(1, K + 1)
         for storage in enum_subsets(full_set(K) - NodeSet.of(dest), r)
     ]
+
+
+def pairs_of(dest, storage, cfg):
+    """The block's (B, B | E) pairs, B-major, from `admissible_pairs`'
+    two factors."""
+    coops, extras = admissible_pairs(dest, storage, cfg)
+    return [(coop, NodeSet.from_mask(coop.mask | extra)) for coop in coops for extra in extras]
 
 
 def _assert_unknown(segs, key):
@@ -82,7 +90,7 @@ class TestRankView:
         cfg, segs = case
         n_parts = math.comb(cfg.params.K, cfg.K_t)
         for dest, storage in _blocks(cfg.params.K, cfg.params.r):
-            for coop, _tx in admissible_pairs(dest, storage, cfg):
+            for coop, _tx in pairs_of(dest, storage, cfg):
                 for p in (-1, 0, n_parts + 1, n_parts + 2):
                     _assert_unknown(segs, (dest, storage.mask, p, coop.mask))
 
@@ -104,7 +112,7 @@ class TestRankView:
         cfg, segs = case
         number = {part.tx: part.index for part in enum_partitions(cfg.params.K, cfg.K_t)}
         for dest, storage in _blocks(cfg.params.K, cfg.params.r):
-            for coop, tx in admissible_pairs(dest, storage, cfg):
+            for coop, tx in pairs_of(dest, storage, cfg):
                 for j in storage:
                     _assert_unknown(segs, (j, storage.mask, number[tx], coop.mask))
 
@@ -119,7 +127,7 @@ class TestRankView:
         for b, (dest, storage) in blocks[:: cfg.params.r + 1]:
             rows = {
                 (coop, number[tx]): b * n_seg + i
-                for i, (coop, tx) in enumerate(admissible_pairs(dest, storage, cfg))
+                for i, (coop, tx) in enumerate(pairs_of(dest, storage, cfg))
             }
             for coop in enum_subsets(storage, cfg.t):
                 for part in parts:
@@ -214,3 +222,25 @@ def test_table_keeps_no_python_object_per_row():
     assert len(segs) == 50400
     assert segs.data.dtype == np.uint8
     assert kept / len(segs) < 120, f"{kept / len(segs):.0f} B per row"
+
+
+def test_segmentation_builds_no_node_set_per_pair(monkeypatch):
+    # (10,5,5,2) has 50,400 (B, B | E) pairs; the table reads B and E as
+    # masks, so no transmitter set is built for any of them
+    K, r, K_r, t = 10, 5, 5, 2
+    probe = validate_config(SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8), K_r, t)
+    params = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=round_up_bits(probe, 8))
+    cfg = validate_config(params, K_r, t)
+    pl = build_placement(params)
+    store = map_phase(pl, params, seed=0)
+    calls = []
+    real = NodeSet.from_mask.__func__
+
+    def counted(cls, mask):
+        calls.append(mask)
+        return real(cls, mask)
+
+    monkeypatch.setattr(NodeSet, "from_mask", classmethod(counted))
+    segs = segment_ivs(pl, cfg, store)
+    assert len(segs) == 50400
+    assert calls == []
