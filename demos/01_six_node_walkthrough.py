@@ -9,10 +9,13 @@ messages, and pairs of transmitters beam each message so that it vanishes
 at the receiver that does not want it.
 """
 
+import itertools
 from fractions import Fraction
 
 from cpcshuffle import (
     NodeSet,
+    Segment,
+    SegmentId,
     SystemParams,
     build_placement,
     decode_segment,
@@ -78,11 +81,19 @@ print()
 print("=" * 72)
 print("STEP 5: DECODE -- node 4 peels its segment with one local XOR")
 print("=" * 72)
+# the table addresses segments by row: block b's i-th admissible pair is
+# row b * per_block + i.  Name every row by its (dest, storage, p, coop).
+by_id = {}
+for b, (dest, stored) in enumerate(segments.blocks):
+    pairs = itertools.product(*admissible_pairs(dest, stored, cfg))
+    for i, (coop, extra) in enumerate(pairs):
+        sid = SegmentId(dest, stored, number[NodeSet.from_mask(coop.mask | extra)], coop)
+        by_id[sid] = Segment(sid, segments.data[b * segments.per_block + i].tobytes())
 msg = next(m for m in messages
            if m.dest_group == NodeSet.of(4, 5) and m.coop == NodeSet.of(1, 2))
-seg = decode_segment(msg, segments, 4)
+seg = decode_segment(msg, by_id, 4)
 print(f"  node 4 got {seg.data.hex()} for {seg.id}")
-print(f"  matches the ground truth: {seg.data == segments[seg.id].data}")
+print(f"  matches the ground truth: {seg.data == by_id[seg.id].data}")
 
 print()
 print("=" * 72)

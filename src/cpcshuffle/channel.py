@@ -60,11 +60,13 @@ from .model import (
 from .codec import (
     CodedMessage,
     _message_pairs,
+    bits_step,
     block_ivs,
+    check_bits,
     decode_blocks,
     encode_partition,
+    round_up_bits,
     segment_ivs,
-    segments_per_block,
 )
 from .ndt import delivery_dof
 from .placement import build_placement, map_phase, required_ivs
@@ -157,12 +159,11 @@ def check_simulable(config: ShuffleConfig) -> None:
     """Refuse, before any work, what the channel path cannot run: s + t =
     K_r, and a B that does not cut IVs, segments and chunks into bytes."""
     _shape, n_chunks = _partition_layout(config)
-    eta1, eta2 = config.params.require_symmetric()
-    unit, B = 8 * segments_per_block(config) * n_chunks, config.params.B
-    if B % 8 or eta1 * eta2 * B % unit:
+    B, step = config.params.B, bits_step(config, n_chunks)
+    if B % step:
         raise ParameterError(
             f"B={B} does not split into whole-byte IVs, segments and channel chunks; "
-            f"choose B as a multiple of {math.lcm(8, unit // math.gcd(eta1 * eta2, unit))}"
+            f"choose B as a multiple of {step}"
         )
 
 
@@ -228,19 +229,12 @@ def build_precoders(w: np.ndarray) -> np.ndarray:
 
 def simulation_bits(config: ShuffleConfig, requested_bits: int) -> int:
     """Least B >= max(requested, 1) that the codec AND the simulator can
-    split evenly, found by one rounding.
-
-    The codec's step (`round_up_bits`) is 8 * segments per block, which
-    makes a payload eta1*eta2*B / step bytes; cutting that into
-    C(K_r-s, g-s) chunks scales the step by chunks / gcd(eta1*eta2,
-    chunks).  s + t = K_r has no layout (it is not simulated), so there
-    the codec's step alone applies.
+    split evenly: `round_up_bits` over the layout's chunks per message.
+    s + t = K_r has no layout (it is not simulated), so there one chunk,
+    the codec's step alone, applies.
     """
     layout = delivery_layout(config.s, config.t, config.K_r)
-    n_chunks = 1 if layout is None else layout[1]
-    eta1, eta2 = config.params.require_symmetric()
-    step = 8 * segments_per_block(config) * (n_chunks // math.gcd(eta1 * eta2, n_chunks))
-    return max(1, -(-requested_bits // step)) * step
+    return round_up_bits(config, requested_bits, 1 if layout is None else layout[1])
 
 
 def partition_slots(config: ShuffleConfig) -> int:
@@ -538,6 +532,8 @@ def ideal_verify(
     seed: int,
     corrupt: tuple[int, int] | None = None,
 ) -> tuple[bool, VerificationReport]:
-    """XOR-only verification over an ideal channel (every payload delivered)."""
+    """XOR-only verification over an ideal channel (every payload delivered).
+    `check_bits` refuses an unsplittable B before any work starts."""
+    check_bits(config)
     report = _pipeline(params, config, seed, corrupt, lambda part, messages: (True, None))
     return report.ok, report

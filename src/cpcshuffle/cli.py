@@ -27,7 +27,7 @@ from .model import (
     validate_config,
 )
 from .placement import build_placement, map_phase
-from .codec import encode_partition, segment_ivs
+from .codec import check_bits, encode_partition, segment_ivs
 from .channel import (
     DEFAULT_TOLERANCE,
     check_simulable,
@@ -120,6 +120,7 @@ def cmd_construct(args) -> int:
                            "messages": [], "placement": None}))
         return EXIT_OK
     params, cfg = _instance(args)
+    check_bits(cfg)
     placement = build_placement(params)
     store = map_phase(placement, params, args.seed)
     segments = segment_ivs(placement, cfg, store)

@@ -14,28 +14,27 @@ its own.
 Every segment has an integer rank: block rank * segments per block +
 pair index, with blocks in (dest, storage lex) order.  `segment_ivs`
 holds all segments as the rows of one `(n_segments, seg_len)` uint8
-array, so a block's segments are its bytes reshaped.  With X = storage
-| {dest}, a row is a head that depends on (X, B) alone plus the rank of
-E, so two maps filled in the loop over blocks, one `admissible_pairs`
-call each, give any segment's row: `SegmentTable.row(dest, storage
-mask, p, coop mask)`, p being the number `enum_partitions`, the only
-code that numbers partitions, gives T.  The same pass lays out every
-partition's messages as one (partitions, messages, s) table of rows, so
-no Python object is kept per row.  A message's address is its position:
-partition p's m-th message in `_message_pairs` order is flat message
-(p-1) * per-partition count + m.
+array, so a block's segments are its bytes reshaped.  The same pass
+lays out every partition's messages as one (partitions, messages, s)
+table of rows, so no Python object is kept per row.  A message's address
+is its position: partition p's m-th message in `_message_pairs` order is
+flat message (p-1) * per-partition count + m.
 Encoding XOR-reduces a partition's rows, and node-wide decoding gathers
 its payloads from one (all messages, L) array, masked by what the node
-holds.  As a mapping, `SegmentTable` gives `Segment`s by `SegmentId`;
-with `CodedMessage.constituents`, `decode_segment` and `xor_bytes` these
-are the readable one-segment reference the arrays agree with.
+holds.  `SegmentId`, `Segment`, `CodedMessage.constituents`,
+`decode_segment` and `xor_bytes` name and decode one segment at a time:
+the readable form the arrays are checked against.
+
+Which B works is decided in one place, `bits_step`: B must cut IVs into
+bytes and every block into whole-byte segments, and on the channel path
+every payload into whole-byte chunks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -124,10 +123,30 @@ def segments_per_block(config: ShuffleConfig) -> int:
     return math.comb(p.r, config.t) * math.comb(p.K - p.r - 1, config.K_r - config.s)
 
 
-def round_up_bits(config: ShuffleConfig, requested_bits: int) -> int:
-    """Least B that is a multiple of 8 * segments_per_block and >= requested."""
-    step = 8 * segments_per_block(config)
+def bits_step(config: ShuffleConfig, n_chunks: int) -> int:
+    """Step of the B that cut each IV into bytes and each block, eta1 *
+    eta2 IVs of B bits, into whole-byte segments of `n_chunks` whole-byte
+    chunks: lcm(8, U / gcd(eta1 * eta2, U)), U = 8 * segments per block
+    * n_chunks."""
+    eta1, eta2 = config.params.require_symmetric()
+    unit = 8 * segments_per_block(config) * n_chunks
+    return math.lcm(8, unit // math.gcd(eta1 * eta2, unit))
+
+
+def round_up_bits(config: ShuffleConfig, requested_bits: int, n_chunks: int = 1) -> int:
+    """Least multiple of `bits_step(config, n_chunks)` that is >= max(requested, 1)."""
+    step = bits_step(config, n_chunks)
     return max(1, -(-requested_bits // step)) * step
+
+
+def check_bits(config: ShuffleConfig) -> None:
+    """Refuse, before any work, a B that does not cut IVs and segments into bytes."""
+    B, step = config.params.B, bits_step(config, 1)
+    if B % step:
+        raise InfeasibleInstance(
+            f"B={B} does not split into whole-byte IVs and segments; "
+            f"choose B as a multiple of {step}"
+        )
 
 
 def block_ivs(placement: PlacementMap, dest: int, storage: NodeSet) -> list[tuple[int, int]]:
@@ -159,66 +178,28 @@ def admissible_pairs(
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class SegmentTable(Mapping[SegmentId, Segment]):
+class SegmentTable:
     """Every segment of `config` as one row of a read-only
     `(n_segments, seg_len)` uint8 array.
 
     Rows run in `blocks` order, (dest, storage lex), and each node owns
     `per_node` = C(K-1, r) * `per_block` consecutive rows, node 1 first.
     A block's rows are its `admissible_pairs` pairs (B, B | E), B-major.
-    With X = storage | {dest}, `heads[head_of[(X mask, B mask)], i]` is
-    the row of B's first pair in the block of the i-th node of X - B, and
-    `extra_rank[(X mask, E mask)]` is E's rank.  `messages[p - 1]` holds
-    the s constituent rows of each of partition p's messages in
-    `_message_pairs` order, D order within a message; row i belongs to
-    flat message `message_of[i]`, the message's position in
+    `messages[p - 1]` holds the s constituent rows of each of partition
+    p's messages in `_message_pairs` order, D order within a message; row
+    i belongs to flat message `message_of[i]`, the message's position in
     `messages.reshape(-1, s)`.  Python objects exist per block, never per
-    message or row.  As a mapping it answers `SegmentId` lookups and
-    builds ids only when iterated.
+    message or row.
     """
 
     config: ShuffleConfig
     data: np.ndarray
     blocks: list[tuple[int, NodeSet]]
     partitions: list[Partition]
-    head_of: dict[tuple[int, int], int]
-    heads: np.ndarray
-    extra_rank: dict[tuple[int, int], int]
     per_block: int
     per_node: int
     messages: np.ndarray
     message_of: np.ndarray
-
-    def row(self, dest: int, storage_mask: int, p: int, coop_mask: int) -> int:
-        """Row of segment (dest, storage, p, B): with X = storage | {dest}
-        and E = T_p - B, `heads[head_of[(X, B)], dest's position in X - B]
-        + extra_rank[(X, E)]`.  A key that names no segment raises KeyError:
-        the maps, keyed by X, cannot tell a dest or B inside the storage
-        group, so those are refused first, and a B outside T_p leaves more
-        than K_t - t nodes in E, which no extra rank is kept for."""
-        key = (dest, storage_mask, p, coop_mask)
-        inside = dest < 1 or storage_mask >> dest & 1 or coop_mask & ~storage_mask
-        if inside or not 1 <= p <= len(self.partitions):
-            raise KeyError(key)
-        x, tx = storage_mask | 1 << dest, self.partitions[p - 1].tx.mask
-        try:
-            h, extra = self.head_of[(x, coop_mask)], self.extra_rank[(x, tx & ~coop_mask)]
-        except KeyError:
-            raise KeyError(key) from None
-        return int(self.heads[h, (storage_mask & ~coop_mask & (1 << dest) - 1).bit_count()]) + extra
-
-    def __getitem__(self, sid: SegmentId) -> Segment:
-        row = self.row(sid.dest, sid.storage.mask, sid.partition, sid.coop.mask)
-        return Segment(id=sid, data=self.data[row].tobytes())
-
-    def __iter__(self) -> Iterator[SegmentId]:
-        number = {part.tx.mask: part.index for part in self.partitions}
-        for dest, storage in self.blocks:
-            for coop, extra in itertools.product(*admissible_pairs(dest, storage, self.config)):
-                yield SegmentId(dest, storage, number[coop.mask | extra], coop)
-
-    def __len__(self) -> int:
-        return len(self.data)
 
 
 def segment_ivs(
@@ -228,19 +209,14 @@ def segment_ivs(
 
     The i-th admissible (B, T) pair gets the i-th equal slice of the
     block, under the number p of the partition with transmitters T.
-    Raises InfeasibleInstance when the block size is not a whole number of
-    bytes per segment (pick B via round_up_bits).
+    Raises InfeasibleInstance through `check_bits` when B does not cut
+    IVs and segments into bytes (pick B via round_up_bits).
     """
+    check_bits(config)
     params = config.params
     n_seg = segments_per_block(config)
     eta1, eta2 = params.require_symmetric()
-    block_len = eta1 * eta2 * params.B // 8
-    if (eta1 * eta2 * params.B) % 8 != 0 or block_len % n_seg != 0:
-        raise InfeasibleInstance(
-            f"block of {eta1 * eta2 * params.B} bits does not split into "
-            f"{n_seg} whole-byte segments; choose B as a multiple of {8 * n_seg}"
-        )
-    seg_len = block_len // n_seg
+    seg_len = eta1 * eta2 * params.B // (8 * n_seg)
     s = config.s
     blocks: list[tuple[int, NodeSet]] = []
     chunks: list[bytes] = []
@@ -295,11 +271,11 @@ def segment_ivs(
         raise InternalInvariantError(
             f"{len(rows)} messages of {s} segments do not cover the {n_rows} rows once each"
         )
-    for table in (head_rows, rows, message_of):
+    for table in (rows, message_of):
         table.flags.writeable = False
     per_node = math.comb(params.K - 1, params.r) * n_seg
     return SegmentTable(
-        config, data, blocks, partitions, head_of, head_rows, extra_rank, n_seg, per_node,
+        config, data, blocks, partitions, n_seg, per_node,
         rows.reshape(len(partitions), -1, s), message_of,
     )
 
@@ -467,8 +443,9 @@ def straggler_schedule(plan: StragglerPlan) -> list[dict]:
     each original group's messages take one batch of C(K_r, g) receiver
     sets times the layout's slots per block, scaled by chunks(t) /
     chunks(t - i) to the intact layout's symbol size (one chunk where
-    that layout is None, as in `channel.simulation_bits`).  The intact
-    plan then costs exactly `channel.partition_slots`, and rounds add up.
+    that layout is None, the count `channel.simulation_bits` gives
+    `bits_step` there).  The intact plan then costs exactly
+    `channel.partition_slots`, and rounds add up.
     A round's count is None where its layout is; counts are exact, an int
     or a Fraction.
     """

@@ -40,6 +40,7 @@ from cpcshuffle.ndt import (
     ndt_osl_hd,
 )
 from cpcshuffle.optimize import brute_force_min, closed_form_min, cross_validate
+from segment_reference import segments_by_id
 
 WORKED = SystemParams(K=6, N=20, Q=6, r=3, B=48)
 
@@ -214,6 +215,7 @@ def test_criterion_8_codec_invariants():
         pl = build_placement(params)
         store = map_phase(pl, params, seed=rng.randrange(2**32))
         segs = segment_ivs(pl, cfg, store)
+        by_id = segments_by_id(segs)
         partitions = enum_partitions(K, cfg.K_t)
 
         seen = set()
@@ -225,21 +227,21 @@ def test_criterion_8_codec_invariants():
                 seen.update(ids)
                 assert xor_bytes(m.payload, m.payload) == bytes(len(m.payload))
                 for j in m.dest_group:
-                    got = decode_segment(m, segs, j)
-                    assert got.data == segs[got.id].data
-        assert seen == set(segs)
+                    got = decode_segment(m, by_id, j)
+                    assert got.data == by_id[got.id].data
+        assert seen == set(by_id)
 
         # bit conservation: every required IV arrives in exactly B bits;
         # the sorted ids are grouped by (dest, storage) once per config
         by_block: dict = {}
-        for sid in sorted(segs, key=lambda s: (s.coop, s.partition)):
+        for sid in sorted(by_id, key=lambda s: (s.coop, s.partition)):
             by_block.setdefault((sid.dest, sid.storage), []).append(sid)
         nbytes = params.B // 8
         for k in range(1, K + 1):
             for (q, n) in sorted(required_ivs(pl, k)):
                 storage = pl.file_to_nodes[n]
                 block = block_bytes(pl, store, k, storage)
-                pieces = [segs[sid].data for sid in by_block.get((k, storage), [])]
+                pieces = [by_id[sid].data for sid in by_block.get((k, storage), [])]
                 assert b"".join(pieces) == block
                 outputs = sorted(pl.reduce_assignment[k])
                 files = sorted(

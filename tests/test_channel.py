@@ -10,6 +10,7 @@ import pytest
 
 from cpcshuffle.model import (
     ConstraintViolation,
+    InfeasibleInstance,
     NodeSet,
     ParameterError,
     SystemParams,
@@ -755,6 +756,18 @@ class TestEndToEnd:
         with pytest.raises(ParameterError, match=r"^B=120 .*; choose B as a multiple of 480$"):
             end_to_end_verify(params, cfg, seed=0)
 
+    def test_ideal_path_rejects_an_unsplittable_b_before_any_work(self, monkeypatch):
+        def placed(*args):
+            raise AssertionError("placement built before B was checked")
+
+        monkeypatch.setattr(channel, "build_placement", placed)
+        # eta1 * eta2 = 4 IVs of 12 bits do not fill six whole-byte segments
+        params = SystemParams(K=6, N=20, Q=12, r=3, B=12)
+        cfg = validate_config(params, K_r=3, t=2)
+        short = "B=12 does not split into whole-byte IVs and segments; choose B as a multiple of 24"
+        with pytest.raises(InfeasibleInstance, match=f"^{short}$"):
+            ideal_verify(params, cfg, seed=0)
+
     @pytest.mark.parametrize("K, r, K_r, t", [(6, 3, 3, 2), (7, 3, 5, 2)])
     def test_check_simulable_accepts_exactly_the_b_that_split(self, K, r, K_r, t):
         # eta1 * eta2 of 1, 2 and 4: a B is refused iff the map, the codec
@@ -783,6 +796,10 @@ class TestEndToEnd:
                     ok = SystemParams(K=K, N=math.comb(K, r), Q=Q, r=r, B=refused)
                     channel.check_simulable(validate_config(ok, K_r=K_r, t=t))
         assert {Q for Q, _B in accepted} == {K, 2 * K, 4 * K}
+        # the default B is the least accepted one
+        for Q in (K, 2 * K, 4 * K):
+            cfg = validate_config(SystemParams(K=K, N=math.comb(K, r), Q=Q, r=r, B=8), K_r, t)
+            assert channel.simulation_bits(cfg, 4) == min(B for q, B in accepted if q == Q), Q
 
     def test_wrong_message_list_names_the_message(self, monkeypatch):
         # a missing message, or another partition's list, used to surface as

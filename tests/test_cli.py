@@ -6,6 +6,9 @@ from cpcshuffle import channel, cli
 from cpcshuffle.cli import main
 
 WORKED = ["--K", "6", "--N", "20", "--Q", "6", "--r", "3", "--Kr", "3", "--t", "2", "--B", "48"]
+# the worked instance with two outputs per node (eta2 = 2): a block holds
+# two IVs, so B = 24 fills its six segments with whole bytes
+DOUBLED = ["--K", "6", "--N", "20", "--Q", "12", "--r", "3", "--Kr", "3", "--t", "2"]
 
 
 def run(capsys, *argv):
@@ -40,6 +43,25 @@ class TestConstruct:
                            "--r", "3", "--Kr", "2", "--t", "1")
         assert code == 2
         assert "s <= K_r" in err
+
+    def test_default_b_is_the_least_that_splits(self, capsys):
+        code, out, _ = run(capsys, "construct", *DOUBLED)
+        assert code == 0
+        assert json.loads(out)["params"]["B"] == 24
+
+    def test_unsplittable_b_exits_two_before_any_work(self, capsys, monkeypatch):
+        def placed(*args):
+            raise AssertionError("placement built before B was checked")
+
+        monkeypatch.setattr(channel, "build_placement", placed)
+        monkeypatch.setattr(cli, "build_placement", placed)
+        short = (
+            "error: B=12 does not split into whole-byte IVs and segments; "
+            "choose B as a multiple of 24\n"
+        )
+        for command in (["construct"], ["verify", "--ideal"]):
+            code, out, err = run(capsys, *command, *DOUBLED, "--B", "12")
+            assert (code, out, err) == (2, "", short), command
 
     def test_reruns_byte_identical(self, capsys):
         _, a, _ = run(capsys, "construct", *WORKED, "--with-payloads", "--seed", "5")

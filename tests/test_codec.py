@@ -35,6 +35,7 @@ from cpcshuffle.codec import (
     straggler_schedule,
     xor_bytes,
 )
+from segment_reference import segment_rows, segments_by_id
 
 WORKED = SystemParams(K=6, N=20, Q=6, r=3, B=48)
 
@@ -131,6 +132,7 @@ class TestSegmentation:
         pl = build_placement(params)
         store = map_phase(pl, params, seed=K * r + t)
         segs = segment_ivs(pl, cfg, store)
+        rows, by_id = segment_rows(segs), segments_by_id(segs)
         n_seg = segments_per_block(cfg)
         parts = enum_partitions(K, cfg.K_t)
         number = {part.tx: part.index for part in parts}
@@ -143,17 +145,16 @@ class TestSegmentation:
             data = block_bytes(pl, store, dest, storage)
             seg_len = len(data) // n_seg
             for i, (coop, tx) in enumerate(pairs_of(dest, storage, cfg)):
-                p = number[tx]
-                assert segs.row(dest, storage.mask, p, coop.mask) == b * n_seg + i
-                sid = SegmentId(dest, storage, p, coop)
-                assert segs[sid].data == data[i * seg_len : (i + 1) * seg_len]
-        assert len(segs) == len(blocks) * n_seg
+                sid = SegmentId(dest, storage, number[tx], coop)
+                assert rows[sid] == b * n_seg + i
+                assert by_id[sid].data == data[i * seg_len : (i + 1) * seg_len]
+        assert len(rows) == len(blocks) * n_seg
         # every message in partition order; the reference finds each by (p, D, B)
         sent = [m for part in parts for m in encode_partition(segs, part, cfg)]
         by_address = {(m.partition, m.dest_group, m.coop): m for m in sent}
         for m in sent:
             ids = m.constituents()
-            assert m.payload == functools.reduce(xor_bytes, (segs[sid].data for sid in ids))
+            assert m.payload == functools.reduce(xor_bytes, (by_id[sid].data for sid in ids))
         payloads = np.frombuffer(b"".join(m.payload for m in sent), dtype=np.uint8)
         payloads = payloads.reshape(len(sent), -1)
         for dest in range(1, K + 1):
@@ -164,13 +165,13 @@ class TestSegmentation:
                 reference = b"".join(
                     decode_segment(
                         by_address[(number[tx], NodeSet.of(dest) | (storage - coop), coop)],
-                        segs,
+                        by_id,
                         dest,
                     ).data
                     for coop, tx in pairs_of(dest, storage, cfg)
                 )
                 assert decoded[storage] == reference == block_bytes(pl, store, dest, storage)
-        return len(segs)
+        return len(rows)
 
     def test_block_layout(self, worked):
         # node 4 reduces output 4; the block stored at {1,2,5} holds file 3
@@ -187,10 +188,11 @@ class TestSegmentation:
     def test_segments_reassemble_block(self, worked):
         cfg, pl, store, segs, parts = worked
         number = {part.tx: part.index for part in parts}
+        by_id = segments_by_id(segs)
         for dest, storage in [(4, NodeSet.of(1, 2, 5)), (1, NodeSet.of(2, 3, 6))]:
             pairs = pairs_of(dest, storage, cfg)
             joined = b"".join(
-                segs[SegmentId(dest, storage, number[tx], c)].data for c, tx in pairs
+                by_id[SegmentId(dest, storage, number[tx], c)].data for c, tx in pairs
             )
             assert joined == block_bytes(pl, store, dest, storage)
 
@@ -203,9 +205,10 @@ class TestSegmentation:
         store = map_phase(pl, params, seed=0)
         segs = segment_ivs(pl, cfg, store)
         part = enum_partitions(4, 3)[0]
+        by_id = segments_by_id(segs)
         for m in encode_partition(segs, part, cfg):
             (sid,) = m.constituents()
-            assert m.payload == segs[sid].data
+            assert m.payload == by_id[sid].data
 
     def test_two_segment_instance(self):
         params = SystemParams(K=4, N=6, Q=4, r=2, B=16)
@@ -225,6 +228,24 @@ class TestSegmentation:
         store = map_phase(pl, params, seed=0)
         with pytest.raises(InfeasibleInstance):
             segment_ivs(pl, cfg, store)
+        # eta1 * eta2 of 1, 2 and 4: a byte-aligned B is refused iff the
+        # block's eta1 * eta2 * B bits do not fill its six segments with
+        # whole bytes, and `round_up_bits` gives the least B accepted
+        for Q, least in ((6, 48), (12, 24), (24, 24)):
+            accepted = []
+            for B in range(8, 104, 8):
+                params = SystemParams(K=6, N=20, Q=Q, r=3, B=B)
+                cfg = validate_config(params, K_r=3, t=2)
+                pl = build_placement(params)
+                eta = params.eta1 * params.eta2
+                try:
+                    segs = segment_ivs(pl, cfg, map_phase(pl, params, seed=0))
+                except InfeasibleInstance:
+                    assert eta * B % (8 * 6), (Q, B)
+                    continue
+                assert segs.data.shape[1] * 8 * 6 == eta * B, (Q, B)
+                accepted.append(B)
+            assert round_up_bits(cfg, 4) == accepted[0] == least, Q
 
     def test_round_up_bits(self, worked):
         cfg, *_ = worked
@@ -246,8 +267,9 @@ class TestEncode:
             m for m in msgs
             if m.dest_group == NodeSet.of(4, 5) and m.coop == NodeSet.of(1, 2)
         )
-        a = segs[SegmentId(4, NodeSet.of(1, 2, 5), 1, NodeSet.of(1, 2))].data
-        b = segs[SegmentId(5, NodeSet.of(1, 2, 4), 1, NodeSet.of(1, 2))].data
+        by_id = segments_by_id(segs)
+        a = by_id[SegmentId(4, NodeSet.of(1, 2, 5), 1, NodeSet.of(1, 2))].data
+        b = by_id[SegmentId(5, NodeSet.of(1, 2, 4), 1, NodeSet.of(1, 2))].data
         assert m.payload == xor_bytes(a, b)
 
     def test_each_receiver_desires_six(self, worked):
@@ -269,7 +291,7 @@ class TestEncode:
                 for sid in ids:
                     assert sid not in seen
                     seen.add(sid)
-        assert seen == set(segs)
+        assert seen == set(segment_rows(segs))
 
 
 class TestDecode:
@@ -278,6 +300,7 @@ class TestDecode:
         storage = NodeSet.of(1, 2, 5)
         recovered = []
         number = {part.tx: part.index for part in parts}
+        by_id = segments_by_id(segs)
         for coop, tx in pairs_of(4, storage, cfg):
             part = parts[number[tx] - 1]
             msgs = encode_partition(segs, part, cfg)
@@ -285,8 +308,8 @@ class TestDecode:
             m = next(
                 m for m in msgs if m.dest_group == dest_group and m.coop == coop
             )
-            got = decode_segment(m, segs, 4)
-            assert got.data == segs[got.id].data
+            got = decode_segment(m, by_id, 4)
+            assert got.data == by_id[got.id].data
             recovered.append(got.data)
         assert b"".join(recovered) == block_bytes(pl, store, 4, storage)
 
@@ -478,7 +501,7 @@ class TestCodingComplexity:
         # form charges each user in all C(K, K_r) partitions, so it equals
         # measured_encode * K/K_t + measured_decode * K/K_r.
         cfg, pl, store, segs, parts = worked
-        bits = len(next(iter(segs.values())).data) * 8
+        bits = len(next(iter(segments_by_id(segs).values())).data) * 8
         enc_ops = {k: 0 for k in range(1, 7)}
         dec_ops = {k: 0 for k in range(1, 7)}
         for part in parts:
