@@ -15,7 +15,7 @@ from cpcshuffle import (
     SystemParams,
     build_placement,
     draw_channel,
-    encode_partition,
+    encode_payloads,
     enum_partitions,
     map_phase,
     neutralizing_precoder,
@@ -63,11 +63,11 @@ placement = build_placement(params)
 store = map_phase(placement, params, seed=0)
 segments = segment_ivs(placement, cfg, store)
 part = enum_partitions(6, 3)[0]
-messages = encode_partition(segments, part, cfg)
+payloads = encode_payloads(segments, part, cfg)
 print(f"  transmitters {part.tx.members} serve receivers {part.rx.members}")
-print(f"  {len(messages)} messages over {partition_slots(cfg)} slots"
+print(f"  {len(payloads)} messages over {partition_slots(cfg)} slots"
       f" (3 cooperation pairs x 2-slot extensions)")
-report = simulate_with_resample(part, cfg, messages, seed=0)
+report = simulate_with_resample(part, cfg, payloads, seed=0)
 print(f"  every receiver decoded {report.symbols_per_receiver} symbols"
       f" in {report.slots_used} slots -> DoF {report.measured_dof}")
 print(f"  worst residual {report.max_residual:.2e},"
@@ -83,8 +83,8 @@ placement = build_placement(params)
 store = map_phase(placement, params, seed=0)
 segments = segment_ivs(placement, cfg, store)
 part = enum_partitions(8, cfg.K_t)[0]
-messages = encode_partition(segments, part, cfg)
-report = simulate_with_resample(part, cfg, messages, seed=0)
+payloads = encode_payloads(segments, part, cfg)
+report = simulate_with_resample(part, cfg, payloads, seed=0)
 print(f"  transmitters {part.tx.members}, receivers {part.rx.members}")
 print(f"  receiver pairs served one at a time: {report.slots_used} slots,"
       f" {report.symbols_per_receiver} symbols per receiver")

@@ -42,6 +42,7 @@ from .codec import (
     decode_blocks,
     decode_segment,
     encode_partition,
+    encode_payloads,
     per_partition_load,
     round_up_bits,
     segment_ivs,

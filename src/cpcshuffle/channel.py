@@ -20,10 +20,10 @@ determinant call builds every (block, message, slot) cofactor precoder,
 and the stacked blocks give the effective gains, the nulling residual at
 the unintended receivers, the received signals, and every receiver's
 square system with its condition number and solve.  Per block only the
-unit-norm check of the precoders (`build_precoders`) runs.  The symbols
-of every message chunk come from one `payload_symbols` pass per
-partition, one hash per chunk, and each block reads its own from that
-array.
+unit-norm check of the precoders (`build_precoders`) runs.  A partition's
+messages arrive by position, as the rows of one (messages, L) payload
+array; one `payload_symbols` pass hashes each of their chunks into its
+symbol, and each block reads its own from that array.
 
 A message is cut into C(K_r-s, g-s) chunks, one per receiver set that
 contains D, so the per-receiver DoF is g / K_r.  `model.delivery_layout`
@@ -33,7 +33,8 @@ is the case g = K_r: one receiver set, one chunk, DoF 1.  Time division
 regime, is not simulated.
 
 Each chunk rides as one unit-power complex symbol derived from its bytes,
-and a receiver holds a message once it solves all of its chunks' symbols.
+and a receiver holds a message once it solves all of its chunks' symbols,
+each to a relative error below the fixed `TOLERANCE` of 1e-8.
 """
 
 from __future__ import annotations
@@ -44,12 +45,11 @@ import numbers
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations, zip_longest
+from itertools import combinations
 
 import numpy as np
 
 from .model import (
-    ConstraintViolation,
     NodeSet,
     ParameterError,
     Partition,
@@ -58,7 +58,6 @@ from .model import (
     delivery_layout,
 )
 from .codec import (
-    CodedMessage,
     _message_pairs,
     bits_step,
     block_ivs,
@@ -71,7 +70,7 @@ from .codec import (
 from .ndt import delivery_dof
 from .placement import build_placement, map_phase, required_ivs
 
-DEFAULT_TOLERANCE = 1e-8
+TOLERANCE = 1e-8
 CONDITION_GUARD = 1e8
 
 
@@ -139,12 +138,6 @@ def draw_channel(config: ShuffleConfig, seed: int) -> ChannelRealization:
     return ChannelRealization(seed=seed, gains=(re + 1j * im) / np.sqrt(2.0))
 
 
-def check_tolerance(tol: float) -> None:
-    """Refuse a symbol-error tolerance that is negative or not finite."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ParameterError(f"tolerance must be finite and >= 0, got {tol}")
-
-
 def check_snr(snr_db: float) -> float:
     """Noise amplitude 10**(-snr_db / 20); refuse an snr_db that is not finite or overflows it."""
     if not math.isfinite(snr_db):
@@ -185,30 +178,37 @@ def neutralizing_precoder(rows: np.ndarray) -> np.ndarray:
     return np.linalg.det(minors) * (-1.0) ** (n + 1 + np.arange(n))
 
 
-def payload_symbols(messages: list[CodedMessage], n_chunks: int) -> np.ndarray:
-    """Deterministic unit-power symbols x[m, c] for chunk c of message m,
-    each payload cut into `n_chunks` equal chunks (a fixture, not a modem).
+def payload_symbols(
+    partition: Partition, config: ShuffleConfig, payloads: np.ndarray, n_chunks: int
+) -> np.ndarray:
+    """Deterministic unit-power symbols x[m, c] for chunk c of the
+    partition's m-th message `payloads[m]`, in `_message_pairs` order, cut
+    into `n_chunks` equal chunks (a fixture, not a modem).  Any other
+    shape than (messages, n_chunks * step) uint8 raises ParameterError.
 
     A chunk's phase is 2 pi times its 8-byte blake2b tag, read
     little-endian as a fraction of 2**64.  The tag hashes the repr of
     the chunk's address (p, D, B, c) followed by the chunk's bytes.
     """
+    pairs, p = _message_pairs(partition, config), partition.index
+    rows, width = payloads.shape if payloads.ndim == 2 else (-1, 0)
+    if payloads.dtype != np.uint8 or rows != len(pairs) or width % n_chunks:
+        raise ParameterError(
+            f"partition {p} needs a ({len(pairs)}, L) uint8 payload array with L a multiple "
+            f"of {n_chunks} chunks, got {payloads.dtype} of shape {payloads.shape}"
+        )
+    data, step = payloads.tobytes(), width // n_chunks
     tags = []
-    for msg in messages:
-        payload = msg.payload
-        if len(payload) % n_chunks != 0:
-            raise ParameterError(
-                f"payload of {len(payload)} bytes does not split into {n_chunks} chunks"
-            )
-        step = len(payload) // n_chunks
-        head = repr((msg.partition, msg.dest_group.members, msg.coop.members))[:-1]
+    for m, (coop, dest_group) in enumerate(pairs):
+        head = repr((p, dest_group.members, coop.members))[:-1]
+        row = data[m * width : (m + 1) * width]
         tags += [
             hashlib.blake2b(
-                f"{head}, {c})".encode() + payload[c * step : (c + 1) * step], digest_size=8
+                f"{head}, {c})".encode() + row[c * step : (c + 1) * step], digest_size=8
             ).digest()
             for c in range(n_chunks)
         ]
-    v = np.frombuffer(b"".join(tags), dtype="<u8").reshape(len(messages), n_chunks)
+    v = np.frombuffer(b"".join(tags), dtype="<u8").reshape(len(pairs), n_chunks)
     phase = 2.0 * np.pi * (v / 2.0**64)
     x = np.empty(v.shape, dtype=complex)
     x.real = np.cos(phase)
@@ -283,8 +283,7 @@ def simulate_partition(
     partition: Partition,
     config: ShuffleConfig,
     channel: ChannelRealization,
-    messages: list[CodedMessage],
-    tol: float = DEFAULT_TOLERANCE,
+    payloads: np.ndarray,
     snr_db: float | None = None,
 ) -> DeliveryReport:
     """Neutralized delivery of one partition's messages, as one array pass.
@@ -300,16 +299,15 @@ def simulate_partition(
     its own `build_precoders` call, and each (block, message) reads its
     chunk's symbol from the partition's one `payload_symbols` array.  The
     rest runs over the stacked blocks.  A receiver solves a symbol when
-    its relative error is below `tol`, or always under `snr_db`, where
-    `noise_mse` averages the squared symbol errors instead.  It holds a
-    message once it has all of its chunks.
-    `messages` must be exactly the partition's, in the `_message_pairs`
-    order `encode_partition` returns: a missing, misplaced or foreign one
-    raises ConstraintViolation.  The report's `held` says which receivers
-    lost which messages.
+    its relative error is below `TOLERANCE`, or always under `snr_db`,
+    where `noise_mse` averages the squared symbol errors instead.  It
+    holds a message once it has all of its chunks.
+    `payloads` holds the partition's messages by position, as
+    `codec.encode_payloads` returns them; any other shape raises
+    ParameterError before any block's precoders are built.  The report's
+    `held` says which receivers lost which messages.
     """
     sigma = None if snr_db is None else check_snr(snr_db)
-    check_tolerance(tol)
     shape, n_chunks = _partition_layout(config)
     if channel.gains.shape != shape:
         raise ParameterError(f"channel gains have shape {channel.gains.shape}, need {shape}")
@@ -317,19 +315,7 @@ def simulate_partition(
     slots = n_blocks * gamma
     tables = _block_tables(config.s, config.t, config.K_r, config.K_t)
     rx_pos, ids, chunks, wants, nulled, wanted = tables
-    p = partition.index
-    due = [(p, dg, coop) for coop, dg in _message_pairs(partition, config)]
-    given = [(msg.partition, msg.dest_group, msg.coop) for msg in messages]
-    if given != due:
-        # the first place out of order names the message found there when
-        # it is another partition's or one too many, else the one due there
-        due = [(q, d.members, b.members) for q, d, b in due]
-        given = [(q, d.members, b.members) for q, d, b in given]
-        i = next(i for i, pair in enumerate(zip_longest(given, due)) if pair[0] != pair[1])
-        foreign = i < len(given) and (i == len(due) or given[i][0] != p)
-        which = f"{given[i]} is foreign to" if foreign else f"{due[i]} is missing from"
-        raise ConstraintViolation("messages of partition p", f"message {which} partition {p}")
-    symbols = payload_symbols(messages, n_chunks)
+    symbols = payload_symbols(partition, config, payloads, n_chunks)
 
     # block b serves receiver positions rx_pos[b]: gains H[b, i, k, l],
     # precoders W[b, u, i, l], and the message position ids[b, u] and
@@ -365,7 +351,7 @@ def simulate_partition(
     err = np.abs(x_hat - sent) / np.abs(sent)
     report.max_symbol_error = float(err.max())
     if sigma is None:
-        solved = err < tol
+        solved = err < TOLERANCE
     else:
         solved = np.ones(err.shape, dtype=bool)
         with np.errstate(over="ignore"):
@@ -380,7 +366,7 @@ def simulate_partition(
     report.measured_dof = Fraction(report.symbols_per_receiver, slots)
     # a receiver that misses any chunk it wants of a message does not hold it
     b, k, w = np.nonzero(~solved)
-    report.held = np.ones((config.K_r, len(messages)), dtype=bool)
+    report.held = np.ones((config.K_r, len(payloads)), dtype=bool)
     report.held[rx_pos[b, k], ids[b, wanted[k, w]]] = False
     return report
 
@@ -393,14 +379,14 @@ def _channel_seed(seed: int, p: int, attempt: int) -> int:
 def simulate_with_resample(
     partition: Partition,
     config: ShuffleConfig,
-    messages: list[CodedMessage],
+    payloads: np.ndarray,
     seed: int,
-    **kwargs,
+    snr_db: float | None = None,
 ) -> DeliveryReport:
     """Run a partition; on a condition-guard trip, resample the channel once."""
     def attempt(n: int) -> DeliveryReport:
         channel = draw_channel(config, _channel_seed(seed, partition.index, n))
-        return simulate_partition(partition, config, channel, messages, **kwargs)
+        return simulate_partition(partition, config, channel, payloads, snr_db)
 
     try:
         return attempt(0)
@@ -419,6 +405,7 @@ class VerificationReport(_Report):
     max_symbol_error: float = 0.0
     measured_dof: Fraction | None = None
     claimed_dof: Fraction | None = None  # what the analytics promise
+    params: dict = field(default_factory=dict)  # `ShuffleConfig.summary(seed)`
 
 
 def _verify_reassembly(placement, store, segments, payloads, held) -> list[tuple[int, int, int]]:
@@ -450,14 +437,15 @@ def _pipeline(
 ) -> VerificationReport:
     """Placement -> map -> segment -> encode -> fault -> deliver -> reassemble.
 
-    `corrupt=(p, i)` flips a byte of partition p's i-th message; a p or i
+    `corrupt=(p, i)` flips byte 0 of partition p's i-th message; a p or i
     that is not an integer position among the partitions and a
     partition's messages raises ParameterError before any work starts.
-    `deliver(partition, messages)` returns the partition's (K_r,
-    messages) `held` mask, and its DeliveryReport or None over an ideal
-    channel; of that report only five numbers are kept.  Reassembly reads
-    one (all messages, L) payload array and one (K+1, all messages)
-    `held` mask, both in `message_of` numbering.
+    `deliver(partition, payloads)` gets the partition's (messages, L)
+    payload rows and returns its (K_r, messages) `held` mask, and its
+    DeliveryReport or None over an ideal channel; of that report only
+    five numbers are kept.  Reassembly reads one (all messages, L)
+    payload array and one (K+1, all messages) `held` mask, both in
+    `message_of` numbering.  The report's `params` names the instance.
     """
     if corrupt is not None:
         n_parts = math.comb(params.K, config.K_t)
@@ -473,20 +461,18 @@ def _pipeline(
     store = map_phase(placement, params, seed)
     segments = segment_ivs(placement, config, store)
     partitions = segments.partitions
-    report = VerificationReport(ok=False, failures=[], partitions=len(partitions))
+    report = VerificationReport(False, [], len(partitions), params=config.summary(seed))
     n = segments.messages.shape[1]
     payloads = np.empty((len(partitions) * n, segments.data.shape[1]), dtype=np.uint8)
     held = np.ones((params.K + 1, len(payloads)), dtype=bool)
     for part in partitions:
         messages = encode_partition(segments, part, config)
-        if corrupt is not None and corrupt[0] == part.index:
-            m = messages[corrupt[1]]
-            bad = bytes([m.payload[0] ^ 0xFF]) + m.payload[1:]
-            messages[corrupt[1]] = CodedMessage(m.partition, m.dest_group, m.coop, bad)
         at = slice((part.index - 1) * n, part.index * n)
         joined = b"".join(m.payload for m in messages)
         payloads[at] = np.frombuffer(joined, dtype=np.uint8).reshape(n, -1)
-        got, sim = deliver(part, messages)
+        if corrupt is not None and corrupt[0] == part.index:
+            payloads[at.start + corrupt[1], 0] ^= 0xFF
+        got, sim = deliver(part, payloads[at])
         held[list(part.rx), at] = got
         if sim is not None:
             report.slots_total += sim.slots_used
@@ -504,21 +490,19 @@ def end_to_end_verify(
     params: SystemParams,
     config: ShuffleConfig,
     seed: int,
-    tol: float = DEFAULT_TOLERANCE,
     corrupt: tuple[int, int] | None = None,
 ) -> tuple[bool, VerificationReport]:
     """Placement -> map -> segment -> encode -> channel -> XOR decode -> compare.
 
     True iff every node reassembles every required IV byte-exactly.
     `corrupt=(p, i)` flips a byte of the i-th message of partition p before
-    transmission, for fault-injection tests.  `check_tolerance` and
-    `check_simulable` refuse bad input before any work starts.
+    transmission, for fault-injection tests.  `check_simulable` refuses
+    bad input before any work starts.
     """
-    check_tolerance(tol)
     check_simulable(config)
 
-    def over_channel(part: Partition, messages: list[CodedMessage]):
-        sim = simulate_with_resample(part, config, messages, seed, tol=tol)
+    def over_channel(part: Partition, payloads: np.ndarray):
+        sim = simulate_with_resample(part, config, payloads, seed)
         return sim.held, sim
 
     report = _pipeline(params, config, seed, corrupt, over_channel)
@@ -535,5 +519,5 @@ def ideal_verify(
     """XOR-only verification over an ideal channel (every payload delivered).
     `check_bits` refuses an unsplittable B before any work starts."""
     check_bits(config)
-    report = _pipeline(params, config, seed, corrupt, lambda part, messages: (True, None))
+    report = _pipeline(params, config, seed, corrupt, lambda part, payloads: (True, None))
     return report.ok, report

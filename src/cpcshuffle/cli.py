@@ -27,12 +27,10 @@ from .model import (
     validate_config,
 )
 from .placement import build_placement, map_phase
-from .codec import check_bits, encode_partition, segment_ivs
+from .codec import check_bits, encode_partition, encode_payloads, segment_ivs
 from .channel import (
-    DEFAULT_TOLERANCE,
     check_simulable,
     check_snr,
-    check_tolerance,
     end_to_end_verify,
     ideal_verify,
     simulate_with_resample,
@@ -126,9 +124,7 @@ def cmd_construct(args) -> int:
     segments = segment_ivs(placement, cfg, store)
     partitions = segments.partitions
     dump = {
-        "params": {"K": params.K, "N": params.N, "Q": params.Q, "r": params.r,
-                   "B": params.B, "K_r": cfg.K_r, "t": cfg.t, "s": cfg.s,
-                   "seed": args.seed},
+        "params": cfg.summary(args.seed),
         "placement": {
             "file_to_nodes": {str(n): list(g.members)
                               for n, g in sorted(placement.file_to_nodes.items())},
@@ -160,19 +156,14 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    check_tolerance(args.tolerance)  # here, since the --ideal path never reads it
     if _full_load(args):
         # every IV is local: nothing to shuffle, trivially correct
         _emit(args, _json({"ok": True, "failures": [], "partitions": 0}))
         return EXIT_OK
     params, cfg = _instance(args)
     corrupt = (1, 0) if args.fault else None
-    if args.ideal:
-        ok, report = ideal_verify(params, cfg, args.seed, corrupt=corrupt)
-    else:
-        ok, report = end_to_end_verify(
-            params, cfg, args.seed, tol=args.tolerance, corrupt=corrupt
-        )
+    verify = ideal_verify if args.ideal else end_to_end_verify
+    ok, report = verify(params, cfg, args.seed, corrupt=corrupt)
     _emit(args, _json(report.summary()))
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
@@ -180,22 +171,17 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     if args.snr is not None:
         check_snr(args.snr)
-    check_tolerance(args.tolerance)
     params, cfg = _instance(args)
     check_simulable(cfg)
+    n_parts = math.comb(params.K, cfg.K_t)
+    if not 1 <= args.partition <= n_parts:
+        raise ParameterError(f"partition index {args.partition} out of [1, {n_parts}]")
     placement = build_placement(params)
     store = map_phase(placement, params, args.seed)
     segments = segment_ivs(placement, cfg, store)
-    partitions = segments.partitions
-    if not 1 <= args.partition <= len(partitions):
-        raise ParameterError(
-            f"partition index {args.partition} out of [1, {len(partitions)}]"
-        )
-    part = partitions[args.partition - 1]
-    messages = encode_partition(segments, part, cfg)
-    report = simulate_with_resample(
-        part, cfg, messages, args.seed, tol=args.tolerance, snr_db=args.snr
-    )
+    part = segments.partitions[args.partition - 1]
+    payloads = encode_payloads(segments, part, cfg)
+    report = simulate_with_resample(part, cfg, payloads, args.seed, args.snr)
     _emit(args, _json(report.summary()))
     return EXIT_OK
 
@@ -348,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ideal", action="store_true", help="skip the channel (XOR only)")
     p.add_argument("--fault", action="store_true", help="inject a payload corruption")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
@@ -357,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--partition", type=int, default=1)
     p.add_argument("--snr", type=float, default=None, help="optional noise level (dB)")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 

@@ -266,7 +266,7 @@ def segment_ivs(
     head_rows = np.array(list(heads.values()), dtype=np.intp)
     rows = head_rows[which] + np.array(ranks, dtype=np.intp)[:, None]
     message_of = np.full(n_rows, -1, dtype=np.intp)
-    message_of[rows.ravel()] = np.repeat(np.arange(len(rows)), s)
+    message_of[rows] = np.arange(len(rows))[:, None]
     if rows.size != n_rows or (message_of < 0).any():
         raise InternalInvariantError(
             f"{len(rows)} messages of {s} segments do not cover the {n_rows} rows once each"
@@ -287,14 +287,13 @@ def _message_pairs(partition: Partition, config: ShuffleConfig) -> list[tuple[No
     return list(itertools.product(coops, enum_subsets(partition.rx, config.s)))
 
 
-def encode_partition(
+def encode_payloads(
     segments: SegmentTable, partition: Partition, config: ShuffleConfig
-) -> list[CodedMessage]:
-    """All coded messages of one partition, in `_message_pairs` order.
-
-    Raises ParameterError unless the table was cut for `config` and
-    `partition` is its partition of that number.
-    """
+) -> np.ndarray:
+    """The (messages, L) uint8 payloads of one partition in `_message_pairs`
+    order, row m the XOR of message m's s segment rows.  Raises
+    ParameterError unless the table was cut for `config` and `partition`
+    is its partition of that number."""
     p = partition.index
     known = segments.partitions
     if config != segments.config or not 1 <= p <= len(known) or known[p - 1] != partition:
@@ -302,11 +301,18 @@ def encode_partition(
             f"partition {p} (transmitters {partition.tx.members}) under {config} "
             f"is not one the segment table was cut for"
         )
-    pairs = _message_pairs(partition, config)
-    payloads = np.bitwise_xor.reduce(segments.data[segments.messages[p - 1]], axis=1)
+    return np.bitwise_xor.reduce(segments.data[segments.messages[p - 1]], axis=1)
+
+
+def encode_partition(
+    segments: SegmentTable, partition: Partition, config: ShuffleConfig
+) -> list[CodedMessage]:
+    """All coded messages of one partition: `encode_payloads`' rows under
+    their (p, D, B) labels, in `_message_pairs` order."""
+    payloads = encode_payloads(segments, partition, config)
     return [
-        CodedMessage(p, dest_group, coop, payload.tobytes())
-        for (coop, dest_group), payload in zip(pairs, payloads)
+        CodedMessage(partition.index, dest_group, coop, payload.tobytes())
+        for (coop, dest_group), payload in zip(_message_pairs(partition, config), payloads)
     ]
 
 

@@ -203,6 +203,11 @@ class ShuffleConfig:
     def K_t(self) -> int:
         return self.params.K - self.K_r
 
+    def summary(self, seed: int) -> dict:
+        """The `params` object reports name a run by: K, N, Q, r, B, K_r, t, s, seed."""
+        p = self.params
+        return dict(K=p.K, N=p.N, Q=p.Q, r=p.r, B=p.B, K_r=self.K_r, t=self.t, s=self.s, seed=seed)
+
 
 def delivery_layout(s: int, t: int, K_r: int) -> tuple[int, int, int] | None:
     """(g, chunks per message, slots per block) of the delivery scheme, or

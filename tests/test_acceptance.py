@@ -18,6 +18,7 @@ from cpcshuffle.codec import (
     block_bytes,
     decode_segment,
     encode_partition,
+    encode_payloads,
     per_partition_load,
     round_up_bits,
     segment_ivs,
@@ -150,7 +151,7 @@ def _fixture_messages(params, K_r, t, seed):
     store = map_phase(pl, params, seed)
     segs = segment_ivs(pl, cfg, store)
     part = enum_partitions(params.K, cfg.K_t)[0]
-    return cfg, part, encode_partition(segs, part, cfg)
+    return cfg, part, encode_payloads(segs, part, cfg)
 
 
 def test_criterion_7_neutralization_physics():

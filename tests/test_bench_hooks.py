@@ -52,7 +52,7 @@ def test_shuffle_instances_build(workloads, K, r, K_r, t):
 
 @pytest.fixture(scope="module")
 def time_division_partition(workloads):
-    """(config, first partition, its messages) of the (9,3,6,2) instance."""
+    """(config, first partition, its payload rows) of the (9,3,6,2) instance."""
     from cpcshuffle import codec, model, placement
 
     inst = workloads.Instance.build(9, 3, 6, 2)
@@ -61,7 +61,7 @@ def time_division_partition(workloads):
     store = placement.map_phase(pl, params, 0)
     segments = codec.segment_ivs(pl, config, store)
     part = model.enum_partitions(params.K, config.K_t)[0]
-    return config, part, codec.encode_partition(segments, part, config)
+    return config, part, codec.encode_payloads(segments, part, config)
 
 
 def test_delivery_hook_reads_a_real_report(workloads, time_division_partition):
@@ -69,11 +69,11 @@ def test_delivery_hook_reads_a_real_report(workloads, time_division_partition):
     # report `simulate_with_resample` returns; feed it one through the hook
     from cpcshuffle import channel
 
-    config, part, messages = time_division_partition
+    config, part, payloads = time_division_partition
     target = "channel.simulate_with_resample"
     with workloads.Tracer() as tracer:
         tracer.install([channel], {target: workloads.TRACE_TARGETS[target]})
-        report = channel.simulate_with_resample(part, config, messages, 0)
+        report = channel.simulate_with_resample(part, config, payloads, 0)
     assert not hasattr(channel.simulate_with_resample, "__wrapped__")  # restored
     assert report.slots_used == channel.partition_slots(config) == 120
     assert tracer.counts == {
@@ -88,12 +88,12 @@ def test_blocks_count_one_precoder_build_each(workloads, time_division_partition
     # set, cooperation group) block must build its precoders exactly once
     from cpcshuffle import channel
 
-    config, part, messages = time_division_partition
+    config, part, payloads = time_division_partition
     targets = {name: workloads.TRACE_TARGETS[name]
                for name in ("channel.build_precoders", "channel.draw_channel")}
     with workloads.Tracer() as tracer:
         tracer.install([channel], targets)
-        channel.simulate_with_resample(part, config, messages, 0)
+        channel.simulate_with_resample(part, config, payloads, 0)
     g = min(config.K_r, config.s + config.t - 1)
     blocks = math.comb(config.K_r, g) * math.comb(config.K_t, config.t)
     counts = workloads.layer_counts(tracer)

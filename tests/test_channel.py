@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from cpcshuffle.model import (
-    ConstraintViolation,
     InfeasibleInstance,
     NodeSet,
     ParameterError,
@@ -25,6 +24,7 @@ from cpcshuffle.codec import (
     _message_pairs,
     block_ivs,
     encode_partition,
+    encode_payloads,
     round_up_bits,
     segment_ivs,
 )
@@ -113,13 +113,13 @@ class TestDrawChannel:
         # (9,3,6,2) reads 60
         params = SystemParams(K=9, N=84, Q=9, r=3, B=480)
         cfg, segs, parts = _prepared(params, K_r=6, t=2)
-        msgs = encode_partition(segs, parts[0], cfg)
+        payloads = encode_payloads(segs, parts[0], cfg)
         ch = draw_channel(validate_config(params, K_r=7, t=2), seed=2)
         built = []
         monkeypatch.setattr(channel, "neutralizing_precoder", lambda *a: built.append(a))
         monkeypatch.setattr(channel, "build_precoders", lambda *a: built.append(a))
         with pytest.raises(ParameterError) as exc:
-            simulate_partition(parts[0], cfg, ch, msgs)
+            simulate_partition(parts[0], cfg, ch, payloads)
         assert built == []
         assert str(exc.value) == "channel gains have shape (35, 2, 3, 2), need (60, 2, 3, 2)"
 
@@ -130,7 +130,7 @@ class TestDrawChannel:
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         ch = draw_channel(cfg, seed=5)
         before, gains = dict(vars(ch)), ch.gains.copy()
-        simulate_partition(parts[0], cfg, ch, encode_partition(segs, parts[0], cfg))
+        simulate_partition(parts[0], cfg, ch, encode_payloads(segs, parts[0], cfg))
         assert vars(ch).keys() == before.keys()
         assert all(vars(ch)[name] is value for name, value in before.items())
         assert ch.gains.tobytes() == gains.tobytes()
@@ -138,17 +138,17 @@ class TestDrawChannel:
     def test_simulate_on_a_smaller_draw_rejected(self):
         # a channel drawn for (6,3,3,3), one block of one slot
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
-        msgs = encode_partition(segs, parts[0], cfg)
+        payloads = encode_payloads(segs, parts[0], cfg)
         ch = draw_channel(validate_config(WORKED, K_r=3, t=3), seed=5)
         with pytest.raises(ParameterError) as exc:
-            simulate_partition(parts[0], cfg, ch, msgs)
+            simulate_partition(parts[0], cfg, ch, payloads)
         assert str(exc.value) == "channel gains have shape (1, 1, 3, 3), need (3, 2, 3, 2)"
         # this config's number of gains, laid out in another shape
         gains = draw_channel(cfg, seed=5).gains
         for misshapen in (gains.reshape(6, 1, 3, 2), gains.swapaxes(0, 1)):
             ch = channel.ChannelRealization(seed=5, gains=misshapen)
             with pytest.raises(ParameterError, match="need \\(3, 2, 3, 2\\)"):
-                simulate_partition(parts[0], cfg, ch, msgs)
+                simulate_partition(parts[0], cfg, ch, payloads)
 
 
 class TestNeutralizingPrecoder:
@@ -233,7 +233,7 @@ class TestNeutralizingPrecoder:
         cfg, segs, parts = _prepared(params, K_r=K_r, t=t)
         for part in parts[:12]:
             ch = draw_channel(cfg, seed=part.index)
-            rep = simulate_partition(part, cfg, ch, encode_partition(segs, part, cfg))
+            rep = simulate_partition(part, cfg, ch, encode_payloads(segs, part, cfg))
             worst, worst_cond = 0.0, 0.0
             for group, _coop, slots, row, vectors in _reference_blocks(ch, cfg, part):
                 for (dg, d), w in vectors.items():
@@ -256,7 +256,7 @@ class TestNeutralizingPrecoder:
         part = parts[0]
         msgs = encode_partition(segs, part, cfg)
         ch = draw_channel(cfg, seed=5)
-        rep = simulate_partition(part, cfg, ch, msgs, snr_db=10.0)
+        rep = simulate_partition(part, cfg, ch, encode_payloads(segs, part, cfg), snr_db=10.0)
         rng, sigma = np.random.default_rng(ch.seed ^ 0xA5A5), 10.0 ** (-10.0 / 20.0)
         by_pair = {(m.dest_group, m.coop): m for m in msgs}
         errors = []
@@ -394,9 +394,9 @@ class TestBlockSchedule:
 class TestSingleShotDelivery:
     def test_worked_partition(self):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
-        msgs = encode_partition(segs, parts[0], cfg)
+        payloads = encode_payloads(segs, parts[0], cfg)
         ch = draw_channel(cfg, seed=5)
-        rep = simulate_partition(parts[0], cfg, ch, msgs)
+        rep = simulate_partition(parts[0], cfg, ch, payloads)
         assert rep.measured_dof == 1
         assert rep.slots_used == 6  # 3 cooperation pairs, 2 slots each
         assert rep.symbols_per_receiver == 6
@@ -409,48 +409,48 @@ class TestSingleShotDelivery:
         # s = K_r: every receiver wants every symbol, one slot per group
         params = SystemParams(K=8, N=56, Q=8, r=5, B=80)
         cfg, segs, parts = _prepared(params, K_r=4, t=2)
-        msgs = encode_partition(segs, parts[0], cfg)
+        payloads = encode_payloads(segs, parts[0], cfg)
         ch = draw_channel(cfg, seed=1)
-        rep = simulate_partition(parts[0], cfg, ch, msgs)
+        rep = simulate_partition(parts[0], cfg, ch, payloads)
         assert rep.measured_dof == 1
         assert rep.slots_used == math.comb(4, 2)  # one slot per coop group
 
     @pytest.mark.parametrize("seed", range(20))
     def test_symbol_accuracy(self, seed):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
-        msgs = encode_partition(segs, parts[0], cfg)
+        payloads = encode_payloads(segs, parts[0], cfg)
         ch = draw_channel(cfg, seed=seed)
-        rep = simulate_partition(parts[0], cfg, ch, msgs)
+        rep = simulate_partition(parts[0], cfg, ch, payloads)
         assert rep.max_symbol_error < 1e-8
 
 
 class TestTimeDivisionDelivery:
     def test_dof_is_r_over_kr(self):
         cfg, segs, parts = _prepared(CASE_C, K_r=5, t=1)
-        msgs = encode_partition(segs, parts[0], cfg)
+        payloads = encode_payloads(segs, parts[0], cfg)
         ch = draw_channel(cfg, seed=9)
-        rep = simulate_partition(parts[0], cfg, ch, msgs)
+        rep = simulate_partition(parts[0], cfg, ch, payloads)
         assert rep.measured_dof == Fraction(2, 5)
         assert rep.slots_used == math.comb(5, 2) * 3
 
     def test_reassembled_payloads_exact(self):
         cfg, segs, parts = _prepared(CASE_C, K_r=5, t=1)
-        msgs = encode_partition(segs, parts[0], cfg)
+        payloads = encode_payloads(segs, parts[0], cfg)
         ch = draw_channel(cfg, seed=9)
-        rep = simulate_partition(parts[0], cfg, ch, msgs)
-        assert rep.held.shape == (5, len(msgs)) and rep.held.all()
+        rep = simulate_partition(parts[0], cfg, ch, payloads)
+        assert rep.held.shape == (5, len(payloads)) and rep.held.all()
 
     def test_multichunk_split(self):
         # t = 2 with K_r = 6 has s+t = 4 <= 5 and C(K_r-s, t-1) = 4 chunks
         params = SystemParams(K=9, N=84, Q=9, r=3, B=8 * 3 * 5 * 4)
         cfg, segs, parts = _prepared(params, K_r=6, t=2)
         assert cfg.s + cfg.t <= cfg.K_r - 1
-        msgs = encode_partition(segs, parts[0], cfg)
+        payloads = encode_payloads(segs, parts[0], cfg)
         ch = draw_channel(cfg, seed=2)
-        rep = simulate_partition(parts[0], cfg, ch, msgs)
+        rep = simulate_partition(parts[0], cfg, ch, payloads)
         g = cfg.s + cfg.t - 1
         assert rep.measured_dof == Fraction(g, cfg.K_r)
-        assert rep.held.shape == (6, len(msgs)) and rep.held.all()
+        assert rep.held.shape == (6, len(payloads)) and rep.held.all()
 
     def test_one_dropped_chunk_withholds_only_its_message(self, monkeypatch):
         # the first block carries NaN symbols, which no receiver can solve,
@@ -458,7 +458,8 @@ class TestTimeDivisionDelivery:
         params = SystemParams(K=9, N=84, Q=9, r=3, B=480)
         cfg, segs, parts = _prepared(params, K_r=6, t=2)
         part = parts[0]
-        msgs = encode_partition(segs, part, cfg)
+        payloads = encode_payloads(segs, part, cfg)
+        pairs = _message_pairs(part, cfg)
         g = cfg.s + cfg.t - 1
         first_rx = enum_subsets(part.rx, g)[0]
         first_coop = enum_subsets(part.tx, cfg.t)[0]
@@ -471,30 +472,30 @@ class TestTimeDivisionDelivery:
 
         real_symbols = channel.payload_symbols
 
-        def first_block_lost(messages, n_chunks):
+        def first_block_lost(partition, config, payloads, n_chunks):
             # chunk 0 of a message whose dest group lies in the first
             # receiver set rides in that set's first block
-            x = real_symbols(messages, n_chunks)
-            for m, message in enumerate(messages):
-                if message.coop == first_coop and message.dest_group.issubset(first_rx):
+            x = real_symbols(partition, config, payloads, n_chunks)
+            for m, (coop, dest_group) in enumerate(pairs):
+                if coop == first_coop and dest_group.issubset(first_rx):
                     x[m, 0] = complex("nan")
             return x
 
         monkeypatch.setattr(channel, "build_precoders", record)
         monkeypatch.setattr(channel, "payload_symbols", first_block_lost)
         ch = draw_channel(cfg, seed=2)
-        rep = simulate_partition(part, cfg, ch, msgs)
+        rep = simulate_partition(part, cfg, ch, payloads)
 
         assert len(blocks) == partition_slots(cfg) // 2
         dropped = [
-            i for i, m in enumerate(msgs)
-            if m.coop == first_coop and m.dest_group.issubset(first_rx)
+            i for i, (coop, dest_group) in enumerate(pairs)
+            if coop == first_coop and dest_group.issubset(first_rx)
         ]
         assert len(dropped) == math.comb(g, cfg.s)
         # exactly the receivers of a dropped message lose it
         lost = [
-            (k, i) for i, m in enumerate(msgs) for k, j in enumerate(part.rx)
-            if i in dropped and j in m.dest_group
+            (k, i) for i, (_coop, dest_group) in enumerate(pairs) for k, j in enumerate(part.rx)
+            if i in dropped and j in dest_group
         ]
         assert len(lost) == len(dropped) * cfg.s
         assert [(int(k), int(i)) for k, i in zip(*np.nonzero(~rep.held))] == sorted(lost)
@@ -518,29 +519,29 @@ class TestDispatchAndResample:
         with pytest.raises(ParameterError, match=refusal):
             draw_channel(cfg, seed=0)
         # refused before the channel's shape is read
-        msgs = encode_partition(segs, parts[0], cfg)
+        payloads = encode_payloads(segs, parts[0], cfg)
         ch = draw_channel(validate_config(params, K_r=3, t=1), seed=0)
         with pytest.raises(ParameterError, match=refusal):
-            simulate_partition(parts[0], cfg, ch, msgs)
+            simulate_partition(parts[0], cfg, ch, payloads)
         with pytest.raises(ParameterError, match=refusal):
-            simulate_with_resample(parts[0], cfg, msgs, seed=0)
+            simulate_with_resample(parts[0], cfg, payloads, seed=0)
 
     def test_resample_gives_up_after_two(self, monkeypatch):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
-        msgs = encode_partition(segs, parts[0], cfg)
+        payloads = encode_payloads(segs, parts[0], cfg)
         monkeypatch.setattr(channel, "CONDITION_GUARD", 1.0 + 1e-12)
         with pytest.raises(ChannelConditionError):
-            simulate_with_resample(parts[0], cfg, msgs, seed=0)
+            simulate_with_resample(parts[0], cfg, payloads, seed=0)
 
     def test_dispatch_matches_regime(self):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
-        msgs = encode_partition(segs, parts[0], cfg)
+        payloads = encode_payloads(segs, parts[0], cfg)
         ch = draw_channel(cfg, seed=5)
-        assert simulate_partition(parts[0], cfg, ch, msgs).regime == "single_shot"
+        assert simulate_partition(parts[0], cfg, ch, payloads).regime == "single_shot"
         cfg, segs, parts = _prepared(CASE_C, K_r=5, t=1)
-        msgs = encode_partition(segs, parts[0], cfg)
+        payloads = encode_payloads(segs, parts[0], cfg)
         ch = draw_channel(cfg, seed=5)
-        assert simulate_partition(parts[0], cfg, ch, msgs).regime == "time_division"
+        assert simulate_partition(parts[0], cfg, ch, payloads).regime == "time_division"
 
 
 class TestEndToEnd:
@@ -553,8 +554,8 @@ class TestEndToEnd:
 
     def test_summaries_list_nine_fields_and_never_delivered(self):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
-        msgs = encode_partition(segs, parts[0], cfg)
-        sim = simulate_with_resample(parts[0], cfg, msgs, seed=0).summary()
+        payloads = encode_payloads(segs, parts[0], cfg)
+        sim = simulate_with_resample(parts[0], cfg, payloads, seed=0).summary()
         assert set(sim) == {
             "partition", "regime", "slots_used", "symbols_per_receiver", "measured_dof",
             "max_condition", "max_residual", "max_symbol_error", "noise_mse",
@@ -563,7 +564,7 @@ class TestEndToEnd:
         summary = rep.summary()
         assert set(summary) == {
             "ok", "failures", "partitions", "slots_total", "max_condition",
-            "max_residual", "max_symbol_error", "measured_dof", "claimed_dof",
+            "max_residual", "max_symbol_error", "measured_dof", "claimed_dof", "params",
         }
         assert (sim["measured_dof"], summary["measured_dof"], summary["claimed_dof"]) == (
             "1", "1", "1"
@@ -670,33 +671,33 @@ class TestEndToEnd:
 
     def test_non_finite_snr_rejected(self):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
-        msgs = encode_partition(segs, parts[0], cfg)
+        payloads = encode_payloads(segs, parts[0], cfg)
         ch = draw_channel(cfg, seed=5)
         for snr in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ParameterError, match="snr_db must be finite"):
-                simulate_partition(parts[0], cfg, ch, msgs, snr_db=snr)
+                simulate_partition(parts[0], cfg, ch, payloads, snr_db=snr)
 
     def test_overflowing_noise_amplitude_rejected(self):
         # 10 ** 350 is past the largest float; 10 ** -5e306 underflows to a
         # noiseless 0.0, which is still a float
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
-        msgs = encode_partition(segs, parts[0], cfg)
+        payloads = encode_payloads(segs, parts[0], cfg)
         ch = draw_channel(cfg, seed=5)
         for snr in (-7000.0, -1e308):
             with pytest.raises(ParameterError, match="noise amplitude overflow"):
-                simulate_partition(parts[0], cfg, ch, msgs, snr_db=snr)
-        loud = simulate_partition(parts[0], cfg, ch, msgs, snr_db=-300.0)
+                simulate_partition(parts[0], cfg, ch, payloads, snr_db=snr)
+        loud = simulate_partition(parts[0], cfg, ch, payloads, snr_db=-300.0)
         assert 1e25 < loud.noise_mse < math.inf
-        quiet = simulate_partition(parts[0], cfg, ch, msgs, snr_db=1e308)
+        quiet = simulate_partition(parts[0], cfg, ch, payloads, snr_db=1e308)
         assert quiet.noise_mse < 1e-20 and quiet.measured_dof == 1
 
     def test_overflowing_noise_power_rejected(self):
         # sigma = 1e300 is a float, but the squared symbol errors are not
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
-        msgs = encode_partition(segs, parts[0], cfg)
+        payloads = encode_payloads(segs, parts[0], cfg)
         ch = draw_channel(cfg, seed=5)
         with pytest.raises(ParameterError, match="snr_db -6000.0 drives the noise mean squared"):
-            simulate_partition(parts[0], cfg, ch, msgs, snr_db=-6000.0)
+            simulate_partition(parts[0], cfg, ch, payloads, snr_db=-6000.0)
 
     @pytest.mark.parametrize("K, N, Q, r, K_r, t", [(6, 40, 12, 3, 3, 2), (8, 56, 16, 5, 4, 2)])
     def test_withheld_message_fails_exactly_its_block(self, K, N, Q, r, K_r, t):
@@ -707,13 +708,13 @@ class TestEndToEnd:
         cfg = validate_config(params, K_r, t)
         lost = {}
 
-        def all_but_one(part, messages):
-            held = np.ones((K_r, len(messages)), dtype=bool)
+        def all_but_one(part, payloads):
+            held = np.ones((K_r, len(payloads)), dtype=bool)
             if part.index == 3:
-                m = messages[-2]
-                k = m.dest_group.members[1]
-                held[part.rx.members.index(k), len(messages) - 2] = False
-                lost.update(k=k, storage=m.coop | (m.dest_group - NodeSet.of(k)))
+                coop, dest_group = _message_pairs(part, cfg)[-2]
+                k = dest_group.members[1]
+                held[part.rx.members.index(k), len(payloads) - 2] = False
+                lost.update(k=k, storage=coop | (dest_group - NodeSet.of(k)))
             return held, None
 
         rep = channel._pipeline(params, cfg, 0, None, all_but_one)
@@ -722,24 +723,14 @@ class TestEndToEnd:
         assert len(layout) == (N // math.comb(K, r)) * (Q // K) > 1
         assert rep.failures == [(k, q, n) for q, n in sorted(layout)]
 
-    def test_bad_tolerance_rejected(self):
+    def test_bad_tolerance_rejected(self, monkeypatch):
+        # the tolerance is the module constant TOLERANCE, not an argument;
+        # at 0 no symbol counts as solved
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
-        msgs = encode_partition(segs, parts[0], cfg)
+        payloads = encode_payloads(segs, parts[0], cfg)
         ch = draw_channel(cfg, seed=5)
-        for tol in (float("nan"), float("inf"), -1.0, -1e-12):
-            with pytest.raises(ParameterError, match="tolerance must be finite and >= 0"):
-                simulate_partition(parts[0], cfg, ch, msgs, tol=tol)
-        assert simulate_partition(parts[0], cfg, ch, msgs, tol=0.0).symbols_per_receiver == 0
-
-    def test_bad_tolerance_rejected_before_any_work(self, monkeypatch):
-        def placed(*args):
-            raise AssertionError("placement built before the tolerance was checked")
-
-        monkeypatch.setattr(channel, "build_placement", placed)
-        cfg = validate_config(WORKED, K_r=3, t=2)
-        for tol in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ParameterError, match="tolerance must be finite and >= 0"):
-                end_to_end_verify(WORKED, cfg, seed=0, tol=tol)
+        monkeypatch.setattr(channel, "TOLERANCE", 0.0)
+        assert simulate_partition(parts[0], cfg, ch, payloads).symbols_per_receiver == 0
 
     def test_what_cannot_be_simulated_is_rejected_before_any_work(self, monkeypatch):
         def placed(*args):
@@ -785,7 +776,8 @@ class TestEndToEnd:
                 try:
                     cfg, segs, parts = _prepared(params, K_r=K_r, t=t)
                     _shape, n_chunks = channel._partition_layout(cfg)
-                    channel.payload_symbols(encode_partition(segs, parts[0], cfg), n_chunks)
+                    payloads = encode_payloads(segs, parts[0], cfg)
+                    channel.payload_symbols(parts[0], cfg, payloads, n_chunks)
                     runs = True
                 except ValueError:
                     runs = False
@@ -801,53 +793,45 @@ class TestEndToEnd:
             cfg = validate_config(SystemParams(K=K, N=math.comb(K, r), Q=Q, r=r, B=8), K_r, t)
             assert channel.simulation_bits(cfg, 4) == min(B for q, B in accepted if q == Q), Q
 
-    def test_wrong_message_list_names_the_message(self, monkeypatch):
-        # a missing message, or another partition's list, used to surface as
-        # a bare KeyError from the block loop
-        cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
-        msgs = encode_partition(segs, parts[0], cfg)
-        assert (msgs[0].partition, msgs[0].dest_group.members, msgs[0].coop.members) == (
-            1, (4, 5), (1, 2)
+    @pytest.mark.parametrize(
+        "reshape",
+        [
+            lambda rows: rows[1:],
+            lambda rows: np.concatenate([rows, rows[:1]]),
+            lambda rows: rows[:, :-1],
+            lambda rows: rows.ravel(),
+            lambda rows: rows.astype(np.int64),
+        ],
+        ids=[
+            "one_row_too_few",
+            "one_row_too_many",
+            "width_not_in_chunks",
+            "one_dimensional",
+            "not_bytes",
+        ],
+    )
+    def test_misshapen_payloads_rejected_before_any_precoder(self, monkeypatch, reshape):
+        # messages arrive by position, so the array's shape is all there is
+        # to check: one row per message, a width cut into whole chunks
+        params = SystemParams(K=9, N=84, Q=9, r=3, B=480)
+        cfg, segs, parts = _prepared(params, K_r=6, t=2)
+        payloads = reshape(encode_payloads(segs, parts[0], cfg))
+        ch = draw_channel(cfg, seed=0)
+        built = []
+        monkeypatch.setattr(channel, "build_precoders", lambda *a: built.append(a))
+        with pytest.raises(ParameterError) as exc:
+            simulate_partition(parts[0], cfg, ch, payloads)
+        assert str(exc.value) == (
+            "partition 1 needs a (45, L) uint8 payload array with L a multiple of 4 chunks, "
+            f"got {payloads.dtype} of shape {payloads.shape}"
         )
-        ch = draw_channel(cfg, seed=5)
-        blocks = []
-        monkeypatch.setattr(channel, "build_precoders", lambda *a: blocks.append(a))
-        with pytest.raises(ConstraintViolation) as exc:
-            simulate_partition(parts[0], cfg, ch, msgs[1:])
-        assert exc.value.constraint == "messages of partition p"
-        assert "message (1, (4, 5), (1, 2)) is missing from partition 1" in str(exc.value)
-        with pytest.raises(ConstraintViolation) as exc:
-            simulate_partition(parts[1], cfg, ch, msgs)
-        assert exc.value.constraint == "messages of partition p"
-        assert "message (1, (4, 5), (1, 2)) is foreign to partition 2" in str(exc.value)
-        assert blocks == []  # rejected before any block's precoders are built
-
-    def test_reordered_message_list_rejected(self, monkeypatch):
-        # the engine addresses a message by its place in `_message_pairs`
-        # order, so a complete list in another order is refused, naming the
-        # first message that is not where it is due
-        cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
-        msgs = encode_partition(segs, parts[0], cfg)
-        ch = draw_channel(cfg, seed=5)
-        blocks = []
-        monkeypatch.setattr(channel, "build_precoders", lambda *a: blocks.append(a))
-        with pytest.raises(ConstraintViolation) as exc:
-            simulate_partition(parts[0], cfg, ch, msgs[::-1])
-        assert exc.value.constraint == "messages of partition p"
-        assert "message (1, (4, 5), (1, 2)) is missing from partition 1" in str(exc.value)
-        swapped = [msgs[0], msgs[2], msgs[1], *msgs[3:]]
-        with pytest.raises(ConstraintViolation) as exc:
-            simulate_partition(parts[0], cfg, ch, swapped)
-        due = msgs[1]
-        address = (due.partition, due.dest_group.members, due.coop.members)
-        assert f"message {address} is missing from partition 1" in str(exc.value)
-        assert blocks == []
+        assert built == []  # rejected before any block's precoders are built
 
     def test_noise_mode_reports_mse(self):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
-        msgs = encode_partition(segs, parts[0], cfg)
+        payloads = encode_payloads(segs, parts[0], cfg)
         ch = draw_channel(cfg, seed=5)
-        rep = simulate_partition(parts[0], cfg, ch, msgs, snr_db=40.0)
+        rep = simulate_partition(parts[0], cfg, ch, payloads, snr_db=40.0)
         assert rep.noise_mse is not None and rep.noise_mse > 0
 
     def test_multichunk_time_division_end_to_end(self):
@@ -896,15 +880,15 @@ class TestEngineCoverage:
             B = simulation_bits(validate_config(probe, K_r, t), 8)
             params = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=B)
             cfg, segs, parts = _prepared(params, K_r=K_r, t=t, seed=K + r)
-            msgs = encode_partition(segs, parts[0], cfg)
-            rep = simulate_with_resample(parts[0], cfg, msgs, seed=K_r + t)
+            payloads = encode_payloads(segs, parts[0], cfg)
+            rep = simulate_with_resample(parts[0], cfg, payloads, seed=K_r + t)
             where = (K, r, K_r, t)
             assert rep.slots_used == partition_slots(cfg), where
             assert rep.measured_dof == Fraction(min(K_r, cfg.s + t - 1), K_r), where
-            assert rep.held.shape == (K_r, len(msgs)) and rep.held.all(), where
+            assert rep.held.shape == (K_r, len(payloads)) and rep.held.all(), where
 
 
-def _per_block_partition(partition, cfg, ch, messages, tol=channel.DEFAULT_TOLERANCE, snr_db=None):
+def _per_block_partition(partition, cfg, ch, messages, snr_db=None):
     """Reference delivery, one block at a time: block b's gains from
     ch.gains[b], its own cofactor precoders and a Counter of chunk indices;
     the stacked solve after the loop as in the engine."""
@@ -960,7 +944,7 @@ def _per_block_partition(partition, cfg, ch, messages, tol=channel.DEFAULT_TOLER
     err = np.abs(x_hat - sent) / np.abs(sent)
     report.max_symbol_error = float(err.max())
     if sigma is None:
-        solved = err < tol
+        solved = err < channel.TOLERANCE
     else:
         solved = np.ones(err.shape, dtype=bool)
         report.noise_mse = float((err * err).sum()) / err.size
@@ -1000,15 +984,16 @@ class TestBatchedDeliveryPin:
             chosen = parts[:1] if which == "first" else [parts[0], parts[-1]]
             for part in chosen:
                 msgs = encode_partition(segs, part, cfg)
+                payloads = encode_payloads(segs, part, cfg)
                 ch = draw_channel(cfg, seed=K_r + t + part.index)
                 where = (K, r, K_r, t, part.index)
                 try:
                     want = _per_block_partition(part, cfg, ch, msgs, snr_db=snr_db)
                 except ChannelConditionError:
                     with pytest.raises(ChannelConditionError):
-                        simulate_partition(part, cfg, ch, msgs, snr_db=snr_db)
+                        simulate_partition(part, cfg, ch, payloads, snr_db=snr_db)
                     continue
-                got = simulate_partition(part, cfg, ch, msgs, snr_db=snr_db)
+                got = simulate_partition(part, cfg, ch, payloads, snr_db=snr_db)
                 assert got == want, where
                 assert np.array_equal(got.held, want.held), where
 
@@ -1027,7 +1012,8 @@ class TestPayloadSymbols:
             n_chunks = delivery_layout(cfg.s, t, K_r)[1]
             for part in (parts[0], parts[-1]):
                 msgs = encode_partition(segs, part, cfg)
-                got = channel.payload_symbols(msgs, n_chunks)
+                payloads = encode_payloads(segs, part, cfg)
+                got = channel.payload_symbols(part, cfg, payloads, n_chunks)
                 want = np.array([
                     [_reference_symbol(m, c, n_chunks) for c in range(n_chunks)] for m in msgs
                 ])
@@ -1039,14 +1025,12 @@ class TestPayloadSymbols:
     def test_payload_that_does_not_split_rejected(self):
         params = SystemParams(K=9, N=84, Q=9, r=3, B=480)
         cfg, segs, parts = _prepared(params, K_r=6, t=2)
-        msgs = encode_partition(segs, parts[0], cfg)
-        short = msgs[5].payload[:-1]
-        msgs[5] = dataclasses.replace(msgs[5], payload=short)
+        payloads = encode_payloads(segs, parts[0], cfg)[:, :-1]
         ch = draw_channel(cfg, seed=0)
         with pytest.raises(
-            ParameterError, match=f"payload of {len(short)} bytes does not split into 4 chunks"
+            ParameterError, match=r"with L a multiple of 4 chunks, got uint8 of shape \(45, 3\)"
         ):
-            simulate_partition(parts[0], cfg, ch, msgs)
+            simulate_partition(parts[0], cfg, ch, payloads)
 
 
 class TestBuildPrecoders:

@@ -2,7 +2,7 @@ import csv
 import io
 import json
 
-from cpcshuffle import channel, cli
+from cpcshuffle import channel, cli, ndt
 from cpcshuffle.cli import main
 
 WORKED = ["--K", "6", "--N", "20", "--Q", "6", "--r", "3", "--Kr", "3", "--t", "2", "--B", "48"]
@@ -108,9 +108,10 @@ class TestVerify:
         rep = json.loads(out)
         assert rep["claimed_dof"] is None and rep["measured_dof"] is None
 
-    def test_zero_measured_dof_is_reported(self, capsys):
+    def test_zero_measured_dof_is_reported(self, capsys, monkeypatch):
         # no symbol meets a zero tolerance: a measured DoF of 0, not "not measured"
-        code, out, _ = run(capsys, "verify", *WORKED, "--tolerance", "0")
+        monkeypatch.setattr(channel, "TOLERANCE", 0.0)
+        code, out, _ = run(capsys, "verify", *WORKED)
         assert code == 1
         assert json.loads(out)["measured_dof"] == "0"
 
@@ -138,31 +139,23 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--K", "64", "--r", "64")
         assert code == 0 and json.loads(out) == {"ok": True, "failures": [], "partitions": 0}
 
-    def test_bad_tolerance_exits_two(self, capsys, monkeypatch):
-        def check(*command):
-            for tol in ("nan", "inf", "-1"):
-                code, out, err = run(capsys, *command, *WORKED, f"--tolerance={tol}")
-                assert code == 2, (command, tol)
-                assert out == ""
-                assert err == f"error: tolerance must be finite and >= 0, got {float(tol)}\n"
-
-        # refused before any work, on every path; --ideal never reads the
-        # tolerance, and used to accept it with exit 0
-        def placed(*args):
-            raise AssertionError("placement built before the tolerance was checked")
-
-        monkeypatch.setattr(channel, "build_placement", placed)
-        monkeypatch.setattr(cli, "build_placement", placed)
-        check("simulate")
-        check("verify")
-        check("verify", "--ideal")
-        for snr, text in (
-            ("nan", "snr_db must be finite, got nan"),
-            ("inf", "snr_db must be finite, got inf"),
-            ("-7000", "snr_db -7000.0 makes the noise amplitude overflow"),
-        ):
-            code, out, err = run(capsys, "simulate", *WORKED, f"--snr={snr}")
-            assert (code, out, err) == (2, "", f"error: {text}\n"), snr
+    def test_report_names_its_params(self, capsys):
+        # the instance a run used, defaults filled in, on both paths: the
+        # least B that splits, and the optimizer's (K_r, t)
+        for path in ((), ("--ideal",)):
+            code, out, _ = run(capsys, "verify", *DOUBLED, *path)
+            assert code == 0, path
+            assert json.loads(out)["params"] == {
+                "K": 6, "N": 20, "Q": 12, "r": 3, "B": 24, "K_r": 3, "t": 2, "s": 2, "seed": 0,
+            }
+        best = ndt.cpc_minimum(3, 9)
+        code, out, _ = run(capsys, "verify", "--K", "9", "--r", "3", "--seed", "4")
+        params = json.loads(out)["params"]
+        assert code == 0 and (params["K_r"], params["t"]) == (best.K_r, best.t)
+        assert (params["N"], params["Q"], params["s"], params["seed"]) == (84, 9, 4 - best.t, 4)
+        # and it is the object construct dumps
+        code, dump, _ = run(capsys, "construct", "--K", "9", "--r", "3", "--seed", "4")
+        assert json.loads(dump)["params"] == params
 
     def test_what_the_channel_cannot_run_exits_two_before_any_work(self, capsys, monkeypatch):
         # 120 bits suit the codec, so the XOR-only path runs them
@@ -242,6 +235,30 @@ class TestSimulate:
         code, out, _ = run(capsys, "simulate", *WORKED, "--snr", "30")
         assert code == 0
         assert json.loads(out)["noise_mse"] > 0
+
+    def test_partition_out_of_range_exits_two_before_any_work(self, capsys, monkeypatch):
+        def placed(*args):
+            raise AssertionError("placement built before the partition was checked")
+
+        monkeypatch.setattr(cli, "build_placement", placed)
+        instance = ["--K", "12", "--r", "4", "--Kr", "8", "--t", "1"]
+        for index in ("0", "496"):
+            code, out, err = run(capsys, "simulate", *instance, "--partition", index)
+            assert (code, out) == (2, ""), index
+            assert err == f"error: partition index {index} out of [1, 495]\n"
+
+    def test_bad_snr_exits_two_before_any_work(self, capsys, monkeypatch):
+        def placed(*args):
+            raise AssertionError("placement built before the snr was checked")
+
+        monkeypatch.setattr(cli, "build_placement", placed)
+        for snr, text in (
+            ("nan", "snr_db must be finite, got nan"),
+            ("inf", "snr_db must be finite, got inf"),
+            ("-7000", "snr_db -7000.0 makes the noise amplitude overflow"),
+        ):
+            code, out, err = run(capsys, "simulate", *WORKED, f"--snr={snr}")
+            assert (code, out, err) == (2, "", f"error: {text}\n"), snr
 
     def test_full_load_refused(self, capsys):
         code, _, err = run(capsys, "simulate", "--K", "4", "--r", "4")

@@ -14,6 +14,7 @@ from cpcshuffle.codec import (
     CodedMessage,
     _message_pairs,
     encode_partition,
+    encode_payloads,
     round_up_bits,
     segment_ivs,
 )
@@ -22,6 +23,7 @@ from cpcshuffle.model import (
     NodeSet,
     ParameterError,
     SystemParams,
+    config_violation,
     enum_partitions,
     validate_config,
 )
@@ -73,6 +75,35 @@ class TestMessageTable:
         other = validate_config(cfg.params, K_r=4, t=2)
         with pytest.raises(ParameterError, match="not one the segment table was cut for"):
             encode_partition(segs, enum_partitions(6, 2)[0], other)
+
+    def test_payload_rows_are_the_stacked_messages(self):
+        # every partition of every valid config with K <= 6, s + t = K_r
+        # included: the codec encodes what the channel cannot run
+        configs = [
+            (K, r, K_r, t)
+            for K in range(2, 7) for r in range(1, K) for K_r in range(1, K)
+            for t in range(1, r + 1) if config_violation(K, r, K_r, t) is None
+        ]
+        assert len(configs) == 70
+        for K, r, K_r, t in configs:
+            cfg, segs = _table(K, r, K_r, t)
+            for part in segs.partitions:
+                rows = encode_payloads(segs, part, cfg)
+                joined = b"".join(m.payload for m in encode_partition(segs, part, cfg))
+                assert rows.dtype == np.uint8 and rows.ndim == 2, (K, r, K_r, t)
+                assert rows.tobytes() == joined, (K, r, K_r, t, part.index)
+                assert len(rows) == len(_message_pairs(part, cfg)), (K, r, K_r, t)
+
+    def test_encode_payloads_rejects_what_encode_partition_does(self):
+        cfg, segs = _table(6, 3, 3, 2)
+        other = validate_config(cfg.params, K_r=4, t=2)
+        for partition, config in ((enum_partitions(6, 2)[0], cfg), (segs.partitions[0], other)):
+            with pytest.raises(ParameterError) as want:
+                encode_partition(segs, partition, config)
+            with pytest.raises(ParameterError) as got:
+                encode_payloads(segs, partition, config)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).endswith("is not one the segment table was cut for")
 
     def test_a_message_without_its_segment_is_an_invariant_error(self, monkeypatch):
         # partition 1's first message gets a transmitter in its dest group:
