@@ -12,11 +12,7 @@ only the transmission schedule changes.
 from cpcshuffle import (
     NodeSet,
     SystemParams,
-    build_placement,
-    encode_partition,
     enum_partitions,
-    map_phase,
-    segment_ivs,
     straggler_replan,
     straggler_schedule,
     validate_config,
@@ -24,16 +20,12 @@ from cpcshuffle import (
 
 params = SystemParams(K=6, N=20, Q=6, r=3, B=48)
 cfg = validate_config(params, K_r=3, t=2)
-placement = build_placement(params)
-store = map_phase(placement, params, seed=0)
-segments = segment_ivs(placement, cfg, store)
 part = enum_partitions(6, 3)[0]
-messages = encode_partition(segments, part, cfg)
 
 print("=" * 72)
 print("BASELINE: PARTITION 1 WITH ALL TRANSMITTERS ON TIME")
 print("=" * 72)
-plan = straggler_replan(part, cfg, NodeSet(()), messages)
+plan = straggler_replan(part, cfg, NodeSet(()))
 for row in straggler_schedule(plan):
     print(f"  round {row['round']}: {row['messages']} messages,"
           f" {row['batches']} group batches, {row['slots']} slots")
@@ -42,12 +34,11 @@ print()
 print("=" * 72)
 print("NODE 1 IS LATE: REGROUP BY STRAGGLER OVERLAP")
 print("=" * 72)
-plan = straggler_replan(part, cfg, NodeSet.of(1), messages)
-for i, rnd in enumerate(plan.rounds):
-    groups = sorted({(m.coop.members, eff.members) for m, eff in rnd})
-    print(f"  round {i} ({len(rnd)} messages):")
-    for coop, eff in groups:
-        print(f"    group {coop} -> survivors {eff} carry its packets")
+plan = straggler_replan(part, cfg, NodeSet.of(1))
+for row, rnd in zip(straggler_schedule(plan), plan.rounds):
+    print(f"  round {row['round']} ({row['messages']} messages):")
+    for coop, eff in rnd:
+        print(f"    group {coop.members} -> survivors {eff.members} carry its packets")
 
 print()
 print("slot accounting (None = s + t_eff = K_r, the asymptotic-alignment")

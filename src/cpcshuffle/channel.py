@@ -22,8 +22,8 @@ the unintended receivers, the received signals, and every receiver's
 square system with its condition number and solve.  Per block only the
 unit-norm check of the precoders (`build_precoders`) runs.  A partition's
 messages arrive by position, as the rows of one (messages, L) payload
-array; one `payload_symbols` pass hashes each of their chunks into its
-symbol, and each block reads its own from that array.
+array, with no (p, D, B) label; one `payload_symbols` array pass maps
+each of their chunks to its symbol, and each block reads its own.
 
 A message is cut into C(K_r-s, g-s) chunks, one per receiver set that
 contains D, so the per-receiver DoF is g / K_r.  `model.delivery_layout`
@@ -32,9 +32,10 @@ is the case g = K_r: one receiver set, one chunk, DoF 1.  Time division
 (s+t < K_r) has g = s+t-1.  s + t = K_r, the asymptotic-alignment
 regime, is not simulated.
 
-Each chunk rides as one unit-power complex symbol derived from its bytes,
-and a receiver holds a message once it solves all of its chunks' symbols,
-each to a relative error below the fixed `TOLERANCE` of 1e-8.
+Each chunk rides as one unit-power complex symbol, its phase a polynomial
+in its bytes and its position, and a receiver holds a message once it
+solves all of its chunks' symbols, each to a relative error below the
+fixed `TOLERANCE` of 1e-8.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .model import (
     delivery_layout,
 )
 from .codec import (
-    _message_pairs,
     bits_step,
     block_ivs,
     check_bits,
@@ -72,6 +72,7 @@ from .placement import build_placement, map_phase, required_ivs
 
 TOLERANCE = 1e-8
 CONDITION_GUARD = 1e8
+_PHASE_BASE = 0x9E3779B97F4A7C15  # odd: 2**64 over the golden ratio
 
 
 class ChannelConditionError(RuntimeError):
@@ -178,39 +179,34 @@ def neutralizing_precoder(rows: np.ndarray) -> np.ndarray:
     return np.linalg.det(minors) * (-1.0) ** (n + 1 + np.arange(n))
 
 
-def payload_symbols(
-    partition: Partition, config: ShuffleConfig, payloads: np.ndarray, n_chunks: int
-) -> np.ndarray:
-    """Deterministic unit-power symbols x[m, c] for chunk c of the
-    partition's m-th message `payloads[m]`, in `_message_pairs` order, cut
-    into `n_chunks` equal chunks (a fixture, not a modem).  Any other
-    shape than (messages, n_chunks * step) uint8 raises ParameterError.
+def payload_symbols(payloads: np.ndarray, n_chunks: int, n_messages: int) -> np.ndarray:
+    """Deterministic unit-power symbols x[m, c] for chunk c of message m,
+    the row `payloads[m]` cut into `n_chunks` equal chunks (a fixture, not
+    a modem).  Anything but an (n_messages, L) uint8 array with L a
+    multiple of `n_chunks` raises ParameterError.
 
-    A chunk's phase is 2 pi times its 8-byte blake2b tag, read
-    little-endian as a fraction of 2**64.  The tag hashes the repr of
-    the chunk's address (p, D, B, c) followed by the chunk's bytes.
+    A chunk's phase is 2 pi v / 2**64, v = sum_i b_i P**(i+1) + q
+    P**(step+1) mod 2**64 over its bytes b_i and its position q = m *
+    n_chunks + c, P the odd `_PHASE_BASE`: every weight is odd, so a
+    change in one byte or in the position moves v.  One uint64 array
+    pass, which wraps mod 2**64, maps every chunk.
     """
-    pairs, p = _message_pairs(partition, config), partition.index
-    rows, width = payloads.shape if payloads.ndim == 2 else (-1, 0)
-    if payloads.dtype != np.uint8 or rows != len(pairs) or width % n_chunks:
+    is_array = isinstance(payloads, np.ndarray)
+    rows, width = payloads.shape if is_array and payloads.ndim == 2 else (-1, 0)
+    if not is_array or payloads.dtype != np.uint8 or rows != n_messages or width % n_chunks:
+        got = type(payloads).__name__
+        if is_array:
+            got = f"{payloads.dtype} of shape {payloads.shape}"
         raise ParameterError(
-            f"partition {p} needs a ({len(pairs)}, L) uint8 payload array with L a multiple "
-            f"of {n_chunks} chunks, got {payloads.dtype} of shape {payloads.shape}"
+            f"need a ({n_messages}, L) uint8 payload array with L a multiple "
+            f"of {n_chunks} chunks, got {got}"
         )
-    data, step = payloads.tobytes(), width // n_chunks
-    tags = []
-    for m, (coop, dest_group) in enumerate(pairs):
-        head = repr((p, dest_group.members, coop.members))[:-1]
-        row = data[m * width : (m + 1) * width]
-        tags += [
-            hashlib.blake2b(
-                f"{head}, {c})".encode() + row[c * step : (c + 1) * step], digest_size=8
-            ).digest()
-            for c in range(n_chunks)
-        ]
-    v = np.frombuffer(b"".join(tags), dtype="<u8").reshape(len(pairs), n_chunks)
-    phase = 2.0 * np.pi * (v / 2.0**64)
-    x = np.empty(v.shape, dtype=complex)
+    step = width // n_chunks
+    weights = np.cumprod(np.full(step + 1, _PHASE_BASE, dtype=np.uint64))
+    v = payloads.reshape(n_messages * n_chunks, step) @ weights[:step]
+    v += np.arange(v.size, dtype=np.uint64) * weights[step]
+    phase = 2.0 * np.pi * (v.reshape(n_messages, n_chunks) / 2.0**64)
+    x = np.empty(phase.shape, dtype=complex)
     x.real = np.cos(phase)
     x.imag = np.sin(phase)
     return x
@@ -252,8 +248,8 @@ def _block_tables(s: int, t: int, K_r: int, K_t: int) -> tuple[np.ndarray, ...]:
     Block b = r * n_coops + c serves receiver set r with coop group c,
     both in lex order; coop group c's first g-s+1 members transmit, and
     `draw_channel` draws the block's gains as H[b].  rx[b]: set r's g
-    receiver positions.  ids[b, u]: the `_message_pairs` position of set
-    r's u-th dest group's message from group c.  chunk[b, u]: how many
+    receiver positions.  ids[b, u]: the `codec.encode_payloads` row of
+    set r's u-th dest group's message from group c.  chunk[b, u]: how many
     earlier receiver sets contain that dest group, so the chunk the block
     carries.  wants[k, u]: position k of a receiver set lies in the set's
     u-th s-subset, the u-th dest group in `enum_subsets` order.  Derived
@@ -303,9 +299,10 @@ def simulate_partition(
     where `noise_mse` averages the squared symbol errors instead.  It
     holds a message once it has all of its chunks.
     `payloads` holds the partition's messages by position, as
-    `codec.encode_payloads` returns them; any other shape raises
-    ParameterError before any block's precoders are built.  The report's
-    `held` says which receivers lost which messages.
+    `codec.encode_payloads` returns them, and of `partition` only its
+    index is read; any other shape raises ParameterError before any
+    block's precoders are built.  The report's `held` says which
+    receivers lost which messages.
     """
     sigma = None if snr_db is None else check_snr(snr_db)
     shape, n_chunks = _partition_layout(config)
@@ -315,7 +312,8 @@ def simulate_partition(
     slots = n_blocks * gamma
     tables = _block_tables(config.s, config.t, config.K_r, config.K_t)
     rx_pos, ids, chunks, wants, nulled, wanted = tables
-    symbols = payload_symbols(partition, config, payloads, n_chunks)
+    n_messages = math.comb(config.K_t, config.t) * math.comb(config.K_r, config.s)
+    symbols = payload_symbols(payloads, n_chunks, n_messages)
 
     # block b serves receiver positions rx_pos[b]: gains H[b, i, k, l],
     # precoders W[b, u, i, l], and the message position ids[b, u] and

@@ -97,16 +97,17 @@ class CodedMessage:
 class StragglerPlan:
     """Time-division rounds that deliver a partition despite late transmitters.
 
-    Round i carries the messages whose coop group intersects the straggler
-    set in exactly i nodes; their effective transmitters are B minus the
-    stragglers, never empty while |S| <= t-1.  `config` is the config the
-    plan was made under, which its schedule is counted on.
+    Round i lists (B, B - S) for each cooperation group B holding exactly
+    i stragglers, B in lex order: its messages, the C(K_r, s) consecutive
+    `encode_payloads` rows at B's lex position, are sent by the surviving
+    transmitters B - S, never empty while |S| <= t-1.  `config` is the
+    config the plan was made under, which its schedule is counted on.
     """
 
     partition: int
     config: ShuffleConfig
     stragglers: NodeSet
-    rounds: tuple[tuple[tuple[CodedMessage, NodeSet], ...], ...]
+    rounds: tuple[tuple[tuple[NodeSet, NodeSet], ...], ...]
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -398,16 +399,11 @@ def per_partition_load(config: ShuffleConfig) -> tuple[Fraction, Fraction]:
 
 
 def straggler_replan(
-    partition: Partition, config: ShuffleConfig, stragglers: NodeSet,
-    messages: list[CodedMessage] | None = None,
+    partition: Partition, config: ShuffleConfig, stragglers: NodeSet
 ) -> StragglerPlan:
-    """Split a partition's messages into rounds by straggler overlap.
-
-    Requires |S| <= t-1, S inside the transmitter group and every message
-    from this partition; round i holds the messages whose coop group
-    contains exactly i stragglers, to be sent by the surviving
-    transmitters B minus S.
-    """
+    """Split a partition's cooperation groups into rounds by straggler
+    overlap, as `StragglerPlan` lays them out.  Requires |S| <= t-1 and S
+    inside the transmitter group."""
     if not stragglers.issubset(partition.tx):
         raise ConstraintViolation(
             "S subset of T_p", f"{stragglers.members} not in {partition.tx.members}"
@@ -416,24 +412,9 @@ def straggler_replan(
         raise ConstraintViolation(
             "|S| <= t-1", f"{len(stragglers)} stragglers exceed t-1={config.t - 1}"
         )
-    if messages is None:
-        # Payload-free planning: synthesize empty-payload messages.
-        messages = [
-            CodedMessage(partition.index, d, b, b"") for b, d in _message_pairs(partition, config)
-        ]
-    for msg in messages:
-        if msg.partition != partition.index:
-            raise ConstraintViolation(
-                "messages of partition p",
-                f"message {(msg.partition, msg.dest_group.members, msg.coop.members)} "
-                f"belongs to partition {msg.partition}, not {partition.index}",
-            )
-    rounds: list[list[tuple[CodedMessage, NodeSet]]] = [
-        [] for _ in range(len(stragglers) + 1)
-    ]
-    for msg in messages:
-        overlap = len(msg.coop & stragglers)
-        rounds[overlap].append((msg, msg.coop - stragglers))
+    rounds: list[list[tuple[NodeSet, NodeSet]]] = [[] for _ in range(len(stragglers) + 1)]
+    for coop in enum_subsets(partition.tx, config.t):
+        rounds[len(coop & stragglers)].append((coop, coop - stragglers))
     return StragglerPlan(
         partition=partition.index,
         config=config,
@@ -445,6 +426,7 @@ def straggler_replan(
 def straggler_schedule(plan: StragglerPlan) -> list[dict]:
     """Per-round latency accounting for a straggler plan, slot counts only.
 
+    A round's batches are its coop groups, C(K_r, s) messages each.
     Round i runs on the engine's layout `delivery_layout(s, t - i, K_r)`:
     each original group's messages take one batch of C(K_r, g) receiver
     sets times the layout's slots per block, scaled by chunks(t) /
@@ -460,7 +442,7 @@ def straggler_schedule(plan: StragglerPlan) -> list[dict]:
     intact_chunks = 1 if intact is None else intact[1]
     schedule = []
     for i, rnd in enumerate(plan.rounds):
-        batches = len({entry[0].coop for entry in rnd})
+        batches = len(rnd)
         t_eff = t - i
         layout = delivery_layout(s, t_eff, K_r)
         slots = None
@@ -472,7 +454,7 @@ def straggler_schedule(plan: StragglerPlan) -> list[dict]:
         schedule.append(
             {
                 "round": i,
-                "messages": len(rnd),
+                "messages": batches * math.comb(K_r, s),
                 "batches": batches,
                 "effective_coop_size": t_eff,
                 "slots": slots,

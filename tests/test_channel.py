@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -55,13 +54,17 @@ def _prepared(params, K_r, t, seed=0):
     return cfg, segs, parts
 
 
-def _reference_symbol(message, chunk_index, n_chunks):
-    """One chunk's symbol by the per-chunk formula, scalar calls throughout."""
-    step = len(message.payload) // n_chunks
-    chunk = message.payload[chunk_index * step : (chunk_index + 1) * step]
-    address = (message.partition, message.dest_group.members, message.coop.members, chunk_index)
-    tag = hashlib.blake2b(repr(address).encode() + chunk, digest_size=8).digest()
-    phase = 2.0 * np.pi * (int.from_bytes(tag, "little") / 2**64)
+def _reference_symbol(payload, m, chunk_index, n_chunks):
+    """One chunk's symbol by the per-chunk formula, in Python ints mod 2**64:
+    the phase is 2 pi v / 2**64, v = sum_i b_i P**(i+1) + q P**(step+1)
+    over the chunk's bytes b_i of message m's `payload`, at position q = m *
+    n_chunks + chunk_index, P = 0x9E3779B97F4A7C15."""
+    P, mod = 0x9E3779B97F4A7C15, 2**64
+    step = len(payload) // n_chunks
+    chunk = payload[chunk_index * step : (chunk_index + 1) * step]
+    q = m * n_chunks + chunk_index
+    v = sum(b * pow(P, i + 1, mod) for i, b in enumerate(chunk)) + q * pow(P, step + 1, mod)
+    phase = 2.0 * np.pi * (v % mod / mod)
     return complex(np.cos(phase), np.sin(phase))
 
 
@@ -258,11 +261,12 @@ class TestNeutralizingPrecoder:
         ch = draw_channel(cfg, seed=5)
         rep = simulate_partition(part, cfg, ch, encode_payloads(segs, part, cfg), snr_db=10.0)
         rng, sigma = np.random.default_rng(ch.seed ^ 0xA5A5), 10.0 ** (-10.0 / 20.0)
-        by_pair = {(m.dest_group, m.coop): m for m in msgs}
+        by_pair = {(msg.dest_group, msg.coop): m for m, msg in enumerate(msgs)}
         errors = []
         for group, coop, slots, row, vectors in _reference_blocks(ch, cfg, part):
             dest_groups = enum_subsets(group, cfg.s)
-            sym = {dg: _reference_symbol(by_pair[(dg, coop)], 0, 1) for dg in dest_groups}
+            at = {dg: by_pair[(dg, coop)] for dg in dest_groups}
+            sym = {dg: _reference_symbol(msgs[m].payload, m, 0, 1) for dg, m in at.items()}
             y = {}
             for d in slots:
                 for j in group:
@@ -472,10 +476,10 @@ class TestTimeDivisionDelivery:
 
         real_symbols = channel.payload_symbols
 
-        def first_block_lost(partition, config, payloads, n_chunks):
+        def first_block_lost(payloads, n_chunks, n_messages):
             # chunk 0 of a message whose dest group lies in the first
             # receiver set rides in that set's first block
-            x = real_symbols(partition, config, payloads, n_chunks)
+            x = real_symbols(payloads, n_chunks, n_messages)
             for m, (coop, dest_group) in enumerate(pairs):
                 if coop == first_coop and dest_group.issubset(first_rx):
                     x[m, 0] = complex("nan")
@@ -777,7 +781,7 @@ class TestEndToEnd:
                     cfg, segs, parts = _prepared(params, K_r=K_r, t=t)
                     _shape, n_chunks = channel._partition_layout(cfg)
                     payloads = encode_payloads(segs, parts[0], cfg)
-                    channel.payload_symbols(parts[0], cfg, payloads, n_chunks)
+                    channel.payload_symbols(payloads, n_chunks, len(payloads))
                     runs = True
                 except ValueError:
                     runs = False
@@ -801,6 +805,7 @@ class TestEndToEnd:
             lambda rows: rows[:, :-1],
             lambda rows: rows.ravel(),
             lambda rows: rows.astype(np.int64),
+            lambda rows: list(rows),
         ],
         ids=[
             "one_row_too_few",
@@ -808,6 +813,7 @@ class TestEndToEnd:
             "width_not_in_chunks",
             "one_dimensional",
             "not_bytes",
+            "list_of_rows",
         ],
     )
     def test_misshapen_payloads_rejected_before_any_precoder(self, monkeypatch, reshape):
@@ -818,13 +824,19 @@ class TestEndToEnd:
         payloads = reshape(encode_payloads(segs, parts[0], cfg))
         ch = draw_channel(cfg, seed=0)
         built = []
+        monkeypatch.setattr(channel, "neutralizing_precoder", lambda *a: built.append(a))
         monkeypatch.setattr(channel, "build_precoders", lambda *a: built.append(a))
+        got = (
+            f"{payloads.dtype} of shape {payloads.shape}"
+            if isinstance(payloads, np.ndarray) else "list"
+        )
+        need = f"need a (45, L) uint8 payload array with L a multiple of 4 chunks, got {got}"
         with pytest.raises(ParameterError) as exc:
             simulate_partition(parts[0], cfg, ch, payloads)
-        assert str(exc.value) == (
-            "partition 1 needs a (45, L) uint8 payload array with L a multiple of 4 chunks, "
-            f"got {payloads.dtype} of shape {payloads.shape}"
-        )
+        assert str(exc.value) == need
+        with pytest.raises(ParameterError) as exc:
+            simulate_with_resample(parts[0], cfg, payloads, seed=0)
+        assert str(exc.value) == need
         assert built == []  # rejected before any block's precoders are built
 
     def test_noise_mode_reports_mse(self):
@@ -917,7 +929,7 @@ def _per_block_partition(partition, cfg, ch, messages, snr_db=None):
             W.append(w / norm)
             ids.append([index[(dg, coop)] for dg in dest_groups])
             x.append([
-                _reference_symbol(messages[m], next_chunk[dg], n_chunks)
+                _reference_symbol(messages[m].payload, m, next_chunk[dg], n_chunks)
                 for m, dg in zip(ids[-1], dest_groups)
             ])
         next_chunk.update(dest_groups)
@@ -1013,14 +1025,39 @@ class TestPayloadSymbols:
             for part in (parts[0], parts[-1]):
                 msgs = encode_partition(segs, part, cfg)
                 payloads = encode_payloads(segs, part, cfg)
-                got = channel.payload_symbols(part, cfg, payloads, n_chunks)
+                got = channel.payload_symbols(payloads, n_chunks, len(msgs))
                 want = np.array([
-                    [_reference_symbol(m, c, n_chunks) for c in range(n_chunks)] for m in msgs
+                    [_reference_symbol(msg.payload, m, c, n_chunks) for c in range(n_chunks)]
+                    for m, msg in enumerate(msgs)
                 ])
                 where = (K, r, K_r, t, part.index)
                 assert got.shape == (len(msgs), n_chunks) and got.dtype == complex, where
                 assert got.real.tobytes() == want.real.tobytes(), where
                 assert got.imag.tobytes() == want.imag.tobytes(), where
+
+    @pytest.mark.parametrize("K, r, K_r, t", [(9, 3, 6, 2), (10, 5, 5, 2)])
+    def test_one_byte_moves_only_its_own_symbol(self, K, r, K_r, t):
+        # partition 1 at eight times the default B, so chunks hold several
+        # bytes: flipping any one byte of any row changes exactly that
+        # (row, chunk) symbol, and identical rows at different positions
+        # still get pairwise different symbols
+        probe = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8)
+        B = 8 * simulation_bits(validate_config(probe, K_r, t), 8)
+        cfg, segs, parts = _prepared(SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=B), K_r, t)
+        n_chunks = delivery_layout(cfg.s, t, K_r)[1]
+        payloads = encode_payloads(segs, parts[0], cfg)
+        rows, width = payloads.shape
+        step = width // n_chunks
+        assert step > 1
+        base = channel.payload_symbols(payloads, n_chunks, rows)
+        for m in range(rows):
+            for i in range(width):
+                flipped = payloads.copy()
+                flipped[m, i] ^= 0xFF
+                moved = channel.payload_symbols(flipped, n_chunks, rows) != base
+                assert list(zip(*np.nonzero(moved))) == [(m, i // step)], (m, i)
+        same = np.repeat(payloads[:1], rows, axis=0)
+        assert len(np.unique(channel.payload_symbols(same, n_chunks, rows))) == rows * n_chunks
 
     def test_payload_that_does_not_split_rejected(self):
         params = SystemParams(K=9, N=84, Q=9, r=3, B=480)
