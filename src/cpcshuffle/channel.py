@@ -15,15 +15,16 @@ each message's chunk index, and which receiver positions of a block want
 which of its C(g, s) messages, depend on the config alone, so they are
 one config-level table (`_block_tables`).  `draw_channel` draws exactly
 the gains these blocks read, each once, as one (block, slot, receiver,
-transmitter) array.  A partition's delivery is then one array pass: one
-determinant call builds every (block, message, slot) cofactor precoder,
-and the stacked blocks give the effective gains, the nulling residual at
-the unintended receivers, the received signals, and every receiver's
-square system with its condition number and solve.  Per block only the
-unit-norm check of the precoders (`build_precoders`) runs.  A partition's
-messages arrive by position, as the rows of one (messages, L) payload
-array, with no (p, D, B) label; one `payload_symbols` array pass maps
-each of their chunks to its symbol, and each block reads its own.
+transmitter) array per partition.  A config's partitions are delivered
+in chunks, each one array pass over its partitions' stacked blocks: one
+determinant call builds every cofactor precoder, one `build_precoders`
+call normalizes them, and the stacked blocks give the effective gains,
+the nulling residual, the received signals, and every receiver's square
+system with its condition number and solve.  `STACK_ELEMENTS` bounds a
+chunk's stacked gains, and a guard trip resamples only the partition
+that tripped.  A partition's messages arrive by position, as the rows of
+one (messages, L) payload array; one `payload_symbols` array pass per
+partition maps each of their chunks to its symbol.
 
 A message is cut into C(K_r-s, g-s) chunks, one per receiver set that
 contains D, so the per-receiver DoF is g / K_r.  `model.delivery_layout`
@@ -44,7 +45,7 @@ import hashlib
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from fractions import Fraction
 from itertools import combinations
 
@@ -72,6 +73,7 @@ from .placement import build_placement, map_phase, required_ivs
 
 TOLERANCE = 1e-8
 CONDITION_GUARD = 1e8
+STACK_ELEMENTS = 1 << 12  # gains in one stacked chunk of partitions
 _PHASE_BASE = 0x9E3779B97F4A7C15  # odd: 2**64 over the golden ratio
 
 
@@ -275,6 +277,102 @@ def _block_tables(s: int, t: int, K_r: int, K_t: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
+def _deliver(partitions, config, channels, payloads, snr_db=None) -> list[DeliveryReport]:
+    """Neutralized delivery of a chunk of partitions, as one array pass.
+
+    Receiver sets of size g are served in lex order, and within each set
+    the cooperation groups in lex order, one block apiece.  A block
+    carries, for every dest group inside the set, that message's chunk
+    for the set; the coop group's first g-s+1 members transmit it.  Block
+    b of the i-th partition reads `channels[i].gains[b]`; a channel of
+    another shape than `draw_channel` gives this config raises
+    ParameterError.  Stacking (partition, block) on the leading axis, one
+    cofactor call, one `build_precoders`, one `cond` and one `solve` serve
+    the chunk; each partition has its own `payload_symbols` array and
+    `--snr` noise stream.  A receiver solves a symbol when its relative
+    error is below `TOLERANCE`, or always under `snr_db`, where
+    `noise_mse` averages the squared symbol errors instead, and holds a
+    message once it has all of its chunks.  `payloads[i]` holds the i-th
+    partition's rows as `codec.encode_payloads` returns them; any other
+    shape raises ParameterError before any precoder is built.  A zero
+    cofactor vector or a condition number past `CONDITION_GUARD` in any
+    partition raises ChannelConditionError.
+    """
+    sigma = None if snr_db is None else check_snr(snr_db)
+    shape, n_chunks = _partition_layout(config)
+    for channel in channels:
+        if channel.gains.shape != shape:
+            raise ParameterError(f"channel gains have shape {channel.gains.shape}, need {shape}")
+    n_blocks, gamma, g, _n_tx = shape
+    tables = _block_tables(config.s, config.t, config.K_r, config.K_t)
+    rx_pos, ids, chunks, wants, nulled, wanted = tables
+    n_messages = math.comb(config.K_t, config.t) * math.comb(config.K_r, config.s)
+    symbols = np.array([payload_symbols(rows, n_chunks, n_messages) for rows in payloads])
+
+    # stacked block b = i * n_blocks + j, block j of the i-th partition, has
+    # gains H[b, i, k, l], precoders W[b, u, i, l] and transmits x[b, u],
+    # the chunk of its partition's message ids[j, u] that rides in it.
+    n_parts = len(partitions)
+    H = np.concatenate([channel.gains for channel in channels])
+    W = build_precoders(neutralizing_precoder(H[:, :, nulled].transpose(0, 2, 1, 3, 4)))
+    x = symbols[:, ids, chunks].reshape(n_parts * n_blocks, -1)
+
+    # G[b, i, k, u]: unknown u's effective gain at receiver position k in slot i
+    G = np.einsum("bikl,buil->biku", H, W)
+    residual = np.abs(G) / np.linalg.norm(H, axis=-1)[..., None]
+    y = np.einsum("biku,bu->bik", G, x)
+    if sigma is not None:
+        rngs = (np.random.default_rng(channel.seed ^ 0xA5A5) for channel in channels)
+        noise = np.concatenate([rng.standard_normal((*shape[:3], 2)) for rng in rngs])
+        y += sigma * noise.view(complex)[..., 0] / np.sqrt(2.0)
+    # A[b, k]: receiver k's square system, slots by the unknowns it wants
+    A = G[:, :, np.arange(g)[:, None], wanted].transpose(0, 2, 1, 3)
+    condition = np.linalg.cond(A).reshape(n_parts, -1).max(axis=1)
+    if condition.max() > CONDITION_GUARD:
+        raise ChannelConditionError(
+            f"condition number {condition.max():.3e} exceeds guard {CONDITION_GUARD:.1e}"
+        )
+    x_hat = np.linalg.solve(A, y.transpose(0, 2, 1)[..., None])[..., 0]
+    sent = x[:, wanted]
+    err = np.abs(x_hat - sent) / np.abs(sent)
+    solved = err < TOLERANCE if sigma is None else np.ones(err.shape, dtype=bool)
+    if sigma is not None:
+        with np.errstate(over="ignore"):
+            mse = (err * err).reshape(n_parts, -1).sum(axis=1) / (err.size // n_parts)
+        if not np.isfinite(mse).all():
+            raise ParameterError(
+                f"snr_db {snr_db} drives the noise mean squared error past the largest float"
+            )
+
+    # receiver position k of the i-th partition counts at i * K_r + k
+    at = rx_pos + config.K_r * np.arange(n_parts)[:, None, None]
+    solved_at = np.bincount(at.ravel(), solved.sum(axis=2).ravel(), minlength=n_parts * config.K_r)
+    least = solved_at.reshape(n_parts, -1).min(axis=1)
+    # a receiver that misses any chunk it wants of a message does not hold it
+    b, k, w = np.nonzero(~solved)
+    held = np.ones((n_parts, config.K_r, n_messages), dtype=bool)
+    part, block = np.divmod(b, n_blocks)
+    held[part, rx_pos[block, k], ids[block, wanted[k, w]]] = False
+    residual = residual.reshape(n_parts, -1, *wants.shape)
+    residual = residual.max(axis=(1, 2, 3), where=~wants, initial=0.0)
+    err = err.reshape(n_parts, -1).max(axis=1)
+    return [
+        DeliveryReport(
+            partition=partition.index,
+            regime="single_shot" if g == config.K_r else "time_division",
+            slots_used=n_blocks * gamma,
+            symbols_per_receiver=int(least[i]),
+            measured_dof=Fraction(int(least[i]), n_blocks * gamma),
+            max_condition=float(condition[i]),
+            max_residual=float(residual[i]),
+            max_symbol_error=float(err[i]),
+            noise_mse=None if sigma is None else float(mse[i]),
+            held=held[i],
+        )
+        for i, partition in enumerate(partitions)
+    ]
+
+
 def simulate_partition(
     partition: Partition,
     config: ShuffleConfig,
@@ -282,96 +380,31 @@ def simulate_partition(
     payloads: np.ndarray,
     snr_db: float | None = None,
 ) -> DeliveryReport:
-    """Neutralized delivery of one partition's messages, as one array pass.
-
-    Receiver sets of size g are served in lex order, and within each set
-    the cooperation groups in lex order, one block apiece.  A block
-    carries, for every dest group inside the set, that message's chunk
-    for the set; the coop group's first g-s+1 members transmit it.  Block
-    b's gains are `channel.gains[b]`, and a channel of any other shape
-    than `draw_channel` gives this config raises ParameterError.  The
-    cofactors, message positions and chunk indices of every block come
-    from one call or gather each; each block's precoders are normalized by
-    its own `build_precoders` call, and each (block, message) reads its
-    chunk's symbol from the partition's one `payload_symbols` array.  The
-    rest runs over the stacked blocks.  A receiver solves a symbol when
-    its relative error is below `TOLERANCE`, or always under `snr_db`,
-    where `noise_mse` averages the squared symbol errors instead.  It
-    holds a message once it has all of its chunks.
-    `payloads` holds the partition's messages by position, as
-    `codec.encode_payloads` returns them, and of `partition` only its
-    index is read; any other shape raises ParameterError before any
-    block's precoders are built.  The report's `held` says which
-    receivers lost which messages.
-    """
-    sigma = None if snr_db is None else check_snr(snr_db)
-    shape, n_chunks = _partition_layout(config)
-    if channel.gains.shape != shape:
-        raise ParameterError(f"channel gains have shape {channel.gains.shape}, need {shape}")
-    n_blocks, gamma, g, _n_tx = shape
-    slots = n_blocks * gamma
-    tables = _block_tables(config.s, config.t, config.K_r, config.K_t)
-    rx_pos, ids, chunks, wants, nulled, wanted = tables
-    n_messages = math.comb(config.K_t, config.t) * math.comb(config.K_r, config.s)
-    symbols = payload_symbols(payloads, n_chunks, n_messages)
-
-    # block b serves receiver positions rx_pos[b]: gains H[b, i, k, l],
-    # precoders W[b, u, i, l], and the message position ids[b, u] and
-    # transmitted symbol x[b, u] of unknown u, the chunk of its message that
-    # rides in the block.
-    H = channel.gains
-    cofactors = neutralizing_precoder(H[:, :, nulled].transpose(0, 2, 1, 3, 4))
-    W = np.array([build_precoders(w) for w in cofactors])
-    x = symbols[ids, chunks]
-
-    # G[b, i, k, u]: unknown u's effective gain at receiver position k in slot i
-    G = np.einsum("bikl,buil->biku", H, W)
-    residual = np.abs(G) / np.linalg.norm(H, axis=-1)[..., None]
-    y = np.einsum("biku,bu->bik", G, x)
-    if sigma is not None:
-        rng = np.random.default_rng(channel.seed ^ 0xA5A5)
-        y += sigma * rng.standard_normal((*y.shape, 2)).view(complex)[..., 0] / np.sqrt(2.0)
-    # A[b, k]: receiver k's square system, slots by the unknowns it wants
-    A = G[:, :, np.arange(g)[:, None], wanted].transpose(0, 2, 1, 3)
-    report = DeliveryReport(
-        partition=partition.index,
-        regime="single_shot" if g == config.K_r else "time_division",
-        slots_used=slots,
-        max_condition=float(np.linalg.cond(A).max()),
-        max_residual=float(residual.max(where=~wants, initial=0.0)),
-    )
-    if report.max_condition > CONDITION_GUARD:
-        raise ChannelConditionError(
-            f"condition number {report.max_condition:.3e} exceeds guard {CONDITION_GUARD:.1e}"
-        )
-    x_hat = np.linalg.solve(A, y.transpose(0, 2, 1)[..., None])[..., 0]
-    sent = x[:, wanted]
-    err = np.abs(x_hat - sent) / np.abs(sent)
-    report.max_symbol_error = float(err.max())
-    if sigma is None:
-        solved = err < TOLERANCE
-    else:
-        solved = np.ones(err.shape, dtype=bool)
-        with np.errstate(over="ignore"):
-            report.noise_mse = float((err * err).sum()) / err.size
-        if not math.isfinite(report.noise_mse):
-            raise ParameterError(
-                f"snr_db {snr_db} drives the noise mean squared error past the largest float"
-            )
-
-    solved_at = np.bincount(rx_pos.ravel(), solved.sum(axis=2).ravel(), minlength=config.K_r)
-    report.symbols_per_receiver = int(solved_at.min())
-    report.measured_dof = Fraction(report.symbols_per_receiver, slots)
-    # a receiver that misses any chunk it wants of a message does not hold it
-    b, k, w = np.nonzero(~solved)
-    report.held = np.ones((config.K_r, len(payloads)), dtype=bool)
-    report.held[rx_pos[b, k], ids[b, wanted[k, w]]] = False
+    """Neutralized delivery of one partition's (messages, L) payload rows
+    over `channel`: the one-partition case of `_deliver`."""
+    (report,) = _deliver([partition], config, [channel], [payloads], snr_db)
     return report
 
 
 def _channel_seed(seed: int, p: int, attempt: int) -> int:
     digest = hashlib.blake2b(f"{seed}:{p}:{attempt}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little")
+
+
+def _resampled(partitions, config, payloads, seed, snr_db=None, channels=None):
+    """`_deliver` over the partitions' attempt-0 draws, stacked.  On a
+    trip each partition runs alone on its draw, and one that trips alone
+    is redrawn once, with attempt 1; a second trip raises."""
+    if channels is None:
+        channels = [draw_channel(config, _channel_seed(seed, p.index, 0)) for p in partitions]
+    try:
+        return _deliver(partitions, config, channels, payloads, snr_db)
+    except ChannelConditionError:
+        if len(partitions) > 1:
+            alone = zip(partitions, payloads, channels)
+            return [_resampled([p], config, [rows], seed, snr_db, [h])[0] for p, rows, h in alone]
+    redrawn = draw_channel(config, _channel_seed(seed, partitions[0].index, 1))
+    return _deliver(partitions, config, [redrawn], payloads, snr_db)
 
 
 def simulate_with_resample(
@@ -382,14 +415,20 @@ def simulate_with_resample(
     snr_db: float | None = None,
 ) -> DeliveryReport:
     """Run a partition; on a condition-guard trip, resample the channel once."""
-    def attempt(n: int) -> DeliveryReport:
-        channel = draw_channel(config, _channel_seed(seed, partition.index, n))
-        return simulate_partition(partition, config, channel, payloads, snr_db)
+    (report,) = _resampled([partition], config, [payloads], seed, snr_db)
+    return report
 
-    try:
-        return attempt(0)
-    except ChannelConditionError:
-        return attempt(1)
+
+def _deliver_chunks(config, seed, partitions, payloads, snr_db=None):
+    """Yield (partition, its `held` mask, its report) in order, from
+    `_resampled` over chunks of partitions whose stacked gains hold at
+    most `STACK_ELEMENTS` values, one partition at least.  `payloads[i]`
+    holds the i-th partition's rows."""
+    per = max(1, STACK_ELEMENTS // math.prod(_partition_layout(config)[0]))
+    for lo in range(0, len(partitions), per):
+        chunk = partitions[lo : lo + per]
+        reports = _resampled(chunk, config, payloads[lo : lo + per], seed, snr_db)
+        yield from ((part, sim.held, sim) for part, sim in zip(chunk, reports))
 
 
 @dataclass
@@ -438,12 +477,13 @@ def _pipeline(
     `corrupt=(p, i)` flips byte 0 of partition p's i-th message; a p or i
     that is not an integer position among the partitions and a
     partition's messages raises ParameterError before any work starts.
-    `deliver(partition, payloads)` gets the partition's (messages, L)
-    payload rows and returns its (K_r, messages) `held` mask, and its
-    DeliveryReport or None over an ideal channel; of that report only
-    five numbers are kept.  Reassembly reads one (all messages, L)
-    payload array and one (K+1, all messages) `held` mask, both in
-    `message_of` numbering.  The report's `params` names the instance.
+    `deliver(partitions, payloads)` gets every partition and its
+    (messages, L) payload rows, stacked, and yields (partition, its
+    (K_r, messages) `held` mask, its DeliveryReport or None over an ideal
+    channel); five numbers of a report are kept.  Reassembly reads one
+    (all messages, L) payload array and one (K+1, all messages) `held`
+    mask in `message_of` numbering; `held` starts all False, so a
+    partition that `deliver` does not yield fails.  `params` names the instance.
     """
     if corrupt is not None:
         n_parts = math.comb(params.K, config.K_t)
@@ -461,17 +501,15 @@ def _pipeline(
     partitions = segments.partitions
     report = VerificationReport(False, [], len(partitions), params=config.summary(seed))
     n = segments.messages.shape[1]
-    payloads = np.empty((len(partitions) * n, segments.data.shape[1]), dtype=np.uint8)
-    held = np.ones((params.K + 1, len(payloads)), dtype=bool)
+    payloads = np.empty((len(partitions), n, segments.data.shape[1]), dtype=np.uint8)
     for part in partitions:
-        messages = encode_partition(segments, part, config)
-        at = slice((part.index - 1) * n, part.index * n)
-        joined = b"".join(m.payload for m in messages)
-        payloads[at] = np.frombuffer(joined, dtype=np.uint8).reshape(n, -1)
-        if corrupt is not None and corrupt[0] == part.index:
-            payloads[at.start + corrupt[1], 0] ^= 0xFF
-        got, sim = deliver(part, payloads[at])
-        held[list(part.rx), at] = got
+        joined = b"".join(m.payload for m in encode_partition(segments, part, config))
+        payloads[part.index - 1] = np.frombuffer(joined, dtype=np.uint8).reshape(n, -1)
+    if corrupt is not None:
+        payloads[corrupt[0] - 1, corrupt[1], 0] ^= 0xFF
+    held = np.zeros((params.K + 1, len(partitions), n), dtype=bool)
+    for part, got, sim in deliver(partitions, payloads):
+        held[list(part.rx), part.index - 1] = got
         if sim is not None:
             report.slots_total += sim.slots_used
             report.max_condition = max(report.max_condition, sim.max_condition)
@@ -479,6 +517,7 @@ def _pipeline(
             report.max_symbol_error = max(report.max_symbol_error, sim.max_symbol_error)
             dof = report.measured_dof
             report.measured_dof = sim.measured_dof if dof is None else min(dof, sim.measured_dof)
+    payloads, held = payloads.reshape(-1, payloads.shape[-1]), held.reshape(params.K + 1, -1)
     report.failures = _verify_reassembly(placement, store, segments, payloads, held)
     report.ok = not report.failures
     return report
@@ -499,11 +538,7 @@ def end_to_end_verify(
     """
     check_simulable(config)
 
-    def over_channel(part: Partition, payloads: np.ndarray):
-        sim = simulate_with_resample(part, config, payloads, seed)
-        return sim.held, sim
-
-    report = _pipeline(params, config, seed, corrupt, over_channel)
+    report = _pipeline(params, config, seed, corrupt, partial(_deliver_chunks, config, seed))
     report.claimed_dof = delivery_dof(config.s, config.t, config.K_t, config.K_r)
     return report.ok, report
 
@@ -517,5 +552,7 @@ def ideal_verify(
     """XOR-only verification over an ideal channel (every payload delivered).
     `check_bits` refuses an unsplittable B before any work starts."""
     check_bits(config)
-    report = _pipeline(params, config, seed, corrupt, lambda part, payloads: (True, None))
+    report = _pipeline(
+        params, config, seed, corrupt, lambda parts, _rows: ((p, True, None) for p in parts)
+    )
     return report.ok, report

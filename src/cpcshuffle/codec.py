@@ -402,8 +402,11 @@ def straggler_replan(
     partition: Partition, config: ShuffleConfig, stragglers: NodeSet
 ) -> StragglerPlan:
     """Split a partition's cooperation groups into rounds by straggler
-    overlap, as `StragglerPlan` lays them out.  Requires |S| <= t-1 and S
-    inside the transmitter group."""
+    overlap, as `StragglerPlan` lays them out.  Requires K_t transmitters,
+    |S| <= t-1 and S inside the transmitter group."""
+    if len(partition.tx) != config.K_t:
+        detail = f"{len(partition.tx)} transmitters, need K_t={config.K_t}"
+        raise ConstraintViolation("|T_p| = K_t", detail)
     if not stragglers.issubset(partition.tx):
         raise ConstraintViolation(
             "S subset of T_p", f"{stragglers.members} not in {partition.tx.members}"

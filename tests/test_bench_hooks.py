@@ -84,20 +84,23 @@ def test_delivery_hook_reads_a_real_report(workloads, time_division_partition):
 
 
 def test_blocks_count_one_precoder_build_each(workloads, time_division_partition):
-    # `channel.blocks` counts `build_precoders` calls, so each (receiver
-    # set, cooperation group) block must build its precoders exactly once
+    # `build_precoders` takes the cofactors of stacked blocks, so the
+    # leading axes of its cofactor arrays count each (receiver set,
+    # cooperation group) block exactly once
     from cpcshuffle import channel
 
     config, part, payloads = time_division_partition
     targets = {name: workloads.TRACE_TARGETS[name]
                for name in ("channel.build_precoders", "channel.draw_channel")}
+    built = (channel, "build_precoders", lambda tr, args, kwargs, W: tr.add("built", len(args[0])))
+    targets["channel.build_precoders"] = built
     with workloads.Tracer() as tracer:
         tracer.install([channel], targets)
         channel.simulate_with_resample(part, config, payloads, 0)
     g = min(config.K_r, config.s + config.t - 1)
     blocks = math.comb(config.K_r, g) * math.comb(config.K_t, config.t)
     counts = workloads.layer_counts(tracer)
-    assert counts["channel.blocks"] == blocks == 60
+    assert tracer.counts["built"] == blocks == 60
     assert counts["channel.resamples"] == 0
 
 

@@ -490,7 +490,7 @@ class TestTimeDivisionDelivery:
         ch = draw_channel(cfg, seed=2)
         rep = simulate_partition(part, cfg, ch, payloads)
 
-        assert len(blocks) == partition_slots(cfg) // 2
+        assert sum(len(w) for w in blocks) == partition_slots(cfg) // 2
         dropped = [
             i for i, (coop, dest_group) in enumerate(pairs)
             if coop == first_coop and dest_group.issubset(first_rx)
@@ -712,20 +712,46 @@ class TestEndToEnd:
         cfg = validate_config(params, K_r, t)
         lost = {}
 
-        def all_but_one(part, payloads):
-            held = np.ones((K_r, len(payloads)), dtype=bool)
-            if part.index == 3:
-                coop, dest_group = _message_pairs(part, cfg)[-2]
-                k = dest_group.members[1]
-                held[part.rx.members.index(k), len(payloads) - 2] = False
-                lost.update(k=k, storage=coop | (dest_group - NodeSet.of(k)))
-            return held, None
+        def all_but_one(parts, payloads):
+            for part, rows in zip(parts, payloads):
+                held = np.ones((K_r, len(rows)), dtype=bool)
+                if part.index == 3:
+                    coop, dest_group = _message_pairs(part, cfg)[-2]
+                    k = dest_group.members[1]
+                    held[part.rx.members.index(k), len(rows) - 2] = False
+                    lost.update(k=k, storage=coop | (dest_group - NodeSet.of(k)))
+                yield part, held, None
 
         rep = channel._pipeline(params, cfg, 0, None, all_but_one)
         k, storage = lost["k"], lost["storage"]
         layout = block_ivs(build_placement(params), k, storage)
         assert len(layout) == (N // math.comb(K, r)) * (Q // K) > 1
         assert rep.failures == [(k, q, n) for q, n in sorted(layout)]
+
+    @pytest.mark.parametrize("skipped", [3, 20], ids=["third", "last"])
+    def test_partition_no_delivery_writes_fails_its_blocks(self, skipped):
+        # `held` starts all False: a partition that `deliver` never yields,
+        # in the middle or as a short last chunk, fails exactly the
+        # required IVs of every block its messages serve
+        probe = validate_config(SystemParams(K=6, N=40, Q=12, r=3, B=8), K_r=3, t=2)
+        params = SystemParams(K=6, N=40, Q=12, r=3, B=round_up_bits(probe, 8))
+        cfg = validate_config(params, K_r=3, t=2)
+
+        def all_but_one(parts, payloads):
+            return ((part, True, None) for part in parts if part.index != skipped)
+
+        rep = channel._pipeline(params, cfg, 0, None, all_but_one)
+        part = enum_partitions(6, cfg.K_t)[skipped - 1]
+        placement = build_placement(params)
+        lost = {
+            (k, q, n)
+            for coop, dest_group in _message_pairs(part, cfg)
+            for k in dest_group.members
+            for q, n in block_ivs(placement, k, coop | (dest_group - NodeSet.of(k)))
+        }
+        assert not rep.ok and rep.failures == sorted(lost)
+        per_block = (40 // math.comb(6, 3)) * (12 // 6)  # IVs per (dest, storage) block
+        assert len(lost) == len(_message_pairs(part, cfg)) * cfg.s * per_block
 
     def test_bad_tolerance_rejected(self, monkeypatch):
         # the tolerance is the module constant TOLERANCE, not an argument;
@@ -1008,6 +1034,93 @@ class TestBatchedDeliveryPin:
                 got = simulate_partition(part, cfg, ch, payloads, snr_db=snr_db)
                 assert got == want, where
                 assert np.array_equal(got.held, want.held), where
+
+
+def _default_b_instance(K, r, K_r, t, seed=0):
+    """(config, partitions, their stacked payload rows) at the CLI's default B."""
+    probe = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8)
+    B = simulation_bits(validate_config(probe, K_r, t), 8)
+    params = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=B)
+    cfg, segs, parts = _prepared(params, K_r=K_r, t=t, seed=seed)
+    return cfg, parts, np.array([encode_payloads(segs, part, cfg) for part in parts])
+
+
+def _chunks_of(monkeypatch, cfg, per):
+    # chunks of `per` partitions: the gains bound at `per` partitions' gains
+    shape, _chunks = channel._partition_layout(cfg)
+    monkeypatch.setattr(channel, "STACK_ELEMENTS", per * math.prod(shape))
+
+
+class TestStackedDelivery:
+    @pytest.mark.parametrize("snr_db", [None, 20.0], ids=["noiseless", "snr20"])
+    def test_stacked_pass_equals_the_per_partition_pass(self, monkeypatch, snr_db):
+        # every partition, delivered in chunks of 16 stacked partitions,
+        # gets the report and `held` mask that `simulate_with_resample`
+        # gives it alone, float fields compared by ==; 84 and 252
+        # partitions leave a short last chunk
+        real_build = channel.build_precoders
+        passes = []
+
+        def build(w):
+            passes.append(len(w))
+            return real_build(w)
+
+        monkeypatch.setattr(channel, "build_precoders", build)
+        cases = list(_simulatable_configs(6)) + [(9, 3, 6, 2), (10, 5, 5, 2)]
+        counts = {}
+        for K, r, K_r, t in cases:
+            cfg, parts, payloads = _default_b_instance(K, r, K_r, t, seed=K + r)
+            _chunks_of(monkeypatch, cfg, 16)
+            seed = K_r + t
+            passes.clear()
+            got = list(channel._deliver_chunks(cfg, seed, parts, payloads, snr_db))
+            n_blocks = channel._partition_layout(cfg)[0][0]
+            sizes = [min(16, len(parts) - lo) for lo in range(0, len(parts), 16)]
+            assert passes == [size * n_blocks for size in sizes], (K, r, K_r, t)
+            counts[K, r, K_r, t] = len(parts)
+            assert [part for part, _held, _rep in got] == parts
+            for (part, held, rep), rows in zip(got, payloads):
+                assert held is rep.held
+                want = simulate_with_resample(part, cfg, rows, seed, snr_db)
+                where = (K, r, K_r, t, part.index)
+                assert rep == want, where
+                assert np.array_equal(rep.held, want.held), where
+        assert (counts[9, 3, 6, 2], counts[10, 5, 5, 2]) == (84, 252)
+
+    @pytest.mark.parametrize("trip", ["zero_cofactors", "condition"])
+    def test_one_trip_redraws_only_its_partition(self, monkeypatch, trip):
+        # partition 5's first draw trips the guard inside a stacked chunk:
+        # only its attempt-1 seed is drawn again, and every report equals
+        # the one its partition gets alone
+        cfg, parts, payloads = _default_b_instance(9, 3, 6, 2)
+        _chunks_of(monkeypatch, cfg, 16)
+        seed, target = 3, channel._channel_seed(3, 5, 0)
+        real_draw = channel.draw_channel
+        drawn = []
+
+        def draw(config, channel_seed):
+            drawn.append(channel_seed)
+            ch = real_draw(config, channel_seed)
+            if channel_seed == target:
+                if trip == "zero_cofactors":
+                    ch.gains[0] = 0.0
+                else:
+                    ch.gains[0, 0, 0] *= 1e-12  # one receiver row of one slot
+            return ch
+
+        monkeypatch.setattr(channel, "draw_channel", draw)
+        text = "zero cofactors" if trip == "zero_cofactors" else "condition number"
+        with pytest.raises(ChannelConditionError, match=text):
+            simulate_partition(parts[4], cfg, draw(cfg, target), payloads[4])
+        drawn.clear()
+        got = list(channel._deliver_chunks(cfg, seed, parts, payloads))
+        first = [channel._channel_seed(seed, part.index, 0) for part in parts]
+        assert sorted(drawn) == sorted(first + [channel._channel_seed(seed, 5, 1)])
+        for (part, held, rep), rows in zip(got, payloads):
+            want = simulate_with_resample(part, cfg, rows, seed)
+            assert rep == want and np.array_equal(held, want.held), part.index
+        again = real_draw(cfg, channel._channel_seed(seed, 5, 1))
+        assert got[4][2] == simulate_partition(parts[4], cfg, again, payloads[4])
 
 
 class TestPayloadSymbols:

@@ -403,6 +403,16 @@ class TestStragglers:
         with pytest.raises(ConstraintViolation):
             straggler_replan(parts[0], cfg, NodeSet.of(1, 2))
 
+    def test_partition_of_another_transmitter_count_rejected(self, worked):
+        # a partition of four transmitters under the (6,3,3,2) config,
+        # whose partitions have K_t = 3: planned, it would count 6 groups
+        # and 18 messages in 12 slots
+        cfg, *_ = worked
+        wide = enum_partitions(6, 4)[0]
+        with pytest.raises(ConstraintViolation, match=r"\|T_p\| = K_t: 4 transmitters") as exc:
+            straggler_replan(wide, cfg, NodeSet(()))
+        assert exc.value.constraint == "|T_p| = K_t"
+
     def test_schedule_slot_accounting(self, worked):
         # the intact plan costs the ordinary partition budget; losing node 1
         # leaves singleton survivors, and s + t_eff = 2 + 1 = K_r is the
