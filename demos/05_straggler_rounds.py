@@ -41,8 +41,7 @@ for row, rnd in zip(straggler_schedule(plan), plan.rounds):
         print(f"    group {coop.members} -> survivors {eff.members} carry its packets")
 
 print()
-print("slot accounting (None = s + t_eff = K_r, the asymptotic-alignment")
-print("case the delivery engine does not build):")
+print("slot accounting:")
 for row in straggler_schedule(plan):
     print(f"  round {row['round']}: batches={row['batches']},"
           f" effective group size {row['effective_coop_size']},"

@@ -30,8 +30,8 @@ A message is cut into C(K_r-s, g-s) chunks, one per receiver set that
 contains D, so the per-receiver DoF is g / K_r.  `model.delivery_layout`
 is the one place these counts are computed.  Single shot (s+t > K_r)
 is the case g = K_r: one receiver set, one chunk, DoF 1.  Time division
-(s+t < K_r) has g = s+t-1.  s + t = K_r, the asymptotic-alignment
-regime, is not simulated.
+(s+t <= K_r) has g = s+t-1, so s + t = K_r, where the analytics claim an
+alignment DoF, realizes (K_r-1)/K_r.
 
 Each chunk rides as one unit-power complex symbol, its phase a polynomial
 in its bytes and its position, and a receiver holds a message once it
@@ -119,14 +119,8 @@ class DeliveryReport(_Report):
 
 def _partition_layout(config: ShuffleConfig) -> tuple[tuple[int, int, int, int], int]:
     """The shape (blocks, C(g-1, s-1) slots, g receivers, g-s+1
-    transmitters) of a partition's gains, and the chunks per message.
-    s + t = K_r has no layout and raises ParameterError."""
-    layout = delivery_layout(config.s, config.t, config.K_r)
-    if layout is None:
-        raise ParameterError(
-            "s + t = K_r sits in the asymptotic-alignment regime, which is not simulated"
-        )
-    g, n_chunks, gamma = layout
+    transmitters) of a partition's gains, and the chunks per message."""
+    g, n_chunks, gamma = delivery_layout(config.s, config.t, config.K_r)
     n_blocks = math.comb(config.K_r, g) * math.comb(config.K_t, config.t)
     return (n_blocks, gamma, g, g - config.s + 1), n_chunks
 
@@ -152,8 +146,8 @@ def check_snr(snr_db: float) -> float:
 
 
 def check_simulable(config: ShuffleConfig) -> None:
-    """Refuse, before any work, what the channel path cannot run: s + t =
-    K_r, and a B that does not cut IVs, segments and chunks into bytes."""
+    """Refuse, before any work, a B that does not cut IVs, segments and
+    channel chunks into bytes."""
     _shape, n_chunks = _partition_layout(config)
     B, step = config.params.B, bits_step(config, n_chunks)
     if B % step:
@@ -227,12 +221,8 @@ def build_precoders(w: np.ndarray) -> np.ndarray:
 
 def simulation_bits(config: ShuffleConfig, requested_bits: int) -> int:
     """Least B >= max(requested, 1) that the codec AND the simulator can
-    split evenly: `round_up_bits` over the layout's chunks per message.
-    s + t = K_r has no layout (it is not simulated), so there one chunk,
-    the codec's step alone, applies.
-    """
-    layout = delivery_layout(config.s, config.t, config.K_r)
-    return round_up_bits(config, requested_bits, 1 if layout is None else layout[1])
+    split evenly: `round_up_bits` over the layout's chunks per message."""
+    return round_up_bits(config, requested_bits, _partition_layout(config)[1])
 
 
 def partition_slots(config: ShuffleConfig) -> int:
@@ -275,6 +265,15 @@ def _block_tables(s: int, t: int, K_r: int, K_t: int) -> tuple[np.ndarray, ...]:
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+def _condition(A: np.ndarray) -> np.ndarray:
+    """`np.linalg.cond` of each stacked square system.  A 1 x 1 system's
+    is exactly 1 for a nonzero entry and inf for a zero one, so it runs no
+    SVD."""
+    if A.shape[-1] == 1:
+        return np.where(A[..., 0, 0] == 0, np.inf, 1.0)
+    return np.linalg.cond(A)
 
 
 def _deliver(partitions, config, channels, payloads, snr_db=None) -> list[DeliveryReport]:
@@ -327,7 +326,7 @@ def _deliver(partitions, config, channels, payloads, snr_db=None) -> list[Delive
         y += sigma * noise.view(complex)[..., 0] / np.sqrt(2.0)
     # A[b, k]: receiver k's square system, slots by the unknowns it wants
     A = G[:, :, np.arange(g)[:, None], wanted].transpose(0, 2, 1, 3)
-    condition = np.linalg.cond(A).reshape(n_parts, -1).max(axis=1)
+    condition = _condition(A).reshape(n_parts, -1).max(axis=1)
     if condition.max() > CONDITION_GUARD:
         raise ChannelConditionError(
             f"condition number {condition.max():.3e} exceeds guard {CONDITION_GUARD:.1e}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -315,7 +316,9 @@ def cmd_figures(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="cpcshuffle",
         description="Coded parallel-computing shuffle: construction, verification, analytics",

@@ -433,27 +433,20 @@ def straggler_schedule(plan: StragglerPlan) -> list[dict]:
     Round i runs on the engine's layout `delivery_layout(s, t - i, K_r)`:
     each original group's messages take one batch of C(K_r, g) receiver
     sets times the layout's slots per block, scaled by chunks(t) /
-    chunks(t - i) to the intact layout's symbol size (one chunk where
-    that layout is None, the count `channel.simulation_bits` gives
-    `bits_step` there).  The intact plan then costs exactly
-    `channel.partition_slots`, and rounds add up.
-    A round's count is None where its layout is; counts are exact, an int
-    or a Fraction.
+    chunks(t - i) to the intact layout's symbol size.  The intact plan
+    then costs exactly `channel.partition_slots`, and rounds add up.
+    Counts are exact, an int or a Fraction.
     """
     s, t, K_r = plan.config.s, plan.config.t, plan.config.K_r
-    intact = delivery_layout(s, t, K_r)
-    intact_chunks = 1 if intact is None else intact[1]
+    _g, intact_chunks, _per_block = delivery_layout(s, t, K_r)
     schedule = []
     for i, rnd in enumerate(plan.rounds):
         batches = len(rnd)
         t_eff = t - i
-        layout = delivery_layout(s, t_eff, K_r)
-        slots = None
-        if layout is not None:
-            g, chunks, per_block = layout
-            slots = Fraction(batches * math.comb(K_r, g) * per_block * intact_chunks, chunks)
-            if slots.denominator == 1:
-                slots = int(slots)
+        g, chunks, per_block = delivery_layout(s, t_eff, K_r)
+        slots = Fraction(batches * math.comb(K_r, g) * per_block * intact_chunks, chunks)
+        if slots.denominator == 1:
+            slots = int(slots)
         schedule.append(
             {
                 "round": i,

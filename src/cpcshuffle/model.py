@@ -209,9 +209,8 @@ class ShuffleConfig:
         return dict(K=p.K, N=p.N, Q=p.Q, r=p.r, B=p.B, K_r=self.K_r, t=self.t, s=self.s, seed=seed)
 
 
-def delivery_layout(s: int, t: int, K_r: int) -> tuple[int, int, int] | None:
-    """(g, chunks per message, slots per block) of the delivery scheme, or
-    None at s + t = K_r, the asymptotic-alignment case it does not build.
+def delivery_layout(s: int, t: int, K_r: int) -> tuple[int, int, int]:
+    """(g, chunks per message, slots per block) of the delivery scheme.
 
     Receiver sets have size g = min(K_r, s+t-1); a message is cut into
     one chunk per receiver set containing its dest group, C(K_r-s, g-s);
@@ -219,8 +218,6 @@ def delivery_layout(s: int, t: int, K_r: int) -> tuple[int, int, int] | None:
     """
     if not 1 <= s <= K_r or t < 1:
         raise ParameterError(f"need 1 <= s <= K_r and t >= 1, got s={s}, t={t}, K_r={K_r}")
-    if s + t == K_r:
-        return None
     g = min(K_r, s + t - 1)
     return g, math.comb(K_r - s, g - s), math.comb(g - 1, s - 1)
 

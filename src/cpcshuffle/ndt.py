@@ -146,7 +146,8 @@ def delivery_dof(s: int, t: int, K_t: int, K_r: int) -> Fraction:
     `verify` reports it as `claimed_dof`, and the scheme NDT is built on
     it.  It is not what the channel engine realizes: that is g/K_r, with
     g = min(K_r, s+t-1) read from `model.delivery_layout`, so the two
-    differ wherever d' wins and at s+t = K_r.
+    differ wherever d' wins and at s+t = K_r, which the engine runs as
+    time division at (K_r-1)/K_r against the alignment claim a/(a+1).
     """
     check_config(K_t + K_r, s + t - 1, K_r, t)  # K = K_t + K_r, r = s + t - 1
     return Fraction(*_dof_pair(s, t, K_t, K_r))

@@ -99,9 +99,9 @@ class TestDrawChannel:
     def test_draws_exactly_the_gains_the_blocks_read(self):
         # one (slot, receiver, transmitter) array per block, in
         # `_block_tables` order: g * (g - s + 1) gains per slot, no more,
-        # re then im of one standard-normal stream, on every simulatable
+        # re then im of one standard-normal stream, on every valid
         # config with K <= 8
-        for K, r, K_r, t in _simulatable_configs(8):
+        for K, r, K_r, t in _valid_configs(8):
             cfg = validate_config(SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8), K_r, t)
             g, _chunks, gamma = delivery_layout(cfg.s, t, K_r)
             rx_pos, *_ = channel._block_tables(cfg.s, t, K_r, cfg.K_t)
@@ -324,9 +324,9 @@ def _reference_system(group, s, j, slots, row, vectors):
 class TestBlockSchedule:
     def test_wants_is_dest_group_membership(self):
         # the config-level table equals `j in dest_group` computed per block,
-        # on the first and last partition of every simulatable config, K <= 8
-        configs = list(_simulatable_configs(8))
-        assert len(configs) == 176
+        # on the first and last partition of every valid config, K <= 8
+        configs = list(_valid_configs(8))
+        assert len(configs) == 210
         for K, r, K_r, t in configs:
             cfg = validate_config(SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8), K_r, t)
             s, g = cfg.s, min(K_r, cfg.s + t - 1)
@@ -349,8 +349,8 @@ class TestBlockSchedule:
         # the position tables, mapped through a partition's receivers, equal
         # the per-block receivers, (D, B) lookups of message positions and Counter
         # of chunk indices, on the first and last partition of every
-        # simulatable config, K <= 8
-        for K, r, K_r, t in _simulatable_configs(8):
+        # valid config, K <= 8
+        for K, r, K_r, t in _valid_configs(8):
             cfg = validate_config(SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8), K_r, t)
             s, g = cfg.s, min(K_r, cfg.s + t - 1)
             rx_pos, ids, chunk, *_ = channel._block_tables(s, t, K_r, cfg.K_t)
@@ -512,23 +512,23 @@ class TestTimeDivisionDelivery:
 
 
 class TestDispatchAndResample:
-    def test_alignment_regime_unsupported(self):
-        # s + t = K_r is the asymptotic-alignment case, analytics only
+    def test_alignment_regime_runs_as_time_division(self):
+        # s + t = K_r, where the analytics claim an alignment DoF, runs on
+        # the one engine at g = K_r - 1: C(4, 3) receiver sets times C(2, 1)
+        # coop groups, one slot each, and each receiver sits in 3 of 4 sets
         params = SystemParams(K=6, N=20, Q=6, r=3, B=480)
         cfg, segs, parts = _prepared(params, K_r=4, t=1)
         assert cfg.s + cfg.t == cfg.K_r
-        refusal = "asymptotic-alignment regime, which is not simulated"
-        with pytest.raises(ParameterError, match=refusal):
-            partition_slots(cfg)
-        with pytest.raises(ParameterError, match=refusal):
-            draw_channel(cfg, seed=0)
-        # refused before the channel's shape is read
+        assert partition_slots(cfg) == 8
+        assert draw_channel(cfg, seed=0).gains.shape == (8, 1, 3, 1)
         payloads = encode_payloads(segs, parts[0], cfg)
+        rep = simulate_with_resample(parts[0], cfg, payloads, seed=0)
+        assert (rep.regime, rep.slots_used, rep.measured_dof) == ("time_division", 8, Fraction(3, 4))
+        assert rep.held.all()
+        # a channel drawn for another config is refused before delivery
         ch = draw_channel(validate_config(params, K_r=3, t=1), seed=0)
-        with pytest.raises(ParameterError, match=refusal):
+        with pytest.raises(ParameterError, match=r"channel gains have shape \(3, 1, 3, 1\)"):
             simulate_partition(parts[0], cfg, ch, payloads)
-        with pytest.raises(ParameterError, match=refusal):
-            simulate_with_resample(parts[0], cfg, payloads, seed=0)
 
     def test_resample_gives_up_after_two(self, monkeypatch):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
@@ -767,10 +767,9 @@ class TestEndToEnd:
             raise AssertionError("placement built before the config was checked")
 
         monkeypatch.setattr(channel, "build_placement", placed)
+        # s + t = K_r is simulated: only B is checked, and 480 splits
         params = SystemParams(K=6, N=20, Q=6, r=3, B=480)
-        cfg = validate_config(params, K_r=4, t=1)
-        with pytest.raises(ParameterError, match="asymptotic-alignment regime, which is not"):
-            end_to_end_verify(params, cfg, seed=0)
+        channel.check_simulable(validate_config(params, K_r=4, t=1))
         # 120 bits suit the codec but make one-byte payloads of 4 chunks
         params = SystemParams(K=9, N=84, Q=9, r=3, B=120)
         cfg = validate_config(params, K_r=6, t=2)
@@ -880,15 +879,12 @@ class TestEndToEnd:
         assert ok and rep.measured_dof == Fraction(1, 2)  # r / K_r
 
 
-def _simulatable_configs(max_k):
+def _valid_configs(max_k):
     for K in range(2, max_k + 1):
         for r in range(1, K):
             for K_r in range(1, K):
                 for t in range(1, r + 1):
-                    if (
-                        config_violation(K, r, K_r, t) is None
-                        and delivery_layout(r + 1 - t, t, K_r) is not None
-                    ):
+                    if config_violation(K, r, K_r, t) is None:
                         yield K, r, K_r, t
 
 
@@ -897,7 +893,7 @@ class TestRandomizedEndToEnd:
         import random
 
         rng = random.Random(7)
-        pool = list(_simulatable_configs(7))
+        pool = list(_valid_configs(7))
         for K, r, K_r, t in rng.sample(pool, 8):
             probe = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8)
             bits = simulation_bits(validate_config(probe, K_r, t), 8)
@@ -909,10 +905,10 @@ class TestRandomizedEndToEnd:
 
 class TestEngineCoverage:
     def test_every_small_configuration(self):
-        # one engine for both regimes: partition 1 of every simulatable
+        # one engine for every regime: partition 1 of every valid
         # configuration with K <= 6, at the CLI's default B
-        configs = list(_simulatable_configs(6))
-        assert len(configs) == 57
+        configs = list(_valid_configs(6))
+        assert len(configs) == 70
         for K, r, K_r, t in configs:
             probe = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8)
             B = simulation_bits(validate_config(probe, K_r, t), 8)
@@ -1001,7 +997,7 @@ def _per_block_partition(partition, cfg, ch, messages, snr_db=None):
 
 
 def _pin_cases():
-    for K, r, K_r, t in _simulatable_configs(6):
+    for K, r, K_r, t in _valid_configs(6):
         yield K, r, K_r, t, "first_and_last"
     yield 9, 3, 6, 2, "first"
     yield 10, 5, 5, 2, "first"
@@ -1013,7 +1009,7 @@ class TestBatchedDeliveryPin:
         # the engine's one array pass per partition returns the same report
         # as the per-block loop, float fields compared by ==
         cases = list(_pin_cases())
-        assert len(cases) == 59
+        assert len(cases) == 72
         for K, r, K_r, t, which in cases:
             probe = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8)
             B = simulation_bits(validate_config(probe, K_r, t), 8)
@@ -1066,7 +1062,7 @@ class TestStackedDelivery:
             return real_build(w)
 
         monkeypatch.setattr(channel, "build_precoders", build)
-        cases = list(_simulatable_configs(6)) + [(9, 3, 6, 2), (10, 5, 5, 2)]
+        cases = list(_valid_configs(6)) + [(9, 3, 6, 2), (10, 5, 5, 2)]
         counts = {}
         for K, r, K_r, t in cases:
             cfg, parts, payloads = _default_b_instance(K, r, K_r, t, seed=K + r)
@@ -1123,12 +1119,39 @@ class TestStackedDelivery:
         assert got[4][2] == simulate_partition(parts[4], cfg, again, payloads[4])
 
 
+class TestCondition:
+    def test_one_by_one_shortcut_equals_numpy_cond(self):
+        # stacked 1 x 1 systems with magnitudes from 1e-300 to 1e300 and one
+        # zero entry, whose inf still trips the guard; 2 x 2 goes to numpy
+        rng = np.random.default_rng(0)
+        mags = 10.0 ** np.arange(-300, 301, 20)
+        entries = np.append(mags * np.exp(2j * np.pi * rng.random(mags.size)), 0j)
+        A = entries.reshape(-1, 2, 1, 1)
+        got = channel._condition(A)
+        assert got.shape == (len(entries) // 2, 2) and got[-1, -1] == np.inf
+        assert got.tobytes() == np.linalg.cond(A).tobytes()
+        B = rng.standard_normal((4, 3, 2, 2)) + 1j * rng.standard_normal((4, 3, 2, 2))
+        assert channel._condition(B).tobytes() == np.linalg.cond(B).tobytes()
+
+    def test_t1_delivery_runs_no_svd(self, monkeypatch):
+        # at t = 1, g = s: every receiver's system is 1 x 1
+        cfg, segs, parts = _prepared(SystemParams(K=6, N=20, Q=6, r=3, B=480), K_r=4, t=1)
+        payloads = encode_payloads(segs, parts[0], cfg)
+
+        def svd(*args):
+            raise AssertionError("np.linalg.cond ran on a 1 x 1 system")
+
+        monkeypatch.setattr(np.linalg, "cond", svd)
+        rep = simulate_with_resample(parts[0], cfg, payloads, seed=0)
+        assert rep.max_condition == 1.0 and rep.held.all()
+
+
 class TestPayloadSymbols:
     def test_one_pass_equals_the_per_chunk_formula(self):
         # every (message, chunk) of the first and last partition, real and
         # imaginary parts compared bit for bit
-        cases = list(_simulatable_configs(6)) + [(9, 3, 6, 2), (10, 5, 5, 2)]
-        assert len(cases) == 59
+        cases = list(_valid_configs(6)) + [(9, 3, 6, 2), (10, 5, 5, 2)]
+        assert len(cases) == 72
         for K, r, K_r, t in cases:
             probe = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8)
             B = simulation_bits(validate_config(probe, K_r, t), 8)
@@ -1188,7 +1211,7 @@ class TestBuildPrecoders:
         # every block shape (unknowns, slots, transmitters) of the K <= 8
         # layouts, with magnitudes spread as cofactors' are
         shapes = set()
-        for K, r, K_r, t in _simulatable_configs(8):
+        for K, r, K_r, t in _valid_configs(8):
             s = r + 1 - t
             g, _chunks, gamma = delivery_layout(s, t, K_r)
             shapes.add((math.comb(g, s), gamma, g - s + 1))

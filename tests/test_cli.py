@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import math
+from fractions import Fraction
 
 from cpcshuffle import channel, cli, ndt
 from cpcshuffle.cli import main
@@ -166,21 +168,48 @@ class TestVerify:
         def placed(*args):
             raise AssertionError("placement built before the config was checked")
 
+        # s + t = K_r is no such case: it runs at DoF (K_r - 1) / K_r
+        for command in ("verify", "simulate"):
+            code, out, _ = run(capsys, command, "--K", "6", "--r", "3", "--Kr", "4", "--t", "1")
+            assert code == 0 and json.loads(out)["measured_dof"] == "3/4", command
+
         monkeypatch.setattr(channel, "build_placement", placed)
         monkeypatch.setattr(cli, "build_placement", placed)
-        alignment = (
-            "error: s + t = K_r sits in the asymptotic-alignment regime, which is not simulated\n"
-        )
         short = (
             "error: B=120 does not split into whole-byte IVs, segments and channel chunks; "
             "choose B as a multiple of 480\n"
         )
         for command in ("verify", "simulate"):
-            code, out, err = run(capsys, command, "--K", "12", "--r", "4", "--Kr", "5", "--t", "1")
-            assert (code, out, err) == (2, "", alignment), command
             # 120 bits make one-byte payloads, which the channel cuts into 4 chunks
             code, out, err = run(capsys, command, *short_b)
             assert (code, out, err) == (2, "", short), command
+
+    def test_every_alignment_config_verifies_at_k_r_minus_one_over_k_r(self, capsys):
+        # s + t = K_r, i.e. K_r = r + 1: every such valid config with K <= 8
+        # is delivered over the channel at DoF (K_r - 1) / K_r, while
+        # `claimed_dof` stays the alignment fraction a / (a + 1) with
+        # a = C(K_r - 1, s - 1) C(K_t, t) t
+        configs = 0
+        for K in range(3, 9):
+            for r in range(1, K - 1):
+                K_r = r + 1
+                for t in range(1, min(r, K - K_r) + 1):
+                    s, K_t = r + 1 - t, K - K_r
+                    configs += 1
+                    instance = ["--K", str(K), "--r", str(r), "--Kr", str(K_r), "--t", str(t)]
+                    code, out, _ = run(capsys, "verify", *instance)
+                    rep = json.loads(out)
+                    a = math.comb(K_r - 1, s - 1) * math.comb(K_t, t) * t
+                    where = (K, r, K_r, t)
+                    assert code == 0 and rep["ok"] and rep["failures"] == [], where
+                    assert rep["measured_dof"] == str(Fraction(K_r - 1, K_r)), where
+                    assert rep["claimed_dof"] == str(Fraction(a, a + 1)), where
+        assert configs == 34
+        # the optimizer's pick at (K, r) = (4, 1) is such a config, and a
+        # flipped payload byte fails its reassembly
+        code, out, _ = run(capsys, "verify", "--K", "4", "--r", "1", "--fault")
+        rep = json.loads(out)
+        assert code == 1 and rep["failures"] and (rep["params"]["K_r"], rep["params"]["t"]) == (2, 1)
 
     def test_defaults_fill_in(self, capsys):
         # no N/Q/B/Kr/t: optimizer picks the split, B auto-aligns

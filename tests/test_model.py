@@ -230,4 +230,4 @@ class TestDeliveryLayout:
                 delivery_layout(s, t, K_r)
         assert delivery_layout(2, 2, 3) == (3, 1, 2)  # single shot, the worked instance
         assert delivery_layout(1, 2, 6) == (2, 5, 1)  # time division, g = s + t - 1
-        assert delivery_layout(2, 1, 3) is None  # s + t = K_r
+        assert delivery_layout(2, 1, 3) == (2, 1, 1)  # s + t = K_r: time division, g = K_r - 1
