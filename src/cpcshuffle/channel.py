@@ -20,7 +20,11 @@ in chunks, each one array pass over its partitions' stacked blocks: one
 determinant call builds every cofactor precoder, one `build_precoders`
 call normalizes them, and the stacked blocks give the effective gains,
 the nulling residual, the received signals, and every receiver's square
-system with its condition number and solve.  `STACK_ELEMENTS` bounds a
+system with its condition number and solve.  Determinants, condition
+numbers and solves of 1 x 1 and 2 x 2 matrices use closed forms
+(`_det`, `_condition`, `_solve`), so a block with at most 3 transmitters
+and receiver systems of at most 2 x 2 makes no LAPACK call; 3 x 3 and
+larger take one stacked `np.linalg` call each.  `STACK_ELEMENTS` bounds a
 chunk's stacked gains, and a guard trip resamples only the partition
 that tripped.  A partition's messages arrive by position, as the rows of
 one (messages, L) payload array; one `payload_symbols` array pass per
@@ -157,14 +161,29 @@ def check_simulable(config: ShuffleConfig) -> None:
         )
 
 
+def _det(M: np.ndarray) -> np.ndarray:
+    """Determinants of stacked square matrices (..., n, n): the entry of a
+    1 x 1 matrix, ad - bc of a 2 x 2 one, `np.linalg.det` from 3 x 3 up."""
+    n = M.shape[-1]
+    if n == 0:
+        return np.ones(M.shape[:-2], dtype=M.dtype)
+    if n == 1:
+        return M[..., 0, 0]
+    if n == 2:
+        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    return np.linalg.det(M)
+
+
 def neutralizing_precoder(rows: np.ndarray) -> np.ndarray:
     """Cofactors of the bottom row of the matrix whose other rows are `rows`.
 
     `rows` stacks the nulled receivers' channel rows over n transmitters,
     shape (..., n-1, n).  Each result's inner product with any of its rows
     is a determinant with a repeated row, hence exactly zero.  The n minors
-    of every stacked matrix go to one `np.linalg.det` over
-    (..., col, n-1, n-1).  (0, 1) yields the scalar (1,).
+    of every stacked matrix go to one `_det` over (..., col, n-1, n-1):
+    closed forms up to n = 3 transmitters (2 x 2 minors), so no LAPACK
+    call there, and one `np.linalg.det` from n = 4 up.  (0, 1) yields the
+    scalar (1,).
     """
     if rows.ndim < 2 or rows.shape[-1] != rows.shape[-2] + 1:
         raise ParameterError(f"need (..., n-1, n) stacked nulled rows, got shape {rows.shape}")
@@ -172,7 +191,7 @@ def neutralizing_precoder(rows: np.ndarray) -> np.ndarray:
     cols = np.arange(n - 1)
     keep = cols + (cols >= np.arange(n)[:, None])  # keep[col]: every column but col
     minors = rows[..., keep].swapaxes(-3, -2)
-    return np.linalg.det(minors) * (-1.0) ** (n + 1 + np.arange(n))
+    return _det(minors) * (-1.0) ** (n + 1 + np.arange(n))
 
 
 def payload_symbols(payloads: np.ndarray, n_chunks: int, n_messages: int) -> np.ndarray:
@@ -267,13 +286,60 @@ def _block_tables(s: int, t: int, K_r: int, K_t: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
+def _scaled(A: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The entries a, b, c, d of stacked 2 x 2 matrices [[a, b], [c, d]],
+    each matrix divided by its largest |entry| m, their |entry| / m, and m.
+    Scaling keeps products of entries finite from 1e-300 to 1e300; a zero
+    matrix gives nan."""
+    mag = np.abs(A)
+    m = np.maximum(mag[..., 0, 0], mag[..., 0, 1])
+    m = np.maximum(m, np.maximum(mag[..., 1, 0], mag[..., 1, 1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        S, mag = A / m[..., None, None], mag / m[..., None, None]
+    return S[..., 0, 0], S[..., 0, 1], S[..., 1, 0], S[..., 1, 1], mag, m
+
+
 def _condition(A: np.ndarray) -> np.ndarray:
-    """`np.linalg.cond` of each stacked square system.  A 1 x 1 system's
-    is exactly 1 for a nonzero entry and inf for a zero one, so it runs no
-    SVD."""
+    """The 2-norm condition number of each stacked square system:
+    `np.linalg.cond`, one SVD per system, from 3 x 3 up.
+
+    Smaller systems use closed forms.  A 1 x 1 system's is exactly 1 for
+    a nonzero entry.  A 2 x 2 system's, over its entries scaled by
+    `_scaled`, is (F + sqrt(F**2 - 4 |det|**2)) / (2 |det|), F the squared
+    Frobenius norm.  Its column norms p, r and their inner product q give
+    F**2 - 4 |det|**2 as (p - r)**2 + 4 |q|**2, free of cancellation.
+    Every term is summed elementwise, so a stacked system's value does not
+    depend on its neighbours.  A zero or singular system gives inf.
+    """
     if A.shape[-1] == 1:
         return np.where(A[..., 0, 0] == 0, np.inf, 1.0)
-    return np.linalg.cond(A)
+    if A.shape[-1] > 2:
+        return np.linalg.cond(A)
+    a, b, c, d, mag, _m = _scaled(A)
+    sq = mag * mag
+    p, r = sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1]
+    spread = np.hypot(p - r, 2.0 * np.abs(a.conj() * b + c.conj() * d))
+    det = np.abs(a * d - b * c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(det > 0, (p + r + spread) / (2.0 * det), np.inf)
+
+
+def _solve(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x with A x = y for stacked square systems A (..., n, n) and right
+    sides y (..., n).  A 1 x 1 system is y / a, and a 2 x 2 one the
+    adjugate over the determinant, of A and y scaled by `_scaled`'s m;
+    `np.linalg.solve` from 3 x 3 up.  A singular 1 x 1 or 2 x 2 system
+    gives inf or nan where LAPACK raises, so solve only what passed
+    `CONDITION_GUARD`."""
+    if A.shape[-1] == 1:
+        return y / A[..., 0]
+    if A.shape[-1] > 2:
+        return np.linalg.solve(A, y[..., None])[..., 0]
+    a, b, c, d, _mag, m = _scaled(A)
+    z = y / m[..., None]
+    y0, y1 = z[..., 0], z[..., 1]
+    det = (a * d - b * c)[..., None]
+    return np.stack([d * y0 - b * y1, a * y1 - c * y0], axis=-1) / det
 
 
 def _deliver(partitions, config, channels, payloads, snr_db=None) -> list[DeliveryReport]:
@@ -286,8 +352,8 @@ def _deliver(partitions, config, channels, payloads, snr_db=None) -> list[Delive
     b of the i-th partition reads `channels[i].gains[b]`; a channel of
     another shape than `draw_channel` gives this config raises
     ParameterError.  Stacking (partition, block) on the leading axis, one
-    cofactor call, one `build_precoders`, one `cond` and one `solve` serve
-    the chunk; each partition has its own `payload_symbols` array and
+    cofactor call, one `build_precoders`, one `_condition` and one `_solve`
+    serve the chunk; each partition has its own `payload_symbols` array and
     `--snr` noise stream.  A receiver solves a symbol when its relative
     error is below `TOLERANCE`, or always under `snr_db`, where
     `noise_mse` averages the squared symbol errors instead, and holds a
@@ -331,7 +397,7 @@ def _deliver(partitions, config, channels, payloads, snr_db=None) -> list[Delive
         raise ChannelConditionError(
             f"condition number {condition.max():.3e} exceeds guard {CONDITION_GUARD:.1e}"
         )
-    x_hat = np.linalg.solve(A, y.transpose(0, 2, 1)[..., None])[..., 0]
+    x_hat = _solve(A, y.transpose(0, 2, 1))
     sent = x[:, wanted]
     err = np.abs(x_hat - sent) / np.abs(sent)
     solved = err < TOLERANCE if sigma is None else np.ones(err.shape, dtype=bool)

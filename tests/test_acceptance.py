@@ -157,11 +157,16 @@ def _fixture_messages(params, K_r, t, seed):
 def test_criterion_7_neutralization_physics():
     """100 seeds on the 6-node fixture and the (K=8, r=5, K_r=4, t=2)
     fixture: residual < 1e-9 relative, condition numbers < 1e8, and
-    per-receiver DoF exactly 1; the (K=8, r=2, K_r=5, t=1) time-division
-    fixture measures exactly 2/5 by slot count."""
+    per-receiver DoF exactly 1; the same bounds and DoF exactly 1/2 on
+    the (K=9, r=3, K_r=6, t=2) time-division fixture, whose 2 x 2 systems
+    and 1 x 1 minors run in closed form; the (K=8, r=2, K_r=5, t=1)
+    time-division fixture measures exactly 2/5 by slot count."""
     cfg6, part6, msgs6 = _fixture_messages(WORKED, 3, 2, seed=0)
     cfg8, part8, msgs8 = _fixture_messages(
         SystemParams(K=8, N=56, Q=8, r=5, B=80), 4, 2, seed=0
+    )
+    cfg9, part9, msgs9 = _fixture_messages(
+        SystemParams(K=9, N=84, Q=9, r=3, B=480), 6, 2, seed=0
     )
     for seed in range(100):
         rep = simulate_with_resample(part6, cfg6, msgs6, seed=seed)
@@ -175,6 +180,12 @@ def test_criterion_7_neutralization_physics():
         assert rep8.max_condition < 1e8
         assert rep8.measured_dof == 1
 
+        rep9 = simulate_with_resample(part9, cfg9, msgs9, seed=seed)
+        assert rep9.max_residual < 1e-9
+        assert rep9.max_condition < 1e8
+        assert rep9.max_symbol_error < 1e-8
+        assert rep9.measured_dof == Fraction(1, 2)
+
     cfgc, partc, msgsc = _fixture_messages(
         SystemParams(K=8, N=28, Q=8, r=2, B=160), 5, 1, seed=0
     )
@@ -183,7 +194,7 @@ def test_criterion_7_neutralization_physics():
         assert repc.measured_dof == Fraction(2, 5)
         assert repc.max_condition < 1e8
     print("[criterion 7] PASS: 100-seed residual/condition/DoF checks, "
-          "time-division DoF exactly 2/5")
+          "time-division DoF exactly 1/2 and 2/5")
 
 
 def _valid_configs(K):

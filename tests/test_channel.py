@@ -183,12 +183,15 @@ class TestNeutralizingPrecoder:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_delete_construction_bit_for_bit(self, seed):
         # the construction before the minors were stacked: each minor by
-        # np.delete from one (n-1, n) matrix of nulled rows
+        # np.delete from one (n-1, n) matrix of nulled rows, its determinant
+        # by the same kernel (closed forms up to 2 x 2, LAPACK beyond), one
+        # minor per call; TestSmallKernels compares the kernel with LAPACK
         def reference(rows):
             n = rows.shape[1]
             w = np.empty(n, dtype=complex)
             for col in range(n):
-                w[col] = (-1) ** (n + col + 1) * np.linalg.det(np.delete(rows, col, axis=1))
+                minor = np.delete(rows, col, axis=1)[None]
+                w[col] = (-1) ** (n + col + 1) * channel._det(minor)[0]
             return w
 
         for n in range(1, 6):
@@ -232,7 +235,7 @@ class TestNeutralizingPrecoder:
         # the report's residual must be exactly the worst |h.w| / ||h|| over
         # every (message, slot, nulled receiver) of the partition, and its
         # condition number the worst of every receiver's system, recomputed
-        # from the per-gain reference blocks
+        # from the per-gain reference blocks, one system per `_condition` call
         cfg, segs, parts = _prepared(params, K_r=K_r, t=t)
         for part in parts[:12]:
             ch = draw_channel(cfg, seed=part.index)
@@ -248,7 +251,7 @@ class TestNeutralizingPrecoder:
                     worst = max(worst, float((np.abs(gains) / scales).max(initial=0.0)))
                 for j in group:
                     A = _reference_system(group, cfg.s, j, slots, row, vectors)
-                    worst_cond = max(worst_cond, float(np.linalg.cond(A)))
+                    worst_cond = max(worst_cond, float(channel._condition(A[None])[0]))
             assert rep.max_residual == worst > 0.0
             assert rep.max_condition == worst_cond > 1.0
 
@@ -925,7 +928,8 @@ class TestEngineCoverage:
 def _per_block_partition(partition, cfg, ch, messages, snr_db=None):
     """Reference delivery, one block at a time: block b's gains from
     ch.gains[b], its own cofactor precoders and a Counter of chunk indices;
-    the stacked solve after the loop as in the engine."""
+    the stacked condition numbers and solve after the loop, by the engine's
+    kernels."""
     sigma = None if snr_db is None else 10.0 ** (-snr_db / 20.0)
     slots = partition_slots(cfg)
     s = cfg.s
@@ -968,12 +972,12 @@ def _per_block_partition(partition, cfg, ch, messages, snr_db=None):
         partition=partition.index,
         regime="single_shot" if g == cfg.K_r else "time_division",
         slots_used=slots,
-        max_condition=float(np.linalg.cond(A).max()),
+        max_condition=float(channel._condition(A).max()),
         max_residual=float(residual.max(where=~wants, initial=0.0)),
     )
     if report.max_condition > channel.CONDITION_GUARD:
         raise ChannelConditionError("condition guard")
-    x_hat = np.linalg.solve(A, y.transpose(0, 2, 1)[..., None])[..., 0]
+    x_hat = channel._solve(A, y.transpose(0, 2, 1))
     sent = x[:, wanted]
     err = np.abs(x_hat - sent) / np.abs(sent)
     report.max_symbol_error = float(err.max())
@@ -1122,7 +1126,9 @@ class TestStackedDelivery:
 class TestCondition:
     def test_one_by_one_shortcut_equals_numpy_cond(self):
         # stacked 1 x 1 systems with magnitudes from 1e-300 to 1e300 and one
-        # zero entry, whose inf still trips the guard; 2 x 2 goes to numpy
+        # zero entry, whose inf still trips the guard; 2 x 2 has its own
+        # closed form, which gives each stacked system the value it gets
+        # alone (TestSmallKernels compares it with numpy)
         rng = np.random.default_rng(0)
         mags = 10.0 ** np.arange(-300, 301, 20)
         entries = np.append(mags * np.exp(2j * np.pi * rng.random(mags.size)), 0j)
@@ -1131,7 +1137,8 @@ class TestCondition:
         assert got.shape == (len(entries) // 2, 2) and got[-1, -1] == np.inf
         assert got.tobytes() == np.linalg.cond(A).tobytes()
         B = rng.standard_normal((4, 3, 2, 2)) + 1j * rng.standard_normal((4, 3, 2, 2))
-        assert channel._condition(B).tobytes() == np.linalg.cond(B).tobytes()
+        alone = np.array([channel._condition(b[None])[0] for b in B.reshape(-1, 2, 2)])
+        assert channel._condition(B).tobytes() == alone.reshape(4, 3).tobytes()
 
     def test_t1_delivery_runs_no_svd(self, monkeypatch):
         # at t = 1, g = s: every receiver's system is 1 x 1
@@ -1144,6 +1151,106 @@ class TestCondition:
         monkeypatch.setattr(np.linalg, "cond", svd)
         rep = simulate_with_resample(parts[0], cfg, payloads, seed=0)
         assert rep.max_condition == 1.0 and rep.held.all()
+
+    def test_time_division_delivery_runs_no_lapack(self, monkeypatch):
+        # (9,3,6,2): g = 3 receivers, 2 transmitters, so 1 x 1 minors and
+        # 2 x 2 receiver systems, all in closed form
+        params = SystemParams(K=9, N=84, Q=9, r=3, B=480)
+        cfg, segs, parts = _prepared(params, K_r=6, t=2)
+        payloads = encode_payloads(segs, parts[0], cfg)
+
+        def lapack(*args, **kwargs):
+            raise AssertionError("a LAPACK call ran on a 2 x 2 or smaller matrix")
+
+        for name in ("cond", "det", "solve"):
+            monkeypatch.setattr(np.linalg, name, lapack)
+        rep = simulate_with_resample(parts[0], cfg, payloads, seed=0)
+        assert rep.held.all() and rep.measured_dof == Fraction(1, 2)
+
+
+# entry magnitudes from 1e-300 to 1e300, one per stacked draw
+SCALES = 10.0 ** np.arange(-300, 301, 50)
+
+
+def _normwise(got, want):
+    # relative error of each stacked vector (or scalar) over the last axis
+    if got.ndim == want.ndim == 1:
+        return np.abs(got - want) / np.abs(want)
+    return np.linalg.norm(got - want, axis=-1) / np.linalg.norm(want, axis=-1)
+
+
+class TestSmallKernels:
+    # the closed forms for 1 x 1 and 2 x 2 matrices agree with LAPACK to a
+    # relative 1e-12 on stacked complex draws, and a stacked matrix gets the
+    # value it gets alone, bit for bit
+    RTOL = 1e-12
+
+    def _draws(self, n, seed, scales=SCALES):
+        return _cn((len(scales), 50, n, n), seed) * scales[:, None, None, None]
+
+    @staticmethod
+    def _alone(kernel, *stacks):
+        # each matrix (with its right side) in a call of its own
+        flat = [x.reshape(x.shape[0] * x.shape[1], *x.shape[2:]) for x in stacks]
+        return np.array([kernel(*(x[i][None] for x in flat))[0] for i in range(len(flat[0]))])
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_minor_det(self, n):
+        # a 1 x 1 determinant is its entry, finite at every scale; a 2 x 2
+        # one is a difference of products of two entries, finite from
+        # 1e-150 to 1e150
+        scales = SCALES if n < 2 else 10.0 ** np.arange(-150, 151, 25)
+        M = self._draws(n, seed=n, scales=scales)
+        got, want = channel._det(M), np.linalg.det(M)
+        assert got.shape == want.shape and np.isfinite(got).all()
+        assert _normwise(got.ravel(), want.ravel()).max() < self.RTOL
+        assert got.ravel().tobytes() == self._alone(channel._det, M).tobytes()
+
+    def test_minor_det_zero_entry(self):
+        M = np.array([[[0, 1 + 1j], [2, 3j]], [[0, 0], [2, 3j]]])
+        assert channel._det(M).tolist() == [-2 - 2j, 0j]
+        assert np.allclose(channel._det(M), np.linalg.det(M), rtol=self.RTOL, atol=0)
+
+    def test_condition(self):
+        A = self._draws(2, seed=7)
+        got, want = channel._condition(A), np.linalg.cond(A)
+        assert got.shape == want.shape and (got >= 1.0 - self.RTOL).all()
+        assert _normwise(got.ravel(), want.ravel()).max() < self.RTOL
+        assert got.ravel().tobytes() == self._alone(channel._condition, A).tobytes()
+
+    def test_condition_edge_systems(self):
+        zero_entry = np.array([[0, 1 + 1j], [2, 3j]])
+        # kappa = 1 + 1e-9 + O(1e-18): F**2 - 4 |det|**2 cancels to 0 when
+        # formed directly, the column form keeps it
+        near_unitary = np.array([[1j, 1e-9], [0, 1]])
+        assert channel._condition(near_unitary[None])[0] == pytest.approx(
+            np.linalg.cond(near_unitary), rel=self.RTOL
+        )
+        assert np.linalg.cond(near_unitary) == pytest.approx(1 + 1e-9, rel=self.RTOL)
+        # [[1, 2], [2, 4 + d]] has kappa = (F + sqrt(F**2 - 4 d**2)) / (2 d),
+        # d the float distance of 4 + 1e-12 from 4; LAPACK's SVD is 9e-4 off here
+        d = (4 + 1e-12) - 4
+        F = 1 + 4 + 4 + (4 + d) ** 2
+        near_singular = np.array([[1, 2], [2, 4 + 1e-12]], dtype=complex)
+        A = np.array([zero_entry, np.zeros((2, 2)), near_singular])
+        got = channel._condition(A)
+        assert got[0] == pytest.approx(np.linalg.cond(zero_entry), rel=self.RTOL)
+        assert got[1] == np.inf
+        kappa = (F + math.sqrt(F * F - 4 * d * d)) / (2 * d)
+        assert got[2] == pytest.approx(kappa, rel=self.RTOL)
+        assert got[2] == pytest.approx(2.5e13, rel=1e-3)
+        assert (got[1:] > channel.CONDITION_GUARD).all()
+        assert np.linalg.cond(A[1]) == np.inf
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_solve(self, n):
+        A = self._draws(n, seed=10 + n)
+        y = np.einsum("...kl,...l->...k", A, _cn(A.shape[:-1], seed=20 + n))
+        got = channel._solve(A, y)
+        want = np.linalg.solve(A, y[..., None])[..., 0]
+        assert got.shape == want.shape
+        assert _normwise(got, want).max() < self.RTOL
+        assert got.tobytes() == self._alone(channel._solve, A, y).reshape(got.shape).tobytes()
 
 
 class TestPayloadSymbols:
