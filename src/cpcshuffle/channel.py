@@ -20,15 +20,17 @@ in chunks, each one array pass over its partitions' stacked blocks: one
 determinant call builds every cofactor precoder, one `build_precoders`
 call normalizes them, and the stacked blocks give the effective gains,
 the nulling residual, the received signals, and every receiver's square
-system with its condition number and solve.  Determinants, condition
-numbers and solves of 1 x 1 and 2 x 2 matrices use closed forms
-(`_det`, `_condition`, `_solve`), so a block with at most 3 transmitters
-and receiver systems of at most 2 x 2 makes no LAPACK call; 3 x 3 and
-larger take one stacked `np.linalg` call each.  `STACK_ELEMENTS` bounds a
-chunk's stacked gains, and a guard trip resamples only the partition
-that tripped.  A partition's messages arrive by position, as the rows of
-one (messages, L) payload array; one `payload_symbols` array pass per
-partition maps each of their chunks to its symbol.
+system A with one inverse (`_inverse`): the guard reads its Frobenius
+condition number ||A||_F ||A^-1||_F, and the receiver decodes x = A^-1 y.
+Determinants and inverses of 1 x 1 and 2 x 2 matrices use closed forms
+(`_det`, `_inverse`), so a block with at most 3 transmitters and
+receiver systems of at most 2 x 2 makes no LAPACK call; 3 x 3 and larger
+take one stacked `np.linalg.det` or `np.linalg.inv` call each, and no
+SVD or LU solve runs.  `STACK_ELEMENTS` bounds a chunk's stacked gains,
+and a guard trip resamples only the partition that tripped.  A
+partition's messages arrive by position, as the rows of one (messages,
+L) payload array; one `payload_symbols` array pass per partition maps
+each of their chunks to its symbol.
 
 A message is cut into C(K_r-s, g-s) chunks, one per receiver set that
 contains D, so the per-receiver DoF is g / K_r.  `model.delivery_layout`
@@ -286,60 +288,54 @@ def _block_tables(s: int, t: int, K_r: int, K_t: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def _scaled(A: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The entries a, b, c, d of stacked 2 x 2 matrices [[a, b], [c, d]],
-    each matrix divided by its largest |entry| m, their |entry| / m, and m.
-    Scaling keeps products of entries finite from 1e-300 to 1e300; a zero
-    matrix gives nan."""
-    mag = np.abs(A)
-    m = np.maximum(mag[..., 0, 0], mag[..., 0, 1])
-    m = np.maximum(m, np.maximum(mag[..., 1, 0], mag[..., 1, 1]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        S, mag = A / m[..., None, None], mag / m[..., None, None]
-    return S[..., 0, 0], S[..., 0, 1], S[..., 1, 0], S[..., 1, 1], mag, m
+def _frobenius_sq(M: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of stacked matrices (..., n, n), each summed
+    along one contiguous row of its n * n entries, so a stacked matrix gets
+    the value it gets alone."""
+    sq = np.square(M.real) + np.square(M.imag)
+    return np.add.reduce(sq.reshape(*sq.shape[:-2], -1), axis=-1)
 
 
-def _condition(A: np.ndarray) -> np.ndarray:
-    """The 2-norm condition number of each stacked square system:
-    `np.linalg.cond`, one SVD per system, from 3 x 3 up.
+def _inverse(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of each stacked square system A (..., n, n) and its
+    Frobenius condition number kappa_F = ||A||_F ||A^-1||_F, which lies
+    between the 2-norm condition number and n times it.
 
-    Smaller systems use closed forms.  A 1 x 1 system's is exactly 1 for
-    a nonzero entry.  A 2 x 2 system's, over its entries scaled by
-    `_scaled`, is (F + sqrt(F**2 - 4 |det|**2)) / (2 |det|), F the squared
-    Frobenius norm.  Its column norms p, r and their inner product q give
-    F**2 - 4 |det|**2 as (p - r)**2 + 4 |q|**2, free of cancellation.
-    Every term is summed elementwise, so a stacked system's value does not
-    depend on its neighbours.  A zero or singular system gives inf.
+    A 1 x 1 system's inverse is 1/a and its kappa_F exactly 1.  Larger
+    systems are first divided by their largest |entry| m, which kappa
+    does not see and which keeps entries from 1e-300 to 1e300 finite.  A
+    2 x 2 system's inverse is then the adjugate over det * m and its
+    kappa_F ||A||_F**2 / |det|, each term elementwise; from 3 x 3 up one
+    stacked `np.linalg.inv` gives it.  A zero, singular or non-finite
+    system has kappa_F inf, except that an exactly singular one from
+    3 x 3 up, where LAPACK raises for the whole stack, raises
+    ChannelConditionError.
     """
-    if A.shape[-1] == 1:
-        return np.where(A[..., 0, 0] == 0, np.inf, 1.0)
-    if A.shape[-1] > 2:
-        return np.linalg.cond(A)
-    a, b, c, d, mag, _m = _scaled(A)
-    sq = mag * mag
-    p, r = sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1]
-    spread = np.hypot(p - r, 2.0 * np.abs(a.conj() * b + c.conj() * d))
-    det = np.abs(a * d - b * c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(det > 0, (p + r + spread) / (2.0 * det), np.inf)
-
-
-def _solve(A: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x with A x = y for stacked square systems A (..., n, n) and right
-    sides y (..., n).  A 1 x 1 system is y / a, and a 2 x 2 one the
-    adjugate over the determinant, of A and y scaled by `_scaled`'s m;
-    `np.linalg.solve` from 3 x 3 up.  A singular 1 x 1 or 2 x 2 system
-    gives inf or nan where LAPACK raises, so solve only what passed
-    `CONDITION_GUARD`."""
-    if A.shape[-1] == 1:
-        return y / A[..., 0]
-    if A.shape[-1] > 2:
-        return np.linalg.solve(A, y[..., None])[..., 0]
-    a, b, c, d, _mag, m = _scaled(A)
-    z = y / m[..., None]
-    y0, y1 = z[..., 0], z[..., 1]
-    det = (a * d - b * c)[..., None]
-    return np.stack([d * y0 - b * y1, a * y1 - c * y0], axis=-1) / det
+    n = A.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if n == 1:
+            inverse = 1.0 / A
+            finite = np.isfinite(A[..., 0, 0]) & np.isfinite(inverse[..., 0, 0])
+            return inverse, np.where(finite, 1.0, np.inf)
+        mag = np.abs(A)
+        if n == 2:
+            m = np.maximum.reduce([mag[..., i // 2, i % 2] for i in range(4)])[..., None, None]
+            S, sq = A / m, np.square(mag / m)
+            a, b, c, d = S[..., 0, 0], S[..., 0, 1], S[..., 1, 0], S[..., 1, 1]
+            det = a * d - b * c
+            adjugate = np.stack([d, -b, -c, a], axis=-1).reshape(S.shape)
+            inverse = adjugate / (det[..., None, None] * m)
+            kappa = (sq[..., 0, 0] + sq[..., 0, 1] + sq[..., 1, 0] + sq[..., 1, 1]) / np.abs(det)
+        else:
+            m = mag.max(axis=(-2, -1))[..., None, None]
+            S = A / m
+            try:
+                inverse = np.linalg.inv(S)
+            except np.linalg.LinAlgError:
+                raise ChannelConditionError("singular receiver system") from None
+            kappa = np.sqrt(_frobenius_sq(S) * _frobenius_sq(inverse))
+            inverse /= m
+    return inverse, np.where(np.isfinite(kappa), kappa, np.inf)
 
 
 def _deliver(partitions, config, channels, payloads, snr_db=None) -> list[DeliveryReport]:
@@ -352,16 +348,17 @@ def _deliver(partitions, config, channels, payloads, snr_db=None) -> list[Delive
     b of the i-th partition reads `channels[i].gains[b]`; a channel of
     another shape than `draw_channel` gives this config raises
     ParameterError.  Stacking (partition, block) on the leading axis, one
-    cofactor call, one `build_precoders`, one `_condition` and one `_solve`
-    serve the chunk; each partition has its own `payload_symbols` array and
+    cofactor call, one `build_precoders` and one `_inverse` serve the
+    chunk, and x_hat = A^-1 y is summed elementwise over the slots; each
+    partition has its own `payload_symbols` array and
     `--snr` noise stream.  A receiver solves a symbol when its relative
     error is below `TOLERANCE`, or always under `snr_db`, where
     `noise_mse` averages the squared symbol errors instead, and holds a
     message once it has all of its chunks.  `payloads[i]` holds the i-th
     partition's rows as `codec.encode_payloads` returns them; any other
     shape raises ParameterError before any precoder is built.  A zero
-    cofactor vector or a condition number past `CONDITION_GUARD` in any
-    partition raises ChannelConditionError.
+    cofactor vector, an exactly singular system or a condition number
+    past `CONDITION_GUARD` in any partition raises ChannelConditionError.
     """
     sigma = None if snr_db is None else check_snr(snr_db)
     shape, n_chunks = _partition_layout(config)
@@ -392,12 +389,13 @@ def _deliver(partitions, config, channels, payloads, snr_db=None) -> list[Delive
         y += sigma * noise.view(complex)[..., 0] / np.sqrt(2.0)
     # A[b, k]: receiver k's square system, slots by the unknowns it wants
     A = G[:, :, np.arange(g)[:, None], wanted].transpose(0, 2, 1, 3)
-    condition = _condition(A).reshape(n_parts, -1).max(axis=1)
+    inverse, condition = _inverse(A)
+    condition = condition.reshape(n_parts, -1).max(axis=1)
     if condition.max() > CONDITION_GUARD:
         raise ChannelConditionError(
             f"condition number {condition.max():.3e} exceeds guard {CONDITION_GUARD:.1e}"
         )
-    x_hat = _solve(A, y.transpose(0, 2, 1))
+    x_hat = sum(inverse[..., i] * y[:, i, :, None] for i in range(gamma))
     sent = x[:, wanted]
     err = np.abs(x_hat - sent) / np.abs(sent)
     solved = err < TOLERANCE if sigma is None else np.ones(err.shape, dtype=bool)

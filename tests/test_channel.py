@@ -235,7 +235,7 @@ class TestNeutralizingPrecoder:
         # the report's residual must be exactly the worst |h.w| / ||h|| over
         # every (message, slot, nulled receiver) of the partition, and its
         # condition number the worst of every receiver's system, recomputed
-        # from the per-gain reference blocks, one system per `_condition` call
+        # from the per-gain reference blocks, one system per `_inverse` call
         cfg, segs, parts = _prepared(params, K_r=K_r, t=t)
         for part in parts[:12]:
             ch = draw_channel(cfg, seed=part.index)
@@ -251,7 +251,7 @@ class TestNeutralizingPrecoder:
                     worst = max(worst, float((np.abs(gains) / scales).max(initial=0.0)))
                 for j in group:
                     A = _reference_system(group, cfg.s, j, slots, row, vectors)
-                    worst_cond = max(worst_cond, float(channel._condition(A[None])[0]))
+                    worst_cond = max(worst_cond, float(channel._inverse(A[None])[1][0]))
             assert rep.max_residual == worst > 0.0
             assert rep.max_condition == worst_cond > 1.0
 
@@ -928,8 +928,8 @@ class TestEngineCoverage:
 def _per_block_partition(partition, cfg, ch, messages, snr_db=None):
     """Reference delivery, one block at a time: block b's gains from
     ch.gains[b], its own cofactor precoders and a Counter of chunk indices;
-    the stacked condition numbers and solve after the loop, by the engine's
-    kernels."""
+    the stacked inverses, condition numbers and x_hat = A^-1 y after the
+    loop, by the engine's kernel."""
     sigma = None if snr_db is None else 10.0 ** (-snr_db / 20.0)
     slots = partition_slots(cfg)
     s = cfg.s
@@ -968,16 +968,17 @@ def _per_block_partition(partition, cfg, ch, messages, snr_db=None):
         rng = np.random.default_rng(ch.seed ^ 0xA5A5)
         y += sigma * rng.standard_normal((*y.shape, 2)).view(complex)[..., 0] / np.sqrt(2.0)
     A = G[:, :, np.arange(g)[:, None], wanted].transpose(0, 2, 1, 3)
+    inverse, condition = channel._inverse(A)
     report = channel.DeliveryReport(
         partition=partition.index,
         regime="single_shot" if g == cfg.K_r else "time_division",
         slots_used=slots,
-        max_condition=float(channel._condition(A).max()),
+        max_condition=float(condition.max()),
         max_residual=float(residual.max(where=~wants, initial=0.0)),
     )
     if report.max_condition > channel.CONDITION_GUARD:
         raise ChannelConditionError("condition guard")
-    x_hat = channel._solve(A, y.transpose(0, 2, 1))
+    x_hat = sum(inverse[..., i] * y[:, i, :, None] for i in range(y.shape[1]))
     sent = x[:, wanted]
     err = np.abs(x_hat - sent) / np.abs(sent)
     report.max_symbol_error = float(err.max())
@@ -1087,12 +1088,17 @@ class TestStackedDelivery:
                 assert np.array_equal(rep.held, want.held), where
         assert (counts[9, 3, 6, 2], counts[10, 5, 5, 2]) == (84, 252)
 
-    @pytest.mark.parametrize("trip", ["zero_cofactors", "condition"])
+    @pytest.mark.parametrize("trip", ["zero_cofactors", "condition", "singular"])
     def test_one_trip_redraws_only_its_partition(self, monkeypatch, trip):
         # partition 5's first draw trips the guard inside a stacked chunk:
         # only its attempt-1 seed is drawn again, and every report equals
-        # the one its partition gets alone
-        cfg, parts, payloads = _default_b_instance(9, 3, 6, 2)
+        # the one its partition gets alone.  "singular" makes receivers 0
+        # and 1 of a (8,4,5,2) block deaf to transmitter 0: the message
+        # nulled at either one then rides on transmitter 0 alone, so the
+        # other one's 3 x 3 system has an exactly zero column, and
+        # LAPACK's LinAlgError must come out as ChannelConditionError
+        instance = (8, 4, 5, 2) if trip == "singular" else (9, 3, 6, 2)
+        cfg, parts, payloads = _default_b_instance(*instance)
         _chunks_of(monkeypatch, cfg, 16)
         seed, target = 3, channel._channel_seed(3, 5, 0)
         real_draw = channel.draw_channel
@@ -1104,12 +1110,15 @@ class TestStackedDelivery:
             if channel_seed == target:
                 if trip == "zero_cofactors":
                     ch.gains[0] = 0.0
-                else:
+                elif trip == "condition":
                     ch.gains[0, 0, 0] *= 1e-12  # one receiver row of one slot
+                else:
+                    ch.gains[0, :, :2, 0] = 0.0
             return ch
 
         monkeypatch.setattr(channel, "draw_channel", draw)
-        text = "zero cofactors" if trip == "zero_cofactors" else "condition number"
+        text = {"zero_cofactors": "zero cofactors", "condition": "condition number"}
+        text = text.get(trip, "singular receiver system")
         with pytest.raises(ChannelConditionError, match=text):
             simulate_partition(parts[4], cfg, draw(cfg, target), payloads[4])
         drawn.clear()
@@ -1126,19 +1135,19 @@ class TestStackedDelivery:
 class TestCondition:
     def test_one_by_one_shortcut_equals_numpy_cond(self):
         # stacked 1 x 1 systems with magnitudes from 1e-300 to 1e300 and one
-        # zero entry, whose inf still trips the guard; 2 x 2 has its own
-        # closed form, which gives each stacked system the value it gets
-        # alone (TestSmallKernels compares it with numpy)
+        # zero entry, whose inf still trips the guard: kappa_F is exactly
+        # numpy's 1 or inf there; 2 x 2 has its own closed form, which gives
+        # each stacked system the value it gets alone
         rng = np.random.default_rng(0)
         mags = 10.0 ** np.arange(-300, 301, 20)
         entries = np.append(mags * np.exp(2j * np.pi * rng.random(mags.size)), 0j)
         A = entries.reshape(-1, 2, 1, 1)
-        got = channel._condition(A)
+        got = channel._inverse(A)[1]
         assert got.shape == (len(entries) // 2, 2) and got[-1, -1] == np.inf
         assert got.tobytes() == np.linalg.cond(A).tobytes()
         B = rng.standard_normal((4, 3, 2, 2)) + 1j * rng.standard_normal((4, 3, 2, 2))
-        alone = np.array([channel._condition(b[None])[0] for b in B.reshape(-1, 2, 2)])
-        assert channel._condition(B).tobytes() == alone.reshape(4, 3).tobytes()
+        alone = np.array([channel._inverse(b[None])[1][0] for b in B.reshape(-1, 2, 2)])
+        assert channel._inverse(B)[1].tobytes() == alone.reshape(4, 3).tobytes()
 
     def test_t1_delivery_runs_no_svd(self, monkeypatch):
         # at t = 1, g = s: every receiver's system is 1 x 1
@@ -1162,14 +1171,41 @@ class TestCondition:
         def lapack(*args, **kwargs):
             raise AssertionError("a LAPACK call ran on a 2 x 2 or smaller matrix")
 
-        for name in ("cond", "det", "solve"):
+        for name in ("cond", "svd", "det", "solve", "inv"):
             monkeypatch.setattr(np.linalg, name, lapack)
         rep = simulate_with_resample(parts[0], cfg, payloads, seed=0)
         assert rep.held.all() and rep.measured_dof == Fraction(1, 2)
 
+    @pytest.mark.parametrize(
+        "instance, n", [((10, 5, 5, 2), 4), ((8, 4, 5, 2), 3)], ids=["4x4", "3x3"]
+    )
+    def test_larger_systems_run_one_inverse_and_no_svd(self, monkeypatch, instance, n):
+        # receiver systems from 3 x 3 up take one stacked `np.linalg.inv`
+        # for the condition number and the decode: no SVD, no LU solve
+        cfg, parts, payloads = _default_b_instance(*instance)
+        real_inv, shapes = np.linalg.inv, []
+
+        def inv(a):
+            shapes.append(a.shape)
+            return real_inv(a)
+
+        def lapack(*args, **kwargs):
+            raise AssertionError("an SVD or a solve ran on a receiver system")
+
+        for name in ("cond", "svd", "solve"):
+            monkeypatch.setattr(np.linalg, name, lapack)
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        rep = simulate_with_resample(parts[0], cfg, payloads[0], seed=0)
+        assert rep.held.all() and rep.measured_dof == Fraction(*{4: (1, 1), 3: (4, 5)}[n])
+        n_blocks, gamma, g, _n_tx = channel._partition_layout(cfg)[0]
+        assert gamma == n and shapes == [(n_blocks, g, n, n)]
+        assert 1.0 < rep.max_condition < channel.CONDITION_GUARD
+
 
 # entry magnitudes from 1e-300 to 1e300, one per stacked draw
 SCALES = 10.0 ** np.arange(-300, 301, 50)
+# the range a 2 x 2 determinant covers without overflow
+DET_SCALES = 10.0 ** np.arange(-150, 151, 25)
 
 
 def _normwise(got, want):
@@ -1199,7 +1235,7 @@ class TestSmallKernels:
         # a 1 x 1 determinant is its entry, finite at every scale; a 2 x 2
         # one is a difference of products of two entries, finite from
         # 1e-150 to 1e150
-        scales = SCALES if n < 2 else 10.0 ** np.arange(-150, 151, 25)
+        scales = SCALES if n < 2 else DET_SCALES
         M = self._draws(n, seed=n, scales=scales)
         got, want = channel._det(M), np.linalg.det(M)
         assert got.shape == want.shape and np.isfinite(got).all()
@@ -1212,45 +1248,69 @@ class TestSmallKernels:
         assert np.allclose(channel._det(M), np.linalg.det(M), rtol=self.RTOL, atol=0)
 
     def test_condition(self):
-        A = self._draws(2, seed=7)
-        got, want = channel._condition(A), np.linalg.cond(A)
-        assert got.shape == want.shape and (got >= 1.0 - self.RTOL).all()
-        assert _normwise(got.ravel(), want.ravel()).max() < self.RTOL
-        assert got.ravel().tobytes() == self._alone(channel._condition, A).tobytes()
+        # kappa_2 <= kappa_F <= n kappa_2 against `np.linalg.cond` from 1 x 1
+        # to 4 x 4 at every scale, and kappa_F is ||A||_F ||A^-1||_F by
+        # numpy's norms and inverse, where those norms do not overflow
+        for n in range(1, 5):
+            A = self._draws(n, seed=7 + n)
+            got, kappa_2 = channel._inverse(A)[1], np.linalg.cond(A)
+            assert got.shape == kappa_2.shape and np.isfinite(got).all(), n
+            assert (got >= kappa_2 * (1 - self.RTOL)).all(), n
+            assert (got <= n * kappa_2 * (1 + self.RTOL)).all(), n
+            A = self._draws(n, seed=7 + n, scales=np.array([1e-100, 1.0, 1e100]))
+            norms = [np.linalg.norm(M, axis=(-2, -1)) for M in (A, np.linalg.inv(A))]
+            want = norms[0] * norms[1]
+            assert _normwise(channel._inverse(A)[1].ravel(), want.ravel()).max() < self.RTOL, n
 
     def test_condition_edge_systems(self):
+        # zero and near-singular systems trip `CONDITION_GUARD`; a 2 x 2
+        # kappa_F is ||A||_F**2 / |det A|, so [[1, 2], [2, 4 + d]] has
+        # (25 + 8 d + d**2) / d, d the float distance of 4 + 1e-12 from 4
         zero_entry = np.array([[0, 1 + 1j], [2, 3j]])
-        # kappa = 1 + 1e-9 + O(1e-18): F**2 - 4 |det|**2 cancels to 0 when
-        # formed directly, the column form keeps it
-        near_unitary = np.array([[1j, 1e-9], [0, 1]])
-        assert channel._condition(near_unitary[None])[0] == pytest.approx(
-            np.linalg.cond(near_unitary), rel=self.RTOL
-        )
-        assert np.linalg.cond(near_unitary) == pytest.approx(1 + 1e-9, rel=self.RTOL)
-        # [[1, 2], [2, 4 + d]] has kappa = (F + sqrt(F**2 - 4 d**2)) / (2 d),
-        # d the float distance of 4 + 1e-12 from 4; LAPACK's SVD is 9e-4 off here
-        d = (4 + 1e-12) - 4
-        F = 1 + 4 + 4 + (4 + d) ** 2
         near_singular = np.array([[1, 2], [2, 4 + 1e-12]], dtype=complex)
-        A = np.array([zero_entry, np.zeros((2, 2)), near_singular])
-        got = channel._condition(A)
-        assert got[0] == pytest.approx(np.linalg.cond(zero_entry), rel=self.RTOL)
+        got = channel._inverse(np.array([zero_entry, np.zeros((2, 2)), near_singular]))[1]
+        assert got[0] == pytest.approx(15 / math.sqrt(8), rel=self.RTOL)
+        assert np.linalg.cond(zero_entry) <= got[0] <= 2 * np.linalg.cond(zero_entry)
         assert got[1] == np.inf
-        kappa = (F + math.sqrt(F * F - 4 * d * d)) / (2 * d)
-        assert got[2] == pytest.approx(kappa, rel=self.RTOL)
+        d = (4 + 1e-12) - 4
+        assert got[2] == pytest.approx((1 + 4 + 4 + (4 + d) ** 2) / d, rel=self.RTOL)
         assert got[2] == pytest.approx(2.5e13, rel=1e-3)
+        near_singular_3 = np.array([[1, 2, 3], [2, 4, 6 + 1e-12], [0, 1, 1]], dtype=complex)
+        got_3 = channel._inverse(np.array([np.zeros((3, 3)), near_singular_3]))[1]
+        assert got_3[0] == np.inf and got_3[1] > 1e12
+        one = channel._inverse(np.array([[[0j]], [[np.nan]], [[np.inf]]]))[1]
+        assert one.tolist() == [np.inf] * 3
         assert (got[1:] > channel.CONDITION_GUARD).all()
-        assert np.linalg.cond(A[1]) == np.inf
+        assert (got_3 > channel.CONDITION_GUARD).all()
+
+    def test_singular_system_raises_channel_condition_error(self):
+        # LAPACK refuses the whole stack when one system is exactly
+        # singular; the engine raises its own error, never LinAlgError
+        A = _cn((5, 3, 3), seed=3)
+        A[2, 1] = 0.0  # one slot where the receiver hears nothing
+        with pytest.raises(ChannelConditionError, match="singular"):
+            channel._inverse(A)
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_solve(self, n):
-        A = self._draws(n, seed=10 + n)
-        y = np.einsum("...kl,...l->...k", A, _cn(A.shape[:-1], seed=20 + n))
-        got = channel._solve(A, y)
-        want = np.linalg.solve(A, y[..., None])[..., 0]
-        assert got.shape == want.shape
-        assert _normwise(got, want).max() < self.RTOL
-        assert got.tobytes() == self._alone(channel._solve, A, y).reshape(got.shape).tobytes()
+    def test_inverse(self, n):
+        # 1/a at every scale, the 2 x 2 adjugate over the determinant over
+        # the range a 2 x 2 determinant covers
+        A = self._draws(n, seed=10 + n, scales=SCALES if n == 1 else DET_SCALES)
+        got, want = channel._inverse(A)[0], np.linalg.inv(A)
+        assert got.shape == want.shape and np.isfinite(got).all()
+        flat = (-1,) if n == 1 else (*got.shape[:-2], -1)  # per entry, or per matrix
+        assert _normwise(got.reshape(flat), want.reshape(flat)).max() < self.RTOL
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stacked_equals_alone(self, n):
+        # a stacked system gets the inverse and kappa_F it gets alone, bit
+        # for bit, also from a stack laid out as the engine's (transposed)
+        A = _cn((4, n, 3, n), seed=30 + n).transpose(0, 2, 1, 3)
+        inverse, kappa = channel._inverse(A)
+        inverse_alone = self._alone(lambda a: channel._inverse(a)[0], A)
+        kappa_alone = self._alone(lambda a: channel._inverse(a)[1], A)
+        assert inverse.tobytes() == inverse_alone.reshape(inverse.shape).tobytes()
+        assert kappa.tobytes() == kappa_alone.reshape(kappa.shape).tobytes()
 
 
 class TestPayloadSymbols:
