@@ -2,21 +2,22 @@
 
 Covers the baseline schemes (uncoded TDMA, CDC, one-shot linear and BW in
 full- and half-duplex form), the per-receiver DoF of the cooperative
-X-multicast channel, the coded-parallel scheme's piecewise NDT with its
-fractional-load envelope, the information-theoretic lower bound, and the
-achievable-to-bound gap.  Between integer loads the scheme is
-memory-shared, so its curve there is the lower convex envelope of the
+X-multicast channel, the coded-parallel scheme's NDT (its load over that
+DoF) with its fractional-load envelope, the information-theoretic lower
+bound, and the achievable-to-bound gap.  Between integer loads the scheme
+is memory-shared, so its curve there is the lower convex envelope of the
 integer-load optima: the least chord from an optimum at or below r to one
 at or above r.  At an integer load the reported value is the scan minimum
 there, not the envelope.  The two differ where the optima are not convex
 in r: on 58 integer cells with K <= 50 the scan minimum lies above the
 envelope, first at (K, r) = (9, 7) with 2/63 against 53/1680, by at most
-1.3%.  The scheme NDT and its DoF are evaluated as
-exact integer (numerator, denominator) pairs and compared by
-cross-multiplication; every public function returns Fractions.  Dominance
-and sandwich comparisons downstream are knife-edge equalities at
-boundaries (for example r = K - 1), so nothing here touches floating
-point.
+1.3%.  The scheme NDT is computed once, as load over the DoF, on exact
+integer (numerator, denominator) pairs compared by cross-multiplication;
+nothing is cross-checked at run time (the paper's piecewise form and the
+binomial d' are test references).  Every public function returns
+Fractions.  Dominance and sandwich comparisons downstream are knife-edge
+equalities at boundaries (for example r = K - 1), so nothing here touches
+floating point.
 """
 
 from __future__ import annotations
@@ -105,21 +106,13 @@ def _dprime_pair(s: int, t: int, K_t: int, K_r: int) -> tuple[int, int]:
     """Neutralize-then-align DoF d', maximized over the sub-cooperation
     size t', as an unreduced (numerator, denominator) pair.
 
-    Each t' term is computed as the simplified fraction and as the raw
-    binomial ratio, both as integer pairs; the two must agree, checked by
-    cross-multiplication on every call (guards transcription drift).
+    The t' term s(K_t-t'+1) / (s(K_t-t'+1) + K_r-s-t'+1) is the simplified
+    form of the binomial ratio; the test suite checks the two agree.
     """
     best_n, best_d = 0, 1
-    c_num, c_den = math.comb(K_r - 1, s - 1), math.comb(K_r - 1, s)
     for tp in range(1, t + 1):
         n = s * (K_t - tp + 1)
         d = n + (K_r - s - tp + 1)
-        num = c_num * math.comb(K_t, tp) * math.comb(K_r - s, tp - 1) * tp
-        den = num + c_den * math.comb(K_r - s - 1, tp - 1) * math.comb(K_t, tp - 1)
-        if n * den != num * d:
-            raise AssertionError(
-                f"DoF forms disagree at t'={tp}: {Fraction(n, d)} vs {Fraction(num, den)}"
-            )
         if n * best_d > best_n * d:
             best_n, best_d = n, d
     return best_n, best_d
@@ -153,59 +146,24 @@ def delivery_dof(s: int, t: int, K_t: int, K_r: int) -> Fraction:
     return Fraction(*_dof_pair(s, t, K_t, K_r))
 
 
-def _tau_pair(r: int, t: int, K: int, K_r: int) -> tuple[int, int]:
-    """max over j in [1..t] of 1 / (1 + (K_r+t-r-j) / ((r+1-t)(K-K_r-j+1))),
-    as an unreduced pair.
-
-    Only `_cpc_pair`'s r < K_r - 1 branch uses it; every term there is a
-    positive fraction.  Outside that branch a term's denominator can be 0.
-    """
-    best_n, best_d = 0, 1
-    for j in range(1, t + 1):
-        n = (r + 1 - t) * (K - K_r - j + 1)
-        d = n + (K_r + t - r - j)
-        if n * best_d > best_n * d:
-            best_n, best_d = n, d
-    return best_n, best_d
-
-
 def _cpc_pair(r: int, t: int, K: int, K_r: int, s: int) -> tuple[int, int]:
-    """`ndt_cpc`'s value, load-over-DoF check included, as an unreduced
-    (numerator, denominator) pair on a configuration the model rule has
-    already accepted, with s = r + 1 - t.
+    """`ndt_cpc`'s value, the load (1/K_r)(1 - r/K) over the delivery DoF,
+    as an unreduced (numerator, denominator) pair on a configuration the
+    model rule has already accepted, with s = r + 1 - t.
 
     Every denominator is positive on an accepted configuration, so
     cross-multiplication orders these pairs as the values they stand for;
     `cpc_minimum` compares them that way.
     """
-    n, d = K - r, K_r * K  # the load (1/K_r)(1 - r/K)
-    if r >= K_r:
-        value = n, d
-    elif r == K_r - 1:
-        c = math.comb(r, t) * math.comb(K - K_r, t) * t
-        value = n * (c + 1), d * c
-    else:
-        tau_n, tau_d = _tau_pair(r, t, K, K_r)
-        if tau_d * r <= K_r * tau_n:
-            value = n * tau_d, d * tau_n
-        else:
-            value = n * K_r, d * r
     dof_n, dof_d = _dof_pair(s, t, K - K_r, K_r)
-    if value[0] * d * dof_n != n * dof_d * value[1]:
-        raise AssertionError(
-            f"NDT piecewise form {Fraction(*value)} disagrees with load/DoF form "
-            f"{Fraction(n * dof_d, d * dof_n)} at r={r}, t={t}, K={K}, K_r={K_r}"
-        )
-    return value
+    return (K - r) * dof_d, K_r * K * dof_n
 
 
 def ndt_cpc(r: int, t: int, K: int, K_r: int) -> NdtPoint:
-    """Per-configuration NDT of the coded parallel scheme, three cases in K_r.
-
-    The piecewise value is also recomputed as (1/K_r)(1 - r/K) over the
-    delivery DoF, from `delivery_dof`'s own transcription.  Both are
-    integer pairs and must match by cross-multiplication (load-over-DoF
-    identity); only the value becomes a Fraction.
+    """Per-configuration NDT of the coded parallel scheme: the load
+    (1/K_r)(1 - r/K) over `delivery_dof`, computed once as an integer pair;
+    only the value becomes a Fraction.  The paper's three-case form in K_r
+    is the same value; the test suite checks the two agree.
     """
     s = check_config(K, r, K_r, t)
     return NdtPoint(CPC, K, Fraction(r), Fraction(*_cpc_pair(r, t, K, K_r, s)), K_r=K_r, t=t, s=s)

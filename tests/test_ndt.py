@@ -1,6 +1,5 @@
 import hashlib
 import math
-import types
 from fractions import Fraction
 
 import pytest
@@ -108,20 +107,11 @@ class TestSchemeNdt:
         with pytest.raises(ConstraintViolation):
             ndt_cpc(3, 1, 6, 2)  # s=3 > K_r=2
 
-    @pytest.mark.parametrize("K", range(2, 11))
-    def test_piecewise_equals_load_over_dof_everywhere(self, K):
-        # the identity is asserted inside ndt_cpc; sweep every valid config
-        for r in range(1, K):
-            for K_r in range(1, K):
-                for t in range(1, r + 1):
-                    s = r + 1 - t
-                    if s > K_r or t > K - K_r:
-                        continue
-                    assert ndt_cpc(r, t, K, K_r).value > 0
-
 
 # Readable Fraction transcriptions of d', tau, the delivery DoF, the scheme
-# NDT and its scan; the module evaluates the same formulas on integer pairs.
+# NDT and its scan. The module computes the NDT once, as load over DoF on
+# integer pairs; the paper's piecewise NDT and the binomial form of d' live
+# only here, each asserted equal to the form the module uses.
 
 def _ref_dprime(s, t, K_t, K_r):
     best = Fraction(0)
@@ -179,7 +169,8 @@ def _ref_minimum(r, K, t=None):
 
 
 class TestIntegerPairKernel:
-    @pytest.mark.parametrize("K", range(2, 31))
+    # K <= 50: the grid of the fig2-fig5 presets and cross_validate(40)
+    @pytest.mark.parametrize("K", range(2, 51))
     def test_formulas_equal_the_fraction_reference(self, K):
         for r in range(1, K):
             for K_r in range(1, K + 1):
@@ -192,9 +183,6 @@ class TestIntegerPairKernel:
                     if s + t < K_r:
                         dprime = Fraction(*ndt._dprime_pair(s, t, K_t, K_r))
                         assert dprime == _ref_dprime(s, t, K_t, K_r)
-                    if r < K_r - 1:
-                        tau = Fraction(*ndt._tau_pair(r, t, K, K_r))
-                        assert tau == _ref_tau_factor(r, t, K, K_r)
 
     @pytest.mark.parametrize("K", range(2, 31))
     def test_scan_equals_the_fraction_reference(self, K):
@@ -207,17 +195,15 @@ class TestIntegerPairKernel:
                 else:
                     assert cpc_minimum(r, K, t=t) == expected
 
-    def test_dprime_guard_fires(self, monkeypatch):
-        # only the binomial form of d' calls comb
-        monkeypatch.setattr(ndt, "math", types.SimpleNamespace(comb=lambda n, k: math.comb(n, k) + 1))
-        with pytest.raises(AssertionError, match="^DoF forms disagree at t'=1"):
-            delivery_dof(2, 1, 3, 5)
-        with pytest.raises(AssertionError, match="^DoF forms disagree at t'=1"):
-            cpc_minimum(2, 8, K_r=5, t=1)
-
     # (r, t, K, K_r) in the r >= K_r, r = K_r - 1 and r < K_r - 1 branches
+    # of the reference's piecewise NDT: a drifted DoF transcription must
+    # show as a difference from the reference in each
     @pytest.mark.parametrize("config", [(3, 2, 6, 3), (2, 1, 6, 3), (2, 1, 6, 4)])
     def test_load_dof_guard_fires_in_each_branch(self, monkeypatch, config):
+        r, t, K, K_r = config
+        expected = _ref_ndt_cpc(r, t, K, K_r)
+        assert ndt_cpc(r, t, K, K_r) == expected
+        assert cpc_minimum(r, K, K_r=K_r, t=t) == expected
         real = ndt._dof_pair
 
         def drifted(s, t, K_t, K_r):
@@ -225,11 +211,9 @@ class TestIntegerPairKernel:
             return n, d + 1
 
         monkeypatch.setattr(ndt, "_dof_pair", drifted)
-        r, t, K, K_r = config
-        with pytest.raises(AssertionError, match="^NDT piecewise form "):
-            ndt_cpc(r, t, K, K_r)
-        with pytest.raises(AssertionError, match="^NDT piecewise form "):
-            cpc_minimum(r, K, K_r=K_r, t=t)
+        assert ndt_cpc(r, t, K, K_r).value != expected.value
+        assert cpc_minimum(r, K, K_r=K_r, t=t).value != expected.value
+        assert cpc_minimum(r, K).value != _ref_minimum(r, K).value
 
     def test_scan_builds_no_fraction_outside_its_points(self, monkeypatch):
         # the scan compares integer pairs; only the winner's r and value
