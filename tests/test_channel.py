@@ -664,13 +664,17 @@ class TestEndToEnd:
 
     def test_iv_missing_from_layout_fails(self, monkeypatch):
         # the check walks the required IVs, not the layout, so an IV the
-        # layout drops is reported rather than skipped
+        # layout files under another block's file is reported rather than
+        # skipped
         import cpcshuffle.channel as channel_mod
 
-        full = channel_mod.block_ivs
-        monkeypatch.setattr(
-            channel_mod, "block_ivs", lambda pl, dest, storage: full(pl, dest, storage)[1:]
-        )
+        full = channel_mod.block_layout
+
+        def shifted(pl, blocks):
+            q, n = full(pl, blocks)
+            return q, np.roll(n, 1, axis=0)
+
+        monkeypatch.setattr(channel_mod, "block_layout", shifted)
         cfg = validate_config(CASE_C, K_r=5, t=1)
         ok, rep = ideal_verify(CASE_C, cfg, seed=0)
         assert not ok

@@ -1,6 +1,7 @@
 """The segment table's bookkeeping: the message-row table against the
-by-id reference, the invariant checks on it, and the memory the table
-keeps."""
+by-id reference, the invariant checks on it, the memory the table
+keeps, and the pipeline's array encode and reassembly against the
+per-partition encoder and the per-IV walk."""
 
 import math
 import re
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cpcshuffle import codec
+from cpcshuffle import channel, codec
 from cpcshuffle.codec import (
     CodedMessage,
     _message_pairs,
@@ -28,19 +29,32 @@ from cpcshuffle.model import (
     validate_config,
 )
 from cpcshuffle.placement import build_placement, map_phase
-from segment_reference import segment_rows
+from segment_reference import segment_rows, verify_reassembly
 
 # the worked 6-node instance and (8,5,4,2), written (K, r, K_r, t), both
 # single shot with t = 2, and (7,2,4,1), time division with t = 1
 CASES = [(6, 3, 3, 2), (8, 5, 4, 2), (7, 2, 4, 1)]
 
 
+def _config(K, r, K_r, t, Q=None):
+    """The config at N = C(K, r), Q = K unless given, and its least B."""
+    shape = dict(K=K, N=math.comb(K, r), Q=Q or K, r=r)
+    probe = validate_config(SystemParams(**shape, B=8), K_r, t)
+    return validate_config(SystemParams(**shape, B=round_up_bits(probe, 8)), K_r, t)
+
+
 def _table(K, r, K_r, t):
-    probe = validate_config(SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8), K_r, t)
-    params = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=round_up_bits(probe, 8))
-    cfg = validate_config(params, K_r, t)
-    pl = build_placement(params)
-    return cfg, segment_ivs(pl, cfg, map_phase(pl, params, seed=0))
+    cfg = _config(K, r, K_r, t)
+    pl = build_placement(cfg.params)
+    return cfg, segment_ivs(pl, cfg, map_phase(pl, cfg.params, seed=0))
+
+
+def _valid_configs(K_max):
+    return [
+        (K, r, K_r, t)
+        for K in range(2, K_max + 1) for r in range(1, K) for K_r in range(1, K)
+        for t in range(1, r + 1) if config_violation(K, r, K_r, t) is None
+    ]
 
 
 @pytest.fixture(scope="module", params=CASES, ids=lambda c: "K{}r{}Kr{}t{}".format(*c))
@@ -79,11 +93,7 @@ class TestMessageTable:
     def test_payload_rows_are_the_stacked_messages(self):
         # every partition of every valid config with K <= 6, s + t = K_r
         # included: the codec encodes what the channel cannot run
-        configs = [
-            (K, r, K_r, t)
-            for K in range(2, 7) for r in range(1, K) for K_r in range(1, K)
-            for t in range(1, r + 1) if config_violation(K, r, K_r, t) is None
-        ]
+        configs = _valid_configs(6)
         assert len(configs) == 70
         for K, r, K_r, t in configs:
             cfg, segs = _table(K, r, K_r, t)
@@ -106,20 +116,19 @@ class TestMessageTable:
             assert str(got.value).endswith("is not one the segment table was cut for")
 
     def test_a_message_without_its_segment_is_an_invariant_error(self, monkeypatch):
-        # partition 1's first message gets a transmitter in its dest group:
-        # no block holds that receiver's segment
-        real = codec._message_pairs
+        # every partition's first message gets a transmitter in its dest
+        # group: no block holds that receiver's segment, and partition 1's
+        # is named first
+        real = codec._message_positions
 
-        def skewed(partition, config):
-            pairs = real(partition, config)
-            if partition.index == 1:
-                coop, dest_group = pairs[0]
-                outsider = max(partition.tx - coop)
-                low = NodeSet.of(dest_group.members[0])
-                pairs[0] = (coop, dest_group - low | NodeSet.of(outsider))
-            return pairs
+        def skewed(config):
+            positions = real(config).copy()
+            coop = set(positions[0, : config.t].tolist())
+            outsider = max(set(range(config.K_t)) - coop)
+            positions[0, config.t] = outsider  # in place of D's lowest receiver
+            return positions
 
-        monkeypatch.setattr(codec, "_message_pairs", skewed)
+        monkeypatch.setattr(codec, "_message_positions", skewed)
         missing = (
             "missing segment SegmentId(dest=3, storage=NodeSet(members=(1, 2, 5)), "
             "partition=1, coop=NodeSet(members=(1, 2)))"
@@ -128,18 +137,55 @@ class TestMessageTable:
             _table(6, 3, 3, 2)
 
     def test_messages_must_cover_every_row_once(self, monkeypatch):
-        # partition 1 sends its first message twice and its second not at all
-        real = codec._message_pairs
+        # every partition sends its first message twice and its second not at all
+        real = codec._message_positions
 
-        def doubled(partition, config):
-            pairs = real(partition, config)
-            if partition.index == 1:
-                pairs[1] = pairs[0]
-            return pairs
+        def doubled(config):
+            positions = real(config).copy()
+            positions[1] = positions[0]
+            return positions
 
-        monkeypatch.setattr(codec, "_message_pairs", doubled)
+        monkeypatch.setattr(codec, "_message_positions", doubled)
         with pytest.raises(InternalInvariantError, match="do not cover the .* rows once each"):
             _table(6, 3, 3, 2)
+
+
+def test_array_pipeline_matches_the_per_partition_and_per_iv_references(monkeypatch):
+    # every valid config with K <= 8, s + t = K_r included: the ideal
+    # path's one config-wide payload array is the stacked `encode_payloads`
+    # rows, and its array reassembly fails exactly the IVs the per-IV walk
+    # fails, in the same (node, q, n) order, with every message held, under
+    # a seeded random `held` mask and with one corrupted message.  Q = 2K
+    # gives every block two outputs, so the order of q and n is checked.
+    seen = []
+    real = channel._verify_reassembly
+
+    def recorded(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(channel, "_verify_reassembly", recorded)
+    configs = _valid_configs(8)
+    assert len(configs) == 210
+    for K, r, K_r, t in configs:
+        cfg = _config(K, r, K_r, t, Q=2 * K)
+        rng = np.random.default_rng([K, r, K_r, t])
+        seen.clear()
+        ok, _rep = channel.ideal_verify(cfg.params, cfg, seed=0)
+        [(pl, store, segs, payloads, held)] = seen
+        stacked = np.concatenate([encode_payloads(segs, part, cfg) for part in segs.partitions])
+        assert ok and np.array_equal(payloads, stacked), (K, r, K_r, t)
+        assert verify_reassembly(pl, store, segs, payloads, held) == [], (K, r, K_r, t)
+        dropped = held & (rng.random(held.shape) < 0.9)
+        want = verify_reassembly(pl, store, segs, payloads, dropped)
+        assert real(pl, store, segs, payloads, dropped) == want, (K, r, K_r, t)
+        n_parts = len(segs.partitions)
+        corrupt = (int(rng.integers(1, n_parts + 1)), int(rng.integers(len(payloads) // n_parts)))
+        seen.clear()
+        ok, rep = channel.ideal_verify(cfg.params, cfg, seed=0, corrupt=corrupt)
+        [(pl, store, segs, payloads, held)] = seen
+        want = verify_reassembly(pl, store, segs, payloads, held)
+        assert not ok and rep.failures == want and len(want) == cfg.s, (K, r, K_r, t)
 
 
 def test_table_keeps_no_python_object_per_row():
