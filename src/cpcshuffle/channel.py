@@ -13,24 +13,25 @@ wants and solves a square symbol-extension system, one symbol per slot.
 The blocks, as positions in a partition's receivers and messages with
 each message's chunk index, and which receiver positions of a block want
 which of its C(g, s) messages, depend on the config alone, so they are
-one config-level table (`_block_tables`).  `draw_channel` draws exactly
-the gains these blocks read, each once, as one (block, slot, receiver,
-transmitter) array per partition.  A config's partitions are delivered
-in chunks, each one array pass over its partitions' stacked blocks: one
-determinant call builds every cofactor precoder, one `build_precoders`
-call normalizes them, and the stacked blocks give the effective gains,
-the nulling residual, the received signals, and every receiver's square
-system A with one inverse (`_inverse`): the guard reads its Frobenius
-condition number ||A||_F ||A^-1||_F, and the receiver decodes x = A^-1 y.
-Determinants and inverses of 1 x 1 and 2 x 2 matrices use closed forms
-(`_det`, `_inverse`), so a block with at most 3 transmitters and
-receiver systems of at most 2 x 2 makes no LAPACK call; 3 x 3 and larger
-take one stacked `np.linalg.det` or `np.linalg.inv` call each, and no
-SVD or LU solve runs.  `STACK_ELEMENTS` bounds a chunk's stacked gains,
-and a guard trip resamples only the partition that tripped.  A
-partition's messages arrive by position, as the rows of one (messages,
-L) payload array; one `payload_symbols` array pass per partition maps
-each of their chunks to its symbol.
+one config-level table (`_block_tables`), whose messages are the rows of
+the codec's position table (`codec._message_positions`).  `draw_channel`
+draws exactly the gains these blocks read, each once, as one (block,
+slot, receiver, transmitter) array per partition.  A config's partitions
+are delivered in chunks, each one array pass over its partitions'
+stacked blocks: one determinant call builds every cofactor precoder, one
+`build_precoders` call normalizes them, and the stacked blocks give the
+effective gains, the nulling residual, the received signals, and every
+receiver's square system A with one inverse (`_inverse`): the guard
+reads its Frobenius condition number ||A||_F ||A^-1||_F, and the
+receiver decodes x = A^-1 y.  Determinants and inverses of 1 x 1 and
+2 x 2 matrices use closed forms (`_det`, `_inverse`), so a block with
+at most 3 transmitters and receiver systems of at most 2 x 2 makes no
+LAPACK call; 3 x 3 and larger take one stacked `np.linalg.det` or
+`np.linalg.inv` call each, and no SVD or LU solve runs.
+`STACK_ELEMENTS` bounds a chunk's stacked gains, and a guard trip
+resamples only the partition that tripped.  A partition's messages arrive by position, as
+the rows of one (messages, L) payload array; one `payload_symbols` array
+pass per partition maps each of their chunks to its symbol.
 
 A message is cut into C(K_r-s, g-s) chunks, one per receiver set that
 contains D, so the per-receiver DoF is g / K_r.  `model.delivery_layout`
@@ -65,6 +66,7 @@ from .model import (
     delivery_layout,
 )
 from .codec import (
+    _message_positions,
     bits_step,
     block_layout,
     check_bits,
@@ -260,9 +262,10 @@ def _block_tables(s: int, t: int, K_r: int, K_t: int) -> tuple[np.ndarray, ...]:
     Block b = r * n_coops + c serves receiver set r with coop group c,
     both in lex order; coop group c's first g-s+1 members transmit, and
     `draw_channel` draws the block's gains as H[b].  rx[b]: set r's g
-    receiver positions.  ids[b, u]: the `codec.encode_payloads` row of
-    set r's u-th dest group's message from group c.  chunk[b, u]: how many
-    earlier receiver sets contain that dest group, so the chunk the block
+    receiver positions.  ids[b, u]: the u-th message from group c whose
+    dest group lies in set r, as its row in `codec._message_positions`
+    and so in `codec.encode_payloads`.  chunk[b, u]: how many earlier
+    receiver sets contain that dest group, so the chunk the block
     carries.  wants[k, u]: position k of a receiver set lies in the set's
     u-th s-subset, the u-th dest group in `enum_subsets` order.  Derived
     from it: nulled[u], the g-s positions unknown u is nulled at, and
@@ -271,17 +274,16 @@ def _block_tables(s: int, t: int, K_r: int, K_t: int) -> tuple[np.ndarray, ...]:
     g, _chunks, _gamma = delivery_layout(s, t, K_r)
     rx = np.array(list(combinations(range(K_r), g)))
     set_masks = (1 << rx).sum(axis=1)
-    group_masks = (1 << np.array(list(combinations(range(K_r), s)))).sum(axis=1)
-    contains = (set_masks[:, None] & group_masks) == group_masks  # contains[r, d]
-    dest = np.nonzero(contains)[1].reshape(len(rx), -1)
-    chunk = np.take_along_axis(contains.cumsum(axis=0) - 1, dest, axis=1)
-    n = math.comb(K_t, t)
-    ids = (np.arange(n)[:, None] * len(group_masks) + dest[:, None]).reshape(len(rx) * n, -1)
+    dest_masks = (1 << (_message_positions(s, t, K_r, K_t)[:, t:] - K_t)).sum(axis=1)
+    contains = (set_masks[:, None] & dest_masks) == dest_masks  # contains[r, message]
+    n_blocks = len(rx) * math.comb(K_t, t)
+    ids = np.nonzero(contains)[1].reshape(n_blocks, -1)
+    chunk = (contains.cumsum(axis=0) - 1)[contains].reshape(n_blocks, -1)
     groups = list(combinations(range(g), s))
     wants = np.array([[k in group for group in groups] for k in range(g)])
     nulled = np.nonzero(~wants.T)[1].reshape(len(groups), g - s)
     wanted = np.nonzero(wants)[1].reshape(g, math.comb(g - 1, s - 1))
-    tables = (np.repeat(rx, n, 0), ids, np.repeat(chunk, n, 0), wants, nulled, wanted)
+    tables = (np.repeat(rx, n_blocks // len(rx), 0), ids, chunk, wants, nulled, wanted)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -321,7 +323,7 @@ def _inverse(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             m = np.maximum.reduce([mag[..., i // 2, i % 2] for i in range(4)])[..., None, None]
             S, sq = A / m, np.square(mag / m)
             a, b, c, d = S[..., 0, 0], S[..., 0, 1], S[..., 1, 0], S[..., 1, 1]
-            det = a * d - b * c
+            det = _det(S)
             adjugate = np.stack([d, -b, -c, a], axis=-1).reshape(S.shape)
             inverse = adjugate / (det[..., None, None] * m)
             kappa = (sq[..., 0, 0] + sq[..., 0, 1] + sq[..., 1, 0] + sq[..., 1, 1]) / np.abs(det)
@@ -367,7 +369,7 @@ def _deliver(partitions, config, channels, payloads, snr_db=None) -> list[Delive
     n_blocks, gamma, g, _n_tx = shape
     tables = _block_tables(config.s, config.t, config.K_r, config.K_t)
     rx_pos, ids, chunks, wants, nulled, wanted = tables
-    n_messages = math.comb(config.K_t, config.t) * math.comb(config.K_r, config.s)
+    n_messages = len(_message_positions(config.s, config.t, config.K_r, config.K_t))
     symbols = np.array([payload_symbols(rows, n_chunks, n_messages) for rows in payloads])
 
     # stacked block b = i * n_blocks + j, block j of the i-th partition, has
@@ -517,8 +519,7 @@ def _verify_reassembly(placement, store, segments, payloads, held) -> list[tuple
     confirms fails, in (q, n) order.  So an IV the layout files elsewhere
     fails too.
     """
-    params = placement.params
-    ivs = store.array
+    params, ivs = placement.params, store.array
     q_of, n_of = block_layout(placement, segments.blocks)
     per = len(segments.blocks) // params.K
     failures: list[tuple[int, int, int]] = []
@@ -556,7 +557,7 @@ def _pipeline(
     """
     if corrupt is not None:
         n_parts = math.comb(params.K, config.K_t)
-        n_msgs = math.comb(config.K_t, config.t) * math.comb(config.K_r, config.s)
+        n_msgs = len(_message_positions(config.s, config.t, config.K_r, config.K_t))
         p, i = corrupt
         whole = isinstance(p, numbers.Integral) and isinstance(i, numbers.Integral)
         if not (whole and 1 <= p <= n_parts and 0 <= i < n_msgs):

@@ -27,7 +27,7 @@ from .model import (
     SystemParams,
     validate_config,
 )
-from .placement import build_placement, map_phase
+from .placement import build_placement, check_seed, map_phase
 from .codec import check_bits, encode_partition, encode_payloads, segment_ivs
 from .channel import (
     check_simulable,
@@ -106,15 +106,19 @@ def _emit_rows(args, rows: list[list]) -> None:
 
 def _full_load(args) -> bool:
     """True when r = K: every IV is local and there is nothing to shuffle.
-    K is range-checked first, since that answer skips `SystemParams`."""
+    K is range-checked first; a full load's N, Q, B and seed then pass the
+    checks `_instance` and `map_phase` make, though no placement is built."""
     if not 1 <= args.K <= MAX_NODES:
         raise ParameterError(f"K must lie in [1, {MAX_NODES}], got {args.K}")
+    if args.r == args.K:
+        N, Q, B = (d if v is None else v for v, d in ((args.N, 1), (args.Q, args.K), (args.B, 8)))
+        SystemParams(K=args.K, N=N, Q=Q, r=args.K, B=B).require_symmetric()
+        check_seed(args.seed)
     return args.r == args.K
 
 
 def cmd_construct(args) -> int:
     if _full_load(args):
-        # everything is local: nothing to shuffle
         _emit(args, _json({"params": {"K": args.K, "r": args.r}, "partitions": [],
                            "messages": [], "placement": None}))
         return EXIT_OK
@@ -158,7 +162,6 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     if _full_load(args):
-        # every IV is local: nothing to shuffle, trivially correct
         _emit(args, _json({"ok": True, "failures": [], "partitions": 0}))
         return EXIT_OK
     params, cfg = _instance(args)

@@ -13,22 +13,23 @@ its own.
 
 Every segment has an integer rank: block rank * segments per block +
 pair index, with blocks in (dest, storage lex) order.  `segment_ivs`
-gathers all segments in one step from the store's (Q, N, B/8) IV array
-through `block_layout`, as the rows of one `(n_segments, seg_len)` uint8
-array, so a block's segments are its bytes reshaped.  It lays out every
-partition's messages as one (partitions, messages, s) table of rows by
-index arithmetic on combinatorial ranks: a head table keyed by (X = B |
-D, B), plus the lex rank of E = T_p - B among the nodes outside X.  No
-Python object is kept per message or row.  A message's address is its
-position: partition p's m-th message in `_message_pairs` order is flat
-message (p-1) * per-partition count + m.  One XOR-reduce over the table
-encodes a whole config, and `decode_node` gathers a node's payloads from
-one (all messages, L) array, masked by what the node holds.
-`admissible_pairs`, `_message_pairs`, `block_ivs`, `block_bytes`,
-`SegmentId`, `Segment`, `encode_partition`, `decode_segment` and
-`xor_bytes` name, encode and decode one block, message or segment at a
-time: the readable form the arrays are checked against, which
-`end_to_end_verify` and `ideal_verify` do not call.
+enumerates the blocks once; that one list lays out the gather of every
+segment from the store's (Q, N, B/8) IV array, through `block_layout`,
+as the rows of one `(n_segments, seg_len)` uint8 array, and the head
+table keyed by (X = B | D, B).  A partition's messages are enumerated
+once too, as the cached position table `_message_positions`, which the
+channel's blocks also read: partition p's m-th message is flat message
+(p-1) * per-partition count + m, and its (partitions, messages, s) rows
+follow by index arithmetic on combinatorial ranks, its head plus the
+lex rank of E = T_p - B among the nodes outside X.  No Python object is
+kept per message or row.  One XOR-reduce over the rows encodes a whole
+config, and `decode_node` gathers a node's payloads from one (all
+messages, L) array, masked by what the node holds.  `admissible_pairs`,
+`_message_pairs`, `block_ivs`, `block_bytes`, `SegmentId`, `Segment`,
+`encode_partition`, `decode_segment` and `xor_bytes` name, encode and
+decode one block, message or segment at a time: the readable form the
+arrays are checked against, which `end_to_end_verify` and
+`ideal_verify` do not call.
 
 Which B works is decided in one place, `bits_step`: B must cut IVs into
 bytes and every block into whole-byte segments, and on the channel path
@@ -42,6 +43,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -240,13 +242,17 @@ def _count_below(values: np.ndarray, of: np.ndarray) -> np.ndarray:
     return (of[None] < values[:, None]).sum(axis=1, dtype=np.int8)
 
 
-def _message_positions(config: ShuffleConfig) -> np.ndarray:
-    """Every partition's messages in `_message_pairs` order, as (messages,
-    t + s) ascending positions among its nodes, transmitters first, then
-    receivers: the coop group B's t positions, then the dest group D's s."""
-    coops = itertools.combinations(range(config.K_t), config.t)
-    dests = list(itertools.combinations(range(config.K_t, config.params.K), config.s))
-    return np.array([b + d for b, d in itertools.product(coops, dests)])
+@lru_cache(maxsize=32)
+def _message_positions(s: int, t: int, K_r: int, K_t: int) -> np.ndarray:
+    """Every partition's messages in `_message_pairs` order, as a cached,
+    read-only (messages, t + s) table of ascending positions among its
+    nodes: the coop group B's t transmitters, then the dest group D's s
+    receivers."""
+    coops = itertools.combinations(range(K_t), t)
+    dests = list(itertools.combinations(range(K_t, K_t + K_r), s))
+    table = np.array([b + d for b, d in itertools.product(coops, dests)])
+    table.flags.writeable = False
+    return table
 
 
 # Message (p, D, B) XORs the segment (j, X - {j}, p, B) of each j in D, X =
@@ -256,15 +262,14 @@ def _message_positions(config: ShuffleConfig) -> np.ndarray:
 # own part plus how many members of the other part lie below it.
 
 
-def _head_table(K: int, r: int, t: int, per_block: int) -> np.ndarray:
+def _head_table(blocks: list[tuple[int, NodeSet]], K: int, t: int, per_block: int) -> np.ndarray:
     """heads[rank of X, rank of B in X, i]: the row of B's first pair in
     block (j, X - {j}), j the i-th member of D = X - B, for every
     (r+1)-set X and t-subset B of it; one entry per block and coop group,
-    blocks in `segment_ivs` order."""
-    others = np.array(list(itertools.combinations(range(1, K), r))).T
-    dest = np.repeat(np.arange(1, K + 1), others.shape[1])[None]
-    stored = np.tile(others, K)
-    stored += stored >= dest  # (r, blocks): each block's storage group
+    read off `blocks`, the table's rows in order."""
+    dest = np.array([d for d, _storage in blocks])[None]
+    stored = np.array([storage.members for _d, storage in blocks]).T  # (r, blocks)
+    r = len(stored)
     coops = np.array(list(itertools.combinations(range(r), t))).T
     n_coops = coops.shape[1]
     in_x = coops[:, :, None] + (stored[coops] > dest)  # (t, coops, blocks): B in X
@@ -288,7 +293,7 @@ def _message_rows(
     receiver in partition 1."""
     K, K_t, r, s, t = config.params.K, config.K_t, config.params.r, config.s, config.t
     order = np.array([part.tx.members + part.rx.members for part in partitions], dtype=np.int8)
-    positions = _message_positions(config)
+    positions = _message_positions(s, t, config.K_r, K_t)
     b, d = positions[:, :t], positions[:, t:]
     named = (np.diff(positions) > 0).all(axis=1) & (b[:, 0] >= 0) & (d[:, -1] < K)
     named &= (b[:, -1] < K_t) & (d[:, 0] >= K_t)
@@ -325,8 +330,7 @@ def segment_ivs(
     (pick B via round_up_bits).
     """
     check_bits(config)
-    params = config.params
-    K, r, s = params.K, params.r, config.s
+    K, r, s = config.params.K, config.params.r, config.s
     n_seg = segments_per_block(config)
     blocks = [(dest, storage) for dest in range(1, K + 1)
               for storage in enum_subsets(full_set(K) - NodeSet.of(dest), r)]
@@ -334,7 +338,7 @@ def segment_ivs(
     q, n = block_layout(placement, blocks)
     data = store.array[q, n].reshape(n_rows, -1)
     partitions = enum_partitions(K, config.K_t)
-    rows = _message_rows(config, partitions, _head_table(K, r, config.t, n_seg))
+    rows = _message_rows(config, partitions, _head_table(blocks, K, config.t, n_seg))
     message_of = np.full(n_rows, -1, dtype=np.intp)
     message_of[rows] = np.arange(rows.size // s).reshape(*rows.shape[:2], 1)
     if rows.size != n_rows or (message_of < 0).any():

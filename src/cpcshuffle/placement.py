@@ -5,15 +5,18 @@ lexicographic order, so every size-r subset stores exactly eta1 files and
 every node stores rN/K of them.  Map outputs are synthesized with a keyed
 hash so that the same (seed, q, n) always yields the same bytes no matter
 which node computes them, so downstream decodability checks are exact
-byte comparisons.
+byte comparisons.  `map_phase` writes them straight into the store's one
+(Q, N, B/8) uint8 array, which every layer reads; the per-IV `values`
+mapping is built from it only when asked for.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -47,51 +50,44 @@ class PlacementMap:
 
 @dataclass(frozen=True)
 class IVStore:
-    """All intermediate values v[q, n], each B bits, keyed by (q, n).
+    """All intermediate values v[q, n], each B bits, v[q, n] the row
+    [q-1, n-1] of one read-only (Q, N, B/8) uint8 array.
 
     Values are globally deterministic given the seed, so the store is
-    shared; locality ("node k holds (q, n)") is a placement question and
-    is answered through `at_node`.
+    shared and equals every store of the same params and seed; locality
+    ("node k holds (q, n)") is a placement question, answered by `at_node`.
     """
 
     params: SystemParams
     seed: int
-    values: dict[tuple[int, int], bytes]
+    array: np.ndarray = field(compare=False, repr=False)
 
     def get(self, q: int, n: int) -> bytes:
-        return self.values[(q, n)]
+        return self.array[q - 1, n - 1].tobytes()
 
     @cached_property
-    def array(self) -> np.ndarray:
-        """Every v[q, n] as row [q-1, n-1] of one read-only (Q, N, B/8) uint8 array."""
+    def values(self) -> dict[tuple[int, int], bytes]:
+        """Every v[q, n] keyed by (q, n), built from `array` on first use."""
         p = self.params
-        joined = b"".join(self.get(q, n) for q in range(1, p.Q + 1) for n in range(1, p.N + 1))
-        return np.frombuffer(joined, dtype=np.uint8).reshape(p.Q, p.N, -1)
+        return {(q, n): self.get(q, n) for q in range(1, p.Q + 1) for n in range(1, p.N + 1)}
 
     def at_node(self, placement: PlacementMap, k: int) -> dict[tuple[int, int], bytes]:
         """The IVs node k computed locally: every q, for its stored files."""
-        return {
-            (q, n): self.values[(q, n)]
-            for q in range(1, self.params.Q + 1)
-            for n in sorted(placement.node_to_files[k])
-        }
+        files = sorted(placement.node_to_files[k])
+        return {(q, n): self.get(q, n) for q in range(1, self.params.Q + 1) for n in files}
 
 
 def build_placement(params: SystemParams) -> PlacementMap:
     """Assign files to size-r subsets in lex order, outputs in contiguous blocks."""
     eta1, eta2 = params.require_symmetric()
     groups = enum_subsets(full_set(params.K), params.r)
-    file_to_nodes: dict[int, NodeSet] = {}
+    starts = range(1, params.N + 1, eta1)
+    group_files = {g.mask: tuple(range(n, n + eta1)) for g, n in zip(groups, starts)}
+    file_to_nodes = {n: group for group in groups for n in group_files[group.mask]}
     node_to_files: dict[int, set[int]] = {k: set() for k in range(1, params.K + 1)}
-    group_files: dict[int, tuple[int, ...]] = {}
-    n = 1
-    for group in groups:
-        group_files[group.mask] = tuple(range(n, n + eta1))
-        for _ in range(eta1):
-            file_to_nodes[n] = group
-            for k in group:
-                node_to_files[k].add(n)
-            n += 1
+    for n, group in file_to_nodes.items():
+        for k in group:
+            node_to_files[k].add(n)
     reduce_assignment = {
         k: frozenset(range((k - 1) * eta2 + 1, k * eta2 + 1)) for k in range(1, params.K + 1)
     }
@@ -101,42 +97,36 @@ def build_placement(params: SystemParams) -> PlacementMap:
             raise InternalInvariantError(
                 f"node {k} stores {len(files)} files, expected rN/K={per_node}"
             )
-    return PlacementMap(
-        params=params,
-        file_to_nodes=file_to_nodes,
-        node_to_files={k: frozenset(v) for k, v in node_to_files.items()},
-        group_files=group_files,
-        reduce_assignment=reduce_assignment,
-    )
+    frozen = {k: frozenset(v) for k, v in node_to_files.items()}
+    return PlacementMap(params, file_to_nodes, frozen, group_files, reduce_assignment)
 
 
-def _iv_bytes(seed: int, q: int, n: int, nbytes: int) -> bytes:
-    """Keyed-hash expansion of (q, n) to nbytes, counter mode."""
-    key = seed.to_bytes(8, "little", signed=False)
-    out = bytearray()
-    counter = 0
-    while len(out) < nbytes:
-        h = hashlib.blake2b(
-            struct.pack("<QQQ", q, n, counter), digest_size=32, key=key
-        )
-        out.extend(h.digest())
-        counter += 1
-    return bytes(out[:nbytes])
+def check_seed(seed: int) -> None:
+    """Refuse a seed outside [0, 2**64), which keys every IV's hash."""
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")
 
 
 def map_phase(placement: PlacementMap, params: SystemParams, seed: int) -> IVStore:
-    """Synthesize every IV v[q, n] as seed-keyed hash bytes of length B/8."""
+    """Synthesize every IV v[q, n] as the first B/8 bytes of the blake2b
+    digests of (q, n, counter), counter 0, 1, ..., keyed by the seed, and
+    write them in (q, n) order straight into the store's array."""
     if params.B % 8 != 0:
         raise ParameterError(f"B must be a multiple of 8 bits, got {params.B}")
-    if not 0 <= seed < 2**64:
-        raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")
-    nbytes = params.B // 8
-    values = {
-        (q, n): _iv_bytes(seed, q, n, nbytes)
-        for q in range(1, params.Q + 1)
-        for n in range(1, params.N + 1)
-    }
-    return IVStore(params=params, seed=seed, values=values)
+    check_seed(seed)
+    Q, N, nbytes = params.Q, params.N, params.B // 8
+    # a copy of the keyed state spares hashing the key block once per digest
+    keyed = hashlib.blake2b(digest_size=32, key=seed.to_bytes(8, "little"))
+    pack, counters = struct.Struct("<QQQ").pack, range(-(-nbytes // 32))
+    digests = []
+    for q, n, counter in itertools.product(range(1, Q + 1), range(1, N + 1), counters):
+        h = keyed.copy()
+        h.update(pack(q, n, counter))
+        digests.append(h.digest())
+    stream = np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(Q, N, -1)
+    array = np.ascontiguousarray(stream[..., :nbytes])
+    array.flags.writeable = False
+    return IVStore(params=params, seed=seed, array=array)
 
 
 def required_ivs(placement: PlacementMap, k: int) -> set[tuple[int, int]]:

@@ -123,3 +123,41 @@ def test_ideal_verify_makes_no_per_block_or_per_message_codec_call(workloads):
     assert counts["codec.admissible_pairs_calls"] == 0
     assert calls.get("codec.encode_partition", 0) == 0
     assert counts["codec.decode_segment_calls"] == 0
+
+
+def test_iv_hook_counts_the_store_map_phase_returns(workloads):
+    # `_count_ivs` reads `len(store.values)`, a mapping the store builds
+    # from its (Q, N, B/8) array on demand: every IV's bytes count once
+    from cpcshuffle import placement
+
+    params = workloads.Instance.build(9, 3, 6, 2).params
+    pl = placement.build_placement(params)
+    target = "placement.map_phase"
+    with workloads.Tracer() as tracer:
+        tracer.install([placement], {target: workloads.TRACE_TARGETS[target]})
+        store = placement.map_phase(pl, params, 0)
+    assert not hasattr(placement.map_phase, "__wrapped__")  # restored
+    iv_bytes = params.Q * params.N * params.B // 8
+    assert tracer.counts == {"placement.iv_bytes": iv_bytes}
+    assert store.array.nbytes == iv_bytes == 9 * 84 * 60
+
+
+def test_end_to_end_verify_never_builds_the_values_mapping(workloads, monkeypatch):
+    # the pipeline reads the store's array alone; `values` is built, and
+    # cached on the store, only when something asks for it
+    from cpcshuffle import channel
+
+    stores = []
+    real = channel.map_phase
+
+    def captured(*args):
+        stores.append(real(*args))
+        return stores[-1]
+
+    monkeypatch.setattr(channel, "map_phase", captured)
+    inst = workloads.Instance.build(9, 3, 6, 2)
+    ok, _report = channel.end_to_end_verify(inst.params, inst.config, 0)
+    assert ok and len(stores) == 1
+    assert "values" not in vars(stores[0])
+    assert len(stores[0].values) == inst.params.Q * inst.params.N
+    assert "values" in vars(stores[0])

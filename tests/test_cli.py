@@ -4,6 +4,8 @@ import json
 import math
 from fractions import Fraction
 
+import pytest
+
 from cpcshuffle import channel, cli, ndt
 from cpcshuffle.cli import main
 
@@ -140,6 +142,29 @@ class TestVerify:
                 assert out == "" and "K must lie in [1, 64]" in err
         code, out, _ = run(capsys, "verify", "--K", "64", "--r", "64")
         assert code == 0 and json.loads(out) == {"ok": True, "failures": [], "partitions": 0}
+
+    @pytest.mark.parametrize("command", ["verify", "construct"])
+    @pytest.mark.parametrize("flag", [("--seed", "-5"), ("--B", "0"), ("--N", "0"), ("--Q", "3")])
+    def test_full_load_checks_its_flags(self, capsys, command, flag):
+        # r = K builds no placement, yet an invalid N, Q, B or seed is
+        # refused with the error it gets at r < K
+        code, out, err = run(capsys, command, "--K", "4", "--r", "4", *flag)
+        want = run(capsys, command, "--K", "4", "--r", "3", *flag)
+        assert want[0] == 2 and want[2].startswith("error: ")
+        assert (code, out, err) == (2, "", want[2])
+
+    @pytest.mark.parametrize("K, r, K_r, t", [(64, 1, 1, 1), (64, 1, 2, 1), (64, 62, 63, 1)])
+    def test_largest_k_verifies_over_the_channel(self, capsys, K, r, K_r, t):
+        # K = MAX_NODES: node 64 sits in the int8 node arrays, the C(64, .)
+        # binomials of the segment table and the receiver masks of the
+        # channel's blocks
+        instance = ["--K", str(K), "--r", str(r), "--Kr", str(K_r), "--t", str(t)]
+        code, out, _ = run(capsys, "verify", *instance)
+        rep = json.loads(out)
+        s = r + 1 - t
+        assert code == 0 and rep["ok"] and rep["failures"] == []
+        assert rep["partitions"] == math.comb(K, K - K_r)
+        assert rep["measured_dof"] == str(Fraction(min(K_r, s + t - 1), K_r))
 
     def test_report_names_its_params(self, capsys):
         # the instance a run used, defaults filled in, on both paths: the

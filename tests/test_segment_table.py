@@ -121,11 +121,11 @@ class TestMessageTable:
         # is named first
         real = codec._message_positions
 
-        def skewed(config):
-            positions = real(config).copy()
-            coop = set(positions[0, : config.t].tolist())
-            outsider = max(set(range(config.K_t)) - coop)
-            positions[0, config.t] = outsider  # in place of D's lowest receiver
+        def skewed(s, t, K_r, K_t):
+            positions = real(s, t, K_r, K_t).copy()
+            coop = set(positions[0, :t].tolist())
+            outsider = max(set(range(K_t)) - coop)
+            positions[0, t] = outsider  # in place of D's lowest receiver
             return positions
 
         monkeypatch.setattr(codec, "_message_positions", skewed)
@@ -140,8 +140,8 @@ class TestMessageTable:
         # every partition sends its first message twice and its second not at all
         real = codec._message_positions
 
-        def doubled(config):
-            positions = real(config).copy()
+        def doubled(*layout):
+            positions = real(*layout).copy()
             positions[1] = positions[0]
             return positions
 
