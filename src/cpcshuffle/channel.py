@@ -76,7 +76,7 @@ from .codec import (
     segment_ivs,
 )
 from .ndt import delivery_dof
-from .placement import build_placement, map_phase, required_ivs
+from .placement import build_placement, check_seed, map_phase, required_ivs
 
 TOLERANCE = 1e-8
 CONDITION_GUARD = 1e8
@@ -546,7 +546,7 @@ def _pipeline(
     payload array, each partition's rows in `_message_pairs` order.
     `corrupt=(p, i)` flips byte 0 of partition p's i-th message; a p or i
     that is not an integer position among the partitions and a
-    partition's messages raises ParameterError before any work starts.
+    partition's messages, or a bad seed, raises ParameterError up front.
     `deliver(partitions, payloads)` gets every partition and its
     (messages, L) payload rows, stacked, and yields (partition, its
     (K_r, messages) `held` mask, its DeliveryReport or None over an ideal
@@ -565,6 +565,7 @@ def _pipeline(
                 f"corrupt=({p}, {i}) outside partitions [1, {n_parts}] "
                 f"and messages [0, {n_msgs - 1}]"
             )
+    check_seed(seed)
     placement = build_placement(params)
     store = map_phase(placement, params, seed)
     segments = segment_ivs(placement, config, store)

@@ -1,5 +1,8 @@
 """Command-line front end: construct, verify, simulate, analyze, sweep.
 
+construct, verify and simulate share one instance builder: it checks every
+flag before any search, and at r = K refuses a pin and builds no config.
+
 Outputs are deterministic for a given (arguments, seed): JSON is emitted
 with sorted keys, CSV rows in a fixed order with the stable header
 scheme,K,r,K_r,t,value.  Exit codes: 0 ok, 1 verification failure,
@@ -25,6 +28,8 @@ from .model import (
     ParameterError,
     ShuffleConfig,
     SystemParams,
+    check_config,
+    check_load,
     validate_config,
 )
 from .placement import build_placement, check_seed, map_phase
@@ -56,25 +61,37 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--B", type=int, help="bits per IV (default: smallest valid)")
     p.add_argument("--Kr", type=int, help="receiver group size (default optimal)")
     p.add_argument("--t", type=int, help="cooperation size (default optimal)")
+    p.add_argument("--seed", type=int, default=0)
 
 
-def _instance(args) -> tuple[SystemParams, ShuffleConfig]:
-    """Build (params, config) from flags; unpinned (Kr, t) fall back to the
-    optimizer's argmin, respecting whichever one the user did pin."""
-    K, r = args.K, args.r
-    if r == K:
-        raise ParameterError(f"r = K = {K}: every IV is local, there is nothing to shuffle")
+def _instance(args) -> ShuffleConfig | None:
+    """The config the instance flags name, or None at r = K, where every IV
+    is local and no (K_r, t) is valid.  The flags are checked in one fixed
+    order before any search: K, r, the pins, N/Q/B, the seed.  Unpinned
+    (K_r, t) take the optimizer's argmin around any pinned one."""
+    K, r, K_r, t = args.K, args.r, args.Kr, args.t
+    if not 1 <= K <= MAX_NODES:
+        raise ParameterError(f"K must lie in [1, {MAX_NODES}], got {K}")
+    check_load(r, K)
+    full_load = r == K
+    if full_load and (K_r is not None or t is not None):
+        raise ndt.no_valid_config(r, K, K_r, t)
+    if K_r is not None and t is not None:
+        check_config(K, r, K_r, t)
     N = args.N if args.N is not None else math.comb(K, r)
     Q = args.Q if args.Q is not None else K
-    K_r, t = args.Kr, args.t
+    params = SystemParams(K=K, N=N, Q=Q, r=r, B=8 if args.B is None else args.B)
+    params.require_symmetric()
+    check_seed(args.seed)
+    if full_load:
+        return None
     if K_r is None or t is None:
         best = ndt.cpc_minimum(r, K, K_r=K_r, t=t)
         K_r, t = best.K_r, best.t
-    probe = SystemParams(K=K, N=N, Q=Q, r=r, B=8)
-    cfg = validate_config(probe, K_r, t)
-    B = args.B if args.B is not None else simulation_bits(cfg, 8)
-    params = SystemParams(K=K, N=N, Q=Q, r=r, B=B)
-    return params, validate_config(params, K_r, t)
+    if args.B is None:  # the least B the channel path can split
+        B = simulation_bits(validate_config(params, K_r, t), 8)
+        params = SystemParams(K=K, N=N, Q=Q, r=r, B=B)
+    return validate_config(params, K_r, t)
 
 
 def _emit(args, text: str) -> None:
@@ -104,28 +121,15 @@ def _emit_rows(args, rows: list[list]) -> None:
     _emit(args, buf.getvalue())
 
 
-def _full_load(args) -> bool:
-    """True when r = K: every IV is local and there is nothing to shuffle.
-    K is range-checked first; a full load's N, Q, B and seed then pass the
-    checks `_instance` and `map_phase` make, though no placement is built."""
-    if not 1 <= args.K <= MAX_NODES:
-        raise ParameterError(f"K must lie in [1, {MAX_NODES}], got {args.K}")
-    if args.r == args.K:
-        N, Q, B = (d if v is None else v for v, d in ((args.N, 1), (args.Q, args.K), (args.B, 8)))
-        SystemParams(K=args.K, N=N, Q=Q, r=args.K, B=B).require_symmetric()
-        check_seed(args.seed)
-    return args.r == args.K
-
-
 def cmd_construct(args) -> int:
-    if _full_load(args):
+    cfg = _instance(args)
+    if cfg is None:
         _emit(args, _json({"params": {"K": args.K, "r": args.r}, "partitions": [],
                            "messages": [], "placement": None}))
         return EXIT_OK
-    params, cfg = _instance(args)
     check_bits(cfg)
-    placement = build_placement(params)
-    store = map_phase(placement, params, args.seed)
+    placement = build_placement(cfg.params)
+    store = map_phase(placement, cfg.params, args.seed)
     segments = segment_ivs(placement, cfg, store)
     partitions = segments.partitions
     dump = {
@@ -161,13 +165,13 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if _full_load(args):
+    cfg = _instance(args)
+    if cfg is None:
         _emit(args, _json({"ok": True, "failures": [], "partitions": 0}))
         return EXIT_OK
-    params, cfg = _instance(args)
     corrupt = (1, 0) if args.fault else None
     verify = ideal_verify if args.ideal else end_to_end_verify
-    ok, report = verify(params, cfg, args.seed, corrupt=corrupt)
+    ok, report = verify(cfg.params, cfg, args.seed, corrupt=corrupt)
     _emit(args, _json(report.summary()))
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
@@ -175,13 +179,15 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     if args.snr is not None:
         check_snr(args.snr)
-    params, cfg = _instance(args)
+    cfg = _instance(args)
+    if cfg is None:
+        raise ParameterError(f"r = K = {args.K}: every IV is local, there is nothing to shuffle")
     check_simulable(cfg)
-    n_parts = math.comb(params.K, cfg.K_t)
+    n_parts = math.comb(args.K, cfg.K_t)
     if not 1 <= args.partition <= n_parts:
         raise ParameterError(f"partition index {args.partition} out of [1, {n_parts}]")
-    placement = build_placement(params)
-    store = map_phase(placement, params, args.seed)
+    placement = build_placement(cfg.params)
+    store = map_phase(placement, cfg.params, args.seed)
     segments = segment_ivs(placement, cfg, store)
     part = segments.partitions[args.partition - 1]
     payloads = encode_payloads(segments, part, cfg)
@@ -218,34 +224,26 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _sweep_grid(args) -> list[tuple]:
-    """(r, K, t, all_schemes) cells for the requested sweep.
+# The figure presets: name -> its (r, K, t, all_schemes) cells.  fig2 and fig3
+# tabulate every scheme plus the bound; fig4 follows the optimized scheme
+# across K for several loads; fig5 pins the cooperation size t instead.
+PRESETS = {
+    "fig2": lambda: [(r, 50, None, True) for r in range(1, 51)],
+    "fig3": lambda: [(2, K, None, True) for K in range(3, 51)],
+    "fig4": lambda: [(r, K, None, False) for r in (2, 3, 4, 5) for K in range(r + 1, 51)],
+    "fig5": lambda: [(r, K, t, False) for t in (1, 2, 3) for r in range(4, 11)
+                     for K in range(25, 51)],
+}
 
-    fig2 and fig3 tabulate every scheme plus the bound; fig4 follows the
-    optimized scheme across K for several loads; fig5 pins the cooperation
-    size t instead of optimizing it.
-    """
-    if args.preset == "fig2":
-        return [(r, 50, None, True) for r in range(1, 51)]
-    if args.preset == "fig3":
-        return [(2, K, None, True) for K in range(3, 51)]
-    if args.preset == "fig4":
-        return [(r, K, None, False) for r in (2, 3, 4, 5) for K in range(r + 1, 51)]
-    if args.preset == "fig5":
-        return [
-            (r, K, t, False)
-            for t in (1, 2, 3)
-            for r in range(4, 11)
-            for K in range(25, 51)
-        ]
+
+def _sweep_grid(args) -> list[tuple]:
+    """(r, K, t, all_schemes) cells of a preset, or of the r <= K range grid."""
+    if args.preset is not None:
+        return PRESETS[args.preset]()
     if args.r_range is None or args.K_range is None:
         raise ParameterError("sweep needs --preset or both --r-range and --K-range")
-    cells = [
-        (r, K, None, True)
-        for r in _parse_range(args.r_range)
-        for K in _parse_range(args.K_range)
-        if r <= K
-    ]
+    rs, Ks = _parse_range(args.r_range), _parse_range(args.K_range)
+    cells = [(r, K, None, True) for r in rs for K in Ks if r <= K]
     if not cells:
         raise ParameterError(
             f"--r-range '{args.r_range}' and --K-range '{args.K_range}' have no cell with r <= K"
@@ -309,11 +307,9 @@ def cmd_figures(args) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as e:
         raise ParameterError(f"cannot create --out-dir {args.out_dir}: {e.strerror}") from None
-    for preset in ("fig2", "fig3", "fig4", "fig5"):
-        ns = argparse.Namespace(
-            preset=preset, r_range=None, K_range=None, format="csv",
-            out=os.path.join(args.out_dir, f"{preset}.csv"),
-        )
+    for preset in PRESETS:
+        out = os.path.join(args.out_dir, f"{preset}.csv")
+        ns = argparse.Namespace(preset=preset, r_range=None, K_range=None, format="csv", out=out)
         cmd_sweep(ns)
         print(f"wrote {ns.out}")
     return EXIT_OK
@@ -330,14 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build the scheme and dump it as JSON")
     _add_instance_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--with-payloads", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="run the pipeline and check byte-exact recovery")
     _add_instance_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ideal", action="store_true", help="skip the channel (XOR only)")
     p.add_argument("--fault", action="store_true", help="inject a payload corruption")
     p.add_argument("--out")
@@ -345,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate one partition's delivery")
     _add_instance_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--partition", type=int, default=1)
     p.add_argument("--snr", type=float, default=None, help="optional noise level (dB)")
     p.add_argument("--out")
@@ -359,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ndt)
 
     p = sub.add_parser("sweep", help="grid sweep over (r, K), presets regenerate figures")
-    p.add_argument("--preset", choices=("fig2", "fig3", "fig4", "fig5"))
+    p.add_argument("--preset", choices=PRESETS)
     p.add_argument("--r-range", help="like 1:10")
     p.add_argument("--K-range", help="like 2:50")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -169,6 +169,12 @@ def ndt_cpc(r: int, t: int, K: int, K_r: int) -> NdtPoint:
     return NdtPoint(CPC, K, Fraction(r), Fraction(*_cpc_pair(r, t, K, K_r, s)), K_r=K_r, t=t, s=s)
 
 
+def no_valid_config(r: int, K: int, K_r: int | None, t: int | None) -> ParameterError:
+    """The refusal of pins that no valid (K_r, t) at (r, K) fits, naming each pin."""
+    pinned = ", ".join(f"{n}={v}" for n, v in (("K_r", K_r), ("t", t)) if v is not None)
+    return ParameterError(f"no valid configuration with {pinned} for r={r}, K={K}")
+
+
 def cpc_minimum(r: int, K: int, K_r: int | None = None, t: int | None = None) -> NdtPoint:
     """Exhaustive minimum of ndt_cpc over the (K_r, t) the model rule
     accepts, with either coordinate optionally pinned; ties prefer the
@@ -187,8 +193,7 @@ def cpc_minimum(r: int, K: int, K_r: int | None = None, t: int | None = None) ->
             if best is None or num * best[1] < best[0] * den:
                 best = num, den, kr, tt
     if best is None:
-        pinned = ", ".join(f"{n}={v}" for n, v in (("K_r", K_r), ("t", t)) if v is not None)
-        raise ParameterError(f"no valid configuration with {pinned} for r={r}, K={K}")
+        raise no_valid_config(r, K, K_r, t)
     num, den, kr, tt = best
     return NdtPoint(CPC, K, Fraction(r), Fraction(num, den), K_r=kr, t=tt, s=r + 1 - tt)
 

@@ -657,6 +657,17 @@ class TestEndToEnd:
             verify(WORKED, cfg, seed=0, corrupt=corrupt)
 
     @pytest.mark.parametrize("verify", [end_to_end_verify, ideal_verify])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_rejected_before_any_work(self, monkeypatch, verify, seed):
+        def placed(*args):
+            raise AssertionError("placement built before the seed was checked")
+
+        monkeypatch.setattr(channel, "build_placement", placed)
+        cfg = validate_config(WORKED, K_r=3, t=2)
+        with pytest.raises(ParameterError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            verify(WORKED, cfg, seed=seed)
+
+    @pytest.mark.parametrize("verify", [end_to_end_verify, ideal_verify])
     def test_corrupt_at_the_last_corner_fails_reassembly(self, verify):
         cfg = validate_config(WORKED, K_r=3, t=2)
         ok, rep = verify(WORKED, cfg, seed=0, corrupt=(20, 8))

@@ -277,6 +277,51 @@ class TestVerify:
         assert rep["claimed_dof"] == "3/5" and rep["measured_dof"] == "1/2"
 
 
+class TestInstanceBuilder:
+    # construct, verify and simulate build their instance in one place,
+    # which checks K, r, the pins, N/Q/B and the seed before any search
+
+    @pytest.mark.parametrize("command", ["construct", "verify", "simulate"])
+    @pytest.mark.parametrize("pins, named", [
+        (("--Kr", "2"), "K_r=2"),
+        (("--t", "7"), "t=7"),
+        (("--Kr", "0"), "K_r=0"),
+        (("--Kr", "2", "--t", "1"), "K_r=2, t=1"),
+    ])
+    def test_full_load_refuses_a_pin(self, capsys, command, pins, named):
+        # no (K_r, t) is valid at r = K: it needs K + 1 - t <= K_r <= K - t
+        code, out, err = run(capsys, command, "--K", "4", "--r", "4", *pins)
+        assert (code, out) == (2, ""), pins
+        assert err == f"error: no valid configuration with {named} for r=4, K=4\n"
+
+    def test_full_load_pin_text_matches_the_search(self, capsys):
+        # the text cpc_minimum gives at r < K to a pin that fits nothing
+        for pin, value in (("--Kr", "4"), ("--t", "4")):
+            code, _, err = run(capsys, "verify", "--K", "4", "--r", "3", pin, value)
+            assert code == 2
+            want = run(capsys, "verify", "--K", "4", "--r", "4", pin, value)[2]
+            assert err.replace("r=3", "r=4") == want, pin
+
+    @pytest.mark.parametrize("K", ["0", "-1", "65", "3000"])
+    @pytest.mark.parametrize("r", ["3", "K"])
+    def test_simulate_checks_k_before_any_search(self, capsys, monkeypatch, K, r):
+        def searched(*args, **kwargs):
+            raise AssertionError("argmin searched before K was checked")
+
+        monkeypatch.setattr(ndt, "cpc_minimum", searched)
+        argv = ["--K", K, "--r", K if r == "K" else r]
+        code, out, err = run(capsys, "simulate", *argv)
+        want = run(capsys, "verify", *argv)
+        assert (code, out, err) == want == (2, "", f"error: K must lie in [1, 64], got {K}\n")
+
+    def test_full_load_simulate_refused_after_its_flags(self, capsys):
+        code, out, err = run(capsys, "simulate", "--K", "4", "--r", "4", "--seed", "-1")
+        assert (code, out) == (2, "") and "seed must lie in" in err
+        code, out, err = run(capsys, "simulate", "--K", "4", "--r", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: r = K = 4: every IV is local, there is nothing to shuffle\n"
+
+
 class TestSimulate:
     def test_partition_report(self, capsys):
         code, out, _ = run(capsys, "simulate", *WORKED, "--partition", "1")
