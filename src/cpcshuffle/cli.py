@@ -23,13 +23,13 @@ import sys
 from fractions import Fraction
 
 from .model import (
-    MAX_NODES,
     InternalInvariantError,
     ParameterError,
     ShuffleConfig,
     SystemParams,
     check_config,
     check_load,
+    check_nodes,
     validate_config,
 )
 from .placement import build_placement, check_seed, map_phase
@@ -70,8 +70,7 @@ def _instance(args) -> ShuffleConfig | None:
     order before any search: K, r, the pins, N/Q/B, the seed.  Unpinned
     (K_r, t) take the optimizer's argmin around any pinned one."""
     K, r, K_r, t = args.K, args.r, args.Kr, args.t
-    if not 1 <= K <= MAX_NODES:
-        raise ParameterError(f"K must lie in [1, {MAX_NODES}], got {K}")
+    check_nodes(K)
     check_load(r, K)
     full_load = r == K
     if full_load and (K_r is not None or t is not None):

@@ -117,6 +117,12 @@ def full_set(K: int) -> NodeSet:
     return NodeSet(tuple(range(1, K + 1)))
 
 
+def check_nodes(K: int) -> None:
+    """The one K-range guard: raise unless 1 <= K <= MAX_NODES."""
+    if not 1 <= K <= MAX_NODES:
+        raise ParameterError(f"K must lie in [1, {MAX_NODES}], got {K}")
+
+
 def check_load(r, K: int) -> Fraction:
     """Return the computation load r as a Fraction, or raise unless 1 <= r <= K."""
     r = Fraction(r)
@@ -142,10 +148,7 @@ class SystemParams:
     B: int
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ParameterError(f"K must be >= 1, got {self.K}")
-        if self.K > MAX_NODES:
-            raise ParameterError(f"K={self.K} exceeds supported maximum {MAX_NODES}")
+        check_nodes(self.K)
         check_load(self.r, self.K)
         if self.N < 1 or self.Q < 1 or self.B < 1:
             raise ParameterError("N, Q and B must all be >= 1")
@@ -237,8 +240,7 @@ def enum_partitions(K: int, K_t: int) -> list[Partition]:
     receivers are its complement.  This is the only place partitions are
     numbered.
     """
-    if K > MAX_NODES:
-        raise ParameterError(f"K={K} exceeds supported maximum {MAX_NODES}")
+    check_nodes(K)
     if not 1 <= K_t <= K - 1:
         raise ParameterError(f"K_t must lie in [1, K-1], got K_t={K_t}, K={K}")
     everyone = full_set(K)
@@ -266,6 +268,13 @@ def config_violation(K: int, r: int, K_r: int, t: int) -> str | None:
     if t > K - K_r:
         return "t <= K - K_r"
     return None
+
+
+def t_range(K: int, r: int, K_r: int) -> range:
+    """Exactly the t that :func:`config_violation` accepts at (K, r, K_r):
+    the rule solved for t, max(1, r+1-K_r) <= t <= min(r, K-K_r), which is
+    empty when K_r lies outside [1, K]."""
+    return range(max(1, r + 1 - K_r), min(r, K - K_r) + 1)
 
 
 def check_config(K: int, r: int, K_r: int, t: int) -> int:

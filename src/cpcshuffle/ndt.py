@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ParameterError, check_config, check_load, config_violation
+from .model import ParameterError, check_config, check_load, t_range
 
 UNCODED_TDMA = "UncodedTDMA"
 CDC = "CDC"
@@ -104,18 +104,18 @@ def ndt_bw_hd(r, K: int) -> NdtPoint:
 
 def _dprime_pair(s: int, t: int, K_t: int, K_r: int) -> tuple[int, int]:
     """Neutralize-then-align DoF d', maximized over the sub-cooperation
-    size t', as an unreduced (numerator, denominator) pair.
+    size t', as an unreduced (numerator, denominator) pair, for s + t < K_r.
 
-    The t' term s(K_t-t'+1) / (s(K_t-t'+1) + K_r-s-t'+1) is the simplified
-    form of the binomial ratio; the test suite checks the two agree.
+    The t' term s(K_t-t'+1) / (s(K_t-t'+1) + K_r-s-t'+1), the simplified
+    binomial ratio, is s/(s + v/u) with u = K_t-t'+1 >= 1 and v = K_r-s-t'+1
+    >= 2, and v/u has t'-derivative ((K_r-s) - K_t)/u^2.  So the term is
+    monotone: its maximum sits at t' = t when K_r - s < K_t and at t' = 1
+    otherwise, a constant term keeping t' = 1 as the full t' loop does.  The
+    test suite checks the binomial form and the loop's pair against this.
     """
-    best_n, best_d = 0, 1
-    for tp in range(1, t + 1):
-        n = s * (K_t - tp + 1)
-        d = n + (K_r - s - tp + 1)
-        if n * best_d > best_n * d:
-            best_n, best_d = n, d
-    return best_n, best_d
+    tp = t if K_r - s < K_t else 1
+    n = s * (K_t - tp + 1)
+    return n, n + K_r - s - tp + 1
 
 
 def _dof_pair(s: int, t: int, K_t: int, K_r: int) -> tuple[int, int]:
@@ -178,17 +178,17 @@ def no_valid_config(r: int, K: int, K_r: int | None, t: int | None) -> Parameter
 def cpc_minimum(r: int, K: int, K_r: int | None = None, t: int | None = None) -> NdtPoint:
     """Exhaustive minimum of ndt_cpc over the (K_r, t) the model rule
     accepts, with either coordinate optionally pinned; ties prefer the
-    smaller K_r, then the smaller t.  r = K needs no shuffle: value 0 with
-    sentinel K_r = 0."""
+    smaller K_r, then the smaller t.  The scan walks only the accepted
+    pairs: for each K_r, the t of `model.t_range` in ascending order.
+    r = K needs no shuffle: value 0 with sentinel K_r = 0."""
     check_load(r, K)
     if r == K:
         return NdtPoint(CPC, K, Fraction(r), Fraction(0), K_r=0, t=0, s=0)
     # (num, den, K_r, t); a strict < keeps the first of a tie
     best: tuple[int, int, int, int] | None = None
     for kr in range(1, K + 1) if K_r is None else (K_r,):
-        for tt in range(1, r + 1) if t is None else (t,):
-            if config_violation(K, r, kr, tt) is not None:
-                continue
+        accepted = t_range(K, r, kr)
+        for tt in accepted if t is None else ((t,) if t in accepted else ()):
             num, den = _cpc_pair(r, tt, K, kr, r + 1 - tt)
             if best is None or num * best[1] < best[0] * den:
                 best = num, den, kr, tt

@@ -8,6 +8,7 @@ import pytest
 
 from cpcshuffle import channel, cli, ndt
 from cpcshuffle.cli import main
+from cpcshuffle.model import ParameterError, SystemParams, enum_partitions
 
 WORKED = ["--K", "6", "--N", "20", "--Q", "6", "--r", "3", "--Kr", "3", "--t", "2", "--B", "48"]
 # the worked instance with two outputs per node (eta2 = 2): a block holds
@@ -313,6 +314,18 @@ class TestInstanceBuilder:
         code, out, err = run(capsys, "simulate", *argv)
         want = run(capsys, "verify", *argv)
         assert (code, out, err) == want == (2, "", f"error: K must lie in [1, 64], got {K}\n")
+
+    @pytest.mark.parametrize("K", [0, 65])
+    def test_one_k_guard_for_params_partitions_and_cli(self, capsys, K):
+        # SystemParams, enum_partitions and the instance builder share one
+        # K-range check, so each refuses an out-of-range K in the same words
+        want = f"K must lie in [1, 64], got {K}"
+        with pytest.raises(ParameterError) as params:
+            SystemParams(K=K, N=1, Q=1, r=1, B=8)
+        with pytest.raises(ParameterError) as partitions:
+            enum_partitions(K, 2)
+        assert str(params.value) == str(partitions.value) == want
+        assert run(capsys, "verify", "--K", str(K), "--r", "1") == (2, "", f"error: {want}\n")
 
     def test_full_load_simulate_refused_after_its_flags(self, capsys):
         code, out, err = run(capsys, "simulate", "--K", "4", "--r", "4", "--seed", "-1")

@@ -15,6 +15,7 @@ from cpcshuffle.model import (
     enum_partitions,
     enum_subsets,
     full_set,
+    t_range,
     validate_config,
 )
 
@@ -212,6 +213,17 @@ class TestValidateConfig:
             with pytest.raises(ConstraintViolation) as exc:
                 check_config(K, r, K_r, t)
             assert exc.value.constraint == constraint
+
+    def test_t_range_is_the_rule_solved_for_t(self):
+        # the scan walks t_range instead of asking the rule of every t; it
+        # must hold exactly the t the rule accepts, K_r out of range included
+        for K in range(1, 31):
+            for r in range(1, K + 1):
+                for K_r in range(-1, K + 2):
+                    accepted = t_range(K, r, K_r)
+                    for t in range(-1, r + 2):
+                        assert (t in accepted) == (config_violation(K, r, K_r, t) is None), (
+                            K, r, K_r, t)
 
     def test_nonpositive_t(self):
         p = SystemParams(K=6, N=20, Q=6, r=3, B=48)

@@ -114,14 +114,19 @@ class TestSchemeNdt:
 # only here, each asserted equal to the form the module uses.
 
 def _ref_dprime(s, t, K_t, K_r):
-    best = Fraction(0)
+    """d' by the full t' loop, and the loop's winning unreduced (n, d) pair:
+    the first t' that reaches the maximum."""
+    best, pair = Fraction(0), None
     for tp in range(1, t + 1):
-        simple = Fraction(s * (K_t - tp + 1), s * (K_t - tp + 1) + (K_r - s - tp + 1))
+        n = s * (K_t - tp + 1)
+        d = n + (K_r - s - tp + 1)
+        simple = Fraction(n, d)
         num = math.comb(K_r - 1, s - 1) * math.comb(K_t, tp) * math.comb(K_r - s, tp - 1) * tp
         den = num + math.comb(K_r - 1, s) * math.comb(K_r - s - 1, tp - 1) * math.comb(K_t, tp - 1)
         assert simple == Fraction(num, den)
-        best = max(best, simple)
-    return best
+        if simple > best:
+            best, pair = simple, (n, d)
+    return best, pair
 
 
 def _ref_tau_factor(r, t, K, K_r):
@@ -139,7 +144,7 @@ def _ref_delivery_dof(s, t, K_t, K_r):
     if s + t == K_r:
         a = math.comb(K_r - 1, s - 1) * math.comb(K_t, t) * t
         return Fraction(a, a + 1)
-    return max(_ref_dprime(s, t, K_t, K_r), Fraction(s + t - 1, K_r))
+    return max(_ref_dprime(s, t, K_t, K_r)[0], Fraction(s + t - 1, K_r))
 
 
 def _ref_ndt_cpc(r, t, K, K_r):
@@ -181,8 +186,10 @@ class TestIntegerPairKernel:
                     assert ndt_cpc(r, t, K, K_r) == _ref_ndt_cpc(r, t, K, K_r)
                     assert delivery_dof(s, t, K_t, K_r) == _ref_delivery_dof(s, t, K_t, K_r)
                     if s + t < K_r:
-                        dprime = Fraction(*ndt._dprime_pair(s, t, K_t, K_r))
-                        assert dprime == _ref_dprime(s, t, K_t, K_r)
+                        dprime, pair = _ref_dprime(s, t, K_t, K_r)
+                        assert Fraction(*ndt._dprime_pair(s, t, K_t, K_r)) == dprime
+                        # the closed form picks the loop's t', not just its value
+                        assert ndt._dprime_pair(s, t, K_t, K_r) == pair
 
     @pytest.mark.parametrize("K", range(2, 31))
     def test_scan_equals_the_fraction_reference(self, K):
