@@ -14,11 +14,16 @@ The blocks, as positions in a partition's receivers and messages with
 each message's chunk index, and which receiver positions of a block want
 which of its C(g, s) messages, depend on the config alone, so they are
 one config-level table (`_block_tables`), whose messages are the rows of
-the codec's position table (`codec._message_positions`).  `draw_channel`
-draws exactly the gains these blocks read, each once, as one (block,
-slot, receiver, transmitter) array per partition.  A config's partitions
-are delivered in chunks, each one array pass over its partitions'
-stacked blocks: one determinant call builds every cofactor precoder, one
+the codec's position table (`codec._message_positions`).  A partition's
+gains are exactly the ones these blocks read, each once, as one (block,
+slot, receiver, transmitter) array.  A config's partitions are delivered
+in chunks, and the engine works per chunk, not per partition:
+`_draw_gains` fills one stacked buffer, each partition's row from its
+own seed's generator, as `draw_channel` draws it alone; one
+`payload_symbols` pass maps the chunk's stacked payload rows; and
+`_deliver` makes one array pass over its stacked blocks and returns one
+record of per-partition arrays, which `_pipeline` folds in one scatter.
+In that pass one determinant call builds every cofactor precoder, one
 `build_precoders` call normalizes them, and the stacked blocks give the
 effective gains, the nulling residual, the received signals, and every
 receiver's square system A with one inverse (`_inverse`): the guard
@@ -29,9 +34,8 @@ at most 3 transmitters and receiver systems of at most 2 x 2 makes no
 LAPACK call; 3 x 3 and larger take one stacked `np.linalg.det` or
 `np.linalg.inv` call each, and no SVD or LU solve runs.
 `STACK_ELEMENTS` bounds a chunk's stacked gains, and a guard trip
-resamples only the partition that tripped.  A partition's messages arrive by position, as
-the rows of one (messages, L) payload array; one `payload_symbols` array
-pass per partition maps each of their chunks to its symbol.
+resamples only the partition that tripped.  A partition's messages
+arrive by position, as the rows of one (messages, L) payload array.
 
 A message is cut into C(K_r-s, g-s) chunks, one per receiver set that
 contains D, so the per-receiver DoF is g / K_r.  `model.delivery_layout`
@@ -55,6 +59,7 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,14 +137,22 @@ def _partition_layout(config: ShuffleConfig) -> tuple[tuple[int, int, int, int],
     return (n_blocks, gamma, g, g - config.s + 1), n_chunks
 
 
-def draw_channel(config: ShuffleConfig, seed: int) -> ChannelRealization:
-    """Unit-variance circularly symmetric complex Gaussian gains: exactly
-    the ones a partition's blocks read, each once."""
+def _draw_gains(config: ShuffleConfig, seeds) -> np.ndarray:
+    """Unit-variance circularly symmetric complex Gaussian gains, exactly
+    the ones a partition's blocks read, each once, for one partition per
+    seed, stacked (partitions, *shape).  Each seed's own generator fills
+    its row of one (partitions, 2, *shape) buffer in C order, re then im,
+    and one (re + 1j im) / sqrt(2) pass forms every row."""
     shape, _chunks = _partition_layout(config)
-    rng = np.random.default_rng(seed)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return ChannelRealization(seed=seed, gains=(re + 1j * im) / np.sqrt(2.0))
+    z = np.empty((len(seeds), 2, *shape))
+    for row, seed in zip(z, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+
+
+def draw_channel(config: ShuffleConfig, seed: int) -> ChannelRealization:
+    """One partition's gains: the one-seed case of `_draw_gains`."""
+    return ChannelRealization(seed=seed, gains=_draw_gains(config, [seed])[0])
 
 
 def check_snr(snr_db: float) -> float:
@@ -198,19 +211,20 @@ def neutralizing_precoder(rows: np.ndarray) -> np.ndarray:
 
 
 def payload_symbols(payloads: np.ndarray, n_chunks: int, n_messages: int) -> np.ndarray:
-    """Deterministic unit-power symbols x[m, c] for chunk c of message m,
-    the row `payloads[m]` cut into `n_chunks` equal chunks (a fixture, not
-    a modem).  Anything but an (n_messages, L) uint8 array with L a
-    multiple of `n_chunks` raises ParameterError.
+    """Deterministic unit-power symbols x[..., m, c] for chunk c of message
+    m, the row `payloads[..., m, :]` cut into `n_chunks` equal chunks (a
+    fixture, not a modem), for one partition's (n_messages, L) rows or a
+    chunk's stacked (partitions, n_messages, L) ones.  Anything but such
+    a uint8 array with L a multiple of `n_chunks` raises ParameterError.
 
     A chunk's phase is 2 pi v / 2**64, v = sum_i b_i P**(i+1) + q
     P**(step+1) mod 2**64 over its bytes b_i and its position q = m *
-    n_chunks + c, P the odd `_PHASE_BASE`: every weight is odd, so a
-    change in one byte or in the position moves v.  One uint64 array
-    pass, which wraps mod 2**64, maps every chunk.
+    n_chunks + c in its partition, P the odd `_PHASE_BASE`: every weight
+    is odd, so a change in one byte or in the position moves v.  One
+    uint64 array pass, which wraps mod 2**64, maps every chunk.
     """
     is_array = isinstance(payloads, np.ndarray)
-    rows, width = payloads.shape if is_array and payloads.ndim == 2 else (-1, 0)
+    rows, width = payloads.shape[-2:] if is_array and payloads.ndim in (2, 3) else (-1, 0)
     if not is_array or payloads.dtype != np.uint8 or rows != n_messages or width % n_chunks:
         got = type(payloads).__name__
         if is_array:
@@ -219,11 +233,11 @@ def payload_symbols(payloads: np.ndarray, n_chunks: int, n_messages: int) -> np.
             f"need a ({n_messages}, L) uint8 payload array with L a multiple "
             f"of {n_chunks} chunks, got {got}"
         )
-    step = width // n_chunks
+    lead, step = payloads.shape[:-2], width // n_chunks
     weights = np.cumprod(np.full(step + 1, _PHASE_BASE, dtype=np.uint64))
-    v = payloads.reshape(n_messages * n_chunks, step) @ weights[:step]
-    v += np.arange(v.size, dtype=np.uint64) * weights[step]
-    phase = 2.0 * np.pi * (v.reshape(n_messages, n_chunks) / 2.0**64)
+    v = payloads.reshape(*lead, n_messages * n_chunks, step) @ weights[:step]
+    v += np.arange(n_messages * n_chunks, dtype=np.uint64) * weights[step]
+    phase = 2.0 * np.pi * (v.reshape(*lead, n_messages, n_chunks) / 2.0**64)
     x = np.empty(phase.shape, dtype=complex)
     x.real = np.cos(phase)
     x.imag = np.sin(phase)
@@ -261,7 +275,7 @@ def _block_tables(s: int, t: int, K_r: int, K_t: int) -> tuple[np.ndarray, ...]:
 
     Block b = r * n_coops + c serves receiver set r with coop group c,
     both in lex order; coop group c's first g-s+1 members transmit, and
-    `draw_channel` draws the block's gains as H[b].  rx[b]: set r's g
+    `_draw_gains` draws the block's gains as H[b].  rx[b]: set r's g
     receiver positions.  ids[b, u]: the u-th message from group c whose
     dest group lies in set r, as its row in `codec._message_positions`
     and so in `codec.encode_payloads`.  chunk[b, u]: how many earlier
@@ -339,44 +353,61 @@ def _inverse(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inverse, np.where(np.isfinite(kappa), kappa, np.inf)
 
 
-def _deliver(partitions, config, channels, payloads, snr_db=None) -> list[DeliveryReport]:
+class _Delivered(NamedTuple):
+    """One chunk's delivery, row i for its i-th partition: held[i, k, m]
+    as in `DeliveryReport.held`, the least symbols any receiver solved,
+    the worst condition number, residual and symbol error, the noise mse
+    (None without `snr_db`), and the slots and regime every row shares."""
+
+    held: np.ndarray
+    least: np.ndarray
+    condition: np.ndarray
+    residual: np.ndarray
+    error: np.ndarray
+    mse: np.ndarray | None
+    slots: int
+    regime: str
+
+
+def _deliver(config, gains, seeds, payloads, snr_db=None) -> _Delivered:
     """Neutralized delivery of a chunk of partitions, as one array pass.
 
     Receiver sets of size g are served in lex order, and within each set
     the cooperation groups in lex order, one block apiece.  A block
     carries, for every dest group inside the set, that message's chunk
     for the set; the coop group's first g-s+1 members transmit it.  Block
-    b of the i-th partition reads `channels[i].gains[b]`; a channel of
-    another shape than `draw_channel` gives this config raises
-    ParameterError.  Stacking (partition, block) on the leading axis, one
-    cofactor call, one `build_precoders` and one `_inverse` serve the
-    chunk, and x_hat = A^-1 y is summed elementwise over the slots; each
-    partition has its own `payload_symbols` array and
-    `--snr` noise stream.  A receiver solves a symbol when its relative
-    error is below `TOLERANCE`, or always under `snr_db`, where
-    `noise_mse` averages the squared symbol errors instead, and holds a
-    message once it has all of its chunks.  `payloads[i]` holds the i-th
-    partition's rows as `codec.encode_payloads` returns them; any other
-    shape raises ParameterError before any precoder is built.  A zero
-    cofactor vector, an exactly singular system or a condition number
-    past `CONDITION_GUARD` in any partition raises ChannelConditionError.
+    b of the i-th partition reads `gains[i, b]`, stacked as `_draw_gains`
+    draws them; gains of another shape per partition raise ParameterError.
+    Stacking (partition, block) on the leading axis, one cofactor call,
+    one `build_precoders` and one `_inverse` serve the chunk, and x_hat =
+    A^-1 y is summed elementwise over the slots; one `payload_symbols`
+    pass maps every partition's chunks, and `seeds[i]` seeds the i-th
+    partition's `--snr` noise stream.  A receiver solves a symbol when its
+    relative error is below `TOLERANCE`, or always under `snr_db`, where
+    the mse averages the squared symbol errors instead, and holds a
+    message once it has all of its chunks.  `payloads` holds the chunk's
+    rows as `codec.encode_payloads` returns them, stacked; a one-partition
+    chunk may pass its (messages, L) rows alone, and any other shape
+    raises ParameterError before any precoder is built.  A zero cofactor
+    vector, an exactly singular system or a condition number past
+    `CONDITION_GUARD` in any partition raises ChannelConditionError.
     """
     sigma = None if snr_db is None else check_snr(snr_db)
     shape, n_chunks = _partition_layout(config)
-    for channel in channels:
-        if channel.gains.shape != shape:
-            raise ParameterError(f"channel gains have shape {channel.gains.shape}, need {shape}")
+    if gains.shape[1:] != shape:
+        raise ParameterError(f"channel gains have shape {gains.shape[1:]}, need {shape}")
+    n_parts = len(gains)
     n_blocks, gamma, g, _n_tx = shape
     tables = _block_tables(config.s, config.t, config.K_r, config.K_t)
     rx_pos, ids, chunks, wants, nulled, wanted = tables
     n_messages = len(_message_positions(config.s, config.t, config.K_r, config.K_t))
-    symbols = np.array([payload_symbols(rows, n_chunks, n_messages) for rows in payloads])
+    symbols = payload_symbols(payloads, n_chunks, n_messages)
+    symbols = symbols.reshape(n_parts, n_messages, n_chunks)
 
     # stacked block b = i * n_blocks + j, block j of the i-th partition, has
     # gains H[b, i, k, l], precoders W[b, u, i, l] and transmits x[b, u],
     # the chunk of its partition's message ids[j, u] that rides in it.
-    n_parts = len(partitions)
-    H = np.concatenate([channel.gains for channel in channels])
+    H = gains.reshape(n_parts * n_blocks, *shape[1:])
     W = build_precoders(neutralizing_precoder(H[:, :, nulled].transpose(0, 2, 1, 3, 4)))
     x = symbols[:, ids, chunks].reshape(n_parts * n_blocks, -1)
 
@@ -385,9 +416,10 @@ def _deliver(partitions, config, channels, payloads, snr_db=None) -> list[Delive
     residual = np.abs(G) / np.linalg.norm(H, axis=-1)[..., None]
     y = np.einsum("biku,bu->bik", G, x)
     if sigma is not None:
-        rngs = (np.random.default_rng(channel.seed ^ 0xA5A5) for channel in channels)
-        noise = np.concatenate([rng.standard_normal((*shape[:3], 2)) for rng in rngs])
-        y += sigma * noise.view(complex)[..., 0] / np.sqrt(2.0)
+        noise = np.empty((n_parts, *shape[:3], 2))
+        for row, seed in zip(noise, seeds):
+            np.random.default_rng(seed ^ 0xA5A5).standard_normal(out=row)
+        y += sigma * noise.reshape(*y.shape, 2).view(complex)[..., 0] / np.sqrt(2.0)
     # A[b, k]: receiver k's square system, slots by the unknowns it wants
     A = G[:, :, np.arange(g)[:, None], wanted].transpose(0, 2, 1, 3)
     inverse, condition = _inverse(A)
@@ -400,6 +432,7 @@ def _deliver(partitions, config, channels, payloads, snr_db=None) -> list[Delive
     sent = x[:, wanted]
     err = np.abs(x_hat - sent) / np.abs(sent)
     solved = err < TOLERANCE if sigma is None else np.ones(err.shape, dtype=bool)
+    mse = None
     if sigma is not None:
         with np.errstate(over="ignore"):
             mse = (err * err).reshape(n_parts, -1).sum(axis=1) / (err.size // n_parts)
@@ -411,30 +444,39 @@ def _deliver(partitions, config, channels, payloads, snr_db=None) -> list[Delive
     # receiver position k of the i-th partition counts at i * K_r + k
     at = rx_pos + config.K_r * np.arange(n_parts)[:, None, None]
     solved_at = np.bincount(at.ravel(), solved.sum(axis=2).ravel(), minlength=n_parts * config.K_r)
-    least = solved_at.reshape(n_parts, -1).min(axis=1)
     # a receiver that misses any chunk it wants of a message does not hold it
     b, k, w = np.nonzero(~solved)
     held = np.ones((n_parts, config.K_r, n_messages), dtype=bool)
     part, block = np.divmod(b, n_blocks)
     held[part, rx_pos[block, k], ids[block, wanted[k, w]]] = False
     residual = residual.reshape(n_parts, -1, *wants.shape)
-    residual = residual.max(axis=(1, 2, 3), where=~wants, initial=0.0)
-    err = err.reshape(n_parts, -1).max(axis=1)
-    return [
-        DeliveryReport(
-            partition=partition.index,
-            regime="single_shot" if g == config.K_r else "time_division",
-            slots_used=n_blocks * gamma,
-            symbols_per_receiver=int(least[i]),
-            measured_dof=Fraction(int(least[i]), n_blocks * gamma),
-            max_condition=float(condition[i]),
-            max_residual=float(residual[i]),
-            max_symbol_error=float(err[i]),
-            noise_mse=None if sigma is None else float(mse[i]),
-            held=held[i],
-        )
-        for i, partition in enumerate(partitions)
-    ]
+    return _Delivered(
+        held=held,
+        least=solved_at.reshape(n_parts, -1).min(axis=1),
+        condition=condition,
+        residual=residual.max(axis=(1, 2, 3), where=~wants, initial=0.0),
+        error=err.reshape(n_parts, -1).max(axis=1),
+        mse=mse,
+        slots=n_blocks * gamma,
+        regime="single_shot" if g == config.K_r else "time_division",
+    )
+
+
+def _report(partition: Partition, record: _Delivered, row: int = 0) -> DeliveryReport:
+    """Row `row` of a chunk record as `partition`'s DeliveryReport."""
+    least = int(record.least[row])
+    return DeliveryReport(
+        partition=partition.index,
+        regime=record.regime,
+        slots_used=record.slots,
+        symbols_per_receiver=least,
+        measured_dof=Fraction(least, record.slots),
+        max_condition=float(record.condition[row]),
+        max_residual=float(record.residual[row]),
+        max_symbol_error=float(record.error[row]),
+        noise_mse=None if record.mse is None else float(record.mse[row]),
+        held=record.held[row],
+    )
 
 
 def simulate_partition(
@@ -446,8 +488,8 @@ def simulate_partition(
 ) -> DeliveryReport:
     """Neutralized delivery of one partition's (messages, L) payload rows
     over `channel`: the one-partition case of `_deliver`."""
-    (report,) = _deliver([partition], config, [channel], [payloads], snr_db)
-    return report
+    record = _deliver(config, channel.gains[None], [channel.seed], payloads, snr_db)
+    return _report(partition, record)
 
 
 def _channel_seed(seed: int, p: int, attempt: int) -> int:
@@ -455,20 +497,25 @@ def _channel_seed(seed: int, p: int, attempt: int) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _resampled(partitions, config, payloads, seed, snr_db=None, channels=None):
-    """`_deliver` over the partitions' attempt-0 draws, stacked.  On a
-    trip each partition runs alone on its draw, and one that trips alone
-    is redrawn once, with attempt 1; a second trip raises."""
-    if channels is None:
-        channels = [draw_channel(config, _channel_seed(seed, p.index, 0)) for p in partitions]
+def _resampled(partitions, config, payloads, seed, snr_db=None, gains=None):
+    """Yield (partitions, chunk record) from `_deliver` over the
+    partitions' attempt-0 draws, stacked.  On a trip each partition runs
+    alone on its row of those draws, and one that trips alone is redrawn
+    once, with attempt 1; a second trip raises."""
+    seeds = [_channel_seed(seed, p.index, 0) for p in partitions]
+    if gains is None:
+        gains = _draw_gains(config, seeds)
     try:
-        return _deliver(partitions, config, channels, payloads, snr_db)
+        record = _deliver(config, gains, seeds, payloads, snr_db)
     except ChannelConditionError:
         if len(partitions) > 1:
-            alone = zip(partitions, payloads, channels)
-            return [_resampled([p], config, [rows], seed, snr_db, [h])[0] for p, rows, h in alone]
-    redrawn = draw_channel(config, _channel_seed(seed, partitions[0].index, 1))
-    return _deliver(partitions, config, [redrawn], payloads, snr_db)
+            for i, p in enumerate(partitions):
+                alone = slice(i, i + 1)
+                yield from _resampled([p], config, payloads[alone], seed, snr_db, gains[alone])
+            return
+        seeds = [_channel_seed(seed, partitions[0].index, 1)]
+        record = _deliver(config, _draw_gains(config, seeds), seeds, payloads, snr_db)
+    yield partitions, record
 
 
 def simulate_with_resample(
@@ -479,20 +526,21 @@ def simulate_with_resample(
     snr_db: float | None = None,
 ) -> DeliveryReport:
     """Run a partition; on a condition-guard trip, resample the channel once."""
-    (report,) = _resampled([partition], config, [payloads], seed, snr_db)
-    return report
+    [(_parts, record)] = _resampled([partition], config, payloads, seed, snr_db)
+    return _report(partition, record)
 
 
 def _deliver_chunks(config, seed, partitions, payloads, snr_db=None):
-    """Yield (partition, its `held` mask, its report) in order, from
-    `_resampled` over chunks of partitions whose stacked gains hold at
-    most `STACK_ELEMENTS` values, one partition at least.  `payloads[i]`
+    """Yield (partitions, their (n, K_r, messages) `held` masks, their
+    chunk record) from `_resampled` over chunks of partitions whose stacked
+    gains hold at most `STACK_ELEMENTS` values, one partition at least; a
+    chunk that trips yields its partitions one at a time.  `payloads[i]`
     holds the i-th partition's rows."""
     per = max(1, STACK_ELEMENTS // math.prod(_partition_layout(config)[0]))
     for lo in range(0, len(partitions), per):
         chunk = partitions[lo : lo + per]
-        reports = _resampled(chunk, config, payloads[lo : lo + per], seed, snr_db)
-        yield from ((part, sim.held, sim) for part, sim in zip(chunk, reports))
+        for parts, record in _resampled(chunk, config, payloads[lo : lo + per], seed, snr_db):
+            yield parts, record.held, record
 
 
 @dataclass
@@ -548,9 +596,11 @@ def _pipeline(
     that is not an integer position among the partitions and a
     partition's messages, or a bad seed, raises ParameterError up front.
     `deliver(partitions, payloads)` gets every partition and its
-    (messages, L) payload rows, stacked, and yields (partition, its
-    (K_r, messages) `held` mask, its DeliveryReport or None over an ideal
-    channel); five numbers of a report are kept.  Reassembly reads one
+    (messages, L) payload rows, stacked, and yields (a chunk of n
+    partitions, their (n, K_r, messages) `held` masks, their `_deliver`
+    record or None over an ideal channel).  Each chunk's masks land in one
+    scatter and its record's worst values fold into the report, whose
+    `measured_dof` is one Fraction at the end.  Reassembly reads one
     (all messages, L) payload array and one (K+1, all messages) `held`
     mask in `message_of` numbering; `held` starts all False, so a
     partition that `deliver` does not yield fails.  `params` names the instance.
@@ -575,15 +625,20 @@ def _pipeline(
     if corrupt is not None:
         payloads[corrupt[0] - 1, corrupt[1], 0] ^= 0xFF
     held = np.zeros((params.K + 1, *payloads.shape[:2]), dtype=bool)
-    for part, got, sim in deliver(partitions, payloads):
-        held[list(part.rx), part.index - 1] = got
+    rx = np.array([part.rx.members for part in partitions])
+    least = []
+    for parts, got, sim in deliver(partitions, payloads):
+        at = np.array([part.index for part in parts]) - 1
+        held[rx[at], at[:, None]] = got
         if sim is not None:
-            report.slots_total += sim.slots_used
-            report.max_condition = max(report.max_condition, sim.max_condition)
-            report.max_residual = max(report.max_residual, sim.max_residual)
-            report.max_symbol_error = max(report.max_symbol_error, sim.max_symbol_error)
-            dof = report.measured_dof
-            report.measured_dof = sim.measured_dof if dof is None else min(dof, sim.measured_dof)
+            report.slots_total += sim.slots * len(parts)
+            report.max_condition = max(report.max_condition, float(sim.condition.max()))
+            report.max_residual = max(report.max_residual, float(sim.residual.max()))
+            report.max_symbol_error = max(report.max_symbol_error, float(sim.error.max()))
+            least.append(int(sim.least.min()))
+            slots = sim.slots
+    if least:
+        report.measured_dof = Fraction(min(least), slots)
     payloads, held = payloads.reshape(-1, payloads.shape[-1]), held.reshape(params.K + 1, -1)
     report.failures = _verify_reassembly(placement, store, segments, payloads, held)
     report.ok = not report.failures
@@ -620,6 +675,6 @@ def ideal_verify(
     `check_bits` refuses an unsplittable B before any work starts."""
     check_bits(config)
     report = _pipeline(
-        params, config, seed, corrupt, lambda parts, _rows: ((p, True, None) for p in parts)
+        params, config, seed, corrupt, lambda parts, _rows: [(parts, True, None)]
     )
     return report.ok, report

@@ -7,7 +7,8 @@ Outputs are deterministic for a given (arguments, seed): JSON is emitted
 with sorted keys, CSV rows in a fixed order with the stable header
 scheme,K,r,K_r,t,value.  Exit codes: 0 ok, 1 verification failure,
 2 invalid input (including an unwritable --out or an --out-dir that
-cannot be created), 3 internal invariant breach.
+cannot be created), 3 internal invariant breach or a channel whose
+redraw trips the condition guard again.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .model import (
 from .placement import build_placement, check_seed, map_phase
 from .codec import check_bits, encode_partition, encode_payloads, segment_ivs
 from .channel import (
+    ChannelConditionError,
     check_simulable,
     check_snr,
     end_to_end_verify,
@@ -388,6 +390,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID_CONFIG
     except (InternalInvariantError, AssertionError) as e:
         print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except ChannelConditionError as e:
+        print(f"channel error: {e}, after one redraw", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -111,6 +111,40 @@ class TestDrawChannel:
             assert ch.gains.flags.c_contiguous and ch.seed == K + r
             assert ch.gains.tobytes() == _cn(ch.gains.shape, K + r).tobytes()
 
+    def test_stacked_draw_equals_the_two_call_formula(self):
+        # a chunk's gains fill one buffer, each row by its own seed's
+        # generator: row i is re then im of two calls on seed i, combined
+        # as `_cn` combines them, bit for bit, on every layout shape
+        cases = list(_valid_configs(7)) + [(9, 3, 6, 2), (10, 5, 5, 2), (12, 4, 8, 1)]
+        configs = {}
+        for K, r, K_r, t in cases:
+            cfg = validate_config(SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8), K_r, t)
+            configs.setdefault(channel._partition_layout(cfg)[0], cfg)
+        assert len(configs) == 67
+        for shape, cfg in configs.items():
+            seeds = [channel._channel_seed(7, p, 0) for p in range(1, 4)]
+            gains = channel._draw_gains(cfg, seeds)
+            assert gains.shape == (3, *shape) and gains.flags.c_contiguous, shape
+            for row, seed in zip(gains, seeds):
+                assert row.tobytes() == _cn(shape, seed).tobytes(), shape
+            assert draw_channel(cfg, seeds[1]).gains.tobytes() == gains[1].tobytes(), shape
+
+    def test_verify_builds_one_generator_per_partition(self, monkeypatch):
+        # (9,3,6,2) delivers 84 partitions in stacked chunks, and each
+        # still gets its own generator on its attempt-0 seed, in order
+        real = np.random.default_rng
+        seeds = []
+
+        def recorded(seed=None):
+            seeds.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recorded)
+        params = SystemParams(K=9, N=84, Q=9, r=3, B=480)
+        ok, rep = end_to_end_verify(params, validate_config(params, K_r=6, t=2), seed=3)
+        assert ok and rep.partitions == 84
+        assert seeds == [channel._channel_seed(3, p, 0) for p in range(1, 85)]
+
     def test_smaller_draw_rejected_before_any_precoder(self, monkeypatch):
         # a channel drawn for another config: (9,3,7,2) draws 35 blocks,
         # (9,3,6,2) reads 60
@@ -738,7 +772,7 @@ class TestEndToEnd:
                     k = dest_group.members[1]
                     held[part.rx.members.index(k), len(rows) - 2] = False
                     lost.update(k=k, storage=coop | (dest_group - NodeSet.of(k)))
-                yield part, held, None
+                yield [part], held[None], None
 
         rep = channel._pipeline(params, cfg, 0, None, all_but_one)
         k, storage = lost["k"], lost["storage"]
@@ -756,7 +790,7 @@ class TestEndToEnd:
         cfg = validate_config(params, K_r=3, t=2)
 
         def all_but_one(parts, payloads):
-            return ((part, True, None) for part in parts if part.index != skipped)
+            return (([part], True, None) for part in parts if part.index != skipped)
 
         rep = channel._pipeline(params, cfg, 0, None, all_but_one)
         part = enum_partitions(6, cfg.K_t)[skipped - 1]
@@ -1061,6 +1095,16 @@ def _default_b_instance(K, r, K_r, t, seed=0):
     return cfg, parts, np.array([encode_payloads(segs, part, cfg) for part in parts])
 
 
+def _per_partition(chunks):
+    """(partition, its `held` mask, its report) from each yielded chunk
+    (partitions, their `held` masks, their record), row by row."""
+    out = []
+    for parts, held, record in chunks:
+        assert held is record.held
+        out += [(part, held[i], channel._report(part, record, i)) for i, part in enumerate(parts)]
+    return out
+
+
 def _chunks_of(monkeypatch, cfg, per):
     # chunks of `per` partitions: the gains bound at `per` partitions' gains
     shape, _chunks = channel._partition_layout(cfg)
@@ -1089,14 +1133,16 @@ class TestStackedDelivery:
             _chunks_of(monkeypatch, cfg, 16)
             seed = K_r + t
             passes.clear()
-            got = list(channel._deliver_chunks(cfg, seed, parts, payloads, snr_db))
+            chunks = list(channel._deliver_chunks(cfg, seed, parts, payloads, snr_db))
+            got = _per_partition(chunks)
             n_blocks = channel._partition_layout(cfg)[0][0]
             sizes = [min(16, len(parts) - lo) for lo in range(0, len(parts), 16)]
             assert passes == [size * n_blocks for size in sizes], (K, r, K_r, t)
+            assert [len(chunk) for chunk, _held, _record in chunks] == sizes, (K, r, K_r, t)
             counts[K, r, K_r, t] = len(parts)
             assert [part for part, _held, _rep in got] == parts
             for (part, held, rep), rows in zip(got, payloads):
-                assert held is rep.held
+                assert np.array_equal(held, rep.held)
                 want = simulate_with_resample(part, cfg, rows, seed, snr_db)
                 where = (K, r, K_r, t, part.index)
                 assert rep == want, where
@@ -1116,34 +1162,36 @@ class TestStackedDelivery:
         cfg, parts, payloads = _default_b_instance(*instance)
         _chunks_of(monkeypatch, cfg, 16)
         seed, target = 3, channel._channel_seed(3, 5, 0)
-        real_draw = channel.draw_channel
+        real_draw = channel._draw_gains
         drawn = []
 
-        def draw(config, channel_seed):
-            drawn.append(channel_seed)
-            ch = real_draw(config, channel_seed)
-            if channel_seed == target:
-                if trip == "zero_cofactors":
-                    ch.gains[0] = 0.0
-                elif trip == "condition":
-                    ch.gains[0, 0, 0] *= 1e-12  # one receiver row of one slot
-                else:
-                    ch.gains[0, :, :2, 0] = 0.0
-            return ch
+        def draw(config, channel_seeds):
+            drawn.extend(channel_seeds)
+            gains = real_draw(config, channel_seeds)
+            for h, channel_seed in zip(gains, channel_seeds):
+                if channel_seed == target:
+                    if trip == "zero_cofactors":
+                        h[0] = 0.0
+                    elif trip == "condition":
+                        h[0, 0, 0] *= 1e-12  # one receiver row of one slot
+                    else:
+                        h[0, :, :2, 0] = 0.0
+            return gains
 
-        monkeypatch.setattr(channel, "draw_channel", draw)
+        monkeypatch.setattr(channel, "_draw_gains", draw)
         text = {"zero_cofactors": "zero cofactors", "condition": "condition number"}
         text = text.get(trip, "singular receiver system")
         with pytest.raises(ChannelConditionError, match=text):
-            simulate_partition(parts[4], cfg, draw(cfg, target), payloads[4])
+            simulate_partition(parts[4], cfg, draw_channel(cfg, target), payloads[4])
         drawn.clear()
-        got = list(channel._deliver_chunks(cfg, seed, parts, payloads))
+        got = _per_partition(channel._deliver_chunks(cfg, seed, parts, payloads))
         first = [channel._channel_seed(seed, part.index, 0) for part in parts]
         assert sorted(drawn) == sorted(first + [channel._channel_seed(seed, 5, 1)])
         for (part, held, rep), rows in zip(got, payloads):
             want = simulate_with_resample(part, cfg, rows, seed)
             assert rep == want and np.array_equal(held, want.held), part.index
-        again = real_draw(cfg, channel._channel_seed(seed, 5, 1))
+        redrawn = channel._channel_seed(seed, 5, 1)
+        again = channel.ChannelRealization(redrawn, real_draw(cfg, [redrawn])[0])
         assert got[4][2] == simulate_partition(parts[4], cfg, again, payloads[4])
 
 
@@ -1376,6 +1424,27 @@ class TestPayloadSymbols:
                 assert list(zip(*np.nonzero(moved))) == [(m, i // step)], (m, i)
         same = np.repeat(payloads[:1], rows, axis=0)
         assert len(np.unique(channel.payload_symbols(same, n_chunks, rows))) == rows * n_chunks
+
+    @pytest.mark.parametrize("K, r, K_r, t", [(9, 3, 6, 2), (10, 5, 5, 2)])
+    def test_stacked_pass_equals_one_call_per_partition(self, K, r, K_r, t):
+        # a chunk's (partitions, messages, L) rows in one pass: positions
+        # restart in each partition, so every partition gets the symbols
+        # its own call gives, bit for bit, on every partition
+        cfg, parts, payloads = _default_b_instance(K, r, K_r, t)
+        n_chunks = channel._partition_layout(cfg)[1]
+        rows = payloads.shape[1]
+        got = channel.payload_symbols(payloads, n_chunks, rows)
+        assert got.shape == (len(parts), rows, n_chunks) and got.dtype == complex
+        for i, one in enumerate(payloads):
+            assert got[i].tobytes() == channel.payload_symbols(one, n_chunks, rows).tobytes(), i
+        for misshapen in (payloads[:, 1:], payloads[None]):
+            need = (
+                f"need a ({rows}, L) uint8 payload array with L a multiple of {n_chunks} "
+                f"chunks, got uint8 of shape {misshapen.shape}"
+            )
+            with pytest.raises(ParameterError) as exc:
+                channel.payload_symbols(misshapen, n_chunks, rows)
+            assert str(exc.value) == need
 
     def test_payload_that_does_not_split_rejected(self):
         params = SystemParams(K=9, N=84, Q=9, r=3, B=480)

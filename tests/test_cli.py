@@ -406,6 +406,19 @@ class TestSimulate:
         assert code == 0 and 1e25 < json.loads(out)["noise_mse"] < float("inf")
 
 
+class TestChannelGuard:
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_redraw_that_trips_again_exits_three(self, capsys, monkeypatch, command):
+        # every kappa_F is at least 1, so a guard of 0.5 trips the first
+        # draw and its one redraw: exit 3 with one stderr line, never 1,
+        # which means a failed verification, and no traceback
+        monkeypatch.setattr(channel, "CONDITION_GUARD", 0.5)
+        code, out, err = run(capsys, command, "--K", "9", "--r", "3", "--Kr", "6", "--t", "2")
+        assert code == cli.EXIT_INTERNAL == 3 and out == ""
+        assert err.startswith("channel error: condition number ") and err.count("\n") == 1
+        assert err.endswith(" exceeds guard 5.0e-01, after one redraw\n")
+
+
 class TestOut:
     def test_unwritable_out_exits_two(self, tmp_path, capsys):
         # exit 1 would read as "verification failed"
