@@ -47,7 +47,7 @@ print("=" * 72)
 print("STEP 2: MAP -- synthesize the intermediate values (48 bits each)")
 print("=" * 72)
 store = map_phase(placement, params, seed=0)
-print(f"  node 1 computed {len(store.at_node(placement, 1))} IVs locally")
+print(f"  node 1 computed {params.Q * len(placement.node_to_files[1])} IVs locally")
 print(f"  node 4 still needs {len(required_ivs(placement, 4))}:"
       f" {sorted(required_ivs(placement, 4))}")
 

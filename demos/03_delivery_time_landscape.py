@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from cpcshuffle import (
     brute_force_min,
-    cpc_t1_minimum,
+    cpc_minimum,
     fd_crossover_holds,
     lower_bound,
     ndt_bw_hd,
@@ -54,7 +54,7 @@ print(f"  {'K':>4} {'CDC':>9} {'OSL-HD':>9} {'this (t=1)':>11}")
 for K in (6, 10, 20, 50, 100, 200, 500):
     print(f"  {K:>4} {float(ndt_cdc(2, K).value):>9.4f}"
           f" {float(ndt_osl_hd(2, K).value):>9.4f}"
-          f" {float(cpc_t1_minimum(2, K)):>11.5f}")
+          f" {float(cpc_minimum(2, K, t=1).value):>11.5f}")
 print("  baselines -> 1/2; this scheme -> 0")
 
 print()
@@ -65,7 +65,7 @@ r = 2
 threshold = 2 * (r + 1 + (r * r + 1) ** 0.5)
 print(f"  predicted crossover for r=2: K >= {threshold:.2f}")
 for K in (8, 10, 11, 20, 50):
-    ours, fd = cpc_t1_minimum(r, K), ndt_osl_fd(r, K).value
+    ours, fd = cpc_minimum(r, K, t=1).value, ndt_osl_fd(r, K).value
     mark = "<=" if ours <= fd else "> "
     print(f"  K={K:>3}: {float(ours):.4f} {mark} {float(fd):.4f} (full-duplex)"
           f"   crossover={fd_crossover_holds(r, K)}")

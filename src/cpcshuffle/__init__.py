@@ -37,9 +37,7 @@ from .codec import (
     SegmentId,
     SegmentTable,
     StragglerPlan,
-    block_ivs,
     coding_complexity,
-    decode_blocks,
     decode_segment,
     encode_partition,
     encode_payloads,
@@ -79,7 +77,6 @@ from .ndt import (
     LowerBoundModel,
     NdtPoint,
     cpc_minimum,
-    cpc_t1_minimum,
     fd_crossover_holds,
     gap_ratio,
     lower_bound,

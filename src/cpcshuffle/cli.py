@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .model import (
     InternalInvariantError,
+    NodeSet,
     ParameterError,
     ShuffleConfig,
     SystemParams,
@@ -34,7 +35,7 @@ from .model import (
     validate_config,
 )
 from .placement import build_placement, check_seed, map_phase
-from .codec import check_bits, encode_partition, encode_payloads, segment_ivs
+from .codec import check_bits, encode_payloads, segment_ivs
 from .channel import (
     ChannelConditionError,
     check_simulable,
@@ -147,19 +148,22 @@ def cmd_construct(args) -> int:
         ],
         "messages": [],
     }
+    # each message is read off its s table rows: row i is a segment of
+    # block (j, U) = blocks[i // per_block], D is the rows' dests and
+    # B = (U | {j}) - D, which is U - D for any of the rows
     for part in partitions:
-        for m in encode_partition(segments, part, cfg):
+        payloads = encode_payloads(segments, part, cfg)
+        for rows, payload in zip(segments.messages[part.index - 1], payloads):
+            blocks = [segments.blocks[row // segments.per_block] for row in rows]
+            dest_group = NodeSet.from_iterable(j for j, _storage in blocks)
             entry = {
-                "p": m.partition,
-                "D": list(m.dest_group.members),
-                "B": list(m.coop.members),
-                "segments": [
-                    {"dest": sid.dest, "storage": list(sid.storage.members)}
-                    for sid in m.constituents()
-                ],
+                "p": part.index,
+                "D": list(dest_group.members),
+                "B": list((blocks[0][1] - dest_group).members),
+                "segments": [{"dest": j, "storage": list(u.members)} for j, u in blocks],
             }
             if args.with_payloads:
-                entry["payload"] = m.payload.hex()
+                entry["payload"] = payload.tobytes().hex()
             dump["messages"].append(entry)
     _emit(args, _json(dump))
     return EXIT_OK

@@ -1,8 +1,8 @@
 """Exact combinatorial layer of the shuffle: segmentation, XOR coding, loads.
 
 The unit of addressing is the block v[d_j, U]: all IVs that node j needs
-and that live exactly at the size-r storage group U, laid out by
-`block_ivs` (q ascending over W_j, then n ascending).  Each block is cut
+and that live exactly at the size-r storage group U, laid out q
+ascending over W_j, then n ascending over U's eta1 files.  Each block is cut
 into C(r,t) * C(K-r-1, K_r-s) equal segments, one per admissible
 (cooperation group B, transmitter set T) pair from `admissible_pairs`:
 B a t-subset of U, T = B | E for a set E of K_t-t nodes outside U and
@@ -25,11 +25,10 @@ lex rank of E = T_p - B among the nodes outside X.  No Python object is
 kept per message or row.  One XOR-reduce over the rows encodes a whole
 config, and `decode_node` gathers a node's payloads from one (all
 messages, L) array, masked by what the node holds.  `admissible_pairs`,
-`_message_pairs`, `block_ivs`, `block_bytes`, `SegmentId`, `Segment`,
-`encode_partition`, `decode_segment` and `xor_bytes` name, encode and
-decode one block, message or segment at a time: the readable form the
-arrays are checked against, which `end_to_end_verify` and
-`ideal_verify` do not call.
+`_message_pairs`, `SegmentId`, `Segment`, `encode_partition`,
+`decode_segment` and `xor_bytes` name, encode and decode one message or
+segment at a time: the readable form the arrays are checked against;
+no command's output is built from them.
 
 Which B works is decided in one place, `bits_step`: B must cut IVs into
 bytes and every block into whole-byte segments, and on the channel path
@@ -158,18 +157,6 @@ def check_bits(config: ShuffleConfig) -> None:
         )
 
 
-def block_ivs(placement: PlacementMap, dest: int, storage: NodeSet) -> list[tuple[int, int]]:
-    """The block's (q, n) pairs in layout order: q ascending over W_dest,
-    then the eta1 files stored exactly at `storage`, n ascending."""
-    files = placement.group_files.get(storage.mask, ())
-    return [(q, n) for q in sorted(placement.reduce_assignment[dest]) for n in files]
-
-
-def block_bytes(placement: PlacementMap, store: IVStore, dest: int, storage: NodeSet) -> bytes:
-    """Concatenation of the block's IVs in `block_ivs` order."""
-    return b"".join(store.get(q, n) for q, n in block_ivs(placement, dest, storage))
-
-
 def admissible_pairs(
     dest: int, storage: NodeSet, config: ShuffleConfig
 ) -> tuple[list[NodeSet], list[int]]:
@@ -214,10 +201,11 @@ class SegmentTable:
 def block_layout(
     placement: PlacementMap, blocks: list[tuple[int, NodeSet]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(q, n): the 0-based indices of every block's IVs in `block_ivs`
-    order, shapes (blocks, eta2, 1) and (blocks, 1, eta1), so that
-    `store.array[q, n]` holds the blocks' bytes, shape (blocks, eta2,
-    eta1, B/8)."""
+    """(q, n): the 0-based indices of every block's IVs, q ascending over
+    the dest's outputs, then n ascending over the eta1 files stored
+    exactly at the storage group; shapes (blocks, eta2, 1) and (blocks, 1,
+    eta1), so that `store.array[q, n]` holds the blocks' bytes, shape
+    (blocks, eta2, eta1, B/8)."""
     outputs = {dest: sorted(qs) for dest, qs in placement.reduce_assignment.items()}
     q = np.array([outputs[dest] for dest, _s in blocks]) - 1
     n = np.array([placement.group_files[storage.mask] for _d, storage in blocks]) - 1
@@ -442,19 +430,6 @@ def decode_node(
     side = peers[peers != np.arange(start, stop)[:, None]].reshape(per_node, -1)
     decoded = payloads[mine] ^ np.bitwise_xor.reduce(segments.data[side.T], axis=0)
     return decoded.reshape(n_blocks, -1), lost
-
-
-def decode_blocks(
-    segments: SegmentTable, dest: int, payloads: np.ndarray, held: np.ndarray
-) -> dict[NodeSet, bytes | None]:
-    """`decode_node`'s blocks by storage group, a block with any row whose
-    message is not held mapped to None."""
-    decoded, lost = decode_node(segments, dest, payloads, held)
-    mine = segments.blocks[(dest - 1) * len(decoded) : dest * len(decoded)]
-    return {
-        storage: None if lost[b] else decoded[b].tobytes()
-        for b, (_dest, storage) in enumerate(mine)
-    }
 
 
 def per_partition_load(config: ShuffleConfig) -> tuple[Fraction, Fraction]:

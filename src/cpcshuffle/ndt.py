@@ -180,9 +180,12 @@ def cpc_minimum(r: int, K: int, K_r: int | None = None, t: int | None = None) ->
     accepts, with either coordinate optionally pinned; ties prefer the
     smaller K_r, then the smaller t.  The scan walks only the accepted
     pairs: for each K_r, the t of `model.t_range` in ascending order.
-    r = K needs no shuffle: value 0 with sentinel K_r = 0."""
+    r = K needs no shuffle: value 0 with sentinel K_r = 0, and since no
+    (K_r, t) is valid there, any pin is refused."""
     check_load(r, K)
     if r == K:
+        if K_r is not None or t is not None:
+            raise no_valid_config(r, K, K_r, t)
         return NdtPoint(CPC, K, Fraction(r), Fraction(0), K_r=0, t=0, s=0)
     # (num, den, K_r, t); a strict < keeps the first of a tie
     best: tuple[int, int, int, int] | None = None
@@ -196,11 +199,6 @@ def cpc_minimum(r: int, K: int, K_r: int | None = None, t: int | None = None) ->
         raise no_valid_config(r, K, K_r, t)
     num, den, kr, tt = best
     return NdtPoint(CPC, K, Fraction(r), Fraction(num, den), K_r=kr, t=tt, s=r + 1 - tt)
-
-
-def cpc_t1_minimum(r: int, K: int) -> Fraction:
-    """The t = 1 restriction of the scheme, minimized over K_r."""
-    return cpc_minimum(r, K, t=1).value
 
 
 def _least_chord(f: list[Fraction], x: Fraction) -> Fraction:

@@ -55,7 +55,8 @@ class IVStore:
 
     Values are globally deterministic given the seed, so the store is
     shared and equals every store of the same params and seed; locality
-    ("node k holds (q, n)") is a placement question, answered by `at_node`.
+    ("node k holds (q, n)") is a placement question: node k holds every q
+    for the files in `node_to_files[k]`.
     """
 
     params: SystemParams
@@ -70,11 +71,6 @@ class IVStore:
         """Every v[q, n] keyed by (q, n), built from `array` on first use."""
         p = self.params
         return {(q, n): self.get(q, n) for q in range(1, p.Q + 1) for n in range(1, p.N + 1)}
-
-    def at_node(self, placement: PlacementMap, k: int) -> dict[tuple[int, int], bytes]:
-        """The IVs node k computed locally: every q, for its stored files."""
-        files = sorted(placement.node_to_files[k])
-        return {(q, n): self.get(q, n) for q in range(1, self.params.Q + 1) for n in files}
 
 
 def build_placement(params: SystemParams) -> PlacementMap:

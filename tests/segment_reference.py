@@ -1,5 +1,6 @@
 """Segments by id, the reference the tests check `SegmentTable` against,
-and the per-IV reassembly walk the array reassembly is checked against.
+the per-block layout and decode the arrays are checked against, and the
+per-IV reassembly walk the array reassembly is checked against.
 
 A segment is named by (dest j, storage group U, partition p, coop group
 B).  The table addresses it by row only; here the row is found by
@@ -11,8 +12,31 @@ b * per_block + i.
 
 import itertools
 
-from cpcshuffle.codec import Segment, SegmentId, admissible_pairs, block_ivs, decode_blocks
+from cpcshuffle.codec import Segment, SegmentId, admissible_pairs, decode_node
 from cpcshuffle.placement import required_ivs
+
+
+def block_ivs(placement, dest, storage) -> list[tuple[int, int]]:
+    """The block's (q, n) pairs in layout order: q ascending over W_dest,
+    then the eta1 files stored exactly at `storage`, n ascending."""
+    files = placement.group_files.get(storage.mask, ())
+    return [(q, n) for q in sorted(placement.reduce_assignment[dest]) for n in files]
+
+
+def block_bytes(placement, store, dest, storage) -> bytes:
+    """Concatenation of the block's IVs in `block_ivs` order."""
+    return b"".join(store.get(q, n) for q, n in block_ivs(placement, dest, storage))
+
+
+def decode_blocks(segs, dest, payloads, held) -> dict:
+    """`decode_node`'s blocks by storage group, a block with any row whose
+    message is not held mapped to None."""
+    decoded, lost = decode_node(segs, dest, payloads, held)
+    mine = segs.blocks[(dest - 1) * len(decoded) : dest * len(decoded)]
+    return {
+        storage: None if lost[b] else decoded[b].tobytes()
+        for b, (_dest, storage) in enumerate(mine)
+    }
 
 
 def segment_rows(segs) -> dict[SegmentId, int]:

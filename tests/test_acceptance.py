@@ -15,7 +15,6 @@ from cpcshuffle.model import (
 )
 from cpcshuffle.placement import build_placement, map_phase, required_ivs
 from cpcshuffle.codec import (
-    block_bytes,
     decode_segment,
     encode_partition,
     encode_payloads,
@@ -30,7 +29,7 @@ from cpcshuffle.channel import (
     simulate_with_resample,
 )
 from cpcshuffle.ndt import (
-    cpc_t1_minimum,
+    cpc_minimum,
     fd_crossover_holds,
     gap_ratio,
     lower_bound,
@@ -41,7 +40,7 @@ from cpcshuffle.ndt import (
     ndt_osl_hd,
 )
 from cpcshuffle.optimize import brute_force_min, closed_form_min, cross_validate
-from segment_reference import segments_by_id
+from segment_reference import block_bytes, segments_by_id
 
 WORKED = SystemParams(K=6, N=20, Q=6, r=3, B=48)
 
@@ -114,7 +113,8 @@ def test_criterion_5_dominance_suite():
     crossover_cells = 0
     for K in range(2, 31):
         for r in range(1, K + 1):
-            dbar = cpc_t1_minimum(r, K)
+            # r = K refuses a pin: the scheme's value there is the unpinned 0
+            dbar = cpc_minimum(r, K, t=1 if r < K else None).value
             cdc = ndt_cdc(r, K).value
             assert dbar <= cdc <= ndt_osl_hd(r, K).value
             assert dbar <= ndt_bw_hd(r, K).value
@@ -269,7 +269,7 @@ def test_criterion_9_asymptotics():
     """r = 2: the t=1 scheme strictly decreases along K = 6..500 (sampled)
     and ends below 0.01, while CDC(2,500) is within 0.002 of 1/2."""
     ks = [6, 8, 10, 15, 20, 30, 50, 75, 100, 200, 350, 500]
-    values = [cpc_t1_minimum(2, K) for K in ks]
+    values = [cpc_minimum(2, K, t=1).value for K in ks]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < Fraction(1, 100)
 

@@ -21,7 +21,6 @@ from cpcshuffle.placement import build_placement, map_phase
 from cpcshuffle import channel
 from cpcshuffle.codec import (
     _message_pairs,
-    block_ivs,
     encode_partition,
     encode_payloads,
     round_up_bits,
@@ -40,6 +39,7 @@ from cpcshuffle.channel import (
     simulation_bits,
 )
 from cpcshuffle.model import enum_subsets
+from segment_reference import block_ivs
 
 WORKED = SystemParams(K=6, N=20, Q=6, r=3, B=48)
 CASE_C = SystemParams(K=8, N=28, Q=8, r=2, B=160)

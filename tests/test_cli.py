@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -8,7 +9,15 @@ import pytest
 
 from cpcshuffle import channel, cli, ndt
 from cpcshuffle.cli import main
-from cpcshuffle.model import ParameterError, SystemParams, enum_partitions
+from cpcshuffle.codec import encode_partition, segment_ivs
+from cpcshuffle.model import (
+    ParameterError,
+    SystemParams,
+    config_violation,
+    enum_partitions,
+    validate_config,
+)
+from cpcshuffle.placement import build_placement, map_phase
 
 WORKED = ["--K", "6", "--N", "20", "--Q", "6", "--r", "3", "--Kr", "3", "--t", "2", "--B", "48"]
 # the worked instance with two outputs per node (eta2 = 2): a block holds
@@ -32,6 +41,45 @@ class TestConstruct:
         assert dump["messages"][0]["p"] == 1
         assert all(len(m["segments"]) == 2 for m in dump["messages"])
         assert "payload" not in dump["messages"][0]
+
+    def test_dump_matches_the_per_message_reference(self, capsys, monkeypatch):
+        # construct reads each message off the segment table's rows; the
+        # readable reference must name the same messages in the same
+        # order: encode_partition's (p, D, B) and payload, and the
+        # message's constituents() as its segments.  The dump is compared
+        # as JSON values, so it is written unindented, by the C encoder;
+        # test_golden pins its indented text
+        monkeypatch.setattr(cli, "_json", json.dumps)
+        configs = 0
+        for K in range(2, 9):
+            for r, K_r in itertools.product(range(1, K), range(1, K + 1)):
+                for t in range(1, r + 1):
+                    if config_violation(K, r, K_r, t) is not None:
+                        continue
+                    configs += 1
+                    flags = ["--K", K, "--r", r, "--Kr", K_r, "--t", t]
+                    code, out, _ = run(capsys, "construct", *map(str, flags), "--with-payloads")
+                    assert code == 0
+                    dump = json.loads(out)
+                    p = dump["params"]
+                    params = SystemParams(K=K, N=p["N"], Q=p["Q"], r=r, B=p["B"])
+                    cfg = validate_config(params, K_r, t)
+                    placement = build_placement(params)
+                    segs = segment_ivs(placement, cfg, map_phase(placement, params, p["seed"]))
+                    expected = [
+                        {
+                            "p": m.partition,
+                            "D": list(m.dest_group.members),
+                            "B": list(m.coop.members),
+                            "segments": [{"dest": sid.dest, "storage": list(sid.storage.members)}
+                                         for sid in m.constituents()],
+                            "payload": m.payload.hex(),
+                        }
+                        for part in segs.partitions
+                        for m in encode_partition(segs, part, cfg)
+                    ]
+                    assert dump["messages"] == expected, (K, r, K_r, t)
+        assert configs == 210
 
     def test_payload_flag(self, capsys):
         code, out, _ = run(capsys, "construct", *WORKED, "--with-payloads")

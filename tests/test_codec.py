@@ -21,10 +21,7 @@ from cpcshuffle.channel import partition_slots
 from cpcshuffle.codec import (
     SegmentId,
     admissible_pairs,
-    block_bytes,
-    block_ivs,
     coding_complexity,
-    decode_blocks,
     decode_segment,
     encode_partition,
     per_partition_load,
@@ -35,7 +32,13 @@ from cpcshuffle.codec import (
     straggler_schedule,
     xor_bytes,
 )
-from segment_reference import segment_rows, segments_by_id
+from segment_reference import (
+    block_bytes,
+    block_ivs,
+    decode_blocks,
+    segment_rows,
+    segments_by_id,
+)
 
 WORKED = SystemParams(K=6, N=20, Q=6, r=3, B=48)
 

