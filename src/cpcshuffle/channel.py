@@ -75,7 +75,7 @@ from .codec import (
     bits_step,
     block_layout,
     check_bits,
-    decode_node,
+    decode,
     encode_partition,  # unused here; perfbench/selftest.py checks this binding
     round_up_bits,
     segment_ivs,
@@ -151,7 +151,8 @@ def _draw_gains(config: ShuffleConfig, seeds) -> np.ndarray:
 
 
 def draw_channel(config: ShuffleConfig, seed: int) -> ChannelRealization:
-    """One partition's gains: the one-seed case of `_draw_gains`."""
+    """One partition's gains: the one-seed case of `_draw_gains`, its seed checked."""
+    check_seed(seed)
     return ChannelRealization(seed=seed, gains=_draw_gains(config, [seed])[0])
 
 
@@ -525,7 +526,8 @@ def simulate_with_resample(
     seed: int,
     snr_db: float | None = None,
 ) -> DeliveryReport:
-    """Run a partition; on a condition-guard trip, resample the channel once."""
+    """Check the seed and run a partition; on a guard trip, resample the channel once."""
+    check_seed(seed)
     [(_parts, record)] = _resampled([partition], config, payloads, seed, snr_db)
     return _report(partition, record)
 
@@ -558,30 +560,25 @@ class VerificationReport(_Report):
 
 
 def _verify_reassembly(placement, store, segments, payloads, held) -> list[tuple[int, int, int]]:
-    """Reassemble every required IV per node; return (node, q, n) mismatches.
+    """Reassemble every required IV; return (node, q, n) mismatches.
 
-    Each node decodes all of its blocks in one `decode_node` gather from
-    `payloads` and its row of `held`.  `block_layout` files every decoded
-    IV under its (q, n), and one compare against `store.array` confirms
-    the IVs that match; each of the node's `required_ivs` that none
-    confirms fails, in (q, n) order.  So an IV the layout files elsewhere
-    fails too.
+    One `decode` pass recovers every node's blocks from `payloads` and
+    `held`.  `block_layout` files every decoded IV under its (q, n), and
+    one compare against `store.array` confirms the IVs that match; each
+    node's `required_ivs` that none confirms fails, in (node, q, n)
+    order.  So an IV the layout files elsewhere fails too.
     """
     params, ivs = placement.params, store.array
-    q_of, n_of = block_layout(placement, segments.blocks)
-    per = len(segments.blocks) // params.K
-    failures: list[tuple[int, int, int]] = []
-    for k in range(1, params.K + 1):
-        decoded, lost = decode_node(segments, k, payloads, held[k])
-        q, n = np.broadcast_arrays(q_of[(k - 1) * per : k * per], n_of[(k - 1) * per : k * per])
-        want = ivs[q, n]
-        same = (decoded.reshape(want.shape) == want).all(axis=-1) & ~lost[:, None, None]
-        missing = np.zeros(ivs.shape[:2], dtype=bool)
-        missing[tuple(np.array(list(required_ivs(placement, k))).T - 1)] = True
-        missing[q[same], n[same]] = False
-        rows, cols = np.nonzero(missing)
-        failures += [(k, i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist())]
-    return failures
+    decoded, lost = decode(segments, payloads, held)
+    q, n = np.broadcast_arrays(*block_layout(placement, segments.blocks))
+    dest = np.array([j for j, _storage in segments.blocks])[:, None, None] - 1
+    want = ivs[q, n]
+    same = (decoded.reshape(want.shape) == want).all(axis=-1) & ~lost[:, None, None]
+    missing = np.zeros((params.K, *ivs.shape[:2]), dtype=bool)
+    need = [(k, *iv) for k in range(1, params.K + 1) for iv in required_ivs(placement, k)]
+    missing[tuple(np.array(need).T - 1)] = True
+    missing[np.broadcast_to(dest, q.shape)[same], q[same], n[same]] = False
+    return [(k + 1, i + 1, j + 1) for k, i, j in zip(*(a.tolist() for a in np.nonzero(missing)))]
 
 
 def _pipeline(
@@ -600,11 +597,15 @@ def _pipeline(
     partitions, their (n, K_r, messages) `held` masks, their `_deliver`
     record or None over an ideal channel).  Each chunk's masks land in one
     scatter and its record's worst values fold into the report, whose
-    `measured_dof` is one Fraction at the end.  Reassembly reads one
-    (all messages, L) payload array and one (K+1, all messages) `held`
-    mask in `message_of` numbering; `held` starts all False, so a
-    partition that `deliver` does not yield fails.  `params` names the instance.
+    `measured_dof` is one Fraction at the end.  Reassembly is one `decode`
+    pass over one (all messages, L) payload array and one (K+1, all
+    messages) `held` mask, messages numbered as the segment table's
+    `messages.reshape(-1, s)`; `held` starts all False, so a partition
+    that `deliver` does not yield fails.  `params` other than
+    `config.params` raise ParameterError up front.
     """
+    if params != config.params:
+        raise ParameterError(f"params {params} are not the config's {config.params}")
     if corrupt is not None:
         n_parts = math.comb(params.K, config.K_t)
         n_msgs = len(_message_positions(config.s, config.t, config.K_r, config.K_t))

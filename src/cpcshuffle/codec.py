@@ -23,8 +23,9 @@ channel's blocks also read: partition p's m-th message is flat message
 follow by index arithmetic on combinatorial ranks, its head plus the
 lex rank of E = T_p - B among the nodes outside X.  No Python object is
 kept per message or row.  One XOR-reduce over the rows encodes a whole
-config, and `decode_node` gathers a node's payloads from one (all
-messages, L) array, masked by what the node holds.  `admissible_pairs`,
+config, and one `decode` pass over the same rows decodes it: each of a
+message's s receivers XORs the payload with the s-1 rows of its peers,
+masked by what the receiver holds.  `admissible_pairs`,
 `_message_pairs`, `SegmentId`, `Segment`, `encode_partition`,
 `decode_segment` and `xor_bytes` name, encode and decode one message or
 segment at a time: the readable form the arrays are checked against;
@@ -179,12 +180,11 @@ class SegmentTable:
     `(n_segments, seg_len)` uint8 array.
 
     Rows run in `blocks` order, (dest, storage lex), and each node owns
-    `per_node` = C(K-1, r) * `per_block` consecutive rows, node 1 first.
-    A block's rows are its `admissible_pairs` pairs (B, B | E), B-major.
+    len(data) / K consecutive rows, node 1 first.  A block's rows are its
+    `per_block` `admissible_pairs` pairs (B, B | E), B-major.
     `messages[p - 1]` holds the s constituent rows of each of partition
-    p's messages in `_message_pairs` order, D order within a message; row
-    i belongs to flat message `message_of[i]`, the message's position in
-    `messages.reshape(-1, s)`.  Python objects exist per block, never per
+    p's messages in `_message_pairs` order, D order within a message, and
+    covers every row once.  Python objects exist per block, never per
     message or row.
     """
 
@@ -193,9 +193,7 @@ class SegmentTable:
     blocks: list[tuple[int, NodeSet]]
     partitions: list[Partition]
     per_block: int
-    per_node: int
     messages: np.ndarray
-    message_of: np.ndarray
 
 
 def block_layout(
@@ -315,8 +313,12 @@ def segment_ivs(
     segments are one gather from `store.array`, and the message rows are
     index arithmetic on combinatorial ranks.  Raises InfeasibleInstance
     through `check_bits` when B does not cut IVs and segments into bytes
-    (pick B via round_up_bits).
+    (pick B via round_up_bits), and ParameterError unless `placement`,
+    `config` and `store` share their params.
     """
+    if not placement.params == config.params == store.params:
+        raise ParameterError(f"placement, config and store params differ: {placement.params}, "
+                             f"{config.params}, {store.params}")
     check_bits(config)
     K, r, s = config.params.K, config.params.r, config.s
     n_seg = segments_per_block(config)
@@ -327,16 +329,13 @@ def segment_ivs(
     data = store.array[q, n].reshape(n_rows, -1)
     partitions = enum_partitions(K, config.K_t)
     rows = _message_rows(config, partitions, _head_table(blocks, K, config.t, n_seg))
-    message_of = np.full(n_rows, -1, dtype=np.intp)
-    message_of[rows] = np.arange(rows.size // s).reshape(*rows.shape[:2], 1)
-    if rows.size != n_rows or (message_of < 0).any():
+    if rows.size != n_rows or (np.bincount(rows.ravel(), minlength=n_rows) != 1).any():
         raise InternalInvariantError(
             f"{rows.size // s} messages of {s} segments do not cover the {n_rows} rows once each"
         )
-    for table in (data, rows, message_of):
+    for table in (data, rows):
         table.flags.writeable = False
-    per_node = math.comb(K - 1, r) * n_seg
-    return SegmentTable(config, data, blocks, partitions, n_seg, per_node, rows, message_of)
+    return SegmentTable(config, data, blocks, partitions, n_seg, rows)
 
 
 def _message_pairs(partition: Partition, config: ShuffleConfig) -> list[tuple[NodeSet, NodeSet]]:
@@ -403,33 +402,32 @@ def decode_segment(
     return Segment(id=target, data=out)
 
 
-def decode_node(
-    segments: SegmentTable, dest: int, payloads: np.ndarray, held: np.ndarray
+def decode(
+    segments: SegmentTable, payloads: np.ndarray, held: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(decoded, lost): every block node `dest` needs, as the rows of one
-    (blocks, block bytes) array decoded from the payloads it holds, in
-    `segments.blocks` order, and whether any row of a block belongs to a
-    message the node does not hold.
+    """(decoded, lost): every block of the table, decoded, as the rows of
+    one (blocks, block bytes) array in `segments.blocks` order, and
+    whether the block's dest misses the message of one of its rows.
 
-    `payloads` is the (all messages, L) array of every message's payload
-    and `held[m]` says whether node dest holds flat message m, both in
-    `message_of` numbering.  Each of node dest's rows gathers its
-    message's payload, and its s-1 side segments are the other rows of
-    that message; all payloads are XORed with them in one gather-reduce.
+    `payloads[m]` is flat message m's payload and `held[k, m]` whether
+    node k holds it, m as in `segments.messages.reshape(-1, s)`.  Row a
+    of a message is its a-th receiver's segment, and the rows before and
+    after a are that receiver's s-1 side segments: it XORs their two
+    running XORs off the payload, for every message at once.
     """
-    per_node, per_block = segments.per_node, segments.per_block
-    K = segments.config.params.K
-    if not 1 <= dest <= K:
-        raise ParameterError(f"node {dest} out of range [1, {K}]")
-    start, stop = (dest - 1) * per_node, dest * per_node
-    mine = segments.message_of[start:stop]
-    n_blocks = per_node // per_block
-    lost = ~held[mine].reshape(n_blocks, per_block).all(axis=1)
-    # each row is one of its message's s rows; the other s-1 are side segments
-    peers = segments.messages.reshape(-1, segments.messages.shape[2])[mine]
-    side = peers[peers != np.arange(start, stop)[:, None]].reshape(per_node, -1)
-    decoded = payloads[mine] ^ np.bitwise_xor.reduce(segments.data[side.T], axis=0)
-    return decoded.reshape(n_blocks, -1), lost
+    K, s = segments.config.params.K, segments.config.s
+    rows = segments.messages.reshape(-1, s).T  # (s, messages)
+    local = segments.data.take(rows, axis=0)
+    before, after = np.zeros_like(local), np.zeros_like(local)
+    for a in range(1, s):  # the running XORs of the rows before a and after s-1-a
+        before[a] = before[a - 1] ^ local[a - 1]
+        after[-1 - a] = after[-a] ^ local[-a]
+    decoded = np.empty_like(segments.data)
+    decoded[rows] = payloads ^ before ^ after
+    got = np.empty(len(decoded), dtype=bool)
+    got[rows] = held[rows // (len(decoded) // K) + 1, np.arange(rows.shape[1])]
+    n_blocks = len(segments.blocks)
+    return decoded.reshape(n_blocks, -1), ~got.reshape(n_blocks, -1).all(axis=1)
 
 
 def per_partition_load(config: ShuffleConfig) -> tuple[Fraction, Fraction]:

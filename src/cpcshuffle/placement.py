@@ -87,11 +87,11 @@ def build_placement(params: SystemParams) -> PlacementMap:
     reduce_assignment = {
         k: frozenset(range((k - 1) * eta2 + 1, k * eta2 + 1)) for k in range(1, params.K + 1)
     }
-    per_node = params.r * params.N // params.K
+    stored = params.r * params.N // params.K
     for k, files in node_to_files.items():
-        if len(files) != per_node:
+        if len(files) != stored:
             raise InternalInvariantError(
-                f"node {k} stores {len(files)} files, expected rN/K={per_node}"
+                f"node {k} stores {len(files)} files, expected rN/K={stored}"
             )
     frozen = {k: frozenset(v) for k, v in node_to_files.items()}
     return PlacementMap(params, file_to_nodes, frozen, group_files, reduce_assignment)

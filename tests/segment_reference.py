@@ -12,7 +12,9 @@ b * per_block + i.
 
 import itertools
 
-from cpcshuffle.codec import Segment, SegmentId, admissible_pairs, decode_node
+import numpy as np
+
+from cpcshuffle.codec import Segment, SegmentId, admissible_pairs, decode
 from cpcshuffle.placement import required_ivs
 
 
@@ -29,13 +31,15 @@ def block_bytes(placement, store, dest, storage) -> bytes:
 
 
 def decode_blocks(segs, dest, payloads, held) -> dict:
-    """`decode_node`'s blocks by storage group, a block with any row whose
+    """Node `dest`'s blocks from `decode` by storage group, given what it
+    holds as the only row of the `held` mask, a block with any row whose
     message is not held mapped to None."""
-    decoded, lost = decode_node(segs, dest, payloads, held)
-    mine = segs.blocks[(dest - 1) * len(decoded) : dest * len(decoded)]
+    one = np.zeros((segs.config.params.K + 1, len(held)), dtype=bool)
+    one[dest] = held
+    decoded, lost = decode(segs, payloads, one)
     return {
         storage: None if lost[b] else decoded[b].tobytes()
-        for b, (_dest, storage) in enumerate(mine)
+        for b, (j, storage) in enumerate(segs.blocks) if j == dest
     }
 
 

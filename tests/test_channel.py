@@ -567,6 +567,22 @@ class TestDispatchAndResample:
         with pytest.raises(ParameterError, match=r"channel gains have shape \(3, 1, 3, 1\)"):
             simulate_partition(parts[0], cfg, ch, payloads)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_one_partition_entry_points_reject_a_seed_out_of_range(self, monkeypatch, seed):
+        # as a verify does, before any gains are drawn
+        cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
+        payloads = encode_payloads(segs, parts[0], cfg)
+
+        def drawn(*args):
+            raise AssertionError("gains drawn before the seed was checked")
+
+        monkeypatch.setattr(channel, "_draw_gains", drawn)
+        message = rf"seed must lie in \[0, 2\*\*64\), got {seed}$"
+        with pytest.raises(ParameterError, match=message):
+            draw_channel(cfg, seed)
+        with pytest.raises(ParameterError, match=message):
+            simulate_with_resample(parts[0], cfg, payloads, seed)
+
     def test_resample_gives_up_after_two(self, monkeypatch):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         payloads = encode_payloads(segs, parts[0], cfg)
@@ -700,6 +716,22 @@ class TestEndToEnd:
         cfg = validate_config(WORKED, K_r=3, t=2)
         with pytest.raises(ParameterError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}$"):
             verify(WORKED, cfg, seed=seed)
+
+    @pytest.mark.parametrize("verify", [end_to_end_verify, ideal_verify])
+    @pytest.mark.parametrize("field, value", [("B", 960), ("N", 40)])
+    def test_params_other_than_the_configs_rejected_before_any_work(
+        self, monkeypatch, verify, field, value
+    ):
+        # params at B=480 with the config at B=960, or N=20 with N=40: the
+        # run must not build one instance and report the other
+        def placed(*args):
+            raise AssertionError("placement built before the params were checked")
+
+        monkeypatch.setattr(channel, "build_placement", placed)
+        params = SystemParams(K=6, N=20, Q=6, r=3, B=480)
+        cfg = validate_config(dataclasses.replace(params, **{field: value}), K_r=3, t=2)
+        with pytest.raises(ParameterError, match=r"params SystemParams\(.*\) are not the config's"):
+            verify(params, cfg, seed=0)
 
     @pytest.mark.parametrize("verify", [end_to_end_verify, ideal_verify])
     def test_corrupt_at_the_last_corner_fails_reassembly(self, verify):

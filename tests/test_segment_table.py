@@ -3,6 +3,7 @@ by-id reference, the invariant checks on it, the memory the table
 keeps, and the pipeline's array encode and reassembly against the
 per-partition encoder and the per-IV walk."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -75,11 +76,9 @@ class TestMessageTable:
                 ids = CodedMessage(part.index, dest_group, coop, b"").constituents()
                 rows = [row_of[i] for i in ids]
                 assert segs.messages[part.index - 1, m].tolist() == rows
-                assert (segs.message_of[rows] == flat).all()
                 flat += 1
         assert segs.messages.reshape(-1, cfg.s).shape[0] == flat
-        for table in (segs.messages, segs.message_of):
-            assert not table.flags.writeable
+        assert not segs.messages.flags.writeable
 
     def test_encode_rejects_a_partition_the_table_was_not_cut_for(self):
         cfg, segs = _table(6, 3, 3, 2)
@@ -150,6 +149,20 @@ class TestMessageTable:
             _table(6, 3, 3, 2)
 
 
+@pytest.mark.parametrize("part", ["placement", "store", "config"])
+def test_segment_ivs_rejects_parts_of_another_instance(part):
+    # a store at B=480 with a config at B=960 used to give 10-byte
+    # segments labelled B=960
+    params = SystemParams(K=6, N=20, Q=6, r=3, B=480)
+    other = dataclasses.replace(params, B=960)
+    parts = {"placement": params, "store": params, "config": params, part: other}
+    pl = build_placement(parts["placement"])
+    store = map_phase(build_placement(parts["store"]), parts["store"], seed=0)
+    cfg = validate_config(parts["config"], K_r=3, t=2)
+    with pytest.raises(ParameterError, match="placement, config and store params differ"):
+        segment_ivs(pl, cfg, store)
+
+
 def test_array_pipeline_matches_the_per_partition_and_per_iv_references(monkeypatch):
     # every valid config with K <= 8, s + t = K_r included: the ideal
     # path's one config-wide payload array is the stacked `encode_payloads`
@@ -190,9 +203,9 @@ def test_array_pipeline_matches_the_per_partition_and_per_iv_references(monkeypa
 
 def test_table_keeps_no_python_object_per_row():
     # (10,5,5,2): 50,400 segment rows of one byte.  A rank dict with one
-    # entry per row kept about 214 B per row under tracemalloc; the rows,
-    # the (partitions, messages, s) row table and `message_of` keep about
-    # 23 B per row.  Bound: 120 B per row.
+    # entry per row kept about 214 B per row under tracemalloc; the rows
+    # and the (partitions, messages, s) row table keep about 12 B per row.
+    # Bound: 120 B per row.
     K, r, K_r, t = 10, 5, 5, 2
     probe = validate_config(SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8), K_r, t)
     params = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=round_up_bits(probe, 8))
