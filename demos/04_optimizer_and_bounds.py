@@ -4,7 +4,7 @@ from optimal the whole construction can possibly be.
 
 Two closed forms compete: pin the receiver group to r+1 nodes and tune
 the cooperation size t, or pin t = 1 and tune the receiver-group size.
-Their minimum matches an exhaustive scan on every grid cell.  A cut-set
+Their minimum matches the exact scan on every grid cell.  A cut-set
 argument lower-bounds what any scheme could do; the achieved value stays
 within a factor 3 of it everywhere.
 """

@@ -79,6 +79,7 @@ from .codec import (
     encode_partition,  # unused here; perfbench/selftest.py checks this binding
     round_up_bits,
     segment_ivs,
+    xor_rows,
 )
 from .ndt import delivery_dof
 from .placement import build_placement, check_seed, map_phase, required_ivs
@@ -586,7 +587,7 @@ def _pipeline(
 ) -> VerificationReport:
     """Placement -> map -> segment -> encode -> fault -> deliver -> reassemble.
 
-    One XOR-reduce over the segment table's (partitions, messages, s)
+    One `xor_rows` over the segment table's (partitions, messages, s)
     rows encodes the whole config into a (partitions, messages, L)
     payload array, each partition's rows in `_message_pairs` order.
     `corrupt=(p, i)` flips byte 0 of partition p's i-th message; a p or i
@@ -622,7 +623,7 @@ def _pipeline(
     segments = segment_ivs(placement, config, store)
     partitions = segments.partitions
     report = VerificationReport(False, [], len(partitions), params=config.summary(seed))
-    payloads = np.bitwise_xor.reduce(segments.data[segments.messages], axis=2)
+    payloads = xor_rows(segments.data, segments.messages)
     if corrupt is not None:
         payloads[corrupt[0] - 1, corrupt[1], 0] ^= 0xFF
     held = np.zeros((params.K + 1, *payloads.shape[:2]), dtype=bool)

@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("optimize", help="closed-form vs exhaustive minimum")
+    p = sub.add_parser("optimize", help="closed-form vs exact-scan minimum")
     p.add_argument("--r", type=int)
     p.add_argument("--K", type=int)
     p.add_argument("--K-max", type=int, help="cross-validate the whole grid up to K")

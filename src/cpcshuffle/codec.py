@@ -22,10 +22,10 @@ channel's blocks also read: partition p's m-th message is flat message
 (p-1) * per-partition count + m, and its (partitions, messages, s) rows
 follow by index arithmetic on combinatorial ranks, its head plus the
 lex rank of E = T_p - B among the nodes outside X.  No Python object is
-kept per message or row.  One XOR-reduce over the rows encodes a whole
-config, and one `decode` pass over the same rows decodes it: each of a
-message's s receivers XORs the payload with the s-1 rows of its peers,
-masked by what the receiver holds.  `admissible_pairs`,
+kept per message or row.  One `xor_rows` pass over the rows encodes a
+whole config, and one `decode` pass over the same rows decodes it: each
+of a message's s receivers XORs the payload with the s-1 rows of its
+peers, masked by what the receiver holds.  `admissible_pairs`,
 `_message_pairs`, `SegmentId`, `Segment`, `encode_partition`,
 `decode_segment` and `xor_bytes` name, encode and decode one message or
 segment at a time: the readable form the arrays are checked against;
@@ -345,6 +345,17 @@ def _message_pairs(partition: Partition, config: ShuffleConfig) -> list[tuple[No
     return list(itertools.product(coops, enum_subsets(partition.rx, config.s)))
 
 
+def xor_rows(data: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row i of the result is the XOR of the `data` rows that `rows[i]`
+    names along its last (s) axis: s - 1 in-place XORs of the gathered
+    slices, without building the gather of all s rows or reducing along
+    its short axis."""
+    out = data.take(rows[..., 0], axis=0)
+    for a in range(1, rows.shape[-1]):
+        out ^= data.take(rows[..., a], axis=0)
+    return out
+
+
 def encode_payloads(
     segments: SegmentTable, partition: Partition, config: ShuffleConfig
 ) -> np.ndarray:
@@ -359,7 +370,7 @@ def encode_payloads(
             f"partition {p} (transmitters {partition.tx.members}) under {config} "
             f"is not one the segment table was cut for"
         )
-    return np.bitwise_xor.reduce(segments.data[segments.messages[p - 1]], axis=1)
+    return xor_rows(segments.data, segments.messages[p - 1])
 
 
 def encode_partition(

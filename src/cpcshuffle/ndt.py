@@ -11,7 +11,10 @@ at or above r.  At an integer load the reported value is the scan minimum
 there, not the envelope.  The two differ where the optima are not convex
 in r: on 58 integer cells with K <= 50 the scan minimum lies above the
 envelope, first at (K, r) = (9, 7) with 2/63 against 53/1680, by at most
-1.3%.  The scheme NDT is computed once, as load over the DoF, on exact
+1.3%.  The scan minimum is exact over every accepted (K_r, t), but it
+evaluates only the pairs that a proven monotone-in-t rule does not rule
+out: one t per K_r row, every t at K_r = r + 1 (see `cpc_minimum`).
+The scheme NDT is computed once, as load over the DoF, on exact
 integer (numerator, denominator) pairs compared by cross-multiplication;
 nothing is cross-checked at run time (the paper's piecewise form and the
 binomial d' are test references).  Every public function returns
@@ -176,12 +179,35 @@ def no_valid_config(r: int, K: int, K_r: int | None, t: int | None) -> Parameter
 
 
 def cpc_minimum(r: int, K: int, K_r: int | None = None, t: int | None = None) -> NdtPoint:
-    """Exhaustive minimum of ndt_cpc over the (K_r, t) the model rule
+    """Exact minimum of ndt_cpc over every (K_r, t) the model rule
     accepts, with either coordinate optionally pinned; ties prefer the
-    smaller K_r, then the smaller t.  The scan walks only the accepted
-    pairs: for each K_r, the t of `model.t_range` in ascending order.
-    r = K needs no shuffle: value 0 with sentinel K_r = 0, and since no
-    (K_r, t) is valid there, any pin is refused."""
+    smaller K_r, then the smaller t.  r = K needs no shuffle: value 0
+    with sentinel K_r = 0, and since no (K_r, t) is valid there, any pin
+    is refused.
+
+    The scan evaluates only the accepted pairs (the t of `model.t_range`)
+    that the following rule does not rule out.  In every row but
+    K_r = r + 1 the value never falls as t grows, so a row's first
+    accepted t is its minimum, and the strict < keeps it on a tie.  With
+    s = r + 1 - t and K_t = K - K_r, the value is the load over the DoF,
+    so it rises as the DoF falls:
+    - K_r <= r: s + t = r + 1 > K_r, so the DoF is 1 for every t and the
+      value (K - r)/(K K_r) falls strictly as K_r grows.  Row K_r = r
+      accepts t = 1 when r < K, so with t unpinned (r, 1) beats every
+      row K_r < r and the rows start at K_r = r.
+    - K_r >= r + 2: the DoF is max(d', r/K_r), and r/K_r does not depend
+      on t.  d'(s, t) is the largest f(s, t') over t' <= t, with
+      f = s u/(s u + w), u = K_t - t' + 1 and w = K_r - s - t' + 1 >= 2.
+      f rises with s, so going from t to t + 1 (s to s - 1) lowers every
+      f(., t') with t' <= t, and the new term f(s - 1, t + 1) has the w
+      of f(s, t) and the smaller product (s - 1)(K_t - t) < s(K_t - t + 1).
+      So d'(s - 1, t + 1) <= d'(s, t).
+    - K_r = r + 1 is the exception, and its row is scanned in full: the
+      DoF a/(a + 1), a = C(r, t) C(K_t, t) t, is not monotone in t; at
+      (K, r, K_r) = (7, 2, 3) the value is 15/56 at t = 1 and 65/252 at
+      t = 2.
+    The rule belongs to `_dof_pair`; a scan over another DoF must prove
+    its own."""
     check_load(r, K)
     if r == K:
         if K_r is not None or t is not None:
@@ -189,9 +215,12 @@ def cpc_minimum(r: int, K: int, K_r: int | None = None, t: int | None = None) ->
         return NdtPoint(CPC, K, Fraction(r), Fraction(0), K_r=0, t=0, s=0)
     # (num, den, K_r, t); a strict < keeps the first of a tie
     best: tuple[int, int, int, int] | None = None
-    for kr in range(1, K + 1) if K_r is None else (K_r,):
+    first_row = r if t is None else 1  # with t unpinned, (r, 1) beats rows K_r < r
+    for kr in range(first_row, K + 1) if K_r is None else (K_r,):
         accepted = t_range(K, r, kr)
-        for tt in accepted if t is None else ((t,) if t in accepted else ()):
+        if t is not None:
+            accepted = (t,) if t in accepted else ()
+        for tt in accepted if kr == r + 1 else accepted[:1]:
             num, den = _cpc_pair(r, tt, K, kr, r + 1 - tt)
             if best is None or num * best[1] < best[0] * den:
                 best = num, den, kr, tt

@@ -1,9 +1,9 @@
-"""Minimize the scheme NDT over (K_r, t): exhaustive scan vs closed forms.
+"""Minimize the scheme NDT over (K_r, t): exact scan vs closed forms.
 
 The closed forms come in two branches: NDT1 fixes K_r = r + 1 and picks
 the best cooperation size t*, NDT2 fixes t = 1 and picks the best
 receiver-group size K_r* from an exact integer-floored root expression.
-`cross_validate` checks the minimum of the two against the exhaustive
+`cross_validate` checks the minimum of the two against the exact
 scan over the whole (r, K) grid, exactly.
 """
 
@@ -90,9 +90,11 @@ def ndt2_value(r: int, K: int) -> tuple[Fraction, int]:
 
 
 def brute_force_min(r: int, K: int) -> OptimumParams:
-    """Exhaustive argmin over all valid (K_r, t), exact comparisons.
+    """Argmin over all valid (K_r, t), by exact comparisons.
 
-    Ties prefer smaller K_r, then smaller t.  r = K returns the no-shuffle
+    `cpc_minimum` evaluates only the pairs its monotone-in-t rule does not
+    rule out; the minimum is still the one over every valid pair.  Ties
+    prefer smaller K_r, then smaller t.  r = K returns the no-shuffle
     sentinel (value 0, K_r = t = 0).  It names no branch (`branch` is
     None); `closed_form_min` does.
     """

@@ -31,14 +31,17 @@ def block_bytes(placement, store, dest, storage) -> bytes:
 
 
 def decode_blocks(segs, dest, payloads, held) -> dict:
-    """Node `dest`'s blocks from `decode` by storage group, given what it
-    holds as the only row of the `held` mask, a block with any row whose
-    message is not held mapped to None."""
-    one = np.zeros((segs.config.params.K + 1, len(held)), dtype=bool)
-    one[dest] = held
-    decoded, lost = decode(segs, payloads, one)
+    """Node `dest`'s blocks by storage group: their bytes from `decode`,
+    or None for a block with a row whose message `held`, node `dest`'s
+    mask over the flat messages, misses.  The loss is read off `held`
+    row by row here, not from `decode`."""
+    flat = segs.messages.reshape(-1, segs.config.s)
+    message_of = np.empty(len(segs.data), dtype=np.intp)
+    message_of[flat] = np.arange(len(flat))[:, None]
+    held_rows = held[message_of].reshape(len(segs.blocks), -1)  # block b's rows
+    decoded = decode(segs, payloads, np.ones((segs.config.params.K + 1, len(held)), bool))[0]
     return {
-        storage: None if lost[b] else decoded[b].tobytes()
+        storage: decoded[b].tobytes() if held_rows[b].all() else None
         for b, (j, storage) in enumerate(segs.blocks) if j == dest
     }
 

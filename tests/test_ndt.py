@@ -270,6 +270,25 @@ class TestIntegerPairKernel:
         assert (best.K_r, best.t) == (2, 1)
         assert best.value == Fraction(1, 4)
 
+    def test_value_never_falls_in_t_away_from_K_r_r_plus_1(self):
+        # the rule that lets cpc_minimum evaluate one t per row: in every
+        # accepted row but K_r = r + 1 the value never falls as t grows,
+        # and rows K_r <= r are flat at the load (K - r)/(K K_r)
+        for K in range(2, 31):
+            for r in range(1, K):
+                for K_r in range(1, K + 1):
+                    row = [ndt_cpc(r, t, K, K_r).value for t in range(1, r + 1)
+                           if config_violation(K, r, K_r, t) is None]
+                    if K_r <= r:
+                        assert row == [Fraction(K - r, K * K_r)] * len(row)
+                    elif K_r >= r + 2:
+                        assert all(a <= b for a, b in zip(row, row[1:]))
+        # the exception is needed: at (K, r, K_r) = (7, 2, 3) the row's
+        # minimum is its last t, not its first
+        row = [ndt_cpc(2, t, 7, 3).value for t in (1, 2)]
+        assert row == [Fraction(15, 56), Fraction(65, 252)]
+        assert cpc_minimum(2, 7, K_r=3).t == 2
+
     def test_scan_returns_its_winners_point(self):
         for K in range(2, 31):
             for r in range(1, K):

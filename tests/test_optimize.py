@@ -94,8 +94,16 @@ class TestBruteForce:
                         assert v >= best.best_value
                         if v == best.best_value:
                             assert (K_r, t) >= (best.K_r_star, best.t_star)
-                # the scan visits exactly the pairs the model rule accepts
-                assert scanned == list(values) == _accepted(K, r)
+                assert list(values) == _accepted(K, r)
+                # the scan visits (r, 1), every accepted t at K_r = r + 1
+                # and the first accepted t of each row K_r >= r + 2; the
+                # monotone-in-t rule rules out the rest
+                first = {}
+                for K_r, t in values:
+                    first.setdefault(K_r, t)
+                visits = [(r, 1)] + [(K_r, t) for K_r, t in values if K_r == r + 1]
+                visits += [(K_r, t) for K_r, t in first.items() if K_r >= r + 2]
+                assert scanned == visits
                 # both validators reject the rest, naming the same inequality
                 params = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8)
                 for K_r, t in set(_box(K, r)) - set(values):
