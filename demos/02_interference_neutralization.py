@@ -32,10 +32,10 @@ params = SystemParams(K=6, N=20, Q=6, r=3, B=48)
 cfg = validate_config(params, K_r=3, t=2)
 # a partition's gains: per block, per slot, one row per receiver.  Block 1
 # of partition 1 sends from transmitters 1, 2 to receivers 4, 5, 6
-channel = draw_channel(cfg, seed=42)
-h4, h5, h6 = channel.gains[0, 0]
+gains = draw_channel(cfg, seed=42)
+h4, h5, h6 = gains[0, 0]
 w = neutralizing_precoder(h4[None, :])
-print(f"  {channel.gains.size} gains drawn per partition, shape {channel.gains.shape}")
+print(f"  {gains.size} gains drawn per partition, shape {gains.shape}")
 print(f"  channel row of receiver 4: {h4}")
 print(f"  precoder:                  {w}")
 print(f"  superposition at node 4:   {np.dot(h4, w):.2e}")

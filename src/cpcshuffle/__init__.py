@@ -51,7 +51,6 @@ from .codec import (
 )
 from .channel import (
     ChannelConditionError,
-    ChannelRealization,
     DeliveryReport,
     VerificationReport,
     build_precoders,

@@ -47,7 +47,9 @@ alignment DoF, realizes (K_r-1)/K_r.
 Each chunk rides as one unit-power complex symbol, its phase a polynomial
 in its bytes and its position, and a receiver holds a message once it
 solves all of its chunks' symbols, each to a relative error below the
-fixed `TOLERANCE` of 1e-8.
+fixed `TOLERANCE` of 1e-8.  The channel adds nothing to the received
+signals: the NDT is a limit at high signal power, set by the DoF each
+receiver realizes, and an exact solve is what measures that DoF.
 """
 
 from __future__ import annotations
@@ -94,16 +96,6 @@ class ChannelConditionError(RuntimeError):
     """A received matrix exceeded the condition guard; resample the channel."""
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One partition's i.i.d. CN(0,1) gains H[b, i, k, l], from block b's
-    l-th transmitter to its k-th receiver in the block's i-th slot, blocks
-    in `_block_tables` order.  `seed` also seeds the `--snr` noise."""
-
-    seed: int
-    gains: np.ndarray  # complex, shape `_partition_layout(config)[0]`
-
-
 class _Report:
     def summary(self) -> dict:
         """The JSON form: every field but `held`, Fractions as strings."""
@@ -126,7 +118,6 @@ class DeliveryReport(_Report):
     max_condition: float = 0.0
     max_residual: float = 0.0
     max_symbol_error: float = 0.0
-    noise_mse: float | None = None
     held: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
@@ -151,20 +142,13 @@ def _draw_gains(config: ShuffleConfig, seeds) -> np.ndarray:
     return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
 
 
-def draw_channel(config: ShuffleConfig, seed: int) -> ChannelRealization:
-    """One partition's gains: the one-seed case of `_draw_gains`, its seed checked."""
+def draw_channel(config: ShuffleConfig, seed: int) -> np.ndarray:
+    """One partition's i.i.d. CN(0,1) gains H[b, i, k, l], from block b's
+    l-th transmitter to its k-th receiver in the block's i-th slot, blocks
+    in `_block_tables` order, shape `_partition_layout(config)[0]`: the
+    one-seed case of `_draw_gains`, its seed checked."""
     check_seed(seed)
-    return ChannelRealization(seed=seed, gains=_draw_gains(config, [seed])[0])
-
-
-def check_snr(snr_db: float) -> float:
-    """Noise amplitude 10**(-snr_db / 20); refuse an snr_db that is not finite or overflows it."""
-    if not math.isfinite(snr_db):
-        raise ParameterError(f"snr_db must be finite, got {snr_db}")
-    try:
-        return 10.0 ** (-snr_db / 20.0)
-    except OverflowError:
-        raise ParameterError(f"snr_db {snr_db} makes the noise amplitude overflow") from None
+    return _draw_gains(config, [seed])[0]
 
 
 def check_simulable(config: ShuffleConfig) -> None:
@@ -358,20 +342,19 @@ def _inverse(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Delivered(NamedTuple):
     """One chunk's delivery, row i for its i-th partition: held[i, k, m]
     as in `DeliveryReport.held`, the least symbols any receiver solved,
-    the worst condition number, residual and symbol error, the noise mse
-    (None without `snr_db`), and the slots and regime every row shares."""
+    the worst condition number, residual and symbol error, and the slots
+    and regime every row shares."""
 
     held: np.ndarray
     least: np.ndarray
     condition: np.ndarray
     residual: np.ndarray
     error: np.ndarray
-    mse: np.ndarray | None
     slots: int
     regime: str
 
 
-def _deliver(config, gains, seeds, payloads, snr_db=None) -> _Delivered:
+def _deliver(config, gains, payloads) -> _Delivered:
     """Neutralized delivery of a chunk of partitions, as one array pass.
 
     Receiver sets of size g are served in lex order, and within each set
@@ -382,19 +365,17 @@ def _deliver(config, gains, seeds, payloads, snr_db=None) -> _Delivered:
     draws them; gains of another shape per partition raise ParameterError.
     Stacking (partition, block) on the leading axis, one cofactor call,
     one `build_precoders` and one `_inverse` serve the chunk, and x_hat =
-    A^-1 y is summed elementwise over the slots; one `payload_symbols`
-    pass maps every partition's chunks, and `seeds[i]` seeds the i-th
-    partition's `--snr` noise stream.  A receiver solves a symbol when its
-    relative error is below `TOLERANCE`, or always under `snr_db`, where
-    the mse averages the squared symbol errors instead, and holds a
-    message once it has all of its chunks.  `payloads` holds the chunk's
-    rows as `codec.encode_payloads` returns them, stacked; a one-partition
-    chunk may pass its (messages, L) rows alone, and any other shape
-    raises ParameterError before any precoder is built.  A zero cofactor
-    vector, an exactly singular system or a condition number past
-    `CONDITION_GUARD` in any partition raises ChannelConditionError.
+    A^-1 y is summed elementwise over the slots, the received y = G x
+    with nothing added; one `payload_symbols` pass maps every partition's
+    chunks.  A receiver solves a symbol when its relative error is below
+    `TOLERANCE`, and holds a message once it has all of its chunks.
+    `payloads` holds the chunk's rows as `codec.encode_payloads` returns
+    them, stacked; a one-partition chunk may pass its (messages, L) rows
+    alone, and any other shape raises ParameterError before any precoder
+    is built.  A zero cofactor vector, an exactly singular system or a
+    condition number past `CONDITION_GUARD` in any partition raises
+    ChannelConditionError.
     """
-    sigma = None if snr_db is None else check_snr(snr_db)
     shape, n_chunks = _partition_layout(config)
     if gains.shape[1:] != shape:
         raise ParameterError(f"channel gains have shape {gains.shape[1:]}, need {shape}")
@@ -417,11 +398,6 @@ def _deliver(config, gains, seeds, payloads, snr_db=None) -> _Delivered:
     G = np.einsum("bikl,buil->biku", H, W)
     residual = np.abs(G) / np.linalg.norm(H, axis=-1)[..., None]
     y = np.einsum("biku,bu->bik", G, x)
-    if sigma is not None:
-        noise = np.empty((n_parts, *shape[:3], 2))
-        for row, seed in zip(noise, seeds):
-            np.random.default_rng(seed ^ 0xA5A5).standard_normal(out=row)
-        y += sigma * noise.reshape(*y.shape, 2).view(complex)[..., 0] / np.sqrt(2.0)
     # A[b, k]: receiver k's square system, slots by the unknowns it wants
     A = G[:, :, np.arange(g)[:, None], wanted].transpose(0, 2, 1, 3)
     inverse, condition = _inverse(A)
@@ -433,15 +409,7 @@ def _deliver(config, gains, seeds, payloads, snr_db=None) -> _Delivered:
     x_hat = sum(inverse[..., i] * y[:, i, :, None] for i in range(gamma))
     sent = x[:, wanted]
     err = np.abs(x_hat - sent) / np.abs(sent)
-    solved = err < TOLERANCE if sigma is None else np.ones(err.shape, dtype=bool)
-    mse = None
-    if sigma is not None:
-        with np.errstate(over="ignore"):
-            mse = (err * err).reshape(n_parts, -1).sum(axis=1) / (err.size // n_parts)
-        if not np.isfinite(mse).all():
-            raise ParameterError(
-                f"snr_db {snr_db} drives the noise mean squared error past the largest float"
-            )
+    solved = err < TOLERANCE
 
     # receiver position k of the i-th partition counts at i * K_r + k
     at = rx_pos + config.K_r * np.arange(n_parts)[:, None, None]
@@ -458,7 +426,6 @@ def _deliver(config, gains, seeds, payloads, snr_db=None) -> _Delivered:
         condition=condition,
         residual=residual.max(axis=(1, 2, 3), where=~wants, initial=0.0),
         error=err.reshape(n_parts, -1).max(axis=1),
-        mse=mse,
         slots=n_blocks * gamma,
         regime="single_shot" if g == config.K_r else "time_division",
     )
@@ -476,7 +443,6 @@ def _report(partition: Partition, record: _Delivered, row: int = 0) -> DeliveryR
         max_condition=float(record.condition[row]),
         max_residual=float(record.residual[row]),
         max_symbol_error=float(record.error[row]),
-        noise_mse=None if record.mse is None else float(record.mse[row]),
         held=record.held[row],
     )
 
@@ -484,13 +450,12 @@ def _report(partition: Partition, record: _Delivered, row: int = 0) -> DeliveryR
 def simulate_partition(
     partition: Partition,
     config: ShuffleConfig,
-    channel: ChannelRealization,
+    gains: np.ndarray,
     payloads: np.ndarray,
-    snr_db: float | None = None,
 ) -> DeliveryReport:
     """Neutralized delivery of one partition's (messages, L) payload rows
-    over `channel`: the one-partition case of `_deliver`."""
-    record = _deliver(config, channel.gains[None], [channel.seed], payloads, snr_db)
+    over `draw_channel`'s `gains`: the one-partition case of `_deliver`."""
+    record = _deliver(config, gains[None], payloads)
     return _report(partition, record)
 
 
@@ -499,24 +464,23 @@ def _channel_seed(seed: int, p: int, attempt: int) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _resampled(partitions, config, payloads, seed, snr_db=None, gains=None):
+def _resampled(partitions, config, payloads, seed, gains=None):
     """Yield (partitions, chunk record) from `_deliver` over the
     partitions' attempt-0 draws, stacked.  On a trip each partition runs
     alone on its row of those draws, and one that trips alone is redrawn
     once, with attempt 1; a second trip raises."""
-    seeds = [_channel_seed(seed, p.index, 0) for p in partitions]
     if gains is None:
-        gains = _draw_gains(config, seeds)
+        gains = _draw_gains(config, [_channel_seed(seed, p.index, 0) for p in partitions])
     try:
-        record = _deliver(config, gains, seeds, payloads, snr_db)
+        record = _deliver(config, gains, payloads)
     except ChannelConditionError:
         if len(partitions) > 1:
             for i, p in enumerate(partitions):
                 alone = slice(i, i + 1)
-                yield from _resampled([p], config, payloads[alone], seed, snr_db, gains[alone])
+                yield from _resampled([p], config, payloads[alone], seed, gains[alone])
             return
-        seeds = [_channel_seed(seed, partitions[0].index, 1)]
-        record = _deliver(config, _draw_gains(config, seeds), seeds, payloads, snr_db)
+        redrawn = _draw_gains(config, [_channel_seed(seed, partitions[0].index, 1)])
+        record = _deliver(config, redrawn, payloads)
     yield partitions, record
 
 
@@ -525,15 +489,14 @@ def simulate_with_resample(
     config: ShuffleConfig,
     payloads: np.ndarray,
     seed: int,
-    snr_db: float | None = None,
 ) -> DeliveryReport:
     """Check the seed and run a partition; on a guard trip, resample the channel once."""
     check_seed(seed)
-    [(_parts, record)] = _resampled([partition], config, payloads, seed, snr_db)
+    [(_parts, record)] = _resampled([partition], config, payloads, seed)
     return _report(partition, record)
 
 
-def _deliver_chunks(config, seed, partitions, payloads, snr_db=None):
+def _deliver_chunks(config, seed, partitions, payloads):
     """Yield (partitions, their (n, K_r, messages) `held` masks, their
     chunk record) from `_resampled` over chunks of partitions whose stacked
     gains hold at most `STACK_ELEMENTS` values, one partition at least; a
@@ -542,7 +505,7 @@ def _deliver_chunks(config, seed, partitions, payloads, snr_db=None):
     per = max(1, STACK_ELEMENTS // math.prod(_partition_layout(config)[0]))
     for lo in range(0, len(partitions), per):
         chunk = partitions[lo : lo + per]
-        for parts, record in _resampled(chunk, config, payloads[lo : lo + per], seed, snr_db):
+        for parts, record in _resampled(chunk, config, payloads[lo : lo + per], seed):
             yield parts, record.held, record
 
 

@@ -39,7 +39,6 @@ from .codec import check_bits, encode_payloads, segment_ivs
 from .channel import (
     ChannelConditionError,
     check_simulable,
-    check_snr,
     end_to_end_verify,
     ideal_verify,
     simulate_with_resample,
@@ -182,8 +181,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.snr is not None:
-        check_snr(args.snr)
     cfg = _instance(args)
     if cfg is None:
         raise ParameterError(f"r = K = {args.K}: every IV is local, there is nothing to shuffle")
@@ -196,7 +193,7 @@ def cmd_simulate(args) -> int:
     segments = segment_ivs(placement, cfg, store)
     part = segments.partitions[args.partition - 1]
     payloads = encode_payloads(segments, part, cfg)
-    report = simulate_with_resample(part, cfg, payloads, args.seed, args.snr)
+    report = simulate_with_resample(part, cfg, payloads, args.seed)
     _emit(args, _json(report.summary()))
     return EXIT_OK
 
@@ -345,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate one partition's delivery")
     _add_instance_flags(p)
     p.add_argument("--partition", type=int, default=1)
-    p.add_argument("--snr", type=float, default=None, help="optional noise level (dB)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 

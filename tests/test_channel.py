@@ -81,17 +81,17 @@ class TestDrawChannel:
         cfg = validate_config(WORKED, K_r=3, t=2)
         a = draw_channel(cfg, seed=11)
         b = draw_channel(cfg, seed=11)
-        assert np.array_equal(a.gains, b.gains)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ_everywhere(self):
         cfg = validate_config(WORKED, K_r=3, t=2)
         a = draw_channel(cfg, seed=11)
         b = draw_channel(cfg, seed=12)
-        assert np.all(a.gains != b.gains)
+        assert np.all(a != b)
 
     def test_unit_variance(self):
         cfg = validate_config(SystemParams(K=9, N=84, Q=9, r=3, B=480), K_r=6, t=2)
-        gains = np.concatenate([draw_channel(cfg, seed).gains.ravel() for seed in range(140)])
+        gains = np.concatenate([draw_channel(cfg, seed).ravel() for seed in range(140)])
         assert gains.size == 100_800
         mean_sq = float(np.mean(np.abs(gains) ** 2))
         assert abs(mean_sq - 1.0) < 0.02
@@ -105,11 +105,11 @@ class TestDrawChannel:
             cfg = validate_config(SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8), K_r, t)
             g, _chunks, gamma = delivery_layout(cfg.s, t, K_r)
             rx_pos, *_ = channel._block_tables(cfg.s, t, K_r, cfg.K_t)
-            ch = draw_channel(cfg, seed=K + r)
-            assert ch.gains.shape == (len(rx_pos), gamma, g, g - cfg.s + 1), (K, r, K_r, t)
+            gains = draw_channel(cfg, seed=K + r)
+            assert gains.shape == (len(rx_pos), gamma, g, g - cfg.s + 1), (K, r, K_r, t)
             assert len(rx_pos) * gamma == partition_slots(cfg)
-            assert ch.gains.flags.c_contiguous and ch.seed == K + r
-            assert ch.gains.tobytes() == _cn(ch.gains.shape, K + r).tobytes()
+            assert gains.flags.c_contiguous
+            assert gains.tobytes() == _cn(gains.shape, K + r).tobytes()
 
     def test_stacked_draw_equals_the_two_call_formula(self):
         # a chunk's gains fill one buffer, each row by its own seed's
@@ -127,7 +127,7 @@ class TestDrawChannel:
             assert gains.shape == (3, *shape) and gains.flags.c_contiguous, shape
             for row, seed in zip(gains, seeds):
                 assert row.tobytes() == _cn(shape, seed).tobytes(), shape
-            assert draw_channel(cfg, seeds[1]).gains.tobytes() == gains[1].tobytes(), shape
+            assert draw_channel(cfg, seeds[1]).tobytes() == gains[1].tobytes(), shape
 
     def test_verify_builds_one_generator_per_partition(self, monkeypatch):
         # (9,3,6,2) delivers 84 partitions in stacked chunks, and each
@@ -161,16 +161,11 @@ class TestDrawChannel:
         assert str(exc.value) == "channel gains have shape (35, 2, 3, 2), need (60, 2, 3, 2)"
 
     def test_channel_keeps_no_per_draw_state(self):
-        assert [f.name for f in dataclasses.fields(channel.ChannelRealization)] == [
-            "seed", "gains",
-        ]
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         ch = draw_channel(cfg, seed=5)
-        before, gains = dict(vars(ch)), ch.gains.copy()
+        gains = ch.copy()
         simulate_partition(parts[0], cfg, ch, encode_payloads(segs, parts[0], cfg))
-        assert vars(ch).keys() == before.keys()
-        assert all(vars(ch)[name] is value for name, value in before.items())
-        assert ch.gains.tobytes() == gains.tobytes()
+        assert ch.tobytes() == gains.tobytes()
 
     def test_simulate_on_a_smaller_draw_rejected(self):
         # a channel drawn for (6,3,3,3), one block of one slot
@@ -181,11 +176,10 @@ class TestDrawChannel:
             simulate_partition(parts[0], cfg, ch, payloads)
         assert str(exc.value) == "channel gains have shape (1, 1, 3, 3), need (3, 2, 3, 2)"
         # this config's number of gains, laid out in another shape
-        gains = draw_channel(cfg, seed=5).gains
+        gains = draw_channel(cfg, seed=5)
         for misshapen in (gains.reshape(6, 1, 3, 2), gains.swapaxes(0, 1)):
-            ch = channel.ChannelRealization(seed=5, gains=misshapen)
             with pytest.raises(ParameterError, match="need \\(3, 2, 3, 2\\)"):
-                simulate_partition(parts[0], cfg, ch, payloads)
+                simulate_partition(parts[0], cfg, misshapen, payloads)
 
 
 class TestNeutralizingPrecoder:
@@ -248,7 +242,7 @@ class TestNeutralizingPrecoder:
         # one full coop-group block of the 6-node fixture: its gains H[i, k, l]
         # from 2 transmitters to 3 receivers in 2 slots, all precoders, all
         # slots, every null target
-        H = draw_channel(validate_config(WORKED, K_r=3, t=2), seed=seed).gains[0]
+        H = draw_channel(validate_config(WORKED, K_r=3, t=2), seed=seed)[0]
         groups = list(combinations(range(3), 2))
         nulled = [[k for k in range(3) if k not in dg] for dg in groups]
         vectors = build_precoders(neutralizing_precoder(H[:, nulled].swapaxes(0, 1)))
@@ -289,48 +283,16 @@ class TestNeutralizingPrecoder:
             assert rep.max_residual == worst > 0.0
             assert rep.max_condition == worst_cond > 1.0
 
-    def test_noise_is_drawn_per_block_slot_receiver(self):
-        # the noise samples are scalar standard normals drawn in (block, slot,
-        # receiver) order, real part first; decoded here one receiver at a time
-        cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
-        part = parts[0]
-        msgs = encode_partition(segs, part, cfg)
-        ch = draw_channel(cfg, seed=5)
-        rep = simulate_partition(part, cfg, ch, encode_payloads(segs, part, cfg), snr_db=10.0)
-        rng, sigma = np.random.default_rng(ch.seed ^ 0xA5A5), 10.0 ** (-10.0 / 20.0)
-        by_pair = {(msg.dest_group, msg.coop): m for m, msg in enumerate(msgs)}
-        errors = []
-        for group, coop, slots, row, vectors in _reference_blocks(ch, cfg, part):
-            dest_groups = enum_subsets(group, cfg.s)
-            at = {dg: by_pair[(dg, coop)] for dg in dest_groups}
-            sym = {dg: _reference_symbol(msgs[m].payload, m, 0, 1) for dg, m in at.items()}
-            y = {}
-            for d in slots:
-                for j in group:
-                    noise = complex(rng.standard_normal(), rng.standard_normal())
-                    y[(j, d)] = sigma * noise / np.sqrt(2.0) + sum(
-                        np.einsum("l,l->", row(j, d), vectors[(dg, d)]) * sym[dg]
-                        for dg in dest_groups
-                    )
-            for j in group:
-                A = _reference_system(group, cfg.s, j, slots, row, vectors)
-                x_hat = np.linalg.solve(A, np.array([y[(j, d)] for d in slots]))
-                wanted = [dg for dg in dest_groups if j in dg]
-                errors += [abs(est - sym[dg]) / abs(sym[dg]) for dg, est in zip(wanted, x_hat)]
-        assert len(errors) == 3 * partition_slots(cfg)
-        assert rep.noise_mse == pytest.approx(np.mean(np.square(errors)), rel=1e-9)
-        assert rep.max_symbol_error == pytest.approx(max(errors), rel=1e-9)
-
 
 def _reference_blocks(ch, cfg, part):
     """Each block of `part` rebuilt per (receiver, slot) in the engine's
-    order, block b reading its gains from ch.gains[b]: (receiver set,
+    order, block b reading its gains from ch[b]: (receiver set,
     cooperation group, slots, row(j, d), and the unit-norm precoder of each
     (dest group, slot))."""
     s, t = cfg.s, cfg.t
     g = min(cfg.K_r, s + t - 1)
     slots = range(math.comb(g - 1, s - 1))
-    blocks = iter(ch.gains)
+    blocks = iter(ch)
     for group in enum_subsets(part.rx, g):
         for coop in enum_subsets(part.tx, t):
             H = next(blocks)
@@ -557,7 +519,7 @@ class TestDispatchAndResample:
         cfg, segs, parts = _prepared(params, K_r=4, t=1)
         assert cfg.s + cfg.t == cfg.K_r
         assert partition_slots(cfg) == 8
-        assert draw_channel(cfg, seed=0).gains.shape == (8, 1, 3, 1)
+        assert draw_channel(cfg, seed=0).shape == (8, 1, 3, 1)
         payloads = encode_payloads(segs, parts[0], cfg)
         rep = simulate_with_resample(parts[0], cfg, payloads, seed=0)
         assert (rep.regime, rep.slots_used, rep.measured_dof) == ("time_division", 8, Fraction(3, 4))
@@ -609,13 +571,13 @@ class TestEndToEnd:
         assert rep.partitions == 20
         assert rep.measured_dof == 1
 
-    def test_summaries_list_nine_fields_and_never_delivered(self):
+    def test_summaries_list_eight_fields_and_never_delivered(self):
         cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
         payloads = encode_payloads(segs, parts[0], cfg)
         sim = simulate_with_resample(parts[0], cfg, payloads, seed=0).summary()
         assert set(sim) == {
             "partition", "regime", "slots_used", "symbols_per_receiver", "measured_dof",
-            "max_condition", "max_residual", "max_symbol_error", "noise_mse",
+            "max_condition", "max_residual", "max_symbol_error",
         }
         _ok, rep = end_to_end_verify(WORKED, cfg, seed=0)
         summary = rep.summary()
@@ -757,36 +719,6 @@ class TestEndToEnd:
         assert not ok
         assert (1, 1, 8) in rep.failures and len(rep.failures) == 8 * math.comb(7, 2)
 
-    def test_non_finite_snr_rejected(self):
-        cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
-        payloads = encode_payloads(segs, parts[0], cfg)
-        ch = draw_channel(cfg, seed=5)
-        for snr in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ParameterError, match="snr_db must be finite"):
-                simulate_partition(parts[0], cfg, ch, payloads, snr_db=snr)
-
-    def test_overflowing_noise_amplitude_rejected(self):
-        # 10 ** 350 is past the largest float; 10 ** -5e306 underflows to a
-        # noiseless 0.0, which is still a float
-        cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
-        payloads = encode_payloads(segs, parts[0], cfg)
-        ch = draw_channel(cfg, seed=5)
-        for snr in (-7000.0, -1e308):
-            with pytest.raises(ParameterError, match="noise amplitude overflow"):
-                simulate_partition(parts[0], cfg, ch, payloads, snr_db=snr)
-        loud = simulate_partition(parts[0], cfg, ch, payloads, snr_db=-300.0)
-        assert 1e25 < loud.noise_mse < math.inf
-        quiet = simulate_partition(parts[0], cfg, ch, payloads, snr_db=1e308)
-        assert quiet.noise_mse < 1e-20 and quiet.measured_dof == 1
-
-    def test_overflowing_noise_power_rejected(self):
-        # sigma = 1e300 is a float, but the squared symbol errors are not
-        cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
-        payloads = encode_payloads(segs, parts[0], cfg)
-        ch = draw_channel(cfg, seed=5)
-        with pytest.raises(ParameterError, match="snr_db -6000.0 drives the noise mean squared"):
-            simulate_partition(parts[0], cfg, ch, payloads, snr_db=-6000.0)
-
     @pytest.mark.parametrize("K, N, Q, r, K_r, t", [(6, 40, 12, 3, 3, 2), (8, 56, 16, 5, 4, 2)])
     def test_withheld_message_fails_exactly_its_block(self, K, N, Q, r, K_r, t):
         # one receiver loses one message of one partition: exactly the
@@ -836,6 +768,41 @@ class TestEndToEnd:
         assert not rep.ok and rep.failures == sorted(lost)
         per_block = (40 // math.comb(6, 3)) * (12 // 6)  # IVs per (dest, storage) block
         assert len(lost) == len(_message_pairs(part, cfg)) * cfg.s * per_block
+
+    def test_report_folds_every_chunk_record(self):
+        # three chunk records that differ: partition 11, the third row of
+        # the second chunk, solves fewer symbols and has the worst
+        # condition number, residual and symbol error, so a fold that
+        # reads only each chunk's first row or the best chunk misses it
+        cfg = validate_config(WORKED, K_r=3, t=2)
+        slots = partition_slots(cfg)
+        bounds = [(0, 8), (8, 16), (16, 20)]
+        records = []
+
+        def deliver(parts, payloads):
+            for lo, hi in bounds:
+                n = hi - lo
+                rows = np.arange(n) + lo + 1.0
+                least = np.full(n, slots)
+                condition, residual, error = 1.0 + rows, 1e-14 * rows, 1e-12 * rows
+                if lo == 8:
+                    least[2] -= 1
+                    condition[2], residual[2], error[2] = 1e3, 1e-11, 1e-10
+                held = np.ones((n, cfg.K_r, payloads.shape[1]), dtype=bool)
+                record = channel._Delivered(
+                    held, least, condition, residual, error, slots, "single_shot"
+                )
+                records.append(record)
+                yield parts[lo:hi], held, record
+
+        rep = channel._pipeline(WORKED, cfg, 0, None, deliver)
+        assert rep.ok and len(records) == 3
+        assert rep.slots_total == sum(rec.slots * len(rec.least) for rec in records) == 120
+        assert rep.max_condition == max(rec.condition.max() for rec in records) == 1e3
+        assert rep.max_residual == max(rec.residual.max() for rec in records) == 1e-11
+        assert rep.max_symbol_error == max(rec.error.max() for rec in records) == 1e-10
+        least = min(rec.least.min() for rec in records)
+        assert rep.measured_dof == Fraction(least, slots) == Fraction(slots - 1, slots)
 
     def test_bad_tolerance_rejected(self, monkeypatch):
         # the tolerance is the module constant TOLERANCE, not an argument;
@@ -948,13 +915,6 @@ class TestEndToEnd:
         assert str(exc.value) == need
         assert built == []  # rejected before any block's precoders are built
 
-    def test_noise_mode_reports_mse(self):
-        cfg, segs, parts = _prepared(WORKED, K_r=3, t=2)
-        payloads = encode_payloads(segs, parts[0], cfg)
-        ch = draw_channel(cfg, seed=5)
-        rep = simulate_partition(parts[0], cfg, ch, payloads, snr_db=40.0)
-        assert rep.noise_mse is not None and rep.noise_mse > 0
-
     def test_multichunk_time_division_end_to_end(self):
         # t = 2 in the time-division regime: four chunks per message
         params = SystemParams(K=9, N=84, Q=9, r=3, B=480)
@@ -1006,12 +966,11 @@ class TestEngineCoverage:
             assert rep.held.shape == (K_r, len(payloads)) and rep.held.all(), where
 
 
-def _per_block_partition(partition, cfg, ch, messages, snr_db=None):
+def _per_block_partition(partition, cfg, ch, messages):
     """Reference delivery, one block at a time: block b's gains from
-    ch.gains[b], its own cofactor precoders and a Counter of chunk indices;
+    ch[b], its own cofactor precoders and a Counter of chunk indices;
     the stacked inverses, condition numbers and x_hat = A^-1 y after the
     loop, by the engine's kernel."""
-    sigma = None if snr_db is None else 10.0 ** (-snr_db / 20.0)
     slots = partition_slots(cfg)
     s = cfg.s
     g, n_chunks, _gamma = delivery_layout(s, cfg.t, cfg.K_r)
@@ -1023,7 +982,7 @@ def _per_block_partition(partition, cfg, ch, messages, snr_db=None):
 
     H, W, ids, x = [], [], [], []
     next_chunk = Counter()
-    blocks = iter(ch.gains)
+    blocks = iter(ch)
     for group in rx_sets:
         dest_groups = enum_subsets(group, s)
         for coop in coop_groups:
@@ -1045,9 +1004,6 @@ def _per_block_partition(partition, cfg, ch, messages, snr_db=None):
     G = np.einsum("bikl,buil->biku", H, W)
     residual = np.abs(G) / np.linalg.norm(H, axis=-1)[..., None]
     y = np.einsum("biku,bu->bik", G, x)
-    if sigma is not None:
-        rng = np.random.default_rng(ch.seed ^ 0xA5A5)
-        y += sigma * rng.standard_normal((*y.shape, 2)).view(complex)[..., 0] / np.sqrt(2.0)
     A = G[:, :, np.arange(g)[:, None], wanted].transpose(0, 2, 1, 3)
     inverse, condition = channel._inverse(A)
     report = channel.DeliveryReport(
@@ -1063,11 +1019,7 @@ def _per_block_partition(partition, cfg, ch, messages, snr_db=None):
     sent = x[:, wanted]
     err = np.abs(x_hat - sent) / np.abs(sent)
     report.max_symbol_error = float(err.max())
-    if sigma is None:
-        solved = err < channel.TOLERANCE
-    else:
-        solved = np.ones(err.shape, dtype=bool)
-        report.noise_mse = float((err * err).sum()) / err.size
+    solved = err < channel.TOLERANCE
 
     rx = np.repeat([group.members for group in rx_sets], len(coop_groups), axis=0)
     held = np.zeros((cfg.params.K + 1, len(messages)), dtype=int)
@@ -1090,8 +1042,7 @@ def _pin_cases():
 
 
 class TestBatchedDeliveryPin:
-    @pytest.mark.parametrize("snr_db", [None, 20.0], ids=["noiseless", "snr20"])
-    def test_batched_pass_equals_the_per_block_loop(self, snr_db):
+    def test_batched_pass_equals_the_per_block_loop(self):
         # the engine's one array pass per partition returns the same report
         # as the per-block loop, float fields compared by ==
         cases = list(_pin_cases())
@@ -1108,12 +1059,12 @@ class TestBatchedDeliveryPin:
                 ch = draw_channel(cfg, seed=K_r + t + part.index)
                 where = (K, r, K_r, t, part.index)
                 try:
-                    want = _per_block_partition(part, cfg, ch, msgs, snr_db=snr_db)
+                    want = _per_block_partition(part, cfg, ch, msgs)
                 except ChannelConditionError:
                     with pytest.raises(ChannelConditionError):
-                        simulate_partition(part, cfg, ch, payloads, snr_db=snr_db)
+                        simulate_partition(part, cfg, ch, payloads)
                     continue
-                got = simulate_partition(part, cfg, ch, payloads, snr_db=snr_db)
+                got = simulate_partition(part, cfg, ch, payloads)
                 assert got == want, where
                 assert np.array_equal(got.held, want.held), where
 
@@ -1144,8 +1095,7 @@ def _chunks_of(monkeypatch, cfg, per):
 
 
 class TestStackedDelivery:
-    @pytest.mark.parametrize("snr_db", [None, 20.0], ids=["noiseless", "snr20"])
-    def test_stacked_pass_equals_the_per_partition_pass(self, monkeypatch, snr_db):
+    def test_stacked_pass_equals_the_per_partition_pass(self, monkeypatch):
         # every partition, delivered in chunks of 16 stacked partitions,
         # gets the report and `held` mask that `simulate_with_resample`
         # gives it alone, float fields compared by ==; 84 and 252
@@ -1165,7 +1115,7 @@ class TestStackedDelivery:
             _chunks_of(monkeypatch, cfg, 16)
             seed = K_r + t
             passes.clear()
-            chunks = list(channel._deliver_chunks(cfg, seed, parts, payloads, snr_db))
+            chunks = list(channel._deliver_chunks(cfg, seed, parts, payloads))
             got = _per_partition(chunks)
             n_blocks = channel._partition_layout(cfg)[0][0]
             sizes = [min(16, len(parts) - lo) for lo in range(0, len(parts), 16)]
@@ -1175,7 +1125,7 @@ class TestStackedDelivery:
             assert [part for part, _held, _rep in got] == parts
             for (part, held, rep), rows in zip(got, payloads):
                 assert np.array_equal(held, rep.held)
-                want = simulate_with_resample(part, cfg, rows, seed, snr_db)
+                want = simulate_with_resample(part, cfg, rows, seed)
                 where = (K, r, K_r, t, part.index)
                 assert rep == want, where
                 assert np.array_equal(rep.held, want.held), where
@@ -1223,7 +1173,7 @@ class TestStackedDelivery:
             want = simulate_with_resample(part, cfg, rows, seed)
             assert rep == want and np.array_equal(held, want.held), part.index
         redrawn = channel._channel_seed(seed, 5, 1)
-        again = channel.ChannelRealization(redrawn, real_draw(cfg, [redrawn])[0])
+        again = real_draw(cfg, [redrawn])[0]
         assert got[4][2] == simulate_partition(parts[4], cfg, again, payloads[4])
 
 
