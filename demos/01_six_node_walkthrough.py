@@ -13,7 +13,6 @@ import itertools
 from fractions import Fraction
 
 from cpcshuffle import (
-    NodeSet,
     Segment,
     SegmentId,
     SystemParams,
@@ -57,14 +56,14 @@ print("STEP 3: SEGMENT -- each needed IV splits into 6 addressed segments")
 print("=" * 72)
 segments = segment_ivs(placement, cfg, store)
 partitions = enum_partitions(6, 3)
-storage = NodeSet.of(1, 2, 5)
+storage = (1, 2, 5)
 coops, extras = admissible_pairs(4, storage, cfg)
-print(f"  the IV headed to node 4 and stored at {storage.members} rides in:")
+print(f"  the IV headed to node 4 and stored at {storage} rides in:")
 number = {part.tx: part.index for part in partitions}
 for coop in coops:
     for extra in extras:
-        tx = NodeSet.from_mask(coop.mask | extra)
-        print(f"    partition {number[tx]:2d} (tx {tx.members}), sent by pair {coop.members}")
+        tx = tuple(sorted(coop + extra))
+        print(f"    partition {number[tx]:2d} (tx {tx}), sent by pair {coop}")
 
 print()
 print("=" * 72)
@@ -73,8 +72,8 @@ print("=" * 72)
 messages = encode_partition(segments, partitions[0], cfg)
 for m in messages[:4]:
     sids = m.constituents()
-    print(f"  to {m.dest_group.members} from {m.coop.members}: "
-          + " XOR ".join(f"seg(d{s.dest}|{s.storage.members})" for s in sids))
+    print(f"  to {m.dest_group} from {m.coop}: "
+          + " XOR ".join(f"seg(d{s.dest}|{s.storage})" for s in sids))
 print(f"  ... {len(messages)} messages in partition 1 alone")
 
 print()
@@ -87,10 +86,10 @@ by_id = {}
 for b, (dest, stored) in enumerate(segments.blocks):
     pairs = itertools.product(*admissible_pairs(dest, stored, cfg))
     for i, (coop, extra) in enumerate(pairs):
-        sid = SegmentId(dest, stored, number[NodeSet.from_mask(coop.mask | extra)], coop)
+        sid = SegmentId(dest, stored, number[tuple(sorted(coop + extra))], coop)
         by_id[sid] = Segment(sid, segments.data[b * segments.per_block + i].tobytes())
 msg = next(m for m in messages
-           if m.dest_group == NodeSet.of(4, 5) and m.coop == NodeSet.of(1, 2))
+           if m.dest_group == (4, 5) and m.coop == (1, 2))
 seg = decode_segment(msg, by_id, 4)
 print(f"  node 4 got {seg.data.hex()} for {seg.id}")
 print(f"  matches the ground truth: {seg.data == by_id[seg.id].data}")

@@ -64,7 +64,7 @@ store = map_phase(placement, params, seed=0)
 segments = segment_ivs(placement, cfg, store)
 part = enum_partitions(6, 3)[0]
 payloads = encode_payloads(segments, part, cfg)
-print(f"  transmitters {part.tx.members} serve receivers {part.rx.members}")
+print(f"  transmitters {part.tx} serve receivers {part.rx}")
 print(f"  {len(payloads)} messages over {partition_slots(cfg)} slots"
       f" (3 cooperation pairs x 2-slot extensions)")
 report = simulate_with_resample(part, cfg, payloads, seed=0)
@@ -85,7 +85,7 @@ segments = segment_ivs(placement, cfg, store)
 part = enum_partitions(8, cfg.K_t)[0]
 payloads = encode_payloads(segments, part, cfg)
 report = simulate_with_resample(part, cfg, payloads, seed=0)
-print(f"  transmitters {part.tx.members}, receivers {part.rx.members}")
+print(f"  transmitters {part.tx}, receivers {part.rx}")
 print(f"  receiver pairs served one at a time: {report.slots_used} slots,"
       f" {report.symbols_per_receiver} symbols per receiver")
 print(f"  measured DoF {report.measured_dof} = r/K_r exactly, by slot count")

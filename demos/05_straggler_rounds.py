@@ -10,7 +10,6 @@ only the transmission schedule changes.
 """
 
 from cpcshuffle import (
-    NodeSet,
     SystemParams,
     enum_partitions,
     straggler_replan,
@@ -25,7 +24,7 @@ part = enum_partitions(6, 3)[0]
 print("=" * 72)
 print("BASELINE: PARTITION 1 WITH ALL TRANSMITTERS ON TIME")
 print("=" * 72)
-plan = straggler_replan(part, cfg, NodeSet(()))
+plan = straggler_replan(part, cfg, ())
 for row in straggler_schedule(plan):
     print(f"  round {row['round']}: {row['messages']} messages,"
           f" {row['batches']} group batches, {row['slots']} slots")
@@ -34,11 +33,11 @@ print()
 print("=" * 72)
 print("NODE 1 IS LATE: REGROUP BY STRAGGLER OVERLAP")
 print("=" * 72)
-plan = straggler_replan(part, cfg, NodeSet.of(1))
+plan = straggler_replan(part, cfg, (1,))
 for row, rnd in zip(straggler_schedule(plan), plan.rounds):
     print(f"  round {row['round']} ({row['messages']} messages):")
     for coop, eff in rnd:
-        print(f"    group {coop.members} -> survivors {eff.members} carry its packets")
+        print(f"    group {coop} -> survivors {eff} carry its packets")
 
 print()
 print("slot accounting:")
@@ -54,8 +53,8 @@ print("=" * 72)
 params8 = SystemParams(K=8, N=56, Q=8, r=5, B=80)
 cfg8 = validate_config(params8, K_r=4, t=2)
 part8 = enum_partitions(8, 4)[0]
-plan8 = straggler_replan(part8, cfg8, NodeSet.of(part8.tx.members[0]))
-print(f"  transmitters {part8.tx.members}, straggler {part8.tx.members[0]}")
+plan8 = straggler_replan(part8, cfg8, part8.tx[:1])
+print(f"  transmitters {part8.tx}, straggler {part8.tx[0]}")
 for row in straggler_schedule(plan8):
     print(f"  round {row['round']}: {row['messages']} messages,"
           f" {row['batches']} batches, {row['slots']} slots")

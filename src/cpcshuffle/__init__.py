@@ -10,7 +10,6 @@ from .model import (
     ConstraintViolation,
     InfeasibleInstance,
     InternalInvariantError,
-    NodeSet,
     ParameterError,
     Partition,
     ShuffleConfig,
@@ -20,7 +19,6 @@ from .model import (
     delivery_layout,
     enum_partitions,
     enum_subsets,
-    full_set,
     validate_config,
 )
 from .placement import (

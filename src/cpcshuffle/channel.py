@@ -590,7 +590,7 @@ def _pipeline(
     if corrupt is not None:
         payloads[corrupt[0] - 1, corrupt[1], 0] ^= 0xFF
     held = np.zeros((params.K + 1, *payloads.shape[:2]), dtype=bool)
-    rx = np.array([part.rx.members for part in partitions])
+    rx = np.array([part.rx for part in partitions])
     least = []
     for parts, got, sim in deliver(partitions, payloads):
         at = np.array([part.index for part in parts]) - 1

@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .model import (
     InternalInvariantError,
-    NodeSet,
     ParameterError,
     ShuffleConfig,
     SystemParams,
@@ -136,13 +135,13 @@ def cmd_construct(args) -> int:
     dump = {
         "params": cfg.summary(args.seed),
         "placement": {
-            "file_to_nodes": {str(n): list(g.members)
+            "file_to_nodes": {str(n): list(g)
                               for n, g in sorted(placement.file_to_nodes.items())},
             "reduce_assignment": {str(k): sorted(v)
                                   for k, v in placement.reduce_assignment.items()},
         },
         "partitions": [
-            {"p": part.index, "tx": list(part.tx.members), "rx": list(part.rx.members)}
+            {"p": part.index, "tx": list(part.tx), "rx": list(part.rx)}
             for part in partitions
         ],
         "messages": [],
@@ -154,12 +153,12 @@ def cmd_construct(args) -> int:
         payloads = encode_payloads(segments, part, cfg)
         for rows, payload in zip(segments.messages[part.index - 1], payloads):
             blocks = [segments.blocks[row // segments.per_block] for row in rows]
-            dest_group = NodeSet.from_iterable(j for j, _storage in blocks)
+            dest_group = sorted(j for j, _storage in blocks)
             entry = {
                 "p": part.index,
-                "D": list(dest_group.members),
-                "B": list((blocks[0][1] - dest_group).members),
-                "segments": [{"dest": j, "storage": list(u.members)} for j, u in blocks],
+                "D": dest_group,
+                "B": [k for k in blocks[0][1] if k not in dest_group],
+                "segments": [{"dest": j, "storage": list(u)} for j, u in blocks],
             }
             if args.with_payloads:
                 entry["payload"] = payload.tobytes().hex()

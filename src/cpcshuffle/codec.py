@@ -51,14 +51,14 @@ from .model import (
     ConstraintViolation,
     InfeasibleInstance,
     InternalInvariantError,
-    NodeSet,
+    Nodes,
     ParameterError,
     Partition,
     ShuffleConfig,
+    check_members,
     delivery_layout,
     enum_partitions,
     enum_subsets,
-    full_set,
 )
 from .placement import IVStore, PlacementMap
 
@@ -68,9 +68,9 @@ class SegmentId:
     """Address of one segment: destination, storage group, partition, coop group."""
 
     dest: int
-    storage: NodeSet
+    storage: Nodes
     partition: int
-    coop: NodeSet
+    coop: Nodes
 
 
 @dataclass(frozen=True)
@@ -84,16 +84,16 @@ class CodedMessage:
     """XOR of s segments, sent by coop group B to receiver group D in partition p."""
 
     partition: int
-    dest_group: NodeSet
-    coop: NodeSet
+    dest_group: Nodes
+    coop: Nodes
     payload: bytes
 
     def constituents(self) -> list[SegmentId]:
-        """The s segment ids whose XOR is the payload."""
+        """The s segment ids whose XOR is the payload, storage B | D - {j}."""
         return [
             SegmentId(
                 dest=j,
-                storage=self.coop | (self.dest_group - NodeSet.of(j)),
+                storage=tuple(sorted(set(self.coop) | set(self.dest_group) - {j})),
                 partition=self.partition,
                 coop=self.coop,
             )
@@ -114,8 +114,8 @@ class StragglerPlan:
 
     partition: int
     config: ShuffleConfig
-    stragglers: NodeSet
-    rounds: tuple[tuple[tuple[NodeSet, NodeSet], ...], ...]
+    stragglers: Nodes
+    rounds: tuple[tuple[tuple[Nodes, Nodes], ...], ...]
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -159,19 +159,17 @@ def check_bits(config: ShuffleConfig) -> None:
 
 
 def admissible_pairs(
-    dest: int, storage: NodeSet, config: ShuffleConfig
-) -> tuple[list[NodeSet], list[int]]:
-    """(coops, extras): the t-subsets B of the storage group and the masks
-    of the (K_t-t)-subsets E of the nodes outside storage and {dest}, both
-    in lex order.  The block's i-th (coop group, transmitter set) pair is
+    dest: int, storage: Nodes, config: ShuffleConfig
+) -> tuple[list[Nodes], list[Nodes]]:
+    """(coops, extras): the t-subsets B of the storage group and the
+    (K_t-t)-subsets E of the nodes outside storage and {dest}, both in lex
+    order.  The block's i-th (coop group, transmitter set) pair is
     (coops[i // len(extras)], B | extras[i % len(extras)]), so {dest} and
     the rest of the storage group receive.  B | E runs in the lex order of
     E, which for a fixed B is the numbering `enum_partitions` gives B | E.
     """
-    taken = storage.mask | 1 << dest
-    free = [1 << k for k in range(1, config.params.K + 1) if not taken >> k & 1]
-    extras = [sum(e) for e in itertools.combinations(free, config.K_t - config.t)]
-    return enum_subsets(storage, config.t), extras
+    free = [k for k in range(1, config.params.K + 1) if k != dest and k not in storage]
+    return enum_subsets(storage, config.t), enum_subsets(free, config.K_t - config.t)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -190,14 +188,14 @@ class SegmentTable:
 
     config: ShuffleConfig
     data: np.ndarray
-    blocks: list[tuple[int, NodeSet]]
+    blocks: list[tuple[int, Nodes]]
     partitions: list[Partition]
     per_block: int
     messages: np.ndarray
 
 
 def block_layout(
-    placement: PlacementMap, blocks: list[tuple[int, NodeSet]]
+    placement: PlacementMap, blocks: list[tuple[int, Nodes]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """(q, n): the 0-based indices of every block's IVs, q ascending over
     the dest's outputs, then n ascending over the eta1 files stored
@@ -206,7 +204,7 @@ def block_layout(
     (blocks, eta2, eta1, B/8)."""
     outputs = {dest: sorted(qs) for dest, qs in placement.reduce_assignment.items()}
     q = np.array([outputs[dest] for dest, _s in blocks]) - 1
-    n = np.array([placement.group_files[storage.mask] for _d, storage in blocks]) - 1
+    n = np.array([placement.group_files[storage] for _d, storage in blocks]) - 1
     return q[:, :, None], n[:, None, :]
 
 
@@ -248,13 +246,13 @@ def _message_positions(s: int, t: int, K_r: int, K_t: int) -> np.ndarray:
 # own part plus how many members of the other part lie below it.
 
 
-def _head_table(blocks: list[tuple[int, NodeSet]], K: int, t: int, per_block: int) -> np.ndarray:
+def _head_table(blocks: list[tuple[int, Nodes]], K: int, t: int, per_block: int) -> np.ndarray:
     """heads[rank of X, rank of B in X, i]: the row of B's first pair in
     block (j, X - {j}), j the i-th member of D = X - B, for every
     (r+1)-set X and t-subset B of it; one entry per block and coop group,
     read off `blocks`, the table's rows in order."""
     dest = np.array([d for d, _storage in blocks])[None]
-    stored = np.array([storage.members for _d, storage in blocks]).T  # (r, blocks)
+    stored = np.array([storage for _d, storage in blocks]).T  # (r, blocks)
     r = len(stored)
     coops = np.array(list(itertools.combinations(range(r), t))).T
     n_coops = coops.shape[1]
@@ -278,14 +276,14 @@ def _message_rows(
     no segment: an InternalInvariantError names the one of D's first
     receiver in partition 1."""
     K, K_t, r, s, t = config.params.K, config.K_t, config.params.r, config.s, config.t
-    order = np.array([part.tx.members + part.rx.members for part in partitions], dtype=np.int8)
+    order = np.array([part.tx + part.rx for part in partitions], dtype=np.int8)
     positions = _message_positions(s, t, config.K_r, K_t)
     b, d = positions[:, :t], positions[:, t:]
     named = (np.diff(positions) > 0).all(axis=1) & (b[:, 0] >= 0) & (d[:, -1] < K)
     named &= (b[:, -1] < K_t) & (d[:, 0] >= K_t)
     if not named.all():
         nodes = order[0, positions[int(np.argmin(named))]].tolist()
-        coop, dest_group = NodeSet.from_iterable(nodes[:t]), NodeSet.from_iterable(nodes[t:])
+        coop, dest_group = tuple(sorted(set(nodes[:t]))), tuple(sorted(set(nodes[t:])))
         sid = CodedMessage(1, dest_group, coop, b"").constituents()[0]
         raise InternalInvariantError(f"missing segment {sid}")
     taken = np.zeros((len(positions), K_t), dtype=bool)
@@ -323,7 +321,7 @@ def segment_ivs(
     K, r, s = config.params.K, config.params.r, config.s
     n_seg = segments_per_block(config)
     blocks = [(dest, storage) for dest in range(1, K + 1)
-              for storage in enum_subsets(full_set(K) - NodeSet.of(dest), r)]
+              for storage in enum_subsets((*range(1, dest), *range(dest + 1, K + 1)), r)]
     n_rows = len(blocks) * n_seg
     q, n = block_layout(placement, blocks)
     data = store.array[q, n].reshape(n_rows, -1)
@@ -338,7 +336,7 @@ def segment_ivs(
     return SegmentTable(config, data, blocks, partitions, n_seg, rows)
 
 
-def _message_pairs(partition: Partition, config: ShuffleConfig) -> list[tuple[NodeSet, NodeSet]]:
+def _message_pairs(partition: Partition, config: ShuffleConfig) -> list[tuple[Nodes, Nodes]]:
     """The (coop group B, dest group D) of each of a partition's
     C(K_t, t) * C(K_r, s) messages, in (B lex, D lex) order."""
     coops = enum_subsets(partition.tx, config.t)
@@ -367,7 +365,7 @@ def encode_payloads(
     known = segments.partitions
     if config != segments.config or not 1 <= p <= len(known) or known[p - 1] != partition:
         raise ParameterError(
-            f"partition {p} (transmitters {partition.tx.members}) under {config} "
+            f"partition {p} (transmitters {partition.tx}) under {config} "
             f"is not one the segment table was cut for"
         )
     return xor_rows(segments.data, segments.messages[p - 1])
@@ -396,7 +394,7 @@ def decode_segment(
     (its id's storage group contains j).
     """
     if j not in message.dest_group:
-        raise ConstraintViolation("j in D", f"node {j} not in {message.dest_group.members}")
+        raise ConstraintViolation("j in D", f"node {j} not in {message.dest_group}")
     out = message.payload
     target = None
     for sid in message.constituents():
@@ -463,25 +461,26 @@ def per_partition_load(config: ShuffleConfig) -> tuple[Fraction, Fraction]:
 
 
 def straggler_replan(
-    partition: Partition, config: ShuffleConfig, stragglers: NodeSet
+    partition: Partition, config: ShuffleConfig, stragglers: Nodes
 ) -> StragglerPlan:
     """Split a partition's cooperation groups into rounds by straggler
     overlap, as `StragglerPlan` lays them out.  Requires K_t transmitters,
-    |S| <= t-1 and S inside the transmitter group."""
+    an ascending S without repeats, |S| <= t-1 and S inside the
+    transmitter group."""
+    check_members(stragglers)
     if len(partition.tx) != config.K_t:
         detail = f"{len(partition.tx)} transmitters, need K_t={config.K_t}"
         raise ConstraintViolation("|T_p| = K_t", detail)
-    if not stragglers.issubset(partition.tx):
-        raise ConstraintViolation(
-            "S subset of T_p", f"{stragglers.members} not in {partition.tx.members}"
-        )
+    if not set(stragglers).issubset(partition.tx):
+        raise ConstraintViolation("S subset of T_p", f"{stragglers} not in {partition.tx}")
     if len(stragglers) > config.t - 1:
         raise ConstraintViolation(
             "|S| <= t-1", f"{len(stragglers)} stragglers exceed t-1={config.t - 1}"
         )
-    rounds: list[list[tuple[NodeSet, NodeSet]]] = [[] for _ in range(len(stragglers) + 1)]
+    rounds: list[list[tuple[Nodes, Nodes]]] = [[] for _ in range(len(stragglers) + 1)]
     for coop in enum_subsets(partition.tx, config.t):
-        rounds[len(coop & stragglers)].append((coop, coop - stragglers))
+        survivors = tuple(k for k in coop if k not in stragglers)
+        rounds[len(coop) - len(survivors)].append((coop, survivors))
     return StragglerPlan(
         partition=partition.index,
         config=config,

@@ -1,21 +1,23 @@
 """Problem-instance types and subset/partition combinatorics.
 
 Everything downstream (placement, codec, channel simulation, analytics)
-works in terms of the types defined here.  All values are immutable and
-all enumerations are deterministic: subsets and partitions are produced
-in lexicographic order so that partition indices, scheme dumps and test
-fixtures are reproducible byte for byte.
+works in terms of the types defined here.  A node set is an ascending
+tuple of node indices in [1..K], as `itertools.combinations` yields it.
+All values are immutable and all enumerations are deterministic: subsets
+and partitions are produced in lexicographic order so that partition
+indices, scheme dumps and test fixtures are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator
 
 MAX_NODES = 64  # desk-scale guard; binomials stay exact far below this
+
+Nodes = tuple[int, ...]  # a node set: strictly increasing node indices
 
 
 class ParameterError(ValueError):
@@ -38,83 +40,16 @@ class InternalInvariantError(RuntimeError):
     """A scheme-construction invariant broke; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True, order=True)
-class NodeSet:
-    """An ordered set of node indices in [1..K].
-
-    `members` is a strictly increasing tuple and the only ordering and
-    equality key, so sets sort lexicographically everywhere ordering
-    matters.  `mask` has bit i set iff i is a member; `|`, `&`, `-`,
-    `issubset` and `isdisjoint` are integer operations on it.  Their
-    results, `enum_subsets` and single-node `of` come from one intern
-    table keyed by mask, so each distinct set is built and validated once.
-    """
-
-    members: tuple[int, ...]
-    mask: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = self.members
-        if any(not isinstance(x, int) or x < 1 for x in m):
-            raise ParameterError(f"node indices must be positive integers: {m}")
-        if any(m[i] >= m[i + 1] for i in range(len(m) - 1)):
-            raise ParameterError(f"members must be strictly increasing: {m}")
-        object.__setattr__(self, "mask", sum(1 << x for x in m))
-
-    @classmethod
-    def of(cls, *nodes: int) -> "NodeSet":
-        if len(nodes) == 1 and type(nodes[0]) is int and nodes[0] >= 1:
-            return _interned(1 << nodes[0])
-        return cls(tuple(sorted(set(nodes))))
-
-    @classmethod
-    def from_iterable(cls, nodes: Iterable[int]) -> "NodeSet":
-        return cls(tuple(sorted(set(nodes))))
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "NodeSet":
-        """The interned set whose `mask` is `mask` (bit 0 must be clear)."""
-        return _interned(mask)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, node: int) -> bool:
-        return node in self.members
-
-    def __or__(self, other: "NodeSet") -> "NodeSet":
-        return _interned(self.mask | other.mask)
-
-    def __and__(self, other: "NodeSet") -> "NodeSet":
-        return _interned(self.mask & other.mask)
-
-    def __sub__(self, other: "NodeSet") -> "NodeSet":
-        return _interned(self.mask & ~other.mask)
-
-    def issubset(self, other: "NodeSet") -> bool:
-        return not self.mask & ~other.mask
-
-    def isdisjoint(self, other: "NodeSet") -> bool:
-        return not self.mask & other.mask
-
-
-_INTERNED: dict[int, NodeSet] = {}
-
-
-def _interned(mask: int) -> NodeSet:
-    """The NodeSet whose mask is `mask`, built and validated on first use."""
-    found = _INTERNED.get(mask)
-    if found is None:
-        members = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-        found = _INTERNED[mask] = NodeSet(members)
-    return found
-
-
-def full_set(K: int) -> NodeSet:
-    return NodeSet(tuple(range(1, K + 1)))
+def check_members(nodes: Nodes) -> None:
+    """Refuse a node set that is not a strictly increasing tuple of
+    positive integers."""
+    below = 0
+    for x in nodes:
+        if not isinstance(x, int) or x < 1:
+            raise ParameterError(f"node indices must be positive integers: {nodes}")
+        if x <= below:
+            raise ParameterError(f"members must be strictly increasing: {nodes}")
+        below = x
 
 
 def check_nodes(K: int) -> None:
@@ -178,11 +113,13 @@ class Partition:
     """One transmitter/receiver split of the K half-duplex nodes."""
 
     index: int
-    tx: NodeSet
-    rx: NodeSet
+    tx: Nodes
+    rx: Nodes
 
     def __post_init__(self):
-        if not self.tx.isdisjoint(self.rx):
+        check_members(self.tx)
+        check_members(self.rx)
+        if not set(self.tx).isdisjoint(self.rx):
             raise ParameterError("tx and rx must be disjoint")
 
 
@@ -225,12 +162,11 @@ def delivery_layout(s: int, t: int, K_r: int) -> tuple[int, int, int]:
     return g, math.comb(K_r - s, g - s), math.comb(g - 1, s - 1)
 
 
-def enum_subsets(ground: NodeSet, k: int) -> list[NodeSet]:
-    """All size-k subsets of `ground` in lexicographic order."""
+def enum_subsets(ground: Nodes, k: int) -> list[Nodes]:
+    """All size-k subsets of the ascending `ground` in lexicographic order."""
     if not 0 <= k <= len(ground):
         raise ParameterError(f"subset size {k} out of range [0, {len(ground)}]")
-    bits = [1 << x for x in ground.members]
-    return [_interned(sum(c)) for c in combinations(bits, k)]
+    return list(combinations(ground, k))
 
 
 def enum_partitions(K: int, K_t: int) -> list[Partition]:
@@ -243,10 +179,13 @@ def enum_partitions(K: int, K_t: int) -> list[Partition]:
     check_nodes(K)
     if not 1 <= K_t <= K - 1:
         raise ParameterError(f"K_t must lie in [1, K-1], got K_t={K_t}, K={K}")
-    everyone = full_set(K)
+    everyone = tuple(range(1, K + 1))
+    # complementing reverses lex order: the p-th lex transmitter set
+    # leaves the p-th last lex (K - K_t)-subset to receive
+    receivers = reversed(list(combinations(everyone, K - K_t)))
     return [
-        Partition(index=p, tx=tx, rx=everyone - tx)
-        for p, tx in enumerate(enum_subsets(everyone, K_t), start=1)
+        Partition(index=p, tx=tx, rx=rx)
+        for p, (tx, rx) in enumerate(zip(enum_subsets(everyone, K_t), receivers), start=1)
     ]
 
 

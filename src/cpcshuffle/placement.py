@@ -21,14 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import (
-    InternalInvariantError,
-    NodeSet,
-    ParameterError,
-    SystemParams,
-    enum_subsets,
-    full_set,
-)
+from .model import InternalInvariantError, Nodes, ParameterError, SystemParams, enum_subsets
 
 
 @dataclass(frozen=True)
@@ -36,15 +29,15 @@ class PlacementMap:
     """Where every file lives and which outputs every node reduces.
 
     file_to_nodes[n] is the size-r storage group of file n (1-based);
-    node_to_files[k] is its inverse; group_files[U.mask] lists the eta1
+    node_to_files[k] is its inverse; group_files[U] lists the eta1
     files stored exactly at storage group U, ascending; reduce_assignment[k]
     is the block of eta2 output indices node k is responsible for.
     """
 
     params: SystemParams
-    file_to_nodes: dict[int, NodeSet]
+    file_to_nodes: dict[int, Nodes]
     node_to_files: dict[int, frozenset[int]]
-    group_files: dict[int, tuple[int, ...]]
+    group_files: dict[Nodes, tuple[int, ...]]
     reduce_assignment: dict[int, frozenset[int]]
 
 
@@ -76,10 +69,10 @@ class IVStore:
 def build_placement(params: SystemParams) -> PlacementMap:
     """Assign files to size-r subsets in lex order, outputs in contiguous blocks."""
     eta1, eta2 = params.require_symmetric()
-    groups = enum_subsets(full_set(params.K), params.r)
+    groups = enum_subsets(tuple(range(1, params.K + 1)), params.r)
     starts = range(1, params.N + 1, eta1)
-    group_files = {g.mask: tuple(range(n, n + eta1)) for g, n in zip(groups, starts)}
-    file_to_nodes = {n: group for group in groups for n in group_files[group.mask]}
+    group_files = {g: tuple(range(n, n + eta1)) for g, n in zip(groups, starts)}
+    file_to_nodes = {n: group for group, files in group_files.items() for n in files}
     node_to_files: dict[int, set[int]] = {k: set() for k in range(1, params.K + 1)}
     for n, group in file_to_nodes.items():
         for k in group:

@@ -21,7 +21,7 @@ from cpcshuffle.placement import required_ivs
 def block_ivs(placement, dest, storage) -> list[tuple[int, int]]:
     """The block's (q, n) pairs in layout order: q ascending over W_dest,
     then the eta1 files stored exactly at `storage`, n ascending."""
-    files = placement.group_files.get(storage.mask, ())
+    files = placement.group_files.get(storage, ())
     return [(q, n) for q in sorted(placement.reduce_assignment[dest]) for n in files]
 
 
@@ -48,12 +48,12 @@ def decode_blocks(segs, dest, payloads, held) -> dict:
 
 def segment_rows(segs) -> dict[SegmentId, int]:
     """Every segment's id mapped to its row, in row order."""
-    number = {part.tx.mask: part.index for part in segs.partitions}
+    number = {part.tx: part.index for part in segs.partitions}
     rows = {}
     for b, (dest, storage) in enumerate(segs.blocks):
         pairs = itertools.product(*admissible_pairs(dest, storage, segs.config))
         for i, (coop, extra) in enumerate(pairs):
-            rows[SegmentId(dest, storage, number[coop.mask | extra], coop)] = b * segs.per_block + i
+            rows[SegmentId(dest, storage, number[tuple(sorted(coop + extra))], coop)] = b * segs.per_block + i
     return rows
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from cpcshuffle.model import (
     InfeasibleInstance,
-    NodeSet,
     ParameterError,
     SystemParams,
     config_violation,
@@ -273,7 +272,7 @@ class TestNeutralizingPrecoder:
                 for (dg, d), w in vectors.items():
                     # np.abs on an array, as the engine takes it: the scalar
                     # abs of a complex is not always the same float
-                    rows = [row(psi, d) for psi in group - dg]
+                    rows = [row(psi, d) for psi in group if psi not in dg]
                     gains = np.array([np.einsum("l,l->", h, w) for h in rows], dtype=complex)
                     scales = np.array([np.linalg.norm(h, axis=-1) for h in rows])
                     worst = max(worst, float((np.abs(gains) / scales).max(initial=0.0)))
@@ -298,12 +297,12 @@ def _reference_blocks(ch, cfg, part):
             H = next(blocks)
 
             def row(j, d, H=H, group=group):  # receiver j's gains from the transmitters
-                return H[d, group.members.index(j)]
+                return H[d, group.index(j)]
 
             vectors = {}
             for dg in enum_subsets(group, s):
                 for d in slots:
-                    rows = [row(psi, d) for psi in group - dg]
+                    rows = [row(psi, d) for psi in group if psi not in dg]
                     w = neutralizing_precoder(
                         np.array(rows, dtype=complex).reshape(-1, g - s + 1)
                     )
@@ -359,7 +358,7 @@ class TestBlockSchedule:
             assert rx_pos.shape == (n_blocks, g)
             parts = enum_partitions(K, cfg.K_t)
             for part in (parts[0], parts[-1]):
-                rx_nodes = np.array(part.rx.members)
+                rx_nodes = np.array(part.rx)
                 order = {
                     (dg, coop): e for e, (coop, dg) in enumerate(_message_pairs(part, cfg))
                 }
@@ -368,7 +367,7 @@ class TestBlockSchedule:
                     dest_groups = enum_subsets(group, s)
                     for c, coop in enumerate(enum_subsets(part.tx, t)):
                         b = i * n_coops + c
-                        assert rx_nodes[rx_pos[b]].tolist() == list(group.members)
+                        assert rx_nodes[rx_pos[b]].tolist() == list(group)
                         positions = [order[(dg, coop)] for dg in dest_groups]
                         assert ids[b].tolist() == positions, (K, r, K_r, t, i, c)
                         assert chunk[b].tolist() == [next_chunk[dg] for dg in dest_groups]
@@ -480,7 +479,7 @@ class TestTimeDivisionDelivery:
             # receiver set rides in that set's first block
             x = real_symbols(payloads, n_chunks, n_messages)
             for m, (coop, dest_group) in enumerate(pairs):
-                if coop == first_coop and dest_group.issubset(first_rx):
+                if coop == first_coop and set(dest_group).issubset(first_rx):
                     x[m, 0] = complex("nan")
             return x
 
@@ -492,7 +491,7 @@ class TestTimeDivisionDelivery:
         assert sum(len(w) for w in blocks) == partition_slots(cfg) // 2
         dropped = [
             i for i, (coop, dest_group) in enumerate(pairs)
-            if coop == first_coop and dest_group.issubset(first_rx)
+            if coop == first_coop and set(dest_group).issubset(first_rx)
         ]
         assert len(dropped) == math.comb(g, cfg.s)
         # exactly the receivers of a dropped message lose it
@@ -631,7 +630,7 @@ class TestEndToEnd:
             damage = [
                 (j, q, n)
                 for j in dest_group
-                for q, n in sorted(block_ivs(pl, j, coop | (dest_group - NodeSet.of(j))))
+                for q, n in sorted(block_ivs(pl, j, tuple(sorted({*coop, *dest_group} - {j}))))
             ]
             assert len(damage) == cfg.s
             for verify in (end_to_end_verify, ideal_verify):
@@ -733,9 +732,9 @@ class TestEndToEnd:
                 held = np.ones((K_r, len(rows)), dtype=bool)
                 if part.index == 3:
                     coop, dest_group = _message_pairs(part, cfg)[-2]
-                    k = dest_group.members[1]
-                    held[part.rx.members.index(k), len(rows) - 2] = False
-                    lost.update(k=k, storage=coop | (dest_group - NodeSet.of(k)))
+                    k = dest_group[1]
+                    held[part.rx.index(k), len(rows) - 2] = False
+                    lost.update(k=k, storage=tuple(sorted({*coop, *dest_group} - {k})))
                 yield [part], held[None], None
 
         rep = channel._pipeline(params, cfg, 0, None, all_but_one)
@@ -762,8 +761,8 @@ class TestEndToEnd:
         lost = {
             (k, q, n)
             for coop, dest_group in _message_pairs(part, cfg)
-            for k in dest_group.members
-            for q, n in block_ivs(placement, k, coop | (dest_group - NodeSet.of(k)))
+            for k in dest_group
+            for q, n in block_ivs(placement, k, tuple(sorted({*coop, *dest_group} - {k})))
         }
         assert not rep.ok and rep.failures == sorted(lost)
         per_block = (40 // math.comb(6, 3)) * (12 // 6)  # IVs per (dest, storage) block
@@ -1021,7 +1020,7 @@ def _per_block_partition(partition, cfg, ch, messages):
     report.max_symbol_error = float(err.max())
     solved = err < channel.TOLERANCE
 
-    rx = np.repeat([group.members for group in rx_sets], len(coop_groups), axis=0)
+    rx = np.repeat(rx_sets, len(coop_groups), axis=0)
     held = np.zeros((cfg.params.K + 1, len(messages)), dtype=int)
     np.add.at(held, (rx[:, :, None], ids[:, wanted]), solved)
     report.symbols_per_receiver = int(held[list(partition.rx)].sum(axis=1).min())

@@ -69,9 +69,9 @@ class TestConstruct:
                     expected = [
                         {
                             "p": m.partition,
-                            "D": list(m.dest_group.members),
-                            "B": list(m.coop.members),
-                            "segments": [{"dest": sid.dest, "storage": list(sid.storage.members)}
+                            "D": list(m.dest_group),
+                            "B": list(m.coop),
+                            "segments": [{"dest": sid.dest, "storage": list(sid.storage)}
                                          for sid in m.constituents()],
                             "payload": m.payload.hex(),
                         }

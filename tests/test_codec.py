@@ -8,7 +8,7 @@ import pytest
 from cpcshuffle.model import (
     ConstraintViolation,
     InfeasibleInstance,
-    NodeSet,
+    ParameterError,
     SystemParams,
     config_violation,
     enum_partitions,
@@ -56,7 +56,7 @@ def pairs_of(dest, storage, cfg):
     """The block's (B, B | E) pairs, B-major, from `admissible_pairs`'
     two factors."""
     coops, extras = admissible_pairs(dest, storage, cfg)
-    return [(coop, NodeSet.from_mask(coop.mask | extra)) for coop in coops for extra in extras]
+    return [(coop, tuple(sorted(coop + extra))) for coop in coops for extra in extras]
 
 
 def scanned_pairs(dest, storage, cfg, partitions):
@@ -64,9 +64,9 @@ def scanned_pairs(dest, storage, cfg, partitions):
     the storage group plus dest receiving."""
     pairs = []
     for coop in enum_subsets(storage, cfg.t):
-        listeners = (storage - coop) | NodeSet.of(dest)
+        listeners = set(storage) - set(coop) | {dest}
         for part in partitions:
-            if coop.issubset(part.tx) and listeners.issubset(part.rx):
+            if set(coop).issubset(part.tx) and listeners.issubset(part.rx):
                 pairs.append((coop, part.tx))
     return pairs
 
@@ -80,15 +80,15 @@ class TestSegmentation:
         # the block headed to node 4 and stored at {1,2,5} spreads over two
         # partitions for each of its three cooperation pairs
         cfg, pl, store, segs, parts = worked
-        pairs = pairs_of(4, NodeSet.of(1, 2, 5), cfg)
-        assert [(c.members, tx.members) for c, tx in pairs] == [
+        pairs = pairs_of(4, (1, 2, 5), cfg)
+        assert pairs == [
             ((1, 2), (1, 2, 3)), ((1, 2), (1, 2, 6)), ((1, 5), (1, 3, 5)),
             ((1, 5), (1, 5, 6)), ((2, 5), (2, 3, 5)), ((2, 5), (2, 5, 6)),
         ]
         number = {part.tx: part.index for part in enum_partitions(6, 3)}
         assert [number[tx] for _, tx in pairs] == [1, 4, 6, 10, 12, 16]
         coops = [c for c, _ in pairs]
-        assert [c.members for c in sorted(set(coops))] == [(1, 2), (1, 5), (2, 5)]
+        assert sorted(set(coops)) == [(1, 2), (1, 5), (2, 5)]
         assert all(coops.count(c) == 2 for c in set(coops))
 
     def test_pairs_equal_the_partition_scan(self):
@@ -104,7 +104,7 @@ class TestSegmentation:
                         cfg = validate_config(params, K_r, t)
                         parts = enum_partitions(K, cfg.K_t)
                         for dest in range(1, K + 1):
-                            others = NodeSet.from_iterable(k for k in range(1, K + 1) if k != dest)
+                            others = tuple(k for k in range(1, K + 1) if k != dest)
                             for storage in enum_subsets(others, r):
                                 pairs = pairs_of(dest, storage, cfg)
                                 assert pairs == scanned_pairs(dest, storage, cfg, parts)
@@ -140,7 +140,7 @@ class TestSegmentation:
         number = {part.tx: part.index for part in parts}
         blocks = []
         for dest in range(1, K + 1):
-            others = NodeSet.from_iterable(k for k in range(1, K + 1) if k != dest)
+            others = tuple(k for k in range(1, K + 1) if k != dest)
             blocks += [(dest, storage) for storage in enum_subsets(others, r)]
         # row = block rank * segments per block + pair index
         for b, (dest, storage) in enumerate(blocks):
@@ -166,7 +166,9 @@ class TestSegmentation:
             for storage in mine:
                 reference = b"".join(
                     decode_segment(
-                        by_address[(number[tx], NodeSet.of(dest) | (storage - coop), coop)],
+                        by_address[
+                            (number[tx], tuple(sorted(set(storage) - set(coop) | {dest})), coop)
+                        ],
                         by_id,
                         dest,
                     ).data
@@ -178,12 +180,12 @@ class TestSegmentation:
     def test_block_layout(self, worked):
         # node 4 reduces output 4; the block stored at {1,2,5} holds file 3
         cfg, pl, store, segs, parts = worked
-        assert block_ivs(pl, 4, NodeSet.of(1, 2, 5)) == [(4, 3)]
+        assert block_ivs(pl, 4, (1, 2, 5)) == [(4, 3)]
         params = SystemParams(K=4, N=12, Q=8, r=2, B=8)
         pl2 = build_placement(params)
-        assert block_ivs(pl2, 3, NodeSet.of(1, 2)) == [(5, 1), (5, 2), (6, 1), (6, 2)]
+        assert block_ivs(pl2, 3, (1, 2)) == [(5, 1), (5, 2), (6, 1), (6, 2)]
         store2 = map_phase(pl2, params, seed=0)
-        assert block_bytes(pl2, store2, 3, NodeSet.of(1, 2)) == b"".join(
+        assert block_bytes(pl2, store2, 3, (1, 2)) == b"".join(
             store2.get(q, n) for q, n in [(5, 1), (5, 2), (6, 1), (6, 2)]
         )
 
@@ -191,7 +193,7 @@ class TestSegmentation:
         cfg, pl, store, segs, parts = worked
         number = {part.tx: part.index for part in parts}
         by_id = segments_by_id(segs)
-        for dest, storage in [(4, NodeSet.of(1, 2, 5)), (1, NodeSet.of(2, 3, 6))]:
+        for dest, storage in [(4, (1, 2, 5)), (1, (2, 3, 6))]:
             pairs = pairs_of(dest, storage, cfg)
             joined = b"".join(
                 by_id[SegmentId(dest, storage, number[tx], c)].data for c, tx in pairs
@@ -219,7 +221,7 @@ class TestSegmentation:
         pl = build_placement(params)
         store = map_phase(pl, params, seed=0)
         for dest in range(1, 5):
-            others = NodeSet.from_iterable(k for k in range(1, 5) if k != dest)
+            others = tuple(k for k in range(1, 5) if k != dest)
             for storage in enum_subsets(others, 2):
                 assert len(pairs_of(dest, storage, cfg)) == 2
 
@@ -267,11 +269,11 @@ class TestEncode:
         msgs = encode_partition(segs, parts[0], cfg)
         m = next(
             m for m in msgs
-            if m.dest_group == NodeSet.of(4, 5) and m.coop == NodeSet.of(1, 2)
+            if m.dest_group == (4, 5) and m.coop == (1, 2)
         )
         by_id = segments_by_id(segs)
-        a = by_id[SegmentId(4, NodeSet.of(1, 2, 5), 1, NodeSet.of(1, 2))].data
-        b = by_id[SegmentId(5, NodeSet.of(1, 2, 4), 1, NodeSet.of(1, 2))].data
+        a = by_id[SegmentId(4, (1, 2, 5), 1, (1, 2))].data
+        b = by_id[SegmentId(5, (1, 2, 4), 1, (1, 2))].data
         assert m.payload == xor_bytes(a, b)
 
     def test_each_receiver_desires_six(self, worked):
@@ -299,14 +301,14 @@ class TestEncode:
 class TestDecode:
     def test_node_four_recovers_all_six(self, worked):
         cfg, pl, store, segs, parts = worked
-        storage = NodeSet.of(1, 2, 5)
+        storage = (1, 2, 5)
         recovered = []
         number = {part.tx: part.index for part in parts}
         by_id = segments_by_id(segs)
         for coop, tx in pairs_of(4, storage, cfg):
             part = parts[number[tx] - 1]
             msgs = encode_partition(segs, part, cfg)
-            dest_group = NodeSet.of(4) | (storage - coop)
+            dest_group = tuple(sorted(set(storage) - set(coop) | {4}))
             m = next(
                 m for m in msgs if m.dest_group == dest_group and m.coop == coop
             )
@@ -370,7 +372,7 @@ class TestStragglers:
         # are the C(K_r, s) consecutive rows at B's lex position
         cfg, pl, store, segs, parts = worked
         msgs = encode_partition(segs, parts[0], cfg)
-        plan = straggler_replan(parts[0], cfg, NodeSet(()))
+        plan = straggler_replan(parts[0], cfg, ())
         coops = enum_subsets(parts[0].tx, cfg.t)
         assert plan.rounds == (tuple((b, b) for b in coops),)
         per_group = math.comb(cfg.K_r, cfg.s)
@@ -378,29 +380,44 @@ class TestStragglers:
 
     def test_one_straggler_rounds(self, worked):
         cfg, pl, store, segs, parts = worked
-        plan = straggler_replan(parts[0], cfg, NodeSet.of(1))
+        plan = straggler_replan(parts[0], cfg, (1,))
         assert [len(r) for r in plan.rounds] == [1, 2]
         assert [rnd["messages"] for rnd in straggler_schedule(plan)] == [3, 6]
-        assert {e[0].members for e in plan.rounds[0]} == {(2, 3)}
-        assert {e[1].members for e in plan.rounds[1]} == {(2,), (3,)}
+        assert {e[0] for e in plan.rounds[0]} == {(2, 3)}
+        assert {e[1] for e in plan.rounds[1]} == {(2,), (3,)}
 
     def test_rounds_partition_messages(self, worked):
         # each coop group lands in exactly one round, so each message does
         cfg, pl, store, segs, parts = worked
         msgs = encode_partition(segs, parts[0], cfg)
-        plan = straggler_replan(parts[0], cfg, NodeSet.of(2))
+        plan = straggler_replan(parts[0], cfg, (2,))
         flat = [b for rnd in plan.rounds for b, _ in rnd]
-        assert sorted(b.members for b in flat) == sorted({m.coop.members for m in msgs})
+        assert sorted(flat) == sorted({m.coop for m in msgs})
         assert len(flat) == len(set(flat)) == len(msgs) // math.comb(cfg.K_r, cfg.s)
         for i, rnd in enumerate(plan.rounds):
             for coop, effective in rnd:
-                assert len(coop & NodeSet.of(2)) == i
-                assert effective == coop - NodeSet.of(2) and len(effective) >= 1
+                assert len(set(coop) & {2}) == i
+                assert effective == tuple(k for k in coop if k != 2) and len(effective) >= 1
 
     def test_too_many_stragglers(self, worked):
         cfg, pl, store, segs, parts = worked
         with pytest.raises(ConstraintViolation):
-            straggler_replan(parts[0], cfg, NodeSet.of(1, 2))
+            straggler_replan(parts[0], cfg, (1, 2))
+
+    @pytest.mark.parametrize("late", [(2, 1), (1, 1)], ids=["unsorted", "repeated"])
+    def test_stragglers_must_ascend_without_repeats(self, late):
+        # (7,4,3,3) allows two stragglers among partition 1's transmitters
+        # (1, 2, 3, 4), so only the order of S can refuse these
+        cfg = validate_config(SystemParams(K=7, N=35, Q=7, r=4, B=8), K_r=3, t=3)
+        part = enum_partitions(7, cfg.K_t)[0]
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            straggler_replan(part, cfg, late)
+
+    @pytest.mark.parametrize("late", [(4,), (0,)])
+    def test_stragglers_outside_the_transmitters_rejected(self, worked, late):
+        cfg, pl, store, segs, parts = worked
+        with pytest.raises(ParameterError):
+            straggler_replan(parts[0], cfg, late)
 
     def test_partition_of_another_transmitter_count_rejected(self, worked):
         # a partition of four transmitters under the (6,3,3,2) config,
@@ -409,7 +426,7 @@ class TestStragglers:
         cfg, *_ = worked
         wide = enum_partitions(6, 4)[0]
         with pytest.raises(ConstraintViolation, match=r"\|T_p\| = K_t: 4 transmitters") as exc:
-            straggler_replan(wide, cfg, NodeSet(()))
+            straggler_replan(wide, cfg, ())
         assert exc.value.constraint == "|T_p| = K_t"
 
     def test_schedule_slot_accounting(self, worked):
@@ -417,7 +434,7 @@ class TestStragglers:
         # leaves singleton survivors, and at s + t_eff = 2 + 1 = K_r their
         # two groups run as time division, C(3, 2) one-slot blocks each
         cfg, pl, store, segs, parts = worked
-        plan = straggler_replan(parts[0], cfg, NodeSet.of(1))
+        plan = straggler_replan(parts[0], cfg, (1,))
         assert plan.config is cfg
         schedule = straggler_schedule(plan)
         assert schedule[0] == {
@@ -429,7 +446,7 @@ class TestStragglers:
             "effective_coop_size": 1, "slots": 6,
         }
 
-        intact = straggler_schedule(straggler_replan(parts[0], cfg, NodeSet(())))
+        intact = straggler_schedule(straggler_replan(parts[0], cfg, ()))
         assert intact[0]["slots"] == 6  # == the partition's normal budget
 
     def test_schedule_stays_single_shot_with_slack(self):
@@ -437,7 +454,7 @@ class TestStragglers:
         params = SystemParams(K=8, N=56, Q=8, r=5, B=80)
         cfg = validate_config(params, K_r=4, t=2)
         part = enum_partitions(8, 4)[0]
-        plan = straggler_replan(part, cfg, NodeSet.of(part.tx.members[0]))
+        plan = straggler_replan(part, cfg, (part.tx[0],))
         schedule = straggler_schedule(plan)
         assert [rnd["slots"] for rnd in schedule] == [3, 3]
         assert sum(rnd["slots"] for rnd in schedule) == math.comb(4, 2)
@@ -460,17 +477,17 @@ class TestStragglers:
                         part = enum_partitions(K, cfg.K_t)[0]
                         coops = enum_subsets(part.tx, t)
                         n_msgs = math.comb(cfg.K_t, t) * math.comb(K_r, cfg.s)
-                        for late in ((), *((k,) for k in part.tx.members if t > 1)):
-                            plan = straggler_replan(part, cfg, NodeSet(late))
+                        for late in ((), *((k,) for k in part.tx if t > 1)):
+                            plan = straggler_replan(part, cfg, late)
                             held = sorted(b for rnd in plan.rounds for b, _ in rnd)
                             assert held == coops, (K, r, K_r, t, late)
                             messages = sum(rnd["messages"] for rnd in straggler_schedule(plan))
                             assert messages == n_msgs, (K, r, K_r, t, late)
-                        intact = straggler_schedule(straggler_replan(part, cfg, NodeSet(())))
+                        intact = straggler_schedule(straggler_replan(part, cfg, ()))
                         budget = partition_slots(cfg)
                         assert [rnd["slots"] for rnd in intact] == [budget], (K, r, K_r, t)
-                        for late in part.tx.members if t > 1 else ():
-                            plan = straggler_replan(part, cfg, NodeSet.of(late))
+                        for late in part.tx if t > 1 else ():
+                            plan = straggler_replan(part, cfg, (late,))
                             slots = [rnd["slots"] for rnd in straggler_schedule(plan)]
                             assert sum(slots) >= budget, (K, r, K_r, t, late)
         assert configs == 210
@@ -482,9 +499,9 @@ class TestStragglers:
         params = SystemParams(K=9, N=math.comb(9, 3), Q=9, r=3, B=8)
         cfg = validate_config(params, K_r=6, t=2)
         part = enum_partitions(9, cfg.K_t)[0]
-        intact = straggler_schedule(straggler_replan(part, cfg, NodeSet(())))
+        intact = straggler_schedule(straggler_replan(part, cfg, ()))
         assert [rnd["slots"] for rnd in intact] == [120] == [partition_slots(cfg)]
-        plan = straggler_replan(part, cfg, NodeSet.of(part.tx.members[0]))
+        plan = straggler_replan(part, cfg, (part.tx[0],))
         assert [rnd["slots"] for rnd in straggler_schedule(plan)] == [40, 120]
 
 

@@ -1,108 +1,49 @@
 import itertools
 import math
 
-import numpy as np
 import pytest
 
 from cpcshuffle.model import (
     ConstraintViolation,
-    NodeSet,
     ParameterError,
+    Partition,
     SystemParams,
     check_config,
     config_violation,
     delivery_layout,
     enum_partitions,
     enum_subsets,
-    full_set,
     t_range,
     validate_config,
 )
 
 
-class TestNodeSet:
-    def test_ordering_is_lexicographic(self):
-        assert NodeSet.of(1, 2) < NodeSet.of(1, 3) < NodeSet.of(2, 3)
-
-    def test_set_algebra(self):
-        a, b = NodeSet.of(1, 2, 5), NodeSet.of(2, 3)
-        assert (a | b).members == (1, 2, 3, 5)
-        assert (a & b).members == (2,)
-        assert (a - b).members == (1, 5)
-        assert 5 in a and 4 not in a
-        assert NodeSet.of(2).issubset(b)
-
-    def test_rejects_bad_members(self):
-        with pytest.raises(ParameterError):
-            NodeSet((2, 1))
-        with pytest.raises(ParameterError):
-            NodeSet((0, 1))
-
-    def test_mask_algebra_matches_tuple_semantics(self):
-        # every pair of subsets of [1..6]; `a` is interned, `b` is built
-        # through the public constructor, so both kinds meet in each operation
-        ground = range(1, 7)
-        tuples = [c for k in range(7) for c in itertools.combinations(ground, k)]
-        by_members = {s.members: s for k in range(7) for s in enum_subsets(full_set(6), k)}
-        for x in tuples:
-            a = by_members[x]
-            assert a.mask == sum(1 << i for i in x)
-            assert len(a) == len(x) and list(a) == list(x)
-            for y in tuples:
-                b = NodeSet(y)
-                sx, sy = set(x), set(y)
-                assert (a | b).members == tuple(sorted(sx | sy))
-                assert (a & b).members == tuple(sorted(sx & sy))
-                assert (a - b).members == tuple(sorted(sx - sy))
-                assert a.issubset(b) == (sx <= sy)
-                assert a.isdisjoint(b) == sx.isdisjoint(sy)
-                assert (a == b) == (x == y)
-                if x == y:
-                    assert hash(a) == hash(b)
-        shuffled = [NodeSet(x) for x in reversed(tuples)]
-        assert [s.members for s in sorted(shuffled)] == sorted(tuples)
-
-    def test_membership_matches_the_tuple(self):
-        for k in range(7):
-            for s in enum_subsets(full_set(6), k):
-                for node in range(-1, 9):
-                    assert (node in s) == (node in s.members)
-                    assert (np.int64(node) in s) == (np.int64(node) in s.members)
-
-    def test_single_node_of_is_interned_and_checked(self):
-        assert NodeSet.of(3) is NodeSet.of(3) is (NodeSet.of(2, 3) - NodeSet.of(2))
-        assert NodeSet.of(3) == NodeSet((3,))
-        for bad in (0, -1):
-            with pytest.raises(ParameterError):
-                NodeSet.of(bad)
-
-
 class TestEnumSubsets:
     def test_small_exhaustive(self):
-        out = enum_subsets(NodeSet.of(1, 2, 3), 2)
-        assert [s.members for s in out] == [(1, 2), (1, 3), (2, 3)]
+        out = enum_subsets((1, 2, 3), 2)
+        assert out == [(1, 2), (1, 3), (2, 3)]
 
     def test_six_choose_three(self):
-        assert len(enum_subsets(full_set(6), 3)) == 20
+        assert len(enum_subsets((1, 2, 3, 4, 5, 6), 3)) == 20
 
     def test_empty_set_convention(self):
-        assert enum_subsets(full_set(4), 0) == [NodeSet(())]
+        assert enum_subsets((1, 2, 3, 4), 0) == [()]
 
     def test_out_of_range(self):
         with pytest.raises(ParameterError):
-            enum_subsets(full_set(3), 4)
+            enum_subsets((1, 2, 3), 4)
         with pytest.raises(ParameterError):
-            enum_subsets(full_set(3), -1)
+            enum_subsets((1, 2, 3), -1)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_counts_match_binomial(self, n):
-        ground = full_set(n)
+        ground = tuple(range(1, n + 1))
         for k in range(n + 1):
             assert len(enum_subsets(ground, k)) == math.comb(n, k)
 
     def test_deterministic(self):
-        a = enum_subsets(full_set(7), 3)
-        b = enum_subsets(full_set(7), 3)
+        a = enum_subsets(tuple(range(1, 8)), 3)
+        b = enum_subsets(tuple(range(1, 8)), 3)
         assert a == b
 
 
@@ -110,13 +51,13 @@ class TestEnumPartitions:
     def test_six_three(self):
         parts = enum_partitions(6, 3)
         assert len(parts) == 20
-        assert parts[0].tx.members == (1, 2, 3)
-        assert parts[0].rx.members == (4, 5, 6)
+        assert parts[0].tx == (1, 2, 3)
+        assert parts[0].rx == (4, 5, 6)
         assert parts[0].index == 1
 
     def test_two_one(self):
         parts = enum_partitions(2, 1)
-        assert [(p.tx.members, p.rx.members) for p in parts] == [((1,), (2,)), ((2,), (1,))]
+        assert [(p.tx, p.rx) for p in parts] == [((1,), (2,)), ((2,), (1,))]
 
     def test_eight_four(self):
         parts = enum_partitions(8, 4)
@@ -125,8 +66,8 @@ class TestEnumPartitions:
 
     def test_rx_is_complement(self):
         for p in enum_partitions(5, 2):
-            assert (p.tx | p.rx).members == tuple(range(1, 6))
-            assert p.tx.isdisjoint(p.rx)
+            assert tuple(sorted(p.tx + p.rx)) == tuple(range(1, 6))
+            assert set(p.tx).isdisjoint(p.rx)
 
     @pytest.mark.parametrize("K,K_t", [(5, 2), (6, 3), (7, 4)])
     def test_completeness(self, K, K_t):
@@ -144,7 +85,7 @@ class TestEnumPartitions:
             for K_t in range(1, K):
                 parts = enum_partitions(K, K_t)
                 lex = list(itertools.combinations(range(1, K + 1), K_t))
-                assert [p.tx.members for p in parts] == lex
+                assert [p.tx for p in parts] == lex
                 assert [p.index for p in parts] == list(range(1, math.comb(K, K_t) + 1))
 
     def test_bad_group_size(self):
@@ -152,6 +93,21 @@ class TestEnumPartitions:
             enum_partitions(4, 0)
         with pytest.raises(ParameterError):
             enum_partitions(4, 4)
+
+
+class TestPartition:
+    def test_rejects_bad_members(self):
+        # a node set is a strictly increasing tuple of positive ints, on
+        # either side of the split
+        for bad in [(2, 1), (1, 1), (0, 1), (-1, 2), (1.0, 2)]:
+            with pytest.raises(ParameterError):
+                Partition(index=1, tx=bad, rx=(3, 4))
+            with pytest.raises(ParameterError):
+                Partition(index=1, tx=(3, 4), rx=bad)
+
+    def test_rejects_overlapping_sides(self):
+        with pytest.raises(ParameterError, match="disjoint"):
+            Partition(index=1, tx=(1, 2), rx=(2, 3))
 
 
 class TestSystemParams:

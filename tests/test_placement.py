@@ -40,7 +40,7 @@ class TestBuildPlacement:
         pl = build_placement(SystemParams(K=4, N=6, Q=4, r=2, B=8))
         assert all(len(files) == 3 for files in pl.node_to_files.values())
         # each of the 6 pairs stores exactly eta1 = 1 file
-        groups = [g.members for g in pl.file_to_nodes.values()]
+        groups = list(pl.file_to_nodes.values())
         assert sorted(groups) == sorted(set(groups)) and len(groups) == 6
 
     def test_every_group_gets_eta1_files(self):

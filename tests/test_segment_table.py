@@ -22,7 +22,6 @@ from cpcshuffle.codec import (
 )
 from cpcshuffle.model import (
     InternalInvariantError,
-    NodeSet,
     ParameterError,
     SystemParams,
     config_violation,
@@ -129,8 +128,7 @@ class TestMessageTable:
 
         monkeypatch.setattr(codec, "_message_positions", skewed)
         missing = (
-            "missing segment SegmentId(dest=3, storage=NodeSet(members=(1, 2, 5)), "
-            "partition=1, coop=NodeSet(members=(1, 2)))"
+            "missing segment SegmentId(dest=3, storage=(1, 2, 5), partition=1, coop=(1, 2))"
         )
         with pytest.raises(InternalInvariantError, match=f"^{re.escape(missing)}$"):
             _table(6, 3, 3, 2)
@@ -224,8 +222,9 @@ def test_table_keeps_no_python_object_per_row():
 
 
 def test_segmentation_builds_no_node_set_per_pair(monkeypatch):
-    # (10,5,5,2) has 50,400 (B, B | E) pairs; the table reads B and E as
-    # masks, so no transmitter set is built for any of them
+    # (10,5,5,2) has 50,400 (B, B | E) pairs; the table enumerates node
+    # sets once per dest, its storage groups, and reads B and E by rank,
+    # so no set is built for any pair
     K, r, K_r, t = 10, 5, 5, 2
     probe = validate_config(SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=8), K_r, t)
     params = SystemParams(K=K, N=math.comb(K, r), Q=K, r=r, B=round_up_bits(probe, 8))
@@ -233,13 +232,13 @@ def test_segmentation_builds_no_node_set_per_pair(monkeypatch):
     pl = build_placement(params)
     store = map_phase(pl, params, seed=0)
     calls = []
-    real = NodeSet.from_mask.__func__
+    real = codec.enum_subsets
 
-    def counted(cls, mask):
-        calls.append(mask)
-        return real(cls, mask)
+    def counted(ground, k):
+        calls.append((ground, k))
+        return real(ground, k)
 
-    monkeypatch.setattr(NodeSet, "from_mask", classmethod(counted))
+    monkeypatch.setattr(codec, "enum_subsets", counted)
     segs = segment_ivs(pl, cfg, store)
     assert len(segs.data) == 50400
-    assert calls == []
+    assert len(calls) == K
